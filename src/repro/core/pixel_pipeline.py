@@ -49,7 +49,6 @@ from ..render.backward import (
     reproject_gradients,
 )
 from ..render.compositing import (
-    ALPHA_MAX,
     ALPHA_THRESHOLD,
     T_MIN,
     CompositeCache,
@@ -61,7 +60,7 @@ from ..render.kernels.candidates import (
     candidate_pairs,
     lattice_pair_arrays,
 )
-from ..render.kernels.vectorized import FlatCompositeCache
+from ..render.kernels.vectorized import FlatCompositeCache, evaluate_alpha
 from ..render.projection import ProjectedGaussians, project_gaussians
 from ..render.stats import PipelineStats
 
@@ -245,14 +244,8 @@ def render_sparse(
                                 if _atlas_mod.current.active else (None, None))
         pair_alpha = pair_clipped = None
         if n_candidates and (preemptive_alpha or kernel.wants_pair_alpha):
-            du = centres[pairs.pix, 0] - proj.mean2d[pairs.gss, 0]
-            dv = centres[pairs.pix, 1] - proj.mean2d[pairs.gss, 1]
-            d2 = du * du + dv * dv
-            sig = proj.sigma2d[pairs.gss]
-            inv_2var = 1.0 / (2.0 * sig * sig)
-            alpha_raw = proj.opacity[pairs.gss] * exp_fn(-d2 * inv_2var)
-            pair_clipped = alpha_raw > ALPHA_MAX
-            pair_alpha = np.minimum(alpha_raw, ALPHA_MAX)
+            pair_alpha, pair_clipped = evaluate_alpha(
+                proj, pairs.gss, centres[pairs.pix], exp_fn)
             if preemptive_alpha:
                 keep = pair_alpha >= alpha_threshold
                 pairs = CandidatePairs(pairs.pix[keep], pairs.gss[keep], K)

@@ -1,10 +1,12 @@
 """Backward pass of the tile pipeline: reverse rasterization, aggregation,
 and re-projection (Fig. 3, bottom).
 
-Reverse rasterization walks every tile's cached composite and produces the
-pixel-Gaussian partial gradients; *aggregation* scatters them into
-per-Gaussian accumulators (``np.add.at`` plays the role of ``atomicAdd``
-and its invocation count is recorded as the atomic-contention workload);
+Reverse rasterization walks the forward pass's cached composite blocks and
+produces the pixel-Gaussian partial gradients (the render engine's
+``pair_gradients`` stage, shared with the sparse pixel pipeline);
+*aggregation* scatters them into per-Gaussian accumulators (``np.add.at``
+plays the role of ``atomicAdd`` and the number of contributing pairs is
+recorded as the atomic-contention workload);
 *re-projection* finally maps the 2D splat gradients through the projection
 into world-space parameter gradients and, for tracking, the camera-twist
 gradient.
@@ -21,9 +23,12 @@ from ..gaussians.model import GaussianCloud
 from ..gaussians.se3 import point_jacobian_wrt_twist
 from ..obs import trace
 from ..obs import atlas as _atlas_mod
-from .compositing import T_MIN, composite_backward
+# composite_backward is the per-tile oracle of the engine below; it stays
+# importable from this module (perfbench/layers.py wraps it here).
+from .compositing import composite_backward  # noqa: F401
+from .kernels.vectorized import pair_gradients
 from .projection import ProjectedGaussians
-from .rasterize import RenderResult
+from .rasterize import RenderResult, tile_work_records
 from .stats import PipelineStats
 
 __all__ = ["RenderGradients", "ProjectedGradients", "backward_full",
@@ -159,7 +164,22 @@ def backward_full(
 
     ``d_color`` is ``(H, W, 3)``; ``d_depth`` and ``d_silhouette`` are
     ``(H, W)`` (pass zeros for unused channels).  The forward pass must
-    have been run with ``keep_cache=True``.
+    have been run with ``keep_cache=True``; otherwise every gradient is
+    zero.
+
+    Pair gradients come from the engine's
+    :func:`~repro.render.kernels.vectorized.pair_gradients`, one pixel
+    block at a time, and aggregate in two stages that reproduce the
+    per-tile loop's float additions exactly:
+
+    1. ``np.add.at`` into one accumulator per (tile, list slot), in pixel
+       order — the sequential pixel sum a tile's reverse pass takes per
+       list entry;
+    2. ``np.add.at`` of the slot accumulators into the per-Gaussian
+       gradients, in tile order — the tile loop's scatter sequence.
+
+    A single pixel-major scatter would add the same terms in another
+    order, which differs in the last bits.
     """
     proj = result.proj
     pg = ProjectedGradients.zeros(len(proj))
@@ -173,46 +193,55 @@ def backward_full(
         num_pixels=result.grid.width * result.grid.height,
         record_per_pixel=result.stats.record_per_pixel,
     )
-    record = stats.record_per_pixel
 
     with trace.span("render.tile_bwd", pipeline="tile",
                     gaussians=len(cloud)):
-        for tile, idx in enumerate(result.sorted_lists):
-            cache = result.caches[tile]
-            if cache is None or idx.size == 0:
-                continue
-            px = result.tile_pixels[tile]
-            u, v = px[:, 0], px[:, 1]
-            pair = composite_backward(
-                cache,
-                proj.mean2d[idx],
-                proj.sigma2d[idx],
-                proj.depth[idx],
-                proj.opacity[idx],
-                proj.color[idx],
-                d_color[v, u],
-                d_depth[v, u],
-                d_silhouette[v, u],
-            )
-            pg.accumulate(idx, pair)
-            # The tile backward re-runs alpha-checking against the cached
-            # tile-Gaussian sorted list (Sec. II-B).
-            stats.num_candidate_pairs += px.shape[0] * idx.size
-            stats.num_alpha_checks += px.shape[0] * idx.size
-            stats.num_contrib_pairs += pair.num_pairs_touched
-            stats.num_atomic_adds += pair.num_pairs_touched
-            if _atlas_mod.current.active:
-                _atlas_mod.current.observe_tile_backward(px, cache.contrib.sum(axis=1))
-            if record:
-                serial_len = int((cache.gamma >= T_MIN).sum(axis=1).max())
-                stats.tile_work.append((idx.size, px.shape[0], serial_len))
-                stats.per_pixel_contribs.extend(
-                    int(c) for c in cache.contrib.sum(axis=1))
-                for p in range(px.shape[0]):
-                    stats.pixel_contrib_ids.append(
-                        result.proj.source_index[idx[cache.contrib[p]]])
-
+        if result.blocks is not None:
+            _tile_backward(result, d_color, d_depth, d_silhouette, pg, stats)
         with trace.span("render.reproject"):
             grads = reproject_gradients(proj, cloud, camera, pg)
     grads.stats = stats
     return grads
+
+
+def _tile_backward(result, d_color, d_depth, d_silhouette, pg, stats):
+    """Reverse rasterization + aggregation over the forward's pixel blocks
+    (fills ``pg`` and the counters of ``stats``)."""
+    proj = result.proj
+    u, v = result.pixels[:, 0], result.pixels[:, 1]
+    d_color, d_depth, d_silhouette = (d_color[v, u], d_depth[v, u],
+                                      d_silhouette[v, u])
+    slot_gaussians = np.concatenate(result.sorted_lists)
+    slots = ProjectedGradients.zeros(slot_gaussians.size)
+    touched = np.zeros(len(u), dtype=np.int64)
+    ids = []
+    for b in result.blocks:
+        pair = pair_gradients(b.cache, proj, d_color[b.lo:b.hi],
+                              d_depth[b.lo:b.hi], d_silhouette[b.lo:b.hi])
+        slots.accumulate(b.slots, pair)
+        touched[b.lo:b.hi] = pair.touched
+        if stats.record_per_pixel:
+            ids.append(proj.source_index[b.cache.gss[pair.contrib_flat]])
+    pg.accumulate(slot_gaussians, slots)
+
+    # The tile backward re-runs alpha-checking against the cached
+    # tile-Gaussian sorted list (Sec. II-B): every pixel of a tile with a
+    # non-empty list, against the whole list.
+    n_g = np.array([len(lst) for lst in result.sorted_lists])
+    n_px = np.bincount(result.pixel_tiles, minlength=n_g.size)
+    live = n_g[result.pixel_tiles] > 0
+    stats.num_candidate_pairs += int((n_px * n_g).sum())
+    stats.num_alpha_checks += int((n_px * n_g).sum())
+    stats.num_contrib_pairs += int(touched.sum())
+    stats.num_atomic_adds += int(touched.sum())
+    if _atlas_mod.current.active:
+        _atlas_mod.current.observe_tile_backward(result.pixels[live],
+                                                 touched[live])
+    if stats.record_per_pixel:
+        stats.tile_work.extend(tile_work_records(
+            result.blocks, n_g, n_px, result.pixel_tiles))
+        stats.per_pixel_contribs.extend(touched[live].tolist())
+        per_pixel = np.split(np.concatenate(ids) if ids else np.zeros(0, int),
+                             np.cumsum(touched)[:-1])
+        stats.pixel_contrib_ids.extend(
+            per_pixel[k] for k in np.flatnonzero(live))

@@ -20,6 +20,12 @@ Gaussian) pair list:
 Together this makes the backend bit-identical to the reference loop while
 doing O(K) Python work instead of O(K) Python *loop iterations* of ~25
 numpy calls each.
+
+The stages — :func:`evaluate_alpha`, :func:`composite` and
+:func:`pair_gradients` — are also the engine of the dense tile pipeline
+(:mod:`repro.render.rasterize` / :mod:`repro.render.backward`), which
+feeds them from the tile table instead of a lexsort and aggregates with a
+tile-major two-stage scatter.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ from ..compositing import ALPHA_MAX
 __all__ = [
     "FlatCompositeCache",
     "PairGradients",
+    "evaluate_alpha",
+    "composite",
     "forward",
     "backward",
     "pair_gradients",
@@ -64,12 +72,84 @@ class FlatCompositeCache:
     background: np.ndarray    # (3,)
 
 
-def _pad(flat: np.ndarray, offsets: np.ndarray, valid: np.ndarray,
-         fill) -> np.ndarray:
-    """Scatter a flat per-pair array into the (K, Lmax) padded layout."""
-    idx = np.minimum(offsets[:-1, None] + np.arange(valid.shape[1])[None, :],
-                     max(flat.shape[0] - 1, 0))
-    return np.where(valid, flat[idx], fill)
+def evaluate_alpha(proj, gss, centres, exp_fn=np.exp):
+    """α stage: ``(alpha, clipped)`` per (centre, Gaussian) pair.
+
+    ``centres[..., :2]`` broadcasts against ``gss``: aligned flat arrays
+    give one value per pair, ``(P, 1, 2)`` centres against a length-L list
+    give the ``(P, L)`` block.  Elementwise the same expression
+    :func:`composite_forward` evaluates, so every pipeline α-checks a
+    pair to the same bits.
+    """
+    du = centres[..., 0] - proj.mean2d[gss, 0]
+    dv = centres[..., 1] - proj.mean2d[gss, 1]
+    d2 = du * du + dv * dv
+    sig = proj.sigma2d[gss]
+    inv_2var = 1.0 / (2.0 * sig * sig)
+    alpha_raw = proj.opacity[gss] * exp_fn(-d2 * inv_2var)
+    return np.minimum(alpha_raw, ALPHA_MAX), alpha_raw > ALPHA_MAX
+
+
+def composite(proj, gss, lengths, centres, background, alpha, clipped,
+              alpha_threshold, t_min):
+    """Composite stage over depth-ordered pairs grouped by pixel.
+
+    ``gss`` / ``alpha`` / ``clipped`` are flat per-pair arrays, pixel-major
+    and front-to-back within a pixel; ``lengths`` are the K per-pixel pair
+    counts.  The ragged segments are padded to ``(K, Lmax)``: Γ is one
+    row-wise ``cumprod`` and every channel a row-wise ``cumsum`` — the
+    strictly sequential reductions of :func:`composite_forward`, which is
+    what makes the padding (and any pair that fails α, whose factor is an
+    exact 1.0 and whose weight an exact 0.0) bit-transparent.
+
+    Returns ``(color, depth, silhouette, cache)``; ``color`` has the
+    background composited under, and ``cache`` (the backward state) is
+    None when no pixel has a pair.
+    """
+    K = lengths.size
+    Lmax = int(lengths.max()) if K else 0
+    if Lmax == 0:
+        return np.tile(background, (K, 1)), np.zeros(K), np.zeros(K), None
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    valid = np.arange(Lmax)[None, :] < lengths[:, None]
+    at = np.minimum(offsets[:-1, None] + np.arange(Lmax)[None, :],
+                    gss.size - 1)
+    gpad = np.where(valid, gss[at], 0)
+    alpha = np.where(valid, alpha[at], 0.0)
+    clipped = valid & clipped[at]
+    passes = (alpha >= alpha_threshold) & valid
+
+    # Transmittance prefix: padding contributes a factor of 1.0, so every
+    # real prefix is untouched; cumprod is sequential like the reference's.
+    gamma_incl = np.cumprod(1.0 - np.where(passes, alpha, 0.0), axis=1)
+    gamma = np.concatenate([np.ones((K, 1)), gamma_incl[:, :-1]], axis=1)
+    contrib = passes & (gamma_incl >= t_min)
+    weight = np.where(contrib, gamma * alpha, 0.0)
+
+    # Channel sums as sequential prefix sums (zero padding is exact), one
+    # (K, Lmax) cumsum per channel.
+    colpad = proj.color[gpad]
+    out_color = np.stack([np.cumsum(weight * colpad[:, :, c], axis=1)[:, -1]
+                          for c in range(3)], axis=-1)
+    out_depth = np.cumsum(weight * proj.depth[gpad], axis=1)[:, -1]
+    out_sil = np.cumsum(weight, axis=1)[:, -1]
+    gamma_final = 1.0 - out_sil
+    out_color = out_color + gamma_final[:, None] * background[None, :]
+
+    cache = FlatCompositeCache(
+        centres=centres,
+        lengths=lengths,
+        gss=gss,
+        gpad=gpad,
+        valid=valid,
+        alpha=np.where(contrib, alpha, 0.0),
+        gamma=gamma,
+        contrib=contrib,
+        clipped=clipped,
+        gamma_final=gamma_final,
+        background=background,
+    )
+    return out_color, out_depth, out_sil, cache
 
 
 def forward(proj, pairs, centres, background, alpha_threshold, t_min,
@@ -77,6 +157,7 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
             pair_alpha=None, pair_clipped=None, contribs_out=None):
     """Batched forward pass over the shared candidate pair list.
 
+    The order stage (one global lexsort) followed by :func:`composite`.
     ``pair_alpha`` / ``pair_clipped`` are the flat per-pair α values and
     clip flags the pipeline's α stage already evaluated (aligned with
     ``pairs``); when given, the falloff is not re-evaluated here.
@@ -101,51 +182,18 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
     pix = pairs.pix[order]
     gss = pairs.gss[order]
     lengths = np.bincount(pix, minlength=K)
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    Lmax = int(lengths.max())
-    valid = np.arange(Lmax)[None, :] < lengths[:, None]
-    gpad = _pad(gss, offsets, valid, 0)
-
     if pair_alpha is not None:
-        alpha = _pad(pair_alpha[order], offsets, valid, 0.0)
-        clipped = _pad(pair_clipped[order], offsets, valid, False)
+        alpha, clipped = pair_alpha[order], pair_clipped[order]
     else:
-        # α evaluation, elementwise identical to composite_forward's.
-        mean_u = proj.mean2d[gpad, 0]
-        mean_v = proj.mean2d[gpad, 1]
-        sig = proj.sigma2d[gpad]
-        du = centres[:, 0:1] - mean_u
-        dv = centres[:, 1:2] - mean_v
-        d2 = du * du + dv * dv
-        inv_2var = 1.0 / (2.0 * sig * sig)
-        g = exp_fn(-d2 * inv_2var)
-        alpha_raw = proj.opacity[gpad] * g
-        clipped = alpha_raw > ALPHA_MAX
-        alpha = np.minimum(alpha_raw, ALPHA_MAX)
-    passes = (alpha >= alpha_threshold) & valid
-
-    # Transmittance prefix: padding contributes a factor of 1.0, so every
-    # real prefix is untouched; cumprod is sequential like the reference's.
-    alpha_eff = np.where(passes, alpha, 0.0)
-    one_minus = 1.0 - alpha_eff
-    gamma_incl = np.cumprod(one_minus, axis=1)
-    gamma = np.concatenate([np.ones((K, 1)), gamma_incl[:, :-1]], axis=1)
-    alive = gamma_incl >= t_min
-    contrib = passes & alive
-    weight = np.where(contrib, gamma * alpha, 0.0)
-
-    # Channel sums as sequential prefix sums (zero padding is exact).
-    out_color = np.cumsum(weight[:, :, None] * proj.color[gpad],
-                          axis=1)[:, -1, :]
-    out_depth = np.cumsum(weight * proj.depth[gpad], axis=1)[:, -1]
-    out_sil = np.cumsum(weight, axis=1)[:, -1]
-    gamma_final = 1.0 - out_sil
-
-    color[:, :] = out_color + gamma_final[:, None] * background[None, :]
+        alpha, clipped = evaluate_alpha(proj, gss, centres[pix], exp_fn)
+    out_color, out_depth, out_sil, cache = composite(
+        proj, gss, lengths, centres, background, alpha, clipped,
+        alpha_threshold, t_min)
+    color[:, :] = out_color
     depth[:] = out_depth
     silhouette[:] = out_sil
 
-    contribs_row = contrib.sum(axis=1)
+    contribs_row = cache.contrib.sum(axis=1)
     stats.num_contrib_pairs += int(contribs_row.sum())
     if contribs_out is not None:
         contribs_out[:] = contribs_row
@@ -153,23 +201,9 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
         stats.pixel_list_lengths.extend(int(n) for n in lengths)
         stats.per_pixel_contribs.extend(int(c) for c in contribs_row)
 
-    pixel_lists: List[np.ndarray] = np.split(gss, offsets[1:-1])
-    flat_cache: Optional[FlatCompositeCache] = None
-    if keep_cache:
-        flat_cache = FlatCompositeCache(
-            centres=centres,
-            lengths=lengths,
-            gss=gss,
-            gpad=gpad,
-            valid=valid,
-            alpha=np.where(contrib, alpha, 0.0),
-            gamma=gamma,
-            contrib=contrib,
-            clipped=clipped,
-            gamma_final=gamma_final,
-            background=background,
-        )
-    return pixel_lists, [None] * K, flat_cache
+    pixel_lists: List[np.ndarray] = np.split(
+        gss, np.cumsum(lengths)[:-1])
+    return pixel_lists, [None] * K, cache if keep_cache else None
 
 
 @dataclass
@@ -195,76 +229,82 @@ class PairGradients:
     contrib_flat: np.ndarray  # (P,) bool — pair actually contributed
 
 
+def _exclusive_suffix(w: np.ndarray) -> np.ndarray:
+    """Row-wise suffix sums excluding self (flip, cumsum, flip).  Padding
+    sits at the row tails, so after the flip it only prepends zeros to
+    each cumsum — every real suffix value is unchanged."""
+    return np.flip(np.cumsum(np.flip(w, axis=1), axis=1), axis=1) - w
+
+
 def pair_gradients(fc, proj, d_color, d_depth, d_silhouette):
     """Compute every per-pair gradient partial; no aggregation.
 
     Every arithmetic expression mirrors :func:`composite_backward` term
-    for term (same operand values, same association order), and padding
-    only ever adds exact zeros — all math here is elementwise per pixel
-    row, so running it over a contiguous pixel shard yields bit-identical
-    values to the corresponding rows of the global pass.
+    for term (same operand values, same association order).  Only the
+    suffix sums need the padded rows; everything else runs on the flat
+    valid pairs, with each pair's pixel-level operands gathered by its
+    row.  All math is per pixel row, so running it over a contiguous
+    pixel shard yields bit-identical values to the corresponding rows of
+    the global pass.
     """
-    alpha = fc.alpha
-    gamma = fc.gamma
-    contrib = fc.contrib
-    weight = gamma * alpha
+    sel = fc.valid
+    gss = fc.gss
+    rows = np.repeat(np.arange(fc.lengths.size), fc.lengths)
+    weight_pad = fc.gamma * fc.alpha
     colpad = proj.color[fc.gpad]
-    depth_pad = proj.depth[fc.gpad]
-
-    # Exclusive suffix sums per channel, background folded in afterwards.
-    # Padding sits at the row tails, so after the flip it only prepends
-    # zeros to each cumsum — every real suffix value is unchanged.
-    w_c = weight[:, :, None] * colpad
-    w_d = weight * depth_pad
-    suffix_c = np.flip(np.cumsum(np.flip(w_c, axis=1), axis=1), axis=1) - w_c
-    suffix_d = np.flip(np.cumsum(np.flip(w_d, axis=1), axis=1), axis=1) - w_d
-    suffix_s = (np.flip(np.cumsum(np.flip(weight, axis=1), axis=1), axis=1)
-                - weight)
-    suffix_c = suffix_c + fc.gamma_final[:, None, None] * fc.background
+    alpha = fc.alpha[sel]
+    gamma = fc.gamma[sel]
+    contrib = fc.contrib[sel]
+    weight = weight_pad[sel]
+    color = proj.color[gss]
+    depth = proj.depth[gss]
+    d_color = d_color[rows]
 
     one_minus = np.where(contrib, 1.0 - alpha, 1.0)
     inv_one_minus = 1.0 / np.maximum(one_minus, 1e-12)
 
-    term_c = gamma[:, :, None] * colpad - suffix_c * inv_one_minus[:, :, None]
-    d_alpha = (d_color[:, None, 0] * term_c[:, :, 0]
-               + d_color[:, None, 1] * term_c[:, :, 1]
-               + d_color[:, None, 2] * term_c[:, :, 2])
-    d_alpha = d_alpha + d_depth[:, None] * (
-        gamma * depth_pad - suffix_d * inv_one_minus)
-    d_alpha = d_alpha + d_silhouette[:, None] * (
-        gamma - suffix_s * inv_one_minus)
-    d_alpha = np.where(contrib & ~fc.clipped, d_alpha, 0.0)
+    # dOut/dα = Γ V - S / (1 - α) per channel, S the exclusive suffix sum
+    # (the background folded into the color suffixes), contracted with
+    # the output gradients in channel order.
+    background_term = fc.gamma_final[rows]
+    d_alpha = None
+    for c in range(3):
+        suffix_c = (_exclusive_suffix(weight_pad * colpad[:, :, c])[sel]
+                    + background_term * fc.background[c])
+        term = d_color[:, c] * (gamma * color[:, c] - suffix_c * inv_one_minus)
+        d_alpha = term if d_alpha is None else d_alpha + term
+    suffix_d = _exclusive_suffix(weight_pad * proj.depth[fc.gpad])[sel]
+    suffix_s = _exclusive_suffix(weight_pad)[sel]
+    d_alpha = d_alpha + d_depth[rows] * (gamma * depth - suffix_d * inv_one_minus)
+    d_alpha = d_alpha + d_silhouette[rows] * (gamma - suffix_s * inv_one_minus)
+    d_alpha = np.where(contrib & ~fc.clipped[sel], d_alpha, 0.0)
 
-    opac = proj.opacity[fc.gpad]
-    sig = proj.sigma2d[fc.gpad]
+    opac = proj.opacity[gss]
+    sig = proj.sigma2d[gss]
     g = np.where(contrib, alpha / np.maximum(opac, 1e-12), 0.0)
     d_g = d_alpha * opac
     d_opacity = d_alpha * g
 
-    du = fc.centres[:, 0:1] - proj.mean2d[fc.gpad, 0]
-    dv = fc.centres[:, 1:2] - proj.mean2d[fc.gpad, 1]
+    du = fc.centres[rows, 0] - proj.mean2d[gss, 0]
+    dv = fc.centres[rows, 1] - proj.mean2d[gss, 1]
     inv_var = 1.0 / (sig * sig)
     d_mean_u = d_g * g * du * inv_var
     d_mean_v = d_g * g * dv * inv_var
     d2 = du * du + dv * dv
     d_sigma = d_g * g * d2 * (inv_var / sig)
-    d_color_pairs = weight[:, :, None] * d_color[:, None, :]
-    d_depth_pairs = weight * d_depth[:, None]
 
-    # Flatten over all valid pairs in row-major (= pixel-major,
-    # depth-sorted) order — the identical (index, value) sequence the
-    # reference's per-pixel np.add.at calls issue, zero-valued
-    # non-contributing pairs included.
-    sel = fc.valid
+    # Pairs in row-major (= pixel-major, depth-sorted) order — the
+    # identical (index, value) sequence the reference's per-pixel
+    # np.add.at calls issue, zero-valued non-contributing pairs included.
     return PairGradients(
-        idx=fc.gpad[sel],
-        d_mean2d=np.stack([d_mean_u[sel], d_mean_v[sel]], axis=-1),
-        d_sigma2d=d_sigma[sel],
-        d_opacity=d_opacity[sel],
-        d_color=d_color_pairs[sel],
-        d_depth=d_depth_pairs[sel],
-        touched=contrib.sum(axis=1),
-        contrib_flat=contrib[sel],
+        idx=gss,
+        d_mean2d=np.stack([d_mean_u, d_mean_v], axis=-1),
+        d_sigma2d=d_sigma,
+        d_opacity=d_opacity,
+        d_color=weight[:, None] * d_color,
+        d_depth=weight * d_depth[rows],
+        touched=fc.contrib.sum(axis=1),
+        contrib_flat=contrib,
     )
 
 

@@ -1,10 +1,29 @@
 """Tile-based forward rendering (the conventional 3DGS pipeline of Fig. 3).
 
 ``render_full`` runs projection -> tile intersection -> per-tile depth sort
--> per-pixel rasterization, producing color / depth / silhouette maps and
-the workload counters the hardware models consume.  The per-tile composite
-caches are retained so :mod:`repro.render.backward` can run the exact
-reverse pass without recomputation.
+-> rasterization, producing color / depth / silhouette maps and the
+workload counters the hardware models consume.
+
+Rasterization runs on the render engine the sparse pixel pipeline uses
+(:mod:`repro.render.kernels.vectorized`), fed from the tile table:
+
+- *candidates*: every rendered pixel of a tile x every Gaussian in that
+  tile's list, α-checked with one broadcast per tile exactly as the tile
+  pipeline α-checks them (so ``num_candidate_pairs = Σ n_px·n_g`` and any
+  ``alpha_threshold`` stays exact), then compacted to the passing pairs;
+- *order*: the pairs come out tile-major, pixels row-major within a tile
+  and front-to-back within a pixel — each tile's depth sort is reused for
+  every pixel in it, with no per-pair sort (the redundant-sort
+  elimination of GS-TG);
+- *composite*: the shared :func:`~repro.render.kernels.vectorized.composite`
+  stage over fixed blocks of pixels, which bounds the working set.
+
+A pair that fails α has a transmittance factor of exactly 1.0 and a
+weight of exactly 0.0 in a per-tile :func:`composite_forward`, and both
+reductions are sequential, so dropping it changes no bit: the outputs are
+identical to a per-tile composite loop's.  Each block's composite state is
+retained so :mod:`repro.render.backward` can run the exact reverse pass
+without recomputation.
 
 Passing a sparse ``pixels`` subset reproduces the **Org.+S** baseline of
 the paper: sparse pixel sampling bolted onto the tile pipeline.  Only the
@@ -25,15 +44,38 @@ from ..gaussians.camera import Camera
 from ..gaussians.model import GaussianCloud
 from ..obs import trace
 from ..obs import atlas as _atlas_mod
-from .compositing import ALPHA_THRESHOLD, T_MIN, CompositeCache, composite_forward
+# composite_forward is the per-tile oracle of the engine below; it stays
+# importable from this module (perfbench/layers.py wraps it here).
+from .compositing import (  # noqa: F401
+    ALPHA_THRESHOLD,
+    T_MIN,
+    composite_forward,
+)
+from .kernels.vectorized import FlatCompositeCache, composite, evaluate_alpha
 from .projection import ProjectedGaussians, project_gaussians
 from .sorting import sort_intersection_table
 from .stats import PipelineStats
 from .tiles import TileGrid, build_intersection_table
 
-__all__ = ["RenderResult", "render_full"]
+__all__ = ["RenderResult", "PixelBlock", "render_full", "BLOCK_PIXELS"]
 
 DEFAULT_BACKGROUND = np.zeros(3)
+
+#: Rendered pixels per composite block.  Bounds the padded working set of
+#: the forward and backward passes; results do not depend on it.
+BLOCK_PIXELS = 1024
+
+
+@dataclass
+class PixelBlock:
+    """Backward state of one block of rendered pixels ``[lo, hi)``."""
+
+    lo: int
+    hi: int
+    # Per pair (block pair order): index of its (tile, list-slot)
+    # accumulator — the tile's slot offset plus the list position.
+    slots: np.ndarray
+    cache: FlatCompositeCache
 
 
 @dataclass
@@ -46,8 +88,11 @@ class RenderResult:
     proj: ProjectedGaussians
     grid: TileGrid
     sorted_lists: List[np.ndarray]      # per-tile projected-Gaussian indices
-    caches: List[Optional[CompositeCache]]
-    tile_pixels: List[np.ndarray]       # per-tile (P, 2) rendered pixels
+    pixels: np.ndarray       # (K, 2) rendered pixels, tile-major
+    pixel_tiles: np.ndarray  # (K,) tile of each rendered pixel
+    # Composite state per pixel block (blocks without a pair are left
+    # out); None when rendered with ``keep_cache=False``.
+    blocks: Optional[List[PixelBlock]]
     stats: PipelineStats = field(default_factory=PipelineStats)
 
     @property
@@ -91,11 +136,9 @@ def render_full(
         table = build_intersection_table(proj, grid)
         sorted_lists = sort_intersection_table(table, proj)
 
-    sample_mask = None
     if pixels is not None:
         pixels = np.atleast_2d(np.asarray(pixels, dtype=int))
-        sample_mask = np.zeros((intr.height, intr.width), dtype=bool)
-        sample_mask[pixels[:, 1], pixels[:, 0]] = True
+    px, px_tiles = _rendered_pixels(grid, pixels)
 
     color = np.tile(bg, (intr.height, intr.width, 1))
     depth = np.zeros((intr.height, intr.width))
@@ -114,13 +157,45 @@ def render_full(
         record_per_pixel=record_per_pixel,
     )
 
-    caches: List[Optional[CompositeCache]] = []
-    tile_pixels: List[np.ndarray] = []
     with trace.span("render.composite", pipeline="tile",
                     tiles=grid.num_tiles):
-        _composite_tiles(grid, sorted_lists, sample_mask, proj, bg,
-                         alpha_threshold, t_min, keep_cache, stats,
-                         color, depth, silhouette, caches, tile_pixels)
+        n_g = table.tile_counts()
+        n_px = np.bincount(px_tiles, minlength=grid.num_tiles)
+        centres = px + 0.5
+        pix, slots, gss, alpha, clipped = _tile_pairs(
+            proj, sorted_lists, n_g, n_px, centres, alpha_threshold)
+        lengths = np.bincount(pix, minlength=px.shape[0])
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        blocks: List[PixelBlock] = []
+        contribs = np.zeros(px.shape[0], dtype=np.int64)
+        for lo in range(0, px.shape[0], BLOCK_PIXELS):
+            hi = min(lo + BLOCK_PIXELS, px.shape[0])
+            p0, p1 = offsets[lo], offsets[hi]
+            out_color, out_depth, out_sil, cache = composite(
+                proj, gss[p0:p1], lengths[lo:hi], centres[lo:hi], bg,
+                alpha[p0:p1], clipped[p0:p1], alpha_threshold, t_min)
+            u, v = px[lo:hi, 0], px[lo:hi, 1]
+            color[v, u] = out_color
+            depth[v, u] = out_depth
+            silhouette[v, u] = out_sil
+            if cache is not None:
+                contribs[lo:hi] = cache.contrib.sum(axis=1)
+                blocks.append(PixelBlock(lo, hi, slots[p0:p1], cache))
+
+        # Sorting is charged only for tiles that render at least one pixel
+        # (a generous accounting for the Org.+S baseline); every rendered
+        # pixel α-checks its tile's whole list.
+        stats.num_sort_keys += int(n_g[n_px > 0].sum())
+        stats.num_candidate_pairs += int((n_px * n_g).sum())
+        stats.num_alpha_checks += int((n_px * n_g).sum())
+        stats.num_contrib_pairs += int(contribs.sum())
+        if _atlas_mod.current.active:
+            _atlas_mod.current.observe_tile_forward(px, px_tiles,
+                                                    n_g[px_tiles], contribs)
+        if record_per_pixel:
+            stats.tile_work.extend(
+                tile_work_records(blocks, n_g, n_px, px_tiles))
+            stats.per_pixel_contribs.extend(contribs.tolist())
 
     return RenderResult(
         color=color,
@@ -129,67 +204,75 @@ def render_full(
         proj=proj,
         grid=grid,
         sorted_lists=sorted_lists,
-        caches=caches,
-        tile_pixels=tile_pixels,
+        pixels=px,
+        pixel_tiles=px_tiles,
+        blocks=blocks if keep_cache else None,
         stats=stats,
     )
 
 
-def _composite_tiles(grid, sorted_lists, sample_mask, proj, bg,
-                     alpha_threshold, t_min, keep_cache, stats,
-                     color, depth, silhouette, caches, tile_pixels):
-    """Per-tile compositing loop of :func:`render_full` (fills outputs
-    in place)."""
-    record = stats.record_per_pixel
-    for tile in range(grid.num_tiles):
-        idx = sorted_lists[tile]
-        px = grid.tile_pixels(tile)
-        if sample_mask is not None:
-            px = px[sample_mask[px[:, 1], px[:, 0]]]
-        tile_pixels.append(px)
-        if px.shape[0] == 0:
-            caches.append(None)
-            continue
-        # Sorting is charged only for tiles that render at least one pixel
-        # (a generous accounting for the Org.+S baseline).
-        stats.num_sort_keys += idx.size
-        if idx.size == 0:
-            caches.append(None)
-            if record:
-                stats.per_pixel_contribs.extend([0] * px.shape[0])
-            if _atlas_mod.current.active:
-                _atlas_mod.current.observe_tile_forward(px, 0, None)
-            continue
-        centres = px + 0.5
-        out_color, out_depth, out_sil, cache = composite_forward(
-            centres,
-            proj.mean2d[idx],
-            proj.sigma2d[idx],
-            proj.depth[idx],
-            proj.opacity[idx],
-            proj.color[idx],
-            bg,
-            alpha_threshold=alpha_threshold,
-            t_min=t_min,
-        )
-        u, v = px[:, 0], px[:, 1]
-        color[v, u] = out_color
-        depth[v, u] = out_depth
-        silhouette[v, u] = out_sil
+def _rendered_pixels(grid: TileGrid, pixels: Optional[np.ndarray]):
+    """The pixels to rasterize, tile-major and row-major within a tile,
+    with their tiles.  A ``pixels`` subset is deduplicated."""
+    if pixels is None:
+        v, u = np.divmod(np.arange(grid.width * grid.height), grid.width)
+    else:
+        mask = np.zeros((grid.height, grid.width), dtype=bool)
+        mask[pixels[:, 1], pixels[:, 0]] = True
+        v, u = np.nonzero(mask)
+    tiles = grid.tile_of_pixel(u, v)
+    order = np.argsort(tiles, kind="stable")
+    return np.stack([u[order], v[order]], axis=-1), tiles[order]
 
-        n_px, n_g = px.shape[0], idx.size
-        stats.num_candidate_pairs += n_px * n_g
-        stats.num_alpha_checks += n_px * n_g
-        # Serial iteration depth of this tile's thread block: each pixel's
-        # thread walks the sorted list until early termination, and the
-        # block runs as long as its slowest pixel (gamma is the exclusive
-        # transmittance, so position j was examined iff gamma[j] >= t_min).
-        contribs = cache.contrib.sum(axis=1)
-        stats.num_contrib_pairs += int(contribs.sum())
-        if _atlas_mod.current.active:
-            _atlas_mod.current.observe_tile_forward(px, n_g, contribs)
-        if record:
-            serial_len = int((cache.gamma >= t_min).sum(axis=1).max())
-            stats.tile_work.append((n_g, n_px, serial_len))
-            stats.per_pixel_contribs.extend(int(c) for c in contribs)
-        caches.append(cache if keep_cache else None)
+
+def _tile_pairs(proj, sorted_lists, n_g, n_px, centres, alpha_threshold):
+    """Candidate + α stage of the dense pipeline.
+
+    Broadcasts each tile's rendered pixels against its sorted list with
+    the engine's α expression and keeps the passing pairs in emission
+    order: tile-major, then pixel, then list position.  Returns flat
+    ``(pixel, slot, gaussian, alpha, clipped)`` arrays.
+    """
+    slot_offsets = np.cumsum(n_g) - n_g
+    px_offsets = np.cumsum(n_px) - n_px
+    parts = []
+    for t in np.flatnonzero((n_px > 0) & (n_g > 0)):
+        idx = sorted_lists[t]
+        lo = px_offsets[t]
+        alpha, clipped = evaluate_alpha(
+            proj, idx, centres[lo:lo + n_px[t], None, :])
+        p, j = np.nonzero(alpha >= alpha_threshold)
+        parts.append((lo + p, slot_offsets[t] + j, idx[j], alpha[p, j],
+                      clipped[p, j]))
+    if not parts:
+        empty = np.zeros(0, dtype=int)
+        return empty, empty, empty, np.zeros(0), np.zeros(0, dtype=bool)
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def tile_work_records(blocks, n_g, n_px, px_tiles):
+    """Per-rasterized-tile ``(list_length, rendered_pixels, serial_len)``
+    from the per-tile list lengths ``n_g`` and rendered-pixel counts
+    ``n_px``.
+
+    ``serial_len`` is the serial iteration depth of the tile's thread
+    block: each pixel's thread walks the sorted list until early
+    termination, and the block runs as long as its slowest pixel.  A
+    pixel walks up to and including its first α-passing pair that would
+    push Γ below ``t_min`` (the first non-contributing compacted pair),
+    else the whole list.  Tiles with an empty list or no rendered pixel
+    are not rasterized and get no record.
+    """
+    slot_offsets = np.cumsum(n_g) - n_g
+    serial = n_g[px_tiles]
+    for b in blocks:
+        dead = b.cache.valid & ~b.cache.contrib
+        rows = np.flatnonzero(dead.any(axis=1))
+        starts = np.cumsum(b.cache.lengths) - b.cache.lengths
+        slot = b.slots[starts[rows] + dead[rows].argmax(axis=1)]
+        pixel = b.lo + rows
+        serial[pixel] = slot - slot_offsets[px_tiles[pixel]] + 1
+    longest = np.zeros(n_g.size, dtype=int)
+    np.maximum.at(longest, px_tiles, serial)
+    return [(int(n_g[t]), int(n_px[t]), int(longest[t]))
+            for t in np.flatnonzero((n_px > 0) & (n_g > 0))]

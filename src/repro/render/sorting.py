@@ -45,6 +45,11 @@ def sort_intersection_table(
     """Sort every tile's Gaussian list front-to-back.
 
     Returns the tile-Gaussian *sorted* list of Fig. 3, parallel to
-    ``table.per_tile``.
+    ``table.per_tile``.  One global ``np.lexsort`` on ``(tile, depth,
+    index)`` — :func:`sort_by_depth`'s key with the tile as the primary
+    key — is split per tile, so every list is exactly what a per-tile
+    ``sort_by_depth`` returns.
     """
-    return [sort_by_depth(t, proj.depth) for t in table.per_tile]
+    g = table.gaussians
+    order = np.lexsort((g, proj.depth[g], table.tiles))
+    return table.split(g[order])

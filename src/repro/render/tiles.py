@@ -70,32 +70,59 @@ class TileGrid:
 
 @dataclass
 class IntersectionTable:
-    """Per-tile lists of projected-Gaussian indices (into the projection)."""
+    """Tile-Gaussian pairs as two flat arrays (indices into the projection).
+
+    Pair ``i`` says projected Gaussian ``gaussians[i]`` overlaps tile
+    ``tiles[i]``.  Pairs are Gaussian-major (``gaussians`` ascending, each
+    Gaussian's tiles row-major), the order the bbox expansion emits them.
+    """
 
     grid: TileGrid
-    per_tile: List[np.ndarray]
+    tiles: np.ndarray       # (P,) flat tile index of each pair
+    gaussians: np.ndarray   # (P,) projected-Gaussian index of each pair
 
     @property
     def num_pairs(self) -> int:
-        return int(sum(len(t) for t in self.per_tile))
+        return int(self.tiles.size)
+
+    def tile_counts(self) -> np.ndarray:
+        """List length of every tile, ``(num_tiles,)``."""
+        return np.bincount(self.tiles, minlength=self.grid.num_tiles)
+
+    def split(self, values: np.ndarray) -> List[np.ndarray]:
+        """Split tile-major per-pair ``values`` into per-tile arrays."""
+        return np.split(values, np.cumsum(self.tile_counts())[:-1])
+
+    @property
+    def per_tile(self) -> List[np.ndarray]:
+        """Per-tile Gaussian lists in ascending index order."""
+        order = np.argsort(self.tiles, kind="stable")
+        return self.split(self.gaussians[order])
 
 
 def build_intersection_table(
     proj: ProjectedGaussians, grid: TileGrid
 ) -> IntersectionTable:
-    """Insert each projected Gaussian into every tile its bbox overlaps."""
-    per_tile: List[list] = [[] for _ in range(grid.num_tiles)]
-    if len(proj) > 0:
-        bbox = proj.bbox()
-        ts = grid.tile_size
-        tx0 = np.clip(np.floor(bbox[:, 0] / ts).astype(int), 0, grid.tiles_x - 1)
-        ty0 = np.clip(np.floor(bbox[:, 1] / ts).astype(int), 0, grid.tiles_y - 1)
-        tx1 = np.clip(np.floor(bbox[:, 2] / ts).astype(int), 0, grid.tiles_x - 1)
-        ty1 = np.clip(np.floor(bbox[:, 3] / ts).astype(int), 0, grid.tiles_y - 1)
-        for g in range(len(proj)):
-            for ty in range(ty0[g], ty1[g] + 1):
-                base = ty * grid.tiles_x
-                for tx in range(tx0[g], tx1[g] + 1):
-                    per_tile[base + tx].append(g)
-    arrays = [np.asarray(t, dtype=int) for t in per_tile]
-    return IntersectionTable(grid=grid, per_tile=arrays)
+    """Insert each projected Gaussian into every tile its bbox overlaps.
+
+    The bbox corners give each Gaussian an inclusive tile range (clipped
+    to the grid, so off-screen splats land in the edge tiles); the ranges
+    are expanded with ``np.repeat`` index arithmetic, no Python loop.
+    """
+    if len(proj) == 0:
+        empty = np.zeros(0, dtype=int)
+        return IntersectionTable(grid=grid, tiles=empty, gaussians=empty)
+    bbox = proj.bbox()
+    ts = grid.tile_size
+    tx0 = np.clip(np.floor(bbox[:, 0] / ts).astype(int), 0, grid.tiles_x - 1)
+    ty0 = np.clip(np.floor(bbox[:, 1] / ts).astype(int), 0, grid.tiles_y - 1)
+    tx1 = np.clip(np.floor(bbox[:, 2] / ts).astype(int), 0, grid.tiles_x - 1)
+    ty1 = np.clip(np.floor(bbox[:, 3] / ts).astype(int), 0, grid.tiles_y - 1)
+    nx = np.maximum(tx1 - tx0 + 1, 0)
+    counts = nx * np.maximum(ty1 - ty0 + 1, 0)
+    gaussians = np.repeat(np.arange(len(proj)), counts)
+    local = np.arange(gaussians.size) - np.repeat(np.cumsum(counts) - counts,
+                                                  counts)
+    rows, cols = np.divmod(local, nx[gaussians])
+    tiles = (ty0[gaussians] + rows) * grid.tiles_x + tx0[gaussians] + cols
+    return IntersectionTable(grid=grid, tiles=tiles, gaussians=gaussians)

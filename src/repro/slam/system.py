@@ -205,21 +205,7 @@ class SLAMSystem:
                 algorithm=self.algo.name, mode=self.mode,
                 sequence=getattr(sequence, "name", None), frames=n,
                 width=intr.width, height=intr.height,
-                config={
-                    "tracking_tile": self.splatonic.config.tracking_tile,
-                    "mapping_tile": self.splatonic.config.mapping_tile,
-                    "tracking_strategy":
-                        self.splatonic.config.tracking_strategy,
-                    "map_every": self.algo.map_every,
-                    "keyframe_every": self.algo.keyframe_every,
-                    "keyframe_window": self.algo.keyframe_window,
-                    # The *resolved* execution backend, so registry
-                    # triage can attribute wall-time deltas to backend
-                    # or worker-count changes.
-                    "kernel_backend": self.resolved_kernel_backend(),
-                    "kernel_workers": self.effective_kernel_workers(),
-                    "render_cache": self.resolved_render_cache(),
-                })
+                config=self.run_config())
 
         tracker = Tracker(self.algo, intr, self.splatonic, self.mode,
                           self.background)
@@ -356,26 +342,38 @@ class SLAMSystem:
             from ..obs import runsdb
             record = runsdb.ingest_slam_run(
                 registry, recorder.records,
-                config={
-                    "algorithm": self.algo.name,
-                    "mode": self.mode,
-                    "tracking_tile": self.splatonic.config.tracking_tile,
-                    "mapping_tile": self.splatonic.config.mapping_tile,
-                    "tracking_strategy":
-                        self.splatonic.config.tracking_strategy,
-                    "kernel_backend":
-                        self.splatonic.config.kernel_backend,
-                    "kernel_workers":
-                        self.splatonic.config.kernel_workers,
-                    "map_every": self.algo.map_every,
-                    "keyframe_every": self.algo.keyframe_every,
-                    "keyframe_window": self.algo.keyframe_window,
-                },
+                config=self.registry_config(),
                 sequence=getattr(sequence, "name", None))
             result.run_id = record["run_id"]
         return result
 
     # ---- helpers ----
+
+    def run_config(self) -> dict:
+        """The run's configuration as the flight header records it.
+
+        Execution knobs are *resolved* (config > environment > default),
+        so two runs that executed differently never share a config:
+        registry triage can attribute wall-time deltas to a backend,
+        worker-count or render-cache change.
+        """
+        return {
+            "tracking_tile": self.splatonic.config.tracking_tile,
+            "mapping_tile": self.splatonic.config.mapping_tile,
+            "tracking_strategy": self.splatonic.config.tracking_strategy,
+            "map_every": self.algo.map_every,
+            "keyframe_every": self.algo.keyframe_every,
+            "keyframe_window": self.algo.keyframe_window,
+            "kernel_backend": self.resolved_kernel_backend(),
+            "kernel_workers": self.effective_kernel_workers(),
+            "render_cache": self.resolved_render_cache(),
+        }
+
+    def registry_config(self) -> dict:
+        """The config the run registry keys a run by (its ``config_hash``):
+        :meth:`run_config` plus the algorithm and mode."""
+        return {"algorithm": self.algo.name, "mode": self.mode,
+                **self.run_config()}
 
     def resolved_kernel_backend(self) -> str:
         """The sparse-kernel backend this run actually executes with

@@ -57,6 +57,27 @@ def make_bench_payload(ratio=1.2):
 
 
 class TestKeying:
+    def test_config_hash_tells_execution_settings_apart(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_RENDER_CACHE", raising=False)
+        hashes = {
+            config_hash(SLAMSystem(
+                "splatam", mode="sparse",
+                splatonic_config=SplatonicConfig(kernel_backend=backend,
+                                                 render_cache=cache),
+            ).registry_config())
+            for backend in ("reference", "vectorized")
+            for cache in (False, True)}
+        assert len(hashes) == 4
+
+    def test_registry_config_records_resolved_settings(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "vectorized")
+        monkeypatch.setenv("REPRO_RENDER_CACHE", "1")
+        config = SLAMSystem("splatam", mode="sparse").registry_config()
+        assert config["kernel_backend"] == "vectorized"
+        assert config["kernel_workers"] == 1
+        assert config["render_cache"] is True
+
     def test_config_hash_is_stable_and_order_free(self):
         a = config_hash({"tile": 8, "mode": "sparse"})
         b = config_hash({"mode": "sparse", "tile": 8})
@@ -167,6 +188,10 @@ class TestIngestion:
         assert record["kind"] == "slam"
         assert record["key"]["dataset"] == "room0"
         assert record["config"]["tracking_tile"] == 8
+        system = SLAMSystem("splatam", mode="sparse",
+                            splatonic_config=SplatonicConfig(tracking_tile=8))
+        assert record["key"]["config_hash"] == config_hash(
+            system.registry_config())
         metrics = record["metrics"]
         assert metrics["slam.frames"] == 4.0
         assert metrics["slam.ate.rmse_m"] >= 0
