@@ -155,14 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_slam.add_argument("--width", type=int, default=64)
     p_slam.add_argument("--height", type=int, default=48)
     p_slam.add_argument("--tracking-tile", type=int, default=8)
-    p_slam.add_argument("--kernel-backend",
-                        choices=["reference", "vectorized", "parallel"],
-                        default=None,
-                        help="sparse-kernel backend (default: "
-                             "$REPRO_KERNEL_BACKEND or 'reference')")
-    p_slam.add_argument("--kernel-workers", type=int, default=None,
-                        help="worker-pool size for the 'parallel' backend "
-                             "(default: $REPRO_KERNEL_WORKERS or CPU count)")
     p_slam.add_argument("--render-cache", action="store_true", default=None,
                         help="enable the temporal-coherence render cache "
                              "(cross-iteration candidate reuse with exact "
@@ -236,15 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--width", type=int, default=48)
     p_trace.add_argument("--height", type=int, default=36)
     p_trace.add_argument("--tracking-tile", type=int, default=8)
-    p_trace.add_argument("--kernel-backend",
-                         choices=["reference", "vectorized", "parallel"],
-                         default=None,
-                         help="sparse-kernel backend (default: "
-                              "$REPRO_KERNEL_BACKEND or 'reference')")
-    p_trace.add_argument("--kernel-workers", type=int, default=None,
-                         help="worker-pool size for the 'parallel' backend "
-                              "(default: $REPRO_KERNEL_WORKERS or CPU "
-                              "count)")
     p_trace.add_argument("--render-cache", action="store_true", default=None,
                          help="enable the temporal-coherence render cache "
                               "(default: $REPRO_RENDER_CACHE or off); the "
@@ -281,16 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     b_run.add_argument("--scenarios", default=None,
                        help="comma-separated scenario subset (default: all)")
     b_run.add_argument("--sequence", default="room0")
-    b_run.add_argument("--kernel-backend",
-                       choices=["reference", "vectorized", "parallel"],
-                       default=None,
-                       help="sparse-kernel backend for the suite's "
-                            "renders (exported as $REPRO_KERNEL_BACKEND; "
-                            "the 'kernels' scenario always measures all "
-                            "backends)")
-    b_run.add_argument("--kernel-workers", type=int, default=None,
-                       help="worker-pool size for the 'parallel' backend "
-                            "(exported as $REPRO_KERNEL_WORKERS)")
     b_run.add_argument("--render-cache", action="store_true", default=None,
                        help="enable the temporal-coherence render cache for "
                             "the suite's SLAM-loop renders (exported as "
@@ -510,8 +483,6 @@ def _cmd_slam(args) -> int:
         args.algorithm, mode=args.mode,
         splatonic_config=SplatonicConfig(
             tracking_tile=args.tracking_tile,
-            kernel_backend=args.kernel_backend,
-            kernel_workers=args.kernel_workers,
             record_per_pixel=args.per_pixel_records,
             render_cache=args.render_cache),
         seed=args.seed)
@@ -719,8 +690,6 @@ def _cmd_trace(args) -> int:
         args.algorithm, mode=args.mode,
         splatonic_config=SplatonicConfig(
             tracking_tile=args.tracking_tile,
-            kernel_backend=args.kernel_backend,
-            kernel_workers=args.kernel_workers,
             render_cache=args.render_cache),
         seed=args.seed)
     note(f"tracing {args.algorithm} ({args.mode}) ...")
@@ -790,12 +759,6 @@ def _cmd_bench_run(args) -> int:
 
     from .obs import bench as obs_bench
 
-    if args.kernel_backend:
-        # Scenarios build their own systems; the environment variable is
-        # the one channel that reaches all of them.
-        os.environ["REPRO_KERNEL_BACKEND"] = args.kernel_backend
-    if args.kernel_workers:
-        os.environ["REPRO_KERNEL_WORKERS"] = str(args.kernel_workers)
     if args.render_cache:
         os.environ["REPRO_RENDER_CACHE"] = "1"
     cfg = obs_bench.SuiteConfig(size=args.size, repetitions=args.reps,

@@ -22,19 +22,14 @@ parallel, and aggregates them per Gaussian.
 This module orchestrates the *stages* — candidate generation over a
 flattened CSR-style (pixel, Gaussian) pair list, the shared preemptive-α
 filter, and counter accounting — and dispatches sort + composite +
-backward to a swappable kernel backend (:mod:`repro.render.kernels`):
-``"reference"`` is the auditable per-pixel loop, ``"vectorized"`` the
-batched segmented implementation, ``"parallel"`` the vectorized kernels
-sharded over a persistent worker pool; all are bit-identical.  Select
-with the ``backend=`` argument, ``SplatonicConfig.kernel_backend``, the
-CLI ``--kernel-backend`` flag, or the ``REPRO_KERNEL_BACKEND``
-environment variable; ``kernel_workers`` / ``--kernel-workers`` /
-``REPRO_KERNEL_WORKERS`` size the parallel backend's pool.
+backward to the batched ``"vectorized"`` kernel
+(:mod:`repro.render.kernels`).  Tests select the per-pixel ``"reference"``
+oracle loop by name through ``backend=``; the two are bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -81,14 +76,12 @@ class SparseRenderResult:
     proj: ProjectedGaussians
     pixel_lists: List[np.ndarray]          # per-pixel sorted proj indices
     caches: List[Optional[CompositeCache]]
-    stats: PipelineStats = field(default_factory=PipelineStats)
+    stats: PipelineStats
     # Which kernel backend produced this result; the backward pass must
     # use the same one (the cache layouts differ).
-    backend: str = "reference"
+    backend: str
     # Vectorized backend only: the padded whole-batch composite cache
-    # (per-pixel ``caches`` entries stay None in that backend).  The
-    # parallel backend stores its per-shard ShardedCompositeCache here
-    # instead (duck-typed; the producing kernel's backward consumes it).
+    # (per-pixel ``caches`` entries stay None in that backend).
     flat_cache: Optional[FlatCompositeCache] = None
 
     @property
@@ -145,7 +138,6 @@ def render_sparse(
     backend: Optional[str] = None,
     lattice_tile: Optional[int] = None,
     record_per_pixel: bool = True,
-    kernel_workers: Optional[int] = None,
     cache: Optional[RenderCache] = None,
 ) -> SparseRenderResult:
     """Render only the sampled ``pixels`` with the pixel-based pipeline.
@@ -156,11 +148,9 @@ def render_sparse(
     reproduces the workload of a pipeline without the optimization.
     ``exp_fn`` substitutes an approximate exponential (LUT ablation).
 
-    ``backend`` picks the kernel implementation (``"reference"`` /
-    ``"vectorized"`` / ``"parallel"``; default resolves via
-    ``$REPRO_KERNEL_BACKEND``).  ``kernel_workers`` sizes the parallel
-    backend's worker pool (ignored by single-core backends; default
-    resolves via ``$REPRO_KERNEL_WORKERS``, then CPU count).
+    ``backend`` names the kernel: None runs the production
+    ``"vectorized"`` kernel, ``"reference"`` the per-pixel oracle loop
+    that tests compare it against.
     ``lattice_tile`` is a candidate-generation hint: when the pixels form
     the row-major one-per-tile lattice of that tile size (tracking's
     layout), candidates come from direct index arithmetic instead of a
@@ -255,16 +245,13 @@ def render_sparse(
 
     contribs_out = (np.zeros(K, dtype=np.int64)
                     if _atlas_mod.current.active else None)
-    kernel_kwargs = {}
-    if kernel.accepts_workers:
-        kernel_kwargs["workers"] = kernel_workers
     with trace.span("render.composite", pipeline="pixel", pixels=K,
                     backend=backend_name):
         pixel_lists, caches, flat_cache = kernel.forward(
             proj, pairs, centres, bg, alpha_threshold, t_min, keep_cache,
             exp_fn, stats, color, depth, silhouette,
             pair_alpha=pair_alpha, pair_clipped=pair_clipped,
-            contribs_out=contribs_out, **kernel_kwargs)
+            contribs_out=contribs_out)
     if contribs_out is not None:
         _atlas_mod.current.observe_sparse_forward(pixels, atlas_pix, atlas_gss,
                                       contribs_out)

@@ -49,14 +49,6 @@ class SplatonicConfig:
     # "one full-frame mapping for every four frames"; older keyframes in
     # the window always stay sparse.
     full_mapping_every: int = 1
-    # Sparse-kernel backend ("reference" / "vectorized" / "parallel");
-    # None resolves via $REPRO_KERNEL_BACKEND, falling back to the
-    # registry default.
-    kernel_backend: Optional[str] = None
-    # Worker-pool size for the "parallel" backend (ignored by the
-    # single-core backends); None resolves via $REPRO_KERNEL_WORKERS,
-    # falling back to the CPU count.
-    kernel_workers: Optional[int] = None
     # Per-item stats record lists (pixel_list_lengths, per_pixel_contribs,
     # pixel_contrib_ids, tile_work).  The hardware-model replay streams need
     # them; long SLAM / benchmark runs turn them off to keep rendering free
@@ -175,10 +167,8 @@ class Splatonic:
             t_min=self.config.t_min,
             keep_cache=keep_cache,
             preemptive_alpha=self.config.preemptive_alpha,
-            backend=self.config.kernel_backend,
             lattice_tile=lattice_tile,
             record_per_pixel=self.config.record_per_pixel,
-            kernel_workers=self.config.kernel_workers,
             cache=cache,
         )
 

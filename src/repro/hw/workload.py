@@ -104,7 +104,6 @@ def measure_iteration(
     pixels: Optional[np.ndarray] = None,
     background: Optional[np.ndarray] = None,
     name: Optional[str] = None,
-    backend: Optional[str] = None,
     lattice_tile: Optional[int] = None,
     record_per_pixel: bool = True,
 ) -> Workload:
@@ -114,8 +113,8 @@ def measure_iteration(
     (Org.+S: sparse pixels through the tile pipeline, requires ``pixels``),
     or ``"pixel"`` (the SPLATONIC pipeline, requires ``pixels``).
     A unit photometric+depth gradient is used — the hardware models only
-    read counters, not values.  ``backend`` / ``lattice_tile`` select the
-    sparse kernel backend and candidate-generation hint (pixel mode only);
+    read counters, not values.  ``lattice_tile`` is the sparse
+    candidate-generation hint (pixel mode only);
     ``record_per_pixel=False`` drops the per-item record lists (the
     hardware-model replay streams need them, so the default keeps them).
     """
@@ -153,7 +152,7 @@ def measure_iteration(
     elif mode == "pixel":
         if pixels is None:
             raise ValueError("pixel mode needs pixels")
-        result = render_sparse(cloud, camera, pixels, bg, backend=backend,
+        result = render_sparse(cloud, camera, pixels, bg,
                                lattice_tile=lattice_tile,
                                record_per_pixel=record_per_pixel)
         ref_c = ref_color[pixels[:, 1], pixels[:, 0]]

@@ -411,17 +411,13 @@ def _scn_slam_e2e(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     return {"counters": counters, "model": {}, "info": info}
 
 
-#: Tracking lattice tile for the kernel-backend scenario — denser than the
+#: Tracking lattice tile for the ``kernels`` scenario — denser than the
 #: suite's tracking tile so the K-pixel batch is large enough to expose
 #: the per-pixel loop's Python overhead (the quantity being measured).
 _KERNEL_TILE = 4
 
 #: Forward+backward repetitions per backend inside one scenario run.
 _KERNEL_REPS = 3
-
-
-#: Worker-pool size of the kernel scenario's ``parallel`` leg.
-_KERNEL_BENCH_WORKERS = 4
 
 
 def _span_self_times(records) -> Dict[str, float]:
@@ -433,8 +429,8 @@ def _span_self_times(records) -> Dict[str, float]:
 
 
 @scenario("kernels",
-          "sparse tracking render, reference vs vectorized vs parallel "
-          "kernel backend: bit-identity check + wall-clock speedup")
+          "sparse tracking render, reference oracle vs vectorized "
+          "kernel: bit-identity check + wall-clock speedup")
 def _scn_kernels(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     import numpy as np
 
@@ -451,14 +447,12 @@ def _scn_kernels(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     walls: Dict[str, float] = {}
     outputs: Dict[str, Any] = {}
     stage_self: Dict[str, Dict[str, float]] = {}
-    for backend in ("reference", "vectorized", "parallel"):
-        workers = _KERNEL_BENCH_WORKERS if backend == "parallel" else None
+    for backend in ("reference", "vectorized"):
 
         def iteration(record: bool = False):
             result = render_sparse(
                 bundle.cloud, bundle.camera, pixels,
                 backend=backend, lattice_tile=_KERNEL_TILE,
-                kernel_workers=workers,
                 record_per_pixel=record)
             grads = backward_sparse(
                 result, bundle.cloud, bundle.camera,
@@ -493,24 +487,13 @@ def _scn_kernels(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
 
     counters["backends_identical"] = int(
         _identical(outputs["reference"], outputs["vectorized"]))
-    # The sharded backend's determinism contract: bit-identical to the
-    # vectorized kernel it decomposes (outputs, gradients, and counters).
-    counters["parallel_identical"] = int(
-        _identical(outputs["vectorized"], outputs["parallel"]))
 
     info = {
         "wall.reference_s": walls["reference"],
         "wall.vectorized_s": walls["vectorized"],
-        "wall.parallel_s": walls["parallel"],
         "speedup.vectorized_over_reference": (
             walls["reference"] / walls["vectorized"]
             if walls["vectorized"] else 0.0),
-        # >1 needs real cores: thread shards only overlap where numpy
-        # releases the GIL, so single-core hosts measure ~1x or below.
-        "speedup.parallel_over_vectorized": (
-            walls["vectorized"] / walls["parallel"]
-            if walls["parallel"] else 0.0),
-        "workers.parallel": _KERNEL_BENCH_WORKERS,
     }
     # Stage-split visibility: the candidate-generation share of the
     # forward pass (projection + candidate/α-check self-time vs

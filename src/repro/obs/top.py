@@ -156,20 +156,18 @@ def _progress_bar(current: Optional[int], total: Optional[int],
 
 
 def _kernel_label(header: Dict[str, Any]) -> str:
-    """``backend`` or ``backend x<workers>`` from the flight header config.
+    """The kernel backend (``+cache`` with the render cache) from the
+    flight header config.
 
-    Surfaces the run's execution backend so wall-time deltas between
-    registry runs can be attributed to backend/worker-count changes
-    straight from the dashboard.  Empty for pre-backend flight records.
+    Surfaces the run's execution path so wall-time deltas between
+    registry runs can be attributed to it straight from the dashboard.
+    Empty for pre-backend flight records.
     """
     config = header.get("config") or {}
     backend = config.get("kernel_backend")
     if not backend:
         return ""
-    workers = config.get("kernel_workers")
     label = str(backend)
-    if workers and int(workers) > 1:
-        label = f"{backend} x{int(workers)}"
     if config.get("render_cache"):
         label += "+cache"
     return label

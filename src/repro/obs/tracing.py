@@ -260,39 +260,6 @@ class Tracer:
             return _NULL_SPAN
         return _LiveSpan(self, name, attrs)
 
-    def add_external_span(self, name: str, start: float, duration: float,
-                          cpu_time: float = 0.0, **attrs) -> None:
-        """Insert a span that was timed outside the tracer's stack.
-
-        Used by the parallel kernel backend: worker threads time their
-        own shards (``perf_counter`` start + duration, per-thread CPU
-        time) and the *parent* thread lands them in the trace afterwards
-        — the span stack itself is single-threaded and never touched by
-        workers.  Callers tag provenance via attrs (``worker=i``).
-
-        External spans are leaf overlays: they nest under whatever span
-        is currently open (depth-wise) but do **not** subtract from the
-        parent's self time, because concurrent workers overlap in wall
-        clock and their summed durations can exceed the parent span's.
-        """
-        if not self._enabled:
-            return
-        self._records.append(SpanRecord(
-            name, start - self._epoch, duration, len(self._stack),
-            attrs, duration, cpu_time, cpu_time))
-        if _bus.enabled:
-            payload: Dict[str, Any] = {
-                "name": name,
-                "dur_s": duration,
-                "self_s": duration,
-                "cpu_s": cpu_time,
-                "depth": len(self._stack),
-            }
-            if attrs:
-                payload["attrs"] = {k: _jsonable(v)
-                                    for k, v in attrs.items()}
-            _bus.publish("span", payload)
-
     @property
     def records(self) -> List[SpanRecord]:
         """Finished spans, in completion order."""

@@ -1,46 +1,37 @@
-"""Sparse-rendering kernel backends (pixel pipeline, Sec. IV-B/V).
+"""Sparse-rendering kernels (pixel pipeline, Sec. IV-B/V).
 
-The pixel pipeline's forward/backward passes are implemented by swappable
-*kernel backends* behind a tiny registry:
+The pixel pipeline's sort + composite + backward stages run on one
+production kernel, with a per-pixel oracle kept beside it for tests:
 
-- ``"reference"``  — the original per-pixel Python loop.  One
+- ``"vectorized"`` — the production kernel (:data:`DEFAULT_BACKEND`):
+  batched segmented stages over a flattened CSR-style (pixel, Gaussian)
+  pair list.  One global ``np.lexsort`` replaces the per-pixel depth
+  sorts, a ragged-to-padded ``cumprod`` computes every pixel's
+  transmittance prefix at once, and the backward pass produces all pair
+  gradients in one shot before a single ``np.add.at`` aggregation (the
+  scoreboard/merge-unit analogue).
+- ``"reference"`` — the original per-pixel Python loop: one
   :func:`composite_forward` / :func:`composite_backward` call per sampled
-  pixel; slow, but trivially auditable.  This is the oracle.
-- ``"vectorized"`` — batched segmented kernels over a flattened CSR-style
-  (pixel, Gaussian) pair list: one global ``np.lexsort`` replaces the
-  per-pixel depth sorts, a ragged-to-padded ``cumprod`` computes every
-  pixel's transmittance prefix at once, and the backward pass produces all
-  pair gradients in one shot before a single ``np.add.at`` aggregation
-  (the scoreboard/merge-unit analogue).  Bit-identical to the reference —
-  outputs, gradients, and every ``PipelineStats`` counter.
-- ``"parallel"``   — the vectorized kernels run per contiguous pixel
-  shard on a persistent worker (thread) pool, standing in for the
-  accelerator's parallel rasterization engines.  Workers return per-pair
-  gradient partials; the parent applies one global pixel-major
-  ``np.add.at`` over the concatenated shards (a software aggregation
-  scoreboard), so no float reassociation ever occurs and the backend
-  stays bit-identical to ``vectorized`` at every worker count.  Worker
-  count: ``workers=`` argument > ``REPRO_KERNEL_WORKERS`` > CPU count.
+  pixel; slow, but trivially auditable.  It is the oracle the vectorized
+  kernel must match bit for bit (outputs, gradients and every
+  ``PipelineStats`` counter); only tests and the ``kernels`` bench
+  scenario select it, by name.
 
-Backend resolution order: explicit ``backend=`` argument, then the
-``REPRO_KERNEL_BACKEND`` environment variable, then :data:`DEFAULT_BACKEND`.
-
-All backends consume the same candidate pair list
+Both consume the same candidate pair list
 (:mod:`repro.render.kernels.candidates`) and the same preemptive-α filter
 run by :func:`repro.core.pixel_pipeline.render_sparse`, so candidate /
 α-check / sort-key counters are shared by construction; the equivalence
-suite (``tests/test_kernel_backends.py``) pins down the rest.
+suite (``tests/test_kernel_backends.py``) pins down the rest.  The small
+registry below is the seam through which the oracle is selected.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 __all__ = [
     "DEFAULT_BACKEND",
-    "ENV_VAR",
     "KernelBackend",
     "available_backends",
     "get_kernel",
@@ -48,11 +39,8 @@ __all__ = [
     "resolve_backend",
 ]
 
-#: Environment variable consulted when no explicit backend is requested.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: Backend used when neither the caller nor the environment picks one.
-DEFAULT_BACKEND = "reference"
+#: Backend used when the caller names none: the production kernel.
+DEFAULT_BACKEND = "vectorized"
 
 
 @dataclass(frozen=True)
@@ -72,11 +60,6 @@ class KernelBackend:
     # Gaussian falloff).  The reference loop recomputes inside
     # composite_forward — that's the point of an oracle.
     wants_pair_alpha: bool = False
-    # Whether forward() accepts a ``workers=`` keyword (the parallel
-    # backend).  The pipeline only threads ``kernel_workers`` through to
-    # backends that declare it, so single-core backends keep their exact
-    # signatures.
-    accepts_workers: bool = False
 
 
 _REGISTRY: Dict[str, KernelBackend] = {}
@@ -94,8 +77,8 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def resolve_backend(name=None) -> str:
-    """Resolve a backend name: explicit arg > ``$REPRO_KERNEL_BACKEND`` > default."""
-    resolved = name or os.environ.get(ENV_VAR) or DEFAULT_BACKEND
+    """Resolve a backend name: explicit arg, else :data:`DEFAULT_BACKEND`."""
+    resolved = name or DEFAULT_BACKEND
     if resolved not in _REGISTRY:
         raise ValueError(
             f"unknown kernel backend {resolved!r}; "
@@ -111,4 +94,3 @@ def get_kernel(name=None) -> KernelBackend:
 # Importing the implementations registers them.
 from . import reference as _reference  # noqa: E402,F401
 from . import vectorized as _vectorized  # noqa: E402,F401
-from . import parallel as _parallel  # noqa: E402,F401

@@ -45,8 +45,6 @@ __all__ = [
     "forward",
     "backward",
     "pair_gradients",
-    "scatter_pair_gradients",
-    "accumulate_backward_stats",
 ]
 
 
@@ -210,13 +208,12 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
 class PairGradients:
     """Flat per-pair gradient partials in canonical order.
 
-    The pair sequence is the forward pass's global (pixel, depth, index)
-    lexsort restricted to the valid (non-padding) entries — pixel-major,
-    front-to-back.  ``scatter_pair_gradients`` consumes these with one
-    sequential ``np.add.at`` per array, so any concatenation of
-    ``PairGradients`` computed over contiguous pixel shards (in shard
-    order) reproduces the exact global accumulation sequence — the
-    software analogue of the accelerator's aggregation scoreboard.
+    The pair sequence is the composite cache's valid (non-padding)
+    entries in row-major order — pixel-major, front-to-back — which is
+    the exact (index, value) sequence the per-pixel reference loop
+    scatters, so one sequential ``np.add.at`` per array reproduces its
+    accumulation bit for bit (the software analogue of the
+    accelerator's aggregation scoreboard).
     """
 
     idx: np.ndarray           # (P,) projected-Gaussian index per pair
@@ -243,9 +240,8 @@ def pair_gradients(fc, proj, d_color, d_depth, d_silhouette):
     for term (same operand values, same association order).  Only the
     suffix sums need the padded rows; everything else runs on the flat
     valid pairs, with each pair's pixel-level operands gathered by its
-    row.  All math is per pixel row, so running it over a contiguous
-    pixel shard yields bit-identical values to the corresponding rows of
-    the global pass.
+    row.  All math is per pixel row, so the dense engine can run it one
+    pixel block at a time and get the same bits as one global pass.
     """
     sel = fc.valid
     gss = fc.gss
@@ -308,18 +304,26 @@ def pair_gradients(fc, proj, d_color, d_depth, d_silhouette):
     )
 
 
-def scatter_pair_gradients(pg, grads: PairGradients) -> None:
-    """Aggregate pair partials: one sequential scatter-add per array."""
+def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
+             contribs_out=None):
+    """Batched backward pass over the padded forward cache.
+
+    Pair partials from :func:`pair_gradients`, aggregated by one
+    pixel-major ``np.add.at`` per gradient array — all per-Gaussian
+    accumulations are bit-identical to the reference loop's.
+    ``contribs_out`` (when given) receives the per-pixel touched-pair
+    counts for the sparsity atlas.
+    """
+    fc = result.flat_cache
+    if fc is None:
+        return
+    grads = pair_gradients(fc, proj, d_color, d_depth, d_silhouette)
     np.add.at(pg.d_mean2d, grads.idx, grads.d_mean2d)
     np.add.at(pg.d_sigma2d, grads.idx, grads.d_sigma2d)
     np.add.at(pg.d_opacity, grads.idx, grads.d_opacity)
     np.add.at(pg.d_color, grads.idx, grads.d_color)
     np.add.at(pg.d_depth, grads.idx, grads.d_depth)
 
-
-def accumulate_backward_stats(stats, fc, grads: PairGradients, proj,
-                              contribs_out=None) -> None:
-    """Fold one (shard's) backward pass into ``stats`` + atlas counts."""
     touched = grads.touched
     total_touched = int(touched.sum())
     if contribs_out is not None:
@@ -334,22 +338,6 @@ def accumulate_backward_stats(stats, fc, grads: PairGradients, proj,
         ids = proj.source_index[fc.gss[grads.contrib_flat]]
         splits = np.cumsum(touched[nonzero])[:-1]
         stats.pixel_contrib_ids.extend(np.split(ids, splits))
-
-
-def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
-             contribs_out=None):
-    """Batched backward pass over the padded forward cache.
-
-    Pair partials from :func:`pair_gradients` aggregated by the single
-    pixel-major ``np.add.at`` of :func:`scatter_pair_gradients` — all
-    per-Gaussian accumulations are bit-identical to the reference loop's.
-    """
-    fc = result.flat_cache
-    if fc is None:
-        return
-    grads = pair_gradients(fc, proj, d_color, d_depth, d_silhouette)
-    scatter_pair_gradients(pg, grads)
-    accumulate_backward_stats(stats, fc, grads, proj, contribs_out)
 
 
 from . import KernelBackend, register_kernel  # noqa: E402

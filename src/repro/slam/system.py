@@ -107,14 +107,12 @@ class SLAMSystem:
         seed: int = 0,
         background: Optional[np.ndarray] = None,
         bootstrap_stride: int = 2,
-        kernel_backend: Optional[str] = None,
         record_per_pixel: Optional[bool] = None,
-        kernel_workers: Optional[int] = None,
         render_cache: Optional[bool] = None,
     ):
-        """``kernel_backend`` / ``record_per_pixel`` / ``kernel_workers``
-        / ``render_cache`` override the matching :class:`SplatonicConfig`
-        fields when given (``None`` keeps the config's value)."""
+        """``record_per_pixel`` / ``render_cache`` override the matching
+        :class:`SplatonicConfig` fields when given (``None`` keeps the
+        config's value)."""
         self.algo: AlgorithmConfig = (
             algorithm if isinstance(algorithm, AlgorithmConfig)
             else get_algorithm(algorithm))
@@ -123,12 +121,8 @@ class SLAMSystem:
         self.mode = mode
         config = splatonic_config or SplatonicConfig()
         overrides = {}
-        if kernel_backend is not None:
-            overrides["kernel_backend"] = kernel_backend
         if record_per_pixel is not None:
             overrides["record_per_pixel"] = record_per_pixel
-        if kernel_workers is not None:
-            overrides["kernel_workers"] = kernel_workers
         if render_cache is not None:
             overrides["render_cache"] = render_cache
         if overrides:
@@ -354,8 +348,8 @@ class SLAMSystem:
 
         Execution knobs are *resolved* (config > environment > default),
         so two runs that executed differently never share a config:
-        registry triage can attribute wall-time deltas to a backend,
-        worker-count or render-cache change.
+        registry triage can attribute wall-time deltas to a backend or
+        render-cache change.
         """
         return {
             "tracking_tile": self.splatonic.config.tracking_tile,
@@ -365,7 +359,6 @@ class SLAMSystem:
             "keyframe_every": self.algo.keyframe_every,
             "keyframe_window": self.algo.keyframe_window,
             "kernel_backend": self.resolved_kernel_backend(),
-            "kernel_workers": self.effective_kernel_workers(),
             "render_cache": self.resolved_render_cache(),
         }
 
@@ -376,10 +369,10 @@ class SLAMSystem:
                 **self.run_config()}
 
     def resolved_kernel_backend(self) -> str:
-        """The sparse-kernel backend this run actually executes with
-        (config > ``$REPRO_KERNEL_BACKEND`` > registry default)."""
+        """The sparse-kernel backend this run executes with (the
+        registry default)."""
         from ..render.kernels import resolve_backend
-        return resolve_backend(self.splatonic.config.kernel_backend)
+        return resolve_backend()
 
     def resolved_render_cache(self) -> bool:
         """Whether this run renders through the temporal-coherence cache
@@ -387,15 +380,9 @@ class SLAMSystem:
         return self.splatonic.render_cache_enabled()
 
     def effective_kernel_workers(self) -> int:
-        """The worker-pool size this run actually renders with.
-
-        1 for the single-core backends; for ``parallel`` the resolved
-        pool size (config > ``$REPRO_KERNEL_WORKERS`` > CPU count).
-        """
-        if self.resolved_kernel_backend() != "parallel":
-            return 1
-        from ..render.kernels.parallel import resolve_workers
-        return resolve_workers(self.splatonic.config.kernel_workers)
+        """Always 1: the sparse kernel runs in the calling thread.  Kept
+        only because ``perfbench/run.py`` still reports it."""
+        return 1
 
     @staticmethod
     def _observe_frame(recorder, monitor, *, frame, pose_est, pose_gt,

@@ -13,13 +13,8 @@ from repro.core.pixel_pipeline import (
 )
 from repro.gaussians import Camera, GaussianCloud, Intrinsics
 from repro.hw import ExpLUT
-from repro.render.kernels import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    available_backends,
-    get_kernel,
-    resolve_backend,
-)
+import repro.render.kernels
+from repro.render.kernels import available_backends, resolve_backend
 from repro.render.kernels.candidates import (
     candidate_pairs,
     chunked_candidate_pairs,
@@ -97,28 +92,16 @@ def assert_backward_identical(g_ref, g_vec):
 
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert set(available_backends()) >= {"reference", "vectorized",
-                                             "parallel"}
+        assert available_backends() == ("reference", "vectorized")
 
-    def test_only_parallel_accepts_workers(self):
-        assert get_kernel("parallel").accepts_workers
-        assert not get_kernel("reference").accepts_workers
-        assert not get_kernel("vectorized").accepts_workers
+    def test_default_is_vectorized(self):
+        """A default system runs the production kernel; the oracle is
+        only ever selected by name."""
+        from repro.slam import SLAMSystem
 
-    def test_default_is_reference(self):
-        assert DEFAULT_BACKEND == "reference"
-        assert resolve_backend(None) in available_backends()
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "vectorized")
+        system = SLAMSystem("splatam", mode="sparse")
+        assert system.resolved_kernel_backend() == "vectorized"
         assert resolve_backend("reference") == "reference"
-        assert resolve_backend(None) == "vectorized"
-
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert resolve_backend(None) == DEFAULT_BACKEND
-        monkeypatch.setenv(ENV_VAR, "vectorized")
-        assert get_kernel().name == "vectorized"
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
@@ -333,167 +316,34 @@ class TestRecordFlag:
         assert g_off.stats.pixel_contrib_ids == []
 
 
-def render_parallel_pair(cloud, cam, pixels, workers, **kwargs):
-    vec = render_sparse(cloud, cam, pixels, BG, backend="vectorized",
-                        **kwargs)
-    par = render_sparse(cloud, cam, pixels, BG, backend="parallel",
-                        kernel_workers=workers, **kwargs)
-    return vec, par
-
-
-class TestParallelBackend:
-    """The sharded `parallel` backend must be bit-identical to the
-    vectorized kernel it decomposes — outputs, gradients, stats counters,
-    and per-item record streams — at every worker count (the per-shard
-    lexsorts are exact sub-sequences of the global pixel-major sort, and
-    the parent replays the exact global scatter order)."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_forward_identical(self, workers, seed):
-        cloud, cam = make_scene(seed=seed)
-        vec, par = render_parallel_pair(cloud, cam, random_pixels(seed),
-                                        workers, record_per_pixel=True)
-        assert par.backend == "parallel"
-        assert_forward_identical(vec, par)
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_gradients_identical(self, workers, seed):
-        cloud, cam = make_scene(seed=seed)
-        vec, par = render_parallel_pair(cloud, cam, random_pixels(seed),
-                                        workers, record_per_pixel=True)
-        g_vec, g_par = backward_both(vec, par, cloud, cam, seed)
-        assert_backward_identical(g_vec, g_par)
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_lattice_pixels(self, workers):
-        cloud, cam = make_scene(seed=4)
-        vec, par = render_parallel_pair(cloud, cam, lattice_pixels(),
-                                        workers, lattice_tile=4)
-        assert_forward_identical(vec, par)
-        g_vec, g_par = backward_both(vec, par, cloud, cam, 4)
-        assert_backward_identical(g_vec, g_par)
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_empty_pixel_set(self, workers):
-        cloud, cam = make_scene()
-        vec, par = render_parallel_pair(cloud, cam,
-                                        np.zeros((0, 2), dtype=int), workers)
-        assert par.color.shape == (0, 3)
-        assert vec.stats.as_dict() == par.stats.as_dict()
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_single_pixel(self, workers):
-        cloud, cam = make_scene(seed=3)
-        vec, par = render_parallel_pair(cloud, cam, random_pixels(3, k=1),
-                                        workers, record_per_pixel=True)
-        assert_forward_identical(vec, par)
-        g_vec, g_par = backward_both(vec, par, cloud, cam, 3)
-        assert_backward_identical(g_vec, g_par)
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_early_termination(self, workers):
-        n = 40
-        rng = np.random.default_rng(11)
-        cloud = GaussianCloud.create(
-            means=np.stack([rng.normal(0, 0.05, n), rng.normal(0, 0.05, n),
-                            rng.uniform(1.0, 3.0, n)], axis=-1),
-            scales=np.full(n, 0.5),
-            opacities=np.full(n, 0.93),
-            colors=rng.uniform(0, 1, (n, 3)),
-        )
-        cam = Camera(Intrinsics.from_fov(W, H, 75.0))
-        vec, par = render_parallel_pair(cloud, cam, random_pixels(11),
-                                        workers)
-        assert_forward_identical(vec, par)
-        g_vec, g_par = backward_both(vec, par, cloud, cam, 11)
-        assert_backward_identical(g_vec, g_par)
-
-    def test_single_worker_falls_back_to_vectorized_cache(self):
-        from repro.render.kernels.parallel import ShardedCompositeCache
-
-        cloud, cam = make_scene(seed=5)
-        one = render_sparse(cloud, cam, random_pixels(5), BG,
-                            backend="parallel", kernel_workers=1)
-        four = render_sparse(cloud, cam, random_pixels(5), BG,
-                             backend="parallel", kernel_workers=4)
-        assert not isinstance(one.flat_cache, ShardedCompositeCache)
-        assert isinstance(four.flat_cache, ShardedCompositeCache)
-
-    def test_worker_pool_persists_across_renders(self):
-        from repro.render.kernels.parallel import _get_pool
-
-        cloud, cam = make_scene(seed=6)
-        pool_before = _get_pool(2)
-        for seed in (6, 7):
-            render_sparse(cloud, cam, random_pixels(seed), BG,
-                          backend="parallel", kernel_workers=2)
-        assert _get_pool(2) is pool_before
-
-    def test_resolve_workers_precedence(self, monkeypatch):
-        from repro.render.kernels.parallel import (
-            ENV_WORKERS,
-            MAX_WORKERS,
-            resolve_workers,
-        )
-
-        monkeypatch.delenv(ENV_WORKERS, raising=False)
-        assert resolve_workers(3) == 3
-        assert resolve_workers(0) == 1          # clamped low
-        assert resolve_workers(10 ** 6) == MAX_WORKERS
-        monkeypatch.setenv(ENV_WORKERS, "5")
-        assert resolve_workers(None) == 5
-        assert resolve_workers(2) == 2          # explicit beats env
-        monkeypatch.setenv(ENV_WORKERS, "not-a-number")
-        assert resolve_workers(None) >= 1       # falls back to cpu count
-
-    def test_shard_spans_land_in_parent_trace(self):
-        from repro.obs import trace
-
-        cloud, cam = make_scene(seed=8)
-        with trace.capture():
-            result = render_sparse(cloud, cam, random_pixels(8), BG,
-                                   backend="parallel", kernel_workers=4)
-            backward_sparse(result, cloud, cam,
-                            np.ones_like(result.color),
-                            np.ones_like(result.depth),
-                            np.ones_like(result.silhouette))
-            records = trace.records
-        fwd = [r for r in records if r.name == "render.shard_fwd"]
-        bwd = [r for r in records if r.name == "render.shard_bwd"]
-        assert fwd and bwd
-        assert {r.attrs["worker"] for r in fwd} == set(range(len(fwd)))
-        for r in fwd + bwd:
-            assert r.attrs["backend"] == "parallel"
-            assert r.attrs["pixels"] > 0
-
-
 class TestSLAMEquivalence:
-    def test_trajectories_identical_across_backends(self):
+    """Whole SLAM runs on the default kernel vs the oracle, selected by
+    swapping the registry default."""
+
+    def test_trajectories_identical_across_backends(self, monkeypatch):
         from repro.datasets import make_replica_sequence
         from repro.slam import SLAMSystem
 
         sequence = make_replica_sequence("room0", n_frames=4, width=32,
                                          height=24)
         results = {}
-        for backend in ("reference", "vectorized", "parallel"):
-            system = SLAMSystem("splatam", mode="sparse", seed=0,
-                                kernel_backend=backend,
-                                kernel_workers=2)
+        for backend in ("reference", "vectorized"):
+            monkeypatch.setattr(repro.render.kernels, "DEFAULT_BACKEND",
+                                backend)
+            system = SLAMSystem("splatam", mode="sparse", seed=0)
+            assert system.resolved_kernel_backend() == backend
             results[backend] = system.run(sequence)
-        ref = results["reference"]
-        for other in ("vectorized", "parallel"):
-            vec = results[other]
-            assert np.array_equal(ref.est_trajectory, vec.est_trajectory)
-            assert len(ref.cloud) == len(vec.cloud)
-            assert np.array_equal(ref.cloud.means, vec.cloud.means)
-            for stage in ("tracking_fwd", "tracking_bwd",
-                          "mapping_fwd", "mapping_bwd"):
-                assert (ref.stage_stats[stage].as_dict()
-                        == vec.stage_stats[stage].as_dict())
+        ref, vec = results["reference"], results["vectorized"]
+        assert np.array_equal(ref.est_trajectory, vec.est_trajectory)
+        assert len(ref.cloud) == len(vec.cloud)
+        assert np.array_equal(ref.cloud.means, vec.cloud.means)
+        for stage in ("tracking_fwd", "tracking_bwd",
+                      "mapping_fwd", "mapping_bwd"):
+            assert (ref.stage_stats[stage].as_dict()
+                    == vec.stage_stats[stage].as_dict())
 
-    def test_atlas_artifact_bit_identical_across_backends(self):
+    def test_atlas_artifact_bit_identical_across_backends(self,
+                                                         monkeypatch):
         """Same run, either backend -> the same atlas artifact bytes."""
         from repro.datasets import make_replica_sequence
         from repro.obs.atlas import AtlasCollector
@@ -505,8 +355,9 @@ class TestSLAMEquivalence:
         for backend in ("reference", "vectorized"):
             collector = AtlasCollector(tile=8)
             collector.enable()
-            system = SLAMSystem("splatam", mode="sparse", seed=0,
-                                kernel_backend=backend)
+            monkeypatch.setattr(repro.render.kernels, "DEFAULT_BACKEND",
+                                backend)
+            system = SLAMSystem("splatam", mode="sparse", seed=0)
             system.run(sequence, atlas=collector)
             collector.disable()
             blobs[backend] = collector.to_bytes()

@@ -28,7 +28,7 @@ from repro.slam import SLAMSystem
 
 BG = np.array([0.15, 0.25, 0.05])
 W, H = 48, 36
-BACKENDS = ("reference", "vectorized", "parallel")
+BACKENDS = ("reference", "vectorized")
 GRAD_FIELDS = ("d_means", "d_log_scales", "d_logit_opacities", "d_colors",
                "d_pose_twist")
 

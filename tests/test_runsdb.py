@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import repro.render.kernels
 from repro.core import SplatonicConfig
 from repro.datasets import make_replica_sequence
 from repro.obs import runsdb, telemetry
@@ -58,24 +59,22 @@ def make_bench_payload(ratio=1.2):
 
 class TestKeying:
     def test_config_hash_tells_execution_settings_apart(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
         monkeypatch.delenv("REPRO_RENDER_CACHE", raising=False)
-        hashes = {
-            config_hash(SLAMSystem(
-                "splatam", mode="sparse",
-                splatonic_config=SplatonicConfig(kernel_backend=backend,
-                                                 render_cache=cache),
-            ).registry_config())
-            for backend in ("reference", "vectorized")
-            for cache in (False, True)}
+        hashes = set()
+        for backend in ("reference", "vectorized"):
+            monkeypatch.setattr(repro.render.kernels, "DEFAULT_BACKEND",
+                                backend)
+            for cache in (False, True):
+                hashes.add(config_hash(SLAMSystem(
+                    "splatam", mode="sparse",
+                    splatonic_config=SplatonicConfig(render_cache=cache),
+                ).registry_config()))
         assert len(hashes) == 4
 
     def test_registry_config_records_resolved_settings(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "vectorized")
         monkeypatch.setenv("REPRO_RENDER_CACHE", "1")
         config = SLAMSystem("splatam", mode="sparse").registry_config()
         assert config["kernel_backend"] == "vectorized"
-        assert config["kernel_workers"] == 1
         assert config["render_cache"] is True
 
     def test_config_hash_is_stable_and_order_free(self):
