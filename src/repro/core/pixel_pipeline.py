@@ -74,7 +74,10 @@ class SparseRenderResult:
     depth: np.ndarray        # (K,)
     silhouette: np.ndarray   # (K,)
     proj: ProjectedGaussians
-    pixel_lists: List[np.ndarray]          # per-pixel sorted proj indices
+    # Every pixel's depth-sorted projected indices, flat and pixel-major,
+    # with the per-pixel list lengths (see :attr:`pixel_lists`).
+    sorted_gss: np.ndarray   # (M,)
+    list_lengths: np.ndarray  # (K,)
     caches: List[Optional[CompositeCache]]
     stats: PipelineStats
     # Which kernel backend produced this result; the backward pass must
@@ -87,6 +90,14 @@ class SparseRenderResult:
     @property
     def final_transmittance(self) -> np.ndarray:
         return 1.0 - self.silhouette
+
+    @property
+    def pixel_lists(self) -> List[np.ndarray]:
+        """Per-pixel sorted projected indices, split from the flat list on
+        demand (the kernels themselves only need the flat form)."""
+        if self.list_lengths.size == 0:
+            return []
+        return np.split(self.sorted_gss, np.cumsum(self.list_lengths)[:-1])
 
     def scatter(self, height: int, width: int,
                 background: Optional[np.ndarray] = None):
@@ -166,7 +177,7 @@ def render_sparse(
     """
     intr = camera.intrinsics
     bg = DEFAULT_BACKGROUND if background is None else np.asarray(background, float)
-    pixels = np.atleast_2d(np.asarray(pixels, dtype=int))
+    pixels = np.asarray(pixels, dtype=int).reshape(-1, 2)
     K = pixels.shape[0]
     backend_name = resolve_backend(backend)
     kernel = get_kernel(backend_name)
@@ -206,9 +217,8 @@ def render_sparse(
                 pixels, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
                 np.zeros(K, dtype=np.int64))
         return SparseRenderResult(
-            pixels, color, depth, silhouette, proj,
-            [np.zeros(0, dtype=int) for _ in range(K)], [None] * K, stats,
-            backend=backend_name)
+            pixels, color, depth, silhouette, proj, np.zeros(0, dtype=int),
+            np.zeros(K, dtype=int), [None] * K, stats, backend=backend_name)
 
     centres = pixels + 0.5
     with trace.span("render.alpha_check", pipeline="pixel",
@@ -247,7 +257,7 @@ def render_sparse(
                     if _atlas_mod.current.active else None)
     with trace.span("render.composite", pipeline="pixel", pixels=K,
                     backend=backend_name):
-        pixel_lists, caches, flat_cache = kernel.forward(
+        sorted_gss, list_lengths, caches, flat_cache = kernel.forward(
             proj, pairs, centres, bg, alpha_threshold, t_min, keep_cache,
             exp_fn, stats, color, depth, silhouette,
             pair_alpha=pair_alpha, pair_clipped=pair_clipped,
@@ -257,7 +267,7 @@ def render_sparse(
                                       contribs_out)
 
     return SparseRenderResult(pixels, color, depth, silhouette, proj,
-                              pixel_lists, caches, stats,
+                              sorted_gss, list_lengths, caches, stats,
                               backend=backend_name, flat_cache=flat_cache)
 
 

@@ -4,9 +4,9 @@ and re-projection (Fig. 3, bottom).
 Reverse rasterization walks the forward pass's cached composite blocks and
 produces the pixel-Gaussian partial gradients (the render engine's
 ``pair_gradients`` stage, shared with the sparse pixel pipeline);
-*aggregation* scatters them into per-Gaussian accumulators (``np.add.at``
-plays the role of ``atomicAdd`` and the number of contributing pairs is
-recorded as the atomic-contention workload);
+*aggregation* scatters them into per-Gaussian accumulators
+(:func:`scatter_add` plays the role of ``atomicAdd`` and the number of
+contributing pairs is recorded as the atomic-contention workload);
 *re-projection* finally maps the 2D splat gradients through the projection
 into world-space parameter gradients and, for tracking, the camera-twist
 gradient.
@@ -32,7 +32,27 @@ from .rasterize import RenderResult, tile_work_records
 from .stats import PipelineStats
 
 __all__ = ["RenderGradients", "ProjectedGradients", "backward_full",
-           "reproject_gradients"]
+           "reproject_gradients", "scatter_add"]
+
+
+def scatter_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Aggregation stage: a freshly zeroed ``(n, ...)`` scatter-add.
+
+    Row ``i`` of ``values`` is added to row ``idx[i]`` of the result, in
+    input order; every index must be below ``n``.  Each column is one
+    ``np.bincount(idx, column, minlength=n)``, which adds its weights in
+    input order into zeros — the float sequence ``np.add.at`` performs
+    onto zeros, so the result is bit-identical to it, ``-0.0``, ±inf and
+    NaN included, at a fraction of its cost.
+    """
+    if values.ndim == 1:
+        # An empty ``idx`` makes bincount return int zeros.
+        return np.bincount(idx, values, minlength=n).astype(float, copy=False)
+    cols = values.reshape(values.shape[0], int(np.prod(values.shape[1:])))
+    out = np.empty((n, cols.shape[1]))
+    for c in range(cols.shape[1]):
+        out[:, c] = np.bincount(idx, cols[:, c], minlength=n)
+    return out.reshape((n,) + values.shape[1:])
 
 
 @dataclass
@@ -55,8 +75,23 @@ class ProjectedGradients:
             d_depth=np.zeros(m),
         )
 
+    @classmethod
+    def scatter(cls, indices: np.ndarray, pair,
+                m: int) -> "ProjectedGradients":
+        """Aggregation stage: pair gradients scatter-added into fresh zeros
+        with :func:`scatter_add` (the atomicAdd model)."""
+        return cls(
+            d_mean2d=scatter_add(indices, pair.d_mean2d, m),
+            d_sigma2d=scatter_add(indices, pair.d_sigma2d, m),
+            d_opacity=scatter_add(indices, pair.d_opacity, m),
+            d_color=scatter_add(indices, pair.d_color, m),
+            d_depth=scatter_add(indices, pair.d_depth, m),
+        )
+
     def accumulate(self, indices: np.ndarray, pair) -> None:
-        """Aggregation stage: scatter-add pair gradients (atomicAdd model)."""
+        """Scatter-add pair gradients onto the running accumulators with
+        ``np.add.at``, one pixel or tile at a time — the oracles' form of
+        aggregation."""
         np.add.at(self.d_mean2d, indices, pair.d_mean2d)
         np.add.at(self.d_sigma2d, indices, pair.d_sigma2d)
         np.add.at(self.d_opacity, indices, pair.d_opacity)
@@ -98,15 +133,14 @@ def reproject_gradients(
     """
     intr = camera.intrinsics
     n = len(cloud)
-    out = RenderGradients(
-        d_means=np.zeros((n, 3)),
-        d_log_scales=np.zeros(n),
-        d_logit_opacities=np.zeros(n),
-        d_colors=np.zeros((n, 3)),
-        d_pose_twist=np.zeros(6),
-    )
     if len(proj) == 0:
-        return out
+        return RenderGradients(
+            d_means=np.zeros((n, 3)),
+            d_log_scales=np.zeros(n),
+            d_logit_opacities=np.zeros(n),
+            d_colors=np.zeros((n, 3)),
+            d_pose_twist=np.zeros(6),
+        )
 
     x, y, z = proj.p_cam[:, 0], proj.p_cam[:, 1], proj.p_cam[:, 2]
     mean_focal = 0.5 * (intr.fx + intr.fy)
@@ -141,15 +175,16 @@ def reproject_gradients(
         (raw_color >= 1.0) & (pg.d_color > 0.0))
     d_color_proj = np.where(gate, pg.d_color, 0.0)
 
-    np.add.at(out.d_means, proj.source_index, d_means_proj)
-    np.add.at(out.d_log_scales, proj.source_index, d_log_scales_proj)
-    np.add.at(out.d_logit_opacities, proj.source_index, d_logit_proj)
-    np.add.at(out.d_colors, proj.source_index, d_color_proj)
-
+    src = proj.source_index
     # Camera twist gradient (right-multiplicative update T <- T exp(xi)).
     J = point_jacobian_wrt_twist(proj.p_cam)       # (M, 3, 6)
-    out.d_pose_twist = np.einsum("mij,mi->j", J, d_p_cam)
-    return out
+    return RenderGradients(
+        d_means=scatter_add(src, d_means_proj, n),
+        d_log_scales=scatter_add(src, d_log_scales_proj, n),
+        d_logit_opacities=scatter_add(src, d_logit_proj, n),
+        d_colors=scatter_add(src, d_color_proj, n),
+        d_pose_twist=np.einsum("mij,mi->j", J, d_p_cam),
+    )
 
 
 def backward_full(
@@ -169,20 +204,20 @@ def backward_full(
 
     Pair gradients come from the engine's
     :func:`~repro.render.kernels.vectorized.pair_gradients`, one pixel
-    block at a time, and aggregate in two stages that reproduce the
-    per-tile loop's float additions exactly:
+    block at a time, and aggregate in two stages of :func:`scatter_add`
+    that reproduce the per-tile loop's float additions exactly:
 
-    1. ``np.add.at`` into one accumulator per (tile, list slot), in pixel
-       order — the sequential pixel sum a tile's reverse pass takes per
-       list entry;
-    2. ``np.add.at`` of the slot accumulators into the per-Gaussian
-       gradients, in tile order — the tile loop's scatter sequence.
+    1. per block, into one fresh accumulator per (tile, list slot), in
+       pixel order — the sequential pixel sum a tile's reverse pass takes
+       per list entry.  Blocks hold whole tiles, so no accumulator spans
+       two blocks and each block owns a contiguous slot range;
+    2. the slot accumulators into the per-Gaussian gradients, in tile
+       order — the tile loop's scatter sequence.
 
     A single pixel-major scatter would add the same terms in another
     order, which differs in the last bits.
     """
     proj = result.proj
-    pg = ProjectedGradients.zeros(len(proj))
     stats = PipelineStats(
         pipeline="tile",
         tile_size=result.grid.tile_size,
@@ -197,16 +232,19 @@ def backward_full(
     with trace.span("render.tile_bwd", pipeline="tile",
                     gaussians=len(cloud)):
         if result.blocks is not None:
-            _tile_backward(result, d_color, d_depth, d_silhouette, pg, stats)
+            pg = _tile_backward(result, d_color, d_depth, d_silhouette, stats)
+        else:
+            pg = ProjectedGradients.zeros(len(proj))
         with trace.span("render.reproject"):
             grads = reproject_gradients(proj, cloud, camera, pg)
     grads.stats = stats
     return grads
 
 
-def _tile_backward(result, d_color, d_depth, d_silhouette, pg, stats):
-    """Reverse rasterization + aggregation over the forward's pixel blocks
-    (fills ``pg`` and the counters of ``stats``)."""
+def _tile_backward(result, d_color, d_depth, d_silhouette, stats):
+    """Reverse rasterization + aggregation over the forward's pixel blocks;
+    returns the per-Gaussian :class:`ProjectedGradients` and fills the
+    counters of ``stats``."""
     proj = result.proj
     u, v = result.pixels[:, 0], result.pixels[:, 1]
     d_color, d_depth, d_silhouette = (d_color[v, u], d_depth[v, u],
@@ -218,11 +256,14 @@ def _tile_backward(result, d_color, d_depth, d_silhouette, pg, stats):
     for b in result.blocks:
         pair = pair_gradients(b.cache, proj, d_color[b.lo:b.hi],
                               d_depth[b.lo:b.hi], d_silhouette[b.lo:b.hi])
-        slots.accumulate(b.slots, pair)
+        lo, hi = b.slots.min(), b.slots.max() + 1
+        block = ProjectedGradients.scatter(b.slots - lo, pair, hi - lo)
+        for name, value in vars(block).items():
+            getattr(slots, name)[lo:hi] = value
         touched[b.lo:b.hi] = pair.touched
         if stats.record_per_pixel:
             ids.append(proj.source_index[b.cache.gss[pair.contrib_flat]])
-    pg.accumulate(slot_gaussians, slots)
+    pg = ProjectedGradients.scatter(slot_gaussians, slots, len(proj))
 
     # The tile backward re-runs alpha-checking against the cached
     # tile-Gaussian sorted list (Sec. II-B): every pixel of a tile with a
@@ -245,3 +286,4 @@ def _tile_backward(result, d_color, d_depth, d_silhouette, pg, stats):
                              np.cumsum(touched)[:-1])
         stats.pixel_contrib_ids.extend(
             per_pixel[k] for k in np.flatnonzero(live))
+    return pg

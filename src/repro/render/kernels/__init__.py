@@ -8,8 +8,9 @@ production kernel, with a per-pixel oracle kept beside it for tests:
   pair list.  One global ``np.lexsort`` replaces the per-pixel depth
   sorts, a ragged-to-padded ``cumprod`` computes every pixel's
   transmittance prefix at once, and the backward pass produces all pair
-  gradients in one shot before a single ``np.add.at`` aggregation (the
-  scoreboard/merge-unit analogue).
+  gradients in one shot before one order-preserving ``np.bincount``
+  scatter per gradient column (:func:`repro.render.backward.scatter_add`,
+  the scoreboard/merge-unit analogue).
 - ``"reference"`` — the original per-pixel Python loop: one
   :func:`composite_forward` / :func:`composite_backward` call per sampled
   pixel; slow, but trivially auditable.  It is the oracle the vectorized

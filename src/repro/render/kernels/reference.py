@@ -24,10 +24,12 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
     """Per-pixel forward loop over the shared candidate pair list.
 
     Fills ``color`` / ``depth`` / ``silhouette`` (length K) in place and
-    returns ``(pixel_lists, caches, flat_cache)`` — ``flat_cache`` is
-    always ``None`` here; this backend caches per pixel.  The pre-computed
-    ``pair_alpha`` / ``pair_clipped`` arrays are deliberately ignored:
-    the oracle re-derives α inside :func:`composite_forward`.
+    returns ``(gss, lengths, caches, flat_cache)``: the concatenated
+    per-pixel sorted lists and their lengths, the per-pixel caches, and
+    ``flat_cache``, always ``None`` here; this backend caches per pixel.
+    The pre-computed ``pair_alpha`` / ``pair_clipped`` arrays are
+    deliberately ignored: the oracle re-derives α inside
+    :func:`composite_forward`.
     ``contribs_out`` (when given, a zeroed length-K int array) receives
     every pixel's contributing-pair count regardless of
     ``record_per_pixel`` — the sparsity atlas's spatial channel.
@@ -71,7 +73,9 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
         if contribs_out is not None:
             contribs_out[k] = contribs
         caches.append(cache if keep_cache else None)
-    return pixel_lists, caches, None
+    gss = (np.concatenate(pixel_lists) if pixel_lists
+           else np.zeros(0, dtype=int))
+    return gss, lengths, caches, None
 
 
 def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
@@ -82,8 +86,9 @@ def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
     counts — the atlas's backward aggregation channel.
     """
     record = stats.record_per_pixel
+    pixel_lists = result.pixel_lists
     for k in range(result.pixels.shape[0]):
-        cand = result.pixel_lists[k]
+        cand = pixel_lists[k]
         cache = result.caches[k]
         if cache is None or cand.size == 0:
             continue

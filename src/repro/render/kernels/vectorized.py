@@ -13,9 +13,11 @@ Gaussian) pair list:
   makes zero-padding *exact*: appending zeros to a sequential sum (or ones
   to a product) never changes the earlier prefix values;
 - the backward pass computes every pair gradient in one shot from the
-  padded cache and aggregates per Gaussian with a single ``np.add.at``
-  whose (index, value) sequence — pixel-major, depth-sorted — is exactly
-  the sequence the reference loop's per-pixel scatters produce.
+  padded cache and aggregates per Gaussian with one
+  :func:`~repro.render.backward.scatter_add` (a per-column
+  ``np.bincount``) whose (index, value) sequence — pixel-major,
+  depth-sorted — is exactly the sequence the reference loop's per-pixel
+  ``np.add.at`` scatters produce, added in the same order from zero.
 
 Together this makes the backend bit-identical to the reference loop while
 doing O(K) Python work instead of O(K) Python *loop iterations* of ~25
@@ -31,7 +33,6 @@ tile-major two-stage scatter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
@@ -68,6 +69,12 @@ class FlatCompositeCache:
     clipped: np.ndarray       # (K, Lmax) bool — α hit ALPHA_MAX
     gamma_final: np.ndarray   # (K,)
     background: np.ndarray    # (3,)
+
+
+def _columns(a: np.ndarray) -> np.ndarray:
+    """The columns of an ``(M, k)`` array as contiguous ``(M,)`` rows, for
+    per-channel gathers."""
+    return np.ascontiguousarray(a.T)
 
 
 def evaluate_alpha(proj, gss, centres, exp_fn=np.exp):
@@ -125,10 +132,11 @@ def composite(proj, gss, lengths, centres, background, alpha, clipped,
     weight = np.where(contrib, gamma * alpha, 0.0)
 
     # Channel sums as sequential prefix sums (zero padding is exact), one
-    # (K, Lmax) cumsum per channel.
-    colpad = proj.color[gpad]
-    out_color = np.stack([np.cumsum(weight * colpad[:, :, c], axis=1)[:, -1]
-                          for c in range(3)], axis=-1)
+    # (K, Lmax) cumsum per channel, each gathered from a contiguous (M,)
+    # column: the same values as slicing a (K, Lmax, 3) row gather,
+    # without its strided copies.
+    out_color = np.stack([np.cumsum(weight * col[gpad], axis=1)[:, -1]
+                          for col in _columns(proj.color)], axis=-1)
     out_depth = np.cumsum(weight * proj.depth[gpad], axis=1)[:, -1]
     out_sil = np.cumsum(weight, axis=1)[:, -1]
     gamma_final = 1.0 - out_sil
@@ -156,6 +164,9 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
     """Batched forward pass over the shared candidate pair list.
 
     The order stage (one global lexsort) followed by :func:`composite`.
+    Returns ``(gss, lengths, caches, flat_cache)``: the flat depth-sorted
+    pair list grouped by pixel, the K per-pixel list lengths, the
+    per-pixel cache list (all None here) and the padded batch cache.
     ``pair_alpha`` / ``pair_clipped`` are the flat per-pair α values and
     clip flags the pipeline's α stage already evaluated (aligned with
     ``pairs``); when given, the falloff is not re-evaluated here.
@@ -171,8 +182,7 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
         if record:
             stats.pixel_list_lengths.extend([0] * K)
             stats.per_pixel_contribs.extend([0] * K)
-        return ([np.zeros(0, dtype=int) for _ in range(K)], [None] * K,
-                None)
+        return np.zeros(0, dtype=int), np.zeros(K, dtype=int), [None] * K, None
 
     # Segmented depth sort: pixel-major, then front-to-back, then by
     # projected index — the exact (depth, index) key of sort_by_depth.
@@ -199,9 +209,7 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
         stats.pixel_list_lengths.extend(int(n) for n in lengths)
         stats.per_pixel_contribs.extend(int(c) for c in contribs_row)
 
-    pixel_lists: List[np.ndarray] = np.split(
-        gss, np.cumsum(lengths)[:-1])
-    return pixel_lists, [None] * K, cache if keep_cache else None
+    return gss, lengths, [None] * K, cache if keep_cache else None
 
 
 @dataclass
@@ -211,7 +219,8 @@ class PairGradients:
     The pair sequence is the composite cache's valid (non-padding)
     entries in row-major order — pixel-major, front-to-back — which is
     the exact (index, value) sequence the per-pixel reference loop
-    scatters, so one sequential ``np.add.at`` per array reproduces its
+    scatters, so one in-order
+    :func:`~repro.render.backward.scatter_add` per array reproduces its
     accumulation bit for bit (the software analogue of the
     accelerator's aggregation scoreboard).
     """
@@ -247,14 +256,14 @@ def pair_gradients(fc, proj, d_color, d_depth, d_silhouette):
     gss = fc.gss
     rows = np.repeat(np.arange(fc.lengths.size), fc.lengths)
     weight_pad = fc.gamma * fc.alpha
-    colpad = proj.color[fc.gpad]
     alpha = fc.alpha[sel]
     gamma = fc.gamma[sel]
     contrib = fc.contrib[sel]
     weight = weight_pad[sel]
-    color = proj.color[gss]
     depth = proj.depth[gss]
-    d_color = d_color[rows]
+    # Pixel and Gaussian operands are gathered per channel from
+    # contiguous columns: the same values as (P, 3) row gathers.
+    d_color_cols = [col[rows] for col in _columns(d_color)]
 
     one_minus = np.where(contrib, 1.0 - alpha, 1.0)
     inv_one_minus = 1.0 / np.maximum(one_minus, 1e-12)
@@ -264,10 +273,11 @@ def pair_gradients(fc, proj, d_color, d_depth, d_silhouette):
     # the output gradients in channel order.
     background_term = fc.gamma_final[rows]
     d_alpha = None
-    for c in range(3):
-        suffix_c = (_exclusive_suffix(weight_pad * colpad[:, :, c])[sel]
+    for c, color in enumerate(_columns(proj.color)):
+        suffix_c = (_exclusive_suffix(weight_pad * color[fc.gpad])[sel]
                     + background_term * fc.background[c])
-        term = d_color[:, c] * (gamma * color[:, c] - suffix_c * inv_one_minus)
+        term = d_color_cols[c] * (gamma * color[gss]
+                                  - suffix_c * inv_one_minus)
         d_alpha = term if d_alpha is None else d_alpha + term
     suffix_d = _exclusive_suffix(weight_pad * proj.depth[fc.gpad])[sel]
     suffix_s = _exclusive_suffix(weight_pad)[sel]
@@ -281,8 +291,10 @@ def pair_gradients(fc, proj, d_color, d_depth, d_silhouette):
     d_g = d_alpha * opac
     d_opacity = d_alpha * g
 
-    du = fc.centres[rows, 0] - proj.mean2d[gss, 0]
-    dv = fc.centres[rows, 1] - proj.mean2d[gss, 1]
+    cu, cv = _columns(fc.centres)
+    mu, mv = _columns(proj.mean2d)
+    du = cu[rows] - mu[gss]
+    dv = cv[rows] - mv[gss]
     inv_var = 1.0 / (sig * sig)
     d_mean_u = d_g * g * du * inv_var
     d_mean_v = d_g * g * dv * inv_var
@@ -291,13 +303,13 @@ def pair_gradients(fc, proj, d_color, d_depth, d_silhouette):
 
     # Pairs in row-major (= pixel-major, depth-sorted) order — the
     # identical (index, value) sequence the reference's per-pixel
-    # np.add.at calls issue, zero-valued non-contributing pairs included.
+    # scatters issue, zero-valued non-contributing pairs included.
     return PairGradients(
         idx=gss,
         d_mean2d=np.stack([d_mean_u, d_mean_v], axis=-1),
         d_sigma2d=d_sigma,
         d_opacity=d_opacity,
-        d_color=weight[:, None] * d_color,
+        d_color=np.stack([weight * dc for dc in d_color_cols], axis=-1),
         d_depth=weight * d_depth[rows],
         touched=fc.contrib.sum(axis=1),
         contrib_flat=contrib,
@@ -309,20 +321,25 @@ def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
     """Batched backward pass over the padded forward cache.
 
     Pair partials from :func:`pair_gradients`, aggregated by one
-    pixel-major ``np.add.at`` per gradient array — all per-Gaussian
-    accumulations are bit-identical to the reference loop's.
+    pixel-major :func:`~repro.render.backward.scatter_add` per gradient
+    array and added onto ``pg`` (zeros, so the add is exact) — all
+    per-Gaussian accumulations are bit-identical to the reference loop's.
     ``contribs_out`` (when given) receives the per-pixel touched-pair
     counts for the sparsity atlas.
     """
     fc = result.flat_cache
     if fc is None:
         return
+    # Imported here: repro.render.backward imports this module.
+    from ..backward import scatter_add
+
     grads = pair_gradients(fc, proj, d_color, d_depth, d_silhouette)
-    np.add.at(pg.d_mean2d, grads.idx, grads.d_mean2d)
-    np.add.at(pg.d_sigma2d, grads.idx, grads.d_sigma2d)
-    np.add.at(pg.d_opacity, grads.idx, grads.d_opacity)
-    np.add.at(pg.d_color, grads.idx, grads.d_color)
-    np.add.at(pg.d_depth, grads.idx, grads.d_depth)
+    m = len(proj)
+    pg.d_mean2d += scatter_add(grads.idx, grads.d_mean2d, m)
+    pg.d_sigma2d += scatter_add(grads.idx, grads.d_sigma2d, m)
+    pg.d_opacity += scatter_add(grads.idx, grads.d_opacity, m)
+    pg.d_color += scatter_add(grads.idx, grads.d_color, m)
+    pg.d_depth += scatter_add(grads.idx, grads.d_depth, m)
 
     touched = grads.touched
     total_touched = int(touched.sum())

@@ -16,7 +16,7 @@ Rasterization runs on the render engine the sparse pixel pipeline uses
   every pixel in it, with no per-pair sort (the redundant-sort
   elimination of GS-TG);
 - *composite*: the shared :func:`~repro.render.kernels.vectorized.composite`
-  stage over fixed blocks of pixels, which bounds the working set.
+  stage over blocks of whole tiles, which bounds the working set.
 
 A pair that fails α has a transmittance factor of exactly 1.0 and a
 weight of exactly 0.0 in a per-tile :func:`composite_forward`, and both
@@ -61,8 +61,11 @@ __all__ = ["RenderResult", "PixelBlock", "render_full", "BLOCK_PIXELS"]
 
 DEFAULT_BACKGROUND = np.zeros(3)
 
-#: Rendered pixels per composite block.  Bounds the padded working set of
-#: the forward and backward passes; results do not depend on it.
+#: Most rendered pixels per composite block.  Blocks are cut at tile
+#: boundaries, so a block exceeds this only when one tile alone does (the
+#: backward's per-(tile, list slot) sums must not span two blocks).
+#: Bounds the padded working set of the forward and backward passes;
+#: results do not depend on it.
 BLOCK_PIXELS = 1024
 
 
@@ -137,7 +140,7 @@ def render_full(
         sorted_lists = sort_intersection_table(table, proj)
 
     if pixels is not None:
-        pixels = np.atleast_2d(np.asarray(pixels, dtype=int))
+        pixels = np.asarray(pixels, dtype=int).reshape(-1, 2)
     px, px_tiles = _rendered_pixels(grid, pixels)
 
     color = np.tile(bg, (intr.height, intr.width, 1))
@@ -168,8 +171,7 @@ def render_full(
         offsets = np.concatenate([[0], np.cumsum(lengths)])
         blocks: List[PixelBlock] = []
         contribs = np.zeros(px.shape[0], dtype=np.int64)
-        for lo in range(0, px.shape[0], BLOCK_PIXELS):
-            hi = min(lo + BLOCK_PIXELS, px.shape[0])
+        for lo, hi in _block_bounds(n_px):
             p0, p1 = offsets[lo], offsets[hi]
             out_color, out_depth, out_sil, cache = composite(
                 proj, gss[p0:p1], lengths[lo:hi], centres[lo:hi], bg,
@@ -223,6 +225,20 @@ def _rendered_pixels(grid: TileGrid, pixels: Optional[np.ndarray]):
     tiles = grid.tile_of_pixel(u, v)
     order = np.argsort(tiles, kind="stable")
     return np.stack([u[order], v[order]], axis=-1), tiles[order]
+
+
+def _block_bounds(n_px):
+    """Pixel ranges ``[lo, hi)`` of the composite blocks over tile-major
+    pixels with ``n_px`` rendered pixels per tile: whole tiles, greedily
+    up to :data:`BLOCK_PIXELS` pixels, or one tile that alone exceeds it."""
+    ends = np.concatenate([[0], np.cumsum(n_px)])
+    lo = 0
+    while lo < ends[-1]:
+        hi = ends[np.searchsorted(ends, lo + BLOCK_PIXELS, side="right") - 1]
+        if hi == lo:
+            hi = ends[np.searchsorted(ends, lo, side="right")]
+        yield int(lo), int(hi)
+        lo = hi
 
 
 def _tile_pairs(proj, sorted_lists, n_g, n_px, centres, alpha_threshold):

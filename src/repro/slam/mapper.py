@@ -198,7 +198,7 @@ class Mapper:
                         np.zeros_like(gamma_final), kf.color,
                         weight=kf.texture_weight())
                     px = samples.all_pixels
-                px = np.atleast_2d(px)
+                px = np.reshape(px, (-1, 2))
                 kf_pixels.append(px)
                 if px.shape[0]:
                     kf_refs.append((kf.color[px[:, 1], px[:, 0]],

@@ -152,6 +152,47 @@ def test_result_independent_of_block_size(monkeypatch):
     assert_stats_identical(g_small.stats, g_ref.stats)
 
 
+BLOCKING_CASES = [
+    # Block sizes that are not a multiple of the tile area.
+    (37, {}),
+    (37, {"tile_size": 8}),
+    (300, {}),
+    (300, {"tile_size": 8}),
+    (300, {"tile_size": 8, "pixels": SUBSET}),
+    # One tile (64 x 64 covers the whole 45 x 33 frame) larger than a block.
+    (37, {"tile_size": 64}),
+    (1024, {"tile_size": 64}),
+]
+
+
+@pytest.mark.parametrize(
+    "block_pixels, kwargs", BLOCKING_CASES,
+    ids=[f"block={b}-" + case_id(("full", kw)) for b, kw in BLOCKING_CASES])
+def test_blocking_bit_identical_to_tile_loop(block_pixels, kwargs,
+                                             monkeypatch):
+    """Any block size gives the oracle's bits: blocks hold whole tiles, so
+    no (tile, list slot) sum of the backward spans two blocks."""
+    from repro.render import rasterize
+
+    monkeypatch.setattr(rasterize, "BLOCK_PIXELS", block_pixels)
+    engine, g_engine, oracle, g_oracle = run_both("full", kwargs)
+
+    tiles = engine.pixel_tiles
+    assert len(engine.blocks) > 0
+    for b in engine.blocks:
+        assert b.lo == 0 or tiles[b.lo - 1] != tiles[b.lo], b.lo
+        assert b.hi == tiles.size or tiles[b.hi - 1] != tiles[b.hi], b.hi
+        if b.hi - b.lo > block_pixels:
+            assert np.all(tiles[b.lo:b.hi] == tiles[b.lo])
+    for name in ("color", "depth", "silhouette"):
+        assert np.array_equal(getattr(engine, name), getattr(oracle, name))
+    assert_stats_identical(engine.stats, oracle.stats)
+    for name in GRAD_FIELDS:
+        assert np.array_equal(getattr(g_engine, name),
+                              getattr(g_oracle, name)), name
+    assert_stats_identical(g_engine.stats, g_oracle.stats)
+
+
 @pytest.mark.parametrize("pixels", [None, SUBSET], ids=["full", "subset"])
 def test_atlas_bytes_identical(pixels):
     def record(render, backward):

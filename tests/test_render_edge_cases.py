@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.pixel_pipeline import render_sparse
+from repro.core.pixel_pipeline import backward_sparse, render_sparse
 from repro.gaussians import Camera, GaussianCloud, Intrinsics
-from repro.render import render_full
+from repro.render import backward_full, render_full
 
 BG = np.full(3, 0.05)
 
@@ -115,3 +115,45 @@ class TestDegenerateScenes:
         cloud = one_gaussian()
         res = render_full(cloud, Camera(intr), BG, keep_cache=False)
         assert np.all(np.isfinite(res.color))
+
+
+class TestEmptyPixelSets:
+    """An empty pixel list (``[]`` has shape ``(0,)``, not ``(0, 2)``)
+    renders nothing and back-propagates all-zero gradients."""
+
+    GRAD_FIELDS = ("d_means", "d_log_scales", "d_logit_opacities",
+                   "d_colors", "d_pose_twist")
+
+    def assert_zero_gradients(self, grads, n):
+        assert grads.d_means.shape == (n, 3)
+        for name in self.GRAD_FIELDS:
+            assert not np.any(getattr(grads, name)), name
+
+    def test_sparse_pipeline(self):
+        cloud = one_gaussian()
+        cam = Camera(Intrinsics.from_fov(16, 12, 70.0))
+        res = render_sparse(cloud, cam, [], BG)
+        assert res.pixels.shape == (0, 2)
+        assert res.color.shape == (0, 3)
+        assert res.depth.shape == res.silhouette.shape == (0,)
+        assert res.pixel_lists == []
+        assert res.stats.num_candidate_pairs == 0
+        grads = backward_sparse(res, cloud, cam, np.zeros((0, 3)),
+                                np.zeros(0), np.zeros(0))
+        self.assert_zero_gradients(grads, len(cloud))
+        assert grads.stats.num_atomic_adds == 0
+
+    def test_tile_pipeline(self):
+        cloud = one_gaussian()
+        cam = Camera(Intrinsics.from_fov(16, 12, 70.0))
+        res = render_full(cloud, cam, BG, pixels=[])
+        assert res.pixels.shape == (0, 2)
+        assert res.blocks == []
+        assert np.array_equal(res.color, np.tile(BG, (12, 16, 1)))
+        assert not np.any(res.depth) and not np.any(res.silhouette)
+        assert res.stats.num_pixels == 0
+        assert res.stats.num_contrib_pairs == 0
+        grads = backward_full(res, cloud, cam, np.ones((12, 16, 3)),
+                              np.ones((12, 16)), np.ones((12, 16)))
+        self.assert_zero_gradients(grads, len(cloud))
+        assert grads.stats.num_atomic_adds == 0
