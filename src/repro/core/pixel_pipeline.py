@@ -153,6 +153,9 @@ def render_sparse(
 ) -> SparseRenderResult:
     """Render only the sampled ``pixels`` with the pixel-based pipeline.
 
+    ``pixels`` is ``(K, 2)`` integer ``(u, v)``; a pixel outside the image
+    raises ``ValueError``.
+
     ``preemptive_alpha=False`` is an ablation switch: candidates are then
     filtered only by the bounding box, and α-checking happens inside
     rasterization (sorting and rasterizing the full candidate list), which
@@ -178,6 +181,7 @@ def render_sparse(
     intr = camera.intrinsics
     bg = DEFAULT_BACKGROUND if background is None else np.asarray(background, float)
     pixels = np.asarray(pixels, dtype=int).reshape(-1, 2)
+    intr.check_pixels(pixels)
     K = pixels.shape[0]
     backend_name = resolve_backend(backend)
     kernel = get_kernel(backend_name)

@@ -66,6 +66,16 @@ class Intrinsics:
             cy=self.cy * factor,
         )
 
+    def check_pixels(self, pixels: np.ndarray) -> None:
+        """Raise ``ValueError`` naming the first row of the integer
+        ``(K, 2)`` ``(u, v)`` array ``pixels`` that lies outside the image."""
+        u, v = pixels[:, 0], pixels[:, 1]
+        outside = (u < 0) | (u >= self.width) | (v < 0) | (v >= self.height)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ValueError(f"pixel ({u[k]}, {v[k]}) lies outside the "
+                             f"{self.width}x{self.height} image")
+
     def project(self, p_cam: np.ndarray) -> np.ndarray:
         """Project camera-frame points ``(N, 3)`` to pixel coordinates ``(N, 2)``.
 

@@ -35,24 +35,30 @@ __all__ = ["RenderGradients", "ProjectedGradients", "backward_full",
            "reproject_gradients", "scatter_add"]
 
 
-def scatter_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+def scatter_add(idx: np.ndarray, values, n: int) -> np.ndarray:
     """Aggregation stage: a freshly zeroed ``(n, ...)`` scatter-add.
 
     Row ``i`` of ``values`` is added to row ``idx[i]`` of the result, in
-    input order; every index must be below ``n``.  Each column is one
+    input order; every index must be below ``n``.  ``values`` is a
+    ``(P, ...)`` array or a sequence of ``k`` contiguous ``(P,)`` columns,
+    which gives an ``(n, k)`` result.  Each column is one
     ``np.bincount(idx, column, minlength=n)``, which adds its weights in
     input order into zeros — the float sequence ``np.add.at`` performs
     onto zeros, so the result is bit-identical to it, ``-0.0``, ±inf and
     NaN included, at a fraction of its cost.
     """
-    if values.ndim == 1:
+    if not isinstance(values, np.ndarray):
+        columns, shape = values, (len(values),)
+    elif values.ndim == 1:
         # An empty ``idx`` makes bincount return int zeros.
         return np.bincount(idx, values, minlength=n).astype(float, copy=False)
-    cols = values.reshape(values.shape[0], int(np.prod(values.shape[1:])))
-    out = np.empty((n, cols.shape[1]))
-    for c in range(cols.shape[1]):
-        out[:, c] = np.bincount(idx, cols[:, c], minlength=n)
-    return out.reshape((n,) + values.shape[1:])
+    else:
+        shape = values.shape[1:]
+        columns = values.reshape(values.shape[0], int(np.prod(shape))).T
+    out = np.empty((n, len(columns)))
+    for c, column in enumerate(columns):
+        out[:, c] = np.bincount(idx, column, minlength=n)
+    return out.reshape((n,) + shape)
 
 
 @dataclass

@@ -23,7 +23,9 @@ Together this makes the backend bit-identical to the reference loop while
 doing O(K) Python work instead of O(K) Python *loop iterations* of ~25
 numpy calls each.
 
-The stages — :func:`evaluate_alpha`, :func:`composite` and
+The stages — :func:`evaluate_alpha` (whose falloff half,
+:func:`falloff_alpha`, the dense pipeline calls on the squared distances
+its axis-shared cull already computed), :func:`composite` and
 :func:`pair_gradients` — are also the engine of the dense tile pipeline
 (:mod:`repro.render.rasterize` / :mod:`repro.render.backward`), which
 feeds them from the tile table instead of a lexsort and aggregates with a
@@ -42,6 +44,7 @@ __all__ = [
     "FlatCompositeCache",
     "PairGradients",
     "evaluate_alpha",
+    "falloff_alpha",
     "composite",
     "forward",
     "backward",
@@ -86,11 +89,18 @@ def evaluate_alpha(proj, gss, centres, exp_fn=np.exp):
     :func:`composite_forward` evaluates, so every pipeline α-checks a
     pair to the same bits.
     """
-    du = centres[..., 0] - proj.mean2d[gss, 0]
-    dv = centres[..., 1] - proj.mean2d[gss, 1]
-    d2 = du * du + dv * dv
-    sig = proj.sigma2d[gss]
-    inv_2var = 1.0 / (2.0 * sig * sig)
+    du = centres[..., 0] - proj.mean2d[:, 0][gss]
+    dv = centres[..., 1] - proj.mean2d[:, 1][gss]
+    return falloff_alpha(proj, gss, du * du + dv * dv, exp_fn)
+
+
+def falloff_alpha(proj, gss, d2, exp_fn=np.exp):
+    """The second half of :func:`evaluate_alpha`: ``(alpha, clipped)``
+    from each pair's squared centre distance ``d2 = du*du + dv*dv``, for
+    callers that computed it themselves (the dense pipeline shares ``du²``
+    and ``dv²`` across a tile's columns and rows)."""
+    sig = proj.sigma2d
+    inv_2var = (1.0 / (2.0 * sig * sig))[gss]
     alpha_raw = proj.opacity[gss] * exp_fn(-d2 * inv_2var)
     return np.minimum(alpha_raw, ALPHA_MAX), alpha_raw > ALPHA_MAX
 
@@ -222,14 +232,16 @@ class PairGradients:
     scatters, so one in-order
     :func:`~repro.render.backward.scatter_add` per array reproduces its
     accumulation bit for bit (the software analogue of the
-    accelerator's aggregation scoreboard).
+    accelerator's aggregation scoreboard).  The vector partials are kept
+    as contiguous per-component columns, which ``scatter_add`` bins
+    directly.
     """
 
     idx: np.ndarray           # (P,) projected-Gaussian index per pair
-    d_mean2d: np.ndarray      # (P, 2)
+    d_mean2d: tuple           # (d_u, d_v), each (P,)
     d_sigma2d: np.ndarray     # (P,)
     d_opacity: np.ndarray     # (P,)
-    d_color: np.ndarray       # (P, 3)
+    d_color: tuple            # (d_r, d_g, d_b), each (P,)
     d_depth: np.ndarray       # (P,)
     touched: np.ndarray       # (K,) per-pixel contributing-pair counts
     contrib_flat: np.ndarray  # (P,) bool — pair actually contributed
@@ -248,22 +260,25 @@ def pair_gradients(fc, proj, d_color, d_depth, d_silhouette):
     Every arithmetic expression mirrors :func:`composite_backward` term
     for term (same operand values, same association order).  Only the
     suffix sums need the padded rows; everything else runs on the flat
-    valid pairs, with each pair's pixel-level operands gathered by its
-    row.  All math is per pixel row, so the dense engine can run it one
-    pixel block at a time and get the same bits as one global pass.
+    valid pairs — taken once by their flat positions in the padded
+    layout — with each pair's pixel-level operands gathered by its row
+    and per-Gaussian factors computed once per Gaussian.  All math is per
+    pixel row, so the dense engine can run it one pixel block at a time
+    and get the same bits as one global pass.
     """
-    sel = fc.valid
+    flat = np.flatnonzero(fc.valid)
     gss = fc.gss
     rows = np.repeat(np.arange(fc.lengths.size), fc.lengths)
     weight_pad = fc.gamma * fc.alpha
-    alpha = fc.alpha[sel]
-    gamma = fc.gamma[sel]
-    contrib = fc.contrib[sel]
-    weight = weight_pad[sel]
+    alpha = fc.alpha.take(flat)
+    gamma = fc.gamma.take(flat)
+    contrib = fc.contrib.take(flat)
+    weight = weight_pad.take(flat)
     depth = proj.depth[gss]
     # Pixel and Gaussian operands are gathered per channel from
     # contiguous columns: the same values as (P, 3) row gathers.
     d_color_cols = [col[rows] for col in _columns(d_color)]
+    d_depth_rows = d_depth[rows]
 
     one_minus = np.where(contrib, 1.0 - alpha, 1.0)
     inv_one_minus = 1.0 / np.maximum(one_minus, 1e-12)
@@ -274,43 +289,45 @@ def pair_gradients(fc, proj, d_color, d_depth, d_silhouette):
     background_term = fc.gamma_final[rows]
     d_alpha = None
     for c, color in enumerate(_columns(proj.color)):
-        suffix_c = (_exclusive_suffix(weight_pad * color[fc.gpad])[sel]
+        suffix_c = (_exclusive_suffix(weight_pad * color[fc.gpad]).take(flat)
                     + background_term * fc.background[c])
         term = d_color_cols[c] * (gamma * color[gss]
                                   - suffix_c * inv_one_minus)
         d_alpha = term if d_alpha is None else d_alpha + term
-    suffix_d = _exclusive_suffix(weight_pad * proj.depth[fc.gpad])[sel]
-    suffix_s = _exclusive_suffix(weight_pad)[sel]
-    d_alpha = d_alpha + d_depth[rows] * (gamma * depth - suffix_d * inv_one_minus)
+    suffix_d = _exclusive_suffix(weight_pad * proj.depth[fc.gpad]).take(flat)
+    suffix_s = _exclusive_suffix(weight_pad).take(flat)
+    d_alpha = d_alpha + d_depth_rows * (gamma * depth - suffix_d * inv_one_minus)
     d_alpha = d_alpha + d_silhouette[rows] * (gamma - suffix_s * inv_one_minus)
-    d_alpha = np.where(contrib & ~fc.clipped[sel], d_alpha, 0.0)
+    d_alpha = np.where(contrib & ~fc.clipped.take(flat), d_alpha, 0.0)
 
     opac = proj.opacity[gss]
-    sig = proj.sigma2d[gss]
+    sig = proj.sigma2d
+    inv_var = 1.0 / (sig * sig)
     g = np.where(contrib, alpha / np.maximum(opac, 1e-12), 0.0)
     d_g = d_alpha * opac
     d_opacity = d_alpha * g
+    d_gg = d_g * g
 
     cu, cv = _columns(fc.centres)
     mu, mv = _columns(proj.mean2d)
     du = cu[rows] - mu[gss]
     dv = cv[rows] - mv[gss]
-    inv_var = 1.0 / (sig * sig)
-    d_mean_u = d_g * g * du * inv_var
-    d_mean_v = d_g * g * dv * inv_var
+    pair_inv_var = inv_var[gss]
+    d_mean_u = d_gg * du * pair_inv_var
+    d_mean_v = d_gg * dv * pair_inv_var
     d2 = du * du + dv * dv
-    d_sigma = d_g * g * d2 * (inv_var / sig)
+    d_sigma = d_gg * d2 * (inv_var / sig)[gss]
 
     # Pairs in row-major (= pixel-major, depth-sorted) order — the
     # identical (index, value) sequence the reference's per-pixel
     # scatters issue, zero-valued non-contributing pairs included.
     return PairGradients(
         idx=gss,
-        d_mean2d=np.stack([d_mean_u, d_mean_v], axis=-1),
+        d_mean2d=(d_mean_u, d_mean_v),
         d_sigma2d=d_sigma,
         d_opacity=d_opacity,
-        d_color=np.stack([weight * dc for dc in d_color_cols], axis=-1),
-        d_depth=weight * d_depth[rows],
+        d_color=tuple(weight * dc for dc in d_color_cols),
+        d_depth=weight * d_depth_rows,
         touched=fc.contrib.sum(axis=1),
         contrib_flat=contrib,
     )

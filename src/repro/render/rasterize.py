@@ -8,9 +8,13 @@ Rasterization runs on the render engine the sparse pixel pipeline uses
 (:mod:`repro.render.kernels.vectorized`), fed from the tile table:
 
 - *candidates*: every rendered pixel of a tile x every Gaussian in that
-  tile's list, α-checked with one broadcast per tile exactly as the tile
-  pipeline α-checks them (so ``num_candidate_pairs = Σ n_px·n_g`` and any
-  ``alpha_threshold`` stays exact), then compacted to the passing pairs;
+  tile's list, as the tile pipeline α-checks them (so
+  ``num_candidate_pairs = Σ n_px·n_g``).  The check is axis-shared: per
+  tile, ``du²`` is computed once per pixel column and ``dv²`` once per
+  pixel row, a pair is culled only when ``du² + dv²`` lies beyond the
+  Gaussian's conservative α cutoff, and the exact α expression runs on
+  the survivors alone — the same passing pairs, α bits and clip flags
+  as evaluating every candidate, at any ``alpha_threshold``;
 - *order*: the pairs come out tile-major, pixels row-major within a tile
   and front-to-back within a pixel — each tile's depth sort is reused for
   every pixel in it, with no per-pair sort (the redundant-sort
@@ -47,11 +51,12 @@ from ..obs import atlas as _atlas_mod
 # composite_forward is the per-tile oracle of the engine below; it stays
 # importable from this module (perfbench/layers.py wraps it here).
 from .compositing import (  # noqa: F401
+    ALPHA_MAX,
     ALPHA_THRESHOLD,
     T_MIN,
     composite_forward,
 )
-from .kernels.vectorized import FlatCompositeCache, composite, evaluate_alpha
+from .kernels.vectorized import FlatCompositeCache, composite, falloff_alpha
 from .projection import ProjectedGaussians, project_gaussians
 from .sorting import sort_intersection_table
 from .stats import PipelineStats
@@ -121,7 +126,8 @@ def render_full(
     ----------
     pixels:
         Optional ``(K, 2)`` integer pixel subset (Org.+S mode).  ``None``
-        renders the full frame.
+        renders the full frame.  A pixel outside the image raises
+        ``ValueError``.
     keep_cache:
         Set ``False`` for inference-only renders to skip retaining the
         backward-pass caches.
@@ -141,6 +147,7 @@ def render_full(
 
     if pixels is not None:
         pixels = np.asarray(pixels, dtype=int).reshape(-1, 2)
+        intr.check_pixels(pixels)
     px, px_tiles = _rendered_pixels(grid, pixels)
 
     color = np.tile(bg, (intr.height, intr.width, 1))
@@ -166,7 +173,7 @@ def render_full(
         n_px = np.bincount(px_tiles, minlength=grid.num_tiles)
         centres = px + 0.5
         pix, slots, gss, alpha, clipped = _tile_pairs(
-            proj, sorted_lists, n_g, n_px, centres, alpha_threshold)
+            proj, grid, sorted_lists, n_g, n_px, px, alpha_threshold)
         lengths = np.bincount(pix, minlength=px.shape[0])
         offsets = np.concatenate([[0], np.cumsum(lengths)])
         blocks: List[PixelBlock] = []
@@ -241,29 +248,72 @@ def _block_bounds(n_px):
         lo = hi
 
 
-def _tile_pairs(proj, sorted_lists, n_g, n_px, centres, alpha_threshold):
-    """Candidate + α stage of the dense pipeline.
+def alpha_cutoff(proj, alpha_threshold):
+    """Per projected Gaussian, a squared pixel distance beyond which its α
+    falls below ``alpha_threshold`` for certain.
 
-    Broadcasts each tile's rendered pixels against its sorted list with
-    the engine's α expression and keeps the passing pairs in emission
-    order: tile-major, then pixel, then list position.  Returns flat
-    ``(pixel, slot, gaussian, alpha, clipped)`` arrays.
+    ``o·exp(−d²/2σ²) ≥ τ`` needs ``d² ≤ ln(o/τ)·2σ²``.  The cutoff widens
+    that bound by a relative 1e-9 and an absolute 1e-9 in the exponent,
+    far more than the few ulps of rounding in :func:`evaluate_alpha`, the
+    logarithm and the cutoff itself — the absolute term covers ``o`` a hair
+    above ``τ``, where ``ln(o/τ)`` is tiny.  It is +∞ when ``τ ≤ 0`` (every
+    α passes) and −∞ when ``τ > ALPHA_MAX`` (no clamped α passes); ``o < τ``
+    makes it negative on its own.  It is NaN only where α is NaN or below
+    ``τ`` at every distance (NaN opacity or σ; σ = 0), so comparing
+    against it culls nothing that could pass.
     """
+    if alpha_threshold <= 0.0:
+        return np.full(len(proj), np.inf)
+    if alpha_threshold > ALPHA_MAX:
+        return np.full(len(proj), -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ratio = np.log(proj.opacity / alpha_threshold)
+        sig = proj.sigma2d
+        return (log_ratio * (1.0 + 1e-9) + 1e-9) * (2.0 * sig * sig)
+
+
+def _tile_pairs(proj, grid, sorted_lists, n_g, n_px, px, alpha_threshold):
+    """Candidate + α stage of the dense pipeline, axis-shared.
+
+    Every rendered pixel of a tile is a candidate against the tile's whole
+    sorted list.  Per tile, ``du²`` is computed once per pixel column and
+    ``dv²`` once per pixel row, each pixel's ``d² = du² + dv²`` gathered
+    from them (the bits ``evaluate_alpha`` computes), and a pair is culled
+    when ``d²`` exceeds :func:`alpha_cutoff`, which no passing pair's
+    does.  ``evaluate_alpha``'s falloff (:func:`falloff_alpha`) then runs
+    on the survivors alone and ``α ≥ alpha_threshold`` decides, so the
+    result is the pair list, α bits and clip flags of evaluating every
+    candidate.  Pairs come out in emission order: tile-major, then pixel,
+    then list position.  Full frames and Org.+S pixel subsets take the
+    same path.  Returns flat ``(pixel, slot, gaussian, alpha, clipped)``
+    arrays.
+    """
+    cutoff = alpha_cutoff(proj, alpha_threshold)
     slot_offsets = np.cumsum(n_g) - n_g
     px_offsets = np.cumsum(n_px) - n_px
+    mu, mv = proj.mean2d.T
     parts = []
     for t in np.flatnonzero((n_px > 0) & (n_g > 0)):
         idx = sorted_lists[t]
         lo = px_offsets[t]
-        alpha, clipped = evaluate_alpha(
-            proj, idx, centres[lo:lo + n_px[t], None, :])
-        p, j = np.nonzero(alpha >= alpha_threshold)
-        parts.append((lo + p, slot_offsets[t] + j, idx[j], alpha[p, j],
-                      clipped[p, j]))
+        u, v = px[lo:lo + n_px[t]].T
+        u0, v0, u1, v1 = grid.tile_bounds(t)
+        # evaluate_alpha's du and dv (centre = pixel + 0.5), once per
+        # column and row; their sum per pixel is its d2, bit for bit.
+        du = (np.arange(u0, u1) + 0.5)[:, None] - mu[idx]
+        dv = (np.arange(v0, v1) + 0.5)[:, None] - mv[idx]
+        d2 = (du * du)[u - u0]
+        d2 += (dv * dv)[v - v0]
+        f = np.flatnonzero(d2 <= cutoff[idx])
+        p, j = np.divmod(f, idx.size)
+        parts.append((lo + p, slot_offsets[t] + j, idx[j], d2.ravel()[f]))
     if not parts:
         empty = np.zeros(0, dtype=int)
         return empty, empty, empty, np.zeros(0), np.zeros(0, dtype=bool)
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    pix, slots, gss, d2 = (np.concatenate(arrays) for arrays in zip(*parts))
+    alpha, clipped = falloff_alpha(proj, gss, d2)
+    keep = np.flatnonzero(alpha >= alpha_threshold)
+    return pix[keep], slots[keep], gss[keep], alpha[keep], clipped[keep]
 
 
 def tile_work_records(blocks, n_g, n_px, px_tiles):

@@ -157,3 +157,41 @@ class TestEmptyPixelSets:
                               np.ones((12, 16)), np.ones((12, 16)))
         self.assert_zero_gradients(grads, len(cloud))
         assert grads.stats.num_atomic_adds == 0
+
+
+class TestOutOfImagePixels:
+    """Both entry points reject a pixel outside the image, naming the first
+    offender, instead of wrapping a negative index, raising a bare
+    IndexError or compositing an invisible point."""
+
+    cam = Camera(Intrinsics.from_fov(64, 48, 70.0))
+
+    @pytest.mark.parametrize("render", [render_full, render_sparse])
+    @pytest.mark.parametrize("pixel", [(-1, 0), (0, -1), (64, 0), (0, 48),
+                                       (64, 48), (-5, 100)])
+    def test_rejected(self, render, pixel):
+        u, v = pixel
+        with pytest.raises(ValueError, match=rf"pixel \({u}, {v}\)"):
+            render(one_gaussian(), self.cam, pixels=[[3, 4], list(pixel)])
+
+    @pytest.mark.parametrize("render", [render_full, render_sparse])
+    def test_names_first_offender(self, render):
+        pixels = [[0, 0], [70, 2], [-1, 0], [63, 47]]
+        with pytest.raises(ValueError, match=r"pixel \(70, 2\) lies outside "
+                                             r"the 64x48 image"):
+            render(one_gaussian(), self.cam, pixels=pixels)
+
+    def test_negative_index_no_longer_wraps(self):
+        """(-1, 0) used to render pixel (63, 0) silently."""
+        with pytest.raises(ValueError):
+            render_full(one_gaussian(), self.cam, pixels=[[-1, 0]])
+
+    def test_corner_pixels_accepted(self):
+        corners = np.array([[0, 0], [63, 0], [0, 47], [63, 47]])
+        full = render_full(one_gaussian(), self.cam, BG, keep_cache=False)
+        subset = render_full(one_gaussian(), self.cam, BG, pixels=corners,
+                             keep_cache=False)
+        sparse = render_sparse(one_gaussian(), self.cam, corners, BG)
+        u, v = corners[:, 0], corners[:, 1]
+        assert np.array_equal(subset.color[v, u], full.color[v, u])
+        assert np.array_equal(sparse.color, full.color[v, u])

@@ -10,6 +10,10 @@ suite holds :func:`repro.render.render_full` /
 
 The backward records ``tile_work`` at the forward's ``t_min``, which is
 where the tile's reverse walk stops.
+
+:func:`tile_pairs_oracle` is the dense α stage as a plain per-tile
+broadcast — every rendered pixel of a tile against its whole sorted list —
+which the axis-shared culling of ``rasterize._tile_pairs`` must reproduce.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.render.compositing import (
     composite_backward,
     composite_forward,
 )
+from repro.render.kernels.vectorized import evaluate_alpha
 from repro.render.projection import ProjectedGaussians, project_gaussians
 from repro.render.sorting import sort_by_depth
 from repro.render.stats import PipelineStats
@@ -58,6 +63,30 @@ def _atlas_tile_forward(px, n_g, contribs):
     _atlas_mod.current.observe_tile_forward(
         px, np.zeros(k, dtype=int), np.full(k, n_g),
         np.zeros(k, dtype=int) if contribs is None else contribs)
+
+
+def tile_pairs_oracle(proj, sorted_lists, n_g, n_px, centres,
+                      alpha_threshold):
+    """``rasterize._tile_pairs`` by brute force: one ``(n_px, n_g)``
+    :func:`evaluate_alpha` broadcast per tile over the tile-major rendered
+    pixel ``centres``, the passing pairs kept tile-major, then pixel, then
+    list position.  Returns flat ``(pixel, slot, gaussian, alpha,
+    clipped)`` arrays."""
+    slot_offsets = np.cumsum(n_g) - n_g
+    px_offsets = np.cumsum(n_px) - n_px
+    parts = []
+    for t in np.flatnonzero((n_px > 0) & (n_g > 0)):
+        idx = sorted_lists[t]
+        lo = px_offsets[t]
+        alpha, clipped = evaluate_alpha(
+            proj, idx, centres[lo:lo + n_px[t], None, :])
+        p, j = np.nonzero(alpha >= alpha_threshold)
+        parts.append((lo + p, slot_offsets[t] + j, idx[j], alpha[p, j],
+                      clipped[p, j]))
+    if not parts:
+        empty = np.zeros(0, dtype=int)
+        return empty, empty, empty, np.zeros(0), np.zeros(0, dtype=bool)
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def render_full_oracle(cloud, camera, background=None, tile_size=16,
