@@ -13,24 +13,34 @@ with full analytic gradients for every parameter:
   through ``W`` in the covariance projection is omitted, the standard
   3DGS-SLAM approximation — see :func:`backward_sparse_anisotropic`).
 
-Forward outputs are pixel-exact with the isotropic pipeline whenever all
-three scales coincide and ``blur=0`` (a property-test target).
+It runs on the render engine's sparse stages
+(:mod:`repro.render.kernels.vectorized`): candidates, depth order,
+composite, the reverse pass up to dL/dα and the aggregation scatter are
+the isotropic pipelines' own.  Only the falloff differs — the conic
+``½ dᵀ C d`` instead of ``d² / 2σ²`` — in the α stage and in its gradient
+block.  The per-pixel loop it replaced is the test oracle
+``tests/aniso_oracle.py``.
+
+Forward outputs are close to the isotropic pipeline's whenever all three
+scales coincide and ``blur=0`` (a property-test target).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..gaussians.camera import Camera
 from ..gaussians.covariance import build_covariance, covariance_gradients
 from ..gaussians.model import inverse_sigmoid, sigmoid
-from ..gaussians.se3 import point_jacobian_wrt_twist, quat_to_rotmat
-from .compositing import ALPHA_MAX, ALPHA_THRESHOLD, T_MIN, CompositeCache
+from ..gaussians.se3 import point_jacobian_wrt_twist
+from .backward import scatter_add
+from .compositing import ALPHA_MAX, ALPHA_THRESHOLD, T_MIN
+from .kernels import vectorized
+from .kernels.candidates import CandidatePairs, chunked_candidate_pairs
 from .projection import RADIUS_SIGMA
-from .sorting import sort_by_depth
 from .stats import PipelineStats
 
 __all__ = [
@@ -226,15 +236,15 @@ def project_anisotropic(cloud: AnisotropicCloud, camera: Camera,
 
 @dataclass
 class AnisoSparseResult:
-    """Sparse forward outputs plus the caches the backward pass needs."""
+    """Sparse forward outputs plus the cache the backward pass needs."""
 
     pixels: np.ndarray
     color: np.ndarray
     depth: np.ndarray
     silhouette: np.ndarray
     proj: ProjectedAnisotropic
-    pixel_lists: List[np.ndarray]
-    caches: List[Optional[CompositeCache]]
+    # The engine's padded composite cache; None when no pixel has a pair.
+    flat_cache: Optional[vectorized.FlatCompositeCache]
     stats: PipelineStats = field(default_factory=PipelineStats)
 
     @property
@@ -242,15 +252,15 @@ class AnisoSparseResult:
         return 1.0 - self.silhouette
 
 
-def _conic_alpha(centres: np.ndarray, mean2d: np.ndarray, conic: np.ndarray,
-                 opacity: np.ndarray) -> np.ndarray:
-    """``(P, L)`` alphas: ``o * exp(-0.5 d^T C d)`` per pixel-Gaussian pair."""
-    du = centres[:, 0:1] - mean2d[None, :, 0]
-    dv = centres[:, 1:2] - mean2d[None, :, 1]
-    power = 0.5 * (conic[None, :, 0] * du * du
-                   + 2.0 * conic[None, :, 1] * du * dv
-                   + conic[None, :, 2] * dv * dv)
-    return np.minimum(opacity[None, :] * np.exp(-power), ALPHA_MAX)
+def _conic_power(proj: ProjectedAnisotropic, gss: np.ndarray,
+                 centres: np.ndarray):
+    """``(du, dv, power)`` per flat pair, ``power = ½ dᵀ C d`` — the conic
+    falloff exponent, the one stage where anisotropic splats differ from
+    the isotropic ``d² / 2σ²``."""
+    du = centres[:, 0] - proj.mean2d[gss, 0]
+    dv = centres[:, 1] - proj.mean2d[gss, 1]
+    a, b, c = proj.conic[gss].T
+    return du, dv, 0.5 * (a * du * du + 2.0 * b * du * dv + c * dv * dv)
 
 
 def render_sparse_anisotropic(
@@ -264,13 +274,18 @@ def render_sparse_anisotropic(
 ) -> AnisoSparseResult:
     """Pixel-based forward pass over ``pixels`` with anisotropic splats.
 
-    Mirrors :func:`repro.core.pixel_pipeline.render_sparse`: per-pixel
-    projection with preemptive α-checking, per-pixel depth sort, then
-    Eqn. 1 compositing; the same workload counters are produced.
+    The render engine's sparse stages with the conic falloff in the α
+    stage: candidates from the ``mean2d ± radius`` corners, one conic α
+    per candidate with the preemptive α-check, then the vectorized
+    kernel's depth order and composite; the workload counters are those of
+    :func:`repro.core.pixel_pipeline.render_sparse`.  ``pixels`` is
+    ``(K, 2)`` integer ``(u, v)``; a pixel outside the image raises
+    ``ValueError``.
     """
     intr = camera.intrinsics
     bg = np.zeros(3) if background is None else np.asarray(background, float)
-    pixels = np.atleast_2d(np.asarray(pixels, dtype=int))
+    pixels = np.asarray(pixels, dtype=int).reshape(-1, 2)
+    intr.check_pixels(pixels)
     K = pixels.shape[0]
 
     proj = project_anisotropic(cloud, camera, blur=blur)
@@ -285,62 +300,30 @@ def render_sparse_anisotropic(
     color = np.tile(bg, (K, 1))
     depth = np.zeros(K)
     silhouette = np.zeros(K)
-    pixel_lists: List[np.ndarray] = []
-    caches: List[Optional[CompositeCache]] = []
     if len(proj) == 0 or K == 0:
         stats.per_pixel_contribs = [0] * K
         return AnisoSparseResult(pixels, color, depth, silhouette, proj,
-                                 [np.zeros(0, dtype=int)] * K,
-                                 [None] * K, stats)
+                                 None, stats)
 
     centres = pixels + 0.5
-    du = centres[:, 0:1] - proj.mean2d[None, :, 0]
-    dv = centres[:, 1:2] - proj.mean2d[None, :, 1]
-    r = proj.radius[None, :]
-    in_bbox = (np.abs(du) <= r) & (np.abs(dv) <= r)
-    stats.num_candidate_pairs += int(in_bbox.sum())
-    alpha = _conic_alpha(centres, proj.mean2d, proj.conic, proj.opacity)
-    survives = in_bbox & (alpha >= alpha_threshold)
-    stats.num_alpha_checks += int(in_bbox.sum())
-
-    from .compositing import composite_forward  # reused inner integrator
-
-    for k in range(K):
-        cand = sort_by_depth(np.nonzero(survives[k])[0], proj.depth)
-        pixel_lists.append(cand)
-        stats.num_sort_keys += cand.size
-        stats.pixel_list_lengths.append(int(cand.size))
-        if cand.size == 0:
-            caches.append(None)
-            stats.per_pixel_contribs.append(0)
-            continue
-        # Reuse the isotropic compositor by feeding it the already-known
-        # alphas: encode each pair's alpha as an "opacity" with the pixel
-        # exactly at the splat centre (sigma arbitrary).
-        pair_alpha = alpha[k, cand]
-        out_color, out_depth, out_sil, cache = composite_forward(
-            np.zeros((1, 2)),
-            mean2d=np.zeros((cand.size, 2)),
-            sigma2d=np.ones(cand.size),
-            depth=proj.depth[cand],
-            opacity=pair_alpha,
-            color=proj.color[cand],
-            background=bg,
-            alpha_threshold=alpha_threshold,
-            t_min=t_min,
-        )
-        color[k] = out_color[0]
-        depth[k] = out_depth[0]
-        silhouette[k] = out_sil[0]
-        contribs = int(cache.contrib.sum())
-        stats.num_contrib_pairs += contribs
-        stats.per_pixel_contribs.append(contribs)
-        stats.pixel_contrib_ids.append(
-            proj.source_index[cand[cache.contrib[0]]])
-        caches.append(cache)
-
+    r = proj.radius[:, None]
+    pairs = chunked_candidate_pairs(
+        centres, np.concatenate([proj.mean2d - r, proj.mean2d + r], axis=1),
+        pixel_major=False)
+    stats.num_candidate_pairs += pairs.size
+    stats.num_alpha_checks += pairs.size
+    _, _, power = _conic_power(proj, pairs.gss, centres[pairs.pix])
+    alpha_raw = proj.opacity[pairs.gss] * np.exp(-power)
+    alpha = np.minimum(alpha_raw, ALPHA_MAX)
+    keep = alpha >= alpha_threshold
+    pairs = CandidatePairs(pairs.pix[keep], pairs.gss[keep], K)
+    stats.num_sort_keys += pairs.size
+    _, _, _, flat_cache = vectorized.forward(
+        proj, pairs, centres, bg, alpha_threshold, t_min, True, np.exp,
+        stats, color, depth, silhouette, pair_alpha=alpha[keep],
+        pair_clipped=alpha_raw[keep] > ALPHA_MAX)
     return AnisoSparseResult(pixels, color, depth, silhouette, proj,
-                             pixel_lists, caches, stats)
+                             flat_cache, stats)
 
 
 @dataclass
@@ -380,8 +363,6 @@ def backward_sparse_anisotropic(
     omitted, matching the approximation used by 3DGS-SLAM trackers — the
     twist's translational components are exact.
     """
-    from .compositing import composite_backward
-
     proj = result.proj
     intr = camera.intrinsics
     K = result.pixels.shape[0]
@@ -395,64 +376,41 @@ def backward_sparse_anisotropic(
     stats = PipelineStats(pipeline="pixel", num_gaussians=n,
                           num_projected=M, num_pixels=K,
                           image_width=intr.width, image_height=intr.height)
-    d_alpha_terms_mean = np.zeros((M, 2))
-    d_conic = np.zeros((M, 3))
-    d_opacity = np.zeros(M)
-    d_colors_proj = np.zeros((M, 3))
-    d_depth_proj = np.zeros(M)
-
-    centres = result.pixels + 0.5
-    for k in range(K):
-        cand = result.pixel_lists[k]
-        cache = result.caches[k]
-        if cache is None or cand.size == 0:
-            continue
-        du = centres[k, 0] - proj.mean2d[cand, 0]
-        dv = centres[k, 1] - proj.mean2d[cand, 1]
-        a = proj.conic[cand, 0]
-        b = proj.conic[cand, 1]
-        c = proj.conic[cand, 2]
-        power = 0.5 * (a * du * du + 2 * b * du * dv + c * dv * dv)
+    fc = result.flat_cache
+    if fc is None:
+        summed = np.zeros((M, 10))
+    else:
+        a = vectorized.alpha_gradients(fc, proj, d_color, d_depth_in, d_sil)
+        gss = a.idx
+        du, dv, power = _conic_power(proj, gss, fc.centres[a.rows])
         g = np.exp(-power)
-        o = proj.opacity[cand]
-        alpha_raw = o * g
-        pair_alpha = np.minimum(alpha_raw, ALPHA_MAX)
-
-        # The forward fed each pair's alpha as the "opacity" of a splat
-        # centred on the pixel (g = 1), so running the shared backward
-        # with the same inputs makes its d_opacity exactly dL/d(alpha).
-        pair = composite_backward(
-            cache,
-            mean2d=np.zeros((cand.size, 2)),
-            sigma2d=np.ones(cand.size),
-            depth=proj.depth[cand],
-            opacity=pair_alpha,
-            color=proj.color[cand],
-            d_color=d_color[k:k + 1],
-            d_depth=d_depth_in[k:k + 1],
-            d_silhouette=d_sil[k:k + 1],
-        )
-        live = alpha_raw <= ALPHA_MAX  # clipped pairs get no alpha gradient
-        d_pair_alpha = np.where(live, pair.d_opacity, 0.0)
-
-        np.add.at(d_opacity, cand, d_pair_alpha * g)
-        d_g = d_pair_alpha * o
-        coeff = d_g * g
-        # d power / d mean2d = -(C d); alpha = o exp(-power).
-        np.add.at(d_alpha_terms_mean, cand, np.stack([
-            coeff * (a * du + b * dv),
-            coeff * (b * du + c * dv),
-        ], axis=-1))
-        np.add.at(d_conic, cand, np.stack([
+        ca, cb, cc = proj.conic[gss].T
+        coeff = a.d_alpha * a.opacity * g
+        # α = o exp(-power); d power / d mean2d = -(C d).  One in-order
+        # scatter of the 10 per-pair columns: opacity, mean2d (2), conic
+        # (3), color (3), depth.
+        summed = scatter_add(gss, [
+            a.d_alpha * g,
+            coeff * (ca * du + cb * dv),
+            coeff * (cb * du + cc * dv),
             -coeff * 0.5 * du * du,
             -coeff * du * dv,
             -coeff * 0.5 * dv * dv,
-        ], axis=-1))
-        np.add.at(d_colors_proj, cand, pair.d_color)
-        np.add.at(d_depth_proj, cand, pair.d_depth)
-        stats.num_contrib_pairs += pair.num_pairs_touched
-        stats.num_atomic_adds += pair.num_pairs_touched
-        stats.pixel_list_lengths.append(int(cand.size))
+            *a.d_color,
+            a.d_depth,
+        ], M)
+        touched = a.touched
+        total_touched = int(touched.sum())
+        stats.num_contrib_pairs += total_touched
+        stats.num_atomic_adds += total_touched
+        nonzero = fc.lengths > 0
+        stats.pixel_list_lengths.extend(int(m) for m in fc.lengths[nonzero])
+        ids = proj.source_index[gss[a.contrib_flat]]
+        stats.pixel_contrib_ids.extend(
+            np.split(ids, np.cumsum(touched[nonzero])[:-1]))
+    d_opacity, d_u, d_v = summed[:, 0], summed[:, 1], summed[:, 2]
+    d_conic, d_colors_proj, d_depth_proj = (summed[:, 3:6], summed[:, 6:9],
+                                            summed[:, 9])
 
     # ---- conic -> 2D covariance -> (Sigma3D, T, p_cam) ----
     # C = Sigma2^-1  =>  dL/dSigma2 = -C G_C C with G_C the symmetric
@@ -485,7 +443,6 @@ def backward_sparse_anisotropic(
                       + d_J[:, 1, 2] * (2 * intr.fy * y / (z ** 3)))
 
     # mean2d path (u = fx x/z + cx ...), plus the direct depth channel.
-    d_u, d_v = d_alpha_terms_mean[:, 0], d_alpha_terms_mean[:, 1]
     d_p_cam[:, 0] += d_u * intr.fx / z
     d_p_cam[:, 1] += d_v * intr.fy / z
     d_p_cam[:, 2] += (-d_u * intr.fx * x * inv_z2
@@ -504,22 +461,14 @@ def backward_sparse_anisotropic(
         (raw_color >= 1.0) & (d_colors_proj > 0.0))
     d_colors_gated = np.where(gate, d_colors_proj, 0.0)
 
-    out = AnisoGradients(
-        d_means=np.zeros((n, 3)),
-        d_log_scales=np.zeros((n, 3)),
-        d_quaternions=np.zeros((n, 4)),
-        d_logit_opacities=np.zeros(n),
-        d_colors=np.zeros((n, 3)),
-        d_pose_twist=np.zeros(6),
+    src = proj.source_index
+    Jtw = point_jacobian_wrt_twist(proj.p_cam)
+    return AnisoGradients(
+        d_means=scatter_add(src, d_p_cam @ W, n),
+        d_log_scales=scatter_add(src, d_log_scales_proj, n),
+        d_quaternions=scatter_add(src, d_quats_proj, n),
+        d_logit_opacities=scatter_add(src, d_logit_proj, n),
+        d_colors=scatter_add(src, d_colors_gated, n),
+        d_pose_twist=np.einsum("mij,mi->j", Jtw, d_p_cam),
         stats=stats,
     )
-    src = proj.source_index
-    np.add.at(out.d_means, src, d_p_cam @ W)
-    np.add.at(out.d_log_scales, src, d_log_scales_proj)
-    np.add.at(out.d_quaternions, src, d_quats_proj)
-    np.add.at(out.d_logit_opacities, src, d_logit_proj)
-    np.add.at(out.d_colors, src, d_colors_gated)
-
-    Jtw = point_jacobian_wrt_twist(proj.p_cam)
-    out.d_pose_twist = np.einsum("mij,mi->j", Jtw, d_p_cam)
-    return out

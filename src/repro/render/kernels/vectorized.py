@@ -25,11 +25,15 @@ numpy calls each.
 
 The stages — :func:`evaluate_alpha` (whose falloff half,
 :func:`falloff_alpha`, the dense pipeline calls on the squared distances
-its axis-shared cull already computed), :func:`composite` and
-:func:`pair_gradients` — are also the engine of the dense tile pipeline
-(:mod:`repro.render.rasterize` / :mod:`repro.render.backward`), which
-feeds them from the tile table instead of a lexsort and aggregates with a
-tile-major two-stage scatter.
+its axis-shared cull already computed), :func:`composite` and the reverse
+pass, split at its representation seam into :func:`alpha_gradients`
+(everything up to dL/dα) and :func:`pair_gradients` (the isotropic
+falloff reverse on top of it) — are also the engine of the dense tile
+pipeline (:mod:`repro.render.rasterize` / :mod:`repro.render.backward`),
+which feeds them from the tile table instead of a lexsort and aggregates
+with a tile-major two-stage scatter.  Anisotropic splats
+(:mod:`repro.render.anisotropic`) run :func:`forward` on their own conic
+α and :func:`alpha_gradients` under their own falloff reverse.
 """
 
 from __future__ import annotations
@@ -43,11 +47,13 @@ from ..compositing import ALPHA_MAX
 __all__ = [
     "FlatCompositeCache",
     "PairGradients",
+    "AlphaGradients",
     "evaluate_alpha",
     "falloff_alpha",
     "composite",
     "forward",
     "backward",
+    "alpha_gradients",
     "pair_gradients",
 ]
 
@@ -223,28 +229,38 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
 
 
 @dataclass
-class PairGradients:
-    """Flat per-pair gradient partials in canonical order.
+class AlphaGradients:
+    """Flat per-pair reverse pass up to dL/dα, in canonical order.
 
-    The pair sequence is the composite cache's valid (non-padding)
-    entries in row-major order — pixel-major, front-to-back — which is
-    the exact (index, value) sequence the per-pixel reference loop
-    scatters, so one in-order
-    :func:`~repro.render.backward.scatter_add` per array reproduces its
-    accumulation bit for bit (the software analogue of the
-    accelerator's aggregation scoreboard).  The vector partials are kept
-    as contiguous per-component columns, which ``scatter_add`` bins
+    Nothing here depends on which falloff produced α.  The pair sequence
+    is the composite cache's valid (non-padding) entries in row-major
+    order — pixel-major, front-to-back — which is the exact (index,
+    value) sequence the per-pixel reference loop scatters, so one
+    in-order :func:`~repro.render.backward.scatter_add` per array
+    reproduces its accumulation bit for bit (the software analogue of
+    the accelerator's aggregation scoreboard).  The vector partials are
+    kept as contiguous per-component columns, which ``scatter_add`` bins
     directly.
     """
 
+    rows: np.ndarray          # (P,) pixel row of each pair
     idx: np.ndarray           # (P,) projected-Gaussian index per pair
-    d_mean2d: tuple           # (d_u, d_v), each (P,)
-    d_sigma2d: np.ndarray     # (P,)
-    d_opacity: np.ndarray     # (P,)
+    d_alpha: np.ndarray       # (P,) dL/dα, zero unless contributing unclipped
+    opacity: np.ndarray       # (P,) the pair's Gaussian opacity
+    g: np.ndarray             # (P,) falloff α/o, zero unless contributing
     d_color: tuple            # (d_r, d_g, d_b), each (P,)
     d_depth: np.ndarray       # (P,)
     touched: np.ndarray       # (K,) per-pixel contributing-pair counts
     contrib_flat: np.ndarray  # (P,) bool — pair actually contributed
+
+
+@dataclass
+class PairGradients(AlphaGradients):
+    """:class:`AlphaGradients` plus the isotropic falloff's partials."""
+
+    d_mean2d: tuple           # (d_u, d_v), each (P,)
+    d_sigma2d: np.ndarray     # (P,)
+    d_opacity: np.ndarray     # (P,)
 
 
 def _exclusive_suffix(w: np.ndarray) -> np.ndarray:
@@ -254,17 +270,16 @@ def _exclusive_suffix(w: np.ndarray) -> np.ndarray:
     return np.flip(np.cumsum(np.flip(w, axis=1), axis=1), axis=1) - w
 
 
-def pair_gradients(fc, proj, d_color, d_depth, d_silhouette):
-    """Compute every per-pair gradient partial; no aggregation.
+def alpha_gradients(fc, proj, d_color, d_depth, d_silhouette):
+    """The reverse pass up to dL/dα; no falloff, no aggregation.
 
     Every arithmetic expression mirrors :func:`composite_backward` term
     for term (same operand values, same association order).  Only the
     suffix sums need the padded rows; everything else runs on the flat
     valid pairs — taken once by their flat positions in the padded
-    layout — with each pair's pixel-level operands gathered by its row
-    and per-Gaussian factors computed once per Gaussian.  All math is per
-    pixel row, so the dense engine can run it one pixel block at a time
-    and get the same bits as one global pass.
+    layout — with each pair's pixel-level operands gathered by its row.
+    All math is per pixel row, so the dense engine can run it one pixel
+    block at a time and get the same bits as one global pass.
     """
     flat = np.flatnonzero(fc.valid)
     gss = fc.gss
@@ -301,36 +316,46 @@ def pair_gradients(fc, proj, d_color, d_depth, d_silhouette):
     d_alpha = np.where(contrib & ~fc.clipped.take(flat), d_alpha, 0.0)
 
     opac = proj.opacity[gss]
+    return AlphaGradients(
+        rows=rows,
+        idx=gss,
+        d_alpha=d_alpha,
+        opacity=opac,
+        g=np.where(contrib, alpha / np.maximum(opac, 1e-12), 0.0),
+        d_color=tuple(weight * dc for dc in d_color_cols),
+        d_depth=weight * d_depth_rows,
+        touched=fc.contrib.sum(axis=1),
+        contrib_flat=contrib,
+    )
+
+
+def pair_gradients(fc, proj, d_color, d_depth, d_silhouette):
+    """Compute every per-pair gradient partial; no aggregation.
+
+    :func:`alpha_gradients` followed by the isotropic falloff reverse:
+    α = o·g with g = exp(−d²/2σ²), with per-Gaussian factors computed
+    once per Gaussian.
+    """
+    a = alpha_gradients(fc, proj, d_color, d_depth, d_silhouette)
+    gss, g = a.idx, a.g
     sig = proj.sigma2d
     inv_var = 1.0 / (sig * sig)
-    g = np.where(contrib, alpha / np.maximum(opac, 1e-12), 0.0)
-    d_g = d_alpha * opac
-    d_opacity = d_alpha * g
+    d_g = a.d_alpha * a.opacity
+    d_opacity = a.d_alpha * g
     d_gg = d_g * g
 
     cu, cv = _columns(fc.centres)
     mu, mv = _columns(proj.mean2d)
-    du = cu[rows] - mu[gss]
-    dv = cv[rows] - mv[gss]
+    du = cu[a.rows] - mu[gss]
+    dv = cv[a.rows] - mv[gss]
     pair_inv_var = inv_var[gss]
     d_mean_u = d_gg * du * pair_inv_var
     d_mean_v = d_gg * dv * pair_inv_var
     d2 = du * du + dv * dv
     d_sigma = d_gg * d2 * (inv_var / sig)[gss]
 
-    # Pairs in row-major (= pixel-major, depth-sorted) order — the
-    # identical (index, value) sequence the reference's per-pixel
-    # scatters issue, zero-valued non-contributing pairs included.
-    return PairGradients(
-        idx=gss,
-        d_mean2d=(d_mean_u, d_mean_v),
-        d_sigma2d=d_sigma,
-        d_opacity=d_opacity,
-        d_color=tuple(weight * dc for dc in d_color_cols),
-        d_depth=weight * d_depth_rows,
-        touched=fc.contrib.sum(axis=1),
-        contrib_flat=contrib,
-    )
+    return PairGradients(**vars(a), d_mean2d=(d_mean_u, d_mean_v),
+                         d_sigma2d=d_sigma, d_opacity=d_opacity)
 
 
 def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
