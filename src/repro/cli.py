@@ -13,11 +13,13 @@ Ten subcommands::
     repro runs list|show|ingest|trend|triage|prune  # run registry
     repro info                                      # presets + hw summary
 
-``repro bench`` is the perf-trajectory harness: ``run`` executes the
-benchmark suite and writes ``BENCH_trajectory.json``, ``compare`` gates
-a trajectory against a committed ``BENCH_baseline.json`` (non-zero exit
-on regression — wire it into CI), and ``attrib`` prints the per-hardware-
-unit cycle-attribution table with an optional flamegraph export.
+``repro bench`` is the workload-counter harness: ``run`` executes the
+benchmark suite and writes ``BENCH_trajectory.json`` (exact counters,
+hardware-model outputs, and the observability-overhead ratios; wall
+time is ``perfbench/``'s job), ``compare`` gates a trajectory against a
+committed ``BENCH_baseline.json`` (non-zero exit on regression — wire it
+into CI), and ``attrib`` prints the per-hardware-unit cycle-attribution
+table with an optional flamegraph export.
 
 ``repro slam --flight-record run.jsonl`` records one structured record
 per frame (poses, losses, sampling composition, health alerts); ``repro
@@ -70,6 +72,7 @@ from typing import List, Optional
 import numpy as np
 
 from .obs import configure, get_logger, trace
+from .obs.bench import SIZES
 
 __all__ = ["main", "build_parser"]
 
@@ -107,6 +110,14 @@ class _VersionAction(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
         print(_version_text())
         parser.exit(0)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid positive int value: {text!r}")
+    return value
 
 
 def _add_registry_option(parser, default=None) -> None:
@@ -257,19 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     b_run = bench_sub.add_parser(
         "run", help="execute the benchmark suite and write a trajectory")
-    b_run.add_argument("--size", default="small",
-                       help="suite size (tiny/small/default)")
-    b_run.add_argument("--reps", type=int, default=3,
-                       help="repetitions per scenario (median + MAD)")
+    b_run.add_argument("--size", default="small", choices=sorted(SIZES),
+                       help="suite size")
+    b_run.add_argument("--reps", type=_positive_int, default=3,
+                       help="repetitions per scenario (counters must match "
+                            "across them; overhead ratios take the median)")
     b_run.add_argument("--scenarios", default=None,
                        help="comma-separated scenario subset (default: all)")
     b_run.add_argument("--sequence", default="room0")
-    b_run.add_argument("--render-cache", action="store_true", default=None,
-                       help="enable the temporal-coherence render cache for "
-                            "the suite's SLAM-loop renders (exported as "
-                            "$REPRO_RENDER_CACHE; the tracking/mapping "
-                            "scenarios always measure cache-on vs cache-off "
-                            "legs)")
     b_run.add_argument("--seed", type=int, default=0)
     b_run.add_argument("--out", default="BENCH_trajectory.json",
                        help="trajectory JSON output path")
@@ -283,15 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     b_cmp.add_argument("--counters-only", action="store_true",
                        help="gate only the exact workload counters "
                             "(machine-portable; use in CI)")
-    b_cmp.add_argument("--no-wall", action="store_true",
-                       help="skip the noise-aware wall-time comparison")
     b_cmp.add_argument("--scenarios", default=None,
                        help="comma-separated scenario subset to compare "
                             "(default: every scenario in the baseline)")
     b_cmp.add_argument("--sections", default=None,
                        help="comma-separated section subset "
-                            "(counters,model,wall,overhead); overrides "
-                            "--counters-only/--no-wall")
+                            "(counters,model,overhead); overrides "
+                            "--counters-only")
     b_cmp.add_argument("--json-out", default=None,
                        help="optional machine-readable report output path")
 
@@ -300,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "scenario workload")
     b_att.add_argument("--scenario", default="tracking",
                        choices=["tracking", "mapping"])
-    b_att.add_argument("--size", default="small",
-                       help="suite size (tiny/small/default)")
+    b_att.add_argument("--size", default="small", choices=sorted(SIZES),
+                       help="suite size")
     b_att.add_argument("--sequence", default="room0")
     b_att.add_argument("--seed", type=int, default=0)
     b_att.add_argument("--out", default=None,
@@ -755,16 +759,16 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_bench_run(args) -> int:
-    import os
-
     from .obs import bench as obs_bench
 
-    if args.render_cache:
-        os.environ["REPRO_RENDER_CACHE"] = "1"
     cfg = obs_bench.SuiteConfig(size=args.size, repetitions=args.reps,
                                 sequence=args.sequence, seed=args.seed)
     names = ([s.strip() for s in args.scenarios.split(",") if s.strip()]
              if args.scenarios else None)
+    unknown = sorted(set(names or ()) - set(obs_bench.SCENARIOS))
+    if unknown:
+        raise SystemExit(f"unknown scenarios {unknown}; choose from "
+                         f"{sorted(obs_bench.SCENARIOS)}")
     payload = obs_bench.run_suite(cfg, scenarios=names)
     obs_bench.write_trajectory(payload, args.out)
     log.info(f"wrote {len(payload['scenarios'])} scenarios to {args.out} "
@@ -787,37 +791,15 @@ def _cmd_bench_compare(args) -> int:
         if unknown:
             raise SystemExit(f"unknown sections {sorted(unknown)}; choose "
                              f"from {list(regress.DEFAULT_SECTIONS)}")
+    elif args.counters_only:
+        sections = ["counters"]
     else:
         sections = list(regress.DEFAULT_SECTIONS)
-        if args.counters_only:
-            sections = ["counters"]
-        elif args.no_wall:
-            sections = [s for s in sections if s != "wall"]
 
-    if args.scenarios:
-        # Restrict both payloads to the requested scenarios so a partial
-        # current run (e.g. CI gating one scenario) doesn't report every
-        # other baseline scenario as removed.
-        wanted = {s.strip() for s in args.scenarios.split(",") if s.strip()}
-        report = regress.RegressionReport()
-        docs = {}
-        for label, path in (("baseline", args.baseline),
-                            ("current", args.current)):
-            try:
-                docs[label] = regress.load_trajectory(path)
-            except (OSError, ValueError) as exc:
-                report.errors.append(f"{label} file unreadable: {exc}")
-        if not report.errors:
-            for doc in docs.values():
-                scenarios = doc.get("scenarios")
-                if isinstance(scenarios, dict):
-                    doc["scenarios"] = {k: v for k, v in scenarios.items()
-                                        if k in wanted}
-            report = regress.compare_runs(docs["current"], docs["baseline"],
-                                          sections=sections)
-    else:
-        report = regress.compare_files(args.current, args.baseline,
-                                       sections=sections)
+    scenarios = ([s.strip() for s in args.scenarios.split(",") if s.strip()]
+                 if args.scenarios else None)
+    report = regress.compare_files(args.current, args.baseline,
+                                   sections=sections, scenarios=scenarios)
     print(report.format_markdown())
     if args.json_out:
         report.write_json(args.json_out)
@@ -832,11 +814,7 @@ def _cmd_bench_attrib(args) -> int:
         tracking_workloads,
     )
     from .obs import attrib as obs_attrib
-    from .obs.bench import SIZES
 
-    if args.size not in SIZES:
-        raise SystemExit(
-            f"unknown size {args.size!r}; choose from {sorted(SIZES)}")
     spec = SIZES[args.size]
     log.info(f"building {args.scenario} workload "
              f"({spec.width}x{spec.height}, {spec.frames} frames) ...")

@@ -16,13 +16,15 @@ inside functions:
   and wall-clock views share one export path.
 - :mod:`repro.obs.log` — ``get_logger`` / ``configure`` for the CLI's
   ``-v``/``-q`` leveled output.
-- :mod:`repro.obs.bench` — the statistical benchmark runner: executes
-  the scenario suite under the tracer with N repetitions and emits the
-  versioned ``BENCH_trajectory.json`` payload (median + MAD wall times,
-  exact workload counters, modeled cycles, environment fingerprint).
+- :mod:`repro.obs.bench` — the benchmark runner: executes the scenario
+  suite with N repetitions and emits the versioned
+  ``BENCH_trajectory.json`` payload (exact workload counters, modeled
+  cycles, observability-overhead ratios, environment fingerprint).
+  Wall time is ``perfbench/``'s job.
 - :mod:`repro.obs.regress` — the regression gate: diffs a trajectory
   against a committed baseline with per-kind tolerances (exact for
-  counters, tiny-rel for model floats, noise-aware for wall times).
+  counters, tiny-rel for model floats, a hard budget for the overhead
+  ratios).
 - :mod:`repro.obs.attrib` — cycle attribution: maps modeled cycles and
   traced wall time onto the paper's pipeline stages per hardware unit,
   with bottleneck tables and a per-unit Chrome-trace export.

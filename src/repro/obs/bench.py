@@ -2,8 +2,9 @@
 
 ``run_suite`` executes a registry of scenarios — tracking / mapping
 iteration workloads, a proxy SLAM end-to-end run, and hardware-unit
-replays — under the span tracer, repeating each one ``repetitions``
-times, and emits a canonical, schema-versioned ``BENCH_trajectory.json``:
+replays — repeating each one ``repetitions`` times (counters must not
+vary between repetitions), and emits a canonical, schema-versioned
+``BENCH_trajectory.json``:
 
 - **counters** — deterministic workload counters (pixel–Gaussian pairs,
   sort keys, atomic adds, ...).  Exact across runs on the same code; the
@@ -11,14 +12,17 @@ times, and emits a canonical, schema-versioned ``BENCH_trajectory.json``:
 - **model**   — modeled latencies/cycles/bytes from the hardware models.
   Deterministic functions of the counters; compared with a tiny relative
   tolerance.  All model metrics are oriented so *smaller is better*.
-- **info**    — contextual rates (hit rates, utilization, speedups) that
-  are reported but never gated.
-- **wall**    — median + MAD wall-clock seconds over the repetitions,
-  compared with a noise-aware tolerance.
+- **info**    — contextual rates (hit rates, utilization, modeled
+  speedups) that are reported but never gated.
+- **overhead** — ``obs_overhead`` only: instrumented / all-off wall
+  ratios (median + MAD over the repetitions), gated against a budget.
+
+Wall time is not measured here; ``perfbench/`` owns it.  The only clock
+read in this module forms the ``obs_overhead`` ratios.
 
 The file also carries an environment fingerprint (python/numpy versions,
-platform, CPU count) so a trajectory can be interpreted — and wall-time
-comparisons distrusted — across machines.
+platform, CPU count) so a trajectory can be interpreted — and overhead
+ratios distrusted — across machines.
 
 This module keeps its imports stdlib-only at module level; scenario
 bodies import the rest of the package lazily, so ``repro.obs`` stays
@@ -31,8 +35,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import dataclass, field
-from time import perf_counter
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .log import get_logger
@@ -114,9 +117,9 @@ class SuiteConfig:
 class Scenario:
     """A named, repeatable measurement.
 
-    ``run(config)`` returns the deterministic sections —
-    ``{"counters": {...}, "model": {...}, "info": {...}}`` — while the
-    suite runner adds wall-clock statistics around it.
+    ``run(config)`` returns the sections —
+    ``{"counters": {...}, "model": {...}, "info": {...}}`` plus an
+    optional ``"overhead"`` of ratios the suite runner aggregates.
     """
 
     name: str
@@ -187,27 +190,25 @@ def _bundle(cfg: SuiteConfig):
                         n_frames=spec.frames, seed=cfg.seed)
 
 
-def _pass_counters(prefix: str, workloads) -> Dict[str, int]:
-    counters: Dict[str, int] = {}
-    for variant, workload in sorted(workloads.items()):
-        for pass_name, stats in (("fwd", workload.fwd), ("bwd", workload.bwd)):
-            for key in _PASS_COUNTERS:
-                counters[f"{prefix}{variant}.{pass_name}.{key}"] = int(
-                    getattr(stats, key))
-    return counters
+def _pass_counters(prefix: str, fwd, bwd) -> Dict[str, int]:
+    """Headline counters of one forward/backward stats pair."""
+    return {f"{prefix}.{pass_name}.{key}": int(getattr(stats, key))
+            for pass_name, stats in (("fwd", fwd), ("bwd", bwd))
+            for key in _PASS_COUNTERS}
 
 
 def _iteration_sections(workloads) -> Dict[str, Dict[str, float]]:
     """counters/model/info for one {dense, tile_sparse, pixel} workload set."""
     from ..hw import GpuModel, SplatonicAccelerator
 
-    counters = _pass_counters("", workloads)
+    counters: Dict[str, int] = {}
     model: Dict[str, float] = {}
     info: Dict[str, float] = {}
 
     gpu = GpuModel()
     gpu_total: Dict[str, float] = {}
     for variant, workload in sorted(workloads.items()):
+        counters.update(_pass_counters(variant, workload.fwd, workload.bwd))
         times = gpu.iteration_times(workload)
         gpu_total[variant] = times.total
         model[f"gpu.{variant}.forward_s"] = times.forward
@@ -232,16 +233,26 @@ def _iteration_sections(workloads) -> Dict[str, Dict[str, float]]:
     return {"counters": counters, "model": model, "info": info}
 
 
-#: Iterations of the temporal-coherence cache legs per scenario run —
-#: matches the real mapping optimizer loop (~24 iters/keyframe) so the
-#: cold-build cost amortizes the way it does in production; tracking
-#: loops run even longer (~60 iters), so this understates that win.
-_CACHE_ITERS = 24
+def _same_outputs(a, b) -> bool:
+    """Whether two ``(render, gradients)`` pairs are bit-identical."""
+    import numpy as np
 
-#: Timing passes per leg; the wall clock is the best-of over passes (the
-#: first pass doubles as the numpy warm-up), which keeps ``speedup.cache``
-#: from being decided by a single noisy sample.
-_CACHE_PASSES = 3
+    a_r, a_g = a
+    b_r, b_g = b
+    return (
+        np.array_equal(a_r.color, b_r.color)
+        and np.array_equal(a_r.depth, b_r.depth)
+        and np.array_equal(a_r.silhouette, b_r.silhouette)
+        and np.array_equal(a_g.d_means, b_g.d_means)
+        and np.array_equal(a_g.d_colors, b_g.d_colors)
+        and a_r.stats.as_dict() == b_r.stats.as_dict()
+        and a_g.stats.as_dict() == b_g.stats.as_dict())
+
+
+#: Iterations of the temporal-coherence cache legs per scenario run —
+#: matches the real mapping optimizer loop (~24 iters/keyframe), so the
+#: hit/rebuild counts follow the production loop shape.
+_CACHE_ITERS = 24
 
 #: Backend the cache legs render with (the production fast path).
 _CACHE_BACKEND = "vectorized"
@@ -250,7 +261,7 @@ _CACHE_BACKEND = "vectorized"
 def _cache_leg_sections(cfg: SuiteConfig, mode: str,
                         counters: Dict[str, float],
                         info: Dict[str, float]) -> None:
-    """Measure the temporal-coherence render cache on one loop shape.
+    """Check the temporal-coherence render cache on one loop shape.
 
     Replays a deterministic optimizer-loop proxy — ``tracking``: fixed
     cloud, pose drifting by a constant twist per iteration (lattice
@@ -259,8 +270,8 @@ def _cache_leg_sections(cfg: SuiteConfig, mode: str,
     generation) — once uncached and once through a fresh
     :class:`repro.render.cache.RenderCache`.  Adds the bit-identity flag
     and hit/rebuild counts to ``counters`` (exact-gated: the drift is
-    deterministic, so they are rep-stable) and the wall/speedup/hit-rate
-    keys to ``info``.
+    deterministic, so they are rep-stable) and the hit rate and margin
+    to ``info``.
     """
     import numpy as np
 
@@ -291,15 +302,12 @@ def _cache_leg_sections(cfg: SuiteConfig, mode: str,
         spec.width, spec.height, tile, "random",
         np.random.default_rng(pixel_seed))
 
-    def run(make_cache):
-        cache = make_cache()
+    def run(cache):
         outs = []
         cloud = bundle.cloud
         pose = bundle.camera.pose_c2w
-        wall = 0.0
         for _ in range(_CACHE_ITERS):
             camera = Camera(bundle.camera.intrinsics, pose)
-            start = perf_counter()
             result = render_sparse(
                 cloud, camera, pixels, backend=_CACHE_BACKEND,
                 lattice_tile=lattice_tile, record_per_pixel=False,
@@ -308,43 +316,21 @@ def _cache_leg_sections(cfg: SuiteConfig, mode: str,
                 result, cloud, camera,
                 np.ones_like(result.color), np.ones_like(result.depth),
                 np.ones_like(result.silhouette))
-            wall += perf_counter() - start
             outs.append((result, grads))
             if twist is not None:
                 pose = pose @ se3_exp(twist)
             if param_step is not None:
                 cloud = cloud.unpack(cloud.pack() + param_step)
-        return outs, wall, cache
+        return outs
 
-    # Each pass rebuilds its cache from cold, so every pass sees the same
-    # deterministic hit/miss sequence; best-of-passes wall times keep one
-    # noisy sample from flipping the reported speedup.
-    off_outs = on_outs = cache = None
-    wall_off = wall_on = float("inf")
-    for _ in range(_CACHE_PASSES):
-        off_outs, wall, _unused = run(lambda: None)
-        wall_off = min(wall_off, wall)
-    for _ in range(_CACHE_PASSES):
-        on_outs, wall, cache = run(lambda: RenderCache(mode=mode))
-        wall_on = min(wall_on, wall)
-
-    identical = all(
-        np.array_equal(a_r.color, b_r.color)
-        and np.array_equal(a_r.depth, b_r.depth)
-        and np.array_equal(a_r.silhouette, b_r.silhouette)
-        and np.array_equal(a_g.d_means, b_g.d_means)
-        and np.array_equal(a_g.d_colors, b_g.d_colors)
-        and a_r.stats.as_dict() == b_r.stats.as_dict()
-        and a_g.stats.as_dict() == b_g.stats.as_dict()
-        for (a_r, a_g), (b_r, b_g) in zip(off_outs, on_outs))
+    cache = RenderCache(mode=mode)
+    identical = all(_same_outputs(off, on)
+                    for off, on in zip(run(None), run(cache)))
 
     counters["cache.identical"] = int(identical)
     counters["cache.hits"] = int(cache.hits)
     counters["cache.misses"] = int(cache.misses)
     counters["cache.rebuilds"] = int(cache.rebuilds)
-    info["wall.cache_off_s"] = wall_off / _CACHE_ITERS
-    info["wall.cache_on_s"] = wall_on / _CACHE_ITERS
-    info["speedup.cache"] = wall_off / wall_on if wall_on else 0.0
     info["cache.hit_rate"] = (cache.hits / (cache.hits + cache.misses)
                               if (cache.hits + cache.misses) else 0.0)
     info["cache.margin_px"] = float(cache.margin)
@@ -382,7 +368,7 @@ def _scn_mapping(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
 
 @scenario("slam_e2e",
           "proxy SLAM end-to-end run: accumulated per-stage workload "
-          "counters + wall time")
+          "counters + ATE")
 def _scn_slam_e2e(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     from ..slam import SLAMSystem
 
@@ -412,25 +398,14 @@ def _scn_slam_e2e(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
 
 
 #: Tracking lattice tile for the ``kernels`` scenario — denser than the
-#: suite's tracking tile so the K-pixel batch is large enough to expose
-#: the per-pixel loop's Python overhead (the quantity being measured).
+#: suite's tracking tile, so the per-pixel oracle is checked on a large
+#: K-pixel batch.
 _KERNEL_TILE = 4
-
-#: Forward+backward repetitions per backend inside one scenario run.
-_KERNEL_REPS = 3
-
-
-def _span_self_times(records) -> Dict[str, float]:
-    """Sum tracer span self-times by name over a record slice."""
-    out: Dict[str, float] = {}
-    for record in records:
-        out[record.name] = out.get(record.name, 0.0) + record.self_time
-    return out
 
 
 @scenario("kernels",
           "sparse tracking render, reference oracle vs vectorized "
-          "kernel: bit-identity check + wall-clock speedup")
+          "kernel: per-backend counters + bit-identity check")
 def _scn_kernels(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     import numpy as np
 
@@ -444,69 +419,21 @@ def _scn_kernels(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
         np.random.default_rng(cfg.seed))
 
     counters: Dict[str, float] = {}
-    walls: Dict[str, float] = {}
     outputs: Dict[str, Any] = {}
-    stage_self: Dict[str, Dict[str, float]] = {}
     for backend in ("reference", "vectorized"):
-
-        def iteration(record: bool = False):
-            result = render_sparse(
-                bundle.cloud, bundle.camera, pixels,
-                backend=backend, lattice_tile=_KERNEL_TILE,
-                record_per_pixel=record)
-            grads = backward_sparse(
-                result, bundle.cloud, bundle.camera,
-                np.ones_like(result.color), np.ones_like(result.depth),
-                np.ones_like(result.silhouette))
-            return result, grads
-
-        result, grads = iteration()  # warm-up + counter capture
-        for pass_name, stats in (("fwd", result.stats), ("bwd", grads.stats)):
-            for key in _PASS_COUNTERS:
-                counters[f"{backend}.{pass_name}.{key}"] = int(
-                    getattr(stats, key))
-        span_cursor = len(trace.records)
-        start = perf_counter()
-        for _ in range(_KERNEL_REPS):
-            result, grads = iteration()
-        walls[backend] = (perf_counter() - start) / _KERNEL_REPS
+        result = render_sparse(
+            bundle.cloud, bundle.camera, pixels, backend=backend,
+            lattice_tile=_KERNEL_TILE, record_per_pixel=False)
+        grads = backward_sparse(
+            result, bundle.cloud, bundle.camera,
+            np.ones_like(result.color), np.ones_like(result.depth),
+            np.ones_like(result.silhouette))
+        counters.update(_pass_counters(backend, result.stats, grads.stats))
         outputs[backend] = (result, grads)
-        stage_self[backend] = _span_self_times(trace.records[span_cursor:])
-
-    def _identical(a, b) -> bool:
-        a_r, a_g = a
-        b_r, b_g = b
-        return (
-            np.array_equal(a_r.color, b_r.color)
-            and np.array_equal(a_r.depth, b_r.depth)
-            and np.array_equal(a_r.silhouette, b_r.silhouette)
-            and np.array_equal(a_g.d_means, b_g.d_means)
-            and np.array_equal(a_g.d_colors, b_g.d_colors)
-            and a_r.stats.as_dict() == b_r.stats.as_dict()
-            and a_g.stats.as_dict() == b_g.stats.as_dict())
 
     counters["backends_identical"] = int(
-        _identical(outputs["reference"], outputs["vectorized"]))
-
-    info = {
-        "wall.reference_s": walls["reference"],
-        "wall.vectorized_s": walls["vectorized"],
-        "speedup.vectorized_over_reference": (
-            walls["reference"] / walls["vectorized"]
-            if walls["vectorized"] else 0.0),
-    }
-    # Stage-split visibility: the candidate-generation share of the
-    # forward pass (projection + candidate/α-check self-time vs
-    # compositing) — the target the temporal-coherence render cache
-    # attacks; tracked longitudinally per backend.
-    for backend, selfs in sorted(stage_self.items()):
-        candidate = (selfs.get("render.project", 0.0)
-                     + selfs.get("render.alpha_check", 0.0))
-        composite = selfs.get("render.composite", 0.0)
-        total = candidate + composite
-        info[f"candidate_stage_fraction.{backend}"] = (
-            candidate / total if total else 0.0)
-    return {"counters": counters, "model": {}, "info": info}
+        _same_outputs(outputs["reference"], outputs["vectorized"]))
+    return {"counters": counters, "model": {}, "info": {}}
 
 
 @scenario("obs_overhead",
@@ -514,12 +441,14 @@ def _scn_kernels(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
           "tracer+metrics+flight+atlas+health all on, plus telemetry-bus "
           "legs (publishing with zero and one subscriber) — gated ratios")
 def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
+    from time import perf_counter
+
     import numpy as np
 
     from ..slam import SLAMSystem
     from .atlas import AtlasCollector, AtlasLog
     from .flight import FlightRecorder
-    from .health import HealthMonitor
+    from .health import HealthConfig, HealthMonitor
     from .metrics import MetricsRegistry, ingest_pipeline_stats
     from .telemetry import bus as telemetry_bus
 
@@ -531,82 +460,71 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
         return system.run(bundle.sequence, flight=flight, health=health,
                           atlas=atlas)
 
-    # All-off leg.  The suite runner keeps the global tracer enabled
-    # around scenario bodies, so it must be disabled explicitly here —
-    # otherwise the "off" leg would already pay the span cost.
+    def timed(**sinks):
+        start = perf_counter()
+        result = run_slam(**sinks)
+        return result, perf_counter() - start
+
+    # The wall-time spike monitor publishes alerts keyed to real frame
+    # timings — nondeterministic — so the bus legs run with it off to
+    # keep the published-event count an exact gated counter.
+    def bus_health() -> HealthMonitor:
+        return HealthMonitor(HealthConfig(frame_time_factor=0))
+
+    # Every leg but the all-on one runs with the tracer off, even when
+    # the caller has it on — otherwise the "off" leg would already pay
+    # the span cost, and span noise would reach the bus counts.
     was_enabled = trace.enabled
     trace.disable()
+    flight = FlightRecorder()
+    health = HealthMonitor()
+    collector = AtlasCollector(tile=cfg.spec.tracking_tile)
     try:
         # Untimed warm-up: the first run pays allocator/cache cold-start
         # costs that would otherwise inflate the all-off leg and bias
         # the ratio below 1.
         run_slam()
-        start = perf_counter()
-        result_off = run_slam()
-        off_s = perf_counter() - start
-    finally:
-        if was_enabled:
-            trace.enable(reset=False)
+        result_off, off_s = timed()
 
-    # All-on leg: tracer + in-memory flight recorder + health monitor +
-    # in-memory atlas collector, then a metrics ingest of the results.
-    flight = FlightRecorder()
-    flight.enable()
-    health = HealthMonitor()
-    collector = AtlasCollector(tile=cfg.spec.tracking_tile)
-    collector.enable()
-    trace.enable(reset=False)
-    spans_before = len(trace.records)
-    try:
-        start = perf_counter()
-        result_on = run_slam(flight=flight, health=health, atlas=collector)
-        on_s = perf_counter() - start
-    finally:
-        spans = len(trace.records) - spans_before
-        if not was_enabled:
-            trace.disable()
-        flight.disable()
-        collector.disable()
+        # All-on leg: tracer + in-memory flight recorder + health monitor
+        # + in-memory atlas collector, then a metrics ingest of the
+        # results.
+        flight.enable()
+        collector.enable()
+        with trace.capture(reset=False):
+            spans_before = len(trace.records)
+            result_on, on_s = timed(flight=flight, health=health,
+                                    atlas=collector)
+            spans = len(trace.records) - spans_before
 
-    registry = MetricsRegistry()
-    for stage in SLAMSystem.STAGES:
-        ingest_pipeline_stats(stage, result_on.stage_stats[stage],
-                              registry=registry)
-
-    # Telemetry-bus legs: publishing on with nobody listening, then with
-    # one (promexport-style) subscriber whose ring is large enough that
-    # nothing drops — both must stay passive and inside the gated
-    # overhead budget.  The tracer stays off so the published-event
-    # count is the deterministic run stream (header + frames + per-frame
-    # metrics snapshots + summary + alerts), not span noise.
-    trace.disable()
-    telemetry_bus.enable()
-    # The wall-time spike monitor publishes alerts keyed to real frame
-    # timings — nondeterministic — so the bus legs run with it off to
-    # keep the published-event count an exact gated counter.
-    from .health import HealthConfig as _HealthConfig
-
-    def bus_health() -> HealthMonitor:
-        return HealthMonitor(_HealthConfig(frame_time_factor=0))
-    try:
-        start = perf_counter()
-        result_bus = run_slam(health=bus_health())
-        bus_on_s = perf_counter() - start
+        # Telemetry-bus legs: publishing on with nobody listening, then
+        # with one (promexport-style) subscriber whose ring is large
+        # enough that nothing drops — both must stay passive and inside
+        # the gated overhead budget.  The published-event count is the
+        # deterministic run stream (header + frames + per-frame metrics
+        # snapshots + summary + alerts).
+        telemetry_bus.enable()
+        result_bus, bus_on_s = timed(health=bus_health())
         published_no_sub = telemetry_bus.published()
 
         sub = telemetry_bus.subscribe(maxlen=8192, name="bench:obs_overhead")
         telemetry_bus.reset()
-        start = perf_counter()
-        result_bus_sub = run_slam(health=bus_health())
-        bus_sub_s = perf_counter() - start
+        result_bus_sub, bus_sub_s = timed(health=bus_health())
         published_sub = telemetry_bus.published()
         delivered = int(sub.delivered)
         bus_dropped = telemetry_bus.dropped()
         telemetry_bus.unsubscribe(sub)
     finally:
         telemetry_bus.disable()
+        flight.disable()
+        collector.disable()
         if was_enabled:
             trace.enable(reset=False)
+
+    registry = MetricsRegistry()
+    for stage in SLAMSystem.STAGES:
+        ingest_pipeline_stats(stage, result_on.stage_stats[stage],
+                              registry=registry)
 
     # Observability must be passive: the instrumented runs have to
     # produce the bit-identical trajectory, map, and counters.
@@ -641,19 +559,12 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
         "telemetry.delivered": int(delivered),
         "telemetry.dropped": int(bus_dropped),
     }
-    info = {
-        "wall.all_off_s": off_s,
-        "wall.all_on_s": on_s,
-        "wall.bus_on_s": bus_on_s,
-        "wall.bus_sub_s": bus_sub_s,
-        "overhead_ratio": (on_s / off_s) if off_s > 0 else 0.0,
-    }
     overhead = {
         "ratio": (on_s / off_s) if off_s > 0 else 0.0,
         "bus_ratio": (bus_on_s / off_s) if off_s > 0 else 0.0,
         "bus_sub_ratio": (bus_sub_s / off_s) if off_s > 0 else 0.0,
     }
-    return {"counters": counters, "model": {}, "info": info,
+    return {"counters": counters, "model": {}, "info": {},
             "overhead": overhead}
 
 
@@ -711,25 +622,26 @@ def _resolve_scenarios(names: Optional[Iterable[str]]) -> List[Scenario]:
     return out
 
 
+def _ratio_summary(samples: List[float]) -> Dict[str, Any]:
+    """Median, MAD and the raw samples of one overhead ratio."""
+    med, mad = median_mad(samples)
+    return {"ratio": round(med, 4), "mad": round(mad, 4),
+            "samples": [round(s, 4) for s in samples]}
+
+
 def _run_scenario(scn: Scenario, cfg: SuiteConfig) -> Dict[str, Any]:
-    samples: List[float] = []
     overhead_samples: Dict[str, List[float]] = {}
     sections: Optional[Dict[str, Dict[str, float]]] = None
     stable = True
-    with trace.capture():
-        for _rep in range(cfg.repetitions):
-            start = perf_counter()
-            out = scn.run(cfg)
-            samples.append(perf_counter() - start)
-            if sections is not None and out["counters"] != sections["counters"]:
-                stable = False
-            sections = out
-            for key, value in (out.get("overhead") or {}).items():
-                overhead_samples.setdefault(key, []).append(float(value))
-        stage_rows = trace.stage_table()
+    for _rep in range(cfg.repetitions):
+        out = scn.run(cfg)
+        if sections is not None and out["counters"] != sections["counters"]:
+            stable = False
+        sections = out
+        for key, value in (out.get("overhead") or {}).items():
+            overhead_samples.setdefault(key, []).append(float(value))
     assert sections is not None
 
-    med, mad = median_mad(samples)
     if not stable:
         log.warning(f"{scn.name}: counters varied across repetitions — "
                     f"the scenario is not deterministic")
@@ -738,45 +650,20 @@ def _run_scenario(scn: Scenario, cfg: SuiteConfig) -> Dict[str, Any]:
         "counters": {k: int(v) for k, v in sorted(sections["counters"].items())},
         "model": {k: float(v) for k, v in sorted(sections["model"].items())},
         "info": {k: float(v) for k, v in sorted(sections["info"].items())},
-        "wall": {
-            "median_s": round(med, 6),
-            "mad_s": round(mad, 6),
-            "samples_s": [round(s, 6) for s in samples],
-            "repetitions": cfg.repetitions,
-        },
         "stable_counters": stable,
-        "trace_stages": sorted(
-            ({"span": r["span"], "count": r["count"],
-              "total_s": round(r["total_s"], 6),
-              "self_s": round(r["self_s"], 6)} for r in stage_rows),
-            key=lambda row: row["span"]),
     }
     if overhead_samples:
         # Optional gated section: the observability-overhead ratios
-        # (instrumented / all-off wall time).  Compared by
-        # repro.obs.regress against a hard budget — median + MAD like
-        # the wall section.  The headline "ratio" key keeps the original
-        # flat layout; any further named ratios the scenario reports
-        # (e.g. the telemetry-bus legs) land under "extra" so old
-        # baselines stay comparable.
-        omed, omad = median_mad(overhead_samples.get("ratio", [0.0]))
-        result["overhead"] = {
-            "ratio": round(omed, 4),
-            "mad": round(omad, 4),
-            "samples": [round(s, 4)
-                        for s in overhead_samples.get("ratio", [])],
-            "repetitions": cfg.repetitions,
-        }
-        extra = {}
-        for key in sorted(overhead_samples):
-            if key == "ratio":
-                continue
-            emed, emad = median_mad(overhead_samples[key])
-            extra[key] = {
-                "ratio": round(emed, 4),
-                "mad": round(emad, 4),
-                "samples": [round(s, 4) for s in overhead_samples[key]],
-            }
+        # (instrumented / all-off wall time), compared by
+        # repro.obs.regress against a hard budget.  The headline "ratio"
+        # key keeps the original flat layout; any further named ratios
+        # the scenario reports (e.g. the telemetry-bus legs) land under
+        # "extra" so old baselines stay comparable.
+        result["overhead"] = dict(
+            _ratio_summary(overhead_samples.pop("ratio", [])),
+            repetitions=cfg.repetitions)
+        extra = {key: _ratio_summary(samples)
+                 for key, samples in sorted(overhead_samples.items())}
         if extra:
             result["overhead"]["extra"] = extra
     return result
@@ -800,10 +687,7 @@ def run_suite(config: Optional[SuiteConfig] = None,
                  f"{cfg.repetitions} repetitions) ...")
         result = _run_scenario(scn, cfg)
         payload["scenarios"][scn.name] = result
-        wall = result["wall"]
-        log.info(f"  {scn.name}: median {wall['median_s'] * 1e3:.1f} ms "
-                 f"(MAD {wall['mad_s'] * 1e3:.1f} ms), "
-                 f"{len(result['counters'])} counters")
+        log.info(f"  {scn.name}: {len(result['counters'])} counters")
     return payload
 
 

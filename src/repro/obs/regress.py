@@ -5,19 +5,21 @@ The comparator walks the scenario sections of two
 
 - ``counters`` — **exact**.  These are deterministic workload counters
   (pixel–Gaussian pairs, atomic adds, sort keys); any mismatch means the
-  workload silently changed and fails the gate.
+  workload silently changed and fails the gate.  A current scenario
+  whose counters varied between repetitions (``stable_counters:
+  false``) fails too: its counters are not a fingerprint.
 - ``model``    — modeled cycles/latency/bytes, deterministic functions
   of the counters; compared with a tiny relative tolerance (absolute
   floor for zero-valued baselines).  Oriented smaller-is-better: larger
   beyond tolerance regresses, smaller improves.
-- ``wall``     — median wall seconds, noise-aware: a regression needs to
-  exceed the baseline median by a relative margin *and* several MADs
-  (whichever slack is largest, with an absolute floor for micro-scenarios).
 - ``overhead`` — the observability-overhead budget: the ``obs_overhead``
   scenario's instrumented/all-off wall ratios (the all-on leg plus the
   telemetry-bus legs under ``extra``) must not exceed the committed
   baseline ratios beyond a hard slack.  Compared only when both payloads
-  carry the section (like ``wall``), so old baselines keep working.
+  carry the section, so old baselines keep working.
+
+Wall time is judged by ``perfbench/``, not here; sections other than
+these (such as the ``wall`` tables of older trajectories) are ignored.
 
 Missing scenarios/metrics in the current run fail (``removed``); new
 ones pass with a note (``new``).  Schema-version or file problems are
@@ -47,19 +49,13 @@ __all__ = [
 ]
 
 #: Sections of a scenario payload the gate inspects, in report order.
-DEFAULT_SECTIONS = ("counters", "model", "wall", "overhead")
+DEFAULT_SECTIONS = ("counters", "model", "overhead")
 
 
 @dataclass(frozen=True)
 class TolerancePolicy:
     """Per-kind comparison tolerances."""
 
-    #: Allowed relative slowdown of the median wall time.
-    wall_rel: float = 0.30
-    #: ... which must also exceed this many MADs (max of both runs').
-    wall_mad_factor: float = 4.0
-    #: Absolute wall slack floor — micro-scenarios jitter by milliseconds.
-    wall_abs_s: float = 0.02
     #: Relative tolerance for modeled (deterministic float) metrics.
     model_rel: float = 1e-6
     #: Absolute floor for modeled metrics with zero-valued baselines.
@@ -79,8 +75,8 @@ class Finding:
 
     scenario: str
     metric: str
-    kind: str                     # "counter" | "model" | "wall"
-                                  # | "overhead" | "scenario"
+    kind: str                     # "counter" | "model" | "overhead"
+                                  # | "scenario"
     baseline: Optional[float]
     current: Optional[float]
     status: str                   # "ok" | "improved" | "regressed"
@@ -95,7 +91,7 @@ class RegressionReport:
     findings: List[Finding] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
     #: Environment-fingerprint differences between the payloads.  Warn
-    #: only: they flag untrustworthy wall comparisons, not regressions.
+    #: only: they flag untrustworthy overhead ratios, not regressions.
     env_mismatches: List[str] = field(default_factory=list)
 
     @property
@@ -142,8 +138,8 @@ class RegressionReport:
         lines = [f"### bench compare — {verdict} ({summary or 'no metrics'})"]
         for mismatch in self.env_mismatches:
             lines.append(f"- WARNING: environment mismatch — {mismatch} "
-                         f"(wall-time comparison untrustworthy across "
-                         f"machines)")
+                         f"(overhead-ratio comparison untrustworthy "
+                         f"across machines)")
         for err in self.errors:
             lines.append(f"- ERROR: {err}")
         notable = [f for f in self.findings if f.status != "ok"]
@@ -215,26 +211,6 @@ def _compare_model(name: str, metric: str, base: float, cur: float,
         return Finding(name, metric, "model", base, cur, "improved",
                        f"below baseline by {base - cur:.3g}")
     return Finding(name, metric, "model", base, cur, "ok")
-
-
-def _compare_wall(name: str, base_wall: Dict[str, Any],
-                  cur_wall: Dict[str, Any],
-                  policy: TolerancePolicy) -> Finding:
-    base = float(base_wall.get("median_s", 0.0))
-    cur = float(cur_wall.get("median_s", 0.0))
-    mad = max(float(base_wall.get("mad_s", 0.0)),
-              float(cur_wall.get("mad_s", 0.0)))
-    slack = max(policy.wall_abs_s, base * policy.wall_rel,
-                policy.wall_mad_factor * mad)
-    metric = "wall.median_s"
-    if cur > base + slack:
-        return Finding(name, metric, "wall", base, cur, "regressed",
-                       f"median slowed {base:.4f}s -> {cur:.4f}s "
-                       f"(slack {slack:.4f}s)")
-    if cur < base - slack:
-        return Finding(name, metric, "wall", base, cur, "improved",
-                       f"median improved {base:.4f}s -> {cur:.4f}s")
-    return Finding(name, metric, "wall", base, cur, "ok")
 
 
 def _compare_overhead_ratio(name: str, metric: str,
@@ -349,12 +325,11 @@ def compare_runs(current: Dict[str, Any], baseline: Dict[str, Any],
                 "scenario missing from current run"))
             continue
         base, cur = base_scenarios[name], cur_scenarios[name]
+        if cur.get("stable_counters") is False:
+            report.findings.append(Finding(
+                name, "stable_counters", "counter", None, None, "regressed",
+                "counters varied across repetitions"))
         for section in sections:
-            if section == "wall":
-                if base.get("wall") and cur.get("wall"):
-                    report.findings.append(
-                        _compare_wall(name, base["wall"], cur["wall"], pol))
-                continue
             if section == "overhead":
                 if base.get("overhead") and cur.get("overhead"):
                     report.findings.extend(_compare_overhead(
@@ -374,33 +349,25 @@ def compare_runs(current: Dict[str, Any], baseline: Dict[str, Any],
 # ---------------------------------------------------------------------------
 
 def load_trajectory(path: str) -> Dict[str, Any]:
-    """Load one trajectory JSON; raises OSError / ValueError on problems.
-
-    Accepts either a single suite payload or a bench-history document
-    (``{"format": "bench-history", "entries": [...]}`` as written by
-    ``benchmarks/bench_obs_trajectory.py``), in which case the newest
-    entry is returned.
-    """
+    """Load one trajectory JSON; raises OSError / ValueError on problems."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a JSON object")
-    if doc.get("format") == "bench-history":
-        entries = doc.get("entries")
-        if not (isinstance(entries, list) and entries):
-            raise ValueError(f"{path}: bench-history with no entries")
-        latest = entries[-1]
-        if not isinstance(latest, dict):
-            raise ValueError(f"{path}: bench-history entry not an object")
-        return latest
     return doc
 
 
 def compare_files(current_path: str, baseline_path: str,
                   policy: Optional[TolerancePolicy] = None,
                   sections: Sequence[str] = DEFAULT_SECTIONS,
+                  scenarios: Optional[Iterable[str]] = None,
                   ) -> RegressionReport:
-    """Load + diff two trajectory files; file problems become errors."""
+    """Load + diff two trajectory files; file problems become errors.
+
+    ``scenarios`` restricts both payloads to the named scenarios, so a
+    partial current run (e.g. CI gating one scenario) doesn't report
+    every other baseline scenario as removed.
+    """
     report = RegressionReport()
     docs = {}
     for label, path in (("baseline", baseline_path),
@@ -415,4 +382,10 @@ def compare_files(current_path: str, baseline_path: str,
             report.errors.append(f"{label} file unreadable: {exc}")
     if report.errors:
         return report
+    if scenarios is not None:
+        wanted = set(scenarios)
+        for doc in docs.values():
+            if isinstance(doc.get("scenarios"), dict):
+                doc["scenarios"] = {k: v for k, v in doc["scenarios"].items()
+                                    if k in wanted}
     return compare_runs(docs["current"], docs["baseline"], policy, sections)

@@ -414,8 +414,8 @@ def bench_metrics(payload: Dict[str, Any]) -> Dict[str, float]:
     """Flat metrics of one ``repro bench run`` trajectory payload.
 
     Every scenario's exact counters, modeled cycles/bytes, info
-    quantities, wall median, overhead ratios, and traced per-span
-    self-times, namespaced ``bench.<scenario>.<section>.<metric>``.
+    quantities and overhead ratios, namespaced
+    ``bench.<scenario>.<section>.<metric>``.
     """
     out: Dict[str, float] = {}
     for name, scn in sorted((payload.get("scenarios") or {}).items()):
@@ -424,19 +424,12 @@ def bench_metrics(payload: Dict[str, Any]) -> Dict[str, float]:
             for key, value in sorted((scn.get(section) or {}).items()):
                 if isinstance(value, (int, float)):
                     out[f"{prefix}.{section}.{key}"] = float(value)
-        wall = scn.get("wall") or {}
-        if "median_s" in wall:
-            out[f"{prefix}.wall.median_s"] = float(wall["median_s"])
         overhead = scn.get("overhead") or {}
         if "ratio" in overhead:
             out[f"{prefix}.overhead.ratio"] = float(overhead["ratio"])
         for key, extra in sorted((overhead.get("extra") or {}).items()):
             if isinstance(extra, dict) and "ratio" in extra:
                 out[f"{prefix}.overhead.{key}"] = float(extra["ratio"])
-        for row in scn.get("trace_stages") or []:
-            span = row.get("span")
-            if span and row.get("self_s") is not None:
-                out[f"{prefix}.trace.{span}.self_s"] = float(row["self_s"])
     return out
 
 

@@ -250,7 +250,7 @@ class TriagePolicy:
     #: 0 -> N would otherwise drown every other signal).
     rel_cap: float = 10.0
     #: Wall-kind deltas below this relative change are noise, not
-    #: evidence (mirrors TolerancePolicy.wall_rel).
+    #: evidence.
     wall_rel_floor: float = 0.30
     #: Deterministic (counter/model/quality) deltas below this relative
     #: change are ignored.

@@ -55,6 +55,18 @@ class TestParser:
         assert args.current == "BENCH_trajectory.json"
         assert not args.counters_only
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", "run", "--size", "bogus"],
+        ["bench", "attrib", "--size", "bogus"],
+        ["bench", "run", "--reps", "0"],
+        ["bench", "run", "--reps", "-2"],
+    ])
+    def test_bench_rejects_bad_values(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+
     def test_bench_attrib_trace_out_does_not_shadow_global_trace(self):
         args = build_parser().parse_args(
             ["bench", "attrib", "--trace-out", "units.json"])
@@ -192,8 +204,30 @@ class TestBenchCommands:
         assert "not found" in capsys.readouterr().out
 
     def test_bench_run_unknown_size_errors(self):
-        with pytest.raises(ValueError, match="unknown size"):
+        with pytest.raises(SystemExit) as exc:
             main(["-q", "bench", "run", "--size", "galactic"])
+        assert exc.value.code == 2
+
+    def test_bench_run_unknown_scenario_names_the_valid_ones(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["-q", "bench", "run", "--size", "tiny",
+                  "--scenarios", "hw_units,nope",
+                  "--out", str(tmp_path / "traj.json")])
+        message = str(exc.value.code)
+        assert "nope" in message and "hw_units" in message
+        assert "obs_overhead" in message
+        assert not (tmp_path / "traj.json").exists()
+
+    def test_compare_scenarios_missing_baseline_prints_hint(self, tmp_path,
+                                                            capsys):
+        code = main(["-q", "bench", "compare",
+                     "--baseline", str(tmp_path / "missing.json"),
+                     "--current", str(tmp_path / "also_missing.json"),
+                     "--scenarios", "obs_overhead"])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "baseline file not found" in out
+        assert "record one with `repro bench run" in out
 
     def test_attrib_prints_table_and_writes_exports(self, tmp_path, capsys):
         out = str(tmp_path / "attrib.json")

@@ -22,8 +22,6 @@ def make_payload(scenarios=None):
             "counters": {"pixel.fwd.num_contrib_pairs": 1000,
                          "pixel.fwd.num_sort_keys": 250},
             "model": {"accel.total_s": 0.004, "gpu.dense.total_s": 0.1},
-            "wall": {"median_s": 0.10, "mad_s": 0.002,
-                     "samples_s": [0.1, 0.1, 0.1], "repetitions": 3},
         },
     }
     doc = {
@@ -46,8 +44,8 @@ class TestCleanComparison:
 
     def test_counts_tally_all_findings(self):
         report = compare_runs(make_payload(), make_payload())
-        # 2 counters + 2 model + 1 wall
-        assert report.counts() == {"ok": 5}
+        # 2 counters + 2 model
+        assert report.counts() == {"ok": 4}
 
 
 class TestCounterExactness:
@@ -114,51 +112,52 @@ class TestModelTolerance:
         assert not compare_runs(cur, base, policy=policy).passed
 
 
-class TestWallTolerance:
+def with_overhead(doc, ratio, mad=0.0):
+    """Give ``doc``'s scenario an ``obs_overhead``-style section."""
+    doc["scenarios"]["tracking"]["overhead"] = {
+        "ratio": ratio, "mad": mad, "samples": [ratio], "repetitions": 1}
+    return doc
+
+
+class TestOverheadTolerance:
     def test_noise_within_slack_is_ok(self):
-        cur = make_payload()
-        cur["scenarios"]["tracking"]["wall"]["median_s"] = 0.11  # +10 %
-        report = compare_runs(cur, make_payload())
-        assert report.passed
+        base = with_overhead(make_payload(), 1.0)
+        cur = with_overhead(make_payload(), 1.3)
+        assert compare_runs(cur, base).passed
 
     def test_large_slowdown_regresses(self):
-        cur = make_payload()
-        cur["scenarios"]["tracking"]["wall"]["median_s"] = 0.50
-        report = compare_runs(cur, make_payload())
-        (bad,) = report.regressions
-        assert bad.kind == "wall"
+        base = with_overhead(make_payload(), 1.0)
+        cur = with_overhead(make_payload(), 2.0)
+        (bad,) = compare_runs(cur, base).regressions
+        assert bad.kind == "overhead"
+        assert bad.metric == "overhead.ratio"
 
     def test_mad_widens_the_slack(self):
-        # 2x slowdown, but the baseline is extremely noisy: 4 MADs of
-        # 0.05 s = 0.2 s slack > the 0.1 s delta.
-        base = make_payload()
-        base["scenarios"]["tracking"]["wall"]["mad_s"] = 0.05
-        cur = make_payload()
-        cur["scenarios"]["tracking"]["wall"]["median_s"] = 0.20
+        # +0.7 beats the 0.5 floor and the 35 % margin, but the baseline
+        # is noisy: 4 MADs of 0.2 = 0.8 slack.
+        base = with_overhead(make_payload(), 1.0, mad=0.2)
+        cur = with_overhead(make_payload(), 1.7)
         assert compare_runs(cur, base).passed
 
-    def test_absolute_floor_forgives_micro_scenarios(self):
-        # 3x relative slowdown on a 5 ms scenario stays under the 20 ms
-        # absolute floor.
-        base = make_payload()
-        base["scenarios"]["tracking"]["wall"].update(median_s=0.005, mad_s=0.0)
-        cur = make_payload()
-        cur["scenarios"]["tracking"]["wall"].update(median_s=0.015, mad_s=0.0)
+    def test_absolute_floor_forgives_small_ratios(self):
+        # +45 % on a 1.0 ratio beats the 35 % margin but stays under the
+        # 0.5 absolute floor.
+        base = with_overhead(make_payload(), 1.0)
+        cur = with_overhead(make_payload(), 1.45)
         assert compare_runs(cur, base).passed
 
-    def test_speedup_reports_improved(self):
-        cur = make_payload()
-        cur["scenarios"]["tracking"]["wall"]["median_s"] = 0.01
-        report = compare_runs(cur, make_payload())
+    def test_shrink_reports_improved(self):
+        base = with_overhead(make_payload(), 2.0)
+        cur = with_overhead(make_payload(), 1.0)
+        report = compare_runs(cur, base)
         assert report.passed
-        assert any(f.status == "improved" and f.kind == "wall"
+        assert any(f.status == "improved" and f.kind == "overhead"
                    for f in report.findings)
 
-    def test_wall_section_can_be_skipped(self):
-        cur = make_payload()
-        cur["scenarios"]["tracking"]["wall"]["median_s"] = 99.0
-        report = compare_runs(cur, make_payload(),
-                              sections=["counters", "model"])
+    def test_overhead_section_can_be_skipped(self):
+        base = with_overhead(make_payload(), 1.0)
+        cur = with_overhead(make_payload(), 99.0)
+        report = compare_runs(cur, base, sections=["counters", "model"])
         assert report.passed
 
 
@@ -188,10 +187,33 @@ class TestStructuralChanges:
 
     def test_new_scenario_passes(self):
         cur = make_payload()
-        cur["scenarios"]["extra"] = {"counters": {"x": 1}, "model": {},
-                                     "wall": {}}
+        cur["scenarios"]["extra"] = {"counters": {"x": 1}, "model": {}}
         report = compare_runs(cur, make_payload())
         assert report.passed
+
+    def test_legacy_wall_section_is_ignored(self):
+        # Older trajectories carry wall/trace tables; only the gated
+        # sections are compared.
+        base, cur = make_payload(), make_payload()
+        for doc, median in ((base, 0.1), (cur, 99.0)):
+            doc["scenarios"]["tracking"]["wall"] = {"median_s": median,
+                                                    "mad_s": 0.0}
+            doc["scenarios"]["tracking"]["trace_stages"] = []
+        report = compare_runs(cur, base)
+        assert report.passed
+        assert report.counts() == {"ok": 4}
+
+    def test_unstable_counters_fail(self):
+        # The last repetition matches the baseline, but the counters
+        # varied across repetitions: not a fingerprint.
+        cur = make_payload()
+        cur["scenarios"]["tracking"]["stable_counters"] = False
+        report = compare_runs(cur, make_payload(),
+                              sections=["counters"])
+        assert not report.passed
+        (bad,) = report.regressions
+        assert bad.metric == "stable_counters"
+        assert bad.scenario == "tracking"
 
     def test_schema_version_mismatch_is_an_error(self):
         cur = make_payload()
@@ -252,40 +274,6 @@ class TestEnvironmentMismatch:
         assert doc["env_mismatches"] == report.env_mismatches
 
 
-class TestHistoryFormat:
-    def test_load_trajectory_resolves_newest_history_entry(self, tmp_path):
-        from repro.obs.regress import load_trajectory
-
-        old = make_payload()
-        new = make_payload()
-        new["scenarios"]["tracking"]["counters"][
-            "pixel.fwd.num_sort_keys"] = 999
-        doc = {"format": "bench-history", "schema_version": SCHEMA_VERSION,
-               "max_entries": 20, "entries": [old, new]}
-        path = tmp_path / "history.json"
-        path.write_text(json.dumps(doc))
-        loaded = load_trajectory(str(path))
-        assert loaded["scenarios"]["tracking"]["counters"][
-            "pixel.fwd.num_sort_keys"] == 999
-
-    def test_empty_history_is_an_error(self, tmp_path):
-        from repro.obs.regress import load_trajectory
-
-        path = tmp_path / "history.json"
-        path.write_text(json.dumps({"format": "bench-history",
-                                    "entries": []}))
-        with pytest.raises(ValueError, match="no entries"):
-            load_trajectory(str(path))
-
-    def test_compare_files_accepts_history_current(self, tmp_path):
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps(make_payload()))
-        hist = tmp_path / "hist.json"
-        hist.write_text(json.dumps({"format": "bench-history",
-                                    "entries": [make_payload()]}))
-        assert compare_files(str(hist), str(base)).passed
-
-
 class TestCompareFiles:
     def test_round_trip_via_files(self, tmp_path):
         a = tmp_path / "a.json"
@@ -301,6 +289,19 @@ class TestCompareFiles:
         (err,) = report.errors
         assert "baseline file not found" in err
         assert "repro bench run" in err  # actionable hint
+
+    def test_scenario_subset_ignores_other_scenarios(self, tmp_path):
+        base_doc = make_payload()
+        base_doc["scenarios"]["mapping"] = {"counters": {"x": 1},
+                                            "model": {}}
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(base_doc))
+        cur = tmp_path / "cur.json"
+        cur.write_text(json.dumps(make_payload()))
+        assert not compare_files(str(cur), str(base)).passed
+        report = compare_files(str(cur), str(base), scenarios=["tracking"])
+        assert report.passed
+        assert {f.scenario for f in report.findings} == {"tracking"}
 
     def test_missing_current_is_an_error(self, tmp_path):
         base = tmp_path / "base.json"
@@ -344,4 +345,4 @@ class TestReporting:
                                              sort_keys=True) + "\n"
 
     def test_default_sections_order(self):
-        assert DEFAULT_SECTIONS == ("counters", "model", "wall", "overhead")
+        assert DEFAULT_SECTIONS == ("counters", "model", "overhead")
