@@ -231,13 +231,10 @@ def fig10_strategies(tile_sizes: Sequence[int] = (4, 8, 16, 32),
                     loss_map = np.abs(res0.color - frame.color).sum(axis=-1)
                     pixels = splat.sample_tracking(
                         Camera(intr, init), loss_map=loss_map)
-                    # Tracker resamples internally; inject via strategy not
-                    # supported, so run the iterations manually.
-                    result = _track_with_pixels(
-                        tracker, cloud, init, frame, pixels)
                 else:
-                    result = tracker.track_frame(
-                        cloud, init, frame.color, frame.depth)
+                    pixels = None
+                result = tracker.track_frame(
+                    cloud, init, frame.color, frame.depth, pixels=pixels)
                 err = np.linalg.norm(se3_log(
                     se3_inverse(frame.gt_pose_c2w) @ result.pose_c2w))
                 errors.append(err)
@@ -247,41 +244,6 @@ def fig10_strategies(tile_sizes: Sequence[int] = (4, 8, 16, 32),
                 "pose_error_cm": float(np.mean(errors)) * 100.0,
             })
     return rows
-
-
-def _track_with_pixels(tracker: Tracker, cloud, init_pose, frame, pixels):
-    """Run the tracker's optimization loop with an externally fixed pixel set."""
-    from ..slam.losses import rgbd_loss
-    from ..slam.optim import Adam
-
-    algo = tracker.algo
-    pose = np.asarray(init_pose, float).copy()
-    lr = np.concatenate([np.full(3, algo.lr_translation),
-                         np.full(3, algo.lr_rotation)])
-    adam = Adam(6, lr)
-    ref_c = frame.color[pixels[:, 1], pixels[:, 0]]
-    ref_d = frame.depth[pixels[:, 1], pixels[:, 0]]
-    best, stall = np.inf, 0
-    for _ in range(algo.tracking_iters):
-        camera = Camera(tracker.intrinsics, pose)
-        result = tracker.splatonic.render_sparse(cloud, camera, pixels, _BG)
-        out = rgbd_loss(result.color, result.depth, result.silhouette,
-                        ref_c, ref_d, algo.tracking_loss, tracking=True)
-        if out.num_valid == 0:
-            break
-        grads = tracker.splatonic.backward_sparse(
-            result, cloud, camera, out.d_color, out.d_depth, out.d_silhouette)
-        pose = pose @ se3_exp(adam.step(grads.d_pose_twist))
-        if out.loss < best * (1.0 - algo.track_converge_rel):
-            best, stall = out.loss, 0
-        else:
-            stall += 1
-            if stall >= algo.track_converge_patience:
-                break
-
-    class _R:
-        pose_c2w = pose
-    return _R()
 
 
 def fig11_raster_speedup(bundle: Optional[ProxyBundle] = None) -> List[Dict]:

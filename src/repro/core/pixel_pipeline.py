@@ -282,6 +282,7 @@ def backward_sparse(
     d_color: np.ndarray,
     d_depth: np.ndarray,
     d_silhouette: np.ndarray,
+    pose_only: bool = False,
 ) -> RenderGradients:
     """Backward pass of the pixel pipeline.
 
@@ -290,6 +291,9 @@ def backward_sparse(
     pass are reused — no α-rechecking, matching the accelerator's Γ/C
     double buffer (Sec. V-B).  The kernel backend that produced ``result``
     also runs its backward (the cache layouts differ per backend).
+    ``pose_only=True`` (tracking) computes only ``d_pose_twist`` and
+    leaves the map gradients None; ``d_pose_twist`` and every counter
+    are the full pass's.
     """
     proj = result.proj
     K = result.pixels.shape[0]
@@ -313,9 +317,11 @@ def backward_sparse(
     with trace.span("render.pixel_bwd", pipeline="pixel", pixels=K,
                     backend=result.backend):
         kernel.backward(result, proj, d_color, d_depth, d_silhouette,
-                        pg, stats, contribs_out=contribs_out)
+                        pg, stats, contribs_out=contribs_out,
+                        pose_only=pose_only)
         with trace.span("render.reproject", pipeline="pixel"):
-            grads = reproject_gradients(proj, cloud, camera, pg)
+            grads = reproject_gradients(proj, cloud, camera, pg,
+                                        pose_only=pose_only)
     if contribs_out is not None:
         _atlas_mod.current.observe_sparse_backward(result.pixels, contribs_out)
     grads.stats = stats

@@ -175,10 +175,13 @@ class Splatonic:
     def backward_sparse(self, result: SparseRenderResult,
                         cloud: GaussianCloud, camera: Camera,
                         d_color: np.ndarray, d_depth: np.ndarray,
-                        d_silhouette: np.ndarray):
-        """Pixel-based backward pass (reuses the forward caches)."""
+                        d_silhouette: np.ndarray,
+                        pose_only: bool = False):
+        """Pixel-based backward pass (reuses the forward caches);
+        ``pose_only=True`` computes only the camera-twist gradient."""
         return backward_sparse(result, cloud, camera,
-                               d_color, d_depth, d_silhouette)
+                               d_color, d_depth, d_silhouette,
+                               pose_only=pose_only)
 
     def render_full(self, cloud: GaussianCloud, camera: Camera,
                     background: Optional[np.ndarray] = None,

@@ -15,6 +15,7 @@ gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -107,12 +108,15 @@ class ProjectedGradients:
 
 @dataclass
 class RenderGradients:
-    """World-space gradients for the cloud and the camera pose."""
+    """World-space gradients for the cloud and the camera pose.
 
-    d_means: np.ndarray             # (N, 3)
-    d_log_scales: np.ndarray        # (N,)
-    d_logit_opacities: np.ndarray   # (N,)
-    d_colors: np.ndarray            # (N, 3)
+    A pose-only reverse pass (tracking) leaves the four map fields None.
+    """
+
+    d_means: Optional[np.ndarray]             # (N, 3)
+    d_log_scales: Optional[np.ndarray]        # (N,)
+    d_logit_opacities: Optional[np.ndarray]   # (N,)
+    d_colors: Optional[np.ndarray]            # (N, 3)
     d_pose_twist: np.ndarray        # (6,) right-multiplied twist gradient
     stats: PipelineStats = field(default_factory=PipelineStats)
 
@@ -131,15 +135,21 @@ def reproject_gradients(
     cloud: GaussianCloud,
     camera: Camera,
     pg: ProjectedGradients,
+    pose_only: bool = False,
 ) -> RenderGradients:
     """Re-projection stage: 2D splat gradients -> world-space gradients.
 
     Uses the projection Jacobians of ``u = fx x/z + cx``, ``v = fy y/z + cy``
     and ``sigma = f s / z`` plus the direct depth-channel gradient on ``z``.
+    ``pose_only=True`` (tracking, map fixed) computes only the camera-twist
+    gradient and leaves the map fields None; it reads only ``pg``'s
+    mean, sigma and depth gradients.
     """
     intr = camera.intrinsics
     n = len(cloud)
     if len(proj) == 0:
+        if pose_only:
+            return RenderGradients(None, None, None, None, np.zeros(6))
         return RenderGradients(
             d_means=np.zeros((n, 3)),
             d_log_scales=np.zeros(n),
@@ -163,6 +173,11 @@ def reproject_gradients(
         + pg.d_depth
     )
     d_p_cam = np.stack([d_x, d_y, d_z], axis=-1)
+    # Camera twist gradient (right-multiplicative update T <- T exp(xi)).
+    J = point_jacobian_wrt_twist(proj.p_cam)       # (M, 3, 6)
+    d_pose_twist = np.einsum("mij,mi->j", J, d_p_cam)
+    if pose_only:
+        return RenderGradients(None, None, None, None, d_pose_twist)
 
     # World-space mean gradients: d mu = R_w2c^T d p_cam.
     R_w2c = camera.pose_w2c[:3, :3]
@@ -182,14 +197,12 @@ def reproject_gradients(
     d_color_proj = np.where(gate, pg.d_color, 0.0)
 
     src = proj.source_index
-    # Camera twist gradient (right-multiplicative update T <- T exp(xi)).
-    J = point_jacobian_wrt_twist(proj.p_cam)       # (M, 3, 6)
     return RenderGradients(
         d_means=scatter_add(src, d_means_proj, n),
         d_log_scales=scatter_add(src, d_log_scales_proj, n),
         d_logit_opacities=scatter_add(src, d_logit_proj, n),
         d_colors=scatter_add(src, d_color_proj, n),
-        d_pose_twist=np.einsum("mij,mi->j", J, d_p_cam),
+        d_pose_twist=d_pose_twist,
     )
 
 
@@ -200,13 +213,15 @@ def backward_full(
     d_color: np.ndarray,
     d_depth: np.ndarray,
     d_silhouette: np.ndarray,
+    pose_only: bool = False,
 ) -> RenderGradients:
     """Run the complete tile-pipeline backward pass.
 
     ``d_color`` is ``(H, W, 3)``; ``d_depth`` and ``d_silhouette`` are
     ``(H, W)`` (pass zeros for unused channels).  The forward pass must
     have been run with ``keep_cache=True``; otherwise every gradient is
-    zero.
+    zero.  ``pose_only=True`` (tracking) re-projects only the camera-twist
+    gradient; see :func:`reproject_gradients`.
 
     Pair gradients come from the engine's
     :func:`~repro.render.kernels.vectorized.pair_gradients`, one pixel
@@ -242,7 +257,8 @@ def backward_full(
         else:
             pg = ProjectedGradients.zeros(len(proj))
         with trace.span("render.reproject"):
-            grads = reproject_gradients(proj, cloud, camera, pg)
+            grads = reproject_gradients(proj, cloud, camera, pg,
+                                        pose_only=pose_only)
     grads.stats = stats
     return grads
 

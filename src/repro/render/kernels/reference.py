@@ -79,11 +79,12 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
 
 
 def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
-             contribs_out=None):
+             contribs_out=None, pose_only=False):
     """Per-pixel backward loop over the cached forward composites.
 
     ``contribs_out`` (when given) receives the per-pixel touched-pair
-    counts — the atlas's backward aggregation channel.
+    counts — the atlas's backward aggregation channel.  ``pose_only`` is
+    accepted and ignored: the oracle always computes every gradient.
     """
     record = stats.record_per_pixel
     pixel_lists = result.pixel_lists

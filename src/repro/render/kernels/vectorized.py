@@ -70,7 +70,7 @@ class FlatCompositeCache:
     centres: np.ndarray       # (K, 2) continuous pixel centres
     lengths: np.ndarray       # (K,) per-pixel list lengths
     gss: np.ndarray           # (M,) flat sorted projected-Gaussian indices
-    gpad: np.ndarray          # (K, Lmax) padded Gaussian indices (0-filled)
+    gpad: np.ndarray          # (K, Lmax) padded Gaussian indices (M-filled)
     valid: np.ndarray         # (K, Lmax) bool — real entry vs padding
     alpha: np.ndarray         # (K, Lmax) α, zeroed where not contributing
     gamma: np.ndarray         # (K, Lmax) exclusive transmittance prefix
@@ -84,6 +84,16 @@ def _columns(a: np.ndarray) -> np.ndarray:
     """The columns of an ``(M, k)`` array as contiguous ``(M,)`` rows, for
     per-channel gathers."""
     return np.ascontiguousarray(a.T)
+
+
+def _padded_columns(proj) -> np.ndarray:
+    """The colour and depth channels as ``(4, M + 1)`` contiguous rows,
+    each followed by a 0.0 that the padding index ``M`` gathers."""
+    m = len(proj)
+    cols = np.zeros((4, m + 1))
+    cols[:3, :m] = proj.color.T
+    cols[3, :m] = proj.depth
+    return cols
 
 
 def evaluate_alpha(proj, gss, centres, exp_fn=np.exp):
@@ -135,7 +145,10 @@ def composite(proj, gss, lengths, centres, background, alpha, clipped,
     valid = np.arange(Lmax)[None, :] < lengths[:, None]
     at = np.minimum(offsets[:-1, None] + np.arange(Lmax)[None, :],
                     gss.size - 1)
-    gpad = np.where(valid, gss[at], 0)
+    # Padding points one past the last projected Gaussian, at the 0.0
+    # that _padded_columns appends, so a zero weight never meets a real
+    # splat's (possibly non-finite) value.
+    gpad = np.where(valid, gss[at], len(proj))
     alpha = np.where(valid, alpha[at], 0.0)
     clipped = valid & clipped[at]
     passes = (alpha >= alpha_threshold) & valid
@@ -148,12 +161,13 @@ def composite(proj, gss, lengths, centres, background, alpha, clipped,
     weight = np.where(contrib, gamma * alpha, 0.0)
 
     # Channel sums as sequential prefix sums (zero padding is exact), one
-    # (K, Lmax) cumsum per channel, each gathered from a contiguous (M,)
-    # column: the same values as slicing a (K, Lmax, 3) row gather,
+    # (K, Lmax) cumsum per channel, each gathered from a contiguous
+    # (M + 1,) column: the same values as slicing a (K, Lmax, 3) row gather,
     # without its strided copies.
+    *color_cols, depth_col = _padded_columns(proj)
     out_color = np.stack([np.cumsum(weight * col[gpad], axis=1)[:, -1]
-                          for col in _columns(proj.color)], axis=-1)
-    out_depth = np.cumsum(weight * proj.depth[gpad], axis=1)[:, -1]
+                          for col in color_cols], axis=-1)
+    out_depth = np.cumsum(weight * depth_col[gpad], axis=1)[:, -1]
     out_sil = np.cumsum(weight, axis=1)[:, -1]
     gamma_final = 1.0 - out_sil
     out_color = out_color + gamma_final[:, None] * background[None, :]
@@ -248,7 +262,7 @@ class AlphaGradients:
     d_alpha: np.ndarray       # (P,) dL/dα, zero unless contributing unclipped
     opacity: np.ndarray       # (P,) the pair's Gaussian opacity
     g: np.ndarray             # (P,) falloff α/o, zero unless contributing
-    d_color: tuple            # (d_r, d_g, d_b), each (P,)
+    d_color: tuple            # (d_r, d_g, d_b), each (P,); None if pose-only
     d_depth: np.ndarray       # (P,)
     touched: np.ndarray       # (K,) per-pixel contributing-pair counts
     contrib_flat: np.ndarray  # (P,) bool — pair actually contributed
@@ -260,7 +274,7 @@ class PairGradients(AlphaGradients):
 
     d_mean2d: tuple           # (d_u, d_v), each (P,)
     d_sigma2d: np.ndarray     # (P,)
-    d_opacity: np.ndarray     # (P,)
+    d_opacity: np.ndarray     # (P,); None if pose-only
 
 
 def _exclusive_suffix(w: np.ndarray) -> np.ndarray:
@@ -270,7 +284,8 @@ def _exclusive_suffix(w: np.ndarray) -> np.ndarray:
     return np.flip(np.cumsum(np.flip(w, axis=1), axis=1), axis=1) - w
 
 
-def alpha_gradients(fc, proj, d_color, d_depth, d_silhouette):
+def alpha_gradients(fc, proj, d_color, d_depth, d_silhouette,
+                    pose_only=False):
     """The reverse pass up to dL/dα; no falloff, no aggregation.
 
     Every arithmetic expression mirrors :func:`composite_backward` term
@@ -280,6 +295,8 @@ def alpha_gradients(fc, proj, d_color, d_depth, d_silhouette):
     layout — with each pair's pixel-level operands gathered by its row.
     All math is per pixel row, so the dense engine can run it one pixel
     block at a time and get the same bits as one global pass.
+    ``pose_only=True`` skips the colour partials, which reach no
+    geometric gradient (``d_color`` is then None).
     """
     flat = np.flatnonzero(fc.valid)
     gss = fc.gss
@@ -302,14 +319,15 @@ def alpha_gradients(fc, proj, d_color, d_depth, d_silhouette):
     # (the background folded into the color suffixes), contracted with
     # the output gradients in channel order.
     background_term = fc.gamma_final[rows]
+    *color_cols, depth_col = _padded_columns(proj)
     d_alpha = None
-    for c, color in enumerate(_columns(proj.color)):
+    for c, color in enumerate(color_cols):
         suffix_c = (_exclusive_suffix(weight_pad * color[fc.gpad]).take(flat)
                     + background_term * fc.background[c])
         term = d_color_cols[c] * (gamma * color[gss]
                                   - suffix_c * inv_one_minus)
         d_alpha = term if d_alpha is None else d_alpha + term
-    suffix_d = _exclusive_suffix(weight_pad * proj.depth[fc.gpad]).take(flat)
+    suffix_d = _exclusive_suffix(weight_pad * depth_col[fc.gpad]).take(flat)
     suffix_s = _exclusive_suffix(weight_pad).take(flat)
     d_alpha = d_alpha + d_depth_rows * (gamma * depth - suffix_d * inv_one_minus)
     d_alpha = d_alpha + d_silhouette[rows] * (gamma - suffix_s * inv_one_minus)
@@ -322,26 +340,29 @@ def alpha_gradients(fc, proj, d_color, d_depth, d_silhouette):
         d_alpha=d_alpha,
         opacity=opac,
         g=np.where(contrib, alpha / np.maximum(opac, 1e-12), 0.0),
-        d_color=tuple(weight * dc for dc in d_color_cols),
+        d_color=(None if pose_only
+                 else tuple(weight * dc for dc in d_color_cols)),
         d_depth=weight * d_depth_rows,
         touched=fc.contrib.sum(axis=1),
         contrib_flat=contrib,
     )
 
 
-def pair_gradients(fc, proj, d_color, d_depth, d_silhouette):
+def pair_gradients(fc, proj, d_color, d_depth, d_silhouette,
+                   pose_only=False):
     """Compute every per-pair gradient partial; no aggregation.
 
     :func:`alpha_gradients` followed by the isotropic falloff reverse:
     α = o·g with g = exp(−d²/2σ²), with per-Gaussian factors computed
-    once per Gaussian.
+    once per Gaussian.  ``pose_only=True`` keeps only the partials the
+    camera pose depends on (``d_color`` and ``d_opacity`` are None).
     """
-    a = alpha_gradients(fc, proj, d_color, d_depth, d_silhouette)
+    a = alpha_gradients(fc, proj, d_color, d_depth, d_silhouette, pose_only)
     gss, g = a.idx, a.g
     sig = proj.sigma2d
     inv_var = 1.0 / (sig * sig)
     d_g = a.d_alpha * a.opacity
-    d_opacity = a.d_alpha * g
+    d_opacity = None if pose_only else a.d_alpha * g
     d_gg = d_g * g
 
     cu, cv = _columns(fc.centres)
@@ -359,7 +380,7 @@ def pair_gradients(fc, proj, d_color, d_depth, d_silhouette):
 
 
 def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
-             contribs_out=None):
+             contribs_out=None, pose_only=False):
     """Batched backward pass over the padded forward cache.
 
     Pair partials from :func:`pair_gradients`, aggregated by one
@@ -367,7 +388,9 @@ def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
     array and added onto ``pg`` (zeros, so the add is exact) — all
     per-Gaussian accumulations are bit-identical to the reference loop's.
     ``contribs_out`` (when given) receives the per-pixel touched-pair
-    counts for the sparsity atlas.
+    counts for the sparsity atlas.  ``pose_only=True`` (tracking) skips
+    the opacity and colour partials and leaves ``pg``'s opacity and
+    colour accumulators untouched; every counter is unchanged.
     """
     fc = result.flat_cache
     if fc is None:
@@ -375,12 +398,14 @@ def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
     # Imported here: repro.render.backward imports this module.
     from ..backward import scatter_add
 
-    grads = pair_gradients(fc, proj, d_color, d_depth, d_silhouette)
+    grads = pair_gradients(fc, proj, d_color, d_depth, d_silhouette,
+                           pose_only)
     m = len(proj)
     pg.d_mean2d += scatter_add(grads.idx, grads.d_mean2d, m)
     pg.d_sigma2d += scatter_add(grads.idx, grads.d_sigma2d, m)
-    pg.d_opacity += scatter_add(grads.idx, grads.d_opacity, m)
-    pg.d_color += scatter_add(grads.idx, grads.d_color, m)
+    if not pose_only:
+        pg.d_opacity += scatter_add(grads.idx, grads.d_opacity, m)
+        pg.d_color += scatter_add(grads.idx, grads.d_color, m)
     pg.d_depth += scatter_add(grads.idx, grads.d_depth, m)
 
     touched = grads.touched

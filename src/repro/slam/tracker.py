@@ -79,12 +79,16 @@ class Tracker:
         ref_depth: np.ndarray,
         max_iters: Optional[int] = None,
         collect_curve: bool = False,
+        pixels: Optional[np.ndarray] = None,
     ) -> TrackingResult:
         """Optimize the frame's pose starting from ``init_pose_c2w``.
 
         ``collect_curve=True`` additionally records the per-iteration
         loss values (for the flight recorder); the default keeps the
-        hot loop allocation-free.
+        hot loop allocation-free.  ``pixels`` (sparse mode only) is a
+        ``(K, 2)`` pixel set that replaces the tracker's own sampling.
+        The reverse pass is pose-only: the map is fixed, so only
+        ``d_pose_twist`` is computed.
         """
         iters = max_iters if max_iters is not None else self.algo.tracking_iters
         # Attribute this frame's render observations to the tracking stage
@@ -100,9 +104,12 @@ class Tracker:
         record = self.splatonic.config.record_per_pixel
         fwd_stats = PipelineStats(pipeline=self.mode, record_per_pixel=record)
         bwd_stats = PipelineStats(pipeline=self.mode, record_per_pixel=record)
+        if pixels is not None and self.mode != "sparse":
+            raise ValueError("pixels= needs sparse tracking")
         if self.mode == "sparse":
-            pixels = self.splatonic.sample_tracking(
-                Camera(self.intrinsics, pose), image=ref_color)
+            if pixels is None:
+                pixels = self.splatonic.sample_tracking(
+                    Camera(self.intrinsics, pose), image=ref_color)
             ref_c = ref_color[pixels[:, 1], pixels[:, 0]]
             ref_d = ref_depth[pixels[:, 1], pixels[:, 0]]
             num_sampled = int(len(pixels))
@@ -132,7 +139,8 @@ class Tracker:
                 with trace.span("tracking_bwd", iteration=it):
                     grads = self.splatonic.backward_sparse(
                         result, cloud, camera,
-                        out.d_color, out.d_depth, out.d_silhouette)
+                        out.d_color, out.d_depth, out.d_silhouette,
+                        pose_only=True)
             else:
                 with trace.span("tracking_fwd", iteration=it):
                     result = self.splatonic.render_full(
@@ -148,7 +156,8 @@ class Tracker:
                         result, cloud, camera,
                         out.d_color.reshape(h, w, 3),
                         out.d_depth.reshape(h, w),
-                        out.d_silhouette.reshape(h, w))
+                        out.d_silhouette.reshape(h, w),
+                        pose_only=True)
             fwd_stats.merge(result.stats)
             bwd_stats.merge(grads.stats)
             loss_value = out.loss

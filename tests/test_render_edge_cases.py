@@ -129,6 +129,65 @@ class TestDegenerateScenes:
         assert np.all(np.isfinite(res.color))
 
 
+class TestPaddingIsInert:
+    """Composite rows are padded to the longest pair list.  A padded cell
+    must read zeros, not some splat's values: one non-finite splat may
+    only reach the pixels whose pair list holds it."""
+
+    W, H = 16, 12
+
+    def scene(self, color0):
+        rng = np.random.default_rng(3)
+        n = 40
+        means = np.stack([rng.uniform(-1.5, 1.5, n), rng.uniform(-1.0, 1.0, n),
+                          rng.uniform(2.0, 5.0, n)], axis=-1)
+        means[0] = [0.3, -0.2, 1.5]
+        colors = rng.uniform(0, 1, (n, 3))
+        colors[0] = color0
+        scales = rng.uniform(0.05, 0.3, n)
+        scales[0] = 0.05
+        cloud = GaussianCloud.create(means=means, scales=scales,
+                                     opacities=rng.uniform(0.2, 0.9, n),
+                                     colors=colors)
+        return cloud, Camera(Intrinsics.from_fov(self.W, self.H, 70.0))
+
+    @staticmethod
+    def holds_splat_0(pixels, caches, shape):
+        """(H, W) mask: the pixel's composited pair list holds projected
+        Gaussian 0."""
+        mask = np.zeros(shape, dtype=bool)
+        for px, fc in zip(pixels, caches):
+            rows = (fc.valid & (fc.gpad == 0)).any(axis=1)
+            mask[px[rows, 1], px[rows, 0]] = True
+        return mask
+
+    @pytest.mark.parametrize("pipeline", ["tile", "pixel"])
+    def test_nan_splat_stays_in_its_pixels(self, pipeline):
+        u, v = np.meshgrid(np.arange(self.W), np.arange(self.H))
+        pixels = np.stack([u.ravel(), v.ravel()], axis=-1)
+        out = {}
+        for name, color0 in (("clean", [0.3, 0.6, 0.9]),
+                             ("poisoned", [np.nan, 0.6, 0.9])):
+            cloud, cam = self.scene(color0)
+            if pipeline == "tile":
+                res = render_full(cloud, cam, BG)
+                caches = [(res.pixels[b.lo:b.hi], b.cache)
+                          for b in res.blocks]
+                color = res.color
+            else:
+                res = render_sparse(cloud, cam, pixels, BG)
+                caches = [(pixels, res.flat_cache)]
+                color = res.color.reshape(self.H, self.W, 3)
+            assert res.proj.source_index[0] == 0
+            out[name] = color, caches
+        (clean, _), (poisoned, caches) = out["clean"], out["poisoned"]
+        holds = self.holds_splat_0(*zip(*caches), (self.H, self.W))
+        assert 0 < holds.sum() < holds.size
+        assert np.isnan(poisoned[holds]).any()
+        assert np.array_equal(poisoned[~holds], clean[~holds])
+        assert np.all(np.isfinite(poisoned[~holds]))
+
+
 class TestEmptyPixelSets:
     """An empty pixel list (``[]`` has shape ``(0,)``, not ``(0, 2)``)
     renders nothing and back-propagates all-zero gradients."""

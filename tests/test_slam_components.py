@@ -99,6 +99,37 @@ class TestTracker:
         assert res.backward_stats.num_atomic_adds >= 0
         assert res.iterations >= 1
 
+    def test_fixed_pixels_replace_sampling(self, scene):
+        """``pixels=`` runs the same loop on a caller-chosen pixel set:
+        passing the set the tracker would draw changes nothing."""
+        frame = scene[1]
+        init = frame.gt_pose_c2w @ se3_exp(np.full(6, 0.01))
+
+        def tracker():
+            return Tracker(SPLATAM, scene.intrinsics,
+                           Splatonic(rng=np.random.default_rng(3)),
+                           "sparse", BG)
+
+        sampled = tracker().track_frame(scene.gt_cloud, init, frame.color,
+                                        frame.depth, max_iters=5)
+        fixed = tracker()
+        pixels = fixed.splatonic.sample_tracking(
+            Camera(scene.intrinsics, init), image=frame.color)
+        given = fixed.track_frame(scene.gt_cloud, init, frame.color,
+                                  frame.depth, max_iters=5, pixels=pixels)
+        assert np.array_equal(given.pose_c2w, sampled.pose_c2w)
+        assert given.final_loss == sampled.final_loss
+        assert (given.backward_stats.as_dict()
+                == sampled.backward_stats.as_dict())
+
+    def test_fixed_pixels_need_sparse_mode(self, scene):
+        frame = scene[1]
+        tracker = Tracker(SPLATAM, scene.intrinsics, Splatonic(), "dense", BG)
+        with pytest.raises(ValueError, match="sparse"):
+            tracker.track_frame(scene.gt_cloud, frame.gt_pose_c2w,
+                                frame.color, frame.depth,
+                                pixels=np.array([[1, 1]]))
+
     def test_invalid_mode(self, scene):
         with pytest.raises(ValueError):
             Tracker(SPLATAM, scene.intrinsics, Splatonic(), "hybrid")

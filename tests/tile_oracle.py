@@ -162,8 +162,10 @@ def render_full_oracle(cloud, camera, background=None, tile_size=16,
 
 
 def backward_full_oracle(result, cloud, camera, d_color, d_depth,
-                         d_silhouette):
-    """:func:`repro.render.backward_full`, one tile at a time."""
+                         d_silhouette, pose_only=False):
+    """:func:`repro.render.backward_full`, one tile at a time.
+    ``pose_only`` is accepted and ignored: the oracle computes every
+    gradient."""
     proj = result.proj
     pg = ProjectedGradients.zeros(len(proj))
     stats = PipelineStats(
