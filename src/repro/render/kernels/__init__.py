@@ -6,9 +6,12 @@ production kernel, with a per-pixel oracle kept beside it for tests:
 - ``"vectorized"`` — the production kernel (:data:`DEFAULT_BACKEND`):
   batched segmented stages over a flattened CSR-style (pixel, Gaussian)
   pair list.  One global ``np.lexsort`` replaces the per-pixel depth
-  sorts, a ragged-to-padded ``cumprod`` computes every pixel's
-  transmittance prefix at once, and the backward pass produces all pair
-  gradients in one shot before one order-preserving ``np.bincount``
+  sorts; the ragged lists are padded slot-major to ``(Lmax, K)``, so
+  every pixel steps through each list position together and one product
+  scan down the slot axis computes every pixel's transmittance prefix at
+  once; the backward pass produces all pair gradients in one shot
+  (its suffix sums scanned down the same axis) before one
+  order-preserving ``np.bincount``
   scatter per gradient column (:func:`repro.render.backward.scatter_add`,
   the scoreboard/merge-unit analogue).
 - ``"reference"`` — the original per-pixel Python loop: one

@@ -5,23 +5,30 @@ Gaussian) pair list:
 
 - one global ``np.lexsort`` on ``(pixel, depth, index)`` replaces the K
   per-pixel depth sorts (the tie-break matches ``sort_by_depth``);
-- the ragged per-pixel segments are padded to ``(K, Lmax)`` and the
-  transmittance prefix Γ comes from a single row-wise ``cumprod``, with
-  early-termination/`t_min`/α-threshold handling as boolean masks;
-- channel sums run as row-wise ``cumsum`` prefixes — the same strictly
-  sequential reduction order :func:`composite_forward` uses, which is what
-  makes zero-padding *exact*: appending zeros to a sequential sum (or ones
-  to a product) never changes the earlier prefix values;
+- the ragged per-pixel segments are padded slot-major to ``(Lmax, K)``:
+  row ``s`` holds list position ``s`` of every pixel, so all K pixels
+  step through each list position together (one lane per pixel, as the
+  render and reverse-render units of Sec. V do);
+- every scan runs down that slot axis through :func:`slot_scan`: the
+  transmittance prefix Γ is one product scan, each channel total a
+  running sum, with early-termination/`t_min`/α-threshold handling as
+  boolean masks.  The scans are the strictly sequential reductions
+  :func:`composite_forward` uses, which is what makes zero-padding
+  *exact*: appending zeros to a sequential sum (or ones to a product)
+  never changes the earlier prefix values;
 - the backward pass computes every pair gradient in one shot from the
   padded cache and aggregates per Gaussian with one
   :func:`~repro.render.backward.scatter_add` (a per-column
   ``np.bincount``) whose (index, value) sequence — pixel-major,
   depth-sorted — is exactly the sequence the reference loop's per-pixel
   ``np.add.at`` scatters produce, added in the same order from zero.
+  The flat pair sequence stays pixel-major: the pair at list position
+  ``s`` of pixel row ``r`` sits at flat position ``s*K + r`` of the
+  padded arrays.
 
 Together this makes the backend bit-identical to the reference loop while
-doing O(K) Python work instead of O(K) Python *loop iterations* of ~25
-numpy calls each.
+doing at most O(Lmax) Python-level numpy calls per block instead of O(K)
+Python *loop iterations* of ~25 numpy calls each.
 
 The stages — :func:`evaluate_alpha` (whose falloff half,
 :func:`falloff_alpha`, the dense pipeline calls on the squared distances
@@ -46,10 +53,12 @@ from ..compositing import ALPHA_MAX
 
 __all__ = [
     "FlatCompositeCache",
+    "WALK_MIN_PIXELS",
     "PairGradients",
     "AlphaGradients",
     "evaluate_alpha",
     "falloff_alpha",
+    "slot_scan",
     "composite",
     "forward",
     "backward",
@@ -63,19 +72,20 @@ class FlatCompositeCache:
     """Backward-pass state of the batched forward pass (padded layout).
 
     Shapes: K pixels, Lmax = longest per-pixel candidate list, M = total
-    surviving pairs.  Rows are the sampled pixels; columns are depth-sorted
-    list positions; ``valid`` masks the padding.
+    surviving pairs.  The padded arrays are slot-major: rows are
+    depth-sorted list positions, columns the sampled pixels; ``valid``
+    masks the padding.
     """
 
     centres: np.ndarray       # (K, 2) continuous pixel centres
     lengths: np.ndarray       # (K,) per-pixel list lengths
     gss: np.ndarray           # (M,) flat sorted projected-Gaussian indices
-    gpad: np.ndarray          # (K, Lmax) padded Gaussian indices (M-filled)
-    valid: np.ndarray         # (K, Lmax) bool — real entry vs padding
-    alpha: np.ndarray         # (K, Lmax) α, zeroed where not contributing
-    gamma: np.ndarray         # (K, Lmax) exclusive transmittance prefix
-    contrib: np.ndarray       # (K, Lmax) bool
-    clipped: np.ndarray       # (K, Lmax) bool — α hit ALPHA_MAX
+    gpad: np.ndarray          # (Lmax, K) padded Gaussian indices (M-filled)
+    valid: np.ndarray         # (Lmax, K) bool — real entry vs padding
+    alpha: np.ndarray         # (Lmax, K) α, zeroed where not contributing
+    gamma: np.ndarray         # (Lmax, K) exclusive transmittance prefix
+    contrib: np.ndarray       # (Lmax, K) bool
+    clipped: np.ndarray       # (Lmax, K) bool — α hit ALPHA_MAX
     gamma_final: np.ndarray   # (K,)
     background: np.ndarray    # (3,)
 
@@ -94,6 +104,51 @@ def _padded_columns(proj) -> np.ndarray:
     cols[:3, :m] = proj.color.T
     cols[3, :m] = proj.depth
     return cols
+
+
+#: Pixel count K from which :func:`slot_scan` walks the slot axis (one
+#: K-lane ufunc call per list position) instead of calling the ufunc's
+#: ``accumulate`` on axis 0, which numpy does not vectorize across the K
+#: lanes.  Measured on a 2-vCPU x86 host with numpy 2.4, one
+#: ``(L = 64, K)`` scan takes 11 / 38 / 55 / 93 / 265 µs by accumulate and
+#: 44 / 45 / 49 / 47 / 72 µs by the walk at K = 48 / 192 / 256 / 384 /
+#: 1024 (EXPERIMENTS.md, "Slot-major composite and reverse pass").  Both
+#: branches perform the same IEEE operations in the same order, so no
+#: result depends on it.
+WALK_MIN_PIXELS = 256
+
+
+def slot_scan(ufunc, x, reverse=False, total=False):
+    """Sequential inclusive scan of ``ufunc`` down the slot axis of an
+    ``(L, K)`` array, ``L >= 1``: ``out[0] = x[0]`` and
+    ``out[s] = ufunc(out[s - 1], x[s])`` — the operand order of
+    ``ufunc.accumulate``.  ``reverse=True`` scans from the last slot up
+    (the flip/accumulate/flip suffix scan); ``total=True`` returns only
+    the final ``(K,)`` row, kept as a running value rather than a prefix
+    array.
+
+    Blocks of at least :data:`WALK_MIN_PIXELS` pixels walk the slots with
+    elementwise ``ufunc(..., out=)`` calls; smaller ones call
+    ``ufunc.accumulate``.  (A total is never ``ufunc.reduce``, which sums
+    pairwise when the reduced axis is the innermost one.)
+    """
+    if reverse:
+        x = x[::-1]
+    if x.shape[1] < WALK_MIN_PIXELS:
+        out = ufunc.accumulate(x, axis=0)
+        if total:
+            return out[-1]
+    elif total:
+        out = x[0].copy()
+        for row in x[1:]:
+            ufunc(out, row, out=out)
+        return out
+    else:
+        out = np.empty(x.shape, dtype=x.dtype)
+        out[0] = x[0]
+        for s in range(1, len(x)):
+            ufunc(out[s - 1], x[s], out=out[s])
+    return out[::-1] if reverse else out
 
 
 def evaluate_alpha(proj, gss, centres, exp_fn=np.exp):
@@ -127,11 +182,12 @@ def composite(proj, gss, lengths, centres, background, alpha, clipped,
 
     ``gss`` / ``alpha`` / ``clipped`` are flat per-pair arrays, pixel-major
     and front-to-back within a pixel; ``lengths`` are the K per-pixel pair
-    counts.  The ragged segments are padded to ``(K, Lmax)``: Γ is one
-    row-wise ``cumprod`` and every channel a row-wise ``cumsum`` — the
-    strictly sequential reductions of :func:`composite_forward`, which is
-    what makes the padding (and any pair that fails α, whose factor is an
-    exact 1.0 and whose weight an exact 0.0) bit-transparent.
+    counts.  The ragged segments are padded slot-major to ``(Lmax, K)``:
+    Γ is one product scan and every channel a running sum down the slot
+    axis (:func:`slot_scan`) — the strictly sequential reductions of
+    :func:`composite_forward`, which is what makes the padding (and any
+    pair that fails α, whose factor is an exact 1.0 and whose weight an
+    exact 0.0) bit-transparent.
 
     Returns ``(color, depth, silhouette, cache)``; ``color`` has the
     background composited under, and ``cache`` (the backward state) is
@@ -142,9 +198,9 @@ def composite(proj, gss, lengths, centres, background, alpha, clipped,
     if Lmax == 0:
         return np.tile(background, (K, 1)), np.zeros(K), np.zeros(K), None
     offsets = np.concatenate([[0], np.cumsum(lengths)])
-    valid = np.arange(Lmax)[None, :] < lengths[:, None]
-    at = np.minimum(offsets[:-1, None] + np.arange(Lmax)[None, :],
-                    gss.size - 1)
+    slot = np.arange(Lmax)[:, None]
+    valid = slot < lengths
+    at = np.minimum(offsets[:-1] + slot, gss.size - 1)
     # Padding points one past the last projected Gaussian, at the 0.0
     # that _padded_columns appends, so a zero weight never meets a real
     # splat's (possibly non-finite) value.
@@ -154,21 +210,21 @@ def composite(proj, gss, lengths, centres, background, alpha, clipped,
     passes = (alpha >= alpha_threshold) & valid
 
     # Transmittance prefix: padding contributes a factor of 1.0, so every
-    # real prefix is untouched; cumprod is sequential like the reference's.
-    gamma_incl = np.cumprod(1.0 - np.where(passes, alpha, 0.0), axis=1)
-    gamma = np.concatenate([np.ones((K, 1)), gamma_incl[:, :-1]], axis=1)
+    # real prefix is untouched; the scan is sequential like the reference's.
+    gamma_incl = slot_scan(np.multiply, 1.0 - np.where(passes, alpha, 0.0))
+    gamma = np.concatenate([np.ones((1, K)), gamma_incl[:-1]])
     contrib = passes & (gamma_incl >= t_min)
     weight = np.where(contrib, gamma * alpha, 0.0)
 
-    # Channel sums as sequential prefix sums (zero padding is exact), one
-    # (K, Lmax) cumsum per channel, each gathered from a contiguous
-    # (M + 1,) column: the same values as slicing a (K, Lmax, 3) row gather,
+    # Channel totals as sequential running sums (zero padding is exact),
+    # one (Lmax, K) array per channel, each gathered from a contiguous
+    # (M + 1,) column: the same values as slicing an (Lmax, K, 3) gather,
     # without its strided copies.
     *color_cols, depth_col = _padded_columns(proj)
-    out_color = np.stack([np.cumsum(weight * col[gpad], axis=1)[:, -1]
+    out_color = np.stack([slot_scan(np.add, weight * col[gpad], total=True)
                           for col in color_cols], axis=-1)
-    out_depth = np.cumsum(weight * depth_col[gpad], axis=1)[:, -1]
-    out_sil = np.cumsum(weight, axis=1)[:, -1]
+    out_depth = slot_scan(np.add, weight * depth_col[gpad], total=True)
+    out_sil = slot_scan(np.add, weight, total=True)
     gamma_final = 1.0 - out_sil
     out_color = out_color + gamma_final[:, None] * background[None, :]
 
@@ -231,7 +287,7 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
     depth[:] = out_depth
     silhouette[:] = out_sil
 
-    contribs_row = cache.contrib.sum(axis=1)
+    contribs_row = cache.contrib.sum(axis=0)
     stats.num_contrib_pairs += int(contribs_row.sum())
     if contribs_out is not None:
         contribs_out[:] = contribs_row
@@ -247,8 +303,8 @@ class AlphaGradients:
     """Flat per-pair reverse pass up to dL/dα, in canonical order.
 
     Nothing here depends on which falloff produced α.  The pair sequence
-    is the composite cache's valid (non-padding) entries in row-major
-    order — pixel-major, front-to-back — which is the exact (index,
+    is the composite cache's valid (non-padding) entries pixel-major,
+    front-to-back — which is the exact (index,
     value) sequence the per-pixel reference loop scatters, so one
     in-order :func:`~repro.render.backward.scatter_add` per array
     reproduces its accumulation bit for bit (the software analogue of
@@ -278,10 +334,11 @@ class PairGradients(AlphaGradients):
 
 
 def _exclusive_suffix(w: np.ndarray) -> np.ndarray:
-    """Row-wise suffix sums excluding self (flip, cumsum, flip).  Padding
-    sits at the row tails, so after the flip it only prepends zeros to
-    each cumsum — every real suffix value is unchanged."""
-    return np.flip(np.cumsum(np.flip(w, axis=1), axis=1), axis=1) - w
+    """Suffix sums down the slot axis, excluding self (a reverse scan,
+    minus ``w``).  Padding sits past each pixel's last slot, so the
+    reverse scan only adds zeros before reaching a real entry — every
+    real suffix value is unchanged."""
+    return slot_scan(np.add, w, reverse=True) - w
 
 
 def alpha_gradients(fc, proj, d_color, d_depth, d_silhouette,
@@ -290,17 +347,20 @@ def alpha_gradients(fc, proj, d_color, d_depth, d_silhouette,
 
     Every arithmetic expression mirrors :func:`composite_backward` term
     for term (same operand values, same association order).  Only the
-    suffix sums need the padded rows; everything else runs on the flat
-    valid pairs — taken once by their flat positions in the padded
-    layout — with each pair's pixel-level operands gathered by its row.
-    All math is per pixel row, so the dense engine can run it one pixel
-    block at a time and get the same bits as one global pass.
+    suffix sums need the padded slot-major arrays; everything else runs
+    on the flat valid pairs — taken once, pixel-major, by their flat
+    positions ``slot*K + row`` in the padded layout — with each pair's
+    pixel-level operands gathered by its row.  All math is per pixel, so
+    the dense engine can run it one pixel block at a time and get the same
+    bits as one global pass.
     ``pose_only=True`` skips the colour partials, which reach no
     geometric gradient (``d_color`` is then None).
     """
-    flat = np.flatnonzero(fc.valid)
+    K = fc.lengths.size
     gss = fc.gss
-    rows = np.repeat(np.arange(fc.lengths.size), fc.lengths)
+    rows = np.repeat(np.arange(K), fc.lengths)
+    starts = np.cumsum(fc.lengths) - fc.lengths
+    flat = (np.arange(gss.size) - starts[rows]) * K + rows
     weight_pad = fc.gamma * fc.alpha
     alpha = fc.alpha.take(flat)
     gamma = fc.gamma.take(flat)
@@ -343,7 +403,7 @@ def alpha_gradients(fc, proj, d_color, d_depth, d_silhouette,
         d_color=(None if pose_only
                  else tuple(weight * dc for dc in d_color_cols)),
         d_depth=weight * d_depth_rows,
-        touched=fc.contrib.sum(axis=1),
+        touched=fc.contrib.sum(axis=0),
         contrib_flat=contrib,
     )
 

@@ -69,8 +69,10 @@ DEFAULT_BACKGROUND = np.zeros(3)
 #: Most rendered pixels per composite block.  Blocks are cut at tile
 #: boundaries, so a block exceeds this only when one tile alone does (the
 #: backward's per-(tile, list slot) sums must not span two blocks).
-#: Bounds the padded working set of the forward and backward passes;
-#: results do not depend on it.
+#: Bounds the padded working set of the forward and backward passes, and
+#: picks each block's scan branch (a block of at least
+#: ``vectorized.WALK_MIN_PIXELS`` pixels walks its list slots); results do
+#: not depend on it.
 BLOCK_PIXELS = 1024
 
 
@@ -188,7 +190,7 @@ def render_full(
             depth[v, u] = out_depth
             silhouette[v, u] = out_sil
             if cache is not None:
-                contribs[lo:hi] = cache.contrib.sum(axis=1)
+                contribs[lo:hi] = cache.contrib.sum(axis=0)
                 blocks.append(PixelBlock(lo, hi, slots[p0:p1], cache))
 
         # Sorting is charged only for tiles that render at least one pixel
@@ -332,10 +334,10 @@ def tile_work_records(blocks, n_g, n_px, px_tiles):
     slot_offsets = np.cumsum(n_g) - n_g
     serial = n_g[px_tiles]
     for b in blocks:
-        dead = b.cache.valid & ~b.cache.contrib
-        rows = np.flatnonzero(dead.any(axis=1))
+        dead = b.cache.valid & ~b.cache.contrib      # (Lmax, K) slot-major
+        rows = np.flatnonzero(dead.any(axis=0))
         starts = np.cumsum(b.cache.lengths) - b.cache.lengths
-        slot = b.slots[starts[rows] + dead[rows].argmax(axis=1)]
+        slot = b.slots[starts[rows] + dead[:, rows].argmax(axis=0)]
         pixel = b.lo + rows
         serial[pixel] = slot - slot_offsets[px_tiles[pixel]] + 1
     longest = np.zeros(n_g.size, dtype=int)

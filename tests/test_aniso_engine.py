@@ -67,6 +67,39 @@ def assert_stats_identical(oracle_fwd, oracle_bwd, fwd, bwd):
         assert np.array_equal(a, b)
 
 
+def assert_matches_oracle(seed, kind, n, k, tau, blur):
+    """Render and back-propagate one random scene on the engine and on
+    the loop oracle; every output, gradient and counter must match."""
+    rng = np.random.default_rng(seed)
+    cloud = make_scene(kind, n, rng)
+    pixels = random_pixels(rng, k)
+    bg = rng.uniform(0, 1, 3)
+    ref = render_oracle(cloud, CAM, pixels, bg, alpha_threshold=tau,
+                        blur=blur)
+    out = render_sparse_anisotropic(cloud, CAM, pixels, bg,
+                                    alpha_threshold=tau, blur=blur)
+    for name in ("pixels", "color", "depth", "silhouette"):
+        assert np.array_equal(getattr(ref, name), getattr(out, name)), name
+
+    d_color = rng.normal(size=(k, 3))
+    d_depth = rng.normal(size=k)
+    d_sil = rng.normal(size=k)
+    g_ref = backward_oracle(ref, cloud, CAM, d_color, d_depth, d_sil)
+    g = backward_sparse_anisotropic(out, cloud, CAM, d_color, d_depth,
+                                    d_sil)
+    for name in GRAD_FIELDS:
+        a, b = getattr(g_ref, name), getattr(g, name)
+        if tau > 1e-12:
+            assert np.array_equal(a, b), name
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name
+        else:
+            # The loop mis-scales dL/dα of pairs with α < 1e-12 (see
+            # TestTinyAlphaGradient); they only pass a τ = 0 check.
+            scale = max(1.0, float(np.abs(a).max(initial=0.0)))
+            assert np.allclose(a, b, rtol=0.0, atol=1e-9 * scale), name
+    assert_stats_identical(ref.stats, g_ref.stats, out.stats, g.stats)
+
+
 class TestOracleEquivalence:
     @given(seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(SCENES),
@@ -76,34 +109,7 @@ class TestOracleEquivalence:
            blur=st.sampled_from([0.0, 0.3]))
     @settings(max_examples=80, deadline=None)
     def test_bit_identical_to_loop(self, seed, kind, n, k, tau, blur):
-        rng = np.random.default_rng(seed)
-        cloud = make_scene(kind, n, rng)
-        pixels = random_pixels(rng, k)
-        bg = rng.uniform(0, 1, 3)
-        ref = render_oracle(cloud, CAM, pixels, bg, alpha_threshold=tau,
-                            blur=blur)
-        out = render_sparse_anisotropic(cloud, CAM, pixels, bg,
-                                        alpha_threshold=tau, blur=blur)
-        for name in ("pixels", "color", "depth", "silhouette"):
-            assert np.array_equal(getattr(ref, name), getattr(out, name)), name
-
-        d_color = rng.normal(size=(k, 3))
-        d_depth = rng.normal(size=k)
-        d_sil = rng.normal(size=k)
-        g_ref = backward_oracle(ref, cloud, CAM, d_color, d_depth, d_sil)
-        g = backward_sparse_anisotropic(out, cloud, CAM, d_color, d_depth,
-                                        d_sil)
-        for name in GRAD_FIELDS:
-            a, b = getattr(g_ref, name), getattr(g, name)
-            if tau > 1e-12:
-                assert np.array_equal(a, b), name
-                assert np.array_equal(np.signbit(a), np.signbit(b)), name
-            else:
-                # The loop mis-scales dL/dα of pairs with α < 1e-12 (see
-                # TestTinyAlphaGradient); they only pass a τ = 0 check.
-                scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-                assert np.allclose(a, b, rtol=0.0, atol=1e-9 * scale), name
-        assert_stats_identical(ref.stats, g_ref.stats, out.stats, g.stats)
+        assert_matches_oracle(seed, kind, n, k, tau, blur)
 
     @pytest.mark.parametrize("kind", ["needle", "clipped"])
     def test_scenes_reach_their_edge_case(self, kind):
@@ -122,6 +128,23 @@ class TestOracleEquivalence:
         else:
             assert fc.clipped.any()
             assert np.all(fc.alpha[fc.clipped] <= ALPHA_MAX)
+
+
+@pytest.mark.usefixtures("scan_branch")
+class TestScanBranches:
+    """The oracle property test with each ``slot_scan`` branch forced.
+    Only at thresholds where the oracle is exact (τ > 1e-12): below them
+    it differs from the engine by design, within a tolerance."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(SCENES),
+           n=st.integers(1, 12),
+           k=st.integers(0, 24),
+           tau=st.sampled_from([1.0 / 255.0, 0.1]),
+           blur=st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_loop(self, seed, kind, n, k, tau, blur):
+        assert_matches_oracle(seed, kind, n, k, tau, blur)
 
 
 class TestTinyAlphaGradient:

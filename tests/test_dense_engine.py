@@ -108,6 +108,46 @@ def test_bit_identical_to_tile_loop(case):
     assert_stats_identical(g_engine.stats, g_oracle.stats)
 
 
+def test_benchmark_size_frame_bit_identical_to_tile_loop():
+    """A frame at the benchmark's size and map density (64 x 48, room0 at
+    ``surface_density=10``, as perfbench renders it): three full 1024-pixel
+    blocks with real list lengths, which the tier-1 scenes above are too
+    small to reach."""
+    seq = make_replica_sequence("room0", n_frames=1, width=64, height=48,
+                                surface_density=10)
+    cloud = seq.gt_cloud
+    camera = Camera(seq.intrinsics, seq[0].gt_pose_c2w)
+    engine = render_full(cloud, camera, BG)
+    oracle = render_full_oracle(cloud, camera, BG)
+    assert [b.hi - b.lo for b in engine.blocks] == [1024] * 3
+    assert min(b.cache.lengths.max() for b in engine.blocks) >= 32
+    for name in ("color", "depth", "silhouette"):
+        assert np.array_equal(getattr(engine, name), getattr(oracle, name))
+    assert_stats_identical(engine.stats, oracle.stats)
+    rng = np.random.default_rng(2)
+    d = (rng.normal(size=(48, 64, 3)), rng.normal(size=(48, 64)),
+         rng.normal(size=(48, 64)))
+    g_engine = backward_full(engine, cloud, camera, *d)
+    g_oracle = backward_full_oracle(oracle, cloud, camera, *d)
+    for name in GRAD_FIELDS:
+        assert np.array_equal(getattr(g_engine, name),
+                              getattr(g_oracle, name)), name
+    assert_stats_identical(g_engine.stats, g_oracle.stats)
+
+
+@pytest.mark.usefixtures("scan_branch")
+class TestScanBranches:
+    """The oracle cases again with each ``slot_scan`` branch forced on
+    every block."""
+
+    @pytest.mark.parametrize("case", CASES, ids=[case_id(c) for c in CASES])
+    def test_bit_identical_to_tile_loop(self, case):
+        test_bit_identical_to_tile_loop(case)
+
+    def test_benchmark_size_frame(self):
+        test_benchmark_size_frame_bit_identical_to_tile_loop()
+
+
 def test_cases_cover_the_edges():
     """The scenes really are degenerate in the advertised ways."""
     empty = render_full(SCENES["empty_tiles"](), CAMERA, BG)

@@ -276,6 +276,16 @@ class TestBackwardEquivalence:
             assert not np.any(getattr(g_ref, name))
 
 
+@pytest.mark.usefixtures("scan_branch")
+class TestForwardEquivalenceScanBranches(TestForwardEquivalence):
+    """Every forward scene again with each ``slot_scan`` branch forced."""
+
+
+@pytest.mark.usefixtures("scan_branch")
+class TestBackwardEquivalenceScanBranches(TestBackwardEquivalence):
+    """Every backward scene again with each ``slot_scan`` branch forced."""
+
+
 class TestRecordFlag:
     def test_records_off_keeps_scalars(self):
         cloud, cam = make_scene(seed=1)

@@ -157,7 +157,7 @@ class TestPaddingIsInert:
         Gaussian 0."""
         mask = np.zeros(shape, dtype=bool)
         for px, fc in zip(pixels, caches):
-            rows = (fc.valid & (fc.gpad == 0)).any(axis=1)
+            rows = (fc.valid & (fc.gpad == 0)).any(axis=0)
             mask[px[rows, 1], px[rows, 0]] = True
         return mask
 
