@@ -112,8 +112,7 @@ def tracking_workloads(bundle: ProxyBundle, tile: int = 16,
         "tile_sparse", pixels, name="org+s").upscale(f_p, f_g)
     out["pixel"] = measure_iteration(
         bundle.cloud, bundle.camera, frame.color, frame.depth,
-        "pixel", pixels, name="splatonic",
-        lattice_tile=tile).upscale(f_p, f_g)
+        "pixel", pixels, name="splatonic").upscale(f_p, f_g)
     workload_span.__exit__(None, None, None)
     return out
 

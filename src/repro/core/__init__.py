@@ -11,7 +11,6 @@ from .features import (
 from .pixel_pipeline import (
     SparseRenderResult,
     backward_sparse,
-    bbox_candidate_ranges,
     render_sparse,
 )
 from .sampling import (
@@ -36,7 +35,6 @@ __all__ = [
     "SparseRenderResult",
     "render_sparse",
     "backward_sparse",
-    "bbox_candidate_ranges",
     "MAPPING_TILE",
     "TRACKING_TILE",
     "UNSEEN_TRANSMITTANCE",

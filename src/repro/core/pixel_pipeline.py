@@ -5,11 +5,14 @@ Instead of amortizing projection/sorting across the pixels of a tile, every
 
 1. **Per-pixel projection with preemptive α-checking** — each projected
    Gaussian's bounding box is tested against the sampled pixels (the
-   accelerator does this with direct index arithmetic, see
-   :func:`bbox_candidate_ranges`), and α is evaluated immediately.  Only
-   pairs with ``alpha >= threshold`` survive, so rasterization never
-   α-checks again and there is no warp divergence.
-2. **Per-pixel depth sort** of the surviving short list.
+   accelerator does this with direct index arithmetic into the one-per-tile
+   pixel lattice, Sec. V-C), and α is evaluated immediately.  Only pairs
+   with ``alpha >= threshold`` survive, so rasterization never α-checks
+   again and there is no warp divergence.
+2. **Per-pixel depth sort** of the surviving short list.  Here the
+   projected Gaussians are ranked by depth once per view, and the
+   candidate generator walks the bboxes in rank order, so every pixel's
+   list comes out already sorted (:mod:`repro.render.kernels.candidates`).
 3. **Gaussian-parallel rasterization** — a warp co-renders one pixel; the
    partial colors are reduced.  Numerically this is Eqn. 1 again, so the
    output is bit-identical to the tile pipeline at the sampled locations.
@@ -20,9 +23,10 @@ the rasterization engine's double buffer), computes partial gradients in
 parallel, and aggregates them per Gaussian.
 
 This module orchestrates the *stages* — candidate generation over a
-flattened CSR-style (pixel, Gaussian) pair list, the shared preemptive-α
-filter, and counter accounting — and dispatches sort + composite +
-backward to the batched ``"vectorized"`` kernel
+flattened CSR-style (pixel, Gaussian) pair list in composite order, the
+shared preemptive-α filter (which keeps that order), and counter
+accounting — and dispatches composite + backward to the batched
+``"vectorized"`` kernel
 (:mod:`repro.render.kernels`).  Tests select the per-pixel ``"reference"``
 oracle loop by name through ``backend=``; the two are bit-identical.
 """
@@ -50,17 +54,12 @@ from ..render.compositing import (
 )
 from ..render.cache import RenderCache
 from ..render.kernels import get_kernel, resolve_backend
-from ..render.kernels.candidates import (
-    CandidatePairs,
-    candidate_pairs,
-    lattice_pair_arrays,
-)
+from ..render.kernels.candidates import CandidatePairs, candidate_pairs
 from ..render.kernels.vectorized import FlatCompositeCache, evaluate_alpha
 from ..render.projection import ProjectedGaussians, project_gaussians
 from ..render.stats import PipelineStats
 
-__all__ = ["SparseRenderResult", "render_sparse", "backward_sparse",
-           "bbox_candidate_ranges"]
+__all__ = ["SparseRenderResult", "render_sparse", "backward_sparse"]
 
 DEFAULT_BACKGROUND = np.zeros(3)
 
@@ -113,29 +112,6 @@ class SparseRenderResult:
         return color, depth, sil
 
 
-def bbox_candidate_ranges(pixels: np.ndarray, bbox: np.ndarray,
-                          tile: int, width: int) -> List[np.ndarray]:
-    """Direct-indexing candidate generation of the projection unit (Sec. V-C).
-
-    With one sampled pixel per ``tile x tile`` region stored row-major, the
-    sampled-pixel list index of any pixel is a pure function of its tile
-    coordinates.  For each Gaussian the four bbox corners therefore bound a
-    *contiguous 2D index range* in the sampled-pixel lattice — no scan of
-    the whole pixel list is needed.  Fully vectorized: the tile ranges of
-    all Gaussians are expanded with index arithmetic in one shot (see
-    :func:`repro.render.kernels.candidates.lattice_pair_arrays`).
-
-    Returns, per Gaussian, the indices into ``pixels`` whose coordinates
-    fall inside its bounding box.  ``pixels`` must be the row-major sorted
-    one-per-tile lattice produced by ``sample_tracking_pixels``.
-    """
-    pixels = np.asarray(pixels, dtype=int)
-    bbox = np.asarray(bbox, dtype=float)
-    k, g = lattice_pair_arrays(pixels, bbox, tile, width)
-    counts = np.bincount(g, minlength=bbox.shape[0])
-    return np.split(k, np.cumsum(counts)[:-1])
-
-
 def render_sparse(
     cloud: GaussianCloud,
     camera: Camera,
@@ -147,7 +123,6 @@ def render_sparse(
     preemptive_alpha: bool = True,
     exp_fn=np.exp,
     backend: Optional[str] = None,
-    lattice_tile: Optional[int] = None,
     record_per_pixel: bool = True,
     cache: Optional[RenderCache] = None,
 ) -> SparseRenderResult:
@@ -164,12 +139,9 @@ def render_sparse(
 
     ``backend`` names the kernel: None runs the production
     ``"vectorized"`` kernel, ``"reference"`` the per-pixel oracle loop
-    that tests compare it against.
-    ``lattice_tile`` is a candidate-generation hint: when the pixels form
-    the row-major one-per-tile lattice of that tile size (tracking's
-    layout), candidates come from direct index arithmetic instead of a
-    bbox scan.  ``record_per_pixel=False`` skips the per-item stats record
-    lists (hardware-model replay streams); scalar counters are unaffected.
+    that tests compare it against.  ``record_per_pixel=False`` skips the
+    per-item stats record lists (hardware-model replay streams); scalar
+    counters are unaffected.
 
     ``cache`` is an optional :class:`repro.render.cache.RenderCache` —
     the temporal-coherence cache replaces the projection + candidate
@@ -190,7 +162,7 @@ def render_sparse(
     if cache is not None:
         with trace.span("render.project", pipeline="pixel", cached=True):
             proj, cached_pairs, lookup = cache.project_and_candidates(
-                cloud, camera, pixels, lattice_tile=lattice_tile)
+                cloud, camera, pixels)
     else:
         with trace.span("render.project", pipeline="pixel"):
             proj = project_gaussians(cloud, camera)
@@ -228,14 +200,11 @@ def render_sparse(
     with trace.span("render.alpha_check", pipeline="pixel",
                     backend=backend_name):
         if cached_pairs is not None:
-            # The cache already produced the exact pair list (pixel-major
-            # canonical order, which satisfies every backend).
+            # The cache already produced the exact pair list, in the
+            # generator's composite order.
             pairs = cached_pairs
         else:
-            pairs = candidate_pairs(
-                pixels, centres, proj.bbox(),
-                lattice_tile=lattice_tile, width=intr.width,
-                pixel_major=kernel.needs_pixel_major_pairs)
+            pairs = candidate_pairs(centres, proj.bbox(), proj.depth)
         n_candidates = pairs.size
         stats.num_candidate_pairs += n_candidates
         # α is evaluated once per candidate either way: preemptively here,

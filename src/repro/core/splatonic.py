@@ -155,9 +155,9 @@ class Splatonic:
                       cache: Optional[RenderCache] = None) -> SparseRenderResult:
         """Pixel-based forward pass over the sampled pixels.
 
-        ``lattice_tile`` hints that ``pixels`` is the row-major one-per-tile
-        lattice of that tile size (tracking's layout), enabling
-        direct-indexing candidate generation.  ``cache`` threads a
+        ``lattice_tile`` is accepted and ignored: it used to pick a
+        candidate generator, and one generator now serves every pixel
+        layout.  ``cache`` threads a
         per-stream temporal-coherence cache (see :meth:`make_render_cache`)
         into the pipeline.
         """
@@ -167,7 +167,6 @@ class Splatonic:
             t_min=self.config.t_min,
             keep_cache=keep_cache,
             preemptive_alpha=self.config.preemptive_alpha,
-            lattice_tile=lattice_tile,
             record_per_pixel=self.config.record_per_pixel,
             cache=cache,
         )

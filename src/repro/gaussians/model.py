@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GaussianCloud", "sigmoid", "inverse_sigmoid"]
+__all__ = ["GaussianCloud", "FrozenCloud", "sigmoid", "inverse_sigmoid"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -163,3 +163,37 @@ class GaussianCloud:
         logit_opacities = vector[4 * n:5 * n]
         colors = vector[5 * n:].reshape(n, 3)
         return GaussianCloud(means, log_scales, logit_opacities, colors)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+class FrozenCloud(GaussianCloud):
+    """A read-only snapshot of a cloud with its derived parameters computed
+    once.
+
+    Tracking holds the map fixed for a whole pose optimization, so its
+    renders read ``scales`` and ``opacities`` from here instead of
+    re-evaluating ``exp`` and ``sigmoid`` over the whole cloud on every
+    iteration.  Every array is a non-writeable view: the snapshot is
+    valid only while nobody writes the cloud it was taken from.  The
+    cloud-building methods (``copy``, ``subset``, ``extend``, ``unpack``)
+    return ordinary, writeable clouds.
+    """
+
+    def __init__(self, cloud: GaussianCloud):
+        super().__init__(*(_read_only(getattr(cloud, key))
+                           for key in self.PARAM_KEYS))
+        self._scales = _read_only(cloud.scales)
+        self._opacities = _read_only(cloud.opacities)
+
+    @property
+    def scales(self) -> np.ndarray:
+        return self._scales
+
+    @property
+    def opacities(self) -> np.ndarray:
+        return self._opacities

@@ -264,14 +264,13 @@ def _cache_leg_sections(cfg: SuiteConfig, mode: str,
     """Check the temporal-coherence render cache on one loop shape.
 
     Replays a deterministic optimizer-loop proxy — ``tracking``: fixed
-    cloud, pose drifting by a constant twist per iteration (lattice
-    candidate generation); ``mapping``: fixed camera/pixels, parameters
-    drifting by a constant Adam-sized step (chunked candidate
-    generation) — once uncached and once through a fresh
-    :class:`repro.render.cache.RenderCache`.  Adds the bit-identity flag
-    and hit/rebuild counts to ``counters`` (exact-gated: the drift is
-    deterministic, so they are rep-stable) and the hit rate and margin
-    to ``info``.
+    cloud, pose drifting by a constant twist per iteration over the
+    tracking pixel lattice; ``mapping``: fixed camera/pixels, parameters
+    drifting by a constant Adam-sized step — once uncached and once
+    through a fresh :class:`repro.render.cache.RenderCache`.  Adds the
+    bit-identity flag and hit/rebuild counts to ``counters`` (exact-gated:
+    the drift is deterministic, so they are rep-stable) and the hit rate
+    and margin to ``info``.
     """
     import numpy as np
 
@@ -285,15 +284,11 @@ def _cache_leg_sections(cfg: SuiteConfig, mode: str,
     spec = cfg.spec
     if mode == "tracking":
         tile = spec.tracking_tile
-        lattice_tile = tile
         twist = np.array([2e-3, -1e-3, 1.5e-3, 1e-3, -5e-4, 8e-4])
         param_step = None
         pixel_seed = cfg.seed
     else:
         tile = spec.mapping_tile
-        # The mapper's pixel sets are not the tracking lattice; route
-        # through the chunked corner-test generator like mapping does.
-        lattice_tile = None
         twist = None
         param_step = np.random.default_rng(cfg.seed + 1).normal(
             0.0, 1e-3, bundle.cloud.pack().size)
@@ -310,7 +305,7 @@ def _cache_leg_sections(cfg: SuiteConfig, mode: str,
             camera = Camera(bundle.camera.intrinsics, pose)
             result = render_sparse(
                 cloud, camera, pixels, backend=_CACHE_BACKEND,
-                lattice_tile=lattice_tile, record_per_pixel=False,
+                record_per_pixel=False,
                 cache=cache)
             grads = backward_sparse(
                 result, cloud, camera,
@@ -423,7 +418,7 @@ def _scn_kernels(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     for backend in ("reference", "vectorized"):
         result = render_sparse(
             bundle.cloud, bundle.camera, pixels, backend=backend,
-            lattice_tile=_KERNEL_TILE, record_per_pixel=False)
+            record_per_pixel=False)
         grads = backward_sparse(
             result, bundle.cloud, bundle.camera,
             np.ones_like(result.color), np.ones_like(result.depth),

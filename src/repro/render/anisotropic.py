@@ -39,7 +39,7 @@ from ..gaussians.se3 import point_jacobian_wrt_twist
 from .backward import scatter_add
 from .compositing import ALPHA_MAX, ALPHA_THRESHOLD, T_MIN
 from .kernels import vectorized
-from .kernels.candidates import CandidatePairs, chunked_candidate_pairs
+from .kernels.candidates import CandidatePairs, candidate_pairs
 from .projection import RADIUS_SIGMA
 from .stats import PipelineStats
 
@@ -275,9 +275,9 @@ def render_sparse_anisotropic(
     """Pixel-based forward pass over ``pixels`` with anisotropic splats.
 
     The render engine's sparse stages with the conic falloff in the α
-    stage: candidates from the ``mean2d ± radius`` corners, one conic α
-    per candidate with the preemptive α-check, then the vectorized
-    kernel's depth order and composite; the workload counters are those of
+    stage: candidates from the ``mean2d ± radius`` corners in composite
+    order, one conic α per candidate with the preemptive α-check, then
+    the vectorized kernel's composite; the workload counters are those of
     :func:`repro.core.pixel_pipeline.render_sparse`.  ``pixels`` is
     ``(K, 2)`` integer ``(u, v)``; a pixel outside the image raises
     ``ValueError``.
@@ -307,9 +307,9 @@ def render_sparse_anisotropic(
 
     centres = pixels + 0.5
     r = proj.radius[:, None]
-    pairs = chunked_candidate_pairs(
+    pairs = candidate_pairs(
         centres, np.concatenate([proj.mean2d - r, proj.mean2d + r], axis=1),
-        pixel_major=False)
+        proj.depth)
     stats.num_candidate_pairs += pairs.size
     stats.num_alpha_checks += pairs.size
     _, _, power = _conic_power(proj, pairs.gss, centres[pairs.pix])

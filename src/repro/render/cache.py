@@ -5,8 +5,8 @@ temporal coherence: mapping iterations hold the camera and the sampled
 pixel set fixed while the Gaussian parameters drift by Adam-sized steps,
 and tracking iterations hold the cloud fixed while the pose drifts.  Yet
 the uncached pipeline re-runs candidate generation — the dominant
-pre-compositing cost, a ``K x N`` corner test or a lattice expansion plus
-stable sorts — from scratch on every iteration.
+pre-compositing cost, a ``K x N`` corner test — from scratch on every
+iteration.
 
 :class:`RenderCache` memoizes, per optimization stream, the *dilated
 candidate superset*: the (pixel, Gaussian) pairs whose pixel centre falls
@@ -26,8 +26,9 @@ inside each active Gaussian's bounding box grown by a safety ``margin``
    the pair is in the superset.
 3. On a hit, re-running the exact corner predicate (identical float
    comparisons to the candidate generators) over the superset yields the
-   exact candidate pair list — same pairs, same pixel-major order, same
-   counters — at ``O(|superset|)`` cost instead of ``O(K x N)``.
+   exact candidate pair set — same pairs, same counters — at
+   ``O(|superset|)`` cost instead of ``O(K x N)``; one sort by the
+   current depths puts it in the generator's composite order.
 4. Any violation triggers a transparent full rebuild inside a
    ``render.cache_rebuild`` tracer span; correctness never depends on the
    margin, only the hit rate does.
@@ -134,7 +135,6 @@ class RenderCache:
         self._built = False
         self._n = -1
         self._pixels: Optional[np.ndarray] = None
-        self._tile: Optional[int] = None
         self._active: Optional[np.ndarray] = None   # (N,) bool at build
         self._ref_u: Optional[np.ndarray] = None    # (N,) build-time u
         self._ref_v: Optional[np.ndarray] = None
@@ -156,15 +156,15 @@ class RenderCache:
 
     def project_and_candidates(
         self, cloud: GaussianCloud, camera: Camera, pixels: np.ndarray,
-        lattice_tile: Optional[int] = None,
     ) -> Tuple[ProjectedGaussians, CandidatePairs, CacheLookup]:
         """Projection + exact candidate pairs for one iteration.
 
         Returns exactly what the uncached pipeline's
         ``project_gaussians`` + ``candidate_pairs`` stage would: the same
-        :class:`ProjectedGaussians` and the same pixel-major candidate
-        pair list (pre-α-filter), plus a :class:`CacheLookup` describing
-        whether the superset was reused or rebuilt.
+        :class:`ProjectedGaussians` and the same candidate pair list in
+        the same composite order (pre-α-filter), plus a
+        :class:`CacheLookup` describing whether the superset was reused
+        or rebuilt.
         """
         intr = camera.intrinsics
         pixels = np.atleast_2d(np.asarray(pixels, dtype=int))
@@ -175,20 +175,19 @@ class RenderCache:
             p_cam, z, in_depth, u, v, sigma, radius = arrays
             keep = projection_keep_mask(in_depth, u, v, radius,
                                         intr.width, intr.height)
-            ok = self._validate(cloud, pixels, lattice_tile, keep, u, v,
-                                radius)
+            ok = self._validate(cloud, pixels, keep, u, v, radius)
 
         rebuilt = (not ok) and self._built
         if not ok:
             with trace.span("render.cache_rebuild", mode=self.mode,
                             warm=rebuilt):
-                self._build(pixels, lattice_tile, intr, in_depth, u, v,
-                            radius, warm=rebuilt)
+                self._build(pixels, intr, z, in_depth, u, v, radius,
+                            warm=rebuilt)
 
         idx = np.nonzero(keep)[0]
         proj = gather_projected(cloud, idx, p_cam, z, u, v, sigma, radius)
-        pairs = self._exact_pairs(keep, idx, u, v, radius, cloud,
-                                  pixels.shape[0])
+        pairs = self._exact_pairs(keep, idx, u, v, radius, proj.depth,
+                                  cloud, pixels.shape[0])
         self._iters_since_build += 1
 
         if ok:
@@ -203,11 +202,9 @@ class RenderCache:
     # ---- internals ----
 
     def _validate(self, cloud: GaussianCloud, pixels: np.ndarray,
-                  lattice_tile: Optional[int], keep: np.ndarray,
-                  u: np.ndarray, v: np.ndarray,
+                  keep: np.ndarray, u: np.ndarray, v: np.ndarray,
                   radius: np.ndarray) -> bool:
         if (not self._built or len(cloud) != self._n
-                or self._tile != lattice_tile
                 or (pixels is not self._pixels_src
                     and (self._pixels.shape != pixels.shape
                          or not np.array_equal(self._pixels, pixels)))):
@@ -232,8 +229,8 @@ class RenderCache:
         bad = keep & ((du > slack) | (dv > slack))
         return not bool(np.any(bad))
 
-    def _build(self, pixels: np.ndarray, lattice_tile: Optional[int],
-               intr, in_depth: np.ndarray, u: np.ndarray, v: np.ndarray,
+    def _build(self, pixels: np.ndarray, intr, z: np.ndarray,
+               in_depth: np.ndarray, u: np.ndarray, v: np.ndarray,
                radius: np.ndarray, warm: bool) -> None:
         if warm:
             # Re-derive the margin from the measured per-iteration motion
@@ -254,9 +251,7 @@ class RenderCache:
         au, av, ar = u[act_idx], v[act_idx], dilated[act_idx]
         dil_bbox = np.stack([au - ar, av - ar, au + ar, av + ar], axis=1)
         centres = pixels + 0.5
-        sup = candidate_pairs(pixels, centres, dil_bbox,
-                              lattice_tile=lattice_tile, width=intr.width,
-                              pixel_major=True)
+        sup = candidate_pairs(centres, dil_bbox, z[act_idx])
         self._sup_pix = sup.pix
         self._sup_src = act_idx[sup.gss]
         self._sup_cu = centres[sup.pix, 0]
@@ -267,7 +262,6 @@ class RenderCache:
         self._ref_radius = radius
         self._pixels = pixels.copy()
         self._pixels_src = pixels
-        self._tile = lattice_tile
         self._n = in_depth.shape[0]
         self._built = True
         self._iters_since_build = 0
@@ -275,17 +269,18 @@ class RenderCache:
 
     def _exact_pairs(self, keep: np.ndarray, idx: np.ndarray,
                      u: np.ndarray, v: np.ndarray, radius: np.ndarray,
-                     cloud: GaussianCloud, K: int) -> CandidatePairs:
+                     depth: np.ndarray, cloud: GaussianCloud,
+                     K: int) -> CandidatePairs:
         """Filter the superset down to the exact candidate pair list.
 
-        The corner predicate uses the same elementwise expressions as the
-        generators in :mod:`repro.render.kernels.candidates` — bbox edges
-        are ``u - radius`` / ``u + radius`` of the shared projection
+        The corner predicate uses the same elementwise expressions as
+        :func:`repro.render.kernels.candidates.candidate_pairs` — bbox
+        edges are ``u - radius`` / ``u + radius`` of the shared projection
         arrays, pixel centres are ``pixels + 0.5`` — so the surviving
-        pairs are bitwise the generator output.  Because the superset is
-        stored pixel-major with ascending cloud index inside each pixel
-        segment and ``keep``-masking preserves order, the result is in
-        the generators' canonical pixel-major order too.
+        pairs are bitwise the generator's pair set.  The superset is in
+        the build-time depth order; one lexsort on the current projected
+        ``depth`` puts the pairs in the generator's composite order
+        (pixel-major, front-to-back, ties by projected index).
         """
         src = self._sup_src
         if src.size == 0:
@@ -303,4 +298,7 @@ class RenderCache:
         if self._proj_buf is None or self._proj_buf.shape[0] != len(cloud):
             self._proj_buf = np.empty(len(cloud), dtype=int)
         self._proj_buf[idx] = np.arange(idx.shape[0])
-        return CandidatePairs(self._sup_pix[sel], self._proj_buf[src[sel]], K)
+        pix = self._sup_pix[sel]
+        gss = self._proj_buf[src[sel]]
+        order = np.lexsort((gss, depth[gss], pix))
+        return CandidatePairs(pix[order], gss[order], K)

@@ -76,6 +76,7 @@ class PairGradients:
     d_color: np.ndarray       # (L, 3)
     d_depth: np.ndarray       # (L,) direct gradient from the depth channel
     num_pairs_touched: int    # contributing pairs — the atomicAdd count
+    d_alpha: np.ndarray       # (P, L) dL/dα per pair, before the falloff
 
 
 def composite_forward(
@@ -212,6 +213,7 @@ def composite_backward(
             d_color=np.zeros((0, 3)),
             d_depth=np.zeros(0),
             num_pairs_touched=0,
+            d_alpha=np.zeros((P, 0)),
         )
 
     alpha = cache.alpha          # (P, L), zero where not contributing
@@ -276,4 +278,5 @@ def composite_backward(
         d_color=d_color_out,
         d_depth=d_depth_out,
         num_pairs_touched=int(contrib.sum()),
+        d_alpha=d_alpha,
     )

@@ -5,8 +5,9 @@ production kernel, with a per-pixel oracle kept beside it for tests:
 
 - ``"vectorized"`` — the production kernel (:data:`DEFAULT_BACKEND`):
   batched segmented stages over a flattened CSR-style (pixel, Gaussian)
-  pair list.  One global ``np.lexsort`` replaces the per-pixel depth
-  sorts; the ragged lists are padded slot-major to ``(Lmax, K)``, so
+  pair list, which arrives already in composite order (the candidate
+  generator ranks the Gaussians by depth once per view, so no pair is
+  sorted); the ragged lists are padded slot-major to ``(Lmax, K)``, so
   every pixel steps through each list position together and one product
   scan down the slot axis computes every pixel's transmittance prefix at
   once; the backward pass produces all pair gradients in one shot
@@ -55,10 +56,6 @@ class KernelBackend:
     description: str
     forward: Callable
     backward: Callable
-    # Whether forward() requires the candidate pairs in pixel-major CSR
-    # order.  A backend that globally re-sorts the pairs itself (the
-    # vectorized lexsort) sets this False and skips the reorder pass.
-    needs_pixel_major_pairs: bool = True
     # Whether forward() consumes the flat per-pair α / clipped arrays the
     # pipeline's α stage computed (so the kernel need not re-evaluate the
     # Gaussian falloff).  The reference loop recomputes inside

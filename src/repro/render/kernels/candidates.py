@@ -1,40 +1,29 @@
-"""Candidate generation shared by every sparse kernel backend.
+"""Candidate generation shared by every sparse renderer.
 
-Produces the flattened CSR-style (pixel, Gaussian) pair list both kernel
-backends consume.  Two generators build the *same* pair set:
-
-- :func:`chunked_candidate_pairs` — the general path.  Tests every sampled
-  pixel centre against every Gaussian's bbox corners, chunked over
-  Gaussians so peak memory is bounded by ``chunk_pairs`` instead of the
-  dense ``(K, N)`` matrix the old pipeline materialized (which blows up as
-  the map densifies).
-- :func:`lattice_candidate_pairs` — the direct-indexing path of the
-  paper's projection unit (Sec. V-C).  When the pixels are the row-major
-  one-per-tile lattice of ``sample_tracking_pixels``, each Gaussian's bbox
-  corners bound a contiguous 2D index range in the lattice, so candidates
-  come from pure index arithmetic — no scan over the pixel list at all.
-
-Both use the identical corner predicate
+:func:`candidate_pairs` builds the flattened CSR-style (pixel, Gaussian)
+pair list in *composite order*: pixel-major, and front-to-back within each
+pixel with ties broken by ascending projected index — the exact
+``(depth, index)`` key of ``sort_by_depth``.  No pair is ever sorted.  The
+projected Gaussians are ranked by depth once per view (one stable
+argsort); the corner predicate
 ``u_min <= u + 0.5 <= u_max and v_min <= v + 0.5 <= v_max``
-(bboxes are ``mean2d ± radius``), so the generated pair sets — and with
-them every ``PipelineStats`` counter — are independent of which path ran.
+(bboxes are ``mean2d ± radius``) then runs over the rank-ordered bbox
+columns, so the row-major positions of the ``(K, M)`` mask are already
+pixel-major and front-to-back.  This is the per-tile sort reuse of the
+dense pipeline (GS-TG's redundant-sort elimination) taken one level up:
+one per-view rank serves every pixel's short list (Sec. IV-B).
+
+The mask is built over rank ranges of at most ``chunk_pairs // K``
+Gaussians, so its size stays bounded as the map densifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = [
-    "CandidatePairs",
-    "candidate_pairs",
-    "chunked_candidate_pairs",
-    "lattice_candidate_pairs",
-    "lattice_pair_arrays",
-    "is_tile_lattice",
-]
+__all__ = ["CandidatePairs", "candidate_pairs"]
 
 #: Bound on the per-chunk boolean mask size (pixels x chunk Gaussians).
 DEFAULT_CHUNK_PAIRS = 1 << 20
@@ -42,14 +31,12 @@ DEFAULT_CHUNK_PAIRS = 1 << 20
 
 @dataclass
 class CandidatePairs:
-    """Flattened (pixel, Gaussian) candidate pairs in CSR-style order.
+    """Flattened (pixel, Gaussian) candidate pairs in composite order.
 
-    When built with ``pixel_major=True`` (the default), ``pix`` is
-    non-decreasing and within each pixel's segment ``gss`` is ascending.
-    A consumer that re-sorts the pairs itself (the vectorized kernel's
-    global lexsort) may request ``pixel_major=False`` and receive the same
-    pair *set* in generator order.  ``num_pixels`` is K, the number of
-    sampled pixels — pixels with no candidates simply own an empty segment.
+    ``pix`` is non-decreasing; within each pixel's segment ``gss`` runs
+    front-to-back (ascending depth, then ascending projected index).
+    ``num_pixels`` is K, the number of sampled pixels — pixels with no
+    candidates simply own an empty segment.
     """
 
     pix: np.ndarray   # (M,) int — index into the sampled-pixel list
@@ -70,151 +57,39 @@ class CandidatePairs:
                    num_pixels)
 
 
-def _corner_mask(cu, cv, bbox) -> np.ndarray:
-    """(K, G) corner-predicate mask of pixel centres vs bbox corners."""
-    return ((cu[:, None] >= bbox[None, :, 0])
-            & (cu[:, None] <= bbox[None, :, 2])
-            & (cv[:, None] >= bbox[None, :, 1])
-            & (cv[:, None] <= bbox[None, :, 3]))
-
-
-def chunked_candidate_pairs(
+def candidate_pairs(
     centres: np.ndarray,
     bbox: np.ndarray,
+    depth: np.ndarray,
     chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-    pixel_major: bool = True,
 ) -> CandidatePairs:
-    """General candidate generation, chunked over Gaussians.
+    """Every (pixel, Gaussian) pair whose pixel centre lies in the bbox,
+    in composite order.
 
     ``centres`` is ``(K, 2)`` continuous pixel centres; ``bbox`` is the
-    ``(M, 4)`` ``(u_min, v_min, u_max, v_max)`` corner array.
+    ``(M, 4)`` ``(u_min, v_min, u_max, v_max)`` corner array and ``depth``
+    the ``(M,)`` camera-frame depths that order each pixel's list.
     """
     K = centres.shape[0]
     M = bbox.shape[0]
     if K == 0 or M == 0:
         return CandidatePairs.empty(K)
-    cu, cv = centres[:, 0], centres[:, 1]
+    by_depth = np.argsort(depth, kind="stable")
+    lo_u, lo_v, hi_u, hi_v = np.ascontiguousarray(bbox[by_depth].T)
+    cu, cv = centres[:, 0:1], centres[:, 1:2]
     chunk = max(1, chunk_pairs // K)
-    pix_parts: List[np.ndarray] = []
-    gss_parts: List[np.ndarray] = []
+    pix_parts, gss_parts = [], []
     for start in range(0, M, chunk):
-        stop = min(start + chunk, M)
-        pp, gg = np.nonzero(_corner_mask(cu, cv, bbox[start:stop]))
-        pix_parts.append(pp)
-        gss_parts.append(gg + start)
+        cols = slice(start, min(start + chunk, M))
+        mask = ((cu >= lo_u[cols]) & (cu <= hi_u[cols])
+                & (cv >= lo_v[cols]) & (cv <= hi_v[cols]))
+        pix, at = np.divmod(np.flatnonzero(mask), mask.shape[1])
+        pix_parts.append(pix)
+        gss_parts.append(by_depth[cols][at])
+    if len(pix_parts) == 1:
+        return CandidatePairs(pix_parts[0], gss_parts[0], K)
+    # Each chunk is pixel-major over its own rank range, and the ranges
+    # ascend: a stable sort on the pixel key merges them in rank order.
     pix = np.concatenate(pix_parts)
-    gss = np.concatenate(gss_parts)
-    if pixel_major and len(pix_parts) > 1:
-        # np.nonzero is pixel-major only within a chunk; a stable sort on
-        # the pixel key restores global pixel-major order while keeping
-        # Gaussians ascending within each pixel (chunks are visited in
-        # ascending Gaussian order).
-        order = np.argsort(pix, kind="stable")
-        pix, gss = pix[order], gss[order]
-    return CandidatePairs(pix, gss, K)
-
-
-def is_tile_lattice(pixels: np.ndarray, tile: int, width: int) -> bool:
-    """True when ``pixels`` is the row-major one-per-tile lattice.
-
-    The direct-indexing invariant of ``sample_tracking_pixels``: the pixel
-    at list index ``k`` lies in tile ``(k % tiles_x, k // tiles_x)``.
-    """
-    if tile <= 0 or pixels.shape[0] == 0:
-        return False
-    tiles_x = -(-width // tile)
-    k = np.arange(pixels.shape[0])
-    return bool(np.all(pixels[:, 0] // tile == k % tiles_x)
-                and np.all(pixels[:, 1] // tile == k // tiles_x))
-
-
-def lattice_pair_arrays(
-    pixels: np.ndarray, bbox: np.ndarray, tile: int, width: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Direct-indexing candidate pairs, *Gaussian-major*.
-
-    Vectorized index arithmetic on the row-major lattice: for each
-    Gaussian the bbox corners give an inclusive tile range
-    ``[tx0, tx1] x [ty0, ty1]``; the covered lattice indices are
-    ``ty * tiles_x + tx``, refined by the shared corner predicate.
-    Returns ``(k, g)`` arrays ordered by Gaussian, then row-major over the
-    tile range — the order the reference Python loop produced.
-    """
-    pixels = np.asarray(pixels, dtype=int)
-    K = pixels.shape[0]
-    M = bbox.shape[0]
-    if K == 0 or M == 0:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    tiles_x = int(-(-width // tile))
-
-    tx0 = np.maximum(np.floor_divide(bbox[:, 0], tile).astype(int), 0)
-    ty0 = np.maximum(np.floor_divide(bbox[:, 1], tile).astype(int), 0)
-    tx1 = np.minimum(np.floor_divide(bbox[:, 2], tile).astype(int),
-                     tiles_x - 1)
-    ty1 = np.floor_divide(bbox[:, 3], tile).astype(int)
-    # The lattice has ceil(K / tiles_x) rows; clamp the row range there so
-    # the expansion below stays bounded (out-of-list slots are masked).
-    ty1 = np.minimum(ty1, (K - 1) // tiles_x)
-
-    nx = np.maximum(tx1 - tx0 + 1, 0)
-    ny = np.maximum(ty1 - ty0 + 1, 0)
-    counts = nx * ny
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-
-    g = np.repeat(np.arange(M), counts)
-    starts = np.cumsum(counts) - counts
-    local = np.arange(total) - np.repeat(starts, counts)
-    nx_rep = np.repeat(nx, counts)
-    tx = np.repeat(tx0, counts) + local % nx_rep
-    ty = np.repeat(ty0, counts) + local // nx_rep
-    k = ty * tiles_x + tx
-
-    keep = k < K
-    k, g = k[keep], g[keep]
-    centre_u = pixels[k, 0] + 0.5
-    centre_v = pixels[k, 1] + 0.5
-    keep = ((bbox[g, 0] <= centre_u) & (centre_u <= bbox[g, 2])
-            & (bbox[g, 1] <= centre_v) & (centre_v <= bbox[g, 3]))
-    return k[keep], g[keep]
-
-
-def lattice_candidate_pairs(
-    pixels: np.ndarray, bbox: np.ndarray, tile: int, width: int,
-    pixel_major: bool = True,
-) -> CandidatePairs:
-    """Direct-indexing candidate generation, reordered to pixel-major."""
-    k, g = lattice_pair_arrays(pixels, bbox, tile, width)
-    if pixel_major and k.size:
-        # Stable sort on the pixel key: Gaussian-major in, so Gaussians
-        # stay ascending within each pixel segment.
-        order = np.argsort(k, kind="stable")
-        k, g = k[order], g[order]
-    return CandidatePairs(k, g, pixels.shape[0])
-
-
-def candidate_pairs(
-    pixels: np.ndarray,
-    centres: np.ndarray,
-    bbox: np.ndarray,
-    lattice_tile: Optional[int] = None,
-    width: int = 0,
-    chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-    pixel_major: bool = True,
-) -> CandidatePairs:
-    """Build the candidate pair list, picking the cheapest valid generator.
-
-    ``lattice_tile`` is a *hint*: when the sampled pixels verifiably form
-    the row-major one-per-tile lattice (tracking's layout), candidates
-    come from direct index arithmetic; otherwise the chunked corner test
-    runs.  Both produce the same pair set, so the choice is purely a
-    performance matter — as is ``pixel_major=False``, which skips the
-    final reorder for consumers that re-sort the pairs themselves.
-    """
-    if (lattice_tile is not None and width > 0
-            and is_tile_lattice(pixels, lattice_tile, width)):
-        return lattice_candidate_pairs(pixels, bbox, lattice_tile, width,
-                                       pixel_major=pixel_major)
-    return chunked_candidate_pairs(centres, bbox, chunk_pairs=chunk_pairs,
-                                   pixel_major=pixel_major)
+    order = np.argsort(pix, kind="stable")
+    return CandidatePairs(pix[order], np.concatenate(gss_parts)[order], K)

@@ -3,8 +3,10 @@
 Executes all K pixel pipelines at once over the flattened (pixel,
 Gaussian) pair list:
 
-- one global ``np.lexsort`` on ``(pixel, depth, index)`` replaces the K
-  per-pixel depth sorts (the tie-break matches ``sort_by_depth``);
+- no sort at all: :func:`~repro.render.kernels.candidates.candidate_pairs`
+  ranks the projected Gaussians by depth once per view and emits the
+  pairs already pixel-major and front-to-back (the ``(depth, index)`` key
+  of ``sort_by_depth``), and the preemptive α filter keeps that order;
 - the ragged per-pixel segments are padded slot-major to ``(Lmax, K)``:
   row ``s`` holds list position ``s`` of every pixel, so all K pixels
   step through each list position together (one lane per pixel, as the
@@ -37,8 +39,8 @@ pass, split at its representation seam into :func:`alpha_gradients`
 (everything up to dL/dα) and :func:`pair_gradients` (the isotropic
 falloff reverse on top of it) — are also the engine of the dense tile
 pipeline (:mod:`repro.render.rasterize` / :mod:`repro.render.backward`),
-which feeds them from the tile table instead of a lexsort and aggregates
-with a tile-major two-stage scatter.  Anisotropic splats
+which feeds them from its depth-sorted tile table and aggregates with a
+tile-major two-stage scatter.  Anisotropic splats
 (:mod:`repro.render.anisotropic`) run :func:`forward` on their own conic
 α and :func:`alpha_gradients` under their own falloff reverse.
 """
@@ -249,7 +251,9 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
             pair_alpha=None, pair_clipped=None, contribs_out=None):
     """Batched forward pass over the shared candidate pair list.
 
-    The order stage (one global lexsort) followed by :func:`composite`.
+    ``pairs`` must be in composite order — pixel-major, front-to-back —
+    as :func:`~repro.render.kernels.candidates.candidate_pairs` emits
+    them; this is :func:`composite` over them as they come.
     Returns ``(gss, lengths, caches, flat_cache)``: the flat depth-sorted
     pair list grouped by pixel, the K per-pixel list lengths, the
     per-pixel cache list (all None here) and the padded batch cache.
@@ -270,14 +274,10 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
             stats.per_pixel_contribs.extend([0] * K)
         return np.zeros(0, dtype=int), np.zeros(K, dtype=int), [None] * K, None
 
-    # Segmented depth sort: pixel-major, then front-to-back, then by
-    # projected index — the exact (depth, index) key of sort_by_depth.
-    order = np.lexsort((pairs.gss, proj.depth[pairs.gss], pairs.pix))
-    pix = pairs.pix[order]
-    gss = pairs.gss[order]
+    pix, gss = pairs.pix, pairs.gss
     lengths = np.bincount(pix, minlength=K)
     if pair_alpha is not None:
-        alpha, clipped = pair_alpha[order], pair_clipped[order]
+        alpha, clipped = pair_alpha, pair_clipped
     else:
         alpha, clipped = evaluate_alpha(proj, gss, centres[pix], exp_fn)
     out_color, out_depth, out_sil, cache = composite(
@@ -491,8 +491,5 @@ register_kernel(KernelBackend(
     description="batched segmented numpy kernels (CSR pair list)",
     forward=forward,
     backward=backward,
-    # The global (pixel, depth, index) lexsort fully determines the pair
-    # order on its own, so pre-sorted input buys nothing.
-    needs_pixel_major_pairs=False,
     wants_pair_alpha=True,
 ))

@@ -26,7 +26,7 @@ from ..gaussians.camera import Camera, Intrinsics
 from ..obs import trace
 from ..obs import atlas as obs_atlas
 from ..obs.health import get_monitor
-from ..gaussians.model import GaussianCloud
+from ..gaussians.model import FrozenCloud, GaussianCloud
 from ..gaussians.se3 import se3_exp
 from ..render.backward import backward_full
 from ..render.stats import PipelineStats
@@ -88,7 +88,8 @@ class Tracker:
         hot loop allocation-free.  ``pixels`` (sparse mode only) is a
         ``(K, 2)`` pixel set that replaces the tracker's own sampling.
         The reverse pass is pose-only: the map is fixed, so only
-        ``d_pose_twist`` is computed.
+        ``d_pose_twist`` is computed, and every iteration renders a
+        :class:`FrozenCloud` snapshot of it taken once per call.
         """
         iters = max_iters if max_iters is not None else self.algo.tracking_iters
         # Attribute this frame's render observations to the tracking stage
@@ -100,6 +101,7 @@ class Tracker:
             np.full(3, self.algo.lr_rotation),
         ])
         adam = Adam(6, lr)
+        cloud = FrozenCloud(cloud)
 
         record = self.splatonic.config.record_per_pixel
         fwd_stats = PipelineStats(pipeline=self.mode, record_per_pixel=record)
@@ -131,7 +133,6 @@ class Tracker:
                 with trace.span("tracking_fwd", iteration=it):
                     result = self.splatonic.render_sparse(
                         cloud, camera, pixels, self.background,
-                        lattice_tile=self.splatonic.config.tracking_tile,
                         cache=render_cache)
                     out = rgbd_loss(result.color, result.depth,
                                     result.silhouette, ref_c, ref_d,

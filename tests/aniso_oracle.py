@@ -5,17 +5,18 @@ the sampled pixels: each pixel's α-surviving candidates are depth-sorted
 with :func:`sort_by_depth` and composited by the isotropic
 :func:`composite_forward` fed each pair's conic α as its "opacity" (the
 pixel sitting exactly on a unit splat's centre, so g = 1); the backward
-runs :func:`composite_backward` per pixel and scatters every partial with
-``np.add.at``.  Slow, but trivially auditable; the equivalence suite holds
+runs :func:`composite_backward` per pixel, takes its dL/dα and colour and
+depth partials, and scatters every partial with ``np.add.at``.  Slow, but
+trivially auditable; the equivalence suite holds
 :func:`repro.render.render_sparse_anisotropic` /
 :func:`repro.render.backward_sparse_anisotropic` bit-identical to it.
 
-Known difference: for a pair with α < 1e-12 (reachable only at
-``alpha_threshold <= 1e-12``), ``composite_backward``'s ``g = α / max(o,
-1e-12)`` is α/1e-12 instead of 1, which scales that pair's dL/dα; the
-engine uses dL/dα itself.  The loop records the per-pixel contributing
-IDs in the *forward* stats; the engine records them in the backward,
-where every consumer reads them.
+The loop reads dL/dα itself, not ``composite_backward``'s opacity
+gradient: that one is dL/dα times ``g = α / max(o, 1e-12)``, which is 1
+for the "opacity = α" encoding only while α >= 1e-12 (a τ = 0 needle's
+bbox corners reach α ~ 1e-300).  The loop records the per-pixel
+contributing IDs in the *forward* stats; the engine records them in the
+backward, where every consumer reads them.
 """
 
 from __future__ import annotations
@@ -217,8 +218,8 @@ def backward_oracle(
         pair_alpha = np.minimum(alpha_raw, ALPHA_MAX)
 
         # The forward fed each pair's alpha as the "opacity" of a splat
-        # centred on the pixel (g = 1), so running the shared backward
-        # with the same inputs makes its d_opacity exactly dL/d(alpha).
+        # centred on the pixel; the shared backward's dL/dα is the
+        # pair's own.
         pair = composite_backward(
             cache,
             mean2d=np.zeros((cand.size, 2)),
@@ -231,7 +232,7 @@ def backward_oracle(
             d_silhouette=d_sil[k:k + 1],
         )
         live = alpha_raw <= ALPHA_MAX  # clipped pairs get no alpha gradient
-        d_pair_alpha = np.where(live, pair.d_opacity, 0.0)
+        d_pair_alpha = np.where(live, pair.d_alpha[0], 0.0)
 
         np.add.at(d_opacity, cand, d_pair_alpha * g)
         d_g = d_pair_alpha * o

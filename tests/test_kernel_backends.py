@@ -4,24 +4,24 @@ counters, and per-item record streams — across every pipeline switch."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core import sample_tracking_pixels
-from repro.core.pixel_pipeline import (
-    backward_sparse,
-    bbox_candidate_ranges,
-    render_sparse,
-)
+from repro.core import Splatonic, sample_tracking_pixels
+from repro.core.pixel_pipeline import backward_sparse, render_sparse
 from repro.gaussians import Camera, GaussianCloud, Intrinsics
 from repro.hw import ExpLUT
 import repro.render.kernels
 from repro.render.kernels import available_backends, resolve_backend
-from repro.render.kernels.candidates import (
-    candidate_pairs,
-    chunked_candidate_pairs,
-    is_tile_lattice,
-    lattice_candidate_pairs,
-)
+from repro.render.kernels.candidates import candidate_pairs
 from repro.render.projection import project_gaussians
+
+from .lattice_oracle import (
+    bbox_candidate_ranges,
+    corner_pairs,
+    is_tile_lattice,
+    lattice_pair_arrays,
+)
 
 BG = np.array([0.15, 0.25, 0.05])
 W, H = 48, 36
@@ -114,37 +114,83 @@ class TestRegistry:
         assert vec.backend == "vectorized" and vec.flat_cache is not None
 
 
+def pixel_major(k, g):
+    """``(k, g)`` pairs reordered pixel-major, ascending ``g`` within a
+    pixel: a canonical order for comparing pair sets."""
+    order = np.lexsort((g, k))
+    return k[order], g[order]
+
+
+class TestOrderedGenerator:
+    @given(seed=st.integers(0, 2**32 - 1),
+           k=st.integers(0, 24),
+           m=st.integers(0, 40),
+           depth_levels=st.integers(1, 40),
+           chunk_pairs=st.sampled_from([1, 7, 64, 1 << 20]))
+    @settings(max_examples=200, deadline=None)
+    @example(seed=0, k=0, m=10, depth_levels=2, chunk_pairs=1 << 20)
+    @example(seed=0, k=10, m=0, depth_levels=2, chunk_pairs=1 << 20)
+    @example(seed=1, k=24, m=40, depth_levels=1, chunk_pairs=7)
+    def test_composite_order(self, seed, k, m, depth_levels, chunk_pairs):
+        """The generator emits the all-pairs corner test's pair set in the
+        order of one global lexsort on (pixel, depth, projected index).
+        Depths take ``depth_levels`` values (one level ties every
+        Gaussian), and every bbox edge sits on a pixel centre or half-way
+        between two, so centres land exactly on edges of the inclusive
+        predicate."""
+        rng = np.random.default_rng(seed)
+        centres = np.stack([rng.integers(0, W, k),
+                            rng.integers(0, H, k)], axis=-1) + 0.5
+        lo = rng.integers(-3, [W, H], (m, 2)) + rng.choice([0.0, 0.5],
+                                                            (m, 2))
+        hi = lo + rng.integers(0, 12, (m, 2)) + rng.choice([0.0, 0.5],
+                                                            (m, 2))
+        bbox = np.concatenate([lo, hi], axis=1)
+        depth = rng.integers(0, depth_levels, m) + 1.0
+
+        pix, gss = corner_pairs(centres, bbox)
+        order = np.lexsort((gss, depth[gss], pix))
+        got = candidate_pairs(centres, bbox, depth, chunk_pairs=chunk_pairs)
+        assert got.num_pixels == k
+        assert np.array_equal(got.pix, pix[order])
+        assert np.array_equal(got.gss, gss[order])
+
+
 class TestCandidateGenerators:
     def test_lattice_matches_chunked(self):
+        """The direct-index lattice arithmetic and the production
+        generator build the same pair set."""
         cloud, cam = make_scene(seed=3)
         proj = project_gaussians(cloud, cam)
         pixels = lattice_pixels(tile=4)
         assert is_tile_lattice(pixels, 4, W)
-        lat = lattice_candidate_pairs(pixels, proj.bbox(), 4, W)
-        chk = chunked_candidate_pairs(pixels + 0.5, proj.bbox())
-        assert np.array_equal(lat.pix, chk.pix)
-        assert np.array_equal(lat.gss, chk.gss)
+        lat_pix, lat_gss = pixel_major(
+            *lattice_pair_arrays(pixels, proj.bbox(), 4, W))
+        got = candidate_pairs(pixels + 0.5, proj.bbox(), proj.depth)
+        got_pix, got_gss = pixel_major(got.pix, got.gss)
+        assert np.array_equal(lat_pix, got_pix)
+        assert np.array_equal(lat_gss, got_gss)
 
     def test_chunking_invariant(self):
         cloud, cam = make_scene(seed=5)
         proj = project_gaussians(cloud, cam)
         centres = random_pixels(seed=5, k=30) + 0.5
-        one = chunked_candidate_pairs(centres, proj.bbox())
-        many = chunked_candidate_pairs(centres, proj.bbox(), chunk_pairs=64)
+        one = candidate_pairs(centres, proj.bbox(), proj.depth)
+        many = candidate_pairs(centres, proj.bbox(), proj.depth,
+                               chunk_pairs=64)
         assert np.array_equal(one.pix, many.pix)
         assert np.array_equal(one.gss, many.gss)
 
     def test_non_lattice_hint_falls_back(self):
-        """A wrong lattice hint must not change the pair set."""
+        """``Splatonic.render_sparse`` still accepts a lattice hint; right
+        or wrong, it changes nothing."""
         cloud, cam = make_scene(seed=6)
-        proj = project_gaussians(cloud, cam)
-        pixels = random_pixels(seed=6, k=25)
-        assert not is_tile_lattice(pixels, 4, W)
-        hinted = candidate_pairs(pixels, pixels + 0.5, proj.bbox(),
-                                 lattice_tile=4, width=W)
-        plain = candidate_pairs(pixels, pixels + 0.5, proj.bbox())
-        assert np.array_equal(hinted.pix, plain.pix)
-        assert np.array_equal(hinted.gss, plain.gss)
+        splatonic = Splatonic()
+        for pixels in (random_pixels(seed=6, k=25), lattice_pixels(tile=4)):
+            hinted = splatonic.render_sparse(cloud, cam, pixels, BG,
+                                             lattice_tile=4)
+            plain = splatonic.render_sparse(cloud, cam, pixels, BG)
+            assert_forward_identical(plain, hinted)
 
     def test_bbox_candidate_ranges_matches_scan(self):
         cloud, cam = make_scene(seed=7)
@@ -170,8 +216,9 @@ class TestForwardEquivalence:
         assert_forward_identical(ref, vec)
 
     def test_lattice_pixels_with_hint(self):
+        """Tracking's one-per-tile lattice."""
         cloud, cam = make_scene(seed=4)
-        ref, vec = render_both(cloud, cam, lattice_pixels(), lattice_tile=4)
+        ref, vec = render_both(cloud, cam, lattice_pixels())
         assert_forward_identical(ref, vec)
 
     def test_preemptive_alpha_off(self):
@@ -240,7 +287,7 @@ class TestBackwardEquivalence:
 
     def test_gradients_lattice_hint(self):
         cloud, cam = make_scene(seed=4)
-        ref, vec = render_both(cloud, cam, lattice_pixels(), lattice_tile=4)
+        ref, vec = render_both(cloud, cam, lattice_pixels())
         g_ref, g_vec = backward_both(ref, vec, cloud, cam, 4)
         assert_backward_identical(g_ref, g_vec)
 

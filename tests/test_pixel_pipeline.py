@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import bbox_candidate_ranges, sample_tracking_pixels
+from repro.core import sample_tracking_pixels
 from repro.core.pixel_pipeline import backward_sparse, render_sparse
 from repro.gaussians import Camera, GaussianCloud, Intrinsics
 from repro.render import backward_full, project_gaussians, render_full
+from repro.render.kernels.candidates import candidate_pairs
+
+from .lattice_oracle import bbox_candidate_ranges
 
 BG = np.array([0.15, 0.25, 0.05])
 W, H = 48, 36
@@ -155,19 +158,18 @@ class TestBackwardEquivalence:
 
 class TestDirectIndexing:
     def test_matches_exhaustive_bbox_scan(self):
+        """The direct-index lattice arithmetic (the projection unit's,
+        Sec. V-C) finds each Gaussian's pixels exactly where the
+        production generator's bbox scan does."""
         cloud, cam = make_scene(seed=10)
         tile = 8
         pixels = sample_tracking_pixels(W, H, tile, "random",
                                         np.random.default_rng(2))
         proj = project_gaussians(cloud, cam)
         ranges = bbox_candidate_ranges(pixels, proj.bbox(), tile, W)
-        centres = pixels + 0.5
-        bbox = proj.bbox()
+        pairs = candidate_pairs(pixels + 0.5, proj.bbox(), proj.depth)
         for g, cand in enumerate(ranges):
-            u_min, v_min, u_max, v_max = bbox[g]
-            inside = np.nonzero(
-                (centres[:, 0] >= u_min) & (centres[:, 0] <= u_max)
-                & (centres[:, 1] >= v_min) & (centres[:, 1] <= v_max))[0]
+            inside = pairs.pix[pairs.gss == g]
             assert set(cand.tolist()) == set(inside.tolist())
 
     def test_lattice_is_tile_row_major(self):

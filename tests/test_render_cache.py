@@ -71,8 +71,7 @@ def assert_grads_identical(ga, gb):
 
 
 def drift_loop(cloud, cam, pixels, *, backend, cache, iters,
-               twist=None, param_step=None, lattice_tile=None,
-               record_per_pixel=True):
+               twist=None, param_step=None, record_per_pixel=True):
     """Run ``iters`` forward+backward passes with drifting inputs."""
     outs = []
     pose = cam.pose_c2w
@@ -80,7 +79,6 @@ def drift_loop(cloud, cam, pixels, *, backend, cache, iters,
     for _ in range(iters):
         camera = Camera(cam.intrinsics, pose)
         res = render_sparse(cur, camera, pixels, BG, backend=backend,
-                            lattice_tile=lattice_tile,
                             record_per_pixel=record_per_pixel, cache=cache)
         grads = backward_sparse(res, cur, camera, np.ones_like(res.color),
                                 np.ones_like(res.depth),
@@ -151,10 +149,10 @@ class TestEquivalence:
                                         np.random.default_rng(1))
         twist = np.array([2e-3, -1e-3, 1.5e-3, 1e-3, -5e-4, 8e-4])
         plain = drift_loop(cloud, cam, pixels, backend=backend, cache=None,
-                           iters=6, twist=twist, lattice_tile=8)
+                           iters=6, twist=twist)
         cache = RenderCache("tracking")
         cached = drift_loop(cloud, cam, pixels, backend=backend, cache=cache,
-                            iters=6, twist=twist, lattice_tile=8)
+                            iters=6, twist=twist)
         for (r0, g0), (r1, g1) in zip(plain, cached):
             assert_results_identical(r0, r1)
             assert_grads_identical(g0, g1)
