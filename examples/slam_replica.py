@@ -17,11 +17,11 @@ from repro.datasets import REPLICA_SEQUENCES, make_replica_sequence
 from repro.slam import SLAMSystem
 
 
-def run(mode: str, sequence, config=None, flight=None, health=None):
+def run(mode: str, sequence, config=None, observers=()):
     start = time.perf_counter()
     result = SLAMSystem("splatam", mode=mode,
                         splatonic_config=config).run(
-                            sequence, flight=flight, health=health)
+                            sequence, observers=observers)
     elapsed = time.perf_counter() - start
     ate = result.ate()
     quality = result.eval_quality(sequence)
@@ -51,17 +51,19 @@ def main():
         width=args.width, height=args.height, surface_density=10)
 
     flight = health = None
+    observers = []
     if args.flight_record:
         from repro.obs.flight import FlightRecorder
         from repro.obs.health import HealthMonitor
         flight = FlightRecorder()
         flight.enable(args.flight_record)
         health = HealthMonitor()
+        observers = [health, flight]
 
     config = SplatonicConfig(tracking_tile=args.tracking_tile)
     print("\nrunning SPLATONIC (sparse) ...")
     sparse, ate_s, q_s, t_s = run("sparse", sequence, config,
-                                  flight=flight, health=health)
+                                  observers=observers)
     if flight is not None:
         flight.disable()
         from repro.obs.flight import read_flight_record

@@ -490,28 +490,34 @@ def _cmd_slam(args) -> int:
             record_per_pixel=args.per_pixel_records,
             render_cache=args.render_cache),
         seed=args.seed)
-    flight = None
-    health = None
-    atlas = None
+    telemetry_on = (args.serve_telemetry is not None
+                    or args.telemetry_stream is not None)
+    flight = health = atlas = None
+    observers = []
+    if args.flight_record or telemetry_on:
+        # Recorded and live runs watch health, so alerts reach the record
+        # and the ticker under the chosen policy.
+        health = HealthMonitor(HealthConfig(on_alert=args.on_alert))
+        observers.append(health)
     if args.flight_record:
         flight = FlightRecorder()
         flight.enable(args.flight_record)
-        health = HealthMonitor(HealthConfig(on_alert=args.on_alert))
+        observers.append(flight)
     if args.atlas:
         atlas = AtlasCollector(tile=args.atlas_tile or DEFAULT_ATLAS_TILE)
         atlas.enable(args.atlas)
+        observers.append(atlas)
+    if args.registry:
+        from .obs.runsdb import RunRegistry
 
-    telemetry_on = (args.serve_telemetry is not None
-                    or args.telemetry_stream is not None)
+        observers.append(RunRegistry(args.registry))
+
     server = None
     streamer = None
     if telemetry_on:
         from .obs.promexport import serve_telemetry
 
         bus.enable()
-        if health is None:
-            # Live runs always watch health so alerts reach the ticker.
-            health = HealthMonitor(HealthConfig(on_alert=args.on_alert))
         if args.serve_telemetry is not None:
             port = (DEFAULT_PORT if args.serve_telemetry < 0
                     else args.serve_telemetry)
@@ -530,16 +536,9 @@ def _cmd_slam(args) -> int:
             else:
                 log.info(f"streaming telemetry to {args.telemetry_stream}")
 
-    registry = None
-    if args.registry:
-        from .obs.runsdb import RunRegistry
-
-        registry = RunRegistry(args.registry)
-
     log.info(f"running {args.algorithm} ({args.mode}) ...")
     try:
-        result = system.run(sequence, flight=flight, health=health,
-                            atlas=atlas, registry=registry)
+        result = system.run(sequence, observers=observers)
         if telemetry_on:
             # Fold the run's stage totals into the registry so the final
             # /metrics scrape carries the workload counters too.

@@ -7,7 +7,8 @@ similarity) transform, then report the RMSE of the residual translations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Tuple
 
 import numpy as np
 
@@ -22,6 +23,8 @@ class AteResult:
     mean: float
     median: float
     max: float
+    #: Per-frame translation error the statistics summarise.
+    per_frame: Tuple[float, ...] = field(repr=False)
 
 
 def umeyama_alignment(source: np.ndarray, target: np.ndarray,
@@ -76,6 +79,7 @@ def ate_rmse(estimated: np.ndarray, ground_truth: np.ndarray,
         mean=float(err.mean()),
         median=float(np.median(err)),
         max=float(err.max()),
+        per_frame=tuple(float(e) for e in err),
     )
 
 

@@ -28,12 +28,14 @@ inside functions:
 - :mod:`repro.obs.attrib` — cycle attribution: maps modeled cycles and
   traced wall time onto the paper's pipeline stages per hardware unit,
   with bottleneck tables and a per-unit Chrome-trace export.
-- :mod:`repro.obs.flight` — the per-frame SLAM flight recorder: one
-  schema-versioned JSONL record per frame (poses, loss curves, sampling
-  composition, workload counters), following the tracer's disabled ==
-  free discipline.
-- :mod:`repro.obs.health` — online health monitors over the flight
-  stream (NaN/∞, pose jumps, loss divergence, coverage collapse,
+- :mod:`repro.obs.flight` — the schema of ``SLAMSystem.run``'s event
+  stream (header, one record per frame with poses, loss curves,
+  sampling composition, workload counters and stage wall times, summary)
+  and the flight recorder, the observer that writes it as JSONL.  The
+  health monitor, atlas, run registry and telemetry bus observe the
+  same stream; with no observer the run builds no record.
+- :mod:`repro.obs.health` — online health monitors over the run stream
+  (NaN/∞, pose jumps, loss divergence, coverage collapse,
   runaway densification) with a ``warn``/``raise`` escalation policy.
 - :mod:`repro.obs.report` — run reports (markdown/HTML, sparkline
   summaries) and frame-aligned run-to-run diffing for flight records.
@@ -46,8 +48,9 @@ inside functions:
   top-N self-time/alloc tables and a JSON profile export.
 - :mod:`repro.obs.telemetry` — the live telemetry :data:`~repro.obs.
   telemetry.bus`: a backpressure-safe in-process pub/sub bus (bounded
-  per-subscriber rings, drop counters, disabled == free) the flight
-  recorder, health monitors, metrics registry, and tracer publish onto,
+  per-subscriber rings, drop counters, disabled == free) that observes
+  the SLAM run stream and that the health monitors, metrics registry,
+  and tracer publish onto,
   plus the :class:`~repro.obs.telemetry.RunAggregator` live run snapshot
   and the newline-JSON :class:`~repro.obs.telemetry.TelemetryStreamer`.
 - :mod:`repro.obs.promexport` — the stdlib-only HTTP exporter over the

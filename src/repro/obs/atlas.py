@@ -67,6 +67,8 @@ class AtlasCollector:
     :meth:`begin_frame` ... observations ... :meth:`end_frame`, and finally
     :meth:`disable`, which writes the artifact if a path was given.  The
     :func:`record_to` context manager bundles the lifecycle for tests.
+    As a run observer (see ``SLAMSystem.run``) the run's header and frame
+    events drive ``begin_run`` / ``begin_frame`` / ``end_frame``.
     """
 
     def __init__(self, tile: int = DEFAULT_ATLAS_TILE):
@@ -76,6 +78,7 @@ class AtlasCollector:
         self._records: List[dict] = []
         self._frame: Optional[dict] = None
         self._stage = "other"
+        self._run: dict = {}
         #: Hot-path gate — plain attribute, True only inside an open frame.
         self.active = False
 
@@ -151,6 +154,34 @@ class AtlasCollector:
             "channels": list(CHANNELS),
             "meta": dict(meta),
         }))
+
+    # ---- run-event observer (see SLAMSystem.run) ----
+
+    def on_header(self, header: dict) -> None:
+        """Write the artifact header and open frame 0."""
+        config = header.get("config") or {}
+        self._run = header
+        # Backend-independent metadata only: the artifact must stay
+        # bit-identical across kernel backends.
+        self.begin_run(
+            **{key: header.get(key) for key in (
+                "algorithm", "mode", "sequence", "frames", "width",
+                "height")},
+            tracking_tile=config.get("tracking_tile"),
+            mapping_tile=config.get("mapping_tile"))
+        self.begin_frame(0, header["width"], header["height"])
+
+    def on_frame(self, record: dict, stages: dict) -> None:
+        """Close the record's frame with its stage counters and open the
+        next one."""
+        self.end_frame(stages)
+        following = record["frame"] + 1
+        if following < self._run["frames"]:
+            self.begin_frame(following, self._run["width"],
+                             self._run["height"])
+
+    def on_summary(self, summary: dict) -> None:
+        pass
 
     def begin_frame(self, frame: int, width: int, height: int) -> None:
         """Open the per-frame grids; a no-op when the collector is off."""

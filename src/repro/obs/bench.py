@@ -449,15 +449,14 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
 
     bundle = _bundle(cfg)
 
-    def run_slam(flight=None, health=None, atlas=None):
+    def run_slam(*observers):
         system = SLAMSystem("splatam", mode="sparse", seed=cfg.seed,
                             record_per_pixel=False)
-        return system.run(bundle.sequence, flight=flight, health=health,
-                          atlas=atlas)
+        return system.run(bundle.sequence, observers=observers)
 
-    def timed(**sinks):
+    def timed(*observers):
         start = perf_counter()
-        result = run_slam(**sinks)
+        result = run_slam(*observers)
         return result, perf_counter() - start
 
     # The wall-time spike monitor publishes alerts keyed to real frame
@@ -488,8 +487,7 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
         collector.enable()
         with trace.capture(reset=False):
             spans_before = len(trace.records)
-            result_on, on_s = timed(flight=flight, health=health,
-                                    atlas=collector)
+            result_on, on_s = timed(health, flight, collector)
             spans = len(trace.records) - spans_before
 
         # Telemetry-bus legs: publishing on with nobody listening, then
@@ -499,12 +497,12 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
         # deterministic run stream (header + frames + per-frame metrics
         # snapshots + summary + alerts).
         telemetry_bus.enable()
-        result_bus, bus_on_s = timed(health=bus_health())
+        result_bus, bus_on_s = timed(bus_health())
         published_no_sub = telemetry_bus.published()
 
         sub = telemetry_bus.subscribe(maxlen=8192, name="bench:obs_overhead")
         telemetry_bus.reset()
-        result_bus_sub, bus_sub_s = timed(health=bus_health())
+        result_bus_sub, bus_sub_s = timed(bus_health())
         published_sub = telemetry_bus.published()
         delivered = int(sub.delivered)
         bus_dropped = telemetry_bus.dropped()

@@ -13,25 +13,21 @@ schema-versioned JSONL stream with exactly one record per frame:
   loss curves, mapping densify/prune events and sampling composition
   (unseen-by-transmittance vs texture-weighted pixel counts, coverage
   fractions), α-filter rejection rates, Gaussian-count growth, keyframe
-  buffer events, and the headline :class:`~repro.render.stats.PipelineStats`
-  workload counters of that frame's passes;
+  buffer events, the headline :class:`~repro.render.stats.PipelineStats`
+  workload counters of that frame's passes, and the frame's wall time
+  with its tracking and mapping parts;
 - last line — a ``summary`` record: final ATE statistics (including the
   Umeyama-aligned per-frame residuals, so the stream reproduces
-  ``SLAMResult.ate()`` exactly), totals, and every health alert raised.
+  ``SLAMResult.ate()`` exactly, and the unaligned ATE), totals, and every
+  health alert raised.
 
-The recorder follows the tracer's no-op discipline: it is **disabled by
-default**, and a disabled :meth:`FlightRecorder.emit` is one attribute
-load + branch, so instrumentation hooks in the SLAM loop cost nothing
-when recording is off.  Module-level imports are stdlib-only
-(:mod:`repro.obs.telemetry` is itself stdlib-only); numpy is pulled in
-lazily where records are normalized.
-
-Live telemetry: every emitted record is also published onto the
-process-wide :data:`repro.obs.telemetry.bus` under its record type
-(``"header"`` / ``"frame"`` / ``"summary"``), so the HTTP exporter,
-stream exporter, and ``repro top`` watch the same stream the JSONL file
-receives — at zero extra cost while the bus is disabled (one branch; the
-already-normalized record dict is reused, nothing is re-serialized).
+:meth:`repro.slam.SLAMSystem.run` builds each of these records once and
+hands it to every attached observer; the recorder is one of them (its
+``on_header`` / ``on_frame`` / ``on_summary`` append the record), next to
+the health monitor, the atlas, the run registry and the telemetry bus.
+A disabled :meth:`FlightRecorder.emit` is one attribute load + branch.
+Module-level imports are stdlib-only; numpy values are normalized by
+duck typing in :func:`to_plain`.
 """
 
 from __future__ import annotations
@@ -41,17 +37,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .telemetry import bus as _bus
-
 __all__ = [
     "FLIGHT_SCHEMA_VERSION",
     "FlightRecorder",
     "FlightLog",
-    "recorder",
+    "run_header",
     "to_plain",
     "read_flight_record",
     "parse_flight_records",
-    "aligned_frame_errors",
 ]
 
 #: Version of the flight-record JSONL layout.  Bump on any breaking
@@ -145,11 +138,7 @@ class FlightRecorder:
     # ---- recording ----
 
     def emit(self, record: Dict[str, Any]) -> None:
-        """Append one record (no-op while disabled).
-
-        When the telemetry bus is enabled the normalized record is also
-        published under its ``type`` so live consumers see the stream.
-        """
+        """Append one record (no-op while disabled)."""
         if not self._enabled:
             return
         plain = to_plain(record)
@@ -158,22 +147,18 @@ class FlightRecorder:
             json.dump(plain, self._fh, sort_keys=True)
             self._fh.write("\n")
             self._fh.flush()
-        if _bus.enabled:
-            _bus.publish(str(plain.get("type", "frame")), plain)
 
     def begin_run(self, **meta) -> None:
-        """Emit the header record (schema version + env fingerprint)."""
-        if not self._enabled:
-            return
-        from .bench import environment_fingerprint
+        """Emit a :func:`run_header` record built from ``meta``."""
+        if self._enabled:
+            self.emit(run_header(**meta))
 
-        header = {
-            "type": "header",
-            "schema_version": FLIGHT_SCHEMA_VERSION,
-            "environment": environment_fingerprint(),
-        }
-        header.update(meta)
-        self.emit(header)
+    # ---- run-event observer (see SLAMSystem.run) ----
+
+    on_header = on_summary = emit
+
+    def on_frame(self, record: Dict[str, Any], stages) -> None:
+        self.emit(record)
 
     # ---- access / export ----
 
@@ -195,9 +180,13 @@ class FlightRecorder:
         return len(self._records)
 
 
-#: Process-wide default recorder; ``SLAMSystem.run`` uses this instance
-#: unless handed an explicit one.  Disabled (and free) by default.
-recorder = FlightRecorder()
+def run_header(**meta) -> Dict[str, Any]:
+    """A run's header record: schema version, environment fingerprint
+    and ``meta`` (algorithm, mode, frame size, run config, ...)."""
+    from .bench import environment_fingerprint
+
+    return {"type": "header", "schema_version": FLIGHT_SCHEMA_VERSION,
+            "environment": environment_fingerprint(), **meta}
 
 
 # ---------------------------------------------------------------------------
@@ -281,25 +270,3 @@ def read_flight_record(path: str) -> FlightLog:
                     f"{path}:{lineno}: malformed flight record "
                     f"({exc})") from exc
     return parse_flight_records(records, path=path)
-
-
-# ---------------------------------------------------------------------------
-# ATE helper (lazy numpy import; mirrors repro.metrics.ate exactly)
-# ---------------------------------------------------------------------------
-
-def aligned_frame_errors(est_trajectory, gt_trajectory) -> List[float]:
-    """Umeyama-aligned per-frame translation residuals, in metres.
-
-    Uses the exact alignment of :func:`repro.metrics.ate.ate_rmse`, so
-    ``sqrt(mean(err**2))`` over the returned list equals
-    ``SLAMResult.ate().rmse`` bit-for-bit.
-    """
-    import numpy as np
-
-    from ..metrics.ate import umeyama_alignment
-
-    est = np.asarray(est_trajectory, dtype=float)[:, :3, 3]
-    gt = np.asarray(gt_trajectory, dtype=float)[:, :3, 3]
-    R, t, s = umeyama_alignment(est, gt)
-    aligned = s * est @ R.T + t
-    return [float(e) for e in np.linalg.norm(aligned - gt, axis=1)]

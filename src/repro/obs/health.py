@@ -1,12 +1,14 @@
-"""Online health monitors over the SLAM flight-record stream.
+"""Online health monitors over the SLAM run-event stream.
 
-Watches per-frame records as :meth:`repro.slam.SLAMSystem.run` emits
-them and raises structured :class:`HealthAlert`\\ s when a run starts
+A :class:`HealthMonitor` is a run observer: it watches per-frame records
+as :meth:`repro.slam.SLAMSystem.run` emits them, attaches the alerts each
+frame raised to that frame's record (and every alert to the summary),
+and raises structured :class:`HealthAlert`\\ s when a run starts
 going wrong *while it is still running*:
 
 - ``non_finite``       — NaN/∞ in losses or poses (also reachable
   directly from the tracker/mapper iteration guards, which fire even
-  when the flight recorder is off);
+  when nothing observes the run);
 - ``pose_jump``        — a translation step far above the run's rolling
   median step (the constant-velocity prior says consecutive frames move
   by similar amounts);
@@ -23,10 +25,12 @@ going wrong *while it is still running*:
   ones; rising-edge: a sustained slowdown alerts once, not every frame).
 
 Every alert is routed through the metrics registry (a ``health.alerts.
-<monitor>`` counter plus a logged warning) and published onto the
-telemetry bus (an ``"alert"`` event, when the bus is enabled), and the
-configurable ``on_alert`` policy escalates: ``"warn"`` records and
-continues, ``"raise"`` aborts the run with :exc:`HealthError`.
+<monitor>`` counter plus a logged warning), and the configurable
+``on_alert`` policy escalates: ``"warn"`` records and continues,
+``"raise"`` aborts the run with :exc:`HealthError`.  Live consumers see
+each alert once: inside its frame record while a run streams, otherwise
+(standalone use, or the alert that aborts a run) as an ``"alert"`` event
+on the telemetry bus.
 
 Module-level imports are stdlib-only (``math.isfinite`` + duck typing
 cover numpy scalars; :mod:`repro.obs.telemetry` is stdlib-only too),
@@ -178,6 +182,8 @@ class HealthMonitor:
     def begin_run(self) -> None:
         """Reset per-run monitor state (alerts persist per instance)."""
         self.alerts = []
+        self._streaming = False
+        self._reported = 0
         self._last_position: Optional[List[float]] = None
         self._steps: List[float] = []
         self._losses: List[float] = []
@@ -203,11 +209,13 @@ class HealthMonitor:
         self.alerts.append(alert)
         self.registry.inc(f"health.alerts.{monitor}")
         self.registry.warn(f"health[{monitor}]: {message}")
-        if _bus.enabled:
-            # Publish before a "raise" policy escalates, so live
-            # consumers see the alert that aborted the run.
+        raising = self.config.on_alert == "raise"
+        if _bus.enabled and (raising or not self._streaming):
+            # A streamed run's frame record carries its alerts; the one
+            # that aborts the run never reaches a record, so publish it
+            # before escalating.
             _bus.publish("alert", alert.as_dict())
-        if self.config.on_alert == "raise":
+        if raising:
             raise HealthError(alert)
         return alert
 
@@ -227,6 +235,25 @@ class HealthMonitor:
             return True
         self.non_finite(name, frame=frame, **context)
         return False
+
+    # ---- run-event observer (see SLAMSystem.run) ----
+
+    def on_header(self, header: Dict[str, Any]) -> None:
+        self.begin_run()
+        self._streaming = True
+
+    def on_frame(self, record: Dict[str, Any], stages) -> None:
+        """Check the frame, then attach every alert raised since the last
+        frame (the tracker/mapper finite guards' included)."""
+        self.observe_frame(record)
+        if len(self.alerts) > self._reported:
+            record["alerts"] = [a.as_dict()
+                                for a in self.alerts[self._reported:]]
+            self._reported = len(self.alerts)
+
+    def on_summary(self, summary: Dict[str, Any]) -> None:
+        summary["alerts"] = [a.as_dict() for a in self.alerts]
+        self._streaming = False
 
     # ---- the frame-stream monitors ----
 
@@ -388,7 +415,7 @@ class HealthMonitor:
 
 #: Process-wide default monitor.  The tracker/mapper iteration guards
 #: route through this instance, so NaN detection works even when no
-#: flight recorder (and no custom monitor) is attached to the run.
+#: monitor is attached to the run.
 _monitor = HealthMonitor()
 
 

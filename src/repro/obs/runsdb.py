@@ -34,8 +34,8 @@ Design rules, matching the rest of the stack:
 - **Content-addressed.**  Identical artifacts (two runs of the same
   deterministic workload) are stored once.
 - **Disabled == free.**  The registry only exists when a caller
-  constructs one; ``SLAMSystem.run(registry=None)`` (the default) adds
-  a single ``is not None`` branch after the run, nothing per frame.
+  constructs one; a registry attached to ``SLAMSystem.run`` as an
+  observer keeps the run's records and registers them at the summary.
 - **Stdlib-only module imports.**  Sibling ``repro.obs`` modules are
   imported at module level only where they are themselves stdlib-only
   (bench/flight/telemetry); everything else is lazy.
@@ -131,6 +131,24 @@ class RunRegistry:
 
     def __init__(self, root: str = DEFAULT_REGISTRY_ROOT):
         self.root = str(root)
+        #: Id of the last SLAM run registered as a run observer.
+        self.run_id: Optional[str] = None
+        self._stream: List[Dict[str, Any]] = []
+
+    # ---- run-event observer (see SLAMSystem.run) ----
+
+    def on_header(self, header: Dict[str, Any]) -> None:
+        self._stream = [header]
+        self.run_id = None
+
+    def on_frame(self, record: Dict[str, Any], stages) -> None:
+        self._stream.append(record)
+
+    def on_summary(self, summary: Dict[str, Any]) -> None:
+        """Register the finished run; its id lands in :attr:`run_id`."""
+        self._stream.append(summary)
+        self.run_id = ingest_slam_run(self, self._stream)["run_id"]
+        self._stream = []
 
     # ---- paths ----
 
@@ -379,16 +397,18 @@ def _mean(values: Iterable[Any]) -> Optional[float]:
 def flight_metrics(log: FlightLog) -> Dict[str, float]:
     """Flat headline metrics of one SLAM flight log.
 
-    ATE sections, final map size, mean frame wall time, the mean alpha
-    rejection rate (the run's sparsity ratio), and the per-stage
-    workload counters summed over every frame — the quantities ``repro
-    runs trend`` draws time series of.
+    Aligned and unaligned ATE sections, final map size, mean frame,
+    tracking and mapping wall times, the mean alpha rejection rate (the
+    run's sparsity ratio), and the per-stage workload counters summed
+    over every frame — the quantities ``repro runs trend`` draws time
+    series of.
     """
     out: Dict[str, float] = {}
     summary = log.summary or {}
-    for key, value in (summary.get("ate") or {}).items():
-        if isinstance(value, (int, float)):
-            out[f"slam.ate.{key}_m"] = float(value)
+    for block in ("ate", "ate_unaligned"):
+        for key, value in (summary.get(block) or {}).items():
+            if isinstance(value, (int, float)):
+                out[f"slam.{block}.{key}_m"] = float(value)
     for key in ("final_gaussians", "mapping_invocations",
                 "tracking_iterations"):
         if summary.get(key) is not None:
@@ -397,6 +417,10 @@ def flight_metrics(log: FlightLog) -> Dict[str, float]:
     wall_mean = _mean(log.series("wall_time_s"))
     if wall_mean is not None:
         out["slam.wall.mean_s"] = wall_mean
+    for stage in ("tracking", "mapping"):
+        stage_mean = _mean(log.series(f"{stage}.wall_time_s"))
+        if stage_mean is not None:
+            out[f"slam.wall.{stage}_mean_s"] = stage_mean
     rejection = _mean(log.series("alpha.rejection_rate"))
     if rejection is not None:
         out["slam.alpha.rejection_mean"] = rejection
@@ -446,10 +470,13 @@ def ingest_slam_run(registry: RunRegistry,
                     ) -> Dict[str, Any]:
     """Register one finished SLAM run from its flight-record stream.
 
-    ``records`` is the flight recorder's in-memory record list (header +
-    frames + summary); it becomes the run's ``flight`` artifact and the
-    source of the registered metrics.  ``SLAMSystem.run(registry=...)``
-    and ``repro runs ingest --flight`` both land here.
+    ``records`` is the run's record list (header + frames + summary);
+    it becomes the run's ``flight`` artifact and the source of the
+    registered metrics.  ``config`` defaults to the header's algorithm,
+    mode and run config (``SLAMSystem.registry_config``), so a run
+    registered live (the registry as a ``SLAMSystem.run`` observer) and
+    the same run ingested from its flight file (``repro runs ingest
+    --flight``) share one ``config_hash``.
     """
     plain = [to_plain(r) for r in records]
     log = parse_flight_records(plain)
@@ -460,8 +487,9 @@ def ingest_slam_run(registry: RunRegistry,
     meta = {key: header.get(key)
             for key in ("algorithm", "mode", "frames", "width", "height")
             if header.get(key) is not None}
-    if config is None:
-        config = header.get("config")
+    if config is None and header.get("config") is not None:
+        config = {"algorithm": header.get("algorithm"),
+                  "mode": header.get("mode"), **header["config"]}
     artifacts: Dict[str, Any] = {
         "flight": "".join(json.dumps(r, sort_keys=True) + "\n"
                           for r in plain).encode(),

@@ -2,13 +2,15 @@
 
 Every observability surface in :mod:`repro.obs` is post-hoc — the
 tracer, flight recorder, atlas, and profiler all write artifacts after a
-run finishes.  The telemetry bus makes the same producers *watchable
-while the run executes*: the flight recorder, health monitors, metrics
-registry, and span tracer publish onto the process-wide :data:`bus`,
-and any number of consumers (the ``/metrics``–``/healthz``–``/runz``
-HTTP exporter in :mod:`repro.obs.promexport`, the newline-JSON
-:class:`TelemetryStreamer`, the ``repro top`` dashboard in
-:mod:`repro.obs.top`) subscribe without ever blocking the producer.
+run finishes.  The telemetry bus makes the same run *watchable while it
+executes*: while enabled, the bus is an observer of
+:meth:`repro.slam.SLAMSystem.run`'s event stream (header, frame,
+summary), and the health monitors, metrics registry, and span tracer
+publish onto the process-wide :data:`bus` too.  Any number of consumers
+(the ``/metrics``–``/healthz``–``/runz`` HTTP exporter in
+:mod:`repro.obs.promexport`, the newline-JSON :class:`TelemetryStreamer`,
+the ``repro top`` dashboard in :mod:`repro.obs.top`) subscribe without
+ever blocking the producer.
 
 Design rules, in order of importance:
 
@@ -22,8 +24,8 @@ Design rules, in order of importance:
   *oldest* events are dropped (live-dashboard semantics: recent beats
   complete) and counted, never buffered without bound and never
   blocking the producing run.
-- **Stdlib-only.**  No imports from the rest of the package, so every
-  producer module may import this one without cycles.
+- **Stdlib-only.**  No module-level imports from the rest of the
+  package, so every producer module may import this one without cycles.
 
 Events are ``(seq, ts, kind, payload)`` tuples: a monotonically
 increasing sequence number, a ``time.time()`` stamp, the event kind
@@ -238,6 +240,29 @@ class TelemetryBus:
                 if sub.kinds is None or kind in sub.kinds:
                     sub._offer(event)
 
+    # ---- run-event observer (see SLAMSystem.run) ----
+
+    def on_header(self, header: Dict[str, Any]) -> None:
+        self.publish("header", header)
+
+    def on_frame(self, record: Dict[str, Any], stages) -> None:
+        """Publish the frame record, then the ``slam.*`` gauges it sets
+        as a metrics snapshot."""
+        if not self._enabled:
+            return
+        from .metrics import metrics
+
+        self.publish("frame", record)
+        for name, value in (("frame", record["frame"]),
+                            ("gaussians", record["gaussians"]),
+                            ("pose_error_m", record["pose_error_m"]),
+                            ("cache_hit_rate", record["cache"]["hit_rate"])):
+            metrics.set_gauge(f"slam.{name}", float(value))
+        self.publish("metrics", metrics.export())
+
+    def on_summary(self, summary: Dict[str, Any]) -> None:
+        self.publish("summary", summary)
+
     # ---- introspection ----
 
     def latest(self, kind: str) -> Optional[Dict[str, Any]]:
@@ -267,10 +292,10 @@ class TelemetryBus:
             }
 
 
-#: Process-wide default bus; the publish hooks in
-#: :mod:`repro.obs.flight` / :mod:`repro.obs.health` /
-#: :mod:`repro.obs.metrics` / :mod:`repro.obs.tracing` target this
-#: instance.  Disabled (and free) by default.
+#: Process-wide default bus; ``SLAMSystem.run`` attaches it as an
+#: observer while enabled, and the publish hooks in
+#: :mod:`repro.obs.health` / :mod:`repro.obs.metrics` /
+#: :mod:`repro.obs.tracing` target it.  Disabled (and free) by default.
 bus = TelemetryBus()
 
 
@@ -367,9 +392,8 @@ class RunAggregator:
             self._pose_sq_sum += float(err) ** 2
             self._pose_count += 1
         for alert in record.get("alerts") or []:
-            # Frame-embedded alerts (flight replay has no "alert"
-            # events); live runs publish them separately and do not
-            # embed duplicates in the snapshot's ticker.
+            # A streamed run's alerts arrive only inside their frame
+            # record, live and in a flight replay alike.
             self.alerts.append(dict(alert))
             self.alert_count += 1
         if ts is not None:

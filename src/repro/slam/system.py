@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from ..obs import flight as obs_flight
 from ..obs import atlas as obs_atlas
 from ..obs import telemetry as obs_telemetry
 from ..obs.health import HealthMonitor, get_monitor, use_monitor
+from ..obs.runsdb import RunRegistry
 from ..render.rasterize import render_full
 from ..render.stats import PipelineStats
 from .config import AlgorithmConfig, get_algorithm
@@ -37,6 +38,11 @@ from .mapper import Mapper
 from .tracker import Tracker
 
 __all__ = ["SLAMResult", "SLAMSystem"]
+
+
+def _ate_stats(ate: AteResult) -> Dict[str, float]:
+    return {"rmse": ate.rmse, "mean": ate.mean, "median": ate.median,
+            "max": ate.max}
 
 
 @dataclass
@@ -133,73 +139,30 @@ class SLAMSystem:
         self.bootstrap_stride = bootstrap_stride
 
     def run(self, sequence, n_frames: Optional[int] = None,
-            flight: Optional["obs_flight.FlightRecorder"] = None,
-            health: Optional[HealthMonitor] = None,
-            atlas: Optional["obs_atlas.AtlasCollector"] = None,
-            registry=None) -> SLAMResult:
+            observers: Sequence = ()) -> SLAMResult:
         """Run SLAM over ``sequence`` and return the result bundle.
 
-        ``flight`` overrides the process-wide flight recorder
-        (:data:`repro.obs.flight.recorder`); when the effective recorder
-        is enabled, one structured record per frame is emitted (see
-        :mod:`repro.obs.flight` for the schema) and the health monitors
-        watch the stream online.  Passing an explicit ``health`` monitor
-        turns the stream watching on even without a recorder.  ``atlas``
-        overrides the process-wide sparsity-atlas collector
-        (:data:`repro.obs.atlas.atlas`); when the effective collector is
-        enabled, every frame's spatial work grids plus per-stage counters
-        and hardware-model projections are recorded.  With all three left
-        at their disabled defaults every hook is a single branch — the
-        run is bit-identical to an uninstrumented one.
-
-        Live telemetry: when the process-wide telemetry bus
-        (:data:`repro.obs.telemetry.bus`) is enabled and no flight
-        recorder is, the run records into a throwaway in-memory recorder
-        so per-frame records still reach the bus (the flight recorder is
-        the one publisher of the run stream) — the HTTP exporter, stream
-        exporter, and ``repro top`` all consume from there.
-
-        Run registry: pass a :class:`repro.obs.runsdb.RunRegistry` as
-        ``registry`` and the finished run is registered into it (flight
-        stream as the artifact, headline metrics extracted, keyed by
-        env fingerprint / git SHA / config hash / dataset); the
-        assigned id lands in :attr:`SLAMResult.run_id`.  Like the other
-        hooks, ``registry=None`` (the default) costs nothing — the one
-        extra branch runs after the run, never per frame.
+        The run builds one event stream — a header, one record per frame
+        and a summary (schema in :mod:`repro.obs.flight`) — and hands each
+        event to every observer's ``on_header`` / ``on_frame(record,
+        stages)`` / ``on_summary``: flight recorders, health monitors,
+        atlas collectors and run registries, plus the telemetry bus while
+        it is enabled.  A listened-to run is checked by the attached
+        health monitor (else the process default), which also receives
+        the tracker/mapper finite-guard alerts.  With no observer and the
+        bus off no record is built: the run is bit-identical to an
+        uninstrumented one.
         """
         n = len(sequence) if n_frames is None else min(n_frames, len(sequence))
         if n < 2:
             raise ValueError("need at least two frames")
         intr = sequence.intrinsics
+        observers = self._listeners(observers)
+        listening = bool(observers)
 
-        recorder = flight if flight is not None else obs_flight.recorder
-        monitor = health if health is not None else get_monitor()
-        collector = atlas if atlas is not None else obs_atlas.atlas
-        bus = obs_telemetry.bus
-        if (bus.enabled or registry is not None) and not recorder.enabled:
-            # Live-only / registry-only mode: keep the run stream in an
-            # in-memory recorder without persisting a JSONL artifact —
-            # the bus consumers and the registry ingest read from it.
-            recorder = obs_flight.FlightRecorder()
-            recorder.enable()
-        watch = recorder.enabled or health is not None
-        if collector.enabled:
-            # Backend-independent metadata only: the artifact must stay
-            # bit-identical across kernel backends.
-            collector.begin_run(
-                algorithm=self.algo.name, mode=self.mode,
-                sequence=getattr(sequence, "name", None), frames=n,
-                width=intr.width, height=intr.height,
-                tracking_tile=self.splatonic.config.tracking_tile,
-                mapping_tile=self.splatonic.config.mapping_tile)
-        if watch:
-            monitor.begin_run()
-            alert_cursor = 0
-            recorder.begin_run(
-                algorithm=self.algo.name, mode=self.mode,
-                sequence=getattr(sequence, "name", None), frames=n,
-                width=intr.width, height=intr.height,
-                config=self.run_config())
+        def emit(event: str, *payload) -> None:
+            for observer in observers:
+                getattr(observer, event)(*payload)
 
         tracker = Tracker(self.algo, intr, self.splatonic, self.mode,
                           self.background)
@@ -208,118 +171,133 @@ class SLAMSystem:
         keyframes = KeyframeBuffer(self.algo.keyframe_every,
                                    self.algo.keyframe_window)
         stage_stats = {s: PipelineStats() for s in self.STAGES}
+        est_poses: List[np.ndarray] = []
+        tracking_iterations: List[int] = []
+        mapping_invocations = 0
 
-        # ---- bootstrap on frame 0 (pose anchored to ground truth) ----
+        monitor = observers[0] if listening else None
+        collector = next((o for o in observers
+                          if isinstance(o, obs_atlas.AtlasCollector)), None)
         run_span = trace.span("slam.run", algorithm=self.algo.name,
                               mode=self.mode, frames=n)
-        # A custom monitor becomes the process default for the run's
-        # duration so the tracker/mapper finite guards route into it;
-        # likewise an explicit atlas collector becomes the one the render
-        # pipelines observe into.
-        with use_monitor(monitor if health is not None else None), \
-                obs_atlas.use_collector(atlas), run_span:
-            frame0 = sequence[0]
-            pose0 = frame0.gt_pose_c2w.copy()
-            frame_start = perf_counter()
-            collector.begin_frame(0, intr.width, intr.height)
-            with trace.span("slam.bootstrap"):
-                cloud = self._bootstrap_cloud(intr, pose0, frame0)
-                kf0 = Keyframe(0, pose0, frame0.color, frame0.depth)
-                keyframes.maybe_add(0, pose0, frame0.color, frame0.depth)
-                boot = mapper.map_frame(cloud, kf0, [kf0],
-                                        collect_curve=recorder.enabled)
-            cloud = boot.cloud
-            stage_stats["mapping_fwd"].merge(boot.forward_stats)
-            stage_stats["mapping_bwd"].merge(boot.backward_stats)
-            collector.end_frame({
-                "mapping": (boot.forward_stats, boot.backward_stats)})
-
-            est_poses = [pose0]
-            tracking_iterations: List[int] = []
-            mapping_invocations = 1
-
-            if watch:
-                alert_cursor = self._observe_frame(
-                    recorder, monitor, frame=0, pose_est=pose0,
-                    pose_gt=frame0.gt_pose_c2w, tracking=None, mapping=boot,
-                    mapping_window=1, cloud_size=len(cloud),
-                    keyframe_added=True, keyframe_count=len(keyframes),
-                    wall_time_s=perf_counter() - frame_start,
-                    alert_cursor=alert_cursor)
-
-            for i in range(1, n):
+        # Route the finite-guard alerts into the observing monitor and the
+        # render pipelines' spatial work into an observing atlas.
+        with use_monitor(monitor), obs_atlas.use_collector(collector), \
+                run_span:
+            if listening:
+                emit("on_header", obs_flight.to_plain(obs_flight.run_header(
+                    algorithm=self.algo.name, mode=self.mode,
+                    sequence=getattr(sequence, "name", None), frames=n,
+                    width=intr.width, height=intr.height,
+                    config=self.run_config())))
+            for i in range(n):
                 frame = sequence[i]
-                init = self._constant_velocity_init(est_poses)
-                frame_start = perf_counter()
-                collector.begin_frame(i, intr.width, intr.height)
-                with trace.span("slam.track", frame=i) as sp:
-                    tr = tracker.track_frame(cloud, init, frame.color,
-                                             frame.depth,
-                                             collect_curve=recorder.enabled)
-                    sp.set(iterations=tr.iterations, converged=tr.converged)
-                est_poses.append(tr.pose_c2w)
-                tracking_iterations.append(tr.iterations)
-                stage_stats["tracking_fwd"].merge(tr.forward_stats)
-                stage_stats["tracking_bwd"].merge(tr.backward_stats)
-
-                kf_added = keyframes.maybe_add(i, tr.pose_c2w, frame.color,
-                                               frame.depth)
-
-                mp = None
-                window_size = 0
-                if i % self.algo.map_every == 0:
-                    current = Keyframe(i, tr.pose_c2w, frame.color,
-                                       frame.depth)
-                    if self.algo.keyframe_selection == "overlap":
-                        window = keyframes.select_by_overlap(
-                            current, intr, rng=self.splatonic.rng)
-                    else:
-                        window = keyframes.select(current)
-                    window_size = len(window)
-                    with trace.span("slam.map", frame=i,
-                                    window=len(window)) as sp:
-                        mp = mapper.map_frame(cloud, current, window,
-                                              collect_curve=recorder.enabled)
-                        sp.set(seeded=mp.num_seeded, pruned=mp.num_pruned)
+                tr = mp = None
+                window: List[Keyframe] = []
+                track_s = map_s = 0.0
+                if i == 0:
+                    # Bootstrap: seed the map at the ground-truth pose.
+                    frame_start = perf_counter()
+                    pose = frame.gt_pose_c2w.copy()
+                    with trace.span("slam.bootstrap"):
+                        cloud = self._bootstrap_cloud(intr, pose, frame)
+                        window = [Keyframe(0, pose, frame.color, frame.depth)]
+                        kf_added = keyframes.maybe_add(0, pose, frame.color,
+                                                       frame.depth)
+                        mp = mapper.map_frame(cloud, window[0], window,
+                                              collect_curve=listening)
+                    map_s = perf_counter() - frame_start
+                else:
+                    init = self._constant_velocity_init(est_poses)
+                    frame_start = perf_counter()
+                    with trace.span("slam.track", frame=i) as sp:
+                        tr = tracker.track_frame(cloud, init, frame.color,
+                                                 frame.depth,
+                                                 collect_curve=listening)
+                        sp.set(iterations=tr.iterations,
+                               converged=tr.converged)
+                    track_s = perf_counter() - frame_start
+                    pose = tr.pose_c2w
+                    tracking_iterations.append(tr.iterations)
+                    stage_stats["tracking_fwd"].merge(tr.forward_stats)
+                    stage_stats["tracking_bwd"].merge(tr.backward_stats)
+                    kf_added = keyframes.maybe_add(i, pose, frame.color,
+                                                   frame.depth)
+                    if i % self.algo.map_every == 0:
+                        current = Keyframe(i, pose, frame.color, frame.depth)
+                        if self.algo.keyframe_selection == "overlap":
+                            window = keyframes.select_by_overlap(
+                                current, intr, rng=self.splatonic.rng)
+                        else:
+                            window = keyframes.select(current)
+                        map_start = perf_counter()
+                        with trace.span("slam.map", frame=i,
+                                        window=len(window)) as sp:
+                            mp = mapper.map_frame(cloud, current, window,
+                                                  collect_curve=listening)
+                            sp.set(seeded=mp.num_seeded, pruned=mp.num_pruned)
+                        map_s = perf_counter() - map_start
+                est_poses.append(pose)
+                if mp is not None:
                     cloud = mp.cloud
                     mapping_invocations += 1
                     stage_stats["mapping_fwd"].merge(mp.forward_stats)
                     stage_stats["mapping_bwd"].merge(mp.backward_stats)
+                if not listening:
+                    continue
 
-                if collector.active:
-                    frame_stats = {
-                        "tracking": (tr.forward_stats, tr.backward_stats)}
-                    if mp is not None:
-                        frame_stats["mapping"] = (mp.forward_stats,
-                                                  mp.backward_stats)
-                    collector.end_frame(frame_stats)
-
-                if watch:
-                    alert_cursor = self._observe_frame(
-                        recorder, monitor, frame=i, pose_est=tr.pose_c2w,
-                        pose_gt=frame.gt_pose_c2w, tracking=tr, mapping=mp,
-                        mapping_window=window_size, cloud_size=len(cloud),
-                        keyframe_added=kf_added, keyframe_count=len(keyframes),
-                        wall_time_s=perf_counter() - frame_start,
-                        alert_cursor=alert_cursor)
-
-        if watch and recorder.enabled:
-            est = np.stack(est_poses)
-            gt = sequence.gt_trajectory[:n]
-            ate = ate_rmse(est, gt)
-            recorder.emit({
-                "type": "summary",
-                "frames": n,
-                "ate": {
-                    "rmse": ate.rmse, "mean": ate.mean,
-                    "median": ate.median, "max": ate.max,
-                    "per_frame": obs_flight.aligned_frame_errors(est, gt),
-                },
-                "final_gaussians": len(cloud),
-                "mapping_invocations": mapping_invocations,
-                "tracking_iterations": int(sum(tracking_iterations)),
-                "alerts": [a.as_dict() for a in monitor.alerts],
-            })
+                stages = {name: (res.forward_stats, res.backward_stats)
+                          for name, res in (("tracking", tr), ("mapping", mp))
+                          if res is not None}
+                alpha = (tr or mp).forward_stats
+                candidate = alpha.num_candidate_pairs
+                contrib = alpha.num_contrib_pairs
+                # Render-cache accounting (forward passes own the lookups).
+                # Not a diff channel: the cached/uncached equivalence differ
+                # must see identical payloads everywhere else.
+                cache = PipelineStats()
+                for fwd, _ in stages.values():
+                    cache.merge(fwd)
+                emit("on_frame", obs_flight.to_plain({
+                    "type": "frame",
+                    "frame": i,
+                    "pose_est": pose,
+                    "pose_gt": frame.gt_pose_c2w,
+                    "pose_error_m": float(np.linalg.norm(
+                        pose[:3, 3] - frame.gt_pose_c2w[:3, 3])),
+                    "tracking": None if tr is None else {
+                        "iterations": tr.iterations,
+                        "converged": tr.converged,
+                        "final_loss": tr.final_loss,
+                        "sampled_pixels": tr.num_sampled_pixels,
+                        "loss_curve": tr.loss_curve,
+                        "wall_time_s": track_s,
+                    },
+                    "mapping": None if mp is None else {
+                        "invoked": True,
+                        "num_seeded": mp.num_seeded,
+                        "num_pruned": mp.num_pruned,
+                        "final_loss": mp.final_loss,
+                        "window": len(window),
+                        "sampling": mp.sample_info or None,
+                        "loss_curve": mp.loss_curve,
+                        "wall_time_s": map_s,
+                    },
+                    "gaussians": len(cloud),
+                    "keyframe": {"added": kf_added,
+                                 "buffer_size": len(keyframes)},
+                    "alpha": {
+                        "candidate_pairs": candidate,
+                        "contrib_pairs": contrib,
+                        "rejection_rate": (1.0 - contrib / candidate
+                                           if candidate else 0.0),
+                    },
+                    "cache": cache.cache_summary(),
+                    "counters": {f"{name}_{way}": stats.headline()
+                                 for name, pair in stages.items()
+                                 for way, stats in zip(("fwd", "bwd"), pair)},
+                    "wall_time_s": perf_counter() - frame_start,
+                }), stages)
 
         result = SLAMResult(
             algorithm=self.algo.name,
@@ -332,14 +310,36 @@ class SLAMSystem:
             mapping_invocations=mapping_invocations,
             num_frames=n,
         )
-        if registry is not None:
-            from ..obs import runsdb
-            record = runsdb.ingest_slam_run(
-                registry, recorder.records,
-                config=self.registry_config(),
-                sequence=getattr(sequence, "name", None))
-            result.run_id = record["run_id"]
+        if listening:
+            ate = result.ate()
+            unaligned = ate_rmse(result.est_trajectory, result.gt_trajectory,
+                                 align=False)
+            emit("on_summary", obs_flight.to_plain({
+                "type": "summary",
+                "frames": n,
+                "ate": {**_ate_stats(ate), "per_frame": ate.per_frame},
+                "ate_unaligned": _ate_stats(unaligned),
+                "final_gaussians": len(cloud),
+                "mapping_invocations": mapping_invocations,
+                "tracking_iterations": int(sum(tracking_iterations)),
+            }))
+            result.run_id = next((o.run_id for o in observers
+                                  if isinstance(o, RunRegistry)), None)
         return result
+
+    @staticmethod
+    def _listeners(observers: Sequence) -> list:
+        """``observers`` plus the telemetry bus while it is enabled, led by
+        a health monitor (the process default unless one is attached) so
+        that every other observer sees the alerts it attaches."""
+        observers = list(observers)
+        if obs_telemetry.bus.enabled:
+            observers.insert(0, obs_telemetry.bus)
+        if not observers:
+            return []
+        monitor = next((o for o in observers if isinstance(o, HealthMonitor)),
+                       get_monitor())
+        return [monitor] + [o for o in observers if o is not monitor]
 
     # ---- helpers ----
 
@@ -383,97 +383,6 @@ class SLAMSystem:
         """Always 1: the sparse kernel runs in the calling thread.  Kept
         only because ``perfbench/run.py`` still reports it."""
         return 1
-
-    @staticmethod
-    def _observe_frame(recorder, monitor, *, frame, pose_est, pose_gt,
-                       tracking, mapping, mapping_window, cloud_size,
-                       keyframe_added, keyframe_count,
-                       wall_time_s: Optional[float] = None,
-                       alert_cursor: int = 0) -> int:
-        """Assemble one flight record, run the health monitors over it,
-        attach any alerts this frame produced (including the tracker/
-        mapper finite-guard ones), and emit it.  Returns the new alert
-        cursor into ``monitor.alerts``."""
-        alpha_src = (tracking or mapping)
-        candidate = contrib = 0
-        if alpha_src is not None:
-            candidate = int(alpha_src.forward_stats.num_candidate_pairs)
-            contrib = int(alpha_src.forward_stats.num_contrib_pairs)
-        counters = {}
-        if tracking is not None:
-            counters["tracking_fwd"] = tracking.forward_stats.headline()
-            counters["tracking_bwd"] = tracking.backward_stats.headline()
-        if mapping is not None:
-            counters["mapping_fwd"] = mapping.forward_stats.headline()
-            counters["mapping_bwd"] = mapping.backward_stats.headline()
-        # Render-cache accounting (forward passes own the lookups).  Not
-        # a diff channel: the cached/uncached equivalence differ must see
-        # identical payloads everywhere else, while this block carries
-        # the strategy-level hit/miss telemetry.
-        cache = PipelineStats()
-        for src in (tracking, mapping):
-            if src is not None:
-                stats = src.forward_stats
-                cache.cache_hits += stats.cache_hits
-                cache.cache_misses += stats.cache_misses
-                cache.cache_rebuilds += stats.cache_rebuilds
-                cache.cache_active_gaussians += stats.cache_active_gaussians
-        cache_block = cache.cache_summary()
-
-        record = {
-            "type": "frame",
-            "frame": int(frame),
-            "pose_est": pose_est,
-            "pose_gt": pose_gt,
-            "pose_error_m": float(np.linalg.norm(
-                np.asarray(pose_est)[:3, 3] - np.asarray(pose_gt)[:3, 3])),
-            "tracking": None if tracking is None else {
-                "iterations": int(tracking.iterations),
-                "converged": bool(tracking.converged),
-                "final_loss": float(tracking.final_loss),
-                "sampled_pixels": int(tracking.num_sampled_pixels),
-                "loss_curve": tracking.loss_curve,
-            },
-            "mapping": None if mapping is None else {
-                "invoked": True,
-                "num_seeded": int(mapping.num_seeded),
-                "num_pruned": int(mapping.num_pruned),
-                "final_loss": float(mapping.final_loss),
-                "window": int(mapping_window),
-                "sampling": mapping.sample_info or None,
-                "loss_curve": mapping.loss_curve,
-            },
-            "gaussians": int(cloud_size),
-            "keyframe": {"added": bool(keyframe_added),
-                         "buffer_size": int(keyframe_count)},
-            "alpha": {
-                "candidate_pairs": candidate,
-                "contrib_pairs": contrib,
-                "rejection_rate": (1.0 - contrib / candidate
-                                   if candidate else 0.0),
-            },
-            "cache": cache_block,
-            "counters": counters,
-            "wall_time_s": (None if wall_time_s is None
-                            else float(wall_time_s)),
-        }
-        # Normalize before observing so the monitors see the same plain
-        # values a reader of the JSONL stream would.
-        record = obs_flight.to_plain(record)
-        monitor.observe_frame(record)
-        new_alerts = monitor.alerts[alert_cursor:]
-        if new_alerts:
-            record["alerts"] = [a.as_dict() for a in new_alerts]
-        recorder.emit(record)
-        if obs_telemetry.bus.enabled:
-            obs_metrics.set_gauge("slam.frame", float(frame))
-            obs_metrics.set_gauge("slam.gaussians", float(cloud_size))
-            obs_metrics.set_gauge(
-                "slam.pose_error_m", float(record["pose_error_m"]))
-            obs_metrics.set_gauge(
-                "slam.cache_hit_rate", float(cache_block["hit_rate"]))
-            obs_metrics.publish_snapshot()
-        return len(monitor.alerts)
 
     def _bootstrap_cloud(self, intr, pose0, frame0) -> GaussianCloud:
         """Seed the initial map from a regular grid over frame 0."""

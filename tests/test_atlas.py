@@ -282,7 +282,7 @@ class TestSLAMIntegration:
         cls.collector = AtlasCollector(tile=8)
         cls.collector.enable()
         system = SLAMSystem("splatam", mode="sparse", seed=0)
-        cls.result = system.run(cls.sequence, atlas=cls.collector)
+        cls.result = system.run(cls.sequence, observers=[cls.collector])
         cls.collector.disable()
         cls.log = AtlasLog.from_collector(cls.collector)
 

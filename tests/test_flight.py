@@ -8,9 +8,10 @@ import pytest
 
 from repro.core import SplatonicConfig
 from repro.datasets import make_replica_sequence
+from repro.metrics.ate import ate_rmse
 from repro.obs.flight import (FLIGHT_SCHEMA_VERSION, FlightRecorder,
-                              aligned_frame_errors, parse_flight_records,
-                              read_flight_record, to_plain)
+                              parse_flight_records, read_flight_record,
+                              to_plain)
 from repro.obs.health import HealthMonitor
 from repro.slam import SLAMSystem
 
@@ -31,7 +32,7 @@ def recorded_run(sequence, tmp_path_factory):
     result = SLAMSystem(
         "splatam", mode="sparse",
         splatonic_config=SplatonicConfig(tracking_tile=8)).run(
-            sequence, flight=rec, health=mon)
+            sequence, observers=[rec, mon])
     rec.disable()
     return result, mon, path
 
@@ -194,14 +195,16 @@ class TestRunRoundTrip:
         assert monitor.alerts == []
         assert read_flight_record(path).alerts() == []
 
-    def test_run_without_recorder_emits_nothing(self, sequence):
+    def test_run_without_recorder_emits_nothing(self, sequence,
+                                                monkeypatch):
         from repro.obs import flight as obs_flight
-        before = len(obs_flight.recorder.records)
+        emitted = []
+        monkeypatch.setattr(obs_flight, "to_plain", emitted.append)
+        monkeypatch.setattr(obs_flight, "run_header", emitted.append)
         SLAMSystem(
             "splatam", mode="sparse",
             splatonic_config=SplatonicConfig(tracking_tile=8)).run(sequence)
-        assert len(obs_flight.recorder.records) == before
-        assert not obs_flight.recorder.enabled
+        assert emitted == []
 
 
 class TestAlignedFrameErrors:
@@ -209,16 +212,15 @@ class TestAlignedFrameErrors:
         rng = np.random.default_rng(0)
         traj = np.tile(np.eye(4), (5, 1, 1))
         traj[:, :3, 3] = rng.normal(size=(5, 3))
-        errors = aligned_frame_errors(traj, traj)
+        errors = ate_rmse(traj, traj).per_frame
         assert errors == pytest.approx([0.0] * 5, abs=1e-12)
 
     def test_reproduces_ate_rmse(self):
-        from repro.metrics.ate import ate_rmse
         rng = np.random.default_rng(1)
         gt = np.tile(np.eye(4), (6, 1, 1))
         gt[:, :3, 3] = rng.normal(size=(6, 3))
         est = gt.copy()
         est[:, :3, 3] += 0.05 * rng.normal(size=(6, 3))
-        errors = aligned_frame_errors(est, gt)
+        errors = ate_rmse(est, gt).per_frame
         rmse = math.sqrt(sum(e * e for e in errors) / len(errors))
         assert rmse == pytest.approx(ate_rmse(est, gt).rmse, rel=1e-12)

@@ -191,7 +191,7 @@ class TestRealRunSelfDiff:
             rec.enable(path)
             SLAMSystem("splatam", mode="sparse",
                        splatonic_config=SplatonicConfig(tracking_tile=8),
-                       seed=0).run(seq, flight=rec)
+                       seed=0).run(seq, observers=[rec])
             rec.disable()
         diff = diff_runs(read_flight_record(path_a),
                          read_flight_record(path_b))

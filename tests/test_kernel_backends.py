@@ -415,7 +415,7 @@ class TestSLAMEquivalence:
             monkeypatch.setattr(repro.render.kernels, "DEFAULT_BACKEND",
                                 backend)
             system = SLAMSystem("splatam", mode="sparse", seed=0)
-            system.run(sequence, atlas=collector)
+            system.run(sequence, observers=[collector])
             collector.disable()
             blobs[backend] = collector.to_bytes()
         assert blobs["reference"] == blobs["vectorized"]

@@ -30,7 +30,7 @@ def run_slam(sequence, tile=8, registry=None):
     return SLAMSystem(
         "splatam", mode="sparse",
         splatonic_config=SplatonicConfig(tracking_tile=tile)).run(
-            sequence, registry=registry)
+            sequence, observers=[registry] if registry is not None else [])
 
 
 def make_bench_payload(ratio=1.2):
@@ -223,7 +223,7 @@ class TestIngestion:
         rec.enable()
         SLAMSystem("splatam", mode="sparse",
                    splatonic_config=SplatonicConfig(tracking_tile=8)).run(
-            sequence, flight=rec)
+            sequence, observers=[rec])
         rec.disable()
         reg = RunRegistry(str(tmp_path / "reg"))
         record = ingest_slam_run(reg, rec.records,
@@ -235,8 +235,7 @@ class TestIngestion:
 
 class TestDisabledIsFree:
     def test_default_run_never_touches_runsdb(self, sequence):
-        """registry=None stays one `is not None` branch: the run must
-        not import or call into runsdb at all."""
+        """A run without a registry observer never calls into runsdb."""
         import sys
         import unittest.mock as mock
 

@@ -135,7 +135,7 @@ class TestFlightRecording:
         result = SLAMSystem(
             "splatam", mode="sparse",
             splatonic_config=SplatonicConfig(tracking_tile=8)).run(
-                sequence, n_frames=4, flight=rec)
+                sequence, n_frames=4, observers=[rec])
         rec.disable()
         log = read_flight_record(path)
         assert log.num_frames == 4
@@ -148,7 +148,7 @@ class TestFlightRecording:
         SLAMSystem(
             "splatam", mode="sparse",
             splatonic_config=SplatonicConfig(tracking_tile=8)).run(
-                sequence, n_frames=4, health=mon)
+                sequence, n_frames=4, observers=[mon])
         # The stream was watched (state advanced) even with no recorder.
         assert mon._last_position is not None
         assert mon.alerts == []

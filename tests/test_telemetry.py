@@ -397,23 +397,25 @@ class TestStreamer:
 class TestPublishHooks:
     """Every producer publishes onto the enabled global bus."""
 
-    def test_flight_recorder_publishes_records_by_type(self, global_bus):
+    def test_bus_observer_publishes_run_events_by_type(self, global_bus):
+        sub = global_bus.subscribe()
+        global_bus.on_header({"type": "header", "frames": 1})
+        global_bus.on_frame({"type": "frame", "frame": 0, "gaussians": 5,
+                             "pose_error_m": 0.0,
+                             "cache": {"hit_rate": 0.0}}, {})
+        global_bus.on_summary({"type": "summary", "frames": 1})
+        kinds = [e[2] for e in sub.drain()]
+        global_bus.unsubscribe(sub)
+        assert kinds == ["header", "frame", "metrics", "summary"]
+        assert global_bus.latest("frame")["gaussians"] == 5
+        assert global_bus.latest("metrics")["gauges"]["slam.gaussians"] == 5
+
+    def test_flight_recorder_never_publishes(self, global_bus):
         from repro.obs.flight import FlightRecorder
 
-        sub = global_bus.subscribe()
         rec = FlightRecorder()
         rec.enable()
-        rec.emit({"type": "frame", "frame": 0, "gaussians": 5})
-        rec.emit({"type": "summary", "frames": 1})
-        rec.disable()
-        kinds = [e[2] for e in sub.drain()]
-        assert kinds == ["frame", "summary"]
-        assert global_bus.latest("frame")["gaussians"] == 5
-
-    def test_disabled_recorder_publishes_nothing(self, global_bus):
-        from repro.obs.flight import FlightRecorder
-
-        FlightRecorder().emit({"type": "frame", "frame": 0})
+        rec.emit({"type": "frame", "frame": 0})
         assert global_bus.published() == 0
 
     def test_health_monitor_publishes_alerts(self, global_bus):
@@ -493,13 +495,15 @@ class TestDisabledBusIsFree:
     def test_hot_path_hooks_check_enabled_before_building_payloads(self):
         """Source-level guard: every producer publish hook sits behind a
         `bus.enabled` check so payload dicts are never built while the
-        bus is off."""
+        bus is off (the SLAM loop's run events included)."""
         import importlib
         import inspect
 
-        for name in ("flight", "health", "metrics", "tracing"):
+        for name in ("health", "metrics", "tracing"):
             # importlib, because ``from repro.obs import metrics`` binds
             # the registry instance that shadows the submodule name.
             module = importlib.import_module(f"repro.obs.{name}")
             source = inspect.getsource(module)
             assert "_bus.enabled" in source, name
+        system = importlib.import_module("repro.slam.system")
+        assert "bus.enabled" in inspect.getsource(system)

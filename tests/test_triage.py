@@ -31,7 +31,7 @@ def perturbed_registry(sequence, tmp_path_factory):
         SLAMSystem(
             "splatam", mode="sparse",
             splatonic_config=SplatonicConfig(tracking_tile=tile)).run(
-                sequence, registry=reg)
+                sequence, observers=[reg])
     return reg
 
 
