@@ -82,7 +82,7 @@ class SparseRenderResult:
     # Which kernel backend produced this result; the backward pass must
     # use the same one (the cache layouts differ).
     backend: str
-    # Vectorized backend only: the padded whole-batch composite cache
+    # Vectorized backend only: the flat whole-batch composite cache
     # (per-pixel ``caches`` entries stay None in that backend).
     flat_cache: Optional[FlatCompositeCache] = None
 

@@ -243,7 +243,7 @@ class AnisoSparseResult:
     depth: np.ndarray
     silhouette: np.ndarray
     proj: ProjectedAnisotropic
-    # The engine's padded composite cache; None when no pixel has a pair.
+    # The engine's flat composite cache; None when no pixel has a pair.
     flat_cache: Optional[vectorized.FlatCompositeCache]
     stats: PipelineStats = field(default_factory=PipelineStats)
 

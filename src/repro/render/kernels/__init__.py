@@ -7,11 +7,10 @@ production kernel, with a per-pixel oracle kept beside it for tests:
   batched segmented stages over a flattened CSR-style (pixel, Gaussian)
   pair list, which arrives already in composite order (the candidate
   generator ranks the Gaussians by depth once per view, so no pair is
-  sorted); the ragged lists are padded slot-major to ``(Lmax, K)``, so
-  every pixel steps through each list position together and one product
-  scan down the slot axis computes every pixel's transmittance prefix at
-  once; the backward pass produces all pair gradients in one shot
-  (its suffix sums scanned down the same axis) before one
+  sorted); after the numpy α stage, one compiled kernel call
+  (``_native.c``) walks every pixel's segment of the list one Gaussian
+  per step to composite it, and one more produces all pair gradients
+  (its suffix sums scanned back to front per pixel) before one
   order-preserving ``np.bincount``
   scatter per gradient column (:func:`repro.render.backward.scatter_add`,
   the scoreboard/merge-unit analogue).

@@ -7,30 +7,27 @@ Gaussian) pair list:
   ranks the projected Gaussians by depth once per view and emits the
   pairs already pixel-major and front-to-back (the ``(depth, index)`` key
   of ``sort_by_depth``), and the preemptive α filter keeps that order;
-- the ragged per-pixel segments are padded slot-major to ``(Lmax, K)``:
-  row ``s`` holds list position ``s`` of every pixel, so all K pixels
-  step through each list position together (one lane per pixel, as the
-  render and reverse-render units of Sec. V do);
-- every scan runs down that slot axis through :func:`slot_scan`: the
-  transmittance prefix Γ is one product scan, each channel total a
-  running sum, with early-termination/`t_min`/α-threshold handling as
-  boolean masks.  The scans are the strictly sequential reductions
-  :func:`composite_forward` uses, which is what makes zero-padding
-  *exact*: appending zeros to a sequential sum (or ones to a product)
-  never changes the earlier prefix values;
-- the backward pass computes every pair gradient in one shot from the
-  padded cache and aggregates per Gaussian with one
+- the α stage runs in numpy (its ``exp``); the composite and the reverse
+  pass run in one compiled kernel (``_native.c``, built and loaded by
+  :mod:`~repro.render.kernels.native`) that walks each pixel's segment
+  of the CSR pair list one Gaussian per step, as the render and
+  reverse-render units of Sec. V do.  Γ is a running product and every
+  channel total a running sum — the strictly sequential reductions
+  :func:`composite_forward` uses — and every expression keeps the
+  operands and order of operations of the per-pixel oracle, so a pair
+  that fails α (an exact 1.0 factor and 0.0 weight) is bit-transparent;
+- the backward pass computes every pair gradient in one kernel call and
+  aggregates per Gaussian with one
   :func:`~repro.render.backward.scatter_add` (a per-column
   ``np.bincount``) whose (index, value) sequence — pixel-major,
   depth-sorted — is exactly the sequence the reference loop's per-pixel
   ``np.add.at`` scatters produce, added in the same order from zero.
-  The flat pair sequence stays pixel-major: the pair at list position
-  ``s`` of pixel row ``r`` sits at flat position ``s*K + r`` of the
-  padded arrays.
 
-Together this makes the backend bit-identical to the reference loop while
-doing at most O(Lmax) Python-level numpy calls per block instead of O(K)
-Python *loop iterations* of ~25 numpy calls each.
+Each kernel call treats its pixels as padded to the call's longest list
+(``tests/padded_oracle.py`` is that slot-major formulation): a pixel
+with a shorter list adds ``+0.0`` to each forward total, and its reverse
+suffix scans start from the padding term ``(Γ·0)·0``.  Only ``-0.0`` and
+NaN results depend on it.
 
 The stages — :func:`evaluate_alpha` (whose falloff half,
 :func:`falloff_alpha`, the dense pipeline calls on the squared distances
@@ -52,15 +49,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..compositing import ALPHA_MAX
+from . import native
 
 __all__ = [
     "FlatCompositeCache",
-    "WALK_MIN_PIXELS",
     "PairGradients",
     "AlphaGradients",
     "evaluate_alpha",
     "falloff_alpha",
-    "slot_scan",
     "composite",
     "forward",
     "backward",
@@ -71,86 +67,49 @@ __all__ = [
 
 @dataclass
 class FlatCompositeCache:
-    """Backward-pass state of the batched forward pass (padded layout).
+    """Backward-pass state of the batched forward pass.
 
-    Shapes: K pixels, Lmax = longest per-pixel candidate list, M = total
-    surviving pairs.  The padded arrays are slot-major: rows are
-    depth-sorted list positions, columns the sampled pixels; ``valid``
-    masks the padding.
+    Shapes: K pixels, M = total surviving pairs, pixel-major and
+    front-to-back within a pixel.
     """
 
     centres: np.ndarray       # (K, 2) continuous pixel centres
     lengths: np.ndarray       # (K,) per-pixel list lengths
     gss: np.ndarray           # (M,) flat sorted projected-Gaussian indices
-    gpad: np.ndarray          # (Lmax, K) padded Gaussian indices (M-filled)
-    valid: np.ndarray         # (Lmax, K) bool — real entry vs padding
-    alpha: np.ndarray         # (Lmax, K) α, zeroed where not contributing
-    gamma: np.ndarray         # (Lmax, K) exclusive transmittance prefix
-    contrib: np.ndarray       # (Lmax, K) bool
-    clipped: np.ndarray       # (Lmax, K) bool — α hit ALPHA_MAX
-    gamma_final: np.ndarray   # (K,)
+    alpha: np.ndarray         # (M,) α, zeroed where not contributing
+    gamma: np.ndarray         # (M,) exclusive transmittance prefix
+    contrib: np.ndarray       # (M,) bool
+    clipped: np.ndarray       # (M,) bool — α hit ALPHA_MAX
+    gamma_end: np.ndarray     # (K,) Γ after the pixel's last pair
+    gamma_final: np.ndarray   # (K,) 1 - silhouette
+    touched: np.ndarray       # (K,) per-pixel contributing-pair counts
     background: np.ndarray    # (3,)
 
 
-def _columns(a: np.ndarray) -> np.ndarray:
-    """The columns of an ``(M, k)`` array as contiguous ``(M,)`` rows, for
-    per-channel gathers."""
-    return np.ascontiguousarray(a.T)
+def _f64(a) -> np.ndarray:
+    """``a`` as a C-contiguous float64 array (no copy if it already is)."""
+    return np.ascontiguousarray(a, dtype=np.float64)
 
 
-def _padded_columns(proj) -> np.ndarray:
-    """The colour and depth channels as ``(4, M + 1)`` contiguous rows,
-    each followed by a 0.0 that the padding index ``M`` gathers."""
+def _i64(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def _ptr(a):
+    """The data pointer the kernel reads or writes; None passes NULL."""
+    return None if a is None else a.ctypes.data
+
+
+_BAD_PAIRS = ("the per-pixel list lengths do not sum to the pair count, or "
+              "a pair indexes no projected Gaussian")
+
+
+def _check_proj(proj):
     m = len(proj)
-    cols = np.zeros((4, m + 1))
-    cols[:3, :m] = proj.color.T
-    cols[3, :m] = proj.depth
-    return cols
-
-
-#: Pixel count K from which :func:`slot_scan` walks the slot axis (one
-#: K-lane ufunc call per list position) instead of calling the ufunc's
-#: ``accumulate`` on axis 0, which numpy does not vectorize across the K
-#: lanes.  Measured on a 2-vCPU x86 host with numpy 2.4, one
-#: ``(L = 64, K)`` scan takes 11 / 38 / 55 / 93 / 265 µs by accumulate and
-#: 44 / 45 / 49 / 47 / 72 µs by the walk at K = 48 / 192 / 256 / 384 /
-#: 1024 (EXPERIMENTS.md, "Slot-major composite and reverse pass").  Both
-#: branches perform the same IEEE operations in the same order, so no
-#: result depends on it.
-WALK_MIN_PIXELS = 256
-
-
-def slot_scan(ufunc, x, reverse=False, total=False):
-    """Sequential inclusive scan of ``ufunc`` down the slot axis of an
-    ``(L, K)`` array, ``L >= 1``: ``out[0] = x[0]`` and
-    ``out[s] = ufunc(out[s - 1], x[s])`` — the operand order of
-    ``ufunc.accumulate``.  ``reverse=True`` scans from the last slot up
-    (the flip/accumulate/flip suffix scan); ``total=True`` returns only
-    the final ``(K,)`` row, kept as a running value rather than a prefix
-    array.
-
-    Blocks of at least :data:`WALK_MIN_PIXELS` pixels walk the slots with
-    elementwise ``ufunc(..., out=)`` calls; smaller ones call
-    ``ufunc.accumulate``.  (A total is never ``ufunc.reduce``, which sums
-    pairwise when the reduced axis is the innermost one.)
-    """
-    if reverse:
-        x = x[::-1]
-    if x.shape[1] < WALK_MIN_PIXELS:
-        out = ufunc.accumulate(x, axis=0)
-        if total:
-            return out[-1]
-    elif total:
-        out = x[0].copy()
-        for row in x[1:]:
-            ufunc(out, row, out=out)
-        return out
-    else:
-        out = np.empty(x.shape, dtype=x.dtype)
-        out[0] = x[0]
-        for s in range(1, len(x)):
-            ufunc(out[s - 1], x[s], out=out[s])
-    return out[::-1] if reverse else out
+    if proj.color.shape != (m, 3) or proj.depth.shape != (m,):
+        raise ValueError("projected colour/depth arrays do not match the "
+                         "number of projected Gaussians")
+    return m
 
 
 def evaluate_alpha(proj, gss, centres, exp_fn=np.exp):
@@ -184,66 +143,51 @@ def composite(proj, gss, lengths, centres, background, alpha, clipped,
 
     ``gss`` / ``alpha`` / ``clipped`` are flat per-pair arrays, pixel-major
     and front-to-back within a pixel; ``lengths`` are the K per-pixel pair
-    counts.  The ragged segments are padded slot-major to ``(Lmax, K)``:
-    Γ is one product scan and every channel a running sum down the slot
-    axis (:func:`slot_scan`) — the strictly sequential reductions of
-    :func:`composite_forward`, which is what makes the padding (and any
-    pair that fails α, whose factor is an exact 1.0 and whose weight an
-    exact 0.0) bit-transparent.
+    counts.  One kernel call walks every pixel's segment (see the module
+    docstring for its arithmetic).
 
     Returns ``(color, depth, silhouette, cache)``; ``color`` has the
     background composited under, and ``cache`` (the backward state) is
     None when no pixel has a pair.
     """
     K = lengths.size
-    Lmax = int(lengths.max()) if K else 0
-    if Lmax == 0:
+    if gss.size == 0:
         return np.tile(background, (K, 1)), np.zeros(K), np.zeros(K), None
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    slot = np.arange(Lmax)[:, None]
-    valid = slot < lengths
-    at = np.minimum(offsets[:-1] + slot, gss.size - 1)
-    # Padding points one past the last projected Gaussian, at the 0.0
-    # that _padded_columns appends, so a zero weight never meets a real
-    # splat's (possibly non-finite) value.
-    gpad = np.where(valid, gss[at], len(proj))
-    alpha = np.where(valid, alpha[at], 0.0)
-    clipped = valid & clipped[at]
-    passes = (alpha >= alpha_threshold) & valid
-
-    # Transmittance prefix: padding contributes a factor of 1.0, so every
-    # real prefix is untouched; the scan is sequential like the reference's.
-    gamma_incl = slot_scan(np.multiply, 1.0 - np.where(passes, alpha, 0.0))
-    gamma = np.concatenate([np.ones((1, K)), gamma_incl[:-1]])
-    contrib = passes & (gamma_incl >= t_min)
-    weight = np.where(contrib, gamma * alpha, 0.0)
-
-    # Channel totals as sequential running sums (zero padding is exact),
-    # one (Lmax, K) array per channel, each gathered from a contiguous
-    # (M + 1,) column: the same values as slicing an (Lmax, K, 3) gather,
-    # without its strided copies.
-    *color_cols, depth_col = _padded_columns(proj)
-    out_color = np.stack([slot_scan(np.add, weight * col[gpad], total=True)
-                          for col in color_cols], axis=-1)
-    out_depth = slot_scan(np.add, weight * depth_col[gpad], total=True)
-    out_sil = slot_scan(np.add, weight, total=True)
-    gamma_final = 1.0 - out_sil
-    out_color = out_color + gamma_final[:, None] * background[None, :]
-
+    M = gss.size
+    m = _check_proj(proj)
+    lengths, gss, background = _i64(lengths), _i64(gss), _f64(background)
+    if (gss.shape != (M,) or alpha.shape != (M,) or clipped.shape != (M,)
+            or lengths.shape != (K,) or background.shape != (3,)):
+        raise ValueError("composite: per-pair arrays, lengths or background "
+                         "have the wrong shape")
+    gamma, alpha_out = np.empty(M), np.empty(M)
+    contrib = np.empty(M, dtype=bool)
+    color, depth, silhouette = np.empty((K, 3)), np.empty(K), np.empty(K)
+    gamma_end, gamma_final = np.empty(K), np.empty(K)
+    touched = np.empty(K, dtype=np.int64)
+    # Locals hold every argument array alive through the call.
+    inputs = (lengths, gss, _f64(alpha), _f64(proj.color), _f64(proj.depth),
+              background)
+    outputs = (gamma, alpha_out, contrib, color, depth, silhouette,
+               gamma_end, gamma_final, touched)
+    if native.library().composite_forward(
+            K, M, m, *map(_ptr, inputs), alpha_threshold, t_min,
+            *map(_ptr, outputs)):
+        raise ValueError(_BAD_PAIRS)
     cache = FlatCompositeCache(
         centres=centres,
         lengths=lengths,
         gss=gss,
-        gpad=gpad,
-        valid=valid,
-        alpha=np.where(contrib, alpha, 0.0),
+        alpha=alpha_out,
         gamma=gamma,
         contrib=contrib,
-        clipped=clipped,
+        clipped=np.ascontiguousarray(clipped, dtype=bool),
+        gamma_end=gamma_end,
         gamma_final=gamma_final,
+        touched=touched,
         background=background,
     )
-    return out_color, out_depth, out_sil, cache
+    return color, depth, silhouette, cache
 
 
 def forward(proj, pairs, centres, background, alpha_threshold, t_min,
@@ -256,7 +200,7 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
     them; this is :func:`composite` over them as they come.
     Returns ``(gss, lengths, caches, flat_cache)``: the flat depth-sorted
     pair list grouped by pixel, the K per-pixel list lengths, the
-    per-pixel cache list (all None here) and the padded batch cache.
+    per-pixel cache list (all None here) and the flat batch cache.
     ``pair_alpha`` / ``pair_clipped`` are the flat per-pair α values and
     clip flags the pipeline's α stage already evaluated (aligned with
     ``pairs``); when given, the falloff is not re-evaluated here.
@@ -287,7 +231,7 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
     depth[:] = out_depth
     silhouette[:] = out_sil
 
-    contribs_row = cache.contrib.sum(axis=0)
+    contribs_row = cache.touched
     stats.num_contrib_pairs += int(contribs_row.sum())
     if contribs_out is not None:
         contribs_out[:] = contribs_row
@@ -303,13 +247,12 @@ class AlphaGradients:
     """Flat per-pair reverse pass up to dL/dα, in canonical order.
 
     Nothing here depends on which falloff produced α.  The pair sequence
-    is the composite cache's valid (non-padding) entries pixel-major,
-    front-to-back — which is the exact (index,
-    value) sequence the per-pixel reference loop scatters, so one
-    in-order :func:`~repro.render.backward.scatter_add` per array
-    reproduces its accumulation bit for bit (the software analogue of
-    the accelerator's aggregation scoreboard).  The vector partials are
-    kept as contiguous per-component columns, which ``scatter_add`` bins
+    is the composite cache's, pixel-major, front-to-back — which is the
+    exact (index, value) sequence the per-pixel reference loop scatters,
+    so one in-order :func:`~repro.render.backward.scatter_add` per array
+    reproduces its accumulation bit for bit (the software analogue of the
+    accelerator's aggregation scoreboard).  The vector partials are kept
+    as contiguous per-component columns, which ``scatter_add`` bins
     directly.
     """
 
@@ -333,12 +276,55 @@ class PairGradients(AlphaGradients):
     d_opacity: np.ndarray     # (P,); None if pose-only
 
 
-def _exclusive_suffix(w: np.ndarray) -> np.ndarray:
-    """Suffix sums down the slot axis, excluding self (a reverse scan,
-    minus ``w``).  Padding sits past each pixel's last slot, so the
-    reverse scan only adds zeros before reaching a real entry — every
-    real suffix value is unchanged."""
-    return slot_scan(np.add, w, reverse=True) - w
+def _reverse(fc, proj, d_color, d_depth, d_silhouette, pose_only, falloff):
+    """One kernel call of the reverse pass; returns the
+    :class:`AlphaGradients` fields and, with ``falloff``, the isotropic
+    falloff partials ``(d_mean2d, d_sigma2d, d_opacity)`` too."""
+    K, P = fc.lengths.size, fc.gss.size
+    m = _check_proj(proj)
+    d_color, d_depth, d_silhouette = (_f64(d_color), _f64(d_depth),
+                                      _f64(d_silhouette))
+    if (d_color.shape != (K, 3) or d_depth.shape != (K,)
+            or d_silhouette.shape != (K,)):
+        raise ValueError("reverse pass: output gradients must be (K, 3), "
+                         "(K,) and (K,) for the cache's K pixels")
+    if proj.opacity.shape != (m,) or falloff and (
+            proj.mean2d.shape != (m, 2) or proj.sigma2d.shape != (m,)
+            or fc.centres.shape != (K, 2)):
+        raise ValueError("reverse pass: projected arrays or pixel centres "
+                         "have the wrong shape")
+    d_alpha, g, d_depth_out = np.empty(P), np.empty(P), np.empty(P)
+    d_color_out = None if pose_only else np.empty((3, P))
+    d_mean = d_sigma = d_opacity = None
+    centres = mean2d = sigma2d = None
+    if falloff:
+        d_mean, d_sigma = np.empty((2, P)), np.empty(P)
+        d_opacity = None if pose_only else np.empty(P)
+        centres, mean2d, sigma2d = (_f64(fc.centres), _f64(proj.mean2d),
+                                    _f64(proj.sigma2d))
+    opacity = _f64(proj.opacity)
+    args = (fc.lengths, fc.gss, fc.gamma, fc.alpha, fc.contrib, fc.clipped,
+            fc.gamma_end, fc.gamma_final, fc.background, _f64(proj.color),
+            _f64(proj.depth), opacity, d_color, d_depth, d_silhouette,
+            d_alpha, g, d_color_out, d_depth_out,
+            centres, mean2d, sigma2d, d_mean, d_sigma, d_opacity)
+    if native.library().composite_reverse(K, P, m, *map(_ptr, args)):
+        raise ValueError(_BAD_PAIRS)
+    fields = dict(
+        rows=np.repeat(np.arange(K), fc.lengths),
+        idx=fc.gss,
+        d_alpha=d_alpha,
+        opacity=opacity[fc.gss],
+        g=g,
+        d_color=None if pose_only else tuple(d_color_out),
+        d_depth=d_depth_out,
+        touched=fc.touched,
+        contrib_flat=fc.contrib,
+    )
+    if falloff:
+        fields.update(d_mean2d=tuple(d_mean), d_sigma2d=d_sigma,
+                      d_opacity=d_opacity)
+    return fields
 
 
 def alpha_gradients(fc, proj, d_color, d_depth, d_silhouette,
@@ -346,66 +332,16 @@ def alpha_gradients(fc, proj, d_color, d_depth, d_silhouette,
     """The reverse pass up to dL/dα; no falloff, no aggregation.
 
     Every arithmetic expression mirrors :func:`composite_backward` term
-    for term (same operand values, same association order).  Only the
-    suffix sums need the padded slot-major arrays; everything else runs
-    on the flat valid pairs — taken once, pixel-major, by their flat
-    positions ``slot*K + row`` in the padded layout — with each pair's
-    pixel-level operands gathered by its row.  All math is per pixel, so
-    the dense engine can run it one pixel block at a time and get the same
-    bits as one global pass.
-    ``pose_only=True`` skips the colour partials, which reach no
-    geometric gradient (``d_color`` is then None).
+    for term (same operand values, same association order), with the
+    five suffix sums (colour with the background folded in, depth,
+    silhouette) scanned back to front per pixel.  All math is per pixel,
+    so the dense engine can run it one pixel block at a time and get the
+    same bits as one global pass.  ``pose_only=True`` skips the colour
+    partials, which reach no geometric gradient (``d_color`` is then
+    None).
     """
-    K = fc.lengths.size
-    gss = fc.gss
-    rows = np.repeat(np.arange(K), fc.lengths)
-    starts = np.cumsum(fc.lengths) - fc.lengths
-    flat = (np.arange(gss.size) - starts[rows]) * K + rows
-    weight_pad = fc.gamma * fc.alpha
-    alpha = fc.alpha.take(flat)
-    gamma = fc.gamma.take(flat)
-    contrib = fc.contrib.take(flat)
-    weight = weight_pad.take(flat)
-    depth = proj.depth[gss]
-    # Pixel and Gaussian operands are gathered per channel from
-    # contiguous columns: the same values as (P, 3) row gathers.
-    d_color_cols = [col[rows] for col in _columns(d_color)]
-    d_depth_rows = d_depth[rows]
-
-    one_minus = np.where(contrib, 1.0 - alpha, 1.0)
-    inv_one_minus = 1.0 / np.maximum(one_minus, 1e-12)
-
-    # dOut/dα = Γ V - S / (1 - α) per channel, S the exclusive suffix sum
-    # (the background folded into the color suffixes), contracted with
-    # the output gradients in channel order.
-    background_term = fc.gamma_final[rows]
-    *color_cols, depth_col = _padded_columns(proj)
-    d_alpha = None
-    for c, color in enumerate(color_cols):
-        suffix_c = (_exclusive_suffix(weight_pad * color[fc.gpad]).take(flat)
-                    + background_term * fc.background[c])
-        term = d_color_cols[c] * (gamma * color[gss]
-                                  - suffix_c * inv_one_minus)
-        d_alpha = term if d_alpha is None else d_alpha + term
-    suffix_d = _exclusive_suffix(weight_pad * depth_col[fc.gpad]).take(flat)
-    suffix_s = _exclusive_suffix(weight_pad).take(flat)
-    d_alpha = d_alpha + d_depth_rows * (gamma * depth - suffix_d * inv_one_minus)
-    d_alpha = d_alpha + d_silhouette[rows] * (gamma - suffix_s * inv_one_minus)
-    d_alpha = np.where(contrib & ~fc.clipped.take(flat), d_alpha, 0.0)
-
-    opac = proj.opacity[gss]
-    return AlphaGradients(
-        rows=rows,
-        idx=gss,
-        d_alpha=d_alpha,
-        opacity=opac,
-        g=np.where(contrib, alpha / np.maximum(opac, 1e-12), 0.0),
-        d_color=(None if pose_only
-                 else tuple(weight * dc for dc in d_color_cols)),
-        d_depth=weight * d_depth_rows,
-        touched=fc.contrib.sum(axis=0),
-        contrib_flat=contrib,
-    )
+    return AlphaGradients(**_reverse(fc, proj, d_color, d_depth,
+                                     d_silhouette, pose_only, falloff=False))
 
 
 def pair_gradients(fc, proj, d_color, d_depth, d_silhouette,
@@ -413,35 +349,17 @@ def pair_gradients(fc, proj, d_color, d_depth, d_silhouette,
     """Compute every per-pair gradient partial; no aggregation.
 
     :func:`alpha_gradients` followed by the isotropic falloff reverse:
-    α = o·g with g = exp(−d²/2σ²), with per-Gaussian factors computed
-    once per Gaussian.  ``pose_only=True`` keeps only the partials the
-    camera pose depends on (``d_color`` and ``d_opacity`` are None).
+    α = o·g with g = exp(−d²/2σ²), in the same kernel call.
+    ``pose_only=True`` keeps only the partials the camera pose depends
+    on (``d_color`` and ``d_opacity`` are None).
     """
-    a = alpha_gradients(fc, proj, d_color, d_depth, d_silhouette, pose_only)
-    gss, g = a.idx, a.g
-    sig = proj.sigma2d
-    inv_var = 1.0 / (sig * sig)
-    d_g = a.d_alpha * a.opacity
-    d_opacity = None if pose_only else a.d_alpha * g
-    d_gg = d_g * g
-
-    cu, cv = _columns(fc.centres)
-    mu, mv = _columns(proj.mean2d)
-    du = cu[a.rows] - mu[gss]
-    dv = cv[a.rows] - mv[gss]
-    pair_inv_var = inv_var[gss]
-    d_mean_u = d_gg * du * pair_inv_var
-    d_mean_v = d_gg * dv * pair_inv_var
-    d2 = du * du + dv * dv
-    d_sigma = d_gg * d2 * (inv_var / sig)[gss]
-
-    return PairGradients(**vars(a), d_mean2d=(d_mean_u, d_mean_v),
-                         d_sigma2d=d_sigma, d_opacity=d_opacity)
+    return PairGradients(**_reverse(fc, proj, d_color, d_depth,
+                                    d_silhouette, pose_only, falloff=True))
 
 
 def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
              contribs_out=None, pose_only=False):
-    """Batched backward pass over the padded forward cache.
+    """Batched backward pass over the flat forward cache.
 
     Pair partials from :func:`pair_gradients`, aggregated by one
     pixel-major :func:`~repro.render.backward.scatter_add` per gradient
@@ -488,7 +406,8 @@ from . import KernelBackend, register_kernel  # noqa: E402
 
 register_kernel(KernelBackend(
     name="vectorized",
-    description="batched segmented numpy kernels (CSR pair list)",
+    description="batched segmented kernels (CSR pair list, compiled "
+                "composite)",
     forward=forward,
     backward=backward,
     wants_pair_alpha=True,

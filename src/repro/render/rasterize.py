@@ -69,10 +69,9 @@ DEFAULT_BACKGROUND = np.zeros(3)
 #: Most rendered pixels per composite block.  Blocks are cut at tile
 #: boundaries, so a block exceeds this only when one tile alone does (the
 #: backward's per-(tile, list slot) sums must not span two blocks).
-#: Bounds the padded working set of the forward and backward passes, and
-#: picks each block's scan branch (a block of at least
-#: ``vectorized.WALK_MIN_PIXELS`` pixels walks its list slots); results do
-#: not depend on it.
+#: Bounds the working set of the backward pass's per-pair arrays.  Each
+#: block is one composite call, whose longest list sets the padding rule
+#: that only ``-0.0`` and NaN results depend on (see ``vectorized``).
 BLOCK_PIXELS = 1024
 
 
@@ -190,7 +189,7 @@ def render_full(
             depth[v, u] = out_depth
             silhouette[v, u] = out_sil
             if cache is not None:
-                contribs[lo:hi] = cache.contrib.sum(axis=0)
+                contribs[lo:hi] = cache.touched
                 blocks.append(PixelBlock(lo, hi, slots[p0:p1], cache))
 
         # Sorting is charged only for tiles that render at least one pixel
@@ -304,8 +303,13 @@ def _tile_pairs(proj, grid, sorted_lists, n_g, n_px, px, alpha_threshold):
         # column and row; their sum per pixel is its d2, bit for bit.
         du = (np.arange(u0, u1) + 0.5)[:, None] - mu[idx]
         dv = (np.arange(v0, v1) + 0.5)[:, None] - mv[idx]
-        d2 = (du * du)[u - u0]
-        d2 += (dv * dv)[v - v0]
+        if n_px[t] == (u1 - u0) * (v1 - v0):
+            # Every pixel of the tile, row-major: an outer sum.
+            d2 = ((du * du)[None, :, :] + (dv * dv)[:, None, :]).reshape(
+                n_px[t], idx.size)
+        else:
+            d2 = (du * du)[u - u0]
+            d2 += (dv * dv)[v - v0]
         f = np.flatnonzero(d2 <= cutoff[idx])
         p, j = np.divmod(f, idx.size)
         parts.append((lo + p, slot_offsets[t] + j, idx[j], d2.ravel()[f]))
@@ -314,7 +318,10 @@ def _tile_pairs(proj, grid, sorted_lists, n_g, n_px, px, alpha_threshold):
         return empty, empty, empty, np.zeros(0), np.zeros(0, dtype=bool)
     pix, slots, gss, d2 = (np.concatenate(arrays) for arrays in zip(*parts))
     alpha, clipped = falloff_alpha(proj, gss, d2)
-    keep = np.flatnonzero(alpha >= alpha_threshold)
+    passes = alpha >= alpha_threshold
+    if passes.all():
+        return pix, slots, gss, alpha, clipped
+    keep = np.flatnonzero(passes)
     return pix[keep], slots[keep], gss[keep], alpha[keep], clipped[keep]
 
 
@@ -334,12 +341,13 @@ def tile_work_records(blocks, n_g, n_px, px_tiles):
     slot_offsets = np.cumsum(n_g) - n_g
     serial = n_g[px_tiles]
     for b in blocks:
-        dead = b.cache.valid & ~b.cache.contrib      # (Lmax, K) slot-major
-        rows = np.flatnonzero(dead.any(axis=0))
-        starts = np.cumsum(b.cache.lengths) - b.cache.lengths
-        slot = b.slots[starts[rows] + dead[:, rows].argmax(axis=0)]
-        pixel = b.lo + rows
-        serial[pixel] = slot - slot_offsets[px_tiles[pixel]] + 1
+        dead = np.flatnonzero(~b.cache.contrib)     # flat, pixel-major
+        rows = np.repeat(np.arange(b.cache.lengths.size),
+                         b.cache.lengths)[dead]
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        pixel = b.lo + rows[first]
+        serial[pixel] = (b.slots[dead[first]] - slot_offsets[px_tiles[pixel]]
+                         + 1)
     longest = np.zeros(n_g.size, dtype=int)
     np.maximum.at(longest, px_tiles, serial)
     return [(int(n_g[t]), int(n_px[t]), int(longest[t]))

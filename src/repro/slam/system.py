@@ -62,9 +62,10 @@ class SLAMResult:
     #: :class:`repro.obs.runsdb.RunRegistry` (None otherwise).
     run_id: Optional[str] = None
 
-    def ate(self) -> AteResult:
-        """Absolute trajectory error of the estimated trajectory."""
-        return ate_rmse(self.est_trajectory, self.gt_trajectory)
+    def ate(self, align: bool = True) -> AteResult:
+        """Absolute trajectory error of the estimated trajectory;
+        ``align=False`` skips the similarity alignment to ground truth."""
+        return ate_rmse(self.est_trajectory, self.gt_trajectory, align=align)
 
     def eval_quality(self, sequence, every: int = 4,
                      background: Optional[np.ndarray] = None) -> Dict[str, float]:
@@ -312,8 +313,7 @@ class SLAMSystem:
         )
         if listening:
             ate = result.ate()
-            unaligned = ate_rmse(result.est_trajectory, result.gt_trajectory,
-                                 align=False)
+            unaligned = result.ate(align=False)
             emit("on_summary", obs_flight.to_plain({
                 "type": "summary",
                 "frames": n,

@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.render.kernels import vectorized
+from .padded_oracle import shadow_engine
 
-#: ``vectorized.WALK_MIN_PIXELS`` values that force each branch of
-#: ``vectorized.slot_scan`` on every block, whatever its pixel count.
+#: ``padded_oracle.WALK_MIN_PIXELS`` values that force each branch of
+#: ``padded_oracle.slot_scan`` on every call, whatever its pixel count.
 SCAN_BRANCHES = {"walk": 0, "accumulate": 1 << 62}
 
 
 @pytest.fixture(scope="class", params=sorted(SCAN_BRANCHES))
 def scan_branch(request):
-    """Run a whole test class with one of ``slot_scan``'s two branches
+    """Run a whole test class with every compiled composite and reverse
+    pass checked bit for bit against the slot-major padded numpy oracle
+    (``tests/padded_oracle.py``), one of ``slot_scan``'s two branches
     forced.  Class-scoped (not ``monkeypatch``) so that hypothesis tests
     can use it."""
-    saved = vectorized.WALK_MIN_PIXELS
-    vectorized.WALK_MIN_PIXELS = SCAN_BRANCHES[request.param]
-    yield request.param
-    vectorized.WALK_MIN_PIXELS = saved
+    with shadow_engine(SCAN_BRANCHES[request.param]):
+        yield request.param

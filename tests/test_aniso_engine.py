@@ -129,7 +129,8 @@ class TestOracleEquivalence:
 
 @pytest.mark.usefixtures("scan_branch")
 class TestScanBranches:
-    """The oracle property test with each ``slot_scan`` branch forced."""
+    """The oracle property test, each kernel call checked against the
+    padded numpy oracle with each ``slot_scan`` branch forced."""
 
     @given(seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(SCENES),

@@ -137,8 +137,8 @@ def test_benchmark_size_frame_bit_identical_to_tile_loop():
 
 @pytest.mark.usefixtures("scan_branch")
 class TestScanBranches:
-    """The oracle cases again with each ``slot_scan`` branch forced on
-    every block."""
+    """The oracle cases again, every block's kernel calls checked against
+    the padded numpy oracle with each ``slot_scan`` branch forced."""
 
     @pytest.mark.parametrize("case", CASES, ids=[case_id(c) for c in CASES])
     def test_bit_identical_to_tile_loop(self, case):

@@ -325,12 +325,14 @@ class TestBackwardEquivalence:
 
 @pytest.mark.usefixtures("scan_branch")
 class TestForwardEquivalenceScanBranches(TestForwardEquivalence):
-    """Every forward scene again with each ``slot_scan`` branch forced."""
+    """Every forward scene again, each kernel call checked against the
+    padded numpy oracle with each ``slot_scan`` branch forced."""
 
 
 @pytest.mark.usefixtures("scan_branch")
 class TestBackwardEquivalenceScanBranches(TestBackwardEquivalence):
-    """Every backward scene again with each ``slot_scan`` branch forced."""
+    """Every backward scene again, each kernel call checked against the
+    padded numpy oracle with each ``slot_scan`` branch forced."""
 
 
 class TestRecordFlag:

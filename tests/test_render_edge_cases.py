@@ -157,7 +157,8 @@ class TestPaddingIsInert:
         Gaussian 0."""
         mask = np.zeros(shape, dtype=bool)
         for px, fc in zip(pixels, caches):
-            rows = (fc.valid & (fc.gpad == 0)).any(axis=0)
+            rows = np.repeat(np.arange(fc.lengths.size),
+                             fc.lengths)[fc.gss == 0]
             mask[px[rows, 1], px[rows, 0]] = True
         return mask
 

@@ -222,6 +222,16 @@ class TestRecordFields:
             "rmse": unaligned.rmse, "mean": unaligned.mean,
             "median": unaligned.median, "max": unaligned.max}
 
+    def test_result_ate_unaligned_matches_summary(self, log):
+        result, flight_log = log
+        unaligned = result.ate(align=False)
+        assert unaligned == ate_rmse(result.est_trajectory,
+                                     result.gt_trajectory, align=False)
+        assert flight_log.summary["ate_unaligned"] == {
+            "rmse": unaligned.rmse, "mean": unaligned.mean,
+            "median": unaligned.median, "max": unaligned.max}
+        assert unaligned.rmse != result.ate().rmse
+
     def test_registry_metrics_cover_the_new_fields(self, log):
         result, flight_log = log
         metrics = flight_metrics(flight_log)

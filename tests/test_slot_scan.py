@@ -1,5 +1,6 @@
-"""``vectorized.slot_scan``: both branches give numpy's sequential scans
-bit for bit (``cumsum``, ``cumprod``, flip-``cumsum`` down axis 0)."""
+"""The padded oracle's ``slot_scan``: both branches give numpy's
+sequential scans bit for bit (``cumsum``, ``cumprod``, flip-``cumsum``
+down axis 0)."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.render.kernels.vectorized import slot_scan
+from .padded_oracle import same_bits, slot_scan
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, 1e-16, -1e16]
 ELEMENTS = st.one_of(st.sampled_from(SPECIAL),
@@ -17,17 +18,6 @@ ELEMENTS = st.one_of(st.sampled_from(SPECIAL),
 # taken with np.add.reduce (pairwise when the reduced axis is innermost,
 # as for K = 1) fails on it.
 PAIRWISE_TRAP = np.array([1.0] + [1e-16] * 15)[:, None]
-
-
-def same_bits(a, b):
-    """Equal shapes and bits; any NaN matches any NaN (payloads are not
-    part of numpy's contract)."""
-    if a.shape != b.shape:
-        return False
-    nan = np.isnan(a)
-    return (np.array_equal(nan, np.isnan(b))
-            and np.array_equal(np.where(nan, 0.0, a).view(np.uint64),
-                               np.where(nan, 0.0, b).view(np.uint64)))
 
 
 @pytest.mark.usefixtures("scan_branch")
