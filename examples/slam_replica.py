@@ -39,9 +39,9 @@ def main():
                         help="w_t; the paper uses 16 at 1200x680 — scale "
                              "it with your image size")
     parser.add_argument("--flight-record", metavar="PATH", default=None,
-                        help="record per-frame telemetry of the sparse run "
-                             "to PATH (JSONL) and write a markdown report "
-                             "next to it")
+                        help="record the sparse run's per-frame flight "
+                             "record to PATH (JSONL) and write a markdown "
+                             "report next to it")
     args = parser.parse_args()
 
     print(f"building sequence {args.sequence} "
@@ -50,6 +50,9 @@ def main():
         args.sequence, n_frames=args.frames,
         width=args.width, height=args.height, surface_density=10)
 
+    # Observers of the run's one event stream (SLAMSystem.run): the
+    # flight recorder here; the live-telemetry RunAggregator and
+    # TelemetryStreamer (repro.obs.telemetry) attach the same way.
     flight = health = None
     observers = []
     if args.flight_record:

@@ -27,14 +27,19 @@ report run.jsonl`` renders it as a markdown/HTML run report and ``repro
 report --diff a.jsonl b.jsonl`` aligns two runs frame-by-frame and
 reports where they first diverged (exit 1 on divergence, diff-style).
 
-``repro slam --serve-telemetry`` turns on the live telemetry bus and a
-background HTTP exporter (``/metrics`` in Prometheus text format,
-``/healthz``, and a ``/runz`` JSON run snapshot); ``repro top
---endpoint localhost:9464`` renders that endpoint as a live terminal
-dashboard, and ``repro top --once --from-flight run.jsonl`` renders a
-recorded flight log's final snapshot.  ``repro slam --telemetry-stream
-TARGET`` additionally streams every bus event as newline-JSON to a
-file, ``tcp://host:port``, or ``unix:///path`` socket.
+``repro slam --serve-telemetry`` attaches a live run aggregator to the
+run and serves it from a background HTTP exporter (``/metrics`` in
+Prometheus text format, ``/healthz``, and a ``/runz`` JSON run
+snapshot); ``repro top --endpoint localhost:9464`` renders that endpoint
+as a live terminal dashboard, and ``repro top --once --from-flight
+run.jsonl`` renders a recorded flight log's final snapshot.  ``repro
+slam --telemetry-stream TARGET`` streams the run's events as
+newline-JSON to a file, ``tcp://host:port``, or ``unix:///path`` socket.
+
+Every observed ``repro slam`` run (and every run with ``--on-alert
+raise``) is checked by a health monitor under the ``--on-alert`` policy;
+a run that ``raise`` aborts closes its outputs, logs the alert, and
+exits with status 3 (:data:`EXIT_HEALTH_ABORT`).
 
 ``repro slam --atlas atlas.jsonl.gz`` additionally records the sparsity
 atlas — per-frame spatial heatmaps of sampled pixels, candidate/contrib
@@ -74,9 +79,12 @@ import numpy as np
 from .obs import configure, get_logger, trace
 from .obs.bench import SIZES
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "EXIT_HEALTH_ABORT"]
 
 log = get_logger("cli")
+
+#: Exit status of a ``repro slam`` run aborted by ``--on-alert raise``.
+EXIT_HEALTH_ABORT = 3
 
 
 def _version_text() -> str:
@@ -137,6 +145,29 @@ def _add_registry_option(parser, default=None) -> None:
             help=f"run-registry root (default: {default})")
 
 
+def _add_run_arguments(parser, frames: int, width: int,
+                       height: int) -> None:
+    """The flags ``repro slam`` and ``repro trace`` share: which SLAM
+    configuration runs on which sequence at what size."""
+    parser.add_argument("--sequence", default="room0")
+    parser.add_argument("--dataset", choices=["replica", "tum"],
+                        default="replica")
+    parser.add_argument("--algorithm", default="splatam",
+                        choices=["splatam", "monogs", "gsslam", "flashslam"])
+    parser.add_argument("--mode", choices=["sparse", "dense"],
+                        default="sparse")
+    parser.add_argument("--frames", type=int, default=frames)
+    parser.add_argument("--width", type=int, default=width)
+    parser.add_argument("--height", type=int, default=height)
+    parser.add_argument("--tracking-tile", type=int, default=8)
+    parser.add_argument("--render-cache", action="store_true", default=None,
+                        help="enable the temporal-coherence render cache "
+                             "(cross-iteration candidate reuse with exact "
+                             "revalidation; bit-identical outputs; default: "
+                             "$REPRO_RENDER_CACHE or off)")
+    parser.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -155,27 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_slam = sub.add_parser("slam", help="run SLAM on a synthetic sequence")
-    p_slam.add_argument("--sequence", default="room0")
-    p_slam.add_argument("--dataset", choices=["replica", "tum"],
-                        default="replica")
-    p_slam.add_argument("--algorithm", default="splatam",
-                        choices=["splatam", "monogs", "gsslam", "flashslam"])
-    p_slam.add_argument("--mode", choices=["sparse", "dense"],
-                        default="sparse")
-    p_slam.add_argument("--frames", type=int, default=12)
-    p_slam.add_argument("--width", type=int, default=64)
-    p_slam.add_argument("--height", type=int, default=48)
-    p_slam.add_argument("--tracking-tile", type=int, default=8)
-    p_slam.add_argument("--render-cache", action="store_true", default=None,
-                        help="enable the temporal-coherence render cache "
-                             "(cross-iteration candidate reuse with exact "
-                             "revalidation; bit-identical outputs; default: "
-                             "$REPRO_RENDER_CACHE or off)")
+    _add_run_arguments(p_slam, frames=12, width=64, height=48)
     p_slam.add_argument("--per-pixel-records", action="store_true",
                         help="keep the per-item stats record lists during "
                              "the run (off by default: nothing in this "
                              "command reads them)")
-    p_slam.add_argument("--seed", type=int, default=0)
     p_slam.add_argument("--out", default=None,
                         help="directory for trajectory/cloud/render outputs")
     p_slam.add_argument("--flight-record", metavar="PATH", default=None,
@@ -183,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "to PATH; render it with `repro report`")
     p_slam.add_argument("--on-alert", choices=["warn", "raise"],
                         default="warn",
-                        help="health-monitor escalation policy "
-                             "(default: warn)")
+                        help="health-monitor escalation policy; raise "
+                             "aborts the run at the first alert with exit "
+                             f"status {EXIT_HEALTH_ABORT} (default: warn)")
     p_slam.add_argument("--atlas", metavar="PATH", default=None,
                         help="record the sparsity atlas (gzip JSONL) to "
                              "PATH; render it with `repro atlas`")
@@ -192,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="atlas binning tile in pixels (default: 8)")
     p_slam.add_argument("--serve-telemetry", metavar="PORT", nargs="?",
                         type=int, const=-1, default=None,
-                        help="enable the live telemetry bus and serve "
-                             "/metrics /healthz /runz over HTTP "
+                        help="serve the live run as /metrics /healthz "
+                             "/runz over HTTP "
                              "(default port: 9464; 0 picks an ephemeral "
                              "port); watch it with `repro top`")
     p_slam.add_argument("--telemetry-host", default="127.0.0.1",
@@ -204,9 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="keep the telemetry endpoint serving this "
                              "many seconds after the run finishes")
     p_slam.add_argument("--telemetry-stream", metavar="TARGET", default=None,
-                        help="stream bus events as newline-JSON to TARGET "
-                             "(file path, tcp://host:port, or "
-                             "unix:///path); implies the telemetry bus")
+                        help="stream the run's events as newline-JSON to "
+                             "TARGET (file path, tcp://host:port, or "
+                             "unix:///path)")
     _add_registry_option(p_slam)
 
     p_render = sub.add_parser("render", help="render a procedural scene or "
@@ -228,23 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace", help="run a traced proxy SLAM sequence and report the "
                       "per-stage time breakdown")
-    p_trace.add_argument("--sequence", default="room0")
-    p_trace.add_argument("--dataset", choices=["replica", "tum"],
-                         default="replica")
-    p_trace.add_argument("--algorithm", default="splatam",
-                         choices=["splatam", "monogs", "gsslam", "flashslam"])
-    p_trace.add_argument("--mode", choices=["sparse", "dense"],
-                         default="sparse")
-    p_trace.add_argument("--frames", type=int, default=4)
-    p_trace.add_argument("--width", type=int, default=48)
-    p_trace.add_argument("--height", type=int, default=36)
-    p_trace.add_argument("--tracking-tile", type=int, default=8)
-    p_trace.add_argument("--render-cache", action="store_true", default=None,
-                         help="enable the temporal-coherence render cache "
-                              "(default: $REPRO_RENDER_CACHE or off); the "
-                              "trace gains render.cache_validate/_rebuild "
-                              "spans")
-    p_trace.add_argument("--seed", type=int, default=0)
+    _add_run_arguments(p_trace, frames=4, width=48, height=36)
     p_trace.add_argument("--out", default="trace.json",
                          help="Chrome trace-event JSON output path")
     p_trace.add_argument("--metrics-out", default=None,
@@ -462,43 +462,47 @@ def _make_sequence(args, note=None):
                  height=args.height, surface_density=10)
 
 
+def _build_system(args, **overrides):
+    """The :class:`SLAMSystem` the shared run flags describe;
+    ``overrides`` are further :class:`SplatonicConfig` fields."""
+    from .core import SplatonicConfig
+    from .slam import SLAMSystem
+
+    return SLAMSystem(
+        args.algorithm, mode=args.mode,
+        splatonic_config=SplatonicConfig(
+            tracking_tile=args.tracking_tile,
+            render_cache=args.render_cache, **overrides),
+        seed=args.seed)
+
+
+def _registration(registry, run_id: str) -> dict:
+    """The ``registry`` key of ``/runz``: the registered run and the
+    registry's totals (``repro top``'s finished-run footer)."""
+    record = registry.get(run_id)
+    stats = registry.stats()
+    return {"run_id": run_id, "seq": record["seq"], "kind": record["kind"],
+            "root": registry.root, "runs_total": stats["runs"],
+            "objects_total": stats["objects"], "bytes_total": stats["bytes"]}
+
+
 def _cmd_slam(args) -> int:
     import time as _time
 
-    from .core import SplatonicConfig
     from .io import save_cloud, save_ppm, save_trajectory_tum
     from .metrics import rpe
     from .obs import ingest_pipeline_stats, metrics
     from .obs.atlas import AtlasCollector, DEFAULT_ATLAS_TILE
     from .obs.flight import FlightRecorder
-    from .obs.health import HealthConfig, HealthMonitor
-    from .obs.telemetry import (
-        DEFAULT_PORT,
-        TelemetryConfig,
-        TelemetryStreamer,
-        bus,
-    )
+    from .obs.health import HealthConfig, HealthError, HealthMonitor
     from .render import render_full
     from .gaussians import Camera
     from .slam import SLAMSystem
 
     sequence = _make_sequence(args)
-    system = SLAMSystem(
-        args.algorithm, mode=args.mode,
-        splatonic_config=SplatonicConfig(
-            tracking_tile=args.tracking_tile,
-            record_per_pixel=args.per_pixel_records,
-            render_cache=args.render_cache),
-        seed=args.seed)
-    telemetry_on = (args.serve_telemetry is not None
-                    or args.telemetry_stream is not None)
-    flight = health = atlas = None
+    system = _build_system(args, record_per_pixel=args.per_pixel_records)
+    flight = atlas = registry = None
     observers = []
-    if args.flight_record or telemetry_on:
-        # Recorded and live runs watch health, so alerts reach the record
-        # and the ticker under the chosen policy.
-        health = HealthMonitor(HealthConfig(on_alert=args.on_alert))
-        observers.append(health)
     if args.flight_record:
         flight = FlightRecorder()
         flight.enable(args.flight_record)
@@ -510,24 +514,40 @@ def _cmd_slam(args) -> int:
     if args.registry:
         from .obs.runsdb import RunRegistry
 
-        observers.append(RunRegistry(args.registry))
+        registry = RunRegistry(args.registry)
+        observers.append(registry)
 
-    server = None
-    streamer = None
+    # Live telemetry: a run aggregator (served over HTTP when asked) and a
+    # newline-JSON streamer, both plain run observers.
+    aggregator = server = streamer = None
+    telemetry_on = (args.serve_telemetry is not None
+                    or args.telemetry_stream is not None)
     if telemetry_on:
-        from .obs.promexport import serve_telemetry
+        from .obs.telemetry import (
+            DEFAULT_PORT,
+            RunAggregator,
+            TelemetryConfig,
+            TelemetryStreamer,
+        )
 
-        bus.enable()
+        aggregator = RunAggregator()
+        observers.append(aggregator)
+        if args.telemetry_stream is not None:
+            streamer = TelemetryStreamer(args.telemetry_stream)
+            observers.append(streamer)
         if args.serve_telemetry is not None:
+            from .obs.promexport import TelemetryHTTPServer
+
             port = (DEFAULT_PORT if args.serve_telemetry < 0
                     else args.serve_telemetry)
-            server = serve_telemetry(TelemetryConfig(
-                host=args.telemetry_host, port=port))
+            server = TelemetryHTTPServer(
+                TelemetryConfig(host=args.telemetry_host, port=port),
+                aggregator=aggregator, streamer=streamer).start()
             log.info(f"serving telemetry on {server.url} "
                      f"(/metrics /healthz /runz); watch with "
                      f"`repro top --endpoint {server.url}`")
-        if args.telemetry_stream is not None:
-            streamer = TelemetryStreamer(args.telemetry_stream).start()
+        if streamer is not None:
+            streamer.start()
             if streamer.failed:
                 log.warning(f"telemetry stream target "
                             f"{args.telemetry_stream} unavailable "
@@ -536,15 +556,37 @@ def _cmd_slam(args) -> int:
             else:
                 log.info(f"streaming telemetry to {args.telemetry_stream}")
 
+    health = None
+    if observers or args.on_alert == "raise":
+        # Observed runs, and runs that may abort, are checked under the
+        # chosen policy, so alerts reach every record and the ticker.
+        health = HealthMonitor(HealthConfig(on_alert=args.on_alert))
+        observers.insert(0, health)
+
     log.info(f"running {args.algorithm} ({args.mode}) ...")
+    aborted = None
     try:
-        result = system.run(sequence, observers=observers)
-        if telemetry_on:
-            # Fold the run's stage totals into the registry so the final
-            # /metrics scrape carries the workload counters too.
-            for stage in SLAMSystem.STAGES:
-                ingest_pipeline_stats(stage, result.stage_stats[stage])
-            metrics.publish_snapshot()
+        try:
+            result = system.run(sequence, observers=observers)
+        except HealthError as exc:
+            # The aborting alert never reaches a frame record: hand it to
+            # the live observers once, here.
+            aborted = exc.alert
+            for live in (aggregator, streamer):
+                if live is not None:
+                    live.consume("alert", aborted.as_dict())
+        else:
+            if telemetry_on:
+                # Fold the run's stage totals into the registry so the
+                # final /metrics scrape and the stream's last line carry
+                # the workload counters too.
+                for stage in SLAMSystem.STAGES:
+                    ingest_pipeline_stats(stage, result.stage_stats[stage])
+                if registry is not None:
+                    aggregator.consume("registry", _registration(
+                        registry, result.run_id))
+                if streamer is not None:
+                    streamer.consume("metrics", metrics.export())
     finally:
         if telemetry_on and args.telemetry_linger > 0:
             log.info(f"telemetry endpoint lingering "
@@ -557,14 +599,16 @@ def _cmd_slam(args) -> int:
         if server is not None:
             stats = server.stop()
             log.info(f"telemetry endpoint {stats['url']} closed "
-                     f"({stats['delivered']} events, "
+                     f"({stats['published']} run events, "
                      f"{stats['dropped']} dropped)")
-        if telemetry_on:
-            bus.disable()
         if flight is not None:
             flight.disable()
         if atlas is not None:
             atlas.disable()
+    if aborted is not None:
+        log.error(f"run aborted by health alert [{aborted.monitor}] "
+                  f"(--on-alert raise): {aborted.message}")
+        return EXIT_HEALTH_ABORT
     if flight is not None:
         n_alerts = len(health.alerts)
         log.info(f"wrote {len(flight.records)} flight records to "
@@ -679,7 +723,6 @@ def _cmd_trace(args) -> int:
     """Run a proxy SLAM sequence under the tracer and report per stage."""
     import json
 
-    from .core import SplatonicConfig
     from .obs import ingest_pipeline_stats, metrics
     from .slam import SLAMSystem
 
@@ -689,12 +732,7 @@ def _cmd_trace(args) -> int:
     sequence = _make_sequence(args, note=note)
     # Per-item records stay on: ingest_pipeline_stats derives the
     # warp-utilization metrics from them.
-    system = SLAMSystem(
-        args.algorithm, mode=args.mode,
-        splatonic_config=SplatonicConfig(
-            tracking_tile=args.tracking_tile,
-            render_cache=args.render_cache),
-        seed=args.seed)
+    system = _build_system(args)
     note(f"tracing {args.algorithm} ({args.mode}) ...")
     with trace.capture(memory=args.profile_memory or None):
         result = system.run(sequence)

@@ -32,7 +32,7 @@ inside functions:
   stream (header, one record per frame with poses, loss curves,
   sampling composition, workload counters and stage wall times, summary)
   and the flight recorder, the observer that writes it as JSONL.  The
-  health monitor, atlas, run registry and telemetry bus observe the
+  health monitor, atlas, run registry and live telemetry observe the
   same stream; with no observer the run builds no record.
 - :mod:`repro.obs.health` — online health monitors over the run stream
   (NaN/∞, pose jumps, loss divergence, coverage collapse,
@@ -46,20 +46,18 @@ inside functions:
 - :mod:`repro.obs.prof` — the continuous profiler: per-span CPU time
   and opt-in tracemalloc allocation/peak deltas on the tracer, plus
   top-N self-time/alloc tables and a JSON profile export.
-- :mod:`repro.obs.telemetry` — the live telemetry :data:`~repro.obs.
-  telemetry.bus`: a backpressure-safe in-process pub/sub bus (bounded
-  per-subscriber rings, drop counters, disabled == free) that observes
-  the SLAM run stream and that the health monitors, metrics registry,
-  and tracer publish onto,
-  plus the :class:`~repro.obs.telemetry.RunAggregator` live run snapshot
-  and the newline-JSON :class:`~repro.obs.telemetry.TelemetryStreamer`.
+- :mod:`repro.obs.telemetry` — the two live run observers: the
+  :class:`~repro.obs.telemetry.RunAggregator` live run snapshot and the
+  newline-JSON :class:`~repro.obs.telemetry.TelemetryStreamer` (a
+  bounded drop-oldest queue, so a slow sink never blocks the run).
 - :mod:`repro.obs.promexport` — the stdlib-only HTTP exporter over the
-  bus: ``/metrics`` (Prometheus text exposition), ``/healthz``, and the
-  ``/runz`` JSON run snapshot, behind ``repro slam --serve-telemetry``.
+  aggregator: ``/metrics`` (Prometheus text exposition), ``/healthz``,
+  and the ``/runz`` JSON run snapshot, behind ``repro slam
+  --serve-telemetry``.
 - :mod:`repro.obs.top` — the ``repro top`` live terminal dashboard:
   renders the run snapshot (fps, pose RMSE, loss sparklines, sampling
-  composition, alert ticker) from the in-process bus, a remote
-  endpoint, or a recorded flight log.
+  composition, alert ticker) from a serving endpoint or a recorded
+  flight log.
 - :mod:`repro.obs.runsdb` — the run registry: an append-only JSONL run
   index plus a content-addressed artifact store under ``.repro/runs/``,
   keyed by environment fingerprint / git SHA / config hash / dataset,
@@ -120,7 +118,6 @@ from .promexport import (
     TelemetryHTTPServer,
     parse_prometheus_text,
     render_prometheus,
-    serve_telemetry,
 )
 from .regress import RegressionReport, TolerancePolicy, compare_files, compare_runs
 from .report import RunDiff, diff_runs, render_atlas_report, render_report
@@ -129,13 +126,7 @@ from .runsdb import (
     ingest_bench_payload,
     ingest_slam_run,
 )
-from .telemetry import (
-    RunAggregator,
-    TelemetryBus,
-    TelemetryConfig,
-    TelemetryStreamer,
-    bus,
-)
+from .telemetry import RunAggregator, TelemetryConfig, TelemetryStreamer
 from .tracing import SpanRecord, Tracer, trace
 from .triage import TriageReport, format_trend, triage_runs
 
@@ -192,13 +183,10 @@ __all__ = [
     "telemetry",
     "promexport",
     "top",
-    "bus",
-    "TelemetryBus",
     "TelemetryConfig",
     "TelemetryStreamer",
     "RunAggregator",
     "TelemetryHTTPServer",
-    "serve_telemetry",
     "render_prometheus",
     "parse_prometheus_text",
     "runsdb",

@@ -433,9 +433,10 @@ def _scn_kernels(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
 
 @scenario("obs_overhead",
           "observability cost: proxy SLAM with every obs feature off vs "
-          "tracer+metrics+flight+atlas+health all on, plus telemetry-bus "
-          "legs (publishing with zero and one subscriber) — gated ratios")
+          "tracer+metrics+flight+atlas+health all on, plus a live-telemetry "
+          "leg (run aggregator + newline-JSON streamer) — gated ratios")
 def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
+    import tempfile
     from time import perf_counter
 
     import numpy as np
@@ -443,9 +444,9 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     from ..slam import SLAMSystem
     from .atlas import AtlasCollector, AtlasLog
     from .flight import FlightRecorder
-    from .health import HealthConfig, HealthMonitor
+    from .health import HealthMonitor
     from .metrics import MetricsRegistry, ingest_pipeline_stats
-    from .telemetry import bus as telemetry_bus
+    from .telemetry import RunAggregator, TelemetryStreamer
 
     bundle = _bundle(cfg)
 
@@ -459,15 +460,9 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
         result = run_slam(*observers)
         return result, perf_counter() - start
 
-    # The wall-time spike monitor publishes alerts keyed to real frame
-    # timings — nondeterministic — so the bus legs run with it off to
-    # keep the published-event count an exact gated counter.
-    def bus_health() -> HealthMonitor:
-        return HealthMonitor(HealthConfig(frame_time_factor=0))
-
     # Every leg but the all-on one runs with the tracer off, even when
     # the caller has it on — otherwise the "off" leg would already pay
-    # the span cost, and span noise would reach the bus counts.
+    # the span cost.
     was_enabled = trace.enabled
     trace.disable()
     flight = FlightRecorder()
@@ -490,25 +485,21 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
             result_on, on_s = timed(health, flight, collector)
             spans = len(trace.records) - spans_before
 
-        # Telemetry-bus legs: publishing on with nobody listening, then
-        # with one (promexport-style) subscriber whose ring is large
-        # enough that nothing drops — both must stay passive and inside
-        # the gated overhead budget.  The published-event count is the
-        # deterministic run stream (header + frames + per-frame metrics
-        # snapshots + summary + alerts).
-        telemetry_bus.enable()
-        result_bus, bus_on_s = timed(bus_health())
-        published_no_sub = telemetry_bus.published()
-
-        sub = telemetry_bus.subscribe(maxlen=8192, name="bench:obs_overhead")
-        telemetry_bus.reset()
-        result_bus_sub, bus_sub_s = timed(bus_health())
-        published_sub = telemetry_bus.published()
-        delivered = int(sub.delivered)
-        bus_dropped = telemetry_bus.dropped()
-        telemetry_bus.unsubscribe(sub)
+        # Live leg: the run aggregator plus a streamer pumping into a
+        # temp file, as `repro slam --serve-telemetry --telemetry-stream`
+        # attaches them.  It must stay passive, lose nothing, and stay
+        # inside the gated overhead budget; its event count is the
+        # deterministic run stream (header + frames + summary).
+        aggregator = RunAggregator(gauges=MetricsRegistry())
+        with tempfile.TemporaryDirectory() as tmp:
+            streamer = TelemetryStreamer(
+                os.path.join(tmp, "stream.jsonl")).start()
+            try:
+                result_live, live_s = timed(HealthMonitor(), aggregator,
+                                            streamer)
+            finally:
+                stream = streamer.stop()
     finally:
-        telemetry_bus.disable()
         flight.disable()
         collector.disable()
         if was_enabled:
@@ -530,7 +521,6 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
                     for s in SLAMSystem.STAGES))
 
     passive = _same(result_on)
-    bus_passive = _same(result_bus) and _same(result_bus_sub)
 
     alog = AtlasLog.from_collector(collector)
     observed = alog.observed_totals()
@@ -538,7 +528,7 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     counters = {
         "frames": int(result_on.num_frames),
         "obs_passive": int(passive),
-        "obs_passive_bus": int(bus_passive),
+        "obs_passive_live": int(_same(result_live)),
         "flight.records": int(len(flight.records)),
         "atlas.frames": int(alog.num_frames),
         "atlas.candidates": int(sum(v["candidates"]
@@ -547,15 +537,13 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
         "spans": int(spans),
         "metrics.counters": int(len(export["counters"])),
         "metrics.gauges": int(len(export["gauges"])),
-        "telemetry.published": int(published_no_sub),
-        "telemetry.published_sub": int(published_sub),
-        "telemetry.delivered": int(delivered),
-        "telemetry.dropped": int(bus_dropped),
+        "telemetry.published": int(aggregator.run_events),
+        "telemetry.streamed": int(stream["lines"]),
+        "telemetry.dropped": int(stream["dropped"]),
     }
     overhead = {
         "ratio": (on_s / off_s) if off_s > 0 else 0.0,
-        "bus_ratio": (bus_on_s / off_s) if off_s > 0 else 0.0,
-        "bus_sub_ratio": (bus_sub_s / off_s) if off_s > 0 else 0.0,
+        "live_ratio": (live_s / off_s) if off_s > 0 else 0.0,
     }
     return {"counters": counters, "model": {}, "info": {},
             "overhead": overhead}
@@ -650,7 +638,7 @@ def _run_scenario(scn: Scenario, cfg: SuiteConfig) -> Dict[str, Any]:
         # (instrumented / all-off wall time), compared by
         # repro.obs.regress against a hard budget.  The headline "ratio"
         # key keeps the original flat layout; any further named ratios
-        # the scenario reports (e.g. the telemetry-bus legs) land under
+        # the scenario reports (e.g. the live-telemetry leg) land under
         # "extra" so old baselines stay comparable.
         result["overhead"] = dict(
             _ratio_summary(overhead_samples.pop("ratio", [])),

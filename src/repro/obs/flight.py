@@ -24,7 +24,8 @@ schema-versioned JSONL stream with exactly one record per frame:
 :meth:`repro.slam.SLAMSystem.run` builds each of these records once and
 hands it to every attached observer; the recorder is one of them (its
 ``on_header`` / ``on_frame`` / ``on_summary`` append the record), next to
-the health monitor, the atlas, the run registry and the telemetry bus.
+the health monitor, the atlas, the run registry and the live telemetry
+observers.
 A disabled :meth:`FlightRecorder.emit` is one attribute load + branch.
 Module-level imports are stdlib-only; numpy values are normalized by
 duck typing in :func:`to_plain`.

@@ -27,14 +27,14 @@ going wrong *while it is still running*:
 Every alert is routed through the metrics registry (a ``health.alerts.
 <monitor>`` counter plus a logged warning), and the configurable
 ``on_alert`` policy escalates: ``"warn"`` records and continues,
-``"raise"`` aborts the run with :exc:`HealthError`.  Live consumers see
-each alert once: inside its frame record while a run streams, otherwise
-(standalone use, or the alert that aborts a run) as an ``"alert"`` event
-on the telemetry bus.
+``"raise"`` aborts the run with :exc:`HealthError`.  Every other run
+observer — the live telemetry ones included — sees each alert once,
+inside its frame record.  The alert that aborts a run never reaches a
+record: it travels on the exception (:attr:`HealthError.alert`), and
+``repro slam`` hands it to its live observers.
 
 Module-level imports are stdlib-only (``math.isfinite`` + duck typing
-cover numpy scalars; :mod:`repro.obs.telemetry` is stdlib-only too),
-keeping :mod:`repro.obs` cycle-free.
+cover numpy scalars), keeping :mod:`repro.obs` cycle-free.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from .metrics import MetricsRegistry, metrics
-from .telemetry import bus as _bus
 
 __all__ = [
     "HealthConfig",
@@ -182,7 +181,6 @@ class HealthMonitor:
     def begin_run(self) -> None:
         """Reset per-run monitor state (alerts persist per instance)."""
         self.alerts = []
-        self._streaming = False
         self._reported = 0
         self._last_position: Optional[List[float]] = None
         self._steps: List[float] = []
@@ -209,13 +207,7 @@ class HealthMonitor:
         self.alerts.append(alert)
         self.registry.inc(f"health.alerts.{monitor}")
         self.registry.warn(f"health[{monitor}]: {message}")
-        raising = self.config.on_alert == "raise"
-        if _bus.enabled and (raising or not self._streaming):
-            # A streamed run's frame record carries its alerts; the one
-            # that aborts the run never reaches a record, so publish it
-            # before escalating.
-            _bus.publish("alert", alert.as_dict())
-        if raising:
+        if self.config.on_alert == "raise":
             raise HealthError(alert)
         return alert
 
@@ -240,7 +232,6 @@ class HealthMonitor:
 
     def on_header(self, header: Dict[str, Any]) -> None:
         self.begin_run()
-        self._streaming = True
 
     def on_frame(self, record: Dict[str, Any], stages) -> None:
         """Check the frame, then attach every alert raised since the last
@@ -253,7 +244,6 @@ class HealthMonitor:
 
     def on_summary(self, summary: Dict[str, Any]) -> None:
         summary["alerts"] = [a.as_dict() for a in self.alerts]
-        self._streaming = False
 
     # ---- the frame-stream monitors ----
 

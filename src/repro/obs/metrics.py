@@ -11,22 +11,18 @@ exported payloads (e.g. the ``BENCH_trajectory.json`` artifacts of
 
 The ``ingest_*`` bridge functions translate the existing result objects —
 they duck-type their inputs, so this module imports nothing from the rest
-of the package (only the stdlib-only :mod:`repro.obs.telemetry`) and
-stays cycle-free.
+of the package and stays cycle-free.
 
-Live telemetry: :meth:`MetricsRegistry.publish_snapshot` publishes the
-deterministic :meth:`~MetricsRegistry.export` payload onto the telemetry
-bus as a ``"metrics"`` event — the SLAM loop calls it once per frame
-while the bus is enabled, so stream consumers and ``repro top`` see
-counters move while a run executes.
+Live telemetry reads the process-wide :data:`metrics` registry: the
+``/metrics`` endpoint renders its export on every scrape, the live run
+aggregator sets the ``slam.*`` gauges on every frame, and ``repro slam``
+streams the post-run export as the stream's final ``"metrics"`` line.
 """
 
 from __future__ import annotations
 
 import json
 from typing import Any, Dict, List, Optional
-
-from .telemetry import bus as _bus
 
 __all__ = [
     "Histogram",
@@ -141,18 +137,6 @@ class MetricsRegistry:
                            for k, h in sorted(self._histograms.items())},
             "warnings": list(self._warnings),
         }
-
-    def publish_snapshot(self, kind: str = "metrics") -> bool:
-        """Publish :meth:`export` onto the telemetry bus.
-
-        No-op (and allocation-free — the snapshot is only built when
-        someone is listening) while the bus is disabled; returns whether
-        an event was published.
-        """
-        if not _bus.enabled:
-            return False
-        _bus.publish(kind, self.export())
-        return True
 
     def write_json(self, path: str) -> None:
         with open(path, "w") as f:

@@ -1,26 +1,26 @@
 """HTTP telemetry exporter: ``/metrics``, ``/healthz``, and ``/runz``.
 
 A stdlib-only (``http.server``) background endpoint that makes a running
-process scrapeable:
+process scrapeable.  It serves one
+:class:`~repro.obs.telemetry.RunAggregator`, the live observer attached
+to the run (``repro slam --serve-telemetry``):
 
 - ``GET /metrics`` — the process-wide :data:`repro.obs.metrics.metrics`
   registry rendered in the Prometheus text exposition format (0.0.4),
-  plus the telemetry bus's own health counters
-  (``repro_telemetry_published_total`` / ``repro_telemetry_dropped_total``)
-  so a scraper can alert on a consumer falling behind;
+  plus the live path's own counters — run events the aggregator
+  received (``repro_telemetry_published_total``) and events the stream
+  dropped (``repro_telemetry_dropped_total``) — so a scraper can alert
+  on a consumer falling behind;
 - ``GET /healthz`` — JSON liveness: run progress, health-alert ticker,
-  and bus statistics (always HTTP 200 while the process serves;
+  and the same two counters (always HTTP 200 while the process serves;
   ``"status"`` flips from ``"ok"`` to ``"alerting"`` when health alerts
   fired);
-- ``GET /runz`` — the live run snapshot a
-  :class:`~repro.obs.telemetry.RunAggregator` folds from the bus (frame
-  index, fps, running pose RMSE, loss/Gaussian series tails, sampling
-  composition), i.e. the JSON document ``repro top --endpoint`` renders.
+- ``GET /runz`` — the aggregator's live run snapshot (frame index, fps,
+  running pose RMSE, loss/Gaussian series tails, sampling composition),
+  i.e. the JSON document ``repro top --endpoint`` renders.
 
-The server subscribes to the bus once and drains its ring into the
-aggregator lazily, on each request — between scrapes events just queue
-(bounded; oldest dropped), so serving costs the producing run nothing
-beyond the bus publish itself.
+Requests read the aggregator under its lock, so serving costs the run
+nothing beyond the aggregator's own per-event update.
 
 :func:`render_prometheus` and :func:`parse_prometheus_text` are exposed
 directly so tests (and the CI telemetry smoke job) can round-trip the
@@ -37,12 +37,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import urlparse
 
-from .telemetry import (
-    RunAggregator,
-    TelemetryBus,
-    TelemetryConfig,
-    bus as default_bus,
-)
+from .telemetry import RunAggregator, TelemetryConfig
 
 __all__ = [
     "sanitize_metric_name",
@@ -50,7 +45,6 @@ __all__ = [
     "PrometheusScrape",
     "parse_prometheus_text",
     "TelemetryHTTPServer",
-    "serve_telemetry",
 ]
 
 #: Prefix stamped on every exported metric name.
@@ -97,13 +91,14 @@ def _format_value(value: float) -> str:
 
 
 def render_prometheus(export: Dict[str, Any],
-                      bus_stats: Optional[Dict[str, Any]] = None) -> str:
+                      live_stats: Optional[Dict[str, Any]] = None) -> str:
     """Render a :meth:`MetricsRegistry.export` payload as exposition text.
 
     Counters export with ``_total`` appended (Prometheus convention),
     gauges verbatim, histograms as summaries (``_count`` / ``_sum``)
-    plus ``_min`` / ``_max`` gauges.  ``bus_stats`` (the payload of
-    :meth:`TelemetryBus.stats`) adds the bus's publish/drop counters.
+    plus ``_min`` / ``_max`` gauges.  ``live_stats`` (the payload of
+    :meth:`TelemetryHTTPServer.live_stats`) adds the live path's
+    published/dropped counters.
     Output is deterministic: families sorted by exported name.
     """
     families: List[Tuple[str, str, List[Tuple[str, float]]]] = []
@@ -125,18 +120,11 @@ def render_prometheus(export: Dict[str, Any],
             if stat in snap:
                 families.append((f"{out}_{stat}", "gauge",
                                  [(f"{out}_{stat}", float(snap[stat]))]))
-    if bus_stats is not None:
-        families.append((f"{METRIC_PREFIX}telemetry_published_total",
-                         "counter",
-                         [(f"{METRIC_PREFIX}telemetry_published_total",
-                           float(bus_stats.get("published", 0)))]))
-        families.append((f"{METRIC_PREFIX}telemetry_dropped_total",
-                         "counter",
-                         [(f"{METRIC_PREFIX}telemetry_dropped_total",
-                           float(bus_stats.get("dropped", 0)))]))
-        families.append((f"{METRIC_PREFIX}telemetry_subscribers", "gauge",
-                         [(f"{METRIC_PREFIX}telemetry_subscribers",
-                           float(len(bus_stats.get("subscribers", []))))]))
+    if live_stats is not None:
+        for key in ("published", "dropped"):
+            out = f"{METRIC_PREFIX}telemetry_{key}_total"
+            families.append((out, "counter",
+                             [(out, float(live_stats.get(key, 0)))]))
     warnings = export.get("warnings") or []
     families.append((f"{METRIC_PREFIX}warnings", "gauge",
                      [(f"{METRIC_PREFIX}warnings", float(len(warnings)))]))
@@ -247,56 +235,54 @@ class _Handler(BaseHTTPRequestHandler):
 class TelemetryHTTPServer(ThreadingHTTPServer):
     """Background ``/metrics``–``/healthz``–``/runz`` exporter.
 
-    Subscribes to the bus once; each request drains the subscription
-    into the run aggregator before rendering, so the snapshot is always
-    current without a polling thread.  ``port=0`` binds an ephemeral
-    port (tests); the bound address is :attr:`url`.
+    Serves ``aggregator`` (a fresh one unless given; attach it to the run
+    as an observer) and, when given, the ``streamer``'s drop counter.
+    ``port=0`` binds an ephemeral port (tests); the bound address is
+    :attr:`url`.
     """
 
     daemon_threads = True
 
     def __init__(self, config: Optional[TelemetryConfig] = None,
-                 registry=None, bus_: Optional[TelemetryBus] = None):
+                 registry=None, aggregator: Optional[RunAggregator] = None,
+                 streamer=None):
         self.config = config or TelemetryConfig()
         if registry is None:
             from .metrics import metrics as registry
         self.registry = registry
-        self.bus = bus_ if bus_ is not None else default_bus
-        self.aggregator = RunAggregator(series_len=self.config.series_len)
-        self._agg_lock = threading.Lock()
-        self._sub = self.bus.subscribe(
-            kinds=("header", "frame", "summary", "alert", "registry"),
-            maxlen=self.config.ring, name="promexport")
+        self.aggregator = (aggregator if aggregator is not None else
+                           RunAggregator(series_len=self.config.series_len))
+        self.streamer = streamer
         self._thread: Optional[threading.Thread] = None
         super().__init__((self.config.host, self.config.port), _Handler)
 
     # ---- views the handler serves ----
 
-    def _drain(self) -> None:
-        with self._agg_lock:
-            self._sub.drain_into(self.aggregator.consume_event)
+    def live_stats(self) -> Dict[str, int]:
+        """Run events the aggregator received; events the stream
+        dropped."""
+        return {"published": self.aggregator.run_events,
+                "dropped": (self.streamer.dropped
+                            if self.streamer is not None else 0)}
 
     def render_metrics(self) -> str:
         return render_prometheus(self.registry.export(),
-                                 bus_stats=self.bus.stats())
+                                 live_stats=self.live_stats())
 
     def healthz(self) -> Dict[str, Any]:
-        self._drain()
-        agg = self.aggregator
+        snap = self.aggregator.snapshot()
         return {
-            "status": "alerting" if agg.alert_count else "ok",
-            "done": agg.done,
-            "frame": agg.frame,
-            "frames_seen": agg.frames_seen,
-            "alert_count": agg.alert_count,
-            "alerts": list(agg.alerts),
-            "bus": self.bus.stats(),
+            "status": "alerting" if snap["alert_count"] else "ok",
+            "done": snap["done"],
+            "frame": snap["frame"],
+            "frames_seen": snap["frames_seen"],
+            "alert_count": snap["alert_count"],
+            "alerts": snap["alerts"],
+            "live": self.live_stats(),
         }
 
     def runz(self) -> Dict[str, Any]:
-        self._drain()
-        with self._agg_lock:
-            return self.aggregator.snapshot()
+        return self.aggregator.snapshot()
 
     # ---- lifecycle ----
 
@@ -323,22 +309,4 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
             self._thread.join(timeout=2.0)
             self._thread = None
         self.server_close()
-        self.bus.unsubscribe(self._sub)
-        return {"url": self.url, "dropped": self._sub.dropped,
-                "delivered": self._sub.delivered}
-
-
-def serve_telemetry(config: Optional[TelemetryConfig] = None,
-                    registry=None,
-                    bus_: Optional[TelemetryBus] = None) -> TelemetryHTTPServer:
-    """Enable the bus (if needed), start the exporter, return the server.
-
-    The one-call entry point ``repro slam --serve-telemetry`` uses:
-    after this returns, ``GET <server.url>/metrics`` works and the run's
-    flight stream feeds ``/runz``.
-    """
-    target_bus = bus_ if bus_ is not None else default_bus
-    if not target_bus.enabled:
-        target_bus.enable()
-    return TelemetryHTTPServer(config=config, registry=registry,
-                               bus_=target_bus).start()
+        return {"url": self.url, **self.live_stats()}

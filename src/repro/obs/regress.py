@@ -14,7 +14,7 @@ The comparator walks the scenario sections of two
   beyond tolerance regresses, smaller improves.
 - ``overhead`` — the observability-overhead budget: the ``obs_overhead``
   scenario's instrumented/all-off wall ratios (the all-on leg plus the
-  telemetry-bus legs under ``extra``) must not exceed the committed
+  live-telemetry leg under ``extra``) must not exceed the committed
   baseline ratios beyond a hard slack.  Compared only when both payloads
   carry the section, so old baselines keep working.
 
@@ -237,7 +237,7 @@ def _compare_overhead(name: str, base_over: Dict[str, Any],
                       cur_over: Dict[str, Any],
                       policy: TolerancePolicy) -> List[Finding]:
     """The headline ratio plus any named extra ratios (e.g. the
-    telemetry-bus legs), each under the same budget rule.  Extras absent
+    live-telemetry leg), each under the same budget rule.  Extras absent
     from the baseline pass as ``new``; extras the current run dropped
     fail as ``removed``."""
     findings = [_compare_overhead_ratio(name, "overhead.ratio",

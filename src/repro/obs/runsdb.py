@@ -38,12 +38,11 @@ Design rules, matching the rest of the stack:
   observer keeps the run's records and registers them at the summary.
 - **Stdlib-only module imports.**  Sibling ``repro.obs`` modules are
   imported at module level only where they are themselves stdlib-only
-  (bench/flight/telemetry); everything else is lazy.
+  (bench/flight); everything else is lazy.
 
-Registration publishes one ``"registry"`` event onto the telemetry bus
-(:data:`repro.obs.telemetry.bus`) carrying the run id and registry
-counters, so ``repro top`` can print the finished-run footer and the
-stream/HTTP exporters see the registration.
+``repro slam --registry`` hands the registration (run id plus registry
+counters) to its live telemetry observers, so ``repro top`` can print
+the finished-run footer.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from .bench import environment_fingerprint
 from .flight import FlightLog, parse_flight_records, to_plain
-from .telemetry import bus
 
 __all__ = [
     "REGISTRY_SCHEMA_VERSION",
@@ -223,16 +221,6 @@ class RunRegistry:
         os.makedirs(self.root, exist_ok=True)
         with open(self.index_path, "a", encoding="utf-8") as f:
             f.write(json.dumps(record, sort_keys=True) + "\n")
-        stats = self.stats()
-        bus.publish("registry", {
-            "run_id": record["run_id"],
-            "seq": seq,
-            "kind": record["kind"],
-            "root": self.root,
-            "runs_total": stats["runs"],
-            "objects_total": stats["objects"],
-            "bytes_total": stats["bytes"],
-        })
         return record
 
     # ---- reading ----

@@ -1,36 +1,36 @@
-"""In-process telemetry bus: live pub/sub over the observability stream.
+"""Live telemetry: run observers that make a SLAM run watchable while it
+executes.
 
-Every observability surface in :mod:`repro.obs` is post-hoc — the
+Every other observability surface in :mod:`repro.obs` is post-hoc — the
 tracer, flight recorder, atlas, and profiler all write artifacts after a
-run finishes.  The telemetry bus makes the same run *watchable while it
-executes*: while enabled, the bus is an observer of
-:meth:`repro.slam.SLAMSystem.run`'s event stream (header, frame,
-summary), and the health monitors, metrics registry, and span tracer
-publish onto the process-wide :data:`bus` too.  Any number of consumers
-(the ``/metrics``–``/healthz``–``/runz`` HTTP exporter in
-:mod:`repro.obs.promexport`, the newline-JSON :class:`TelemetryStreamer`,
-the ``repro top`` dashboard in :mod:`repro.obs.top`) subscribe without
-ever blocking the producer.
+run finishes.  Live telemetry attaches two more observers to
+:meth:`repro.slam.SLAMSystem.run`'s event stream (header, one record per
+frame, summary), next to the flight recorder and the health monitor:
+
+- :class:`RunAggregator` folds the stream into one live run snapshot —
+  the ``/runz`` document the HTTP exporter in :mod:`repro.obs.promexport`
+  serves and the ``repro top`` dashboard in :mod:`repro.obs.top` renders
+  — and sets the ``slam.*`` gauges ``/metrics`` exposes;
+- :class:`TelemetryStreamer` writes every event as one newline-JSON line
+  to a file or a ``tcp://`` / ``unix://`` socket.
+
+Three events arrive outside the run stream, and the caller hands them
+over through ``consume(kind, payload)``: the health alert that aborts a
+run (``"alert"``, to both), the post-run metrics export (``"metrics"``,
+the stream's last line) and the run-registry registration
+(``"registry"``, the ``/runz`` footer ``repro top`` prints).
 
 Design rules, in order of importance:
 
-- **Disabled == free.**  The bus follows the tracer's discipline: a
-  disabled :meth:`TelemetryBus.publish` is one attribute load + branch
-  and allocates nothing, so the publish hooks on the per-frame SLAM hot
-  path cost nothing when live telemetry is off (enforced by the
-  ``obs_overhead`` bench scenario and an allocation test).
-- **Backpressure-safe.**  Each subscriber owns a bounded ring buffer
-  (:class:`Subscription`); when a slow consumer falls behind, the
-  *oldest* events are dropped (live-dashboard semantics: recent beats
-  complete) and counted, never buffered without bound and never
-  blocking the producing run.
-- **Stdlib-only.**  No module-level imports from the rest of the
-  package, so every producer module may import this one without cycles.
-
-Events are ``(seq, ts, kind, payload)`` tuples: a monotonically
-increasing sequence number, a ``time.time()`` stamp, the event kind
-(``"frame"``, ``"summary"``, ``"alert"``, ``"metrics"``, ``"span"``,
-...), and the JSON-ready payload dict the producer published.
+- **Never block the run.**  The streamer queues each event on its own
+  bounded queue, drained by a pump thread; when a slow sink falls
+  behind, the *oldest* events are dropped (live-dashboard semantics:
+  recent beats complete) and counted, never buffered without bound.
+  The aggregator's per-event work is a few dict updates under a lock.
+- **Passive.**  Observing changes nothing the run computes; an
+  unobserved run builds no record at all.
+- **Stdlib-only.**  Module-level imports reach only the stdlib-only
+  :mod:`repro.obs.metrics`, so the module imports without cycles.
 """
 
 from __future__ import annotations
@@ -41,23 +41,17 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
+
+from .metrics import MetricsRegistry, metrics as default_metrics
 
 __all__ = [
-    "DEFAULT_RING",
     "DEFAULT_PORT",
     "STREAM_SCHEMA_VERSION",
-    "Event",
     "TelemetryConfig",
-    "Subscription",
-    "TelemetryBus",
-    "bus",
     "RunAggregator",
     "TelemetryStreamer",
 ]
-
-#: Default per-subscriber ring-buffer capacity (events).
-DEFAULT_RING = 1024
 
 #: Default port of the ``repro slam --serve-telemetry`` HTTP exporter.
 DEFAULT_PORT = 9464
@@ -66,241 +60,30 @@ DEFAULT_PORT = 9464
 #: :class:`TelemetryStreamer` writes (``{"seq", "ts", "kind", "data"}``).
 STREAM_SCHEMA_VERSION = 1
 
-#: One published event: (seq, ts, kind, payload).
-Event = Tuple[int, float, str, Dict[str, Any]]
+#: The event kinds :meth:`repro.slam.SLAMSystem.run` emits.
+RUN_EVENT_KINDS = ("header", "frame", "summary")
 
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """Settings shared by the live-telemetry consumers.
-
-    One place for every knob the CLI surfaces: the HTTP exporter's bind
-    address, the per-subscriber ring capacity, the newline-JSON stream
-    target, and the length of the bounded per-frame series the run
-    aggregator keeps for sparklines.
-    """
+    """Settings of the live-telemetry HTTP exporter: its bind address and
+    the length of the bounded per-frame series the run aggregator keeps
+    for sparklines."""
 
     #: Bind host of the ``/metrics``–``/healthz``–``/runz`` exporter.
     host: str = "127.0.0.1"
     #: Bind port of the exporter (0 picks an ephemeral port).
     port: int = DEFAULT_PORT
-    #: Per-subscriber ring-buffer capacity (events).
-    ring: int = DEFAULT_RING
-    #: Newline-JSON stream target (``tcp://host:port`` /
-    #: ``unix:///path`` / file path); ``None`` disables streaming.
-    stream_target: Optional[str] = None
-    #: Stream pump interval, seconds.
-    stream_interval: float = 0.05
     #: Bounded length of the aggregator's per-frame series tails.
     series_len: int = 120
 
     def __post_init__(self) -> None:
-        if self.ring <= 0:
-            raise ValueError("ring capacity must be positive")
         if self.series_len <= 0:
             raise ValueError("series_len must be positive")
 
 
-class Subscription:
-    """One consumer's bounded ring buffer onto the bus.
-
-    Never blocks the publisher: when the ring is full the oldest event
-    is dropped and :attr:`dropped` incremented.  Consumers call
-    :meth:`drain` (or :meth:`drain_into`) to pop everything queued.
-    """
-
-    __slots__ = ("name", "kinds", "maxlen", "dropped", "delivered", "_queue")
-
-    def __init__(self, name: str, kinds: Optional[frozenset],
-                 maxlen: int = DEFAULT_RING):
-        self.name = name
-        self.kinds = kinds                 # None == every kind
-        self.maxlen = int(maxlen)
-        self.dropped = 0                   # events lost to the full ring
-        self.delivered = 0                 # events ever enqueued
-        self._queue: deque = deque(maxlen=self.maxlen)
-
-    def _offer(self, event: Event) -> None:
-        """Enqueue one event (bus-internal, called under the bus lock)."""
-        if len(self._queue) == self.maxlen:
-            self.dropped += 1              # deque(maxlen) evicts the oldest
-        self.delivered += 1
-        self._queue.append(event)
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def drain(self) -> List[Event]:
-        """Pop and return every queued event, oldest first."""
-        out: List[Event] = []
-        queue = self._queue
-        while queue:
-            try:
-                out.append(queue.popleft())
-            except IndexError:      # pragma: no cover - racing publisher
-                break
-        return out
-
-    def drain_into(self, consume: Callable[[Event], Any]) -> int:
-        """Feed every queued event to ``consume``; returns the count."""
-        events = self.drain()
-        for event in events:
-            consume(event)
-        return len(events)
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "queued": len(self._queue),
-            "capacity": self.maxlen,
-            "delivered": int(self.delivered),
-            "dropped": int(self.dropped),
-        }
-
-
-class TelemetryBus:
-    """Bounded, backpressure-safe in-process pub/sub bus.
-
-    Disabled (and free) by default; :meth:`enable` turns publishing on.
-    Publishing is fan-out under a lock — each matching subscription gets
-    the event offered to its own ring — plus a retained ``latest`` slot
-    per kind so late subscribers (and the ``/runz`` endpoint) can read
-    current state without having watched the whole stream.
-    """
-
-    def __init__(self, enabled: bool = False):
-        self._enabled = bool(enabled)
-        self._lock = threading.Lock()
-        self._subs: List[Subscription] = []
-        self._seq = 0
-        self._published: Dict[str, int] = {}
-        self._latest: Dict[str, Event] = {}
-        self._sub_counter = 0
-
-    # ---- lifecycle ----
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    def enable(self, reset: bool = True) -> None:
-        if reset:
-            self.reset()
-        self._enabled = True
-
-    def disable(self) -> None:
-        self._enabled = False
-
-    def reset(self) -> None:
-        """Clear retained state and counters (subscriptions persist)."""
-        with self._lock:
-            self._seq = 0
-            self._published = {}
-            self._latest = {}
-
-    # ---- subscribing ----
-
-    def subscribe(self, kinds: Optional[Tuple[str, ...]] = None,
-                  maxlen: int = DEFAULT_RING,
-                  name: Optional[str] = None) -> Subscription:
-        """Attach a bounded subscriber; ``kinds=None`` receives all."""
-        with self._lock:
-            self._sub_counter += 1
-            sub = Subscription(
-                name or f"sub{self._sub_counter}",
-                frozenset(kinds) if kinds is not None else None,
-                maxlen=maxlen)
-            self._subs.append(sub)
-        return sub
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        with self._lock:
-            try:
-                self._subs.remove(sub)
-            except ValueError:
-                pass
-
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._subs)
-
-    # ---- publishing ----
-
-    def publish(self, kind: str, payload: Dict[str, Any]) -> None:
-        """Publish one event (no-op — and allocation-free — while
-        disabled)."""
-        if not self._enabled:
-            return
-        with self._lock:
-            self._seq += 1
-            event: Event = (self._seq, time.time(), kind, payload)
-            self._published[kind] = self._published.get(kind, 0) + 1
-            self._latest[kind] = event
-            for sub in self._subs:
-                if sub.kinds is None or kind in sub.kinds:
-                    sub._offer(event)
-
-    # ---- run-event observer (see SLAMSystem.run) ----
-
-    def on_header(self, header: Dict[str, Any]) -> None:
-        self.publish("header", header)
-
-    def on_frame(self, record: Dict[str, Any], stages) -> None:
-        """Publish the frame record, then the ``slam.*`` gauges it sets
-        as a metrics snapshot."""
-        if not self._enabled:
-            return
-        from .metrics import metrics
-
-        self.publish("frame", record)
-        for name, value in (("frame", record["frame"]),
-                            ("gaussians", record["gaussians"]),
-                            ("pose_error_m", record["pose_error_m"]),
-                            ("cache_hit_rate", record["cache"]["hit_rate"])):
-            metrics.set_gauge(f"slam.{name}", float(value))
-        self.publish("metrics", metrics.export())
-
-    def on_summary(self, summary: Dict[str, Any]) -> None:
-        self.publish("summary", summary)
-
-    # ---- introspection ----
-
-    def latest(self, kind: str) -> Optional[Dict[str, Any]]:
-        """The most recently published payload of ``kind`` (or None)."""
-        event = self._latest.get(kind)
-        return event[3] if event is not None else None
-
-    def published(self, kind: Optional[str] = None) -> int:
-        """Events published in total, or of one ``kind``."""
-        if kind is not None:
-            return self._published.get(kind, 0)
-        return sum(self._published.values())
-
-    def dropped(self) -> int:
-        """Events dropped across every subscriber's ring."""
-        return sum(sub.dropped for sub in self._subs)
-
-    def stats(self) -> Dict[str, Any]:
-        """JSON-ready snapshot of bus health (publish/drop counters)."""
-        with self._lock:
-            return {
-                "enabled": self._enabled,
-                "published": sum(self._published.values()),
-                "published_by_kind": dict(sorted(self._published.items())),
-                "dropped": sum(s.dropped for s in self._subs),
-                "subscribers": [s.stats() for s in self._subs],
-            }
-
-
-#: Process-wide default bus; ``SLAMSystem.run`` attaches it as an
-#: observer while enabled, and the publish hooks in
-#: :mod:`repro.obs.health` / :mod:`repro.obs.metrics` /
-#: :mod:`repro.obs.tracing` target it.  Disabled (and free) by default.
-bus = TelemetryBus()
-
-
 # ---------------------------------------------------------------------------
-# Run aggregation: bus events -> a live run snapshot
+# Run aggregation: run events -> a live run snapshot
 # ---------------------------------------------------------------------------
 
 def _get(record: Dict[str, Any], dotted: str) -> Any:
@@ -313,13 +96,15 @@ def _get(record: Dict[str, Any], dotted: str) -> Any:
 
 
 class RunAggregator:
-    """Folds flight-stream bus events into one live run snapshot.
+    """Folds run events into one live run snapshot.
 
-    Both live consumers share this: the HTTP exporter serves
-    :meth:`snapshot` as ``/runz``, and ``repro top`` renders it.  It
-    keeps bounded per-frame series (ring of the most recent
-    ``series_len`` values) so a multi-thousand-frame run aggregates in
-    constant memory.
+    A run observer: the HTTP exporter serves :meth:`snapshot` as
+    ``/runz`` from its request threads while the run feeds the
+    aggregator, so ingestion and snapshots share one lock.  It keeps
+    bounded per-frame series (ring of the most recent ``series_len``
+    values) so a multi-thousand-frame run aggregates in constant memory.
+    ``repro top --from-flight`` replays a flight record through
+    :meth:`consume` into the same snapshot.
     """
 
     #: (snapshot key, dotted frame-record path) series the aggregator
@@ -334,11 +119,16 @@ class RunAggregator:
         ("wall_time_s", "wall_time_s"),
     )
 
-    def __init__(self, series_len: int = 120, alerts_len: int = 16):
+    def __init__(self, series_len: int = 120, alerts_len: int = 16,
+                 gauges: Optional[MetricsRegistry] = None):
         self.series_len = int(series_len)
+        #: Registry the ``slam.*`` gauges land in (the process default
+        #: unless given).
+        self.gauges = gauges if gauges is not None else default_metrics
+        #: Run events (header/frame/summary) received so far.
+        self.run_events = 0
         self.header: Dict[str, Any] = {}
         self.summary: Optional[Dict[str, Any]] = None
-        self.metrics: Optional[Dict[str, Any]] = None
         self.registry: Optional[Dict[str, Any]] = None
         self.frame: Optional[int] = None
         self.frames_seen = 0
@@ -351,30 +141,46 @@ class RunAggregator:
         self._pose_count = 0
         self._first_ts: Optional[float] = None
         self._last_ts: Optional[float] = None
+        self._lock = threading.Lock()
+
+    # ---- run-event observer (see SLAMSystem.run) ----
+
+    def on_header(self, header: Dict[str, Any]) -> None:
+        self.consume("header", header, ts=time.time())
+
+    def on_frame(self, record: Dict[str, Any], stages) -> None:
+        """Fold the frame record, then set the ``slam.*`` gauges it
+        carries."""
+        self.consume("frame", record, ts=time.time())
+        for name, value in (("frame", record["frame"]),
+                            ("gaussians", record["gaussians"]),
+                            ("pose_error_m", record["pose_error_m"]),
+                            ("cache_hit_rate", record["cache"]["hit_rate"])):
+            self.gauges.set_gauge(f"slam.{name}", float(value))
+
+    def on_summary(self, summary: Dict[str, Any]) -> None:
+        self.consume("summary", summary, ts=time.time())
 
     # ---- ingestion ----
 
-    def consume_event(self, event: Event) -> None:
-        seq, ts, kind, payload = event
-        self.consume(kind, payload, ts=ts)
-
     def consume(self, kind: str, payload: Dict[str, Any],
                 ts: Optional[float] = None) -> None:
-        if kind == "header":
-            self.header = dict(payload)
-        elif kind == "frame":
-            self._consume_frame(payload, ts)
-        elif kind == "summary":
-            self.summary = dict(payload)
-        elif kind == "alert":
-            self.alerts.append(dict(payload))
-            self.alert_count += 1
-        elif kind == "metrics":
-            self.metrics = payload
-        elif kind == "registry":
-            self.registry = dict(payload)
-        # Unknown kinds (spans, bus stats, ...) are ignored, not errors:
-        # the aggregator only models the run stream.
+        with self._lock:
+            if kind in RUN_EVENT_KINDS:
+                self.run_events += 1
+            if kind == "header":
+                self.header = dict(payload)
+            elif kind == "frame":
+                self._consume_frame(payload, ts)
+            elif kind == "summary":
+                self.summary = dict(payload)
+            elif kind == "alert":
+                self.alerts.append(dict(payload))
+                self.alert_count += 1
+            elif kind == "registry":
+                self.registry = dict(payload)
+            # Unknown kinds are ignored, not errors: the aggregator only
+            # models the run stream.
 
     def _consume_frame(self, record: Dict[str, Any],
                        ts: Optional[float]) -> None:
@@ -392,8 +198,8 @@ class RunAggregator:
             self._pose_sq_sum += float(err) ** 2
             self._pose_count += 1
         for alert in record.get("alerts") or []:
-            # A streamed run's alerts arrive only inside their frame
-            # record, live and in a flight replay alike.
+            # A run's alerts arrive inside their frame record, live and
+            # in a flight replay alike.
             self.alerts.append(dict(alert))
             self.alert_count += 1
         if ts is not None:
@@ -428,32 +234,31 @@ class RunAggregator:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready live view of the run (the ``/runz`` document)."""
-        last = self.last_frame or {}
-        sampling = _get(last, "mapping.sampling")
-        fps = self.fps()
-        rmse = self.pose_rmse_so_far()
-        return {
-            "header": dict(self.header),
-            "done": self.done,
-            "frame": self.frame,
-            "frames_seen": self.frames_seen,
-            "frames_total": self.header.get("frames"),
-            "fps": None if fps is None else round(fps, 3),
-            "gaussians": last.get("gaussians"),
-            "pose_error_m": last.get("pose_error_m"),
-            "pose_rmse_so_far_m": None if rmse is None else rmse,
-            "tracking": last.get("tracking"),
-            "sampling": sampling,
-            "keyframe": last.get("keyframe"),
-            "counters": last.get("counters"),
-            "cache": last.get("cache"),
-            "series": {key: list(values)
-                       for key, values in sorted(self.series.items())},
-            "alerts": list(self.alerts),
-            "alert_count": self.alert_count,
-            "summary": self.summary,
-            "registry": self.registry,
-        }
+        with self._lock:
+            last = self.last_frame or {}
+            fps = self.fps()
+            return {
+                "header": dict(self.header),
+                "done": self.done,
+                "frame": self.frame,
+                "frames_seen": self.frames_seen,
+                "frames_total": self.header.get("frames"),
+                "fps": None if fps is None else round(fps, 3),
+                "gaussians": last.get("gaussians"),
+                "pose_error_m": last.get("pose_error_m"),
+                "pose_rmse_so_far_m": self.pose_rmse_so_far(),
+                "tracking": last.get("tracking"),
+                "sampling": _get(last, "mapping.sampling"),
+                "keyframe": last.get("keyframe"),
+                "counters": last.get("counters"),
+                "cache": last.get("cache"),
+                "series": {key: list(values)
+                           for key, values in sorted(self.series.items())},
+                "alerts": list(self.alerts),
+                "alert_count": self.alert_count,
+                "summary": self.summary,
+                "registry": self.registry,
+            }
 
 
 # ---------------------------------------------------------------------------
@@ -483,48 +288,74 @@ def _open_stream_sink(target: str):
 
 
 class TelemetryStreamer:
-    """Streams bus events as newline-JSON to a file or socket.
+    """Streams run events as newline-JSON to a file or socket.
 
     Each line is ``{"seq": N, "ts": T, "kind": K, "data": {...}}``
     (layout :data:`STREAM_SCHEMA_VERSION`) — tail it with ``tail -f`` /
-    ``jq``, or point it at a collector over ``tcp://``/``unix://``.  A
-    daemon thread pumps the subscription on an interval; :meth:`pump`
-    is also callable synchronously (tests, or final flush on
-    :meth:`stop`).
+    ``jq``, or point it at a collector over ``tcp://``/``unix://``.  As a
+    run observer it queues every event on a bounded queue of ``maxlen``
+    events that drops the oldest when full; a daemon thread pumps the
+    queue into the sink on an interval, so a slow sink never blocks the
+    run.  :meth:`pump` is also callable synchronously (tests, or the
+    final flush on :meth:`stop`).
 
     Sink failures never take the run down: a refused connection at
     :meth:`start` (or a peer disconnect mid-stream) marks the streamer
     :attr:`failed`, and every event that can no longer be written is
     counted in :attr:`dropped` — so ``delivered == lines + dropped``
-    holds and the loss is visible rather than fatal.  Pass
-    ``strict=True`` to :meth:`start` to get the old raise-on-connect
-    behavior.  Malformed targets still raise ValueError.
+    holds once the queue is drained and the loss is visible rather than
+    fatal.  Pass ``strict=True`` to :meth:`start` to raise on connect
+    instead.  Malformed targets always raise ValueError.
     """
 
-    def __init__(self, target: str, bus_: Optional[TelemetryBus] = None,
-                 kinds: Optional[Tuple[str, ...]] = None,
-                 maxlen: int = 4 * DEFAULT_RING,
+    def __init__(self, target: str, maxlen: int = 4096,
                  interval: float = 0.05):
+        if maxlen <= 0:
+            raise ValueError("queue capacity must be positive")
         self.target = target
-        self.bus = bus_ if bus_ is not None else bus
         self.interval = float(interval)
+        #: Events ever queued.
+        self.delivered = 0
+        #: Events evicted from the full queue (part of :attr:`dropped`).
+        self.queue_dropped = 0
         self.lines_written = 0
         #: Events drained after the sink failed (part of :attr:`dropped`).
         self.lines_dropped = 0
-        self._kinds = kinds
-        self._maxlen = int(maxlen)
-        self._sub: Optional[Subscription] = None
+        self._queue: deque = deque(maxlen=int(maxlen))
+        self._seq = 0
+        self._queue_lock = threading.Lock()
         self._sink = None
         self._error: Optional[str] = None
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
 
+    # ---- run-event observer (see SLAMSystem.run) ----
+
+    def on_header(self, header: Dict[str, Any]) -> None:
+        self.consume("header", header)
+
+    def on_frame(self, record: Dict[str, Any], stages) -> None:
+        self.consume("frame", record)
+
+    def on_summary(self, summary: Dict[str, Any]) -> None:
+        self.consume("summary", summary)
+
+    def consume(self, kind: str, payload: Dict[str, Any]) -> None:
+        """Queue one event; evicts (and counts) the oldest when full."""
+        with self._queue_lock:
+            self._seq += 1
+            if len(self._queue) == self._queue.maxlen:
+                self.queue_dropped += 1
+            self.delivered += 1
+            self._queue.append((self._seq, time.time(), kind, payload))
+
+    # ---- state ----
+
     @property
     def dropped(self) -> int:
-        """Total events lost: ring overflow plus sink-failure drops."""
-        ring = self._sub.dropped if self._sub is not None else 0
-        return ring + self.lines_dropped
+        """Total events lost: queue overflow plus sink-failure drops."""
+        return self.queue_dropped + self.lines_dropped
 
     @property
     def failed(self) -> bool:
@@ -543,9 +374,11 @@ class TelemetryStreamer:
                 pass
             self._sink = None
 
+    # ---- lifecycle ----
+
     def start(self, background: bool = True,
               strict: bool = False) -> "TelemetryStreamer":
-        """Open the sink, subscribe, and (optionally) spawn the pump.
+        """Open the sink and (optionally) spawn the pump thread.
 
         A sink that cannot be opened (e.g. ``tcp://`` connection
         refused) marks the streamer :attr:`failed` instead of raising,
@@ -559,9 +392,6 @@ class TelemetryStreamer:
             if strict:
                 raise
             self._fail(exc)
-        self._sub = self.bus.subscribe(kinds=self._kinds,
-                                       maxlen=self._maxlen,
-                                       name=f"stream:{self.target}")
         if background and self._sink is not None:
             self._stop.clear()
             self._thread = threading.Thread(
@@ -576,15 +406,15 @@ class TelemetryStreamer:
                 break
 
     def pump(self) -> int:
-        """Drain the subscription into the sink; returns lines written.
+        """Drain the queue into the sink; returns lines written.
 
         With a failed (or never-opened) sink the drained events are
         counted as dropped instead of written, keeping
         ``delivered == lines_written + dropped + queued`` exact.
         """
-        if self._sub is None:
-            return 0
-        events = self._sub.drain()
+        with self._queue_lock:
+            events = list(self._queue)
+            self._queue.clear()
         if not events:
             return 0
         with self._lock:
@@ -608,14 +438,12 @@ class TelemetryStreamer:
         return len(events)
 
     def stop(self) -> Dict[str, Any]:
-        """Final pump, detach, close; returns the streamer's stats."""
+        """Final pump, close; returns the streamer's stats."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=2.0)
             self._thread = None
         self.pump()
-        if self._sub is not None:
-            self.bus.unsubscribe(self._sub)
         if self._sink is not None:
             try:
                 self._sink.close()

@@ -1,4 +1,4 @@
-"""``repro top``: a live terminal dashboard over the telemetry stream.
+"""``repro top``: a live terminal dashboard over a run snapshot.
 
 Renders the :meth:`~repro.obs.telemetry.RunAggregator.snapshot` document
 — the same JSON the HTTP exporter serves at ``/runz`` — as a compact
@@ -6,14 +6,13 @@ ANSI dashboard: run header and progress, frame rate, running pose RMSE,
 loss/Gaussian-count sparklines, the mapper's sampling composition,
 kernel workload counters, and a health-alert ticker.
 
-Three snapshot sources cover the three ways to watch a run:
+Two snapshot sources cover the two ways to watch a run:
 
-- :class:`LiveSource` — subscribe to the in-process bus (used when the
-  dashboard shares the process with the run);
 - :class:`HttpSource` — poll a ``repro slam --serve-telemetry``
-  endpoint's ``/runz`` (remote / cross-process);
-- :class:`FlightSource` — replay a recorded flight-record JSONL (static;
-  the ``repro top --once --from-flight run.jsonl`` snapshot render).
+  endpoint's ``/runz`` while the run executes;
+- :class:`FlightSource` — replay a recorded flight-record JSONL through
+  the same aggregator (static; the ``repro top --once --from-flight
+  run.jsonl`` snapshot render).
 
 Headline parity: the finished-run footer formats ATE, final map size,
 and total tracking iterations with exactly the strings
@@ -31,10 +30,9 @@ from typing import Any, Dict, List, Optional
 from urllib.request import urlopen
 
 from .report import sparkline
-from .telemetry import RunAggregator, TelemetryBus, bus as default_bus
+from .telemetry import RunAggregator
 
 __all__ = [
-    "LiveSource",
     "HttpSource",
     "FlightSource",
     "render_dashboard",
@@ -58,25 +56,6 @@ _BOLD, _DIM, _RED, _RESET = "\x1b[1m", "\x1b[2m", "\x1b[31m", "\x1b[0m"
 # ---------------------------------------------------------------------------
 # Snapshot sources
 # ---------------------------------------------------------------------------
-
-class LiveSource:
-    """Snapshots from the in-process telemetry bus."""
-
-    def __init__(self, bus_: Optional[TelemetryBus] = None,
-                 series_len: int = 120):
-        self.bus = bus_ if bus_ is not None else default_bus
-        self.aggregator = RunAggregator(series_len=series_len)
-        self._sub = self.bus.subscribe(
-            kinds=("header", "frame", "summary", "alert", "registry"),
-            name="top:live")
-
-    def snapshot(self) -> Dict[str, Any]:
-        self._sub.drain_into(self.aggregator.consume_event)
-        return self.aggregator.snapshot()
-
-    def close(self) -> None:
-        self.bus.unsubscribe(self._sub)
-
 
 class HttpSource:
     """Snapshots polled from a telemetry exporter's ``/runz``."""

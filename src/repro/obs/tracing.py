@@ -36,8 +36,6 @@ from contextlib import contextmanager
 from time import perf_counter, process_time_ns
 from typing import Any, Dict, List, Optional
 
-from .telemetry import bus as _bus
-
 __all__ = ["SpanRecord", "Tracer", "trace"]
 
 
@@ -156,21 +154,6 @@ class _LiveSpan:
             self.attrs, duration - self.child_time,
             cpu_time, cpu_time - self.child_cpu,
             alloc_bytes, peak_bytes))
-        if _bus.enabled:
-            # Live telemetry: completed spans stream onto the bus.  The
-            # payload is built only behind the enabled check, so tracing
-            # with the bus off costs nothing extra.
-            payload: Dict[str, Any] = {
-                "name": self.name,
-                "dur_s": duration,
-                "self_s": duration - self.child_time,
-                "cpu_s": cpu_time,
-                "depth": self.depth,
-            }
-            if self.attrs:
-                payload["attrs"] = {k: _jsonable(v)
-                                    for k, v in self.attrs.items()}
-            _bus.publish("span", payload)
         return False
 
 

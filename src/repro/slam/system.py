@@ -27,7 +27,6 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..obs import flight as obs_flight
 from ..obs import atlas as obs_atlas
-from ..obs import telemetry as obs_telemetry
 from ..obs.health import HealthMonitor, get_monitor, use_monitor
 from ..obs.runsdb import RunRegistry
 from ..render.rasterize import render_full
@@ -147,12 +146,11 @@ class SLAMSystem:
         and a summary (schema in :mod:`repro.obs.flight`) — and hands each
         event to every observer's ``on_header`` / ``on_frame(record,
         stages)`` / ``on_summary``: flight recorders, health monitors,
-        atlas collectors and run registries, plus the telemetry bus while
-        it is enabled.  A listened-to run is checked by the attached
-        health monitor (else the process default), which also receives
-        the tracker/mapper finite-guard alerts.  With no observer and the
-        bus off no record is built: the run is bit-identical to an
-        uninstrumented one.
+        atlas collectors, run registries and the live telemetry
+        observers.  A listened-to run is checked by the attached health
+        monitor (else the process default), which also receives the
+        tracker/mapper finite-guard alerts.  With no observer no record
+        is built: the run is bit-identical to an uninstrumented one.
         """
         n = len(sequence) if n_frames is None else min(n_frames, len(sequence))
         if n < 2:
@@ -329,12 +327,10 @@ class SLAMSystem:
 
     @staticmethod
     def _listeners(observers: Sequence) -> list:
-        """``observers`` plus the telemetry bus while it is enabled, led by
-        a health monitor (the process default unless one is attached) so
-        that every other observer sees the alerts it attaches."""
+        """``observers`` led by a health monitor (the process default
+        unless one is attached) so that every other observer sees the
+        alerts it attaches."""
         observers = list(observers)
-        if obs_telemetry.bus.enabled:
-            observers.insert(0, obs_telemetry.bus)
         if not observers:
             return []
         monitor = next((o for o in observers if isinstance(o, HealthMonitor)),
@@ -404,3 +400,22 @@ class SLAMSystem:
         prev, last = est_poses[-2], est_poses[-1]
         delta = se3_inverse(prev) @ last
         return last @ delta
+
+    # ---- accuracy baselines (what tracking must beat) ----
+
+    @staticmethod
+    def static_camera_baseline(gt_trajectory: np.ndarray) -> np.ndarray:
+        """A camera that never leaves its first ground-truth pose."""
+        gt = np.asarray(gt_trajectory)
+        return np.repeat(gt[:1], len(gt), axis=0)
+
+    @classmethod
+    def constant_velocity_baseline(cls,
+                                   gt_trajectory: np.ndarray) -> np.ndarray:
+        """The tracker's own constant-velocity prior, seeded with the
+        ground-truth poses of frames 0 and 1 and then chained on its own
+        extrapolations, with no tracking at all."""
+        poses = [np.array(pose) for pose in gt_trajectory[:2]]
+        while len(poses) < len(gt_trajectory):
+            poses.append(cls._constant_velocity_init(poses))
+        return np.stack(poses)

@@ -536,34 +536,85 @@ class TestTelemetryFlags:
 class TestSlamTelemetryEndToEnd:
     def test_serve_and_stream_during_run(self, tmp_path):
         """`repro slam --serve-telemetry 0 --telemetry-stream FILE`
-        streams the whole run as JSONL and leaves the bus disabled (and
-        subscriber-free) afterwards."""
-        from repro.obs.telemetry import bus
-
+        streams the whole run as JSONL: the run stream, then one final
+        post-run metrics line carrying the ingested stage stats."""
         stream = str(tmp_path / "stream.jsonl")
+        record = str(tmp_path / "run.jsonl")
         code = main(["-q", "slam", "--frames", "3", "--width", "24",
                      "--height", "18", "--tracking-tile", "8",
                      "--serve-telemetry", "0",
-                     "--telemetry-stream", stream])
+                     "--telemetry-stream", stream,
+                     "--flight-record", record])
         assert code == 0
-        assert not bus.enabled           # CLI tears the bus down
-        assert bus.subscriber_count == 0
         lines = [json.loads(l) for l in open(stream).read().splitlines()]
         kinds = [l["kind"] for l in lines]
-        assert kinds[0] == "header"
-        # The run stream ends with the summary, then the CLI publishes
-        # one final post-run metrics snapshot (stage stats ingested).
-        assert "summary" in kinds
-        assert kinds[-1] == "metrics"
-        assert kinds.count("frame") == 3
-        assert kinds.count("metrics") >= 3
+        assert kinds == ["header", "frame", "frame", "frame", "summary",
+                         "metrics"]
+        assert [l["seq"] for l in lines] == [1, 2, 3, 4, 5, 6]
+        flight = [json.loads(l) for l in open(record).read().splitlines()]
+        assert [l["data"] for l in lines[:-1]] == flight
+        assert "tracking_fwd.num_pixels" in lines[-1]["data"]["counters"]
 
-    def test_stream_alone_enables_the_bus(self, tmp_path):
-        from repro.obs.telemetry import bus
-
+    def test_stream_alone_streams_the_run(self, tmp_path):
         stream = str(tmp_path / "s.jsonl")
         assert main(["-q", "slam", "--frames", "3", "--width", "24",
                      "--height", "18", "--tracking-tile", "8",
                      "--telemetry-stream", stream]) == 0
-        assert not bus.enabled
         assert open(stream).read().count('"kind": "frame"') == 3
+
+
+class TestSlamOnAlert:
+    """`--on-alert raise` aborts any `repro slam` run at the first alert
+    with EXIT_HEALTH_ABORT instead of a traceback."""
+
+    ARGS = ["-q", "slam", "--frames", "4", "--width", "24", "--height", "18",
+            "--tracking-tile", "8", "--on-alert", "raise"]
+
+    @pytest.fixture
+    def fires_on_frame_1(self, monkeypatch):
+        from repro.obs.health import HealthMonitor
+
+        original = HealthMonitor.observe_frame
+
+        def observe_frame(self, record):
+            if record["frame"] == 1:
+                self._alert("pose_jump", "forced alert", frame=1)
+            return original(self, record)
+
+        monkeypatch.setattr(HealthMonitor, "observe_frame", observe_frame)
+
+    def test_raise_alone_aborts_with_exit_code(self, fires_on_frame_1):
+        from repro.cli import EXIT_HEALTH_ABORT
+
+        assert main(self.ARGS) == EXIT_HEALTH_ABORT
+
+    def test_raise_with_registry_aborts_and_registers_nothing(
+            self, fires_on_frame_1, tmp_path):
+        from repro.cli import EXIT_HEALTH_ABORT
+        from repro.obs.runsdb import RunRegistry
+
+        root = str(tmp_path / "reg")
+        assert main(self.ARGS + ["--registry", root]) == EXIT_HEALTH_ABORT
+        assert RunRegistry(root).runs() == []
+
+    def test_aborting_alert_reaches_the_stream_once(self, fires_on_frame_1,
+                                                    tmp_path):
+        from repro.cli import EXIT_HEALTH_ABORT
+
+        stream = str(tmp_path / "s.jsonl")
+        record = str(tmp_path / "run.jsonl")
+        assert main(self.ARGS + ["--telemetry-stream", stream,
+                                 "--flight-record", record]) \
+            == EXIT_HEALTH_ABORT
+        lines = [json.loads(l) for l in open(stream).read().splitlines()]
+        assert [l["kind"] for l in lines] == ["header", "frame", "alert"]
+        assert lines[-1]["data"]["monitor"] == "pose_jump"
+        assert lines[-1]["data"]["frame"] == 1
+        # The flight record closes cleanly with the frames before the
+        # abort.
+        assert len(open(record).read().splitlines()) == 2
+
+    def test_warn_policy_completes(self, fires_on_frame_1, tmp_path):
+        record = str(tmp_path / "run.jsonl")
+        args = [a if a != "raise" else "warn" for a in self.ARGS]
+        assert main(args + ["--flight-record", record]) == 0

@@ -2,19 +2,22 @@
 round-trip, and the /metrics–/healthz–/runz HTTP server end-to-end."""
 
 import json
+import threading
 import urllib.request
 
 import pytest
 
+from repro.core import SplatonicConfig
+from repro.datasets import make_replica_sequence
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.promexport import (
     TelemetryHTTPServer,
     parse_prometheus_text,
     render_prometheus,
     sanitize_metric_name,
-    serve_telemetry,
 )
-from repro.obs.telemetry import TelemetryBus, TelemetryConfig
+from repro.obs.telemetry import RunAggregator, TelemetryConfig
+from repro.slam import SLAMSystem
 
 
 class TestSanitizeMetricName:
@@ -60,17 +63,13 @@ class TestRenderParse:
         assert scrape["repro_tracking_loss_max"] == pytest.approx(0.5)
         assert scrape["repro_warnings"] == 0
 
-    def test_bus_stats_exported_as_counters(self):
-        bus = TelemetryBus(enabled=True)
-        bus.subscribe(maxlen=1)
-        bus.publish("frame", {})
-        bus.publish("frame", {})
+    def test_live_stats_exported_as_counters(self):
         text = render_prometheus(MetricsRegistry().export(),
-                                 bus_stats=bus.stats())
+                                 live_stats={"published": 2, "dropped": 1})
         scrape = parse_prometheus_text(text)
         assert scrape["repro_telemetry_published_total"] == 2
         assert scrape["repro_telemetry_dropped_total"] == 1
-        assert scrape["repro_telemetry_subscribers"] == 1
+        assert scrape.types["repro_telemetry_dropped_total"] == "counter"
 
     def test_every_sample_has_a_declared_type(self):
         text = render_prometheus(self._registry().export())
@@ -110,15 +109,13 @@ class TestRenderParse:
 
 @pytest.fixture
 def server():
-    """An exporter on an ephemeral port over its own private bus."""
-    bus = TelemetryBus(enabled=True)
+    """An exporter on an ephemeral port over its own aggregator."""
     registry = MetricsRegistry()
     registry.inc("tracking.iterations", 7)
-    srv = TelemetryHTTPServer(TelemetryConfig(port=0), registry=registry,
-                              bus_=bus)
+    srv = TelemetryHTTPServer(TelemetryConfig(port=0), registry=registry)
     srv.start()
     try:
-        yield srv, bus
+        yield srv, srv.aggregator
     finally:
         srv.stop()
 
@@ -131,8 +128,8 @@ def _get(url):
 
 class TestHTTPServer:
     def test_metrics_endpoint_parses_with_zero_drops(self, server):
-        srv, bus = server
-        bus.publish("frame", {"frame": 0, "gaussians": 10})
+        srv, agg = server
+        agg.consume("frame", {"frame": 0, "gaussians": 10})
         status, ctype, body = _get(f"{srv.url}/metrics")
         assert status == 200
         assert ctype.startswith("text/plain")
@@ -142,22 +139,22 @@ class TestHTTPServer:
         assert scrape["repro_telemetry_dropped_total"] == 0
 
     def test_healthz_flips_to_alerting(self, server):
-        srv, bus = server
+        srv, agg = server
         _, _, body = _get(f"{srv.url}/healthz")
         assert json.loads(body)["status"] == "ok"
-        bus.publish("alert", {"monitor": "pose_jump", "frame": 3})
+        agg.consume("alert", {"monitor": "pose_jump", "frame": 3})
         _, _, body = _get(f"{srv.url}/healthz")
         doc = json.loads(body)
         assert doc["status"] == "alerting"
         assert doc["alert_count"] == 1
         assert doc["alerts"][0]["monitor"] == "pose_jump"
-        assert doc["bus"]["published"] == 1
+        assert doc["live"] == {"published": 0, "dropped": 0}
 
     def test_runz_reflects_run_stream(self, server):
-        srv, bus = server
-        bus.publish("header", {"frames": 4, "algorithm": "splatam"})
+        srv, agg = server
+        agg.consume("header", {"frames": 4, "algorithm": "splatam"})
         for i in range(2):
-            bus.publish("frame", {
+            agg.consume("frame", {
                 "frame": i, "pose_error_m": 0.01, "gaussians": 50 + i,
                 "wall_time_s": 0.2})
         _, ctype, body = _get(f"{srv.url}/runz")
@@ -169,7 +166,7 @@ class TestHTTPServer:
         assert doc["gaussians"] == 51
         assert doc["fps"] == pytest.approx(5.0)
         assert not doc["done"]
-        bus.publish("summary", {"frames": 2})
+        agg.consume("summary", {"frames": 2})
         _, _, body = _get(f"{srv.url}/runz")
         assert json.loads(body)["done"]
 
@@ -181,24 +178,46 @@ class TestHTTPServer:
             _get(f"{srv.url}/nope")
         assert err.value.code == 404
 
-    def test_stop_reports_stats_and_unsubscribes(self):
-        bus = TelemetryBus(enabled=True)
-        srv = TelemetryHTTPServer(TelemetryConfig(port=0), bus_=bus)
+    def test_stop_reports_stats(self):
+        srv = TelemetryHTTPServer(TelemetryConfig(port=0))
         srv.start()
-        bus.publish("frame", {"frame": 0})
+        srv.aggregator.consume("frame", {"frame": 0})
         stats = srv.stop()
-        assert stats["delivered"] == 1 and stats["dropped"] == 0
-        assert bus.subscriber_count == 0
+        assert stats == {"url": srv.url, "published": 1, "dropped": 0}
 
-    def test_serve_telemetry_enables_the_bus(self):
-        bus = TelemetryBus()
-        assert not bus.enabled
-        srv = serve_telemetry(TelemetryConfig(port=0),
-                              registry=MetricsRegistry(), bus_=bus)
+    def test_polling_during_a_run_never_goes_backwards(self):
+        """/runz and /healthz polled from another thread while a run
+        feeds the aggregator: every request succeeds and the frame count
+        only grows."""
+        sequence = make_replica_sequence("room0", n_frames=4, width=24,
+                                         height=18, surface_density=10)
+        aggregator = RunAggregator(gauges=MetricsRegistry())
+        srv = TelemetryHTTPServer(TelemetryConfig(port=0),
+                                  registry=MetricsRegistry(),
+                                  aggregator=aggregator).start()
+        seen, errors = [], []
+        done = threading.Event()
+
+        def poll():
+            while not done.is_set():
+                try:
+                    for path in ("/runz", "/healthz"):
+                        _, _, body = _get(f"{srv.url}{path}")
+                        seen.append(json.loads(body)["frames_seen"])
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+                    return
+
+        poller = threading.Thread(target=poll)
+        poller.start()
         try:
-            assert bus.enabled
-            status, _, _ = _get(f"{srv.url}/metrics")
-            assert status == 200
+            SLAMSystem("splatam", splatonic_config=SplatonicConfig(
+                tracking_tile=8)).run(sequence, observers=[aggregator])
         finally:
+            done.set()
+            poller.join(timeout=10.0)
             srv.stop()
-            bus.disable()
+        assert not errors, errors
+        assert seen and seen == sorted(seen)
+        assert aggregator.snapshot()["frames_seen"] == 4
+        assert aggregator.run_events == 6

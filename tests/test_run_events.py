@@ -10,14 +10,14 @@ import pytest
 from repro.core import SplatonicConfig
 from repro.datasets import make_replica_sequence
 from repro.metrics.ate import ate_rmse
-from repro.obs import health, telemetry
+from repro.obs import health
 from repro.obs.flight import FlightRecorder, read_flight_record
-from repro.obs.health import (HealthConfig, HealthError, HealthMonitor,
+from repro.obs.health import (HealthConfig, HealthMonitor,
                               get_monitor)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import diff_runs
 from repro.obs.runsdb import RunRegistry, flight_metrics, ingest_slam_run
-from repro.obs.telemetry import RunAggregator
+from repro.obs.telemetry import RunAggregator, TelemetryStreamer
 from repro.slam import SLAMSystem
 from repro.slam.tracker import Tracker
 
@@ -26,20 +26,6 @@ from repro.slam.tracker import Tracker
 def sequence():
     return make_replica_sequence("room0", n_frames=6, width=32, height=24,
                                  surface_density=10)
-
-
-@pytest.fixture
-def live():
-    """A subscription to the process-wide bus, enabled for one test."""
-    bus = telemetry.bus
-    bus.enable()
-    sub = bus.subscribe(maxlen=4096)
-    try:
-        yield sub
-    finally:
-        bus.unsubscribe(sub)
-        bus.disable()
-        bus.reset()
 
 
 def make_system():
@@ -63,28 +49,28 @@ class OddFrameMonitor(HealthMonitor):
         return super().observe_frame(record)
 
 
-def run_events(sub):
-    return [(kind, payload) for _, _, kind, payload in sub.drain()
-            if kind in ("header", "frame", "summary")]
-
-
 class TestOneRunManySinks:
-    def test_flight_registry_and_bus_see_identical_records(
-            self, sequence, tmp_path, live):
+    def test_flight_registry_and_stream_see_identical_records(
+            self, sequence, tmp_path):
         path = str(tmp_path / "run.jsonl")
         flight = FlightRecorder()
         flight.enable(path)
         registry = RunRegistry(str(tmp_path / "reg"))
+        stream = str(tmp_path / "stream.jsonl")
+        streamer = TelemetryStreamer(stream).start(background=False)
         result = make_system().run(
             sequence, n_frames=4,
-            observers=[flight, registry, quiet_monitor()])
+            observers=[flight, registry, streamer, quiet_monitor()])
         flight.disable()
+        streamer.stop()
 
         with open(path) as f:
             on_disk = [json.loads(line) for line in f]
         stored = registry.read_artifact(
             registry.get(result.run_id), "flight").decode().splitlines()
-        published = run_events(live)
+        with open(stream) as f:
+            published = [(line["kind"], line["data"])
+                         for line in map(json.loads, f)]
         assert [r["type"] for r in on_disk] == (
             ["header"] + ["frame"] * 4 + ["summary"])
         assert [json.loads(line) for line in stored] == on_disk
@@ -126,34 +112,21 @@ class TestOneRunManySinks:
 
 
 class TestAlerts:
-    def test_live_alert_count_matches_monitor_and_replay(
-            self, sequence, live):
+    def test_live_alert_count_matches_monitor_and_replay(self, sequence):
         flight = FlightRecorder()
         flight.enable()
         monitor = OddFrameMonitor(HealthConfig(frame_time_factor=0),
                                   registry=MetricsRegistry())
-        make_system().run(sequence, n_frames=6, observers=[monitor, flight])
+        watched = RunAggregator(gauges=MetricsRegistry())
+        make_system().run(sequence, n_frames=6,
+                          observers=[watched, monitor, flight])
         assert len(monitor.alerts) == 3
 
-        watched = RunAggregator()
-        live.drain_into(watched.consume_event)
         replay = RunAggregator()
         for record in flight.records:
             replay.consume(record["type"], record)
         assert watched.alert_count == 3
         assert replay.alert_count == 3
-        assert telemetry.bus.published("alert") == 0
-
-    def test_alert_that_aborts_the_run_reaches_the_bus(
-            self, sequence, live):
-        monitor = OddFrameMonitor(HealthConfig(on_alert="raise"),
-                                  registry=MetricsRegistry())
-        with pytest.raises(HealthError):
-            make_system().run(sequence, n_frames=4, observers=[monitor])
-        watched = RunAggregator()
-        live.drain_into(watched.consume_event)
-        assert watched.alert_count == 1
-        assert telemetry.bus.latest("alert")["frame"] == 1
 
     @pytest.mark.parametrize("attach", [True, False])
     def test_guard_alerts_land_in_the_observing_monitor(

@@ -9,7 +9,7 @@ import pytest
 import repro.render.kernels
 from repro.core import SplatonicConfig
 from repro.datasets import make_replica_sequence
-from repro.obs import runsdb, telemetry
+from repro.obs import runsdb
 from repro.obs.runsdb import (
     REGISTRY_SCHEMA_VERSION,
     RunRegistry,
@@ -158,24 +158,6 @@ class TestRegistry:
         assert result["kept_runs"] == 1
         assert [r["run_id"] for r in reg.runs()] == [kept["run_id"]]
         assert reg.read_artifact(reg.get("-1"), "blob") == b"new"
-
-    def test_register_publishes_on_enabled_bus(self, tmp_path):
-        telemetry.bus.enable()
-        sub = telemetry.bus.subscribe(kinds=("registry",))
-        try:
-            reg = RunRegistry(str(tmp_path / "reg"))
-            record = reg.register("slam", metrics={"x": 1.0})
-            events = sub.drain()
-        finally:
-            # reset() keeps subscriptions: drop ours so later tests see
-            # an empty bus.
-            telemetry.bus.unsubscribe(sub)
-            telemetry.bus.disable()
-            telemetry.bus.reset()
-        assert len(events) == 1
-        payload = events[0][3]
-        assert payload["run_id"] == record["run_id"]
-        assert payload["runs_total"] == 1
 
 
 class TestIngestion:

@@ -1,16 +1,18 @@
 """``repro top``: dashboard rendering, snapshot sources, and headline
 parity with the post-hoc ``repro report``."""
 
+import json
+from urllib.request import urlopen
+
 import pytest
 
 from repro.cli import main
 from repro.obs.flight import read_flight_record
+from repro.obs.promexport import TelemetryHTTPServer
 from repro.obs.report import render_report
-from repro.obs.telemetry import TelemetryBus
 from repro.obs.top import (
     FlightSource,
     HttpSource,
-    LiveSource,
     render_dashboard,
     run_top,
 )
@@ -136,23 +138,6 @@ class TestSources:
     def test_http_source_normalizes_endpoint(self, endpoint, expected):
         assert HttpSource(endpoint).endpoint == expected
 
-    def test_live_source_follows_the_bus(self):
-        bus = TelemetryBus(enabled=True)
-        source = LiveSource(bus_=bus)
-        try:
-            bus.publish("header", {"frames": 2})
-            bus.publish("frame", {"frame": 0, "pose_error_m": 0.01,
-                                  "gaussians": 10})
-            snap = source.snapshot()
-            assert snap["frames_total"] == 2 and snap["frames_seen"] == 1
-            bus.publish("summary", {"frames": 1})
-            assert source.snapshot()["done"]
-            bus.publish("registry", {"run_id": "rabc", "runs_total": 1})
-            assert source.snapshot()["registry"]["run_id"] == "rabc"
-        finally:
-            source.close()
-        assert bus.subscriber_count == 0
-
 
 class TestFlightParity:
     def test_flight_source_replays_the_run(self, record_path):
@@ -187,6 +172,30 @@ class TestFlightParity:
         for line in headlines:
             assert line in report
             assert line in dashboard
+
+    def test_final_runz_matches_flight_replay(self, tmp_path, monkeypatch):
+        """One run served live and recorded: the last /runz before the
+        endpoint closes equals the flight record's replay on every key but
+        the registry footer, which only the live run gets."""
+        captured = {}
+        stop = TelemetryHTTPServer.stop
+
+        def scrape_then_stop(server):
+            with urlopen(f"{server.url}/runz", timeout=5.0) as resp:
+                captured["runz"] = json.loads(resp.read().decode("utf-8"))
+            return stop(server)
+
+        monkeypatch.setattr(TelemetryHTTPServer, "stop", scrape_then_stop)
+        path = str(tmp_path / "run.jsonl")
+        assert main(["-q", "slam", "--frames", "3", "--width", "24",
+                     "--height", "18", "--tracking-tile", "8",
+                     "--serve-telemetry", "0", "--flight-record", path,
+                     "--registry", str(tmp_path / "reg")]) == 0
+        live = captured["runz"]
+        replay = json.loads(json.dumps(FlightSource(path).snapshot()))
+        assert live.pop("registry")["runs_total"] == 1
+        assert replay.pop("registry") is None
+        assert live == replay
 
 
 class TestRunTop:
@@ -250,18 +259,16 @@ class TestTopCommand:
     def test_against_live_server(self, record_path):
         """End-to-end: a real exporter serving a replayed run feeds the
         HttpSource the CLI would build for --endpoint."""
-        from repro.obs.promexport import TelemetryHTTPServer
-        from repro.obs.telemetry import TelemetryBus, TelemetryConfig
+        from repro.obs.telemetry import TelemetryConfig
 
-        bus = TelemetryBus(enabled=True)
-        server = TelemetryHTTPServer(TelemetryConfig(port=0), bus_=bus)
+        server = TelemetryHTTPServer(TelemetryConfig(port=0))
         server.start()
         try:
             log = read_flight_record(record_path)
-            bus.publish("header", log.header)
+            server.aggregator.consume("header", log.header)
             for frame in log.frames:
-                bus.publish("frame", frame)
-            bus.publish("summary", log.summary)
+                server.aggregator.consume("frame", frame)
+            server.aggregator.consume("summary", log.summary)
             import io
 
             out = io.StringIO()
