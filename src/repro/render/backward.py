@@ -2,12 +2,16 @@
 and re-projection (Fig. 3, bottom).
 
 Reverse rasterization walks the forward pass's cached composite blocks and
-produces the pixel-Gaussian partial gradients (the render engine's
-``pair_gradients`` stage, shared with the sparse pixel pipeline);
-*aggregation* scatters them into per-Gaussian accumulators
-(:func:`scatter_add` plays the role of ``atomicAdd`` and the number of
-contributing pairs is recorded as the atomic-contention workload);
-*re-projection* finally maps the 2D splat gradients through the projection
+produces the pixel-Gaussian partial gradients; *aggregation* adds them into
+per-Gaussian accumulators.  Both run in one compiled kernel call per block
+(the render engine's
+:func:`~repro.render.kernels.vectorized.aggregate_gradients`, shared with
+the sparse pixel pipeline): the reverse-render units feed the aggregation
+unit with no per-pair array in between, and the number of contributing
+pairs is recorded as the atomic-contention workload.  The kernel adds into
+one accumulator per (tile, list slot); one :func:`scatter_add` per
+gradient column then folds the slots into the projected Gaussians.
+*Re-projection* finally maps the 2D splat gradients through the projection
 into world-space parameter gradients and, for tracking, the camera-twist
 gradient.
 """
@@ -27,7 +31,7 @@ from ..obs import atlas as _atlas_mod
 # composite_backward is the per-tile oracle of the engine below; it stays
 # importable from this module (perfbench/layers.py wraps it here).
 from .compositing import composite_backward  # noqa: F401
-from .kernels.vectorized import pair_gradients
+from .kernels.vectorized import aggregate_gradients
 from .projection import ProjectedGaussians
 from .rasterize import RenderResult, tile_work_records
 from .stats import PipelineStats
@@ -80,19 +84,6 @@ class ProjectedGradients:
             d_opacity=np.zeros(m),
             d_color=np.zeros((m, 3)),
             d_depth=np.zeros(m),
-        )
-
-    @classmethod
-    def scatter(cls, indices: np.ndarray, pair,
-                m: int) -> "ProjectedGradients":
-        """Aggregation stage: pair gradients scatter-added into fresh zeros
-        with :func:`scatter_add` (the atomicAdd model)."""
-        return cls(
-            d_mean2d=scatter_add(indices, pair.d_mean2d, m),
-            d_sigma2d=scatter_add(indices, pair.d_sigma2d, m),
-            d_opacity=scatter_add(indices, pair.d_opacity, m),
-            d_color=scatter_add(indices, pair.d_color, m),
-            d_depth=scatter_add(indices, pair.d_depth, m),
         )
 
     def accumulate(self, indices: np.ndarray, pair) -> None:
@@ -220,20 +211,22 @@ def backward_full(
     ``d_color`` is ``(H, W, 3)``; ``d_depth`` and ``d_silhouette`` are
     ``(H, W)`` (pass zeros for unused channels).  The forward pass must
     have been run with ``keep_cache=True``; otherwise every gradient is
-    zero.  ``pose_only=True`` (tracking) re-projects only the camera-twist
-    gradient; see :func:`reproject_gradients`.
+    zero.  ``pose_only=True`` (tracking) skips the opacity and colour
+    partials and re-projects only the camera-twist gradient; see
+    :func:`reproject_gradients`.
 
-    Pair gradients come from the engine's
-    :func:`~repro.render.kernels.vectorized.pair_gradients`, one pixel
-    block at a time, and aggregate in two stages of :func:`scatter_add`
-    that reproduce the per-tile loop's float additions exactly:
+    Pair gradients aggregate in two stages that reproduce the per-tile
+    loop's float additions exactly:
 
-    1. per block, into one fresh accumulator per (tile, list slot), in
-       pixel order — the sequential pixel sum a tile's reverse pass takes
-       per list entry.  Blocks hold whole tiles, so no accumulator spans
-       two blocks and each block owns a contiguous slot range;
-    2. the slot accumulators into the per-Gaussian gradients, in tile
-       order — the tile loop's scatter sequence.
+    1. :func:`~repro.render.kernels.vectorized.aggregate_gradients`, one
+       kernel call per pixel block, adds each pair's partials onto one
+       frame-wide accumulator per (tile, list slot), starting from zero,
+       in pixel order — the sequential pixel sum a tile's reverse pass
+       takes per list entry.  Blocks hold whole tiles, so all of an
+       accumulator's adds come from one block, in pixel order;
+    2. one :func:`scatter_add` per gradient column folds the slot
+       accumulators into the per-Gaussian gradients, in tile order — the
+       tile loop's scatter sequence.
 
     A single pixel-major scatter would add the same terms in another
     order, which differs in the last bits.
@@ -253,7 +246,8 @@ def backward_full(
     with trace.span("render.tile_bwd", pipeline="tile",
                     gaussians=len(cloud)):
         if result.blocks is not None:
-            pg = _tile_backward(result, d_color, d_depth, d_silhouette, stats)
+            pg = _tile_backward(result, d_color, d_depth, d_silhouette,
+                                stats, pose_only)
         else:
             pg = ProjectedGradients.zeros(len(proj))
         with trace.span("render.reproject"):
@@ -263,10 +257,12 @@ def backward_full(
     return grads
 
 
-def _tile_backward(result, d_color, d_depth, d_silhouette, stats):
+def _tile_backward(result, d_color, d_depth, d_silhouette, stats,
+                   pose_only):
     """Reverse rasterization + aggregation over the forward's pixel blocks;
     returns the per-Gaussian :class:`ProjectedGradients` and fills the
-    counters of ``stats``."""
+    counters of ``stats``.  ``pose_only`` leaves the opacity and colour
+    gradients zero."""
     proj = result.proj
     u, v = result.pixels[:, 0], result.pixels[:, 1]
     d_color, d_depth, d_silhouette = (d_color[v, u], d_depth[v, u],
@@ -276,16 +272,18 @@ def _tile_backward(result, d_color, d_depth, d_silhouette, stats):
     touched = np.zeros(len(u), dtype=np.int64)
     ids = []
     for b in result.blocks:
-        pair = pair_gradients(b.cache, proj, d_color[b.lo:b.hi],
-                              d_depth[b.lo:b.hi], d_silhouette[b.lo:b.hi])
-        lo, hi = b.slots.min(), b.slots.max() + 1
-        block = ProjectedGradients.scatter(b.slots - lo, pair, hi - lo)
-        for name, value in vars(block).items():
-            getattr(slots, name)[lo:hi] = value
-        touched[b.lo:b.hi] = pair.touched
+        aggregate_gradients(b.cache, proj, d_color[b.lo:b.hi],
+                            d_depth[b.lo:b.hi], d_silhouette[b.lo:b.hi],
+                            b.slots, slots, pose_only)
+        touched[b.lo:b.hi] = b.cache.touched
         if stats.record_per_pixel:
-            ids.append(proj.source_index[b.cache.gss[pair.contrib_flat]])
-    pg = ProjectedGradients.scatter(slot_gaussians, slots, len(proj))
+            ids.append(proj.source_index[b.cache.gss[b.cache.contrib]])
+    pg = ProjectedGradients.zeros(len(proj))
+    names = ("d_mean2d", "d_sigma2d", "d_depth") + (
+        () if pose_only else ("d_opacity", "d_color"))
+    for name in names:
+        setattr(pg, name, scatter_add(slot_gaussians, getattr(slots, name),
+                                      len(proj)))
 
     # The tile backward re-runs alpha-checking against the cached
     # tile-Gaussian sorted list (Sec. II-B): every pixel of a tile with a

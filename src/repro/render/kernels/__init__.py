@@ -9,11 +9,10 @@ production kernel, with a per-pixel oracle kept beside it for tests:
   generator ranks the Gaussians by depth once per view, so no pair is
   sorted); after the numpy α stage, one compiled kernel call
   (``_native.c``) walks every pixel's segment of the list one Gaussian
-  per step to composite it, and one more produces all pair gradients
-  (its suffix sums scanned back to front per pixel) before one
-  order-preserving ``np.bincount``
-  scatter per gradient column (:func:`repro.render.backward.scatter_add`,
-  the scoreboard/merge-unit analogue).
+  per step to composite it, and one more produces every pair gradient
+  (its suffix sums scanned back to front per pixel) and adds it onto its
+  Gaussian's accumulators in pair order, in the same walk (the
+  scoreboard/merge-unit analogue).
 - ``"reference"`` — the original per-pixel Python loop: one
   :func:`composite_forward` / :func:`composite_backward` call per sampled
   pixel; slow, but trivially auditable.  It is the oracle the vectorized

@@ -1,13 +1,19 @@
 /*
- * The render engine's per-pixel composite and its reverse pass, compiled.
+ * The render engine's compiled stages: the dense α-cull, the per-pixel
+ * composite and its reverse pass.
  *
- * Both functions walk K pixel segments of a flat pair list (CSR: pixel k
- * owns the next lengths[k] pairs, front-to-back) one pair per step, as the
- * render and reverse-render units of Sec. V do.  Every expression keeps
- * the operands and the order of operations of the per-pixel oracle
- * (render/compositing.py) and of the slot-major formulation that pads each
- * call's pixels to its longest list, Lmax (tests/padded_oracle.py).  That
- * includes the padding:
+ * tile_cull pairs every rendered pixel of a tile with the tile's
+ * depth-sorted list and keeps the pairs whose squared centre distance is
+ * within the Gaussian's α cutoff; it forms that distance exactly as the
+ * numpy cull it replaced (tests/tile_oracle.py) did.
+ *
+ * The composite and its reverse pass walk K pixel segments of a flat pair
+ * list (CSR: pixel k owns the next lengths[k] pairs, front-to-back) one
+ * pair per step, as the render and reverse-render units of Sec. V do.
+ * Every expression keeps the operands and the order of operations of the
+ * per-pixel oracle (render/compositing.py) and of the slot-major
+ * formulation that pads each call's pixels to its longest list, Lmax
+ * (tests/padded_oracle.py).  That includes the padding:
  *
  *   - a row shorter than Lmax adds +0.0 (a padding slot's weight times
  *     its zero channel value) to each forward total, which turns a -0.0
@@ -15,15 +21,18 @@
  *   - each reverse suffix scan of such a row starts from the padding
  *     term (Γ·0)·0, Γ the row's final transmittance, which is ±0 or NaN.
  *
- * Compile without FMA contraction or fast-math (-ffp-contract=off
- * -fno-fast-math): either would change bits.
+ * Nothing here calls a transcendental function: the falloff's exp and the
+ * cutoff's log stay with the caller.  Compile without FMA contraction or
+ * fast-math (-ffp-contract=off -fno-fast-math): either would change bits.
  *
- * Both return 0, or -1 without reading out of bounds when the lengths do
- * not sum to the pair count or a pair indexes no projected Gaussian
- * (m of them).
+ * Every entry point returns -1 without reading or writing out of bounds
+ * when its counts do not sum to its array lengths or an index points
+ * outside the array it indexes, and -2 when it cannot allocate its
+ * scratch.
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 
 /* np.maximum: NaN in the first operand propagates. */
 static double maximum(double a, double b)
@@ -38,6 +47,97 @@ static int64_t longest(int64_t K, const int64_t *lengths)
         if (lengths[k] > lmax)
             lmax = lengths[k];
     return lmax;
+}
+
+/*
+ * Dense α-cull.  Tile t owns the next n_g[t] entries of lists (L in all,
+ * projected-Gaussian indices, front-to-back) and the next n_px[t] of the
+ * K rendered pixels px (row-major (u, v) integer pairs).  Every rendered
+ * pixel of a tile is a candidate against the tile's whole list; a pair is
+ * kept when d2 = du*du + dv*dv, with du = (u + 0.5) - mean2d[j][0] and dv
+ * likewise, is <= cutoff[j] (a NaN keeps nothing).  Kept pairs come out
+ * tile-major, then pixel, then list position, as (pixel, slot, gaussian,
+ * d2): the pixel's row in px, the pair's entry in lists, its Gaussian and
+ * its squared distance.
+ *
+ * With a NULL pix only the kept pairs are counted; otherwise at most
+ * capacity pairs are written.  Returns the kept-pair count.
+ */
+int64_t tile_cull(
+    int64_t T, int64_t L, int64_t K, int64_t m, const int64_t *n_g,
+    const int64_t *n_px, const int64_t *lists, const int64_t *px,
+    const double *mean2d, const double *cutoff, int64_t capacity,
+    int64_t *pix, int64_t *slot, int64_t *gs, double *d2)
+{
+    /* Per entry of the tile's list: mu, mv and cutoff, gathered once;
+     * per kept pair of the pixel: d2 and the list entry, so the kept
+     * pairs are compacted without a branch per candidate. */
+    const size_t rows = (size_t)longest(T, n_g) + 1;
+    double *list = malloc(4 * rows * sizeof(double));
+    int64_t *entry = malloc(rows * sizeof(int64_t));
+    int64_t kept = -2, s0 = 0, p0 = 0;
+    if (!list || !entry)
+        goto done;
+    kept = 0;
+    for (int64_t t = 0; t < T; t++) {
+        const int64_t ng = n_g[t], np_ = n_px[t];
+        if (ng < 0 || np_ < 0 || ng > L - s0 || np_ > K - p0) {
+            kept = -1;
+            goto done;
+        }
+        if (ng == 0 || np_ == 0)
+            goto next;
+        double *mu = list, *mv = list + ng, *cut = list + 2 * ng,
+               *dd = list + 3 * ng;
+        for (int64_t i = 0; i < ng; i++) {
+            const int64_t j = lists[s0 + i];
+            if (j < 0 || j >= m) {
+                kept = -1;
+                goto done;
+            }
+            mu[i] = mean2d[2 * j];
+            mv[i] = mean2d[2 * j + 1];
+            cut[i] = cutoff[j];
+        }
+        for (int64_t k = p0; k < p0 + np_; k++) {
+            const double cu = (double)px[2 * k] + 0.5;
+            const double cv = (double)px[2 * k + 1] + 0.5;
+            int64_t n = 0;
+            if (!pix) {
+                for (int64_t i = 0; i < ng; i++) {
+                    const double du = cu - mu[i], dv = cv - mv[i];
+                    n += du * du + dv * dv <= cut[i];
+                }
+                kept += n;
+                continue;
+            }
+            for (int64_t i = 0; i < ng; i++) {
+                const double du = cu - mu[i], dv = cv - mv[i];
+                dd[n] = du * du + dv * dv;
+                entry[n] = s0 + i;
+                n += dd[n] <= cut[i];
+            }
+            if (n > capacity - kept) {
+                kept = -1;
+                goto done;
+            }
+            for (int64_t q = 0; q < n; q++, kept++) {
+                pix[kept] = k;
+                slot[kept] = entry[q];
+                gs[kept] = lists[entry[q]];
+                d2[kept] = dd[q];
+            }
+        }
+    next:
+        s0 += ng;
+        p0 += np_;
+    }
+    if (s0 != L || p0 != K)
+        kept = -1;
+done:
+    free(list);
+    free(entry);
+    return kept;
 }
 
 /*
@@ -102,20 +202,52 @@ int composite_forward(
     return p == M ? 0 : -1;
 }
 
+/* Aggregating mode's partials per pair: u, v, σ, opacity, r, g, b, depth. */
+#define NPART 8
+
+/* lengths sum to P, every gss in [0, m) and, when given, every acc_index
+ * in [0, n_acc). */
+static int valid_pairs(int64_t K, int64_t P, int64_t m,
+                       const int64_t *lengths, const int64_t *gss,
+                       const int64_t *acc_index, int64_t n_acc)
+{
+    int64_t p = 0;
+    for (int64_t k = 0; k < K; k++) {
+        if (lengths[k] < 0 || lengths[k] > P - p)
+            return 0;
+        p += lengths[k];
+    }
+    if (p != P)
+        return 0;
+    for (p = 0; p < P; p++)
+        if (gss[p] < 0 || gss[p] >= m
+                || (acc_index && (acc_index[p] < 0 || acc_index[p] >= n_acc)))
+            return 0;
+    return 1;
+}
+
 /*
- * Reverse pass over the forward's per-pair state (P pairs): dL/dα, the
- * falloff value g = α/o, and the direct colour and depth partials, from
- * the five back-to-front suffix sums.  d_color is (K, 3); d_color_out is
- * three contiguous (P,) columns, or NULL to skip them (pose-only).
+ * Reverse pass over the forward's per-pair state (P pairs), from the five
+ * back-to-front suffix sums; d_color is (K, 3).  Two modes:
  *
- * With a non-NULL d_mean (two (P,) columns) the isotropic falloff
- * α = o·exp(-d²/2σ²) is reversed too, into d_mean, d_sigma and, unless
- * NULL (pose-only), d_opacity; centres and mean2d are row-major (u, v)
- * pairs per pixel and per projected Gaussian.  With a NULL d_mean
- * (alpha-only) the caller reverses its own falloff.
+ *   - per pair (NULL acc_index): dL/dα into d_alpha, the falloff value
+ *     g = α/o into g_out, and the direct colour (three contiguous (P,)
+ *     columns of d_color_out, or NULL to skip them) and depth partials.
+ *     The caller reverses its own falloff.
+ *   - aggregating: the isotropic falloff α = o·exp(-d²/2σ²) is reversed
+ *     too, and each pair's partials are added into accumulator
+ *     acc_index[p] of n_acc: acc_mean ((n_acc, 2)), acc_sigma,
+ *     acc_opacity, acc_color ((n_acc, 3)) and acc_depth, row-major; a
+ *     NULL acc_opacity or acc_color (pose-only) is skipped.  centres and
+ *     mean2d are row-major (u, v) pairs per pixel and per projected
+ *     Gaussian.  A pixel's partials are added front to back once its
+ *     back-to-front walk is done, so every accumulator takes its adds in
+ *     pair order, as np.add.at does.  The per-pair outputs are unused.
+ *
+ * Nothing is written when the inputs are rejected.
  */
 int composite_reverse(
-    int64_t K, int64_t P, int64_t m, const int64_t *lengths,
+    int64_t K, int64_t P, int64_t m, int64_t n_acc, const int64_t *lengths,
     const int64_t *gss,
     const double *gamma, const double *alpha, const uint8_t *contrib,
     const uint8_t *clipped, const double *gamma_end,
@@ -124,14 +256,19 @@ int composite_reverse(
     const double *d_color, const double *d_depth, const double *d_sil,
     double *d_alpha, double *g_out, double *d_color_out, double *d_depth_out,
     const double *centres, const double *mean2d, const double *sigma2d,
-    double *d_mean, double *d_sigma, double *d_opacity)
+    const int64_t *acc_index, double *acc_mean, double *acc_sigma,
+    double *acc_opacity, double *acc_color, double *acc_depth)
 {
+    if (!valid_pairs(K, P, m, lengths, gss, acc_index, n_acc))
+        return -1;
     const int64_t lmax = longest(K, lengths);
+    double *part = NULL;
+    if (acc_index
+            && !(part = malloc(NPART * (size_t)(lmax + 1) * sizeof(double))))
+        return -2;
     int64_t start = 0;
     for (int64_t k = 0; k < K; k++) {
         const int64_t n = lengths[k];
-        if (n < 0 || n > P - start)
-            return -1;
         const int padded = n < lmax;
         const double pad_weight = gamma_end[k] * 0.0;
         double suffix[5];  /* inclusive, back to front: r, g, b, depth, sil */
@@ -142,8 +279,6 @@ int composite_reverse(
         for (int64_t s = n - 1; s >= 0; s--) {
             const int64_t p = start + s;
             const int64_t j = gss[p];
-            if (j < 0 || j >= m)
-                return -1;
             const double *v = color + 3 * j;
             const double gam = gamma[p];
             const double a = alpha[p];
@@ -170,26 +305,44 @@ int composite_reverse(
             da = (c && !clipped[p]) ? da : 0.0;
             const double o = opacity[j];
             const double g = c ? a / maximum(o, 1e-12) : 0.0;
-            d_alpha[p] = da;
-            g_out[p] = g;
-            if (d_color_out)
-                for (int i = 0; i < 3; i++)
-                    d_color_out[i * P + p] = w * dc[i];
-            d_depth_out[p] = w * d_depth[k];
-            if (!d_mean)
+            if (!acc_index) {
+                d_alpha[p] = da;
+                g_out[p] = g;
+                if (d_color_out)
+                    for (int i = 0; i < 3; i++)
+                        d_color_out[i * P + p] = w * dc[i];
+                d_depth_out[p] = w * d_depth[k];
                 continue;
+            }
             const double sig = sigma2d[j];
             const double inv_var = 1.0 / (sig * sig);
             const double dgg = (da * o) * g;
-            if (d_opacity)
-                d_opacity[p] = da * g;
             const double du = centres[2 * k] - mean2d[2 * j];
             const double dv = centres[2 * k + 1] - mean2d[2 * j + 1];
-            d_mean[p] = dgg * du * inv_var;
-            d_mean[P + p] = dgg * dv * inv_var;
-            d_sigma[p] = dgg * (du * du + dv * dv) * (inv_var / sig);
+            double *q = part + NPART * s;
+            q[0] = dgg * du * inv_var;
+            q[1] = dgg * dv * inv_var;
+            q[2] = dgg * (du * du + dv * dv) * (inv_var / sig);
+            q[3] = da * g;
+            for (int i = 0; i < 3; i++)
+                q[4 + i] = w * dc[i];
+            q[7] = w * d_depth[k];
+        }
+        for (int64_t s = 0; part && s < n; s++) {
+            const double *q = part + NPART * s;
+            const int64_t i = acc_index[start + s];
+            acc_mean[2 * i] += q[0];
+            acc_mean[2 * i + 1] += q[1];
+            acc_sigma[i] += q[2];
+            if (acc_opacity)
+                acc_opacity[i] += q[3];
+            if (acc_color)
+                for (int c = 0; c < 3; c++)
+                    acc_color[3 * i + c] += q[4 + c];
+            acc_depth[i] += q[7];
         }
         start += n;
     }
-    return start == P ? 0 : -1;
+    free(part);
+    return 0;
 }

@@ -1,4 +1,4 @@
-"""Build and load the compiled composite kernel (``_native.c``).
+"""Build and load the compiled render kernels (``_native.c``).
 
 The kernel compiles once, lazily, at the first :func:`library` call, so
 importing the package never needs a compiler.  It is built with the
@@ -13,6 +13,9 @@ There is no fallback: without a working compiler the first render raises
 :class:`KernelBuildError`, naming the command that failed.  The per-pixel
 oracles (``render/compositing.py``, ``kernels/reference.py``) stay the
 bit-for-bit references.
+
+:func:`f64`, :func:`i64` and :func:`ptr` marshal numpy arrays for the
+kernels' ``ctypes`` calls.
 """
 
 from __future__ import annotations
@@ -27,18 +30,29 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional
 
+import numpy as np
+
 __all__ = ["CFLAGS", "SOURCE", "KernelBuildError", "compiler", "build",
-           "load", "library"]
+           "load", "library", "f64", "i64", "ptr"]
 
 SOURCE = Path(__file__).with_name("_native.c")
 
 #: Compiler flags.  FMA contraction or fast-math would change the bits the
-#: kernel must share with the numpy engines and the oracles.
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
+#: kernel must share with the numpy engines and the oracles; -O3 does not
+#: reassociate floating-point arithmetic, and measured 8–14 % faster than
+#: -O2 on a dense frame (EXPERIMENTS.md).
+CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
 
-_FORWARD_ARGS = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 6 + [
-    ctypes.c_double] * 2 + [ctypes.c_void_p] * 9
-_REVERSE_ARGS = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 25
+#: ``(argtypes, restype)`` of each entry point.
+_ENTRY_POINTS = {
+    "tile_cull": ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 6
+                  + [ctypes.c_int64] + [ctypes.c_void_p] * 4, ctypes.c_int64),
+    "composite_forward": ([ctypes.c_int64] * 3 + [ctypes.c_void_p] * 6
+                          + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 9,
+                          ctypes.c_int),
+    "composite_reverse": ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 28,
+                          ctypes.c_int),
+}
 
 
 class KernelBuildError(RuntimeError):
@@ -108,16 +122,15 @@ def build(source: Path = SOURCE, cache_dir: Optional[Path] = None,
 
 
 def load(path: Path) -> ctypes.CDLL:
-    """Load a built library and declare its two entry points."""
+    """Load a built library and declare its entry points."""
     try:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise KernelBuildError(
             f"cannot load the render kernel {path}: {exc}") from None
-    lib.composite_forward.argtypes = _FORWARD_ARGS
-    lib.composite_forward.restype = ctypes.c_int
-    lib.composite_reverse.argtypes = _REVERSE_ARGS
-    lib.composite_reverse.restype = ctypes.c_int
+    for name, (argtypes, restype) in _ENTRY_POINTS.items():
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, restype
     return lib
 
 
@@ -130,3 +143,18 @@ def library() -> ctypes.CDLL:
     if _LIBRARY is None:
         _LIBRARY = load(build())
     return _LIBRARY
+
+
+def f64(a) -> np.ndarray:
+    """``a`` as a C-contiguous float64 array (no copy if it already is)."""
+    return np.ascontiguousarray(a, dtype=np.float64)
+
+
+def i64(a) -> np.ndarray:
+    """``a`` as a C-contiguous int64 array (no copy if it already is)."""
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def ptr(a):
+    """The data pointer a kernel reads or writes; None passes NULL."""
+    return None if a is None else a.ctypes.data

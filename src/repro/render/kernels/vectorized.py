@@ -7,8 +7,8 @@ Gaussian) pair list:
   ranks the projected Gaussians by depth once per view and emits the
   pairs already pixel-major and front-to-back (the ``(depth, index)`` key
   of ``sort_by_depth``), and the preemptive α filter keeps that order;
-- the α stage runs in numpy (its ``exp``); the composite and the reverse
-  pass run in one compiled kernel (``_native.c``, built and loaded by
+- the α stage's falloff runs in numpy (its ``exp``); the composite and the
+  reverse pass run in compiled code (``_native.c``, built and loaded by
   :mod:`~repro.render.kernels.native`) that walks each pixel's segment
   of the CSR pair list one Gaussian per step, as the render and
   reverse-render units of Sec. V do.  Γ is a running product and every
@@ -16,12 +16,12 @@ Gaussian) pair list:
   :func:`composite_forward` uses — and every expression keeps the
   operands and order of operations of the per-pixel oracle, so a pair
   that fails α (an exact 1.0 factor and 0.0 weight) is bit-transparent;
-- the backward pass computes every pair gradient in one kernel call and
-  aggregates per Gaussian with one
-  :func:`~repro.render.backward.scatter_add` (a per-column
-  ``np.bincount``) whose (index, value) sequence — pixel-major,
-  depth-sorted — is exactly the sequence the reference loop's per-pixel
-  ``np.add.at`` scatters produce, added in the same order from zero.
+- the backward pass computes every pair gradient and aggregates it in the
+  same kernel call (:func:`aggregate_gradients`), as the reverse-render
+  units feed the aggregation unit: each pair's partials are added onto
+  its Gaussian's accumulators in pair order — pixel-major, depth-sorted —
+  which is exactly the sequence the reference loop's per-pixel
+  ``np.add.at`` scatters add, in the same order from zero.
 
 Each kernel call treats its pixels as padded to the call's longest list
 (``tests/padded_oracle.py`` is that slot-major formulation): a pixel
@@ -31,15 +31,15 @@ NaN results depend on it.
 
 The stages — :func:`evaluate_alpha` (whose falloff half,
 :func:`falloff_alpha`, the dense pipeline calls on the squared distances
-its axis-shared cull already computed), :func:`composite` and the reverse
-pass, split at its representation seam into :func:`alpha_gradients`
-(everything up to dL/dα) and :func:`pair_gradients` (the isotropic
-falloff reverse on top of it) — are also the engine of the dense tile
-pipeline (:mod:`repro.render.rasterize` / :mod:`repro.render.backward`),
-which feeds them from its depth-sorted tile table and aggregates with a
-tile-major two-stage scatter.  Anisotropic splats
-(:mod:`repro.render.anisotropic`) run :func:`forward` on their own conic
-α and :func:`alpha_gradients` under their own falloff reverse.
+its compiled cull already computed), :func:`composite` and the reverse
+pass — are also the engine of the dense tile pipeline
+(:mod:`repro.render.rasterize` / :mod:`repro.render.backward`), which
+feeds them from its depth-sorted tile table and aggregates per (tile, list
+slot) before a per-Gaussian fold.  The reverse pass has a second, per-pair
+mode, :func:`alpha_gradients` (everything up to dL/dα, no falloff, no
+aggregation): anisotropic splats (:mod:`repro.render.anisotropic`) run
+:func:`forward` on their own conic α and :func:`alpha_gradients` under
+their own falloff reverse.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ import numpy as np
 
 from ..compositing import ALPHA_MAX
 from . import native
+from .native import f64, i64, ptr
 
 __all__ = [
     "FlatCompositeCache",
-    "PairGradients",
     "AlphaGradients",
     "evaluate_alpha",
     "falloff_alpha",
@@ -61,7 +61,7 @@ __all__ = [
     "forward",
     "backward",
     "alpha_gradients",
-    "pair_gradients",
+    "aggregate_gradients",
 ]
 
 
@@ -84,20 +84,6 @@ class FlatCompositeCache:
     gamma_final: np.ndarray   # (K,) 1 - silhouette
     touched: np.ndarray       # (K,) per-pixel contributing-pair counts
     background: np.ndarray    # (3,)
-
-
-def _f64(a) -> np.ndarray:
-    """``a`` as a C-contiguous float64 array (no copy if it already is)."""
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def _i64(a) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.int64)
-
-
-def _ptr(a):
-    """The data pointer the kernel reads or writes; None passes NULL."""
-    return None if a is None else a.ctypes.data
 
 
 _BAD_PAIRS = ("the per-pixel list lengths do not sum to the pair count, or "
@@ -129,12 +115,19 @@ def evaluate_alpha(proj, gss, centres, exp_fn=np.exp):
 def falloff_alpha(proj, gss, d2, exp_fn=np.exp):
     """The second half of :func:`evaluate_alpha`: ``(alpha, clipped)``
     from each pair's squared centre distance ``d2 = du*du + dv*dv``, for
-    callers that computed it themselves (the dense pipeline shares ``du²``
-    and ``dv²`` across a tile's columns and rows)."""
+    callers that computed it themselves (the dense pipeline's compiled
+    cull)."""
     sig = proj.sigma2d
-    inv_2var = (1.0 / (2.0 * sig * sig))[gss]
-    alpha_raw = proj.opacity[gss] * exp_fn(-d2 * inv_2var)
-    return np.minimum(alpha_raw, ALPHA_MAX), alpha_raw > ALPHA_MAX
+    # opacity·exp(−d2·inv_2var), operands in that order, computed in place:
+    # a dense frame has ~10⁵ pairs, and each fresh temporary of that size
+    # costs page faults.  An approximate exp_fn (the LUT ablation) returns
+    # a fresh array instead.
+    x = np.negative(d2)
+    x *= (1.0 / (2.0 * sig * sig))[gss]
+    g = np.exp(x, out=x) if exp_fn is np.exp else exp_fn(x)
+    alpha = np.multiply(proj.opacity[gss], g, out=x)
+    clipped = alpha > ALPHA_MAX
+    return np.minimum(alpha, ALPHA_MAX, out=alpha), clipped
 
 
 def composite(proj, gss, lengths, centres, background, alpha, clipped,
@@ -155,7 +148,7 @@ def composite(proj, gss, lengths, centres, background, alpha, clipped,
         return np.tile(background, (K, 1)), np.zeros(K), np.zeros(K), None
     M = gss.size
     m = _check_proj(proj)
-    lengths, gss, background = _i64(lengths), _i64(gss), _f64(background)
+    lengths, gss, background = i64(lengths), i64(gss), f64(background)
     if (gss.shape != (M,) or alpha.shape != (M,) or clipped.shape != (M,)
             or lengths.shape != (K,) or background.shape != (3,)):
         raise ValueError("composite: per-pair arrays, lengths or background "
@@ -166,13 +159,13 @@ def composite(proj, gss, lengths, centres, background, alpha, clipped,
     gamma_end, gamma_final = np.empty(K), np.empty(K)
     touched = np.empty(K, dtype=np.int64)
     # Locals hold every argument array alive through the call.
-    inputs = (lengths, gss, _f64(alpha), _f64(proj.color), _f64(proj.depth),
+    inputs = (lengths, gss, f64(alpha), f64(proj.color), f64(proj.depth),
               background)
     outputs = (gamma, alpha_out, contrib, color, depth, silhouette,
                gamma_end, gamma_final, touched)
     if native.library().composite_forward(
-            K, M, m, *map(_ptr, inputs), alpha_threshold, t_min,
-            *map(_ptr, outputs)):
+            K, M, m, *map(ptr, inputs), alpha_threshold, t_min,
+            *map(ptr, outputs)):
         raise ValueError(_BAD_PAIRS)
     cache = FlatCompositeCache(
         centres=centres,
@@ -250,9 +243,8 @@ class AlphaGradients:
     is the composite cache's, pixel-major, front-to-back — which is the
     exact (index, value) sequence the per-pixel reference loop scatters,
     so one in-order :func:`~repro.render.backward.scatter_add` per array
-    reproduces its accumulation bit for bit (the software analogue of the
-    accelerator's aggregation scoreboard).  The vector partials are kept
-    as contiguous per-component columns, which ``scatter_add`` bins
+    reproduces its accumulation bit for bit.  The vector partials are
+    kept as contiguous per-component columns, which ``scatter_add`` bins
     directly.
     """
 
@@ -267,64 +259,54 @@ class AlphaGradients:
     contrib_flat: np.ndarray  # (P,) bool — pair actually contributed
 
 
-@dataclass
-class PairGradients(AlphaGradients):
-    """:class:`AlphaGradients` plus the isotropic falloff's partials."""
-
-    d_mean2d: tuple           # (d_u, d_v), each (P,)
-    d_sigma2d: np.ndarray     # (P,)
-    d_opacity: np.ndarray     # (P,); None if pose-only
+#: The accumulator arrays of :func:`aggregate_gradients`, in kernel order,
+#: with their row shapes.
+_ACC_FIELDS = (("d_mean2d", (2,)), ("d_sigma2d", ()), ("d_opacity", ()),
+               ("d_color", (3,)), ("d_depth", ()))
 
 
-def _reverse(fc, proj, d_color, d_depth, d_silhouette, pose_only, falloff):
-    """One kernel call of the reverse pass; returns the
-    :class:`AlphaGradients` fields and, with ``falloff``, the isotropic
-    falloff partials ``(d_mean2d, d_sigma2d, d_opacity)`` too."""
-    K, P = fc.lengths.size, fc.gss.size
+def _reverse_inputs(fc, proj, d_color, d_depth, d_silhouette):
+    """``(m, inputs)`` of a reverse-pass kernel call, checked: the number
+    of projected Gaussians and the arguments up to ``d_sil``, in kernel
+    order."""
+    K = fc.lengths.size
     m = _check_proj(proj)
-    d_color, d_depth, d_silhouette = (_f64(d_color), _f64(d_depth),
-                                      _f64(d_silhouette))
+    d_color, d_depth, d_silhouette = (f64(d_color), f64(d_depth),
+                                      f64(d_silhouette))
     if (d_color.shape != (K, 3) or d_depth.shape != (K,)
             or d_silhouette.shape != (K,)):
         raise ValueError("reverse pass: output gradients must be (K, 3), "
                          "(K,) and (K,) for the cache's K pixels")
-    if proj.opacity.shape != (m,) or falloff and (
-            proj.mean2d.shape != (m, 2) or proj.sigma2d.shape != (m,)
-            or fc.centres.shape != (K, 2)):
-        raise ValueError("reverse pass: projected arrays or pixel centres "
-                         "have the wrong shape")
+    if proj.opacity.shape != (m,):
+        raise ValueError("reverse pass: projected opacities have the wrong "
+                         "shape")
+    return m, (fc.lengths, fc.gss, fc.gamma, fc.alpha, fc.contrib,
+               fc.clipped, fc.gamma_end, fc.gamma_final, fc.background,
+               f64(proj.color), f64(proj.depth), f64(proj.opacity), d_color,
+               d_depth, d_silhouette)
+
+
+def _reverse(fc, proj, d_color, d_depth, d_silhouette, pose_only):
+    """One per-pair kernel call of the reverse pass; returns the
+    :class:`AlphaGradients` fields."""
+    K, P = fc.lengths.size, fc.gss.size
+    m, inputs = _reverse_inputs(fc, proj, d_color, d_depth, d_silhouette)
     d_alpha, g, d_depth_out = np.empty(P), np.empty(P), np.empty(P)
     d_color_out = None if pose_only else np.empty((3, P))
-    d_mean = d_sigma = d_opacity = None
-    centres = mean2d = sigma2d = None
-    if falloff:
-        d_mean, d_sigma = np.empty((2, P)), np.empty(P)
-        d_opacity = None if pose_only else np.empty(P)
-        centres, mean2d, sigma2d = (_f64(fc.centres), _f64(proj.mean2d),
-                                    _f64(proj.sigma2d))
-    opacity = _f64(proj.opacity)
-    args = (fc.lengths, fc.gss, fc.gamma, fc.alpha, fc.contrib, fc.clipped,
-            fc.gamma_end, fc.gamma_final, fc.background, _f64(proj.color),
-            _f64(proj.depth), opacity, d_color, d_depth, d_silhouette,
-            d_alpha, g, d_color_out, d_depth_out,
-            centres, mean2d, sigma2d, d_mean, d_sigma, d_opacity)
-    if native.library().composite_reverse(K, P, m, *map(_ptr, args)):
+    args = inputs + (d_alpha, g, d_color_out, d_depth_out) + (None,) * 9
+    if native.library().composite_reverse(K, P, m, 0, *map(ptr, args)):
         raise ValueError(_BAD_PAIRS)
-    fields = dict(
+    return dict(
         rows=np.repeat(np.arange(K), fc.lengths),
         idx=fc.gss,
         d_alpha=d_alpha,
-        opacity=opacity[fc.gss],
+        opacity=proj.opacity[fc.gss],
         g=g,
         d_color=None if pose_only else tuple(d_color_out),
         d_depth=d_depth_out,
         touched=fc.touched,
         contrib_flat=fc.contrib,
     )
-    if falloff:
-        fields.update(d_mean2d=tuple(d_mean), d_sigma2d=d_sigma,
-                      d_opacity=d_opacity)
-    return fields
 
 
 def alpha_gradients(fc, proj, d_color, d_depth, d_silhouette,
@@ -334,37 +316,70 @@ def alpha_gradients(fc, proj, d_color, d_depth, d_silhouette,
     Every arithmetic expression mirrors :func:`composite_backward` term
     for term (same operand values, same association order), with the
     five suffix sums (colour with the background folded in, depth,
-    silhouette) scanned back to front per pixel.  All math is per pixel,
-    so the dense engine can run it one pixel block at a time and get the
-    same bits as one global pass.  ``pose_only=True`` skips the colour
-    partials, which reach no geometric gradient (``d_color`` is then
-    None).
+    silhouette) scanned back to front per pixel.  ``pose_only=True``
+    skips the colour partials (``d_color`` is then None).
     """
     return AlphaGradients(**_reverse(fc, proj, d_color, d_depth,
-                                     d_silhouette, pose_only, falloff=False))
+                                     d_silhouette, pose_only))
 
 
-def pair_gradients(fc, proj, d_color, d_depth, d_silhouette,
-                   pose_only=False):
-    """Compute every per-pair gradient partial; no aggregation.
+def aggregate_gradients(fc, proj, d_color, d_depth, d_silhouette, index,
+                        acc, pose_only=False):
+    """The reverse pass with the isotropic falloff α = o·g,
+    g = exp(−d²/2σ²), aggregated in the same kernel call.
 
-    :func:`alpha_gradients` followed by the isotropic falloff reverse:
-    α = o·g with g = exp(−d²/2σ²), in the same kernel call.
-    ``pose_only=True`` keeps only the partials the camera pose depends
-    on (``d_color`` and ``d_opacity`` are None).
+    Each pair's partials (mean, σ, opacity, colour, depth) are added in
+    place onto row ``index[p]`` of ``acc``'s five accumulator arrays
+    (``d_mean2d`` (n, 2), ``d_sigma2d``, ``d_opacity``, ``d_color``
+    (n, 3), ``d_depth``; writeable C-contiguous float64, as
+    :meth:`~repro.render.backward.ProjectedGradients.zeros` makes them),
+    every accumulator in pair order — the float sequence of ``np.add.at``
+    over the flat per-pair partials, at no per-pair array.
+    ``pose_only=True`` skips the opacity and colour partials and leaves
+    those accumulators untouched.  Nothing is added when the inputs are
+    rejected.
     """
-    return PairGradients(**_reverse(fc, proj, d_color, d_depth,
-                                    d_silhouette, pose_only, falloff=True))
+    K, P = fc.lengths.size, fc.gss.size
+    m, inputs = _reverse_inputs(fc, proj, d_color, d_depth, d_silhouette)
+    if (proj.mean2d.shape != (m, 2) or proj.sigma2d.shape != (m,)
+            or fc.centres.shape != (K, 2)):
+        raise ValueError("reverse pass: projected arrays or pixel centres "
+                         "have the wrong shape")
+    index = i64(index)
+    n = acc.d_sigma2d.shape[0]
+    out = []
+    for name, row in _ACC_FIELDS:
+        a = getattr(acc, name)
+        if pose_only and name in ("d_opacity", "d_color"):
+            a = None
+        elif (a.dtype != np.float64 or not a.flags.c_contiguous
+                or not a.flags.writeable or a.shape != (n,) + row):
+            raise ValueError(f"reverse pass: accumulator {name} must be a "
+                             "writeable C-contiguous float64 array of "
+                             f"{n} rows")
+        out.append(a)
+    if index.shape != (P,):
+        raise ValueError("reverse pass: one accumulator index per pair")
+    args = inputs + (None,) * 4 + (
+        f64(fc.centres), f64(proj.mean2d), f64(proj.sigma2d), index, *out)
+    status = native.library().composite_reverse(K, P, m, n,
+                                                 *map(ptr, args))
+    if status == -2:
+        raise MemoryError("reverse pass: no memory for the per-pixel "
+                          "scratch")
+    if status:
+        raise ValueError(_BAD_PAIRS + ", or an accumulator index is out "
+                         "of range")
 
 
 def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
              contribs_out=None, pose_only=False):
     """Batched backward pass over the flat forward cache.
 
-    Pair partials from :func:`pair_gradients`, aggregated by one
-    pixel-major :func:`~repro.render.backward.scatter_add` per gradient
-    array and added onto ``pg`` (zeros, so the add is exact) — all
-    per-Gaussian accumulations are bit-identical to the reference loop's.
+    One :func:`aggregate_gradients` call adds every pair's partials onto
+    ``pg``, indexed by the pair's projected Gaussian, pixel-major — the
+    sequence the reference loop's per-pixel ``np.add.at`` scatters add,
+    so every per-Gaussian accumulation is bit-identical to it.
     ``contribs_out`` (when given) receives the per-pixel touched-pair
     counts for the sparsity atlas.  ``pose_only=True`` (tracking) skips
     the opacity and colour partials and leaves ``pg``'s opacity and
@@ -373,20 +388,10 @@ def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
     fc = result.flat_cache
     if fc is None:
         return
-    # Imported here: repro.render.backward imports this module.
-    from ..backward import scatter_add
+    aggregate_gradients(fc, proj, d_color, d_depth, d_silhouette, fc.gss,
+                        pg, pose_only)
 
-    grads = pair_gradients(fc, proj, d_color, d_depth, d_silhouette,
-                           pose_only)
-    m = len(proj)
-    pg.d_mean2d += scatter_add(grads.idx, grads.d_mean2d, m)
-    pg.d_sigma2d += scatter_add(grads.idx, grads.d_sigma2d, m)
-    if not pose_only:
-        pg.d_opacity += scatter_add(grads.idx, grads.d_opacity, m)
-        pg.d_color += scatter_add(grads.idx, grads.d_color, m)
-    pg.d_depth += scatter_add(grads.idx, grads.d_depth, m)
-
-    touched = grads.touched
+    touched = fc.touched
     total_touched = int(touched.sum())
     if contribs_out is not None:
         contribs_out[:] = touched
@@ -397,7 +402,7 @@ def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
         nonzero = fc.lengths > 0
         stats.pixel_list_lengths.extend(int(n) for n in fc.lengths[nonzero])
         stats.per_pixel_contribs.extend(int(c) for c in touched[nonzero])
-        ids = proj.source_index[fc.gss[grads.contrib_flat]]
+        ids = proj.source_index[fc.gss[fc.contrib]]
         splits = np.cumsum(touched[nonzero])[:-1]
         stats.pixel_contrib_ids.extend(np.split(ids, splits))
 

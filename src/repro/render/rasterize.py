@@ -9,12 +9,13 @@ Rasterization runs on the render engine the sparse pixel pipeline uses
 
 - *candidates*: every rendered pixel of a tile x every Gaussian in that
   tile's list, as the tile pipeline α-checks them (so
-  ``num_candidate_pairs = Σ n_px·n_g``).  The check is axis-shared: per
-  tile, ``du²`` is computed once per pixel column and ``dv²`` once per
-  pixel row, a pair is culled only when ``du² + dv²`` lies beyond the
-  Gaussian's conservative α cutoff, and the exact α expression runs on
-  the survivors alone — the same passing pairs, α bits and clip flags
-  as evaluating every candidate, at any ``alpha_threshold``;
+  ``num_candidate_pairs = Σ n_px·n_g``).  One compiled call
+  (``tile_cull`` in ``_native.c``) walks them all: it forms each pair's
+  ``d² = du² + dv²`` with numpy's bits and drops the pair when ``d²`` lies
+  beyond the Gaussian's conservative α cutoff.  The exact α expression
+  then runs in numpy (its ``exp``) on the survivors alone — the same
+  passing pairs, α bits and clip flags as evaluating every candidate, at
+  any ``alpha_threshold``;
 - *order*: the pairs come out tile-major, pixels row-major within a tile
   and front-to-back within a pixel — each tile's depth sort is reused for
   every pixel in it, with no per-pair sort (the redundant-sort
@@ -56,6 +57,8 @@ from .compositing import (  # noqa: F401
     T_MIN,
     composite_forward,
 )
+from .kernels import native
+from .kernels.native import f64, i64, ptr
 from .kernels.vectorized import FlatCompositeCache, composite, falloff_alpha
 from .projection import ProjectedGaussians, project_gaussians
 from .sorting import sort_intersection_table
@@ -67,11 +70,11 @@ __all__ = ["RenderResult", "PixelBlock", "render_full", "BLOCK_PIXELS"]
 DEFAULT_BACKGROUND = np.zeros(3)
 
 #: Most rendered pixels per composite block.  Blocks are cut at tile
-#: boundaries, so a block exceeds this only when one tile alone does (the
-#: backward's per-(tile, list slot) sums must not span two blocks).
-#: Bounds the working set of the backward pass's per-pair arrays.  Each
-#: block is one composite call, whose longest list sets the padding rule
-#: that only ``-0.0`` and NaN results depend on (see ``vectorized``).
+#: boundaries, so a block exceeds this only when one tile alone does.
+#: Bounds the working set of a composite call's per-pair state.  Each
+#: block is one composite call and one reverse call, whose longest list
+#: sets the padding rule that only ``-0.0`` and NaN results depend on (see
+#: ``vectorized``).
 BLOCK_PIXELS = 1024
 
 
@@ -174,7 +177,7 @@ def render_full(
         n_px = np.bincount(px_tiles, minlength=grid.num_tiles)
         centres = px + 0.5
         pix, slots, gss, alpha, clipped = _tile_pairs(
-            proj, grid, sorted_lists, n_g, n_px, px, alpha_threshold)
+            proj, sorted_lists, n_g, n_px, px, alpha_threshold)
         lengths = np.bincount(pix, minlength=px.shape[0])
         offsets = np.concatenate([[0], np.cumsum(lengths)])
         blocks: List[PixelBlock] = []
@@ -273,50 +276,56 @@ def alpha_cutoff(proj, alpha_threshold):
         return (log_ratio * (1.0 + 1e-9) + 1e-9) * (2.0 * sig * sig)
 
 
-def _tile_pairs(proj, grid, sorted_lists, n_g, n_px, px, alpha_threshold):
-    """Candidate + α stage of the dense pipeline, axis-shared.
+def _tile_cull(proj, sorted_lists, n_g, n_px, px, cutoff):
+    """The compiled dense cull (``tile_cull`` in ``_native.c``): every
+    rendered pixel of a tile against the tile's whole sorted list, a pair
+    kept when its ``d² = du² + dv²`` (centre = pixel + 0.5, the bits
+    :func:`evaluate_alpha` computes) is within ``cutoff``.  Returns flat
+    ``(pixel, slot, gaussian, d2)`` arrays, tile-major, then pixel, then
+    list position, sized exactly: the kernel counts the kept pairs, then
+    fills arrays of that size."""
+    lists = i64(np.concatenate(sorted_lists))
+    n_g, n_px, px = i64(n_g), i64(n_px), i64(px)
+    m = len(proj)
+    mean2d, cutoff = f64(proj.mean2d), f64(cutoff)
+    if (n_px.shape != n_g.shape or px.shape != (px.shape[0], 2)
+            or mean2d.shape != (m, 2) or cutoff.shape != (m,)):
+        raise ValueError("tile cull: tile counts, pixels, means or cutoffs "
+                         "have the wrong shape")
+    sizes = (n_g.size, lists.size, px.shape[0], m)
+    inputs = tuple(map(ptr, (n_g, n_px, lists, px, mean2d, cutoff)))
+    cull = native.library().tile_cull
+    count = cull(*sizes, *inputs, 0, None, None, None, None)
+    if count >= 0:
+        pairs = (np.empty(count, dtype=np.int64),
+                 np.empty(count, dtype=np.int64),
+                 np.empty(count, dtype=np.int64), np.empty(count))
+        count = cull(*sizes, *inputs, count, *map(ptr, pairs))
+        if count >= 0:
+            return pairs
+    if count == -2:
+        raise MemoryError("tile cull: no memory for the list scratch")
+    raise ValueError("tile cull: the tile counts do not sum to the list "
+                     "and pixel counts, or a list indexes no projected "
+                     "Gaussian")
+
+
+def _tile_pairs(proj, sorted_lists, n_g, n_px, px, alpha_threshold):
+    """Candidate + α stage of the dense pipeline.
 
     Every rendered pixel of a tile is a candidate against the tile's whole
-    sorted list.  Per tile, ``du²`` is computed once per pixel column and
-    ``dv²`` once per pixel row, each pixel's ``d² = du² + dv²`` gathered
-    from them (the bits ``evaluate_alpha`` computes), and a pair is culled
-    when ``d²`` exceeds :func:`alpha_cutoff`, which no passing pair's
-    does.  ``evaluate_alpha``'s falloff (:func:`falloff_alpha`) then runs
-    on the survivors alone and ``α ≥ alpha_threshold`` decides, so the
-    result is the pair list, α bits and clip flags of evaluating every
-    candidate.  Pairs come out in emission order: tile-major, then pixel,
-    then list position.  Full frames and Org.+S pixel subsets take the
-    same path.  Returns flat ``(pixel, slot, gaussian, alpha, clipped)``
-    arrays.
+    sorted list.  :func:`_tile_cull` drops the pairs whose ``d²`` exceeds
+    :func:`alpha_cutoff`, which no passing pair's does;
+    ``evaluate_alpha``'s falloff (:func:`falloff_alpha`, numpy's ``exp``)
+    then runs on the survivors alone and ``α ≥ alpha_threshold`` decides,
+    so the result is the pair list, α bits and clip flags of evaluating
+    every candidate.  Pairs come out in emission order: tile-major, then
+    pixel, then list position.  Full frames and Org.+S pixel subsets take
+    the same path.  Returns flat ``(pixel, slot, gaussian, alpha,
+    clipped)`` arrays.
     """
-    cutoff = alpha_cutoff(proj, alpha_threshold)
-    slot_offsets = np.cumsum(n_g) - n_g
-    px_offsets = np.cumsum(n_px) - n_px
-    mu, mv = proj.mean2d.T
-    parts = []
-    for t in np.flatnonzero((n_px > 0) & (n_g > 0)):
-        idx = sorted_lists[t]
-        lo = px_offsets[t]
-        u, v = px[lo:lo + n_px[t]].T
-        u0, v0, u1, v1 = grid.tile_bounds(t)
-        # evaluate_alpha's du and dv (centre = pixel + 0.5), once per
-        # column and row; their sum per pixel is its d2, bit for bit.
-        du = (np.arange(u0, u1) + 0.5)[:, None] - mu[idx]
-        dv = (np.arange(v0, v1) + 0.5)[:, None] - mv[idx]
-        if n_px[t] == (u1 - u0) * (v1 - v0):
-            # Every pixel of the tile, row-major: an outer sum.
-            d2 = ((du * du)[None, :, :] + (dv * dv)[:, None, :]).reshape(
-                n_px[t], idx.size)
-        else:
-            d2 = (du * du)[u - u0]
-            d2 += (dv * dv)[v - v0]
-        f = np.flatnonzero(d2 <= cutoff[idx])
-        p, j = np.divmod(f, idx.size)
-        parts.append((lo + p, slot_offsets[t] + j, idx[j], d2.ravel()[f]))
-    if not parts:
-        empty = np.zeros(0, dtype=int)
-        return empty, empty, empty, np.zeros(0), np.zeros(0, dtype=bool)
-    pix, slots, gss, d2 = (np.concatenate(arrays) for arrays in zip(*parts))
+    pix, slots, gss, d2 = _tile_cull(proj, sorted_lists, n_g, n_px, px,
+                                     alpha_cutoff(proj, alpha_threshold))
     alpha, clipped = falloff_alpha(proj, gss, d2)
     passes = alpha >= alpha_threshold
     if passes.all():

@@ -10,6 +10,10 @@ but keeps that arithmetic, padding included — so a pixel shorter than the
 call's longest list adds ``+0.0`` to each forward total and starts each
 reverse suffix scan from the padding term ``(Γ·0)·0``.
 
+The kernel's aggregating reverse pass adds each pair's isotropic-falloff
+partials straight into accumulators; :func:`aggregate` is its oracle, an
+``np.add.at`` in pair order of this oracle's per-pair partials.
+
 :func:`shadow_engine` installs checks that hold every kernel call
 bit-identical to this oracle (``-0.0`` included), with either branch of
 :func:`slot_scan`; ``tests/conftest.py``'s ``scan_branch`` fixture turns
@@ -23,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.render import rasterize
+from repro.render import backward, rasterize
 from repro.render.kernels import vectorized
 
 #: Pixel count K from which :func:`slot_scan` walks the slot axis (one
@@ -126,7 +130,8 @@ def _exclusive_suffix(w):
 
 
 def reverse(fc, proj, d_color, d_depth, d_silhouette, pose_only, falloff):
-    """The padded reverse pass: the fields of ``vectorized._reverse``."""
+    """The padded reverse pass: the fields of ``vectorized._reverse`` and,
+    with ``falloff``, the isotropic falloff's per-pair partials."""
     pc = pad(fc, proj)
     K = fc.lengths.size
     gss = fc.gss
@@ -178,6 +183,29 @@ def reverse(fc, proj, d_color, d_depth, d_silhouette, pose_only, falloff):
     return fields
 
 
+#: The accumulator arrays of ``vectorized.aggregate_gradients``.
+ACCUMULATORS = ("d_mean2d", "d_sigma2d", "d_opacity", "d_color", "d_depth")
+
+
+def aggregate(fc, proj, d_color, d_depth, d_silhouette, index, acc,
+              pose_only):
+    """``vectorized.aggregate_gradients`` by ``np.add.at``: the padded
+    per-pair partials added, in pair order, onto copies of ``acc``'s
+    accumulator arrays (the pose-only ``None`` partials add nothing).
+    Returns ``{name: array}``."""
+    fields = reverse(fc, proj, d_color, d_depth, d_silhouette, pose_only,
+                     falloff=True)
+    out = {}
+    for name in ACCUMULATORS:
+        out[name] = getattr(acc, name).copy()
+        partial = fields[name]
+        if partial is not None:
+            if isinstance(partial, tuple):
+                partial = np.stack(partial, axis=-1)
+            np.add.at(out[name], np.asarray(index), partial)
+    return out
+
+
 def same_bits(a, b):
     """Equal shapes and bits; any NaN matches any NaN (payloads are not
     part of numpy's contract)."""
@@ -219,20 +247,30 @@ def checked_composite(proj, gss, lengths, centres, background, alpha,
     return out
 
 
-def checked_reverse(fc, proj, d_color, d_depth, d_silhouette, pose_only,
-                     falloff):
+def checked_reverse(fc, proj, d_color, d_depth, d_silhouette, pose_only):
     got = _KERNEL["_reverse"](fc, proj, d_color, d_depth, d_silhouette,
-                              pose_only, falloff)
+                              pose_only)
     want = reverse(fc, proj, d_color, d_depth, d_silhouette, pose_only,
-                   falloff)
+                   falloff=False)
     assert got.keys() == want.keys()
     for name in want:
         _assert_same(name, got[name], want[name])
     return got
 
 
+def checked_aggregate(fc, proj, d_color, d_depth, d_silhouette, index, acc,
+                      pose_only=False):
+    want = aggregate(fc, proj, d_color, d_depth, d_silhouette, index, acc,
+                     pose_only)
+    _KERNEL["aggregate_gradients"](fc, proj, d_color, d_depth, d_silhouette,
+                                   index, acc, pose_only)
+    for name, value in want.items():
+        _assert_same(f"acc.{name}", getattr(acc, name), value)
+
+
 _KERNEL = {"composite": vectorized.composite,
-           "_reverse": vectorized._reverse}
+           "_reverse": vectorized._reverse,
+           "aggregate_gradients": vectorized.aggregate_gradients}
 
 
 @contextmanager
@@ -242,7 +280,9 @@ def shadow_engine(walk_min_pixels):
     global WALK_MIN_PIXELS
     patches = [(vectorized, "composite", checked_composite),
                (rasterize, "composite", checked_composite),
-               (vectorized, "_reverse", checked_reverse)]
+               (vectorized, "_reverse", checked_reverse),
+               (vectorized, "aggregate_gradients", checked_aggregate),
+               (backward, "aggregate_gradients", checked_aggregate)]
     saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     saved_walk, WALK_MIN_PIXELS = WALK_MIN_PIXELS, walk_min_pixels
     for owner, name, fn in patches:

@@ -1,26 +1,36 @@
-"""The dense pipeline's axis-shared α stage against a per-tile broadcast.
+"""The dense pipeline's α stage against a per-tile broadcast.
 
-``rasterize._tile_pairs`` culls a (pixel, Gaussian) pair when its
-``du² + dv²``, built from per-column and per-row terms, exceeds the
-Gaussian's conservative α cutoff, and evaluates α only on the survivors.
-It must emit exactly the pairs, α bits and clip flags of
-``tile_pairs_oracle``, which evaluates every pixel of a tile against the
-tile's whole list.  The scenes put splats within a few ulps of the α
-boundary or of the cutoff, and opacities a few ulps either side of the
-threshold, where a cutoff without margin would drop passing pairs.
+``rasterize._tile_pairs`` culls a (pixel, Gaussian) pair in compiled code
+(``rasterize._tile_cull``) when its ``du² + dv²`` exceeds the Gaussian's
+conservative α cutoff, and evaluates α only on the survivors.  It must
+emit exactly the pairs, α bits and clip flags of ``tile_pairs_oracle``,
+which evaluates every pixel of a tile against the tile's whole list, and
+the compiled cull exactly the arrays of the numpy axis-shared cull it
+replaced (``tile_oracle.axis_shared_cull``).  The scenes put splats within
+a few ulps of the α boundary or of the cutoff, and opacities a few ulps
+either side of the threshold, where a cutoff without margin would drop
+passing pairs.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.render.compositing import ALPHA_MAX
 from repro.render.projection import ProjectedGaussians
-from repro.render.rasterize import _rendered_pixels, _tile_pairs, alpha_cutoff
+from repro.render.rasterize import (
+    _rendered_pixels,
+    _tile_cull,
+    _tile_pairs,
+    alpha_cutoff,
+)
 from repro.render.sorting import sort_intersection_table
 from repro.render.tiles import TileGrid, build_intersection_table
 
-from .tile_oracle import tile_pairs_oracle
+from .tile_oracle import axis_shared_cull, tile_pairs_oracle
 
 EPS = np.finfo(float).eps
 #: Off, the shipped 1/255, strict, and above ALPHA_MAX (nothing passes).
@@ -106,12 +116,40 @@ def stage_inputs(proj, grid, pixels):
     return sorted_lists, n_g, n_px, px
 
 
-def assert_same_pairs(got, want):
-    for name, a, b in zip(("pixel", "slot", "gaussian", "alpha", "clipped"),
-                          got, want):
+def assert_same_pairs(got, want,
+                      names=("pixel", "slot", "gaussian", "alpha", "clipped")):
+    assert len(got) == len(want) == len(names)
+    for name, a, b in zip(names, got, want):
         assert a.dtype == b.dtype, name
         assert a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
+
+
+CULL = ("pixel", "slot", "gaussian", "d2")
+
+
+def assert_cull_matches(proj, grid, pixels, tau):
+    """The compiled cull emits the numpy axis-shared cull's arrays; returns
+    them."""
+    sorted_lists, n_g, n_px, px = stage_inputs(proj, grid, pixels)
+    cutoff = alpha_cutoff(proj, tau)
+    got = _tile_cull(proj, sorted_lists, n_g, n_px, px, cutoff)
+    assert_same_pairs(
+        got, axis_shared_cull(proj, grid, sorted_lists, n_g, n_px, px,
+                              cutoff), CULL)
+    return got
+
+
+@st.composite
+def nan_scenes(draw):
+    """:func:`scenes` with NaN opacity or σ on some splats (their boxes
+    stay finite, so they still reach the tile lists)."""
+    proj, grid, pixels, tau = draw(scenes())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    opacity, sigma = proj.opacity.copy(), proj.sigma2d.copy()
+    opacity[rng.random(len(proj)) < 0.3] = np.nan
+    sigma[rng.random(len(proj)) < 0.3] = np.nan
+    return replace(proj, opacity=opacity, sigma2d=sigma), grid, pixels, tau
 
 
 @given(scenes())
@@ -119,7 +157,7 @@ def assert_same_pairs(got, want):
 def test_matches_per_tile_broadcast(scene):
     proj, grid, pixels, tau = scene
     sorted_lists, n_g, n_px, px = stage_inputs(proj, grid, pixels)
-    got = _tile_pairs(proj, grid, sorted_lists, n_g, n_px, px, tau)
+    got = _tile_pairs(proj, sorted_lists, n_g, n_px, px, tau)
     want = tile_pairs_oracle(proj, sorted_lists, n_g, n_px, px + 0.5, tau)
     assert_same_pairs(got, want)
 
@@ -137,7 +175,7 @@ def test_boundary_cases_straddle_the_threshold():
     sorted_lists, n_g, n_px, px = stage_inputs(proj, grid, None)
     want = tile_pairs_oracle(proj, sorted_lists, n_g, n_px, px + 0.5, tau)
     assert_same_pairs(
-        _tile_pairs(proj, grid, sorted_lists, n_g, n_px, px, tau), want)
+        _tile_pairs(proj, sorted_lists, n_g, n_px, px, tau), want)
     alpha = want[3]
     assert np.any(alpha == tau)
     # α values within 8 ulps of τ that still pass: a cutoff without a
@@ -159,3 +197,81 @@ def test_cutoff_special_thresholds():
     exact = np.log(proj.opacity[:2] / 0.01) * 2.0 * proj.sigma2d[:2] ** 2
     assert np.all(cutoff[:2] > exact)
     assert np.all(cutoff[:2] < exact * (1.0 + 1e-8))
+
+
+@given(scenes())
+@settings(max_examples=250, deadline=None)
+def test_compiled_cull_matches_axis_shared_cull(scene):
+    """Full frames and Org.+S subsets, at τ ≤ 0 (+∞ cutoff), the shipped
+    τ, a strict τ and τ > ALPHA_MAX (−∞ cutoff)."""
+    assert_cull_matches(*scene)
+
+
+@given(nan_scenes())
+@settings(max_examples=100, deadline=None)
+def test_nan_opacity_or_sigma_passes_no_pair(scene):
+    proj, grid, pixels, tau = scene
+    with np.errstate(invalid="ignore"):
+        assert_cull_matches(proj, grid, pixels, tau)
+        sorted_lists, n_g, n_px, px = stage_inputs(proj, grid, pixels)
+        got = _tile_pairs(proj, sorted_lists, n_g, n_px, px, tau)
+        assert_same_pairs(got, tile_pairs_oracle(proj, sorted_lists, n_g,
+                                                 n_px, px + 0.5, tau))
+    nan = np.isnan(proj.opacity) | np.isnan(proj.sigma2d)
+    assert not nan[got[2]].any()
+
+
+def corner_scene():
+    """Splats in the top-left corner of a 40x30 frame (8-pixel tiles) and
+    pixels sampled in its left half below the first tile row: tiles with an
+    empty list and pixels, tiles with a list and no pixel, and tiles with
+    both."""
+    rng = np.random.default_rng(5)
+    proj = splats(rng.uniform(0.0, 14.0, (12, 2)), rng.uniform(0.5, 2.0, 12),
+                  rng.uniform(0.05, 1.0, 12), rng.uniform(1.0, 3.0, 12))
+    v, u = np.nonzero(rng.random((22, 20)) < 0.4)
+    return proj, TileGrid(40, 30, 8), np.stack([u, v + 8], axis=-1)
+
+
+def test_empty_lists_and_pixelless_tiles():
+    proj, grid, pixels = corner_scene()
+    _, n_g, n_px, _ = stage_inputs(proj, grid, pixels)
+    assert np.any((n_g == 0) & (n_px > 0))
+    assert np.any((n_g > 0) & (n_px == 0))
+    for tau in THRESHOLDS:
+        pix = assert_cull_matches(proj, grid, pixels, tau)[0]
+        assert (pix.size == 0) == (tau > ALPHA_MAX)
+
+
+def test_cutoff_extremes_keep_every_or_no_candidate():
+    proj, grid, pixels = corner_scene()
+    _, n_g, n_px, _ = stage_inputs(proj, grid, pixels)
+    candidates = int((n_g * n_px).sum())
+    assert assert_cull_matches(proj, grid, pixels, -1.0)[0].size == candidates
+    none = assert_cull_matches(proj, grid, pixels,
+                               np.nextafter(ALPHA_MAX, 1.0))
+    assert [a.size for a in none] == [0] * 4
+
+
+@pytest.mark.parametrize("edit", ["gaussian_past_end", "negative_gaussian",
+                                  "short_lists", "short_pixels",
+                                  "negative_count"])
+def test_bad_inputs_raise(edit):
+    proj, grid, pixels = corner_scene()
+    sorted_lists, n_g, n_px, px = stage_inputs(proj, grid, pixels)
+    sorted_lists = [lst.copy() for lst in sorted_lists]
+    n_g, n_px = n_g.copy(), n_px.copy()
+    t = int(np.flatnonzero((n_g > 0) & (n_px > 0))[0])
+    if edit == "gaussian_past_end":
+        sorted_lists[t][0] = len(proj)
+    elif edit == "negative_gaussian":
+        sorted_lists[t][0] = -1
+    elif edit == "short_lists":
+        n_g[t] += 1
+    elif edit == "short_pixels":
+        n_px[t] += 1
+    else:
+        n_g[t] = -1
+    with pytest.raises(ValueError):
+        _tile_cull(proj, sorted_lists, n_g, n_px, px,
+                   alpha_cutoff(proj, 0.0))

@@ -135,6 +135,30 @@ class TestSuiteRun:
         assert len(ratios) == 2
         assert all(0.0 < ratio < 3.0 for ratio in ratios), ratios
 
+    def test_obs_overhead_legs_cancel_a_steady_slowdown(self, monkeypatch):
+        """The legs run in palindromic order, so a host that slows down
+        steadily charges every leg alike: with a clock on which the k-th
+        SLAM run takes 2k + 1 time units, every ratio is exactly 1."""
+        import time
+
+        from repro.slam import SLAMSystem
+
+        started = []
+        run = SLAMSystem.run
+
+        def counted(self, *args, **kwargs):
+            started.append(None)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(SLAMSystem, "run", counted)
+        monkeypatch.setattr(time, "perf_counter",
+                            lambda: float(len(started)) ** 2)
+        out = SCENARIOS["obs_overhead"].run(SuiteConfig(size="tiny"))
+        assert len(started) == 7      # the warm-up, then two runs per leg
+        assert out["overhead"] == {"ratio": 1.0, "live_ratio": 1.0}
+        assert out["counters"]["obs_passive"] == 1
+        assert out["counters"]["obs_passive_live"] == 1
+
     def test_self_comparison_is_clean(self, tiny_payload):
         roundtrip = json.loads(json.dumps(tiny_payload))
         report = compare_runs(roundtrip, tiny_payload)

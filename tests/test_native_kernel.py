@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.pixel_pipeline import render_sparse
 from repro.gaussians import Camera, GaussianCloud, Intrinsics
+from repro.render.backward import ProjectedGradients
 from repro.render.kernels import native, vectorized
 
 from . import padded_oracle
@@ -44,7 +45,8 @@ class TestBuildCache:
         assert native.build(source, tmp_path / "cache") == first
         assert len(compiles) == 1
         lib = native.load(first)
-        assert lib.composite_forward and lib.composite_reverse
+        assert (lib.tile_cull and lib.composite_forward
+                and lib.composite_reverse)
         assert [p.name for p in (tmp_path / "cache").iterdir()] == [
             first.name]
 
@@ -135,14 +137,22 @@ class TestPaddedSemantics:
            falloff=st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_matches_padded_oracle(self, scene, pose_only, falloff):
+        """The per-pair reverse pass, or, with the falloff, the aggregating
+        one as the sparse backward runs it: into fresh per-Gaussian
+        accumulators."""
         proj = scene["proj"]
         with np.errstate(all="ignore"):
             fc = padded_oracle.checked_composite(
                 proj, scene["gss"], scene["lengths"], scene["centres"],
                 scene["background"], scene["alpha"], scene["clipped"],
                 scene["alpha_threshold"], scene["t_min"])[3]
-            padded_oracle.checked_reverse(fc, proj, *scene["grads"],
-                                           pose_only, falloff)
+            if falloff:
+                padded_oracle.checked_aggregate(
+                    fc, proj, *scene["grads"], fc.gss,
+                    ProjectedGradients.zeros(len(proj)), pose_only)
+            else:
+                padded_oracle.checked_reverse(fc, proj, *scene["grads"],
+                                               pose_only)
 
     def test_short_rows_turn_negative_zero_totals_positive(self):
         """Two pixels whose only pairs weigh -0.0: the longest keeps its
@@ -173,7 +183,7 @@ class TestPaddedSemantics:
             assert fc.gamma_end[0] == -np.inf
             grads = padded_oracle.checked_reverse(
                 fc, proj, np.ones((2, 3)), np.ones(2), np.ones(2),
-                pose_only=False, falloff=True)
+                pose_only=False)
         assert np.isnan(grads["d_alpha"][0])
         assert np.all(np.isfinite(grads["d_alpha"][2:]))
 
@@ -201,5 +211,119 @@ class TestInputChecks:
     def test_reverse_checks_the_gradient_shapes(self):
         fc = self.composite([0, 1], [1, 1])[3]
         with pytest.raises(ValueError):
-            vectorized.pair_gradients(fc, self.PROJ, np.ones((3, 3)),
-                                      np.ones(2), np.ones(2))
+            vectorized.alpha_gradients(fc, self.PROJ, np.ones((3, 3)),
+                                       np.ones(2), np.ones(2))
+        with pytest.raises(ValueError):
+            vectorized.aggregate_gradients(
+                fc, self.PROJ, np.ones((3, 3)), np.ones(2), np.ones(2),
+                fc.gss, ProjectedGradients.zeros(2))
+
+    @pytest.mark.parametrize("bad", [2, -1, 1 << 40])
+    def test_out_of_range_accumulator_index_writes_nothing(self, bad):
+        """The kernel rejects the index before it adds anything: the
+        accumulators and the guard rows around them keep their bits."""
+        fc = self.composite([0, 1, 1], [2, 1])[3]
+        guarded = guarded_accumulators(2, fill=0.25)
+        before = {name: a.copy() for name, a in vars(guarded).items()}
+        acc = ProjectedGradients(**{name: a[1:-1]
+                                    for name, a in vars(guarded).items()})
+        with pytest.raises(ValueError):
+            vectorized.aggregate_gradients(
+                fc, self.PROJ, np.ones((2, 3)), np.ones(2), np.ones(2),
+                np.array([0, bad, 1]), acc)
+        for name, a in vars(guarded).items():
+            assert a.tobytes() == before[name].tobytes(), name
+
+    def test_accumulators_must_be_writeable_float64_rows(self):
+        fc = self.composite([0, 1], [1, 1])[3]
+        for name, bad in [("d_opacity", np.zeros(3)),
+                          ("d_color", np.zeros((2, 3), dtype=np.float32)),
+                          ("d_mean2d", np.zeros((2, 2), order="F")),
+                          ("d_depth", np.zeros(4)[::2])]:
+            acc = ProjectedGradients.zeros(2)
+            setattr(acc, name, bad)
+            with pytest.raises(ValueError, match=name):
+                vectorized.aggregate_gradients(
+                    fc, self.PROJ, np.ones((2, 3)), np.ones(2), np.ones(2),
+                    fc.gss, acc)
+
+
+def guarded_accumulators(n, fill):
+    """Accumulator arrays of ``n + 2`` rows; rows 1..n are the
+    accumulators, the first and last guard them."""
+    return ProjectedGradients(
+        d_mean2d=np.full((n + 2, 2), fill), d_sigma2d=np.full(n + 2, fill),
+        d_opacity=np.full(n + 2, fill), d_color=np.full((n + 2, 3), fill),
+        d_depth=np.full(n + 2, fill))
+
+
+class TestAggregatingReverse:
+    """The aggregating reverse pass adds each pair's isotropic-falloff
+    partials onto its accumulator in pair order: an ``np.add.at`` of the
+    padded oracle's per-pair partials, whatever the accumulators held and
+    however often an index repeats within a pixel."""
+
+    @given(scene=flat_scenes(), pose_only=st.booleans(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_add_at_of_padded_partials(self, scene, pose_only, data):
+        proj = scene["proj"]
+        n = data.draw(st.integers(1, 4))
+        P = scene["gss"].size
+        index = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                            min_size=P, max_size=P)))
+        acc = ProjectedGradients(
+            d_mean2d=special_arrays(data.draw, (n, 2)),
+            d_sigma2d=special_arrays(data.draw, (n,)),
+            d_opacity=special_arrays(data.draw, (n,)),
+            d_color=special_arrays(data.draw, (n, 3)),
+            d_depth=special_arrays(data.draw, (n,)))
+        with np.errstate(all="ignore"):
+            fc = vectorized.composite(
+                proj, scene["gss"], scene["lengths"], scene["centres"],
+                scene["background"], scene["alpha"], scene["clipped"],
+                scene["alpha_threshold"], scene["t_min"])[3]
+            padded_oracle.checked_aggregate(fc, proj, *scene["grads"], index,
+                                            acc, pose_only)
+
+    @pytest.mark.parametrize("pose_only", [False, True])
+    def test_short_rows_and_negative_zeros(self, pose_only):
+        """Pixel 1 is one pair shorter than pixel 0 (its suffix scans start
+        from the padding term) and every α is -0.0, so every partial is
+        -0.0: added in pair order, they keep each accumulator's sign."""
+        proj = Proj(color=np.full((2, 3), 0.5), depth=np.full(2, 2.0),
+                    opacity=np.ones(2), mean2d=np.zeros((2, 2)),
+                    sigma2d=np.ones(2))
+        fc = vectorized.composite(
+            proj, np.array([0, 1, 0]), np.array([2, 1]),
+            np.full((2, 2), 0.5), np.zeros(3), np.full(3, -0.0),
+            np.zeros(3, dtype=bool), 0.0, 1e-4)[3]
+        acc = guarded_accumulators(2, fill=-0.0)
+        acc.d_depth[2] = acc.d_sigma2d[2] = 0.0
+        padded_oracle.checked_aggregate(
+            fc, proj, np.ones((2, 3)), np.ones(2), -np.ones(2),
+            np.array([1, 2, 1]), acc, pose_only)
+        for a in (acc.d_depth, acc.d_sigma2d):
+            assert np.all(a == 0.0)
+            assert np.signbit(a).tolist() == [True, True, False, True]
+
+    @pytest.mark.parametrize("pose_only", [False, True])
+    def test_nan_padding_term_reaches_the_accumulators(self, pose_only):
+        """The padding-term case of :class:`TestPaddedSemantics`: pixel 0's
+        suffixes are NaN, so its contributing pair's partials are, and
+        NaN lands in that pair's accumulator and nowhere else."""
+        proj = Proj(color=np.full((2, 3), 0.5), depth=np.ones(2),
+                    opacity=np.ones(2), mean2d=np.zeros((2, 2)),
+                    sigma2d=np.ones(2))
+        with np.errstate(all="ignore"):
+            fc = vectorized.composite(
+                proj, np.array([0, 1, 0, 0, 0]), np.array([2, 3]),
+                np.ones((2, 2)), np.zeros(3),
+                np.array([0.5, np.inf, 0.1, 0.1, 0.1]),
+                np.zeros(5, dtype=bool), 1.0 / 255.0, 1e-4)[3]
+            acc = ProjectedGradients.zeros(4)
+            padded_oracle.checked_aggregate(
+                fc, proj, np.ones((2, 3)), np.ones(2), np.ones(2),
+                np.array([0, 1, 2, 2, 3]), acc, pose_only)
+        assert np.isnan(acc.d_mean2d[0]).all()
+        assert np.isnan(acc.d_sigma2d[0])
+        assert np.isfinite(acc.d_mean2d[2:]).all()

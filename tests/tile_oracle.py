@@ -13,7 +13,10 @@ where the tile's reverse walk stops.
 
 :func:`tile_pairs_oracle` is the dense α stage as a plain per-tile
 broadcast — every rendered pixel of a tile against its whole sorted list —
-which the axis-shared culling of ``rasterize._tile_pairs`` must reproduce.
+which ``rasterize._tile_pairs`` must reproduce.  :func:`axis_shared_cull`
+is the numpy cull the compiled ``rasterize._tile_cull`` replaced: per
+tile, ``du²`` once per pixel column and ``dv²`` once per pixel row, summed
+per pixel; the compiled cull must emit its arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -86,6 +89,40 @@ def tile_pairs_oracle(proj, sorted_lists, n_g, n_px, centres,
     if not parts:
         empty = np.zeros(0, dtype=int)
         return empty, empty, empty, np.zeros(0), np.zeros(0, dtype=bool)
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def axis_shared_cull(proj, grid, sorted_lists, n_g, n_px, px, cutoff):
+    """``rasterize._tile_cull`` in numpy, one tile at a time: each pair's
+    ``d² = du² + dv²`` gathered from per-column and per-row terms, kept
+    when ``d² <= cutoff`` of its Gaussian.  Returns flat ``(pixel, slot,
+    gaussian, d2)`` arrays, tile-major, then pixel, then list position."""
+    slot_offsets = np.cumsum(n_g) - n_g
+    px_offsets = np.cumsum(n_px) - n_px
+    mu, mv = proj.mean2d.T
+    parts = []
+    for t in np.flatnonzero((n_px > 0) & (n_g > 0)):
+        idx = sorted_lists[t]
+        lo = px_offsets[t]
+        u, v = px[lo:lo + n_px[t]].T
+        u0, v0, u1, v1 = grid.tile_bounds(t)
+        # evaluate_alpha's du and dv (centre = pixel + 0.5), once per
+        # column and row; their sum per pixel is its d2, bit for bit.
+        du = (np.arange(u0, u1) + 0.5)[:, None] - mu[idx]
+        dv = (np.arange(v0, v1) + 0.5)[:, None] - mv[idx]
+        if n_px[t] == (u1 - u0) * (v1 - v0):
+            # Every pixel of the tile, row-major: an outer sum.
+            d2 = ((du * du)[None, :, :] + (dv * dv)[:, None, :]).reshape(
+                n_px[t], idx.size)
+        else:
+            d2 = (du * du)[u - u0]
+            d2 += (dv * dv)[v - v0]
+        f = np.flatnonzero(d2 <= cutoff[idx])
+        p, j = np.divmod(f, idx.size)
+        parts.append((lo + p, slot_offsets[t] + j, idx[j], d2.ravel()[f]))
+    if not parts:
+        empty = np.zeros(0, dtype=int)
+        return empty, empty, empty, np.zeros(0)
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
