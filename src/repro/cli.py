@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Ten subcommands::
+Nine subcommands::
 
     repro slam --sequence room0 --out results/      # run SLAM, save outputs
     repro render --scene-seed 7 --out view.ppm      # render a scene
@@ -9,8 +9,7 @@ Ten subcommands::
     repro bench run|compare|attrib                  # perf-trajectory suite
     repro report run.jsonl                          # flight-record report
     repro atlas atlas.jsonl.gz                      # sparsity-atlas heatmaps
-    repro top --endpoint localhost:9464             # live run dashboard
-    repro runs list|show|ingest|trend|triage|prune  # run registry
+    repro runs list|show|ingest|prune               # run registry
     repro info                                      # presets + hw summary
 
 ``repro bench`` is the workload-counter harness: ``run`` executes the
@@ -30,9 +29,7 @@ reports where they first diverged (exit 1 on divergence, diff-style).
 ``repro slam --serve-telemetry`` attaches a live run aggregator to the
 run and serves it from a background HTTP exporter (``/metrics`` in
 Prometheus text format, ``/healthz``, and a ``/runz`` JSON run
-snapshot); ``repro top --endpoint localhost:9464`` renders that endpoint
-as a live terminal dashboard, and ``repro top --once --from-flight
-run.jsonl`` renders a recorded flight log's final snapshot.  ``repro
+snapshot, which a Prometheus scraper or ``curl`` can poll).  ``repro
 slam --telemetry-stream TARGET`` streams the run's events as
 newline-JSON to a file, ``tcp://host:port``, or ``unix:///path`` socket.
 
@@ -52,11 +49,9 @@ deltas and prints the top-N self-time/alloc table.
 ``repro slam --registry [DIR]`` / ``repro bench run --registry [DIR]``
 register the finished run (metrics + content-addressed artifacts) in
 the append-only run registry (default ``.repro/runs/``); ``repro runs``
-is the longitudinal layer on top — ``list``/``show`` browse the index,
-``ingest`` registers existing artifacts after the fact, ``trend``
-renders per-metric sparkline time series with median+MAD changepoint
-detection, ``triage`` walks the evidence chain between two runs and
-ranks culprit stages/units, and ``prune`` bounds history.
+browses it — ``list``/``show`` read the index (each run keyed by its
+config hash), ``ingest`` registers existing artifacts after the fact,
+and ``prune`` bounds history.
 
 Global flags: ``-v``/``-q`` adjust log verbosity, ``--version`` prints
 the package plus artifact schema versions, and ``--trace PATH``
@@ -211,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serve the live run as /metrics /healthz "
                              "/runz over HTTP "
                              "(default port: 9464; 0 picks an ephemeral "
-                             "port); watch it with `repro top`")
+                             "port); poll /runz for the run snapshot")
     p_slam.add_argument("--telemetry-host", default="127.0.0.1",
                         help="bind host of the telemetry exporter "
                              "(default: 127.0.0.1)")
@@ -349,32 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_atlas.add_argument("--out", default=None,
                          help="write the report here instead of stdout")
 
-    p_top = sub.add_parser(
-        "top", help="live terminal dashboard over a telemetry endpoint "
-                    "or a recorded flight log")
-    p_top.add_argument("--endpoint", metavar="URL", default=None,
-                       help="telemetry exporter to poll, e.g. "
-                            "localhost:9464 (from `repro slam "
-                            "--serve-telemetry`)")
-    p_top.add_argument("--from-flight", metavar="PATH", default=None,
-                       help="render a recorded flight-record JSONL "
-                            "instead of a live endpoint")
-    p_top.add_argument("--once", action="store_true",
-                       help="render one snapshot and exit (scriptable; "
-                            "no screen clearing)")
-    p_top.add_argument("--interval", type=float, default=0.5,
-                       help="refresh interval in seconds (default: 0.5)")
-    p_top.add_argument("--width", type=int, default=100,
-                       help="dashboard width in columns (default: 100)")
-    p_top.add_argument("--no-color", action="store_true",
-                       help="plain-text output (no ANSI styling or "
-                            "screen clearing)")
-
     from .obs.runsdb import DEFAULT_REGISTRY_ROOT
 
     p_runs = sub.add_parser(
-        "runs", help="run registry: list / show / ingest / trend / "
-                     "triage / prune")
+        "runs", help="run registry: list / show / ingest / prune")
     runs_sub = p_runs.add_subparsers(dest="runs_command", required=True)
 
     r_list = runs_sub.add_parser(
@@ -411,34 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="bench-compare report JSON to attach")
     r_ingest.add_argument("--sequence", default=None,
                           help="dataset/sequence name override")
-
-    r_trend = runs_sub.add_parser(
-        "trend", help="per-metric time series with changepoint detection")
-    _add_registry_option(r_trend, default=DEFAULT_REGISTRY_ROOT)
-    r_trend.add_argument("--metric", default=None, metavar="GLOBS",
-                         help="comma-separated metric-name globs "
-                              "(default: wall/ATE/cycles/sparsity "
-                              "headline set)")
-    r_trend.add_argument("--kind", default=None,
-                         help="restrict to one run kind (slam, bench, ...)")
-    r_trend.add_argument("--json-out", default=None, metavar="PATH",
-                         help="also write the raw series + changepoints "
-                              "as JSON")
-
-    r_triage = runs_sub.add_parser(
-        "triage", help="walk the evidence chain between two runs and "
-                       "rank culprit stages/units")
-    _add_registry_option(r_triage, default=DEFAULT_REGISTRY_ROOT)
-    r_triage.add_argument("base", metavar="BASE", nargs="?", default="-2",
-                          help="baseline run ref (default: second-latest)")
-    r_triage.add_argument("current", metavar="CURRENT", nargs="?",
-                          default="-1",
-                          help="current run ref (default: latest)")
-    r_triage.add_argument("--json-out", default=None, metavar="PATH",
-                          help="machine-readable report output path")
-    r_triage.add_argument("--out", default=None, metavar="PATH",
-                          help="write the markdown report here instead "
-                               "of stdout")
 
     r_prune = runs_sub.add_parser(
         "prune", help="keep the N most recent runs; drop unreferenced "
@@ -478,7 +423,7 @@ def _build_system(args, **overrides):
 
 def _registration(registry, run_id: str) -> dict:
     """The ``registry`` key of ``/runz``: the registered run and the
-    registry's totals (``repro top``'s finished-run footer)."""
+    registry's totals."""
     record = registry.get(run_id)
     stats = registry.stats()
     return {"run_id": run_id, "seq": record["seq"], "kind": record["kind"],
@@ -544,8 +489,8 @@ def _cmd_slam(args) -> int:
                 TelemetryConfig(host=args.telemetry_host, port=port),
                 aggregator=aggregator, streamer=streamer).start()
             log.info(f"serving telemetry on {server.url} "
-                     f"(/metrics /healthz /runz); watch with "
-                     f"`repro top --endpoint {server.url}`")
+                     f"(/metrics /healthz /runz); poll "
+                     f"{server.url}/runz for the run snapshot")
         if streamer is not None:
             streamer.start()
             if streamer.failed:
@@ -886,8 +831,6 @@ def _cmd_runs(args) -> int:
         "list": _cmd_runs_list,
         "show": _cmd_runs_show,
         "ingest": _cmd_runs_ingest,
-        "trend": _cmd_runs_trend,
-        "triage": _cmd_runs_triage,
         "prune": _cmd_runs_prune,
     }
     return handlers[args.runs_command](args)
@@ -980,68 +923,6 @@ def _cmd_runs_ingest(args) -> int:
     return 0
 
 
-def _cmd_runs_trend(args) -> int:
-    import json
-
-    from .obs import triage as obs_triage
-    from .obs.runsdb import RunRegistry
-
-    registry = RunRegistry(args.registry)
-    try:
-        records = registry.runs(kind=args.kind)
-    except ValueError as exc:
-        raise SystemExit(f"runs trend: {exc}")
-    patterns = ([p.strip() for p in args.metric.split(",") if p.strip()]
-                if args.metric else None)
-    print(obs_triage.format_trend(records, patterns=patterns))
-    if args.json_out:
-        selected = obs_triage.select_metrics(records, patterns)
-        payload = {}
-        for name in selected:
-            series = obs_triage.metric_series(records, name)
-            if len(series) < 2:
-                continue
-            step = obs_triage.detect_step(
-                [v for _s, _r, v in series],
-                seqs=[s for s, _r, _v in series])
-            payload[name] = {
-                "series": [{"seq": s, "run_id": r, "value": v}
-                           for s, r, v in series],
-                "changepoint": None if step is None else {
-                    "seq": step.seq, "before": step.before,
-                    "after": step.after, "rel": step.rel},
-            }
-        with open(args.json_out, "w") as f:
-            json.dump(payload, f, indent=1, sort_keys=True)
-            f.write("\n")
-        log.info(f"wrote trend series to {args.json_out}")
-    return 0
-
-
-def _cmd_runs_triage(args) -> int:
-    from .obs import triage as obs_triage
-    from .obs.runsdb import RunRegistry
-
-    registry = RunRegistry(args.registry)
-    try:
-        base = registry.get(args.base)
-        current = registry.get(args.current)
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"runs triage: {exc} (registry {args.registry})")
-    report = obs_triage.triage_runs(registry, base, current)
-    text = report.format_markdown()
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-        log.info(f"wrote triage report to {args.out}")
-    else:
-        print(text, end="")
-    if args.json_out:
-        report.write_json(args.json_out)
-        log.info(f"wrote triage report to {args.json_out}")
-    return 0
-
-
 def _cmd_runs_prune(args) -> int:
     from .obs.runsdb import RunRegistry
 
@@ -1106,27 +987,6 @@ def _cmd_atlas(args) -> int:
     return 0
 
 
-def _cmd_top(args) -> int:
-    from .obs import top as obs_top
-
-    if bool(args.endpoint) == bool(args.from_flight):
-        raise SystemExit("top needs exactly one of --endpoint URL or "
-                         "--from-flight PATH")
-    if args.from_flight:
-        try:
-            source = obs_top.FlightSource(args.from_flight)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"top: cannot read flight record: {exc}")
-    else:
-        source = obs_top.HttpSource(args.endpoint)
-    try:
-        obs_top.run_top(source, interval=args.interval, once=args.once,
-                        width=args.width, color=not args.no_color)
-    except OSError as exc:
-        raise SystemExit(f"top: cannot reach {args.endpoint}: {exc}")
-    return 0
-
-
 def _cmd_info(_args) -> int:
     from . import __version__
     from .hw import GpuSpec, SplatonicHwConfig, splatonic_area
@@ -1163,7 +1023,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench": _cmd_bench,
         "report": _cmd_report,
         "atlas": _cmd_atlas,
-        "top": _cmd_top,
         "runs": _cmd_runs,
         "info": _cmd_info,
     }

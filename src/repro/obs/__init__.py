@@ -1,10 +1,10 @@
 """Observability: tracing, metrics, benchmarking, and regression gating.
 
-Six cooperating pieces.  The core three are stdlib-only at import time
-(no imports from the rest of the package, so any layer may instrument
-itself without cycles); the perf-trajectory trio keeps its module-level
-imports stdlib-only too and pulls in the scenario/hardware layers lazily
-inside functions:
+Fourteen modules, listed below.  The core three are stdlib-only at
+import time (no imports from the rest of the package, so any layer may
+instrument itself without cycles); the perf-trajectory trio keeps its
+module-level imports stdlib-only too and pulls in the scenario/hardware
+layers lazily inside functions:
 
 - :mod:`repro.obs.tracing` — the :data:`trace` span tracer.  Wrap stages
   in ``with trace.span("tracking_fwd", frame=i):``; export Chrome
@@ -54,26 +54,16 @@ inside functions:
   aggregator: ``/metrics`` (Prometheus text exposition), ``/healthz``,
   and the ``/runz`` JSON run snapshot, behind ``repro slam
   --serve-telemetry``.
-- :mod:`repro.obs.top` — the ``repro top`` live terminal dashboard:
-  renders the run snapshot (fps, pose RMSE, loss sparklines, sampling
-  composition, alert ticker) from a serving endpoint or a recorded
-  flight log.
 - :mod:`repro.obs.runsdb` — the run registry: an append-only JSONL run
   index plus a content-addressed artifact store under ``.repro/runs/``,
   keyed by environment fingerprint / git SHA / config hash / dataset,
   ingesting flight logs, bench payloads, atlas archives, and
   attribution reports behind ``--registry`` (disabled == free).
-- :mod:`repro.obs.triage` — cross-run analytics over the registry:
-  per-metric trend sparklines with median+MAD changepoint detection
-  (``repro runs trend``) and automated regression triage that walks the
-  evidence chain — metrics, regress verdict, cycle attribution, atlas
-  totals, flight differ — into a ranked culprit report
-  (``repro runs triage``).
 
 See README "Observability" / "Watching a run" / "Run registry" and
 EXPERIMENTS.md "Perf trajectory" / "Flight recorder" / "Sparsity atlas
-& profiler" / "Live telemetry" / "Longitudinal analysis" for the
-workflow, and DESIGN.md for the span name ↔ paper stage mapping.
+& profiler" / "Live telemetry" for the workflow, and DESIGN.md for the
+span name ↔ paper stage mapping and the obs surface audit.
 """
 
 from . import (
@@ -88,8 +78,6 @@ from . import (
     report,
     runsdb,
     telemetry,
-    top,
-    triage,
 )
 from .atlas import AtlasCollector, AtlasLog, read_atlas
 from .attrib import AttributionReport, attribute_workload
@@ -128,7 +116,6 @@ from .runsdb import (
 )
 from .telemetry import RunAggregator, TelemetryConfig, TelemetryStreamer
 from .tracing import SpanRecord, Tracer, trace
-from .triage import TriageReport, format_trend, triage_runs
 
 __all__ = [
     "trace",
@@ -182,7 +169,6 @@ __all__ = [
     "write_profile",
     "telemetry",
     "promexport",
-    "top",
     "TelemetryConfig",
     "TelemetryStreamer",
     "RunAggregator",
@@ -190,11 +176,7 @@ __all__ = [
     "render_prometheus",
     "parse_prometheus_text",
     "runsdb",
-    "triage",
     "RunRegistry",
     "ingest_slam_run",
     "ingest_bench_payload",
-    "TriageReport",
-    "format_trend",
-    "triage_runs",
 ]

@@ -18,8 +18,9 @@ schema-versioned JSONL stream with exactly one record per frame:
   with its tracking and mapping parts;
 - last line — a ``summary`` record: final ATE statistics (including the
   Umeyama-aligned per-frame residuals, so the stream reproduces
-  ``SLAMResult.ate()`` exactly, and the unaligned ATE), totals, and every
-  health alert raised.
+  ``SLAMResult.ate()`` exactly, the unaligned ATE, and the unaligned ATE
+  of the static-camera and constant-velocity baselines), totals, and
+  every health alert raised.
 
 :meth:`repro.slam.SLAMSystem.run` builds each of these records once and
 hands it to every attached observer; the recorder is one of them (its

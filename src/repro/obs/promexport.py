@@ -16,8 +16,8 @@ to the run (``repro slam --serve-telemetry``):
   ``"status"`` flips from ``"ok"`` to ``"alerting"`` when health alerts
   fired);
 - ``GET /runz`` — the aggregator's live run snapshot (frame index, fps,
-  running pose RMSE, loss/Gaussian series tails, sampling composition),
-  i.e. the JSON document ``repro top --endpoint`` renders.
+  running pose RMSE, loss/Gaussian series tails, sampling composition,
+  and the run summary once it lands).
 
 Requests read the aggregator under its lock, so serving costs the run
 nothing beyond the aggregator's own per-event update.

@@ -3,10 +3,12 @@
 Two consumers of :class:`~repro.obs.flight.FlightLog`:
 
 - :func:`render_report` — a human-readable run report (markdown or a
-  self-contained HTML page): headline statistics, unicode sparkline
-  summaries of the per-frame series, a per-frame table, and every
-  health alert the run raised.  This is what ``repro report run.jsonl``
-  prints.
+  self-contained HTML page): headline statistics (aligned and
+  unaligned ATE next to the static-camera and constant-velocity
+  baselines, so "was the answer right" reads off one artifact),
+  unicode sparkline summaries of the per-frame series, a per-frame
+  table, and every health alert the run raised.  This is what
+  ``repro report run.jsonl`` prints.
 - :func:`diff_runs` — aligns two runs frame-by-frame and reports, per
   channel (pose, losses, iteration counts, sampling composition, map
   size, workload counters), the *first* frame where they diverge.  Two
@@ -92,6 +94,15 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _ate_text(ate: Optional[Dict[str, Any]]) -> Optional[str]:
+    """``1.23 cm (median 1.10 cm, max 2.00 cm)`` of an ATE block."""
+    if not ate:
+        return None
+    return (f"{ate.get('rmse', 0) * 100:.2f} cm "
+            f"(median {ate.get('median', 0) * 100:.2f} cm, "
+            f"max {ate.get('max', 0) * 100:.2f} cm)")
+
+
 def _build_blocks(log: FlightLog) -> List[Tuple[str, Any]]:
     """(kind, payload) blocks: heading / kv / table / text."""
     header = log.header
@@ -113,9 +124,12 @@ def _build_blocks(log: FlightLog) -> List[Tuple[str, Any]]:
         ("environment", f"python {env.get('python', '?')}, "
                         f"numpy {env.get('numpy', '?')}, "
                         f"{env.get('platform', '?')}"),
-        ("ATE rmse", None if not ate else f"{ate.get('rmse', 0) * 100:.2f} cm"
-                     + f" (median {ate.get('median', 0) * 100:.2f} cm, "
-                       f"max {ate.get('max', 0) * 100:.2f} cm)"),
+        ("ATE rmse", _ate_text(ate)),
+        ("unaligned ATE rmse", _ate_text(summary.get("ate_unaligned"))),
+        ("static-camera baseline",
+         _ate_text(summary.get("ate_static_camera"))),
+        ("constant-velocity baseline",
+         _ate_text(summary.get("ate_constant_velocity"))),
         ("final map", None if "final_gaussians" not in summary else
             f"{summary['final_gaussians']} Gaussians after "
             f"{summary.get('mapping_invocations', '?')} mapping invocations"),

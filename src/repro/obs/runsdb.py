@@ -4,9 +4,9 @@ The rest of :mod:`repro.obs` is single-run: flight logs, bench
 trajectories, and atlas artifacts are written, compared once, and
 forgotten.  The registry makes them longitudinal — every registered run
 becomes one JSON line in an append-only index plus a set of
-content-addressed artifact blobs, so "when did mapping get slower and
-which unit caused it" is a query (``repro runs trend`` /
-``repro runs triage``) instead of archaeology.
+content-addressed artifact blobs, so "which runs share this
+configuration, and what did each measure" is a query (``repro runs
+list`` / ``repro runs show``) instead of archaeology.
 
 Layout under the registry root (default ``.repro/runs/``)::
 
@@ -18,7 +18,7 @@ Each index record carries:
 - ``run_id`` / ``seq`` / ``created`` — identity and ordering;
 - ``key`` — the reproducibility key: environment fingerprint
   (:func:`repro.obs.bench.environment_fingerprint`), git SHA, config
-  hash, and dataset, so trend lines can be segmented by "what actually
+  hash, and dataset, so two runs can be told apart by "what actually
   changed";
 - ``metrics`` — a flat ``{name: number}`` extraction of the run's
   headline quantities (wall sections, modeled cycles/DRAM bytes,
@@ -41,8 +41,8 @@ Design rules, matching the rest of the stack:
   (bench/flight); everything else is lazy.
 
 ``repro slam --registry`` hands the registration (run id plus registry
-counters) to its live telemetry observers, so ``repro top`` can print
-the finished-run footer.
+counters) to its live telemetry observers, so the final ``/runz``
+snapshot names the registered run.
 """
 
 from __future__ import annotations
@@ -374,7 +374,7 @@ class RunRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Metric extraction: artifacts -> the flat trendable {name: number} dict
+# Metric extraction: artifacts -> the flat {name: number} dict
 # ---------------------------------------------------------------------------
 
 def _mean(values: Iterable[Any]) -> Optional[float]:
@@ -385,15 +385,16 @@ def _mean(values: Iterable[Any]) -> Optional[float]:
 def flight_metrics(log: FlightLog) -> Dict[str, float]:
     """Flat headline metrics of one SLAM flight log.
 
-    Aligned and unaligned ATE sections, final map size, mean frame,
+    Aligned and unaligned ATE sections, the static-camera and
+    constant-velocity baseline ATE sections, final map size, mean frame,
     tracking and mapping wall times, the mean alpha rejection rate (the
     run's sparsity ratio), and the per-stage workload counters summed
-    over every frame — the quantities ``repro runs trend`` draws time
-    series of.
+    over every frame.
     """
     out: Dict[str, float] = {}
     summary = log.summary or {}
-    for block in ("ate", "ate_unaligned"):
+    for block in ("ate", "ate_unaligned", "ate_static_camera",
+                  "ate_constant_velocity"):
         for key, value in (summary.get(block) or {}).items():
             if isinstance(value, (int, float)):
                 out[f"slam.{block}.{key}_m"] = float(value)

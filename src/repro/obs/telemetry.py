@@ -9,8 +9,7 @@ frame, summary), next to the flight recorder and the health monitor:
 
 - :class:`RunAggregator` folds the stream into one live run snapshot —
   the ``/runz`` document the HTTP exporter in :mod:`repro.obs.promexport`
-  serves and the ``repro top`` dashboard in :mod:`repro.obs.top` renders
-  — and sets the ``slam.*`` gauges ``/metrics`` exposes;
+  serves — and sets the ``slam.*`` gauges ``/metrics`` exposes;
 - :class:`TelemetryStreamer` writes every event as one newline-JSON line
   to a file or a ``tcp://`` / ``unix://`` socket.
 
@@ -18,7 +17,7 @@ Three events arrive outside the run stream, and the caller hands them
 over through ``consume(kind, payload)``: the health alert that aborts a
 run (``"alert"``, to both), the post-run metrics export (``"metrics"``,
 the stream's last line) and the run-registry registration
-(``"registry"``, the ``/runz`` footer ``repro top`` prints).
+(``"registry"``, the ``/runz`` ``registry`` key).
 
 Design rules, in order of importance:
 
@@ -103,8 +102,8 @@ class RunAggregator:
     aggregator, so ingestion and snapshots share one lock.  It keeps
     bounded per-frame series (ring of the most recent ``series_len``
     values) so a multi-thousand-frame run aggregates in constant memory.
-    ``repro top --from-flight`` replays a flight record through
-    :meth:`consume` into the same snapshot.
+    Replaying a flight record's header, frames and summary through
+    :meth:`consume` rebuilds the same snapshot.
     """
 
     #: (snapshot key, dotted frame-record path) series the aggregator

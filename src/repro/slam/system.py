@@ -311,12 +311,17 @@ class SLAMSystem:
         )
         if listening:
             ate = result.ate()
-            unaligned = result.ate(align=False)
+            gt = result.gt_trajectory
             emit("on_summary", obs_flight.to_plain({
                 "type": "summary",
                 "frames": n,
                 "ate": {**_ate_stats(ate), "per_frame": ate.per_frame},
-                "ate_unaligned": _ate_stats(unaligned),
+                "ate_unaligned": _ate_stats(result.ate(align=False)),
+                # What tracking must beat, unaligned like the run's own.
+                "ate_static_camera": _ate_stats(ate_rmse(
+                    self.static_camera_baseline(gt), gt, align=False)),
+                "ate_constant_velocity": _ate_stats(ate_rmse(
+                    self.constant_velocity_baseline(gt), gt, align=False)),
                 "final_gaussians": len(cloud),
                 "mapping_invocations": mapping_invocations,
                 "tracking_iterations": int(sum(tracking_iterations)),
@@ -343,9 +348,9 @@ class SLAMSystem:
         """The run's configuration as the flight header records it.
 
         Execution knobs are *resolved* (config > environment > default),
-        so two runs that executed differently never share a config:
-        registry triage can attribute wall-time deltas to a backend or
-        render-cache change.
+        so two runs that executed differently never share a config (or
+        a registry ``config_hash``): a wall-time delta between them can
+        be pinned on a backend or render-cache change.
         """
         return {
             "tracking_tile": self.splatonic.config.tracking_tile,

@@ -27,6 +27,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fly"])
 
+    @pytest.mark.parametrize("argv", [["top"], ["runs", "trend"],
+                                      ["runs", "triage"]],
+                             ids=["top", "runs trend", "runs triage"])
+    def test_deleted_commands_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
     def test_trace_defaults(self):
         args = build_parser().parse_args(["trace"])
         assert args.out == "trace.json"
@@ -349,14 +357,11 @@ class TestHelpSmoke:
         ["bench", "attrib"],
         ["report"],
         ["atlas"],
-        ["top"],
         ["info"],
         ["runs"],
         ["runs", "list"],
         ["runs", "show"],
         ["runs", "ingest"],
-        ["runs", "trend"],
-        ["runs", "triage"],
         ["runs", "prune"],
     ]
 
@@ -374,7 +379,7 @@ class TestHelpSmoke:
             main(["--help"])
         out = capsys.readouterr().out
         for name in ("slam", "render", "figure", "trace", "bench",
-                     "report", "atlas", "top", "info", "runs"):
+                     "report", "atlas", "info", "runs"):
             assert name in out
 
     def test_version_prints_schema_inventory(self, capsys):
@@ -403,15 +408,6 @@ class TestRegistryFlags:
     def test_slam_registry_explicit_dir(self):
         args = build_parser().parse_args(["slam", "--registry", "/tmp/reg"])
         assert args.registry == "/tmp/reg"
-
-    def test_runs_trend_parses_metric_globs(self):
-        args = build_parser().parse_args(
-            ["runs", "trend", "--metric", "slam.wall.*,slam.ate.*"])
-        assert args.metric == "slam.wall.*,slam.ate.*"
-
-    def test_runs_triage_defaults_to_last_two(self):
-        args = build_parser().parse_args(["runs", "triage"])
-        assert args.base == "-2" and args.current == "-1"
 
     def test_runs_prune_requires_keep(self):
         with pytest.raises(SystemExit):
@@ -445,40 +441,20 @@ class TestRunsEndToEnd:
         assert len(rows) == 2
         assert [r["seq"] for r in rows] == [1, 2]
 
+    def test_list_json_tells_the_two_configs_apart(self, registry_dir,
+                                                   capsys):
+        # The two runs differ only in --tracking-tile.
+        assert main(["runs", "list", "--registry", registry_dir,
+                     "--json"]) == 0
+        first, second = json.loads(capsys.readouterr().out)
+        assert first["key"]["config_hash"] != second["key"]["config_hash"]
+
     def test_show_renders_metrics(self, registry_dir, capsys):
         assert main(["runs", "show", "-1",
                      "--registry", registry_dir]) == 0
         out = capsys.readouterr().out
         assert "slam.ate.rmse_m" in out
         assert "tracking_tile" in out
-
-    def test_trend_detects_no_step_on_two_runs(self, registry_dir, tmp_path,
-                                               capsys):
-        json_out = str(tmp_path / "trend.json")
-        assert main(["runs", "trend", "--registry", registry_dir,
-                     "--json-out", json_out]) == 0
-        assert "slam.wall.mean_s" in capsys.readouterr().out
-        doc = json.loads(open(json_out).read())
-        assert "slam.wall.mean_s" in doc
-        assert len(doc["slam.wall.mean_s"]["series"]) == 2
-
-    def test_triage_names_the_perturbed_stage(self, registry_dir, tmp_path,
-                                              capsys):
-        json_out = str(tmp_path / "triage.json")
-        md_out = str(tmp_path / "triage.md")
-        assert main(["runs", "triage", "--registry", registry_dir,
-                     "--json-out", json_out, "--out", md_out]) == 0
-        capsys.readouterr()
-        text = open(md_out).read()
-        assert text.startswith("### run triage")
-        assert "top culprit: tracking" in text
-        doc = json.loads(open(json_out).read())
-        assert doc["culprits"][0]["stage"] == "tracking"
-        assert "tracking_tile" in {d["key"] for d in doc["config_delta"]}
-
-    def test_triage_prints_to_stdout_without_out(self, registry_dir, capsys):
-        assert main(["runs", "triage", "--registry", registry_dir]) == 0
-        assert "top culprit: tracking" in capsys.readouterr().out
 
     def test_unknown_run_show_exits_nonzero(self, registry_dir):
         with pytest.raises(SystemExit):
@@ -515,22 +491,6 @@ class TestTelemetryFlags:
         args = build_parser().parse_args(
             ["slam", "--telemetry-stream", "tcp://localhost:5005"])
         assert args.telemetry_stream == "tcp://localhost:5005"
-
-    def test_top_defaults(self):
-        args = build_parser().parse_args(["top"])
-        assert args.endpoint is None and args.from_flight is None
-        assert args.once is False
-        assert args.interval == 0.5
-        assert args.width == 100
-        assert args.no_color is False
-
-    def test_top_flags(self):
-        args = build_parser().parse_args(
-            ["top", "--endpoint", "localhost:9464", "--once", "--no-color",
-             "--interval", "0.1", "--width", "72"])
-        assert args.endpoint == "localhost:9464"
-        assert args.once and args.no_color
-        assert args.interval == 0.1 and args.width == 72
 
 
 class TestSlamTelemetryEndToEnd:

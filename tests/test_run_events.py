@@ -15,7 +15,7 @@ from repro.obs.flight import FlightRecorder, read_flight_record
 from repro.obs.health import (HealthConfig, HealthMonitor,
                               get_monitor)
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import diff_runs
+from repro.obs.report import diff_runs, render_report
 from repro.obs.runsdb import RunRegistry, flight_metrics, ingest_slam_run
 from repro.obs.telemetry import RunAggregator, TelemetryStreamer
 from repro.slam import SLAMSystem
@@ -216,3 +216,31 @@ class TestRecordFields:
         assert metrics["slam.wall.tracking_mean_s"] == pytest.approx(
             sum(tracking) / len(tracking))
         assert metrics["slam.wall.mapping_mean_s"] > 0
+
+    def test_summary_carries_both_baselines_and_report_shows_them(
+            self, log):
+        """Was the answer right, from the flight record alone: the
+        summary holds the unaligned ATE of both baselines, the registry
+        extracts them and the report prints them next to the run's."""
+        result, flight_log = log
+        gt = result.gt_trajectory
+        metrics = flight_metrics(flight_log)
+        text = render_report(flight_log)
+
+        def row(label, ate):
+            return (f"- **{label}**: {ate.rmse * 100:.2f} cm "
+                    f"(median {ate.median * 100:.2f} cm, "
+                    f"max {ate.max * 100:.2f} cm)")
+
+        assert row("unaligned ATE rmse", result.ate(align=False)) in text
+        for block, label, baseline in (
+                ("ate_static_camera", "static-camera baseline",
+                 SLAMSystem.static_camera_baseline),
+                ("ate_constant_velocity", "constant-velocity baseline",
+                 SLAMSystem.constant_velocity_baseline)):
+            expected = ate_rmse(baseline(gt), gt, align=False)
+            assert flight_log.summary[block] == {
+                "rmse": expected.rmse, "mean": expected.mean,
+                "median": expected.median, "max": expected.max}
+            assert metrics[f"slam.{block}.rmse_m"] == expected.rmse
+            assert row(label, expected) in text

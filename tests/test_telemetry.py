@@ -1,15 +1,21 @@
 """Live telemetry: the run aggregator, the streamer's bounded queue,
-newline-JSON streaming, and both as run observers."""
+newline-JSON streaming, both as run observers, and the live ``/runz``
+against a flight record's replay."""
 
 import json
 import socket
 import threading
 import time
 
+from urllib.request import urlopen
+
 import pytest
 
+from repro.cli import main
 from repro.obs import telemetry
+from repro.obs.flight import read_flight_record
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.promexport import TelemetryHTTPServer
 from repro.obs.telemetry import (
     RunAggregator,
     TelemetryConfig,
@@ -225,6 +231,39 @@ class TestRunAggregator:
         agg.consume("header", {"frames": 1})
         agg.consume("frame", self._frame(0))
         json.dumps(agg.snapshot())
+
+
+
+class TestFlightParity:
+    def test_final_runz_matches_flight_replay(self, tmp_path, monkeypatch):
+        """One run served live and recorded: the last /runz before the
+        endpoint closes equals the flight record's replay on every key but
+        the registry footer, which only the live run gets."""
+        captured = {}
+        stop = TelemetryHTTPServer.stop
+
+        def scrape_then_stop(server):
+            with urlopen(f"{server.url}/runz", timeout=5.0) as resp:
+                captured["runz"] = json.loads(resp.read().decode("utf-8"))
+            return stop(server)
+
+        monkeypatch.setattr(TelemetryHTTPServer, "stop", scrape_then_stop)
+        path = str(tmp_path / "run.jsonl")
+        assert main(["-q", "slam", "--frames", "3", "--width", "24",
+                     "--height", "18", "--tracking-tile", "8",
+                     "--serve-telemetry", "0", "--flight-record", path,
+                     "--registry", str(tmp_path / "reg")]) == 0
+        live = captured["runz"]
+        log = read_flight_record(path)
+        agg = RunAggregator()
+        agg.consume("header", log.header)
+        for frame in log.frames:
+            agg.consume("frame", frame)
+        agg.consume("summary", log.summary)
+        replay = json.loads(json.dumps(agg.snapshot()))
+        assert live.pop("registry")["runs_total"] == 1
+        assert replay.pop("registry") is None
+        assert live == replay
 
 
 class TestStreamer:
