@@ -2,7 +2,6 @@
 
 from .camera import Camera, Intrinsics
 from .covariance import build_covariance, covariance_gradients
-from .grid import VoxelGrid, frustum_planes
 from .init import seed_from_rgbd
 from .model import GaussianCloud, inverse_sigmoid, sigmoid
 from .se3 import (
@@ -28,8 +27,6 @@ __all__ = [
     "Intrinsics",
     "build_covariance",
     "covariance_gradients",
-    "VoxelGrid",
-    "frustum_planes",
     "GaussianCloud",
     "seed_from_rgbd",
     "sigmoid",

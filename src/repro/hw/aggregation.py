@@ -11,13 +11,15 @@ accumulation unit keeps updating Gaussians whose state is already cached.
 (recorded by the backward passes) through an LRU-cache + scoreboard model
 and reports cycles, stalls, and DRAM traffic.  A ``naive`` mode models the
 ablation without the unit: every tuple is an uncached read-modify-write.
+``scaled_cost`` is what the accelerator models charge for a backward pass:
+the replayed cost of its recorded ID stream, scaled to its atomic adds.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -153,6 +155,24 @@ class AggregationUnit:
             cache_hits=hits,
             dram_bytes=dram_bytes,
         )
+
+    def scaled_cost(self, bwd, scoreboard: bool = True
+                    ) -> Tuple[float, float]:
+        """``(cycles, dram_bytes)`` of aggregating one backward pass.
+
+        The pass's recorded contributing-Gaussian ID stream
+        (``bwd.pixel_contrib_ids``, a proxy) is replayed through
+        :meth:`simulate`, or :meth:`simulate_naive` when ``scoreboard`` is
+        False, and the result scaled to the pass's ``num_atomic_adds``
+        tuples.  A pass with no recorded tuple costs nothing.
+        """
+        ids = bwd.pixel_contrib_ids
+        proxy_tuples = int(sum(len(p) for p in ids))
+        if proxy_tuples == 0:
+            return 0.0, 0.0
+        replay = self.simulate(ids) if scoreboard else self.simulate_naive(ids)
+        scale = bwd.num_atomic_adds / proxy_tuples
+        return replay.cycles * scale, replay.dram_bytes * scale
 
     def simulate_naive(self, pixel_gaussian_ids: Sequence[np.ndarray],
                        max_outstanding: int = 4) -> AggregationTrace:

@@ -89,7 +89,7 @@ class GauSpuAccelerator:
 
         raster = self._tile_rounds(fwd) / cfg.render_engines
         reverse = self._tile_rounds(bwd) * 1.5 / cfg.reverse_engines
-        agg_cycles, agg_dram = self._aggregation(bwd)
+        agg_cycles, agg_dram = self._agg_unit.scaled_cost(bwd)
         # Re-projection returns to the GPU.
         gpu_reproj_s = self.gpu.reprojection_time(bwd)
 
@@ -129,15 +129,6 @@ class GauSpuAccelerator:
             energy_j=energy,
             stage_seconds=stage_seconds,
         )
-
-    def _aggregation(self, bwd: PipelineStats):
-        ids = bwd.pixel_contrib_ids
-        proxy_tuples = int(sum(len(p) for p in ids))
-        if proxy_tuples == 0:
-            return 0.0, 0.0
-        trace = self._agg_unit.simulate(ids)
-        scale = bwd.num_atomic_adds / proxy_tuples
-        return trace.cycles * scale, trace.dram_bytes * scale
 
     def _energy(self, workload: Workload, accel_cycles: float,
                 accel_dram: float, gpu_seconds: float) -> float:

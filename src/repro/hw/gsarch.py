@@ -95,7 +95,7 @@ class GsArchAccelerator:
         sort = fwd.num_sort_keys / cfg.sorting_units
         raster = self._subtile_rounds(fwd) / cfg.render_engines
         reverse = self._subtile_rounds(bwd) * 1.5 / cfg.reverse_engines
-        agg_cycles, agg_dram = self._aggregation(bwd)
+        agg_cycles, agg_dram = self._agg_unit.scaled_cost(bwd)
         reproj = bwd.num_projected / cfg.projection_units
 
         fwd_dram = (fwd.num_projected * QUANT_PARAM_BYTES
@@ -131,15 +131,6 @@ class GsArchAccelerator:
             energy_j=energy,
             stage_seconds=stage_seconds,
         )
-
-    def _aggregation(self, bwd: PipelineStats):
-        ids = bwd.pixel_contrib_ids
-        proxy_tuples = int(sum(len(p) for p in ids))
-        if proxy_tuples == 0:
-            return 0.0, 0.0
-        trace = self._agg_unit.simulate(ids)
-        scale = bwd.num_atomic_adds / proxy_tuples
-        return trace.cycles * scale, trace.dram_bytes * scale
 
     def _energy(self, workload: Workload, total_cycles: float,
                 dram_bytes: float) -> float:

@@ -163,19 +163,6 @@ class SplatonicAccelerator:
             cycles += pairs / max(self.config.raster_engines, 1)
         return cycles
 
-    def _aggregation(self, bwd: PipelineStats):
-        """Returns (cycles, dram_bytes) scaled from the proxy ID stream."""
-        ids = bwd.pixel_contrib_ids
-        proxy_tuples = int(sum(len(p) for p in ids))
-        if proxy_tuples == 0:
-            return 0.0, 0.0
-        if self.config.scoreboard_aggregation:
-            trace = self._agg_unit.simulate(ids)
-        else:
-            trace = self._agg_unit.simulate_naive(ids)
-        scale = bwd.num_atomic_adds / proxy_tuples
-        return trace.cycles * scale, trace.dram_bytes * scale
-
     # ---- public API ----
 
     def stage_model(self, workload: Workload,
@@ -197,7 +184,8 @@ class SplatonicAccelerator:
         proj = self._projection_cycles(fwd)
         sort = self._sorting_cycles(fwd)
         raster = self._raster_cycles(fwd)
-        agg_cycles, agg_dram = self._aggregation(bwd)
+        agg_cycles, agg_dram = self._agg_unit.scaled_cost(
+            bwd, self.config.scoreboard_aggregation)
         reverse = self._reverse_cycles(bwd)
         reproj = bwd.num_projected / cfg.projection_units
 

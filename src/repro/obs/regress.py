@@ -23,12 +23,13 @@ these (such as the ``wall`` tables of older trajectories) are ignored.
 
 Missing scenarios/metrics in the current run fail (``removed``); new
 ones pass with a note (``new``).  Schema-version or file problems are
-reported as errors and also fail.  Before attributing pass/fail, the
-comparator diffs the two payloads' environment fingerprints
-(python/numpy/cpu_count/...) and reports mismatches as explicit
-warnings — cross-machine comparisons should never be trusted silently,
-but a mismatch by itself does not fail the gate (the counter/model
-sections stay machine-portable).  Everything is stdlib-only.
+reported as errors and also fail.  When ``overhead`` is among the
+compared sections, the comparator diffs the two payloads' environment
+fingerprints (python/numpy/cpu_count/...) and reports mismatches as
+explicit warnings — a wall-time ratio from another machine should never
+be trusted silently, but a mismatch by itself does not fail the gate.
+The counter/model sections are host-independent, so a comparison of
+those alone warns about nothing.  Everything is stdlib-only.
 """
 
 from __future__ import annotations
@@ -314,7 +315,8 @@ def compare_runs(current: Dict[str, Any], baseline: Dict[str, Any],
     ok = _check_schema(current, "current", report.errors) and ok
     if not ok:
         return report
-    report.env_mismatches = _env_mismatches(baseline, current)
+    if "overhead" in sections:
+        report.env_mismatches = _env_mismatches(baseline, current)
 
     base_scenarios = baseline["scenarios"]
     cur_scenarios = current["scenarios"]

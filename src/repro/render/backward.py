@@ -1,9 +1,9 @@
 """Backward pass of the tile pipeline: reverse rasterization, aggregation,
 and re-projection (Fig. 3, bottom).
 
-Reverse rasterization walks the forward pass's cached composite blocks and
+Reverse rasterization walks the forward pass's cached composite state and
 produces the pixel-Gaussian partial gradients; *aggregation* adds them into
-per-Gaussian accumulators.  Both run in one compiled kernel call per block
+per-Gaussian accumulators.  Both run in one compiled kernel call per frame
 (the render engine's
 :func:`~repro.render.kernels.vectorized.aggregate_gradients`, shared with
 the sparse pixel pipeline): the reverse-render units feed the aggregation
@@ -33,7 +33,7 @@ from ..obs import atlas as _atlas_mod
 from .compositing import composite_backward  # noqa: F401
 from .kernels.vectorized import aggregate_gradients
 from .projection import ProjectedGaussians
-from .rasterize import RenderResult, tile_work_records
+from .rasterize import RenderResult
 from .stats import PipelineStats
 
 __all__ = ["RenderGradients", "ProjectedGradients", "backward_full",
@@ -219,11 +219,10 @@ def backward_full(
     loop's float additions exactly:
 
     1. :func:`~repro.render.kernels.vectorized.aggregate_gradients`, one
-       kernel call per pixel block, adds each pair's partials onto one
-       frame-wide accumulator per (tile, list slot), starting from zero,
-       in pixel order — the sequential pixel sum a tile's reverse pass
-       takes per list entry.  Blocks hold whole tiles, so all of an
-       accumulator's adds come from one block, in pixel order;
+       kernel call per frame, adds each pair's partials onto one
+       accumulator per (tile, list slot), starting from zero, in pixel
+       order — the sequential pixel sum a tile's reverse pass takes per
+       list entry;
     2. one :func:`scatter_add` per gradient column folds the slot
        accumulators into the per-Gaussian gradients, in tile order — the
        tile loop's scatter sequence.
@@ -245,7 +244,7 @@ def backward_full(
 
     with trace.span("render.tile_bwd", pipeline="tile",
                     gaussians=len(cloud)):
-        if result.blocks is not None:
+        if result.slots is not None:
             pg = _tile_backward(result, d_color, d_depth, d_silhouette,
                                 stats, pose_only)
         else:
@@ -259,38 +258,35 @@ def backward_full(
 
 def _tile_backward(result, d_color, d_depth, d_silhouette, stats,
                    pose_only):
-    """Reverse rasterization + aggregation over the forward's pixel blocks;
-    returns the per-Gaussian :class:`ProjectedGradients` and fills the
-    counters of ``stats``.  ``pose_only`` leaves the opacity and colour
-    gradients zero."""
-    proj = result.proj
-    u, v = result.pixels[:, 0], result.pixels[:, 1]
-    d_color, d_depth, d_silhouette = (d_color[v, u], d_depth[v, u],
-                                      d_silhouette[v, u])
-    slot_gaussians = np.concatenate(result.sorted_lists)
-    slots = ProjectedGradients.zeros(slot_gaussians.size)
-    touched = np.zeros(len(u), dtype=np.int64)
-    ids = []
-    for b in result.blocks:
-        aggregate_gradients(b.cache, proj, d_color[b.lo:b.hi],
-                            d_depth[b.lo:b.hi], d_silhouette[b.lo:b.hi],
-                            b.slots, slots, pose_only)
-        touched[b.lo:b.hi] = b.cache.touched
-        if stats.record_per_pixel:
-            ids.append(proj.source_index[b.cache.gss[b.cache.contrib]])
+    """Reverse rasterization + aggregation over the forward's frame-wide
+    composite cache; returns the per-Gaussian :class:`ProjectedGradients`
+    and fills the counters of ``stats``.  ``pose_only`` leaves the opacity
+    and colour gradients zero."""
+    proj, cache = result.proj, result.cache
+    n_g, px_tiles = result.tile_counts, result.pixel_tiles
     pg = ProjectedGradients.zeros(len(proj))
-    names = ("d_mean2d", "d_sigma2d", "d_depth") + (
-        () if pose_only else ("d_opacity", "d_color"))
-    for name in names:
-        setattr(pg, name, scatter_add(slot_gaussians, getattr(slots, name),
-                                      len(proj)))
+    touched = np.zeros(px_tiles.size, dtype=np.int64)
+    ids = np.zeros(0, dtype=int)
+    if cache is not None:
+        u, v = result.pixels[:, 0], result.pixels[:, 1]
+        slots = ProjectedGradients.zeros(result.sorted_gss.size)
+        aggregate_gradients(cache, proj, d_color[v, u], d_depth[v, u],
+                            d_silhouette[v, u], result.slots, slots,
+                            pose_only)
+        names = ("d_mean2d", "d_sigma2d", "d_depth") + (
+            () if pose_only else ("d_opacity", "d_color"))
+        for name in names:
+            setattr(pg, name, scatter_add(result.sorted_gss,
+                                          getattr(slots, name), len(proj)))
+        touched = cache.touched
+        if stats.record_per_pixel:
+            ids = proj.source_index[cache.gss[cache.contrib]]
 
     # The tile backward re-runs alpha-checking against the cached
     # tile-Gaussian sorted list (Sec. II-B): every pixel of a tile with a
     # non-empty list, against the whole list.
-    n_g = np.array([len(lst) for lst in result.sorted_lists])
-    n_px = np.bincount(result.pixel_tiles, minlength=n_g.size)
-    live = n_g[result.pixel_tiles] > 0
+    n_px = np.bincount(px_tiles, minlength=n_g.size)
+    live = n_g[px_tiles] > 0
     stats.num_candidate_pairs += int((n_px * n_g).sum())
     stats.num_alpha_checks += int((n_px * n_g).sum())
     stats.num_contrib_pairs += int(touched.sum())
@@ -299,11 +295,10 @@ def _tile_backward(result, d_color, d_depth, d_silhouette, stats,
         _atlas_mod.current.observe_tile_backward(result.pixels[live],
                                                  touched[live])
     if stats.record_per_pixel:
-        stats.tile_work.extend(tile_work_records(
-            result.blocks, n_g, n_px, result.pixel_tiles))
+        # The reverse walk stops where the forward's did.
+        stats.tile_work.extend(result.stats.tile_work)
         stats.per_pixel_contribs.extend(touched[live].tolist())
-        per_pixel = np.split(np.concatenate(ids) if ids else np.zeros(0, int),
-                             np.cumsum(touched)[:-1])
+        per_pixel = np.split(ids, np.cumsum(touched)[:-1])
         stats.pixel_contrib_ids.extend(
             per_pixel[k] for k in np.flatnonzero(live))
     return pg

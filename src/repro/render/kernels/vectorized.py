@@ -34,8 +34,9 @@ The stages — :func:`evaluate_alpha` (whose falloff half,
 its compiled cull already computed), :func:`composite` and the reverse
 pass — are also the engine of the dense tile pipeline
 (:mod:`repro.render.rasterize` / :mod:`repro.render.backward`), which
-feeds them from its depth-sorted tile table and aggregates per (tile, list
-slot) before a per-Gaussian fold.  The reverse pass has a second, per-pair
+feeds them from its depth-sorted tile table — one composite and one
+reverse call per frame — and aggregates per (tile, list slot) before a
+per-Gaussian fold.  The reverse pass has a second, per-pair
 mode, :func:`alpha_gradients` (everything up to dL/dα, no falloff, no
 aggregation): anisotropic splats (:mod:`repro.render.anisotropic`) run
 :func:`forward` on their own conic α and :func:`alpha_gradients` under

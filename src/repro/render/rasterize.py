@@ -21,12 +21,12 @@ Rasterization runs on the render engine the sparse pixel pipeline uses
   every pixel in it, with no per-pair sort (the redundant-sort
   elimination of GS-TG);
 - *composite*: the shared :func:`~repro.render.kernels.vectorized.composite`
-  stage over blocks of whole tiles, which bounds the working set.
+  stage, one compiled call per frame over every rendered pixel.
 
 A pair that fails α has a transmittance factor of exactly 1.0 and a
 weight of exactly 0.0 in a per-tile :func:`composite_forward`, and both
 reductions are sequential, so dropping it changes no bit: the outputs are
-identical to a per-tile composite loop's.  Each block's composite state is
+identical to a per-tile composite loop's.  The frame's composite state is
 retained so :mod:`repro.render.backward` can run the exact reverse pass
 without recomputation.
 
@@ -41,7 +41,7 @@ inefficiency Figs. 11/21 quantify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -65,29 +65,9 @@ from .sorting import sort_intersection_table
 from .stats import PipelineStats
 from .tiles import TileGrid, build_intersection_table
 
-__all__ = ["RenderResult", "PixelBlock", "render_full", "BLOCK_PIXELS"]
+__all__ = ["RenderResult", "render_full"]
 
 DEFAULT_BACKGROUND = np.zeros(3)
-
-#: Most rendered pixels per composite block.  Blocks are cut at tile
-#: boundaries, so a block exceeds this only when one tile alone does.
-#: Bounds the working set of a composite call's per-pair state.  Each
-#: block is one composite call and one reverse call, whose longest list
-#: sets the padding rule that only ``-0.0`` and NaN results depend on (see
-#: ``vectorized``).
-BLOCK_PIXELS = 1024
-
-
-@dataclass
-class PixelBlock:
-    """Backward state of one block of rendered pixels ``[lo, hi)``."""
-
-    lo: int
-    hi: int
-    # Per pair (block pair order): index of its (tile, list-slot)
-    # accumulator — the tile's slot offset plus the list position.
-    slots: np.ndarray
-    cache: FlatCompositeCache
 
 
 @dataclass
@@ -99,12 +79,19 @@ class RenderResult:
     silhouette: np.ndarray   # (H, W)
     proj: ProjectedGaussians
     grid: TileGrid
-    sorted_lists: List[np.ndarray]      # per-tile projected-Gaussian indices
+    # The tile-Gaussian sorted list: every tile's projected-Gaussian list,
+    # front-to-back, tile-major in one flat array; ``tile_counts`` holds
+    # the list length of every tile.
+    sorted_gss: np.ndarray
+    tile_counts: np.ndarray
     pixels: np.ndarray       # (K, 2) rendered pixels, tile-major
     pixel_tiles: np.ndarray  # (K,) tile of each rendered pixel
-    # Composite state per pixel block (blocks without a pair are left
-    # out); None when rendered with ``keep_cache=False``.
-    blocks: Optional[List[PixelBlock]]
+    # Backward state; both None when rendered with ``keep_cache=False``.
+    # ``cache`` is the frame's composite state (also None when no pixel
+    # has a pair); ``slots`` holds, per pair, the index of its (tile,
+    # list-slot) accumulator — its position in ``sorted_gss``.
+    cache: Optional[FlatCompositeCache]
+    slots: Optional[np.ndarray]
     stats: PipelineStats = field(default_factory=PipelineStats)
 
     @property
@@ -147,7 +134,7 @@ def render_full(
     with trace.span("render.tile_sort"):
         grid = TileGrid.for_intrinsics(intr, tile_size)
         table = build_intersection_table(proj, grid)
-        sorted_lists = sort_intersection_table(table, proj)
+        sorted_gss = sort_intersection_table(table, proj)
 
     if pixels is not None:
         pixels = np.asarray(pixels, dtype=int).reshape(-1, 2)
@@ -175,25 +162,14 @@ def render_full(
                     tiles=grid.num_tiles):
         n_g = table.tile_counts()
         n_px = np.bincount(px_tiles, minlength=grid.num_tiles)
-        centres = px + 0.5
         pix, slots, gss, alpha, clipped = _tile_pairs(
-            proj, sorted_lists, n_g, n_px, px, alpha_threshold)
-        lengths = np.bincount(pix, minlength=px.shape[0])
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        blocks: List[PixelBlock] = []
-        contribs = np.zeros(px.shape[0], dtype=np.int64)
-        for lo, hi in _block_bounds(n_px):
-            p0, p1 = offsets[lo], offsets[hi]
-            out_color, out_depth, out_sil, cache = composite(
-                proj, gss[p0:p1], lengths[lo:hi], centres[lo:hi], bg,
-                alpha[p0:p1], clipped[p0:p1], alpha_threshold, t_min)
-            u, v = px[lo:hi, 0], px[lo:hi, 1]
-            color[v, u] = out_color
-            depth[v, u] = out_depth
-            silhouette[v, u] = out_sil
-            if cache is not None:
-                contribs[lo:hi] = cache.touched
-                blocks.append(PixelBlock(lo, hi, slots[p0:p1], cache))
+            proj, sorted_gss, n_g, n_px, px, alpha_threshold)
+        u, v = px[:, 0], px[:, 1]
+        color[v, u], depth[v, u], silhouette[v, u], cache = composite(
+            proj, gss, np.bincount(pix, minlength=px.shape[0]), px + 0.5,
+            bg, alpha, clipped, alpha_threshold, t_min)
+        contribs = (np.zeros(px.shape[0], dtype=np.int64) if cache is None
+                    else cache.touched)
 
         # Sorting is charged only for tiles that render at least one pixel
         # (a generous accounting for the Org.+S baseline); every rendered
@@ -207,7 +183,7 @@ def render_full(
                                                     n_g[px_tiles], contribs)
         if record_per_pixel:
             stats.tile_work.extend(
-                tile_work_records(blocks, n_g, n_px, px_tiles))
+                _tile_work_records(cache, slots, n_g, n_px, px_tiles))
             stats.per_pixel_contribs.extend(contribs.tolist())
 
     return RenderResult(
@@ -216,10 +192,12 @@ def render_full(
         silhouette=silhouette,
         proj=proj,
         grid=grid,
-        sorted_lists=sorted_lists,
+        sorted_gss=sorted_gss,
+        tile_counts=n_g,
         pixels=px,
         pixel_tiles=px_tiles,
-        blocks=blocks if keep_cache else None,
+        cache=cache if keep_cache else None,
+        slots=slots if keep_cache else None,
         stats=stats,
     )
 
@@ -236,20 +214,6 @@ def _rendered_pixels(grid: TileGrid, pixels: Optional[np.ndarray]):
     tiles = grid.tile_of_pixel(u, v)
     order = np.argsort(tiles, kind="stable")
     return np.stack([u[order], v[order]], axis=-1), tiles[order]
-
-
-def _block_bounds(n_px):
-    """Pixel ranges ``[lo, hi)`` of the composite blocks over tile-major
-    pixels with ``n_px`` rendered pixels per tile: whole tiles, greedily
-    up to :data:`BLOCK_PIXELS` pixels, or one tile that alone exceeds it."""
-    ends = np.concatenate([[0], np.cumsum(n_px)])
-    lo = 0
-    while lo < ends[-1]:
-        hi = ends[np.searchsorted(ends, lo + BLOCK_PIXELS, side="right") - 1]
-        if hi == lo:
-            hi = ends[np.searchsorted(ends, lo, side="right")]
-        yield int(lo), int(hi)
-        lo = hi
 
 
 def alpha_cutoff(proj, alpha_threshold):
@@ -276,15 +240,16 @@ def alpha_cutoff(proj, alpha_threshold):
         return (log_ratio * (1.0 + 1e-9) + 1e-9) * (2.0 * sig * sig)
 
 
-def _tile_cull(proj, sorted_lists, n_g, n_px, px, cutoff):
+def _tile_cull(proj, sorted_gss, n_g, n_px, px, cutoff):
     """The compiled dense cull (``tile_cull`` in ``_native.c``): every
-    rendered pixel of a tile against the tile's whole sorted list, a pair
+    rendered pixel of a tile against the tile's whole list in the flat
+    tile-major ``sorted_gss`` (``n_g`` entries per tile), a pair
     kept when its ``d² = du² + dv²`` (centre = pixel + 0.5, the bits
     :func:`evaluate_alpha` computes) is within ``cutoff``.  Returns flat
     ``(pixel, slot, gaussian, d2)`` arrays, tile-major, then pixel, then
     list position, sized exactly: the kernel counts the kept pairs, then
     fills arrays of that size."""
-    lists = i64(np.concatenate(sorted_lists))
+    lists = i64(sorted_gss)
     n_g, n_px, px = i64(n_g), i64(n_px), i64(px)
     m = len(proj)
     mean2d, cutoff = f64(proj.mean2d), f64(cutoff)
@@ -310,7 +275,7 @@ def _tile_cull(proj, sorted_lists, n_g, n_px, px, cutoff):
                      "Gaussian")
 
 
-def _tile_pairs(proj, sorted_lists, n_g, n_px, px, alpha_threshold):
+def _tile_pairs(proj, sorted_gss, n_g, n_px, px, alpha_threshold):
     """Candidate + α stage of the dense pipeline.
 
     Every rendered pixel of a tile is a candidate against the tile's whole
@@ -324,7 +289,7 @@ def _tile_pairs(proj, sorted_lists, n_g, n_px, px, alpha_threshold):
     the same path.  Returns flat ``(pixel, slot, gaussian, alpha,
     clipped)`` arrays.
     """
-    pix, slots, gss, d2 = _tile_cull(proj, sorted_lists, n_g, n_px, px,
+    pix, slots, gss, d2 = _tile_cull(proj, sorted_gss, n_g, n_px, px,
                                      alpha_cutoff(proj, alpha_threshold))
     alpha, clipped = falloff_alpha(proj, gss, d2)
     passes = alpha >= alpha_threshold
@@ -334,10 +299,11 @@ def _tile_pairs(proj, sorted_lists, n_g, n_px, px, alpha_threshold):
     return pix[keep], slots[keep], gss[keep], alpha[keep], clipped[keep]
 
 
-def tile_work_records(blocks, n_g, n_px, px_tiles):
+def _tile_work_records(cache, slots, n_g, n_px, px_tiles):
     """Per-rasterized-tile ``(list_length, rendered_pixels, serial_len)``
     from the per-tile list lengths ``n_g`` and rendered-pixel counts
-    ``n_px``.
+    ``n_px``, and the frame's composite ``cache`` (None when no pixel has
+    a pair) with the pairs' list ``slots``.
 
     ``serial_len`` is the serial iteration depth of the tile's thread
     block: each pixel's thread walks the sorted list until early
@@ -349,14 +315,12 @@ def tile_work_records(blocks, n_g, n_px, px_tiles):
     """
     slot_offsets = np.cumsum(n_g) - n_g
     serial = n_g[px_tiles]
-    for b in blocks:
-        dead = np.flatnonzero(~b.cache.contrib)     # flat, pixel-major
-        rows = np.repeat(np.arange(b.cache.lengths.size),
-                         b.cache.lengths)[dead]
+    if cache is not None:
+        dead = np.flatnonzero(~cache.contrib)       # flat, pixel-major
+        rows = np.searchsorted(np.cumsum(cache.lengths), dead, side="right")
         first = np.flatnonzero(np.diff(rows, prepend=-1))
-        pixel = b.lo + rows[first]
-        serial[pixel] = (b.slots[dead[first]] - slot_offsets[px_tiles[pixel]]
-                         + 1)
+        pixel = rows[first]
+        serial[pixel] = slots[dead[first]] - slot_offsets[px_tiles[pixel]] + 1
     longest = np.zeros(n_g.size, dtype=int)
     np.maximum.at(longest, px_tiles, serial)
     return [(int(n_g[t]), int(n_px[t]), int(longest[t]))

@@ -9,8 +9,6 @@ pixel-exact agreement between the tile-based and pixel-based renderers.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from .projection import ProjectedGaussians
@@ -32,8 +30,6 @@ def sort_by_depth(indices: np.ndarray, depth: np.ndarray) -> np.ndarray:
     kernels (and the tile pipeline) agree bit-for-bit.
     """
     indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        return indices
     # lexsort: last key is primary => sort by depth, then by index.
     order = np.lexsort((indices, depth[indices]))
     return indices[order]
@@ -41,15 +37,14 @@ def sort_by_depth(indices: np.ndarray, depth: np.ndarray) -> np.ndarray:
 
 def sort_intersection_table(
     table: IntersectionTable, proj: ProjectedGaussians
-) -> List[np.ndarray]:
+) -> np.ndarray:
     """Sort every tile's Gaussian list front-to-back.
 
-    Returns the tile-Gaussian *sorted* list of Fig. 3, parallel to
-    ``table.per_tile``.  One global ``np.lexsort`` on ``(tile, depth,
-    index)`` — :func:`sort_by_depth`'s key with the tile as the primary
-    key — is split per tile, so every list is exactly what a per-tile
-    ``sort_by_depth`` returns.
+    Returns the tile-Gaussian *sorted* list of Fig. 3 as one flat array,
+    tile-major: tile ``t``'s list is the next ``table.tile_counts()[t]``
+    entries.  One global ``np.lexsort`` on ``(tile, depth, index)`` —
+    :func:`sort_by_depth`'s key with the tile as the primary key — so
+    every list is exactly what a per-tile ``sort_by_depth`` returns.
     """
     g = table.gaussians
-    order = np.lexsort((g, proj.depth[g], table.tiles))
-    return table.split(g[order])
+    return g[np.lexsort((g, proj.depth[g], table.tiles))]

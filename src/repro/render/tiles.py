@@ -89,15 +89,12 @@ class IntersectionTable:
         """List length of every tile, ``(num_tiles,)``."""
         return np.bincount(self.tiles, minlength=self.grid.num_tiles)
 
-    def split(self, values: np.ndarray) -> List[np.ndarray]:
-        """Split tile-major per-pair ``values`` into per-tile arrays."""
-        return np.split(values, np.cumsum(self.tile_counts())[:-1])
-
     @property
     def per_tile(self) -> List[np.ndarray]:
         """Per-tile Gaussian lists in ascending index order."""
         order = np.argsort(self.tiles, kind="stable")
-        return self.split(self.gaussians[order])
+        return np.split(self.gaussians[order],
+                        np.cumsum(self.tile_counts())[:-1])
 
 
 def build_intersection_table(
@@ -109,9 +106,6 @@ def build_intersection_table(
     to the grid, so off-screen splats land in the edge tiles); the ranges
     are expanded with ``np.repeat`` index arithmetic, no Python loop.
     """
-    if len(proj) == 0:
-        empty = np.zeros(0, dtype=int)
-        return IntersectionTable(grid=grid, tiles=empty, gaussians=empty)
     bbox = proj.bbox()
     ts = grid.tile_size
     tx0 = np.clip(np.floor(bbox[:, 0] / ts).astype(int), 0, grid.tiles_x - 1)

@@ -7,8 +7,9 @@ values 0.0, Γ carried), and every reduction is a sequential scan down the
 slot axis (:func:`slot_scan`).  The compiled kernel
 (``src/repro/render/kernels/_native.c``) walks the flat pair list instead
 but keeps that arithmetic, padding included — so a pixel shorter than the
-call's longest list adds ``+0.0`` to each forward total and starts each
-reverse suffix scan from the padding term ``(Γ·0)·0``.
+call's longest list (the frame's, for the dense pipeline's one call per
+frame) adds ``+0.0`` to each forward total and starts each reverse suffix
+scan from the padding term ``(Γ·0)·0``.
 
 The kernel's aggregating reverse pass adds each pair's isotropic-falloff
 partials straight into accumulators; :func:`aggregate` is its oracle, an

@@ -109,11 +109,17 @@ def scenes(draw):
 
 def stage_inputs(proj, grid, pixels):
     table = build_intersection_table(proj, grid)
-    sorted_lists = sort_intersection_table(table, proj)
+    sorted_gss = sort_intersection_table(table, proj)
     px, px_tiles = _rendered_pixels(grid, pixels)
     n_g = table.tile_counts()
     n_px = np.bincount(px_tiles, minlength=grid.num_tiles)
-    return sorted_lists, n_g, n_px, px
+    return sorted_gss, n_g, n_px, px
+
+
+def per_tile(sorted_gss, n_g):
+    """The flat tile-major sorted list split into the oracles' per-tile
+    lists."""
+    return np.split(sorted_gss, np.cumsum(n_g)[:-1])
 
 
 def assert_same_pairs(got, want,
@@ -131,12 +137,12 @@ CULL = ("pixel", "slot", "gaussian", "d2")
 def assert_cull_matches(proj, grid, pixels, tau):
     """The compiled cull emits the numpy axis-shared cull's arrays; returns
     them."""
-    sorted_lists, n_g, n_px, px = stage_inputs(proj, grid, pixels)
+    sorted_gss, n_g, n_px, px = stage_inputs(proj, grid, pixels)
     cutoff = alpha_cutoff(proj, tau)
-    got = _tile_cull(proj, sorted_lists, n_g, n_px, px, cutoff)
+    got = _tile_cull(proj, sorted_gss, n_g, n_px, px, cutoff)
     assert_same_pairs(
-        got, axis_shared_cull(proj, grid, sorted_lists, n_g, n_px, px,
-                              cutoff), CULL)
+        got, axis_shared_cull(proj, grid, per_tile(sorted_gss, n_g), n_g,
+                              n_px, px, cutoff), CULL)
     return got
 
 
@@ -156,9 +162,10 @@ def nan_scenes(draw):
 @settings(max_examples=250, deadline=None)
 def test_matches_per_tile_broadcast(scene):
     proj, grid, pixels, tau = scene
-    sorted_lists, n_g, n_px, px = stage_inputs(proj, grid, pixels)
-    got = _tile_pairs(proj, sorted_lists, n_g, n_px, px, tau)
-    want = tile_pairs_oracle(proj, sorted_lists, n_g, n_px, px + 0.5, tau)
+    sorted_gss, n_g, n_px, px = stage_inputs(proj, grid, pixels)
+    got = _tile_pairs(proj, sorted_gss, n_g, n_px, px, tau)
+    want = tile_pairs_oracle(proj, per_tile(sorted_gss, n_g), n_g, n_px,
+                             px + 0.5, tau)
     assert_same_pairs(got, want)
 
 
@@ -172,10 +179,11 @@ def test_boundary_cases_straddle_the_threshold():
     made += [threshold_splat(rng, 40, 30, tau) for _ in range(50)]
     mean, sigma, opacity = (np.array(x) for x in zip(*made))
     proj = splats(mean, sigma, opacity, np.linspace(1.0, 2.0, len(sigma)))
-    sorted_lists, n_g, n_px, px = stage_inputs(proj, grid, None)
-    want = tile_pairs_oracle(proj, sorted_lists, n_g, n_px, px + 0.5, tau)
+    sorted_gss, n_g, n_px, px = stage_inputs(proj, grid, None)
+    want = tile_pairs_oracle(proj, per_tile(sorted_gss, n_g), n_g, n_px,
+                             px + 0.5, tau)
     assert_same_pairs(
-        _tile_pairs(proj, sorted_lists, n_g, n_px, px, tau), want)
+        _tile_pairs(proj, sorted_gss, n_g, n_px, px, tau), want)
     alpha = want[3]
     assert np.any(alpha == tau)
     # α values within 8 ulps of τ that still pass: a cutoff without a
@@ -213,10 +221,10 @@ def test_nan_opacity_or_sigma_passes_no_pair(scene):
     proj, grid, pixels, tau = scene
     with np.errstate(invalid="ignore"):
         assert_cull_matches(proj, grid, pixels, tau)
-        sorted_lists, n_g, n_px, px = stage_inputs(proj, grid, pixels)
-        got = _tile_pairs(proj, sorted_lists, n_g, n_px, px, tau)
-        assert_same_pairs(got, tile_pairs_oracle(proj, sorted_lists, n_g,
-                                                 n_px, px + 0.5, tau))
+        sorted_gss, n_g, n_px, px = stage_inputs(proj, grid, pixels)
+        got = _tile_pairs(proj, sorted_gss, n_g, n_px, px, tau)
+        assert_same_pairs(got, tile_pairs_oracle(
+            proj, per_tile(sorted_gss, n_g), n_g, n_px, px + 0.5, tau))
     nan = np.isnan(proj.opacity) | np.isnan(proj.sigma2d)
     assert not nan[got[2]].any()
 
@@ -258,14 +266,13 @@ def test_cutoff_extremes_keep_every_or_no_candidate():
                                   "negative_count"])
 def test_bad_inputs_raise(edit):
     proj, grid, pixels = corner_scene()
-    sorted_lists, n_g, n_px, px = stage_inputs(proj, grid, pixels)
-    sorted_lists = [lst.copy() for lst in sorted_lists]
-    n_g, n_px = n_g.copy(), n_px.copy()
+    sorted_gss, n_g, n_px, px = stage_inputs(proj, grid, pixels)
+    sorted_gss, n_g, n_px = sorted_gss.copy(), n_g.copy(), n_px.copy()
     t = int(np.flatnonzero((n_g > 0) & (n_px > 0))[0])
     if edit == "gaussian_past_end":
-        sorted_lists[t][0] = len(proj)
+        sorted_gss[n_g[:t].sum()] = len(proj)
     elif edit == "negative_gaussian":
-        sorted_lists[t][0] = -1
+        sorted_gss[n_g[:t].sum()] = -1
     elif edit == "short_lists":
         n_g[t] += 1
     elif edit == "short_pixels":
@@ -273,5 +280,5 @@ def test_bad_inputs_raise(edit):
     else:
         n_g[t] = -1
     with pytest.raises(ValueError):
-        _tile_cull(proj, sorted_lists, n_g, n_px, px,
+        _tile_cull(proj, sorted_gss, n_g, n_px, px,
                    alpha_cutoff(proj, 0.0))

@@ -6,6 +6,8 @@ its whole sorted list — images, gradients, every counter and record
 stream, the sparsity atlas, and whole SLAM runs.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,8 @@ CASES = [
     ("empty_tiles", {"tile_size": 8, "pixels": SUBSET}),
     ("offscreen", {"tile_size": 8}),
     ("culled", {}),
+    # One tile (64 x 64) larger than the whole 45 x 33 frame.
+    ("full", {"tile_size": 64}),
 ]
 
 
@@ -110,17 +114,17 @@ def test_bit_identical_to_tile_loop(case):
 
 def test_benchmark_size_frame_bit_identical_to_tile_loop():
     """A frame at the benchmark's size and map density (64 x 48, room0 at
-    ``surface_density=10``, as perfbench renders it): three full 1024-pixel
-    blocks with real list lengths, which the tier-1 scenes above are too
-    small to reach."""
+    ``surface_density=10``, as perfbench renders it): one composite call
+    over 3,072 pixels with real list lengths, which the tier-1 scenes above
+    are too small to reach."""
     seq = make_replica_sequence("room0", n_frames=1, width=64, height=48,
                                 surface_density=10)
     cloud = seq.gt_cloud
     camera = Camera(seq.intrinsics, seq[0].gt_pose_c2w)
     engine = render_full(cloud, camera, BG)
     oracle = render_full_oracle(cloud, camera, BG)
-    assert [b.hi - b.lo for b in engine.blocks] == [1024] * 3
-    assert min(b.cache.lengths.max() for b in engine.blocks) >= 32
+    assert engine.cache.lengths.size == 3072
+    assert engine.cache.lengths.max() >= 32
     for name in ("color", "depth", "silhouette"):
         assert np.array_equal(getattr(engine, name), getattr(oracle, name))
     assert_stats_identical(engine.stats, oracle.stats)
@@ -135,9 +139,31 @@ def test_benchmark_size_frame_bit_identical_to_tile_loop():
     assert_stats_identical(g_engine.stats, g_oracle.stats)
 
 
+def test_one_composite_and_one_reverse_call_per_frame(monkeypatch):
+    """The whole frame (30 tiles of 8 x 8 here) is one native composite
+    call and one native reverse call."""
+    from repro.render.kernels import native
+
+    lib, calls = native.library(), Counter()
+
+    class Counting:
+        def __getattr__(self, name):
+            def counted(*args):
+                calls[name] += 1
+                return getattr(lib, name)(*args)
+            return counted
+
+    monkeypatch.setattr(native, "library", Counting)
+    cloud = make_cloud()
+    engine = render_full(cloud, CAMERA, BG, tile_size=8)
+    backward_full(engine, cloud, CAMERA, *loss_grads())
+    assert engine.grid.num_tiles == 30
+    assert calls["composite_forward"] == calls["composite_reverse"] == 1
+
+
 @pytest.mark.usefixtures("scan_branch")
 class TestScanBranches:
-    """The oracle cases again, every block's kernel calls checked against
+    """The oracle cases again, every frame's kernel calls checked against
     the padded numpy oracle with each ``slot_scan`` branch forced."""
 
     @pytest.mark.parametrize("case", CASES, ids=[case_id(c) for c in CASES])
@@ -151,8 +177,8 @@ class TestScanBranches:
 def test_cases_cover_the_edges():
     """The scenes really are degenerate in the advertised ways."""
     empty = render_full(SCENES["empty_tiles"](), CAMERA, BG)
-    assert 0 < sum(len(t) == 0 for t in empty.sorted_lists) < len(
-        empty.sorted_lists)
+    assert 0 < np.count_nonzero(empty.tile_counts == 0) < len(
+        empty.tile_counts)
     culled = render_full(SCENES["culled"](), CAMERA, BG)
     assert len(culled.proj) == 0
     off = render_full(SCENES["offscreen"](), CAMERA, BG, tile_size=8)
@@ -164,72 +190,13 @@ def test_keep_cache_false_yields_zero_gradients():
     cloud = make_cloud()
     engine = render_full(cloud, CAMERA, BG, keep_cache=False)
     oracle = render_full_oracle(cloud, CAMERA, BG, keep_cache=False)
-    assert engine.blocks is None
+    assert engine.cache is None and engine.slots is None
     assert np.array_equal(engine.color, oracle.color)
     d = loss_grads()
     g_engine = backward_full(engine, cloud, CAMERA, *d)
     g_oracle = backward_full_oracle(oracle, cloud, CAMERA, *d)
     for name in GRAD_FIELDS:
         assert not np.any(getattr(g_engine, name))
-    assert_stats_identical(g_engine.stats, g_oracle.stats)
-
-
-def test_result_independent_of_block_size(monkeypatch):
-    from repro.render import rasterize
-
-    cloud = make_cloud()
-    d = loss_grads()
-    ref = render_full(cloud, CAMERA, BG)
-    g_ref = backward_full(ref, cloud, CAMERA, *d)
-    monkeypatch.setattr(rasterize, "BLOCK_PIXELS", 37)
-    small = render_full(cloud, CAMERA, BG)
-    assert len(small.blocks) > len(ref.blocks)
-    g_small = backward_full(small, cloud, CAMERA, *d)
-    assert np.array_equal(small.color, ref.color)
-    for name in GRAD_FIELDS:
-        assert np.array_equal(getattr(g_small, name), getattr(g_ref, name))
-    assert_stats_identical(small.stats, ref.stats)
-    assert_stats_identical(g_small.stats, g_ref.stats)
-
-
-BLOCKING_CASES = [
-    # Block sizes that are not a multiple of the tile area.
-    (37, {}),
-    (37, {"tile_size": 8}),
-    (300, {}),
-    (300, {"tile_size": 8}),
-    (300, {"tile_size": 8, "pixels": SUBSET}),
-    # One tile (64 x 64 covers the whole 45 x 33 frame) larger than a block.
-    (37, {"tile_size": 64}),
-    (1024, {"tile_size": 64}),
-]
-
-
-@pytest.mark.parametrize(
-    "block_pixels, kwargs", BLOCKING_CASES,
-    ids=[f"block={b}-" + case_id(("full", kw)) for b, kw in BLOCKING_CASES])
-def test_blocking_bit_identical_to_tile_loop(block_pixels, kwargs,
-                                             monkeypatch):
-    """Any block size gives the oracle's bits: blocks hold whole tiles, so
-    no (tile, list slot) sum of the backward spans two blocks."""
-    from repro.render import rasterize
-
-    monkeypatch.setattr(rasterize, "BLOCK_PIXELS", block_pixels)
-    engine, g_engine, oracle, g_oracle = run_both("full", kwargs)
-
-    tiles = engine.pixel_tiles
-    assert len(engine.blocks) > 0
-    for b in engine.blocks:
-        assert b.lo == 0 or tiles[b.lo - 1] != tiles[b.lo], b.lo
-        assert b.hi == tiles.size or tiles[b.hi - 1] != tiles[b.hi], b.hi
-        if b.hi - b.lo > block_pixels:
-            assert np.all(tiles[b.lo:b.hi] == tiles[b.lo])
-    for name in ("color", "depth", "silhouette"):
-        assert np.array_equal(getattr(engine, name), getattr(oracle, name))
-    assert_stats_identical(engine.stats, oracle.stats)
-    for name in GRAD_FIELDS:
-        assert np.array_equal(getattr(g_engine, name),
-                              getattr(g_oracle, name)), name
     assert_stats_identical(g_engine.stats, g_oracle.stats)
 
 

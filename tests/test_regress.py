@@ -262,6 +262,21 @@ class TestEnvironmentMismatch:
         assert report.passed
         assert report.exit_code == 0
 
+    def test_only_an_overhead_comparison_warns(self):
+        """Counters and model figures are host-independent: comparing only
+        them warns about nothing; adding ``overhead`` brings the warning
+        back."""
+        base = make_payload()
+        base["environment"] = {"cpu_count": 1}
+        cur = make_payload()
+        cur["environment"] = {"cpu_count": 2}
+        quiet = compare_runs(cur, base, sections=("counters", "model"))
+        assert quiet.env_mismatches == []
+        assert "environment mismatch" not in quiet.format_markdown()
+        loud = compare_runs(cur, base, sections=("overhead",))
+        assert loud.env_mismatches == ["cpu_count: baseline 1 vs current 2"]
+        assert "WARNING: environment mismatch" in loud.format_markdown()
+
     def test_mismatches_land_in_the_json_report(self, tmp_path):
         base = make_payload()
         base["environment"] = {"numpy": "1.26.0"}

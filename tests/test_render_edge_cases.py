@@ -172,8 +172,7 @@ class TestPaddingIsInert:
             cloud, cam = self.scene(color0)
             if pipeline == "tile":
                 res = render_full(cloud, cam, BG)
-                caches = [(res.pixels[b.lo:b.hi], b.cache)
-                          for b in res.blocks]
+                caches = [(res.pixels, res.cache)]
                 color = res.color
             else:
                 res = render_sparse(cloud, cam, pixels, BG)
@@ -234,7 +233,7 @@ class TestEmptyPixelSets:
         cam = Camera(Intrinsics.from_fov(16, 12, 70.0))
         res = render_full(cloud, cam, BG, pixels=[])
         assert res.pixels.shape == (0, 2)
-        assert res.blocks == []
+        assert res.cache is None and res.slots.size == 0
         assert np.array_equal(res.color, np.tile(BG, (12, 16, 1)))
         assert not np.any(res.depth) and not np.any(res.silhouette)
         assert res.stats.num_pixels == 0
