@@ -51,8 +51,9 @@ def main():
         width=args.width, height=args.height, surface_density=10)
 
     # Observers of the run's one event stream (SLAMSystem.run): the
-    # flight recorder here; the live-telemetry RunAggregator and
-    # TelemetryStreamer (repro.obs.telemetry) attach the same way.
+    # flight recorder here, which flushes each record as it lands (so
+    # `tail -f` follows the run); the live-telemetry RunAggregator
+    # (repro.obs.telemetry) attaches the same way.
     flight = health = None
     observers = []
     if args.flight_record:

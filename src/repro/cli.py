@@ -26,17 +26,18 @@ report run.jsonl`` renders it as a markdown/HTML run report and ``repro
 report --diff a.jsonl b.jsonl`` aligns two runs frame-by-frame and
 reports where they first diverged (exit 1 on divergence, diff-style).
 
-``repro slam --serve-telemetry`` attaches a live run aggregator to the
-run and serves it from a background HTTP exporter (``/metrics`` in
-Prometheus text format, ``/healthz``, and a ``/runz`` JSON run
-snapshot, which a Prometheus scraper or ``curl`` can poll).  ``repro
-slam --telemetry-stream TARGET`` streams the run's events as
-newline-JSON to a file, ``tcp://host:port``, or ``unix:///path`` socket.
+The flight record is also the run's live event stream: the recorder
+flushes each record as the run emits it, so ``tail -f run.jsonl``
+follows the run.  ``repro slam --serve-telemetry`` attaches a live run
+aggregator to the run and serves it from a background HTTP exporter
+(``/metrics`` in Prometheus text format, ``/healthz``, and a ``/runz``
+JSON run snapshot, which a Prometheus scraper or ``curl`` can poll).
 
 Every observed ``repro slam`` run (and every run with ``--on-alert
 raise``) is checked by a health monitor under the ``--on-alert`` policy;
-a run that ``raise`` aborts closes its outputs, logs the alert, and
-exits with status 3 (:data:`EXIT_HEALTH_ABORT`).
+a run that ``raise`` aborts closes its flight record with the alert,
+closes its outputs, logs the alert, and exits with status 3
+(:data:`EXIT_HEALTH_ABORT`).
 
 ``repro slam --atlas atlas.jsonl.gz`` additionally records the sparsity
 atlas — per-frame spatial heatmaps of sampled pixels, candidate/contrib
@@ -90,14 +91,12 @@ def _version_text() -> str:
     from .obs.flight import FLIGHT_SCHEMA_VERSION
     from .obs.prof import PROFILE_SCHEMA_VERSION
     from .obs.runsdb import REGISTRY_SCHEMA_VERSION
-    from .obs.telemetry import STREAM_SCHEMA_VERSION
 
     lines = [f"repro {__version__}", "artifact schema versions:"]
     for name, version in (
             ("flight record", FLIGHT_SCHEMA_VERSION),
             ("bench trajectory", BENCH_SCHEMA_VERSION),
             ("sparsity atlas", ATLAS_SCHEMA_VERSION),
-            ("telemetry stream", STREAM_SCHEMA_VERSION),
             ("span profile", PROFILE_SCHEMA_VERSION),
             ("run registry", REGISTRY_SCHEMA_VERSION)):
         lines.append(f"  {name:18s} v{version}")
@@ -214,10 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SEC",
                         help="keep the telemetry endpoint serving this "
                              "many seconds after the run finishes")
-    p_slam.add_argument("--telemetry-stream", metavar="TARGET", default=None,
-                        help="stream the run's events as newline-JSON to "
-                             "TARGET (file path, tcp://host:port, or "
-                             "unix:///path)")
     _add_registry_option(p_slam)
 
     p_render = sub.add_parser("render", help="render a procedural scene or "
@@ -436,7 +431,7 @@ def _cmd_slam(args) -> int:
 
     from .io import save_cloud, save_ppm, save_trajectory_tum
     from .metrics import rpe
-    from .obs import ingest_pipeline_stats, metrics
+    from .obs import ingest_pipeline_stats
     from .obs.atlas import AtlasCollector, DEFAULT_ATLAS_TILE
     from .obs.flight import FlightRecorder
     from .obs.health import HealthConfig, HealthError, HealthMonitor
@@ -462,44 +457,24 @@ def _cmd_slam(args) -> int:
         registry = RunRegistry(args.registry)
         observers.append(registry)
 
-    # Live telemetry: a run aggregator (served over HTTP when asked) and a
-    # newline-JSON streamer, both plain run observers.
-    aggregator = server = streamer = None
-    telemetry_on = (args.serve_telemetry is not None
-                    or args.telemetry_stream is not None)
-    if telemetry_on:
-        from .obs.telemetry import (
-            DEFAULT_PORT,
-            RunAggregator,
-            TelemetryConfig,
-            TelemetryStreamer,
-        )
+    # Live telemetry: a run aggregator (a plain run observer, after the
+    # flight recorder, so a frame /runz shows is already on disk) served
+    # over HTTP.
+    aggregator = server = None
+    if args.serve_telemetry is not None:
+        from .obs.promexport import TelemetryHTTPServer
+        from .obs.telemetry import DEFAULT_PORT, RunAggregator, TelemetryConfig
 
         aggregator = RunAggregator()
         observers.append(aggregator)
-        if args.telemetry_stream is not None:
-            streamer = TelemetryStreamer(args.telemetry_stream)
-            observers.append(streamer)
-        if args.serve_telemetry is not None:
-            from .obs.promexport import TelemetryHTTPServer
-
-            port = (DEFAULT_PORT if args.serve_telemetry < 0
-                    else args.serve_telemetry)
-            server = TelemetryHTTPServer(
-                TelemetryConfig(host=args.telemetry_host, port=port),
-                aggregator=aggregator, streamer=streamer).start()
-            log.info(f"serving telemetry on {server.url} "
-                     f"(/metrics /healthz /runz); poll "
-                     f"{server.url}/runz for the run snapshot")
-        if streamer is not None:
-            streamer.start()
-            if streamer.failed:
-                log.warning(f"telemetry stream target "
-                            f"{args.telemetry_stream} unavailable "
-                            f"({streamer.error}); run continues, events "
-                            f"count as dropped")
-            else:
-                log.info(f"streaming telemetry to {args.telemetry_stream}")
+        port = (DEFAULT_PORT if args.serve_telemetry < 0
+                else args.serve_telemetry)
+        server = TelemetryHTTPServer(
+            TelemetryConfig(host=args.telemetry_host, port=port),
+            aggregator=aggregator).start()
+        log.info(f"serving telemetry on {server.url} "
+                 f"(/metrics /healthz /runz); poll "
+                 f"{server.url}/runz for the run snapshot")
 
     health = None
     if observers or args.on_alert == "raise":
@@ -514,38 +489,31 @@ def _cmd_slam(args) -> int:
         try:
             result = system.run(sequence, observers=observers)
         except HealthError as exc:
-            # The aborting alert never reaches a frame record: hand it to
-            # the live observers once, here.
+            # The aborting alert never reaches a frame record: it closes
+            # the flight record and reaches /runz once, here.
             aborted = exc.alert
-            for live in (aggregator, streamer):
-                if live is not None:
-                    live.consume("alert", aborted.as_dict())
+            if flight is not None:
+                flight.emit({"type": "alert", **aborted.as_dict()})
+            if aggregator is not None:
+                aggregator.consume("alert", aborted.as_dict())
         else:
-            if telemetry_on:
+            if server is not None:
                 # Fold the run's stage totals into the registry so the
-                # final /metrics scrape and the stream's last line carry
-                # the workload counters too.
+                # final /metrics scrape carries the workload counters too.
                 for stage in SLAMSystem.STAGES:
                     ingest_pipeline_stats(stage, result.stage_stats[stage])
                 if registry is not None:
                     aggregator.consume("registry", _registration(
                         registry, result.run_id))
-                if streamer is not None:
-                    streamer.consume("metrics", metrics.export())
     finally:
-        if telemetry_on and args.telemetry_linger > 0:
-            log.info(f"telemetry endpoint lingering "
-                     f"{args.telemetry_linger:g} s ...")
-            _time.sleep(args.telemetry_linger)
-        if streamer is not None:
-            stats = streamer.stop()
-            log.info(f"telemetry stream: {stats['lines']} lines to "
-                     f"{stats['target']} ({stats['dropped']} dropped)")
         if server is not None:
+            if args.telemetry_linger > 0:
+                log.info(f"telemetry endpoint lingering "
+                         f"{args.telemetry_linger:g} s ...")
+                _time.sleep(args.telemetry_linger)
             stats = server.stop()
             log.info(f"telemetry endpoint {stats['url']} closed "
-                     f"({stats['published']} run events, "
-                     f"{stats['dropped']} dropped)")
+                     f"({stats['published']} run events)")
         if flight is not None:
             flight.disable()
         if atlas is not None:

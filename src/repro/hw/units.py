@@ -42,9 +42,3 @@ class AccelReport:
         if self.total_s <= 0:
             return float("inf")
         return other_total_s / self.total_s
-
-    def energy_saving_over(self, other_energy_j: float) -> float:
-        """Reference energy divided by this design's energy (paper's metric)."""
-        if self.energy_j <= 0:
-            return float("inf")
-        return other_energy_j / self.energy_j

@@ -121,32 +121,17 @@ def measure_iteration(
     bg = np.zeros(3) if background is None else background
     cfg = LossConfig()
 
-    if mode == "tile":
-        result = render_full(cloud, camera, bg,
-                             record_per_pixel=record_per_pixel)
-        h, w = result.depth.shape
-        out = rgbd_loss(result.color.reshape(-1, 3), result.depth.ravel(),
-                        result.silhouette.ravel(),
-                        ref_color.reshape(-1, 3), ref_depth.ravel(),
-                        cfg, tracking=False)
-        grads = backward_full(result, cloud, camera,
-                              out.d_color.reshape(h, w, 3),
-                              out.d_depth.reshape(h, w),
-                              out.d_silhouette.reshape(h, w))
-    elif mode == "tile_sparse":
-        if pixels is None:
+    if mode in ("tile", "tile_sparse"):
+        if mode == "tile":
+            pixels = None
+        elif pixels is None:
             raise ValueError("tile_sparse mode needs pixels")
         result = render_full(cloud, camera, bg, pixels=pixels,
                              record_per_pixel=record_per_pixel)
-        h, w = result.depth.shape
-        out = rgbd_loss(result.color.reshape(-1, 3), result.depth.ravel(),
-                        result.silhouette.ravel(),
-                        ref_color.reshape(-1, 3), ref_depth.ravel(),
-                        cfg, tracking=False)
-        grads = backward_full(result, cloud, camera,
-                              out.d_color.reshape(h, w, 3),
-                              out.d_depth.reshape(h, w),
-                              out.d_silhouette.reshape(h, w))
+        out = rgbd_loss(result.color, result.depth, result.silhouette,
+                        ref_color, ref_depth, cfg, tracking=False)
+        grads = backward_full(result, cloud, camera, out.d_color,
+                              out.d_depth, out.d_silhouette)
     elif mode == "pixel":
         if pixels is None:
             raise ValueError("pixel mode needs pixels")

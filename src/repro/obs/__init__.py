@@ -31,9 +31,11 @@ layers lazily inside functions:
 - :mod:`repro.obs.flight` — the schema of ``SLAMSystem.run``'s event
   stream (header, one record per frame with poses, loss curves,
   sampling composition, workload counters and stage wall times, summary)
-  and the flight recorder, the observer that writes it as JSONL.  The
-  health monitor, atlas, run registry and live telemetry observe the
-  same stream; with no observer the run builds no record.
+  and the flight recorder, the observer that writes it as JSONL, one
+  flushed line per record — the one file that carries a run's events,
+  readable with ``tail -f`` while the run executes.  The health monitor,
+  atlas, run registry and live aggregator observe the same stream; with
+  no observer the run builds no record.
 - :mod:`repro.obs.health` — online health monitors over the run stream
   (NaN/∞, pose jumps, loss divergence, coverage collapse,
   runaway densification) with a ``warn``/``raise`` escalation policy.
@@ -46,10 +48,8 @@ layers lazily inside functions:
 - :mod:`repro.obs.prof` — the continuous profiler: per-span CPU time
   and opt-in tracemalloc allocation/peak deltas on the tracer, plus
   top-N self-time/alloc tables and a JSON profile export.
-- :mod:`repro.obs.telemetry` — the two live run observers: the
-  :class:`~repro.obs.telemetry.RunAggregator` live run snapshot and the
-  newline-JSON :class:`~repro.obs.telemetry.TelemetryStreamer` (a
-  bounded drop-oldest queue, so a slow sink never blocks the run).
+- :mod:`repro.obs.telemetry` — the live run observer: the
+  :class:`~repro.obs.telemetry.RunAggregator` live run snapshot.
 - :mod:`repro.obs.promexport` — the stdlib-only HTTP exporter over the
   aggregator: ``/metrics`` (Prometheus text exposition), ``/healthz``,
   and the ``/runz`` JSON run snapshot, behind ``repro slam
@@ -114,7 +114,7 @@ from .runsdb import (
     ingest_bench_payload,
     ingest_slam_run,
 )
-from .telemetry import RunAggregator, TelemetryConfig, TelemetryStreamer
+from .telemetry import RunAggregator, TelemetryConfig
 from .tracing import SpanRecord, Tracer, trace
 
 __all__ = [
@@ -170,7 +170,6 @@ __all__ = [
     "telemetry",
     "promexport",
     "TelemetryConfig",
-    "TelemetryStreamer",
     "RunAggregator",
     "TelemetryHTTPServer",
     "render_prometheus",

@@ -365,13 +365,16 @@ def _scn_mapping(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
           "proxy SLAM end-to-end run: accumulated per-stage workload "
           "counters + ATE")
 def _scn_slam_e2e(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
+    from ..core import SplatonicConfig
     from ..slam import SLAMSystem
 
     bundle = _bundle(cfg)
     # Per-pixel record lists are benchmark dead weight (nothing here reads
     # them); scalar counters are unaffected by the flag.
-    result = SLAMSystem("splatam", mode="sparse", seed=cfg.seed,
-                        record_per_pixel=False).run(bundle.sequence)
+    result = SLAMSystem(
+        "splatam", mode="sparse", seed=cfg.seed,
+        splatonic_config=SplatonicConfig(record_per_pixel=False),
+    ).run(bundle.sequence)
 
     counters: Dict[str, float] = {
         "frames": int(result.num_frames),
@@ -434,25 +437,26 @@ def _scn_kernels(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
 @scenario("obs_overhead",
           "observability cost: proxy SLAM with every obs feature off vs "
           "tracer+metrics+flight+atlas+health all on, plus a live-telemetry "
-          "leg (run aggregator + newline-JSON streamer) — gated ratios")
+          "leg (run aggregator + health monitor) — gated ratios")
 def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
-    import tempfile
     from time import perf_counter
 
     import numpy as np
 
+    from ..core import SplatonicConfig
     from ..slam import SLAMSystem
     from .atlas import AtlasCollector, AtlasLog
     from .flight import FlightRecorder
     from .health import HealthMonitor
     from .metrics import MetricsRegistry, ingest_pipeline_stats
-    from .telemetry import RunAggregator, TelemetryStreamer
+    from .telemetry import RunAggregator
 
     bundle = _bundle(cfg)
 
     def run_slam(*observers):
-        system = SLAMSystem("splatam", mode="sparse", seed=cfg.seed,
-                            record_per_pixel=False)
+        system = SLAMSystem(
+            "splatam", mode="sparse", seed=cfg.seed,
+            splatonic_config=SplatonicConfig(record_per_pixel=False))
         return system.run(bundle.sequence, observers=observers)
 
     def timed(*observers):
@@ -481,20 +485,13 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
         return result, seconds, (flight, collector, spans)
 
     def live_leg():
-        # The run aggregator plus a streamer pumping into a temp file, as
-        # `repro slam --serve-telemetry --telemetry-stream` attaches them.
-        # It must stay passive, lose nothing, and stay inside the gated
-        # overhead budget; its event count is the deterministic run
-        # stream (header + frames + summary).
+        # The run aggregator and health monitor, as `repro slam
+        # --serve-telemetry` attaches them.  It must stay passive and
+        # inside the gated overhead budget; its event count is the
+        # deterministic run stream (header + frames + summary).
         aggregator = RunAggregator(gauges=MetricsRegistry())
-        with tempfile.TemporaryDirectory() as tmp:
-            streamer = TelemetryStreamer(
-                os.path.join(tmp, "stream.jsonl")).start()
-            try:
-                result, seconds = timed(HealthMonitor(), aggregator, streamer)
-            finally:
-                stream = streamer.stop()
-        return result, seconds, (aggregator, stream)
+        result, seconds = timed(HealthMonitor(), aggregator)
+        return result, seconds, aggregator
 
     # Every leg but the all-on one runs with the tracer off, even when
     # the caller has it on — otherwise the "off" leg would already pay
@@ -524,7 +521,7 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     off_s, on_s, live_s = total_s("off"), total_s("on"), total_s("live")
     result_off = runs["off"][0][0]
     result_on, _, (flight, collector, spans) = runs["on"][0]
-    _, _, (aggregator, stream) = runs["live"][0]
+    _, _, aggregator = runs["live"][0]
 
     registry = MetricsRegistry()
     for stage in SLAMSystem.STAGES:
@@ -561,9 +558,6 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
         "metrics.counters": int(len(export["counters"])),
         "metrics.gauges": int(len(export["gauges"])),
         "telemetry.published": int(aggregator.run_events),
-        "telemetry.streamed": int(stream["lines"]),
-        "telemetry.dropped": int(sum(extra[1]["dropped"]
-                                     for _, _, extra in runs["live"])),
     }
     overhead = {
         "ratio": (on_s / off_s) if off_s > 0 else 0.0,

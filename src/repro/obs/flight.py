@@ -20,13 +20,17 @@ schema-versioned JSONL stream with exactly one record per frame:
   Umeyama-aligned per-frame residuals, so the stream reproduces
   ``SLAMResult.ate()`` exactly, the unaligned ATE, and the unaligned ATE
   of the static-camera and constant-velocity baselines), totals, and
-  every health alert raised.
+  every health alert raised.  A run that a health alert aborts (``repro
+  slam --on-alert raise``) has no summary: its record closes with an
+  ``alert`` record, the alert that stopped it.
 
 :meth:`repro.slam.SLAMSystem.run` builds each of these records once and
 hands it to every attached observer; the recorder is one of them (its
 ``on_header`` / ``on_frame`` / ``on_summary`` append the record), next to
-the health monitor, the atlas, the run registry and the live telemetry
-observers.
+the health monitor, the atlas, the run registry and the live aggregator.
+The recorder writes and flushes each record as it arrives, so the file
+is the run's live event stream too: ``tail -f run.jsonl | jq`` follows a
+run while it executes.
 A disabled :meth:`FlightRecorder.emit` is one attribute load + branch.
 Module-level imports are stdlib-only; numpy values are normalized by
 duck typing in :func:`to_plain`.
@@ -173,14 +177,6 @@ class FlightRecorder:
         """The accumulated records parsed into a :class:`FlightLog`."""
         return parse_flight_records(self._records, path=self._path)
 
-    def write_jsonl(self, path: str) -> int:
-        """Dump the accumulated records to ``path``; returns the count."""
-        with open(path, "w") as f:
-            for record in self._records:
-                json.dump(record, f, sort_keys=True)
-                f.write("\n")
-        return len(self._records)
-
 
 def run_header(**meta) -> Dict[str, Any]:
     """A run's header record: schema version, environment fingerprint
@@ -207,12 +203,15 @@ def _get(record: Dict[str, Any], dotted: str) -> Any:
 
 @dataclass
 class FlightLog:
-    """One parsed flight record: header + frame stream + summary."""
+    """One parsed flight record: header + frame stream + summary, plus
+    the closing alert of an aborted run."""
 
     header: Dict[str, Any]
     frames: List[Dict[str, Any]] = field(default_factory=list)
     summary: Optional[Dict[str, Any]] = None
     path: Optional[str] = None
+    #: ``alert`` records: the alert that aborted the run, if one did.
+    closing_alerts: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def num_frames(self) -> int:
@@ -223,7 +222,8 @@ class FlightLog:
         return [_get(frame, dotted) for frame in self.frames]
 
     def alerts(self) -> List[Dict[str, Any]]:
-        """Every alert in the stream: per-frame ones plus the summary's."""
+        """Every alert in the stream: per-frame ones, the summary's, and
+        the one that aborted the run."""
         out: List[Dict[str, Any]] = []
         for frame in self.frames:
             out.extend(frame.get("alerts") or [])
@@ -231,6 +231,8 @@ class FlightLog:
             for alert in self.summary.get("alerts") or []:
                 if alert not in out:
                     out.append(alert)
+        out.extend({k: v for k, v in record.items() if k != "type"}
+                   for record in self.closing_alerts)
         return out
 
 
@@ -254,7 +256,9 @@ def parse_flight_records(records: List[Dict[str, Any]],
         raise ValueError("frame records out of order")
     return FlightLog(header=header, frames=frames,
                      summary=summaries[-1] if summaries else None,
-                     path=path)
+                     path=path,
+                     closing_alerts=[r for r in records[1:]
+                                     if r.get("type") == "alert"])
 
 
 def read_flight_record(path: str) -> FlightLog:

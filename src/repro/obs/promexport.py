@@ -7,12 +7,11 @@ to the run (``repro slam --serve-telemetry``):
 
 - ``GET /metrics`` — the process-wide :data:`repro.obs.metrics.metrics`
   registry rendered in the Prometheus text exposition format (0.0.4),
-  plus the live path's own counters — run events the aggregator
-  received (``repro_telemetry_published_total``) and events the stream
-  dropped (``repro_telemetry_dropped_total``) — so a scraper can alert
-  on a consumer falling behind;
+  plus the run events the aggregator received
+  (``repro_telemetry_published_total``), so a scraper can see a run
+  stall;
 - ``GET /healthz`` — JSON liveness: run progress, health-alert ticker,
-  and the same two counters (always HTTP 200 while the process serves;
+  and the same event count (always HTTP 200 while the process serves;
   ``"status"`` flips from ``"ok"`` to ``"alerting"`` when health alerts
   fired);
 - ``GET /runz`` — the aggregator's live run snapshot (frame index, fps,
@@ -98,7 +97,7 @@ def render_prometheus(export: Dict[str, Any],
     gauges verbatim, histograms as summaries (``_count`` / ``_sum``)
     plus ``_min`` / ``_max`` gauges.  ``live_stats`` (the payload of
     :meth:`TelemetryHTTPServer.live_stats`) adds the live path's
-    published/dropped counters.
+    published-event counter.
     Output is deterministic: families sorted by exported name.
     """
     families: List[Tuple[str, str, List[Tuple[str, float]]]] = []
@@ -121,10 +120,9 @@ def render_prometheus(export: Dict[str, Any],
                 families.append((f"{out}_{stat}", "gauge",
                                  [(f"{out}_{stat}", float(snap[stat]))]))
     if live_stats is not None:
-        for key in ("published", "dropped"):
-            out = f"{METRIC_PREFIX}telemetry_{key}_total"
-            families.append((out, "counter",
-                             [(out, float(live_stats.get(key, 0)))]))
+        out = f"{METRIC_PREFIX}telemetry_published_total"
+        families.append((out, "counter",
+                         [(out, float(live_stats.get("published", 0)))]))
     warnings = export.get("warnings") or []
     families.append((f"{METRIC_PREFIX}warnings", "gauge",
                      [(f"{METRIC_PREFIX}warnings", float(len(warnings)))]))
@@ -236,34 +234,28 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
     """Background ``/metrics``–``/healthz``–``/runz`` exporter.
 
     Serves ``aggregator`` (a fresh one unless given; attach it to the run
-    as an observer) and, when given, the ``streamer``'s drop counter.
-    ``port=0`` binds an ephemeral port (tests); the bound address is
-    :attr:`url`.
+    as an observer).  ``port=0`` binds an ephemeral port (tests); the
+    bound address is :attr:`url`.
     """
 
     daemon_threads = True
 
     def __init__(self, config: Optional[TelemetryConfig] = None,
-                 registry=None, aggregator: Optional[RunAggregator] = None,
-                 streamer=None):
+                 registry=None, aggregator: Optional[RunAggregator] = None):
         self.config = config or TelemetryConfig()
         if registry is None:
             from .metrics import metrics as registry
         self.registry = registry
         self.aggregator = (aggregator if aggregator is not None else
                            RunAggregator(series_len=self.config.series_len))
-        self.streamer = streamer
         self._thread: Optional[threading.Thread] = None
         super().__init__((self.config.host, self.config.port), _Handler)
 
     # ---- views the handler serves ----
 
     def live_stats(self) -> Dict[str, int]:
-        """Run events the aggregator received; events the stream
-        dropped."""
-        return {"published": self.aggregator.run_events,
-                "dropped": (self.streamer.dropped
-                            if self.streamer is not None else 0)}
+        """Run events the aggregator received."""
+        return {"published": self.aggregator.run_events}
 
     def render_metrics(self) -> str:
         return render_prometheus(self.registry.export(),

@@ -41,7 +41,7 @@ Design rules, matching the rest of the stack:
   (bench/flight); everything else is lazy.
 
 ``repro slam --registry`` hands the registration (run id plus registry
-counters) to its live telemetry observers, so the final ``/runz``
+counters) to its live run aggregator, so the final ``/runz``
 snapshot names the registered run.
 """
 

@@ -1,31 +1,25 @@
-"""Live telemetry: run observers that make a SLAM run watchable while it
-executes.
+"""Live telemetry: the run observer that makes a SLAM run watchable while
+it executes.
 
-Every other observability surface in :mod:`repro.obs` is post-hoc — the
-tracer, flight recorder, atlas, and profiler all write artifacts after a
-run finishes.  Live telemetry attaches two more observers to
-:meth:`repro.slam.SLAMSystem.run`'s event stream (header, one record per
-frame, summary), next to the flight recorder and the health monitor:
+:class:`RunAggregator` attaches to :meth:`repro.slam.SLAMSystem.run`'s
+event stream (header, one record per frame, summary), next to the flight
+recorder and the health monitor.  It folds the stream into one live run
+snapshot — the ``/runz`` document the HTTP exporter in
+:mod:`repro.obs.promexport` serves — and sets the ``slam.*`` gauges
+``/metrics`` exposes.  The run's events themselves live in one file, the
+flight record (:mod:`repro.obs.flight`): the recorder writes and flushes
+each record as the run emits it, so ``tail -f run.jsonl`` follows a run
+as it happens.
 
-- :class:`RunAggregator` folds the stream into one live run snapshot —
-  the ``/runz`` document the HTTP exporter in :mod:`repro.obs.promexport`
-  serves — and sets the ``slam.*`` gauges ``/metrics`` exposes;
-- :class:`TelemetryStreamer` writes every event as one newline-JSON line
-  to a file or a ``tcp://`` / ``unix://`` socket.
-
-Three events arrive outside the run stream, and the caller hands them
-over through ``consume(kind, payload)``: the health alert that aborts a
-run (``"alert"``, to both), the post-run metrics export (``"metrics"``,
-the stream's last line) and the run-registry registration
-(``"registry"``, the ``/runz`` ``registry`` key).
+Two events arrive outside the run stream, and the caller hands them over
+through ``consume(kind, payload)``: the health alert that aborts a run
+(``"alert"``) and the run-registry registration (``"registry"``, the
+``/runz`` ``registry`` key).
 
 Design rules, in order of importance:
 
-- **Never block the run.**  The streamer queues each event on its own
-  bounded queue, drained by a pump thread; when a slow sink falls
-  behind, the *oldest* events are dropped (live-dashboard semantics:
-  recent beats complete) and counted, never buffered without bound.
-  The aggregator's per-event work is a few dict updates under a lock.
+- **Never block the run.**  The aggregator's per-event work is a few
+  dict updates under a lock.
 - **Passive.**  Observing changes nothing the run computes; an
   unobserved run builds no record at all.
 - **Stdlib-only.**  Module-level imports reach only the stdlib-only
@@ -34,8 +28,6 @@ Design rules, in order of importance:
 
 from __future__ import annotations
 
-import json
-import socket
 import threading
 import time
 from collections import deque
@@ -46,18 +38,12 @@ from .metrics import MetricsRegistry, metrics as default_metrics
 
 __all__ = [
     "DEFAULT_PORT",
-    "STREAM_SCHEMA_VERSION",
     "TelemetryConfig",
     "RunAggregator",
-    "TelemetryStreamer",
 ]
 
 #: Default port of the ``repro slam --serve-telemetry`` HTTP exporter.
 DEFAULT_PORT = 9464
-
-#: Version of the newline-JSON stream-line layout the
-#: :class:`TelemetryStreamer` writes (``{"seq", "ts", "kind", "data"}``).
-STREAM_SCHEMA_VERSION = 1
 
 #: The event kinds :meth:`repro.slam.SLAMSystem.run` emits.
 RUN_EVENT_KINDS = ("header", "frame", "summary")
@@ -258,196 +244,3 @@ class RunAggregator:
                 "summary": self.summary,
                 "registry": self.registry,
             }
-
-
-# ---------------------------------------------------------------------------
-# Newline-JSON stream exporter
-# ---------------------------------------------------------------------------
-
-def _open_stream_sink(target: str):
-    """Open a line sink for ``target``.
-
-    - ``tcp://host:port``   — TCP connection;
-    - ``unix:///path/sock`` — unix domain socket;
-    - anything else         — appendable file path.
-    """
-    if target.startswith("tcp://"):
-        host, _, port = target[len("tcp://"):].rpartition(":")
-        if not host or not port.isdigit():
-            raise ValueError(f"bad tcp telemetry target {target!r} "
-                             f"(want tcp://host:port)")
-        sock = socket.create_connection((host, int(port)), timeout=5.0)
-        return sock.makefile("w", encoding="utf-8", newline="\n")
-    if target.startswith("unix://"):
-        path = target[len("unix://"):]
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.connect(path)
-        return sock.makefile("w", encoding="utf-8", newline="\n")
-    return open(target, "a", encoding="utf-8")
-
-
-class TelemetryStreamer:
-    """Streams run events as newline-JSON to a file or socket.
-
-    Each line is ``{"seq": N, "ts": T, "kind": K, "data": {...}}``
-    (layout :data:`STREAM_SCHEMA_VERSION`) — tail it with ``tail -f`` /
-    ``jq``, or point it at a collector over ``tcp://``/``unix://``.  As a
-    run observer it queues every event on a bounded queue of ``maxlen``
-    events that drops the oldest when full; a daemon thread pumps the
-    queue into the sink on an interval, so a slow sink never blocks the
-    run.  :meth:`pump` is also callable synchronously (tests, or the
-    final flush on :meth:`stop`).
-
-    Sink failures never take the run down: a refused connection at
-    :meth:`start` (or a peer disconnect mid-stream) marks the streamer
-    :attr:`failed`, and every event that can no longer be written is
-    counted in :attr:`dropped` — so ``delivered == lines + dropped``
-    holds once the queue is drained and the loss is visible rather than
-    fatal.  Pass ``strict=True`` to :meth:`start` to raise on connect
-    instead.  Malformed targets always raise ValueError.
-    """
-
-    def __init__(self, target: str, maxlen: int = 4096,
-                 interval: float = 0.05):
-        if maxlen <= 0:
-            raise ValueError("queue capacity must be positive")
-        self.target = target
-        self.interval = float(interval)
-        #: Events ever queued.
-        self.delivered = 0
-        #: Events evicted from the full queue (part of :attr:`dropped`).
-        self.queue_dropped = 0
-        self.lines_written = 0
-        #: Events drained after the sink failed (part of :attr:`dropped`).
-        self.lines_dropped = 0
-        self._queue: deque = deque(maxlen=int(maxlen))
-        self._seq = 0
-        self._queue_lock = threading.Lock()
-        self._sink = None
-        self._error: Optional[str] = None
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
-
-    # ---- run-event observer (see SLAMSystem.run) ----
-
-    def on_header(self, header: Dict[str, Any]) -> None:
-        self.consume("header", header)
-
-    def on_frame(self, record: Dict[str, Any], stages) -> None:
-        self.consume("frame", record)
-
-    def on_summary(self, summary: Dict[str, Any]) -> None:
-        self.consume("summary", summary)
-
-    def consume(self, kind: str, payload: Dict[str, Any]) -> None:
-        """Queue one event; evicts (and counts) the oldest when full."""
-        with self._queue_lock:
-            self._seq += 1
-            if len(self._queue) == self._queue.maxlen:
-                self.queue_dropped += 1
-            self.delivered += 1
-            self._queue.append((self._seq, time.time(), kind, payload))
-
-    # ---- state ----
-
-    @property
-    def dropped(self) -> int:
-        """Total events lost: queue overflow plus sink-failure drops."""
-        return self.queue_dropped + self.lines_dropped
-
-    @property
-    def failed(self) -> bool:
-        return self._error is not None
-
-    @property
-    def error(self) -> Optional[str]:
-        return self._error
-
-    def _fail(self, exc: BaseException) -> None:
-        self._error = f"{type(exc).__name__}: {exc}"
-        if self._sink is not None:
-            try:
-                self._sink.close()
-            except OSError:
-                pass
-            self._sink = None
-
-    # ---- lifecycle ----
-
-    def start(self, background: bool = True,
-              strict: bool = False) -> "TelemetryStreamer":
-        """Open the sink and (optionally) spawn the pump thread.
-
-        A sink that cannot be opened (e.g. ``tcp://`` connection
-        refused) marks the streamer :attr:`failed` instead of raising,
-        so the instrumented run proceeds and the loss shows up in the
-        drop counter; ``strict=True`` re-raises.  Malformed targets
-        always raise ValueError.
-        """
-        try:
-            self._sink = _open_stream_sink(self.target)
-        except OSError as exc:
-            if strict:
-                raise
-            self._fail(exc)
-        if background and self._sink is not None:
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run, name="repro-telemetry-stream", daemon=True)
-            self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.pump()
-            if self._sink is None:      # sink went away; stop quietly
-                break
-
-    def pump(self) -> int:
-        """Drain the queue into the sink; returns lines written.
-
-        With a failed (or never-opened) sink the drained events are
-        counted as dropped instead of written, keeping
-        ``delivered == lines_written + dropped + queued`` exact.
-        """
-        with self._queue_lock:
-            events = list(self._queue)
-            self._queue.clear()
-        if not events:
-            return 0
-        with self._lock:
-            if self._sink is None:
-                self.lines_dropped += len(events)
-                return 0
-            try:
-                for seq, ts, kind, payload in events:
-                    json.dump({"seq": seq, "ts": ts, "kind": kind,
-                               "data": payload}, self._sink, sort_keys=True)
-                    self._sink.write("\n")
-                self._sink.flush()
-            except OSError as exc:
-                # The whole batch is unconfirmed once the sink breaks
-                # (buffered writes never reached the peer): count every
-                # event as dropped, none as written.
-                self._fail(exc)
-                self.lines_dropped += len(events)
-                return 0
-            self.lines_written += len(events)
-        return len(events)
-
-    def stop(self) -> Dict[str, Any]:
-        """Final pump, close; returns the streamer's stats."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-        self.pump()
-        if self._sink is not None:
-            try:
-                self._sink.close()
-            except OSError:
-                pass
-            self._sink = None
-        return {"target": self.target, "lines": self.lines_written,
-                "dropped": self.dropped, "error": self._error}

@@ -6,8 +6,9 @@ pixels — those whose rendered silhouette is close to 1 — so unreconstructed
 regions cannot drag the pose (the red-block assumption of Fig. 1).
 
 Every loss function returns the scalar loss together with the gradients
-w.r.t. the rendered color / depth / silhouette, ready to feed the
-renderers' backward passes.
+w.r.t. the rendered color / depth / silhouette, in the shape of the
+inputs, ready to feed the renderers' backward passes: a sparse pixel
+batch and a dense image go through the same call.
 """
 
 from __future__ import annotations
@@ -69,10 +70,11 @@ def rgbd_loss(
 ) -> LossOutput:
     """Weighted L1 color + depth loss over a batch of pixels.
 
-    Inputs are flat per-pixel arrays: color ``(K, 3)``, depth and
-    silhouette ``(K,)``.  Dense images must be raveled by the caller.
-    The loss is normalized by the number of *valid* pixels so sparse and
-    dense passes are on the same scale.
+    Inputs are per-pixel arrays of any leading shape: a sparse batch
+    (color ``(K, 3)``, depth and silhouette ``(K,)``) or a dense image
+    (``(H, W, 3)`` and ``(H, W)``); the gradients come back in the same
+    shapes.  The loss is normalized by the number of *valid* pixels so
+    sparse and dense passes are on the same scale.
     """
     rendered_color = np.atleast_2d(np.asarray(rendered_color, dtype=float))
     rendered_depth = np.atleast_1d(np.asarray(rendered_depth, dtype=float))
@@ -80,15 +82,15 @@ def rgbd_loss(
         np.asarray(rendered_silhouette, dtype=float))
     ref_color = np.atleast_2d(np.asarray(ref_color, dtype=float))
     ref_depth = np.atleast_1d(np.asarray(ref_depth, dtype=float))
-    K = rendered_depth.shape[0]
+    shape = rendered_depth.shape
 
     valid = ref_depth > 0.0
     if tracking:
         valid = valid & (rendered_silhouette > config.silhouette_threshold)
     n_valid = int(valid.sum())
-    d_color = np.zeros((K, 3))
-    d_depth = np.zeros(K)
-    d_silhouette = np.zeros(K)
+    d_color = np.zeros(shape + (3,))
+    d_depth = np.zeros(shape)
+    d_silhouette = np.zeros(shape)
     if n_valid == 0:
         return LossOutput(0.0, d_color, d_depth, d_silhouette, 0)
 

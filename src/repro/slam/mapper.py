@@ -166,50 +166,41 @@ class Mapper:
             "unseen_coverage": float(unseen_mask(gamma_final).mean()),
             "full_frame": bool(full_frame or self.mode == "dense"),
         }
-        kf_pixels = []
-        # Per-keyframe loop invariants, gathered once per invocation:
-        # the reference color/depth at the sampled pixels (the pixel set
+        # Per-keyframe loop invariants, gathered once per invocation: the
+        # pixel set (None renders the whole frame through the dense tile
+        # pipeline), the reference color/depth at those pixels (the set
         # is fixed for the whole iteration loop) and one
-        # temporal-coherence render cache per keyframe stream (fixed
-        # camera + pixels; the Gaussian parameters drift by Adam steps).
+        # temporal-coherence render cache per sparse keyframe stream
+        # (fixed camera + pixels; the Gaussian parameters drift by Adam
+        # steps).
+        kf_pixels = []
         kf_refs = []
         kf_caches = []
         for kf in window:
-            if self.mode == "sparse":
-                if kf.index == current.index:
-                    if full_frame:
-                        # A None entry routes this keyframe through the
-                        # dense tile-pipeline branch below.
-                        kf_pixels.append(None)
-                        kf_refs.append(None)
-                        kf_caches.append(None)
-                        continue
-                    samples = self.splatonic.sample_mapping(
-                        gamma_final, current.color,
-                        weight=current.texture_weight())
-                    px = samples.all_pixels
-                    sample_info.update(samples.counts())
-                else:
-                    # Older keyframes: no fresh Gamma map; use the
-                    # texture-weighted lattice only.  The Sobel weight is
-                    # memoized on the keyframe (colors never change), so
-                    # repeat invocations skip the filter recompute.
-                    samples = self.splatonic.sample_mapping(
-                        np.zeros_like(gamma_final), kf.color,
-                        weight=kf.texture_weight())
-                    px = samples.all_pixels
-                px = np.reshape(px, (-1, 2))
-                kf_pixels.append(px)
-                if px.shape[0]:
-                    kf_refs.append((kf.color[px[:, 1], px[:, 0]],
-                                    kf.depth[px[:, 1], px[:, 0]]))
-                else:
-                    kf_refs.append(None)
-                kf_caches.append(self.splatonic.make_render_cache("mapping"))
-            else:
+            if self.mode == "dense" or (kf.index == current.index
+                                        and full_frame):
                 kf_pixels.append(None)
-                kf_refs.append(None)
+                kf_refs.append((kf.color, kf.depth))
                 kf_caches.append(None)
+                continue
+            if kf.index == current.index:
+                samples = self.splatonic.sample_mapping(
+                    gamma_final, current.color,
+                    weight=current.texture_weight())
+                sample_info.update(samples.counts())
+            else:
+                # Older keyframes: no fresh Gamma map; use the
+                # texture-weighted lattice only.  The Sobel weight is
+                # memoized on the keyframe (colors never change), so
+                # repeat invocations skip the filter recompute.
+                samples = self.splatonic.sample_mapping(
+                    np.zeros_like(gamma_final), kf.color,
+                    weight=kf.texture_weight())
+            px = np.reshape(samples.all_pixels, (-1, 2))
+            kf_pixels.append(px)
+            kf_refs.append((kf.color[px[:, 1], px[:, 0]],
+                            kf.depth[px[:, 1], px[:, 0]]))
+            kf_caches.append(self.splatonic.make_render_cache("mapping"))
 
         n = len(cloud)
         adam = Adam(8 * n, _mapping_lr(self.algo, n))
@@ -220,41 +211,27 @@ class Mapper:
             kf = window[kf_i]
             cam = Camera(self.intrinsics, kf.pose_c2w)
             px = kf_pixels[kf_i]
-            if px is not None:
-                if px.shape[0] == 0:
-                    continue
-                with trace.span("mapping_fwd", iteration=it,
-                                keyframe=kf.index):
+            if px is not None and px.shape[0] == 0:
+                continue
+            # Dense vs sparse picks only the render and the backward
+            # pass; the loss takes the full frame or the pixels alike.
+            with trace.span("mapping_fwd", iteration=it, keyframe=kf.index):
+                if px is None:
+                    result = self.splatonic.render_full(
+                        cloud, cam, self.background)
+                else:
                     result = self.splatonic.render_sparse(
                         cloud, cam, px, self.background,
                         cache=kf_caches[kf_i])
-                    ref_c, ref_d = kf_refs[kf_i]
-                    out = rgbd_loss(result.color, result.depth,
-                                    result.silhouette, ref_c, ref_d,
-                                    self.algo.mapping_loss, tracking=False)
-                with trace.span("mapping_bwd", iteration=it,
-                                keyframe=kf.index):
-                    grads = self.splatonic.backward_sparse(
-                        result, cloud, cam,
-                        out.d_color, out.d_depth, out.d_silhouette)
-            else:
-                with trace.span("mapping_fwd", iteration=it,
-                                keyframe=kf.index):
-                    result = self.splatonic.render_full(
-                        cloud, cam, self.background)
-                    h, w = kf.depth.shape
-                    out = rgbd_loss(
-                        result.color.reshape(-1, 3), result.depth.ravel(),
-                        result.silhouette.ravel(), kf.color.reshape(-1, 3),
-                        kf.depth.ravel(), self.algo.mapping_loss,
-                        tracking=False)
-                with trace.span("mapping_bwd", iteration=it,
-                                keyframe=kf.index):
-                    grads = backward_full(
-                        result, cloud, cam,
-                        out.d_color.reshape(h, w, 3),
-                        out.d_depth.reshape(h, w),
-                        out.d_silhouette.reshape(h, w))
+                ref_c, ref_d = kf_refs[kf_i]
+                out = rgbd_loss(result.color, result.depth,
+                                result.silhouette, ref_c, ref_d,
+                                self.algo.mapping_loss, tracking=False)
+            backward = (backward_full if px is None
+                        else self.splatonic.backward_sparse)
+            with trace.span("mapping_bwd", iteration=it, keyframe=kf.index):
+                grads = backward(result, cloud, cam,
+                                 out.d_color, out.d_depth, out.d_silhouette)
             fwd_stats.merge(result.stats)
             bwd_stats.merge(grads.stats)
             loss_value = out.loss

@@ -10,27 +10,9 @@ means/scales/opacities/colors their own learning rates.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
 import numpy as np
 
-__all__ = ["Adam", "packed_cloud_blocks"]
-
-
-def packed_cloud_blocks(old_n: int, new_n: int) -> List[Tuple[int, int]]:
-    """(old, new) block sizes of ``GaussianCloud.pack()`` vectors.
-
-    The packed layout is block-ordered ``[means (3n), log_scales (n),
-    logit_opacities (n), colors (3n)]`` — the layout ``_mapping_lr``
-    builds its per-parameter learning rates against.  Growing from
-    ``old_n`` to ``new_n`` Gaussians must insert the new state *inside
-    each block*, not at the vector tail (which would land it in the
-    colors block).
-    """
-    if new_n < old_n:
-        raise ValueError("Gaussian count can only grow")
-    return [(3 * old_n, 3 * new_n), (old_n, new_n), (old_n, new_n),
-            (3 * old_n, 3 * new_n)]
+__all__ = ["Adam"]
 
 
 class Adam:
@@ -58,50 +40,3 @@ class Adam:
         m_hat = self.m / (1.0 - self.beta1 ** self.t)
         v_hat = self.v / (1.0 - self.beta2 ** self.t)
         return -self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def resize(self, new_size: int,
-               blocks: Optional[Sequence[Tuple[int, int]]] = None) -> None:
-        """Grow the state with zeros when new parameters are appended.
-
-        ``blocks`` describes a block-ordered layout as ``(old, new)``
-        segment sizes; fresh zeros (and the segment's trailing learning
-        rate) are inserted at the *end of each block*.  Without it the
-        vector is treated as one flat block and grown at the tail —
-        correct for genuinely flat layouts only.  Packed Gaussian-cloud
-        vectors are block-ordered ``[means, scales, opacities, colors]``,
-        so they must pass :func:`packed_cloud_blocks`; a tail append
-        would land new-Gaussian momentum in the colors block.
-        """
-        old_size = self.m.shape[0]
-        if new_size < old_size:
-            raise ValueError("Adam state can only grow")
-        if new_size == old_size:
-            return
-        if blocks is None:
-            blocks = [(old_size, new_size)]
-        if sum(o for o, _ in blocks) != old_size:
-            raise ValueError(
-                f"blocks describe {sum(o for o, _ in blocks)} old entries, "
-                f"state has {old_size}")
-        if sum(n for _, n in blocks) != new_size:
-            raise ValueError(
-                f"blocks describe {sum(n for _, n in blocks)} new entries, "
-                f"asked to resize to {new_size}")
-        if any(n < o for o, n in blocks):
-            raise ValueError("every block can only grow")
-        m_parts, v_parts, lr_parts = [], [], []
-        offset = 0
-        for old, new in blocks:
-            m_parts.append(self.m[offset:offset + old])
-            v_parts.append(self.v[offset:offset + old])
-            lr_parts.append(self.lr[offset:offset + old])
-            extra = new - old
-            if extra:
-                m_parts.append(np.zeros(extra))
-                v_parts.append(np.zeros(extra))
-                block_lr = self.lr[offset + old - 1] if old else 0.0
-                lr_parts.append(np.full(extra, block_lr))
-            offset += old
-        self.m = np.concatenate(m_parts)
-        self.v = np.concatenate(v_parts)
-        self.lr = np.concatenate(lr_parts)

@@ -113,27 +113,15 @@ class SLAMSystem:
         seed: int = 0,
         background: Optional[np.ndarray] = None,
         bootstrap_stride: int = 2,
-        record_per_pixel: Optional[bool] = None,
-        render_cache: Optional[bool] = None,
     ):
-        """``record_per_pixel`` / ``render_cache`` override the matching
-        :class:`SplatonicConfig` fields when given (``None`` keeps the
-        config's value)."""
         self.algo: AlgorithmConfig = (
             algorithm if isinstance(algorithm, AlgorithmConfig)
             else get_algorithm(algorithm))
         if mode not in ("sparse", "dense"):
             raise ValueError("mode must be 'sparse' or 'dense'")
         self.mode = mode
-        config = splatonic_config or SplatonicConfig()
-        overrides = {}
-        if record_per_pixel is not None:
-            overrides["record_per_pixel"] = record_per_pixel
-        if render_cache is not None:
-            overrides["render_cache"] = render_cache
-        if overrides:
-            config = config.with_overrides(**overrides)
-        self.splatonic = Splatonic(config, rng=np.random.default_rng(seed))
+        self.splatonic = Splatonic(splatonic_config or SplatonicConfig(),
+                                   rng=np.random.default_rng(seed))
         self.background = (np.full(3, 0.05) if background is None
                            else np.asarray(background, float))
         self.bootstrap_stride = bootstrap_stride
@@ -146,8 +134,8 @@ class SLAMSystem:
         and a summary (schema in :mod:`repro.obs.flight`) — and hands each
         event to every observer's ``on_header`` / ``on_frame(record,
         stages)`` / ``on_summary``: flight recorders, health monitors,
-        atlas collectors, run registries and the live telemetry
-        observers.  A listened-to run is checked by the attached health
+        atlas collectors, run registries and the live run
+        aggregator.  A listened-to run is checked by the attached health
         monitor (else the process default), which also receives the
         tracker/mapper finite-guard alerts.  With no observer no record
         is built: the run is bit-identical to an uninstrumented one.

@@ -108,18 +108,20 @@ class Tracker:
         bwd_stats = PipelineStats(pipeline=self.mode, record_per_pixel=record)
         if pixels is not None and self.mode != "sparse":
             raise ValueError("pixels= needs sparse tracking")
+        # Dense vs sparse picks only the render and the backward pass;
+        # the loss takes the full images or the sampled pixels alike.
+        backward = backward_full
         if self.mode == "sparse":
             if pixels is None:
                 pixels = self.splatonic.sample_tracking(
                     Camera(self.intrinsics, pose), image=ref_color)
-            ref_c = ref_color[pixels[:, 1], pixels[:, 0]]
-            ref_d = ref_depth[pixels[:, 1], pixels[:, 0]]
-            num_sampled = int(len(pixels))
+            ref_color = ref_color[pixels[:, 1], pixels[:, 0]]
+            ref_depth = ref_depth[pixels[:, 1], pixels[:, 0]]
             # One temporal-coherence cache per frame: the pixel set is
             # fixed for the whole pose optimization, only the pose drifts.
             render_cache = self.splatonic.make_render_cache("tracking")
-        else:
-            num_sampled = int(ref_depth.size)
+            backward = self.splatonic.backward_sparse
+        num_sampled = int(ref_depth.size)
 
         best_loss = np.inf
         stall = 0
@@ -129,36 +131,21 @@ class Tracker:
         curve: Optional[List[float]] = [] if collect_curve else None
         for it in range(1, iters + 1):
             camera = Camera(self.intrinsics, pose)
-            if self.mode == "sparse":
-                with trace.span("tracking_fwd", iteration=it):
+            with trace.span("tracking_fwd", iteration=it):
+                if pixels is None:
+                    result = self.splatonic.render_full(
+                        cloud, camera, self.background)
+                else:
                     result = self.splatonic.render_sparse(
                         cloud, camera, pixels, self.background,
                         cache=render_cache)
-                    out = rgbd_loss(result.color, result.depth,
-                                    result.silhouette, ref_c, ref_d,
-                                    self.algo.tracking_loss, tracking=True)
-                with trace.span("tracking_bwd", iteration=it):
-                    grads = self.splatonic.backward_sparse(
-                        result, cloud, camera,
-                        out.d_color, out.d_depth, out.d_silhouette,
-                        pose_only=True)
-            else:
-                with trace.span("tracking_fwd", iteration=it):
-                    result = self.splatonic.render_full(
-                        cloud, camera, self.background)
-                    h, w = ref_depth.shape
-                    out = rgbd_loss(
-                        result.color.reshape(-1, 3), result.depth.ravel(),
-                        result.silhouette.ravel(), ref_color.reshape(-1, 3),
-                        ref_depth.ravel(), self.algo.tracking_loss,
-                        tracking=True)
-                with trace.span("tracking_bwd", iteration=it):
-                    grads = backward_full(
-                        result, cloud, camera,
-                        out.d_color.reshape(h, w, 3),
-                        out.d_depth.reshape(h, w),
-                        out.d_silhouette.reshape(h, w),
-                        pose_only=True)
+                out = rgbd_loss(result.color, result.depth,
+                                result.silhouette, ref_color, ref_depth,
+                                self.algo.tracking_loss, tracking=True)
+            with trace.span("tracking_bwd", iteration=it):
+                grads = backward(result, cloud, camera,
+                                 out.d_color, out.d_depth, out.d_silhouette,
+                                 pose_only=True)
             fwd_stats.merge(result.stats)
             bwd_stats.merge(grads.stats)
             loss_value = out.loss

@@ -123,11 +123,9 @@ class TestSuiteRun:
                     "spans"):
             assert counters[key] > 0, key
         # The live leg saw the whole run stream (header + frames +
-        # summary) and streamed every event of it.
+        # summary).
         frames = counters["frames"]
         assert counters["telemetry.published"] == frames + 2
-        assert counters["telemetry.streamed"] == frames + 2
-        assert counters["telemetry.dropped"] == 0
         # A loose sanity ceiling; the CI budget gate is the tight one.
         overhead = scn["overhead"]
         ratios = [overhead["ratio"]] + [

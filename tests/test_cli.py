@@ -28,8 +28,10 @@ class TestParser:
             build_parser().parse_args(["fly"])
 
     @pytest.mark.parametrize("argv", [["top"], ["runs", "trend"],
-                                      ["runs", "triage"]],
-                             ids=["top", "runs trend", "runs triage"])
+                                      ["runs", "triage"],
+                                      ["slam", "--telemetry-stream", "x"]],
+                             ids=["top", "runs trend", "runs triage",
+                                  "slam --telemetry-stream"])
     def test_deleted_commands_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
@@ -390,8 +392,7 @@ class TestHelpSmoke:
         assert out.startswith("repro ")
         assert "artifact schema versions:" in out
         for artifact in ("flight record", "bench trajectory",
-                         "sparsity atlas", "telemetry stream",
-                         "span profile", "run registry"):
+                         "sparsity atlas", "span profile", "run registry"):
             assert artifact in out
 
 
@@ -473,7 +474,6 @@ class TestTelemetryFlags:
     def test_slam_telemetry_defaults_off(self):
         args = build_parser().parse_args(["slam"])
         assert args.serve_telemetry is None
-        assert args.telemetry_stream is None
         assert args.telemetry_host == "127.0.0.1"
         assert args.telemetry_linger == 0.0
 
@@ -487,40 +487,39 @@ class TestTelemetryFlags:
         assert args.serve_telemetry == 0
         assert args.telemetry_host == "0.0.0.0"
 
-    def test_telemetry_stream_target(self):
-        args = build_parser().parse_args(
-            ["slam", "--telemetry-stream", "tcp://localhost:5005"])
-        assert args.telemetry_stream == "tcp://localhost:5005"
-
 
 class TestSlamTelemetryEndToEnd:
-    def test_serve_and_stream_during_run(self, tmp_path):
-        """`repro slam --serve-telemetry 0 --telemetry-stream FILE`
-        streams the whole run as JSONL: the run stream, then one final
-        post-run metrics line carrying the ingested stage stats."""
-        stream = str(tmp_path / "stream.jsonl")
+    def test_serve_and_stream_during_run(self, tmp_path, monkeypatch):
+        """`repro slam --serve-telemetry 0 --flight-record FILE`: the
+        flight record carries the whole run (header, one line per frame,
+        summary), and the endpoint's final /metrics scrape counts those
+        run events and carries the ingested stage stats."""
+        from urllib.request import urlopen
+
+        from repro.obs.promexport import (TelemetryHTTPServer,
+                                          parse_prometheus_text)
+
+        captured = {}
+        stop = TelemetryHTTPServer.stop
+
+        def scrape_then_stop(server):
+            with urlopen(f"{server.url}/metrics", timeout=5.0) as resp:
+                captured["metrics"] = resp.read().decode("utf-8")
+            return stop(server)
+
+        monkeypatch.setattr(TelemetryHTTPServer, "stop", scrape_then_stop)
         record = str(tmp_path / "run.jsonl")
         code = main(["-q", "slam", "--frames", "3", "--width", "24",
                      "--height", "18", "--tracking-tile", "8",
                      "--serve-telemetry", "0",
-                     "--telemetry-stream", stream,
                      "--flight-record", record])
         assert code == 0
-        lines = [json.loads(l) for l in open(stream).read().splitlines()]
-        kinds = [l["kind"] for l in lines]
-        assert kinds == ["header", "frame", "frame", "frame", "summary",
-                         "metrics"]
-        assert [l["seq"] for l in lines] == [1, 2, 3, 4, 5, 6]
         flight = [json.loads(l) for l in open(record).read().splitlines()]
-        assert [l["data"] for l in lines[:-1]] == flight
-        assert "tracking_fwd.num_pixels" in lines[-1]["data"]["counters"]
-
-    def test_stream_alone_streams_the_run(self, tmp_path):
-        stream = str(tmp_path / "s.jsonl")
-        assert main(["-q", "slam", "--frames", "3", "--width", "24",
-                     "--height", "18", "--tracking-tile", "8",
-                     "--telemetry-stream", stream]) == 0
-        assert open(stream).read().count('"kind": "frame"') == 3
+        assert [r["type"] for r in flight] == [
+            "header", "frame", "frame", "frame", "summary"]
+        scrape = parse_prometheus_text(captured["metrics"])
+        assert scrape["repro_telemetry_published_total"] == len(flight)
+        assert "repro_tracking_fwd_num_pixels_total" in scrape
 
 
 class TestSlamOnAlert:
@@ -558,21 +557,23 @@ class TestSlamOnAlert:
         assert RunRegistry(root).runs() == []
 
     def test_aborting_alert_reaches_the_stream_once(self, fires_on_frame_1,
-                                                    tmp_path):
+                                                    tmp_path, capsys):
+        """The aborting alert closes the flight record, once, after the
+        frames before the abort, and `repro report` names it."""
         from repro.cli import EXIT_HEALTH_ABORT
 
-        stream = str(tmp_path / "s.jsonl")
         record = str(tmp_path / "run.jsonl")
-        assert main(self.ARGS + ["--telemetry-stream", stream,
-                                 "--flight-record", record]) \
+        assert main(self.ARGS + ["--flight-record", record]) \
             == EXIT_HEALTH_ABORT
-        lines = [json.loads(l) for l in open(stream).read().splitlines()]
-        assert [l["kind"] for l in lines] == ["header", "frame", "alert"]
-        assert lines[-1]["data"]["monitor"] == "pose_jump"
-        assert lines[-1]["data"]["frame"] == 1
-        # The flight record closes cleanly with the frames before the
-        # abort.
-        assert len(open(record).read().splitlines()) == 2
+        lines = [json.loads(l) for l in open(record).read().splitlines()]
+        assert [l["type"] for l in lines] == ["header", "frame", "alert"]
+        assert lines[-1]["monitor"] == "pose_jump"
+        assert lines[-1]["frame"] == 1
+        capsys.readouterr()
+        assert main(["report", record]) == 0
+        report = capsys.readouterr().out
+        assert "- **health alerts**: 1" in report
+        assert "| 1 | pose_jump | forced alert |" in report
 
     def test_warn_policy_completes(self, fires_on_frame_1, tmp_path):
         record = str(tmp_path / "run.jsonl")

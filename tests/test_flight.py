@@ -96,14 +96,32 @@ class TestRecorderLifecycle:
         env = rec.records[0]["environment"]
         assert "python" in env and "numpy" in env
 
-    def test_write_jsonl_exports_accumulated(self, tmp_path):
+    def test_file_holds_each_record_while_the_run_executes(self, sequence,
+                                                           tmp_path):
+        """The recorder flushes every record as it is emitted: an observer
+        after it reads the header and every frame so far from disk while
+        the run is still going."""
+        path = str(tmp_path / "live.jsonl")
+        seen = []
+
+        class Tail:
+            def on_header(self, header):
+                pass
+
+            def on_frame(self, record, stages):
+                with open(path) as f:
+                    seen.append([json.loads(line)["type"] for line in f])
+
+            def on_summary(self, summary):
+                pass
+
         rec = FlightRecorder()
-        rec.enable()  # in-memory only
-        rec.begin_run(algorithm="x")
-        rec.emit({"type": "frame", "frame": 0})
-        out = str(tmp_path / "dump.jsonl")
-        assert rec.write_jsonl(out) == 2
-        assert read_flight_record(out).num_frames == 1
+        rec.enable(path)
+        SLAMSystem("splatam", mode="sparse",
+                   splatonic_config=SplatonicConfig(tracking_tile=8)).run(
+                       sequence, n_frames=3, observers=[rec, Tail()])
+        rec.disable()
+        assert seen == [["header"] + ["frame"] * n for n in (1, 2, 3)]
 
 
 class TestParsing:
@@ -127,6 +145,17 @@ class TestParsing:
         ]
         with pytest.raises(ValueError, match="order"):
             parse_flight_records(records)
+
+    def test_closing_alert_record_is_kept_and_listed(self):
+        alert = {"monitor": "pose_jump", "message": "jump", "frame": 1}
+        log = parse_flight_records([
+            {"type": "header", "schema_version": FLIGHT_SCHEMA_VERSION},
+            {"type": "frame", "frame": 0, "alerts": []},
+            {"type": "alert", **alert},
+        ])
+        assert log.num_frames == 1 and log.summary is None
+        assert log.closing_alerts == [{"type": "alert", **alert}]
+        assert log.alerts() == [alert]
 
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "bad.jsonl"

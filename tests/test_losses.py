@@ -124,3 +124,34 @@ class TestGradients:
         # L1/Huber gradients are bounded by weight / num_valid.
         assert np.all(np.abs(out.d_depth) <= cfg.depth_weight / out.num_valid
                       + 1e-12)
+
+
+class TestShapes:
+    @pytest.mark.parametrize("tracking", [True, False])
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_image_shaped_inputs_match_flat_bit_for_bit(self, tracking,
+                                                        delta, seed):
+        """A dense ``(H, W)`` image gives the flattened batch's loss and
+        ``num_valid`` exactly, and its gradients reshaped to the image."""
+        h, w = 6, 5
+        cfg = LossConfig(color_weight=0.7, depth_weight=0.9,
+                         silhouette_weight=0.2, huber_delta=delta)
+        flat = make_inputs(k=h * w, seed=seed)
+        rng = np.random.default_rng(seed + 100)
+        # Mix in invalid depth and poorly observed pixels so both masks
+        # select a strict subset.
+        flat["ref_depth"][rng.random(h * w) < 0.2] = 0.0
+        flat["rendered_silhouette"] = rng.uniform(0.9, 1.0, h * w)
+        image = {k: v.reshape((h, w) + v.shape[1:]) for k, v in flat.items()}
+
+        a = rgbd_loss(**flat, config=cfg, tracking=tracking)
+        b = rgbd_loss(**image, config=cfg, tracking=tracking)
+        assert b.loss == a.loss
+        assert b.num_valid == a.num_valid
+        assert 0 < a.num_valid < h * w
+        assert b.d_color.shape == (h, w, 3)
+        assert b.d_depth.shape == b.d_silhouette.shape == (h, w)
+        assert np.array_equal(b.d_color, a.d_color.reshape(h, w, 3))
+        assert np.array_equal(b.d_depth, a.d_depth.reshape(h, w))
+        assert np.array_equal(b.d_silhouette, a.d_silhouette.reshape(h, w))

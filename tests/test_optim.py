@@ -1,10 +1,9 @@
-"""Adam optimizer: convergence, state handling, resizing."""
+"""Adam optimizer: convergence and state handling."""
 
 import numpy as np
 import pytest
 
 from repro.slam import Adam
-from repro.slam.optim import packed_cloud_blocks
 
 
 class TestAdam:
@@ -40,119 +39,3 @@ class TestAdam:
         opt = Adam(3, lr=0.1)
         with pytest.raises(ValueError):
             opt.step(np.zeros(4))
-
-    def test_resize_grows_state(self):
-        opt = Adam(2, lr=0.1)
-        opt.step(np.ones(2))
-        opt.resize(5)
-        step = opt.step(np.ones(5))
-        assert step.shape == (5,)
-
-    def test_resize_keeps_old_momentum(self):
-        opt = Adam(1, lr=0.1)
-        opt.step(np.array([1.0]))
-        m_before = opt.m[0]
-        opt.resize(3)
-        assert opt.m[0] == m_before
-        assert np.allclose(opt.m[1:], 0)
-
-    def test_resize_shrink_raises(self):
-        opt = Adam(3, lr=0.1)
-        with pytest.raises(ValueError):
-            opt.resize(2)
-
-
-class TestBlockAwareResize:
-    """Packed `[means, scales, opacities, colors]` vectors are
-    block-ordered; growing the Gaussian count must insert fresh state
-    inside each block.  A plain tail-append lands new-Gaussian momentum
-    (and learning rates) in the colors block — the latent layout bug the
-    `blocks` argument fixes."""
-
-    def test_packed_cloud_blocks_layout(self):
-        blocks = packed_cloud_blocks(2, 3)
-        assert blocks == [(6, 9), (2, 3), (2, 3), (6, 9)]
-        assert packed_cloud_blocks(0, 2) == [(0, 6), (0, 2), (0, 2), (0, 6)]
-        with pytest.raises(ValueError):
-            packed_cloud_blocks(3, 2)
-
-    def test_block_resize_keeps_momentum_in_its_block(self):
-        n, new_n = 2, 3
-        # Distinct per-block momentum so misplacement is detectable.
-        opt = Adam(8 * n, lr=0.1)
-        grad = np.concatenate([
-            np.full(3 * n, 1.0),    # means
-            np.full(n, 2.0),        # log-scales
-            np.full(n, 3.0),        # logit-opacities
-            np.full(3 * n, 4.0),    # colors
-        ])
-        opt.step(grad)
-        opt.resize(8 * new_n, blocks=packed_cloud_blocks(n, new_n))
-        m = opt.m
-        # Each block: old momentum first, zeros for the new Gaussian.
-        means, rest = m[:3 * new_n], m[3 * new_n:]
-        scales, rest = rest[:new_n], rest[new_n:]
-        opac, colors = rest[:new_n], rest[new_n:]
-        assert np.all(means[:3 * n] != 0) and np.all(means[3 * n:] == 0)
-        assert scales[0] != 0 and scales[1] != 0 and scales[2] == 0
-        assert opac[0] != 0 and opac[1] != 0 and opac[2] == 0
-        assert np.all(colors[:3 * n] != 0) and np.all(colors[3 * n:] == 0)
-        # The colors momentum kept its value (no scale/opacity state bled
-        # into it, as a tail append would cause): first-step m = 0.1*grad.
-        assert np.allclose(colors[:3 * n], 0.1 * 4.0)
-
-    def test_block_resize_extends_learning_rates_per_block(self):
-        n, new_n = 2, 4
-        lr = np.concatenate([
-            np.full(3 * n, 0.001),   # means
-            np.full(n, 0.01),        # log-scales
-            np.full(n, 0.05),        # logit-opacities
-            np.full(3 * n, 0.0025),  # colors
-        ])
-        opt = Adam(8 * n, lr)
-        opt.resize(8 * new_n, blocks=packed_cloud_blocks(n, new_n))
-        expected = np.concatenate([
-            np.full(3 * new_n, 0.001),
-            np.full(new_n, 0.01),
-            np.full(new_n, 0.05),
-            np.full(3 * new_n, 0.0025),
-        ])
-        assert np.array_equal(opt.lr, expected)
-
-    def test_tail_append_would_corrupt_blocks(self):
-        """Demonstrate the bug the block-aware path prevents: a flat
-        resize of a packed vector puts the new lr in the colors block."""
-        n, new_n = 2, 3
-        lr = np.concatenate([
-            np.full(3 * n, 0.001), np.full(n, 0.01),
-            np.full(n, 0.05), np.full(3 * n, 0.0025)])
-        flat = Adam(8 * n, lr)
-        flat.resize(8 * new_n)  # no blocks: tail append
-        # Tail append: every appended lr clones the colors lr, and the
-        # scales/opacities segments of the grown vector are misaligned.
-        assert np.all(flat.lr[8 * n:] == 0.0025)
-        blocked = Adam(8 * n, lr)
-        blocked.resize(8 * new_n, blocks=packed_cloud_blocks(n, new_n))
-        assert not np.array_equal(flat.lr, blocked.lr)
-        # The blocked layout matches a freshly built packed lr vector.
-        fresh = np.concatenate([
-            np.full(3 * new_n, 0.001), np.full(new_n, 0.01),
-            np.full(new_n, 0.05), np.full(3 * new_n, 0.0025)])
-        assert np.array_equal(blocked.lr, fresh)
-
-    def test_block_resize_validates_sizes(self):
-        opt = Adam(16, lr=0.1)
-        with pytest.raises(ValueError, match="old entries"):
-            opt.resize(24, blocks=[(8, 12), (4, 8)])
-        with pytest.raises(ValueError, match="new entries"):
-            opt.resize(24, blocks=packed_cloud_blocks(2, 4))
-        with pytest.raises(ValueError, match="block can only grow"):
-            opt.resize(20, blocks=[(8, 4), (8, 16)])
-
-    def test_zero_to_n_blocks(self):
-        """Growing from an empty cloud: every block starts empty, so the
-        fresh learning rate falls back to 0 (no trailing lr to clone)."""
-        opt = Adam(0, lr=0.1)
-        opt.resize(8, blocks=packed_cloud_blocks(0, 1))
-        assert opt.m.shape == (8,)
-        assert np.all(opt.lr == 0.0)

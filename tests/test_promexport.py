@@ -65,11 +65,10 @@ class TestRenderParse:
 
     def test_live_stats_exported_as_counters(self):
         text = render_prometheus(MetricsRegistry().export(),
-                                 live_stats={"published": 2, "dropped": 1})
+                                 live_stats={"published": 2})
         scrape = parse_prometheus_text(text)
         assert scrape["repro_telemetry_published_total"] == 2
-        assert scrape["repro_telemetry_dropped_total"] == 1
-        assert scrape.types["repro_telemetry_dropped_total"] == "counter"
+        assert scrape.types["repro_telemetry_published_total"] == "counter"
 
     def test_every_sample_has_a_declared_type(self):
         text = render_prometheus(self._registry().export())
@@ -136,7 +135,6 @@ class TestHTTPServer:
         scrape = parse_prometheus_text(body)
         assert scrape["repro_tracking_iterations_total"] == 7
         assert scrape["repro_telemetry_published_total"] == 1
-        assert scrape["repro_telemetry_dropped_total"] == 0
 
     def test_healthz_flips_to_alerting(self, server):
         srv, agg = server
@@ -148,7 +146,7 @@ class TestHTTPServer:
         assert doc["status"] == "alerting"
         assert doc["alert_count"] == 1
         assert doc["alerts"][0]["monitor"] == "pose_jump"
-        assert doc["live"] == {"published": 0, "dropped": 0}
+        assert doc["live"] == {"published": 0}
 
     def test_runz_reflects_run_stream(self, server):
         srv, agg = server
@@ -183,7 +181,7 @@ class TestHTTPServer:
         srv.start()
         srv.aggregator.consume("frame", {"frame": 0})
         stats = srv.stop()
-        assert stats == {"url": srv.url, "published": 1, "dropped": 0}
+        assert stats == {"url": srv.url, "published": 1}
 
     def test_polling_during_a_run_never_goes_backwards(self):
         """/runz and /healthz polled from another thread while a run

@@ -361,11 +361,11 @@ class TestSLAMTrajectory:
 
     def test_trajectory_equivalence(self, sequence, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
-        cfg = SplatonicConfig(tracking_tile=8)
-        base = SLAMSystem("splatam", mode="sparse", splatonic_config=cfg,
-                          render_cache=False).run(sequence)
-        cached = SLAMSystem("splatam", mode="sparse", splatonic_config=cfg,
-                            render_cache=True).run(sequence)
+        base, cached = (
+            SLAMSystem("splatam", mode="sparse",
+                       splatonic_config=SplatonicConfig(
+                           tracking_tile=8, render_cache=cache)).run(sequence)
+            for cache in (False, True))
         assert np.array_equal(base.est_trajectory, cached.est_trajectory)
         assert np.array_equal(base.cloud.pack(), cached.cloud.pack())
         fwd = PipelineStats()

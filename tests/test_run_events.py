@@ -17,7 +17,7 @@ from repro.obs.health import (HealthConfig, HealthMonitor,
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import diff_runs, render_report
 from repro.obs.runsdb import RunRegistry, flight_metrics, ingest_slam_run
-from repro.obs.telemetry import RunAggregator, TelemetryStreamer
+from repro.obs.telemetry import RunAggregator
 from repro.slam import SLAMSystem
 from repro.slam.tracker import Tracker
 
@@ -56,27 +56,18 @@ class TestOneRunManySinks:
         flight = FlightRecorder()
         flight.enable(path)
         registry = RunRegistry(str(tmp_path / "reg"))
-        stream = str(tmp_path / "stream.jsonl")
-        streamer = TelemetryStreamer(stream).start(background=False)
         result = make_system().run(
             sequence, n_frames=4,
-            observers=[flight, registry, streamer, quiet_monitor()])
+            observers=[flight, registry, quiet_monitor()])
         flight.disable()
-        streamer.stop()
 
         with open(path) as f:
             on_disk = [json.loads(line) for line in f]
         stored = registry.read_artifact(
             registry.get(result.run_id), "flight").decode().splitlines()
-        with open(stream) as f:
-            published = [(line["kind"], line["data"])
-                         for line in map(json.loads, f)]
         assert [r["type"] for r in on_disk] == (
             ["header"] + ["frame"] * 4 + ["summary"])
         assert [json.loads(line) for line in stored] == on_disk
-        assert [kind for kind, _ in published] == [r["type"]
-                                                   for r in on_disk]
-        assert [payload for _, payload in published] == on_disk
         # Ingesting the flight file later keys the run the same way.
         again = ingest_slam_run(RunRegistry(str(tmp_path / "again")), on_disk)
         assert again["key"]["config_hash"] == registry.get(

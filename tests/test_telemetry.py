@@ -1,11 +1,7 @@
-"""Live telemetry: the run aggregator, the streamer's bounded queue,
-newline-JSON streaming, both as run observers, and the live ``/runz``
-against a flight record's replay."""
+"""Live telemetry: the run aggregator as a run observer, and the live
+``/runz`` against a flight record's replay."""
 
 import json
-import socket
-import threading
-import time
 
 from urllib.request import urlopen
 
@@ -16,15 +12,7 @@ from repro.obs import telemetry
 from repro.obs.flight import read_flight_record
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.promexport import TelemetryHTTPServer
-from repro.obs.telemetry import (
-    RunAggregator,
-    TelemetryConfig,
-    TelemetryStreamer,
-)
-
-
-def _lines(path):
-    return [json.loads(line) for line in open(path).read().splitlines()]
+from repro.obs.telemetry import RunAggregator, TelemetryConfig
 
 
 def _record(i):
@@ -32,87 +20,6 @@ def _record(i):
     return {"type": "frame", "frame": i, "gaussians": 100 + i,
             "pose_error_m": 0.01, "cache": {"hit_rate": 0.0},
             "wall_time_s": 0.1}
-
-
-class TestStreamQueue:
-    """The streamer's bounded, drop-oldest queue: what a slow sink costs
-    the run (nothing) and what it costs the stream (counted drops)."""
-
-    def test_sequence_numbers_are_monotonic_across_kinds(self, tmp_path):
-        target = str(tmp_path / "s.jsonl")
-        streamer = TelemetryStreamer(target).start(background=False)
-        for i in range(5):
-            streamer.consume("frame" if i % 2 else "metrics", {"i": i})
-        streamer.stop()
-        assert [line["seq"] for line in _lines(target)] == [1, 2, 3, 4, 5]
-
-    def test_full_ring_drops_oldest_and_counts(self, tmp_path):
-        target = str(tmp_path / "s.jsonl")
-        streamer = TelemetryStreamer(target, maxlen=3).start(
-            background=False)
-        for i in range(10):
-            streamer.consume("frame", {"i": i})
-        assert streamer.queue_dropped == 7
-        assert streamer.delivered == 10
-        stats = streamer.stop()
-        assert stats["lines"] == 3 and stats["dropped"] == 7
-        assert [line["data"]["i"] for line in _lines(target)] == [7, 8, 9]
-
-    def test_slow_subscriber_never_blocks_others(self, monkeypatch):
-        """A sink that stops accepting writes never stalls the run: the
-        events keep queueing (oldest dropped) and the observer next to the
-        streamer sees every one."""
-        release = threading.Event()
-
-        class StuckSink:
-            def write(self, text):
-                release.wait(10.0)
-
-            def flush(self):
-                pass
-
-            def close(self):
-                pass
-
-        monkeypatch.setattr(telemetry, "_open_stream_sink",
-                            lambda target: StuckSink())
-        slow = TelemetryStreamer("stuck", maxlen=1, interval=0.001).start()
-        other = RunAggregator(gauges=MetricsRegistry())
-        start = time.perf_counter()
-        try:
-            for i in range(20):
-                for observer in (slow, other):
-                    observer.on_frame(_record(i), {})
-            elapsed = time.perf_counter() - start
-        finally:
-            release.set()
-        stats = slow.stop()
-        assert elapsed < 5.0
-        assert other.frames_seen == 20
-        assert slow.delivered == 20
-        # At most one event in the stuck write plus one queued survive.
-        assert slow.queue_dropped >= 18
-        assert stats["lines"] + stats["dropped"] == 20
-
-    def test_concurrent_publishers_lose_nothing(self, tmp_path):
-        target = str(tmp_path / "s.jsonl")
-        streamer = TelemetryStreamer(target, maxlen=10_000).start(
-            background=False)
-
-        def blast(kind):
-            for i in range(500):
-                streamer.consume(kind, {"i": i})
-
-        threads = [threading.Thread(target=blast, args=(f"k{t}",))
-                   for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stats = streamer.stop()
-        assert stats["lines"] == 2000 and stats["dropped"] == 0
-        assert [line["seq"] for line in _lines(target)] == list(
-            range(1, 2001))
 
 
 class TestTelemetryConfig:
@@ -123,8 +30,6 @@ class TestTelemetryConfig:
         assert cfg.series_len == 120
 
     def test_rejects_nonpositive_ring_and_series(self):
-        with pytest.raises(ValueError):
-            TelemetryStreamer("unused", maxlen=0)
         with pytest.raises(ValueError):
             TelemetryConfig(series_len=-1)
 
@@ -233,7 +138,6 @@ class TestRunAggregator:
         json.dumps(agg.snapshot())
 
 
-
 class TestFlightParity:
     def test_final_runz_matches_flight_replay(self, tmp_path, monkeypatch):
         """One run served live and recorded: the last /runz before the
@@ -264,153 +168,3 @@ class TestFlightParity:
         assert live.pop("registry")["runs_total"] == 1
         assert replay.pop("registry") is None
         assert live == replay
-
-
-class TestStreamer:
-    def test_streams_newline_json_to_file(self, tmp_path):
-        target = str(tmp_path / "stream.jsonl")
-        streamer = TelemetryStreamer(target)
-        streamer.start(background=False)
-        streamer.on_frame({"frame": 0}, {})
-        streamer.on_summary({"frames": 1})
-        assert streamer.pump() == 2
-        stats = streamer.stop()
-        assert stats["lines"] == 2 and stats["dropped"] == 0
-        lines = _lines(target)
-        assert [l["kind"] for l in lines] == ["frame", "summary"]
-        assert lines[0]["data"] == {"frame": 0}
-        assert lines[0]["seq"] == 1 and lines[0]["ts"] > 0
-
-    def test_file_target_appends_across_streamers(self, tmp_path):
-        target = str(tmp_path / "stream.jsonl")
-        for i in range(2):
-            streamer = TelemetryStreamer(target)
-            streamer.start(background=False)
-            streamer.consume("frame", {"run": i})
-            streamer.pump()
-            streamer.stop()
-        assert len(open(target).read().splitlines()) == 2
-
-    def test_stats_payload_is_json_ready(self, tmp_path):
-        streamer = TelemetryStreamer(str(tmp_path / "s.jsonl"), maxlen=4)
-        streamer.start(background=False)
-        for i in range(6):
-            streamer.consume("frame", {"i": i})
-        stats = streamer.stop()
-        json.dumps(stats)
-        assert stats == {"target": str(tmp_path / "s.jsonl"), "lines": 4,
-                         "dropped": 2, "error": None}
-
-    def test_streams_over_tcp(self, tmp_path):
-        received = []
-        server = socket.create_server(("127.0.0.1", 0))
-        host, port = server.getsockname()
-
-        def accept():
-            conn, _ = server.accept()
-            with conn, conn.makefile("r") as f:
-                for line in f:
-                    received.append(json.loads(line))
-
-        thread = threading.Thread(target=accept, daemon=True)
-        thread.start()
-        streamer = TelemetryStreamer(f"tcp://{host}:{port}")
-        streamer.start(background=False)
-        streamer.consume("frame", {"frame": 7})
-        streamer.pump()
-        streamer.stop()
-        thread.join(timeout=5.0)
-        server.close()
-        assert received == [
-            {"seq": 1, "ts": received[0]["ts"], "kind": "frame",
-             "data": {"frame": 7}}]
-
-    def test_bad_tcp_target_rejected(self):
-        with pytest.raises(ValueError, match="tcp"):
-            TelemetryStreamer("tcp://nohost").start(background=False)
-
-    @staticmethod
-    def _refused_port():
-        """A port nothing is listening on (bound, then released)."""
-        probe = socket.create_server(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        return port
-
-    def test_tcp_connection_refused_at_start_is_nonfatal(self):
-        """A dead collector must not take the run down: the streamer
-        starts failed, the run proceeds, and every event is accounted
-        for in the drop counter."""
-        port = self._refused_port()
-        streamer = TelemetryStreamer(f"tcp://127.0.0.1:{port}")
-        streamer.start(background=False)
-        assert streamer.failed
-        assert streamer.error is not None
-        for i in range(3):
-            streamer.consume("frame", {"frame": i})
-        assert streamer.pump() == 0
-        stats = streamer.stop()
-        assert stats["lines"] == 0
-        assert stats["dropped"] == 3
-        assert stats["error"] is not None
-        assert streamer.lines_written + streamer.dropped == streamer.delivered
-
-    def test_strict_start_raises_on_refused_connection(self):
-        port = self._refused_port()
-        with pytest.raises(OSError):
-            TelemetryStreamer(f"tcp://127.0.0.1:{port}").start(
-                background=False, strict=True)
-
-    def test_tcp_peer_disconnect_mid_stream_counts_drops(self):
-        """A collector dying mid-run marks the streamer failed and the
-        lines_written + dropped accounting stays exact."""
-        server = socket.create_server(("127.0.0.1", 0))
-        host, port = server.getsockname()
-        first_line = []
-
-        def accept_then_reset():
-            conn, _ = server.accept()
-            first_line.append(conn.makefile("r").readline())
-            # SO_LINGER zero: close sends RST so the client's next
-            # write fails promptly instead of buffering forever.
-            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
-                            __import__("struct").pack("ii", 1, 0))
-            conn.close()
-
-        thread = threading.Thread(target=accept_then_reset, daemon=True)
-        thread.start()
-        streamer = TelemetryStreamer(f"tcp://{host}:{port}")
-        streamer.start(background=False)
-        assert not streamer.failed
-        streamer.consume("frame", {"frame": 0})
-        assert streamer.pump() == 1
-        thread.join(timeout=5.0)
-        server.close()
-        # Keep streaming until a write trips over the dead peer (the
-        # kernel may buffer a few sends before surfacing the RST).
-        deadline = time.time() + 10.0
-        i = 1
-        while not streamer.failed and time.time() < deadline:
-            streamer.consume("frame", {"frame": i})
-            streamer.pump()
-            i += 1
-            time.sleep(0.01)
-        assert streamer.failed, "peer disconnect never surfaced"
-        stats = streamer.stop()
-        assert stats["error"] is not None
-        assert stats["dropped"] > 0
-        # Every queued event is either written or counted dropped.
-        assert stats["lines"] + stats["dropped"] == streamer.delivered
-        assert json.loads(first_line[0])["data"] == {"frame": 0}
-
-    def test_background_pump_drains_on_interval(self, tmp_path):
-        target = str(tmp_path / "bg.jsonl")
-        streamer = TelemetryStreamer(target, interval=0.01)
-        streamer.start()
-        streamer.consume("frame", {"frame": 0})
-        for _ in range(200):
-            if streamer.lines_written:
-                break
-            time.sleep(0.01)
-        stats = streamer.stop()
-        assert stats["lines"] == 1
