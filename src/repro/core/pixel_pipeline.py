@@ -8,11 +8,16 @@ Instead of amortizing projection/sorting across the pixels of a tile, every
    accelerator does this with direct index arithmetic into the one-per-tile
    pixel lattice, Sec. V-C), and α is evaluated immediately.  Only pairs
    with ``alpha >= threshold`` survive, so rasterization never α-checks
-   again and there is no warp divergence.
+   again and there is no warp divergence.  Here the α check is a cull and
+   a falloff: one compiled scan (:mod:`repro.render.kernels.candidates`)
+   tests each bbox candidate's squared centre distance against the
+   Gaussian's conservative α cutoff, and the exact falloff (numpy's
+   ``exp``) runs on the survivors alone — the α-filtering projection units
+   feeding the render with no round trip (Sec. V).
 2. **Per-pixel depth sort** of the surviving short list.  Here the
    projected Gaussians are ranked by depth once per view, and the
-   candidate generator walks the bboxes in rank order, so every pixel's
-   list comes out already sorted (:mod:`repro.render.kernels.candidates`).
+   candidate scan walks the bboxes in rank order, so every pixel's list
+   comes out already sorted.
 3. **Gaussian-parallel rasterization** — a warp co-renders one pixel; the
    partial colors are reduced.  Numerically this is Eqn. 1 again, so the
    output is bit-identical to the tile pipeline at the sampled locations.
@@ -22,13 +27,18 @@ The backward pass reuses the per-pixel sorted list and the cached ``Gamma``
 the rasterization engine's double buffer), computes partial gradients in
 parallel, and aggregates them per Gaussian.
 
-This module orchestrates the *stages* — candidate generation over a
-flattened CSR-style (pixel, Gaussian) pair list in composite order, the
-shared preemptive-α filter (which keeps that order), and counter
-accounting — and dispatches composite + backward to the batched
-``"vectorized"`` kernel
-(:mod:`repro.render.kernels`).  Tests select the per-pixel ``"reference"``
-oracle loop by name through ``backend=``; the two are bit-identical.
+This module orchestrates the *stages* — candidate generation and the
+preemptive α cull over a flattened CSR-style (pixel, Gaussian) pair list
+in composite order, the α filter on the survivors (which keeps that
+order), and counter accounting — and dispatches composite + backward to
+the batched ``"vectorized"`` kernel (:mod:`repro.render.kernels`): one
+compiled cull and one composite call per forward, one reverse call per
+backward.  The cull keeps every bbox candidate (a ``+inf`` cutoff) when
+the caller needs them all: with ``preemptive_alpha=False``, with an
+approximate ``exp_fn`` (the cutoff assumes ``np.exp``) and while the
+sparsity atlas records the pre-filter pairs.  Tests select the per-pixel
+``"reference"`` oracle loop by name through ``backend=``; the two are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -54,8 +64,13 @@ from ..render.compositing import (
 )
 from ..render.cache import RenderCache
 from ..render.kernels import get_kernel, resolve_backend
-from ..render.kernels.candidates import CandidatePairs, candidate_pairs
-from ..render.kernels.vectorized import FlatCompositeCache, evaluate_alpha
+from ..render.kernels.candidates import candidate_pairs
+from ..render.kernels.vectorized import (
+    FlatCompositeCache,
+    alpha_cutoff,
+    evaluate_alpha,
+    falloff_alpha,
+)
 from ..render.projection import ProjectedGaussians, project_gaussians
 from ..render.stats import PipelineStats
 
@@ -197,6 +212,7 @@ def render_sparse(
             np.zeros(K, dtype=int), [None] * K, stats, backend=backend_name)
 
     centres = pixels + 0.5
+    atlas = _atlas_mod.current.active
     with trace.span("render.alpha_check", pipeline="pixel",
                     backend=backend_name):
         if cached_pairs is not None:
@@ -204,30 +220,35 @@ def render_sparse(
             # generator's composite order.
             pairs = cached_pairs
         else:
-            pairs = candidate_pairs(centres, proj.bbox(), proj.depth)
-        n_candidates = pairs.size
-        stats.num_candidate_pairs += n_candidates
+            # The cutoff is exact for np.exp's falloff; the atlas bins the
+            # pre-filter candidate set, so its per-tile α-pass rates match
+            # ``stats.alpha_pass_rate``.
+            cutoff = (alpha_cutoff(proj, alpha_threshold)
+                      if preemptive_alpha and exp_fn is np.exp and not atlas
+                      else np.full(len(proj), np.inf))
+            pairs = candidate_pairs(centres, proj.mean2d, proj.radius,
+                                    proj.depth, cutoff)
         # α is evaluated once per candidate either way: preemptively here,
         # or inside rasterization when the ablation disables the filter.
-        stats.num_alpha_checks += n_candidates
-        # The atlas bins the *pre-filter* candidate set, so its per-tile
-        # α-pass rates match ``stats.alpha_pass_rate``; keep the arrays
-        # before the preemptive filter replaces ``pairs``.
-        atlas_pix, atlas_gss = ((pairs.pix, pairs.gss)
-                                if _atlas_mod.current.active else (None, None))
+        stats.num_candidate_pairs += pairs.num_candidates
+        stats.num_alpha_checks += pairs.num_candidates
+        atlas_pix, atlas_gss = pairs.pix, pairs.gss
         pair_alpha = pair_clipped = None
-        if n_candidates and (preemptive_alpha or kernel.wants_pair_alpha):
-            pair_alpha, pair_clipped = evaluate_alpha(
-                proj, pairs.gss, centres[pairs.pix], exp_fn)
-            if preemptive_alpha:
-                keep = pair_alpha >= alpha_threshold
-                pairs = CandidatePairs(pairs.pix[keep], pairs.gss[keep], K)
-                pair_alpha = pair_alpha[keep]
-                pair_clipped = pair_clipped[keep]
+        if pairs.size and (preemptive_alpha or kernel.wants_pair_alpha):
+            if pairs.d2 is None:
+                pair_alpha, pair_clipped = evaluate_alpha(
+                    proj, pairs.gss, centres[pairs.pix], exp_fn)
+            else:
+                pair_alpha, pair_clipped = falloff_alpha(
+                    proj, pairs.gss, pairs.d2, exp_fn)
+            passes = pair_alpha >= alpha_threshold
+            if preemptive_alpha and not passes.all():
+                keep = np.flatnonzero(passes)
+                pairs = pairs.select(keep)
+                pair_alpha, pair_clipped = pair_alpha[keep], pair_clipped[keep]
     stats.num_sort_keys += pairs.size
 
-    contribs_out = (np.zeros(K, dtype=np.int64)
-                    if _atlas_mod.current.active else None)
+    contribs_out = np.zeros(K, dtype=np.int64) if atlas else None
     with trace.span("render.composite", pipeline="pixel", pixels=K,
                     backend=backend_name):
         sorted_gss, list_lengths, caches, flat_cache = kernel.forward(

@@ -39,7 +39,7 @@ from ..gaussians.se3 import point_jacobian_wrt_twist
 from .backward import scatter_add
 from .compositing import ALPHA_MAX, ALPHA_THRESHOLD, T_MIN
 from .kernels import vectorized
-from .kernels.candidates import CandidatePairs, candidate_pairs
+from .kernels.candidates import candidate_pairs
 from .projection import RADIUS_SIGMA
 from .stats import PipelineStats
 
@@ -306,17 +306,14 @@ def render_sparse_anisotropic(
                                  None, stats)
 
     centres = pixels + 0.5
-    r = proj.radius[:, None]
-    pairs = candidate_pairs(
-        centres, np.concatenate([proj.mean2d - r, proj.mean2d + r], axis=1),
-        proj.depth)
+    pairs = candidate_pairs(centres, proj.mean2d, proj.radius, proj.depth)
     stats.num_candidate_pairs += pairs.size
     stats.num_alpha_checks += pairs.size
     _, _, power = _conic_power(proj, pairs.gss, centres[pairs.pix])
     alpha_raw = proj.opacity[pairs.gss] * np.exp(-power)
     alpha = np.minimum(alpha_raw, ALPHA_MAX)
     keep = alpha >= alpha_threshold
-    pairs = CandidatePairs(pairs.pix[keep], pairs.gss[keep], K)
+    pairs = pairs.select(keep)
     stats.num_sort_keys += pairs.size
     _, _, _, flat_cache = vectorized.forward(
         proj, pairs, centres, bg, alpha_threshold, t_min, True, np.exp,

@@ -131,7 +131,9 @@ def reproject_gradients(
     """Re-projection stage: 2D splat gradients -> world-space gradients.
 
     Uses the projection Jacobians of ``u = fx x/z + cx``, ``v = fy y/z + cy``
-    and ``sigma = f s / z`` plus the direct depth-channel gradient on ``z``.
+    and ``sigma = f s / z`` plus the direct depth-channel gradient on ``z``;
+    ``s`` is the scale the projection gathered (``proj.scale``), so no
+    ``exp`` is re-evaluated here.
     ``pose_only=True`` (tracking, map fixed) computes only the camera-twist
     gradient and leaves the map fields None; it reads only ``pg``'s
     mean, sigma and depth gradients.
@@ -149,9 +151,11 @@ def reproject_gradients(
             d_pose_twist=np.zeros(6),
         )
 
+    if proj.scale is None:
+        raise ValueError("reproject gradients: the projection carries no "
+                         "scale")
     x, y, z = proj.p_cam[:, 0], proj.p_cam[:, 1], proj.p_cam[:, 2]
     mean_focal = 0.5 * (intr.fx + intr.fy)
-    scales = np.exp(cloud.log_scales[proj.source_index])
 
     d_u = pg.d_mean2d[:, 0]
     d_v = pg.d_mean2d[:, 1]
@@ -160,7 +164,7 @@ def reproject_gradients(
     d_z = (
         -d_u * intr.fx * x / (z * z)
         - d_v * intr.fy * y / (z * z)
-        - pg.d_sigma2d * mean_focal * scales / (z * z)
+        - pg.d_sigma2d * mean_focal * proj.scale / (z * z)
         + pg.d_depth
     )
     d_p_cam = np.stack([d_x, d_y, d_z], axis=-1)

@@ -172,7 +172,7 @@ class RenderCache:
         with trace.span("render.cache_validate", mode=self.mode,
                         margin=self.margin):
             arrays = projection_arrays(cloud, camera)
-            p_cam, z, in_depth, u, v, sigma, radius = arrays
+            p_cam, z, in_depth, u, v, sigma, radius, scales = arrays
             keep = projection_keep_mask(in_depth, u, v, radius,
                                         intr.width, intr.height)
             ok = self._validate(cloud, pixels, keep, u, v, radius)
@@ -185,7 +185,8 @@ class RenderCache:
                             warm=rebuilt)
 
         idx = np.nonzero(keep)[0]
-        proj = gather_projected(cloud, idx, p_cam, z, u, v, sigma, radius)
+        proj = gather_projected(cloud, idx, p_cam, z, u, v, sigma, radius,
+                                scales)
         pairs = self._exact_pairs(keep, idx, u, v, radius, proj.depth,
                                   cloud, pixels.shape[0])
         self._iters_since_build += 1
@@ -248,10 +249,10 @@ class RenderCache:
             (u + dilated > 0.0) & (u - dilated < intr.width)
             & (v + dilated > 0.0) & (v - dilated < intr.height))
         act_idx = np.nonzero(active)[0]
-        au, av, ar = u[act_idx], v[act_idx], dilated[act_idx]
-        dil_bbox = np.stack([au - ar, av - ar, au + ar, av + ar], axis=1)
         centres = pixels + 0.5
-        sup = candidate_pairs(centres, dil_bbox, z[act_idx])
+        sup = candidate_pairs(
+            centres, np.stack([u[act_idx], v[act_idx]], axis=1),
+            dilated[act_idx], z[act_idx])
         self._sup_pix = sup.pix
         self._sup_src = act_idx[sup.gss]
         self._sup_cu = centres[sup.pix, 0]
@@ -301,4 +302,4 @@ class RenderCache:
         pix = self._sup_pix[sel]
         gss = self._proj_buf[src[sel]]
         order = np.lexsort((gss, depth[gss], pix))
-        return CandidatePairs(pix[order], gss[order], K)
+        return CandidatePairs.of(pix[order], gss[order], K)

@@ -5,9 +5,10 @@ production kernel, with a per-pixel oracle kept beside it for tests:
 
 - ``"vectorized"`` — the production kernel (:data:`DEFAULT_BACKEND`):
   batched segmented stages over a flattened CSR-style (pixel, Gaussian)
-  pair list, which arrives already in composite order (the candidate
-  generator ranks the Gaussians by depth once per view, so no pair is
-  sorted); after the numpy α stage, one compiled kernel call
+  pair list, which arrives already in composite order (the compiled
+  candidate cull ranks the Gaussians by depth once per view, so no pair
+  is sorted, and drops the pairs beyond each Gaussian's α cutoff); after
+  the numpy falloff on the survivors, one compiled kernel call
   (``_native.c``) walks every pixel's segment of the list one Gaussian
   per step to composite it, and one more produces every pair gradient
   (its suffix sums scanned back to front per pixel) and adds it onto its
@@ -21,11 +22,12 @@ production kernel, with a per-pixel oracle kept beside it for tests:
   scenario select it, by name.
 
 Both consume the same candidate pair list
-(:mod:`repro.render.kernels.candidates`) and the same preemptive-α filter
-run by :func:`repro.core.pixel_pipeline.render_sparse`, so candidate /
-α-check / sort-key counters are shared by construction; the equivalence
-suite (``tests/test_kernel_backends.py``) pins down the rest.  The small
-registry below is the seam through which the oracle is selected.
+(:mod:`repro.render.kernels.candidates`) and the same preemptive-α cull
+and filter run by :func:`repro.core.pixel_pipeline.render_sparse`, so
+candidate / α-check / sort-key counters are shared by construction; the
+equivalence suite (``tests/test_kernel_backends.py``) pins down the
+rest.  The small registry below is the seam through which the oracle is
+selected.
 """
 
 from __future__ import annotations

@@ -1,11 +1,17 @@
 /*
- * The render engine's compiled stages: the dense α-cull, the per-pixel
- * composite and its reverse pass.
+ * The render engine's compiled stages: the sparse and dense α-culls, the
+ * per-pixel composite and its reverse pass.
  *
- * tile_cull pairs every rendered pixel of a tile with the tile's
- * depth-sorted list and keeps the pairs whose squared centre distance is
- * within the Gaussian's α cutoff; it forms that distance exactly as the
- * numpy cull it replaced (tests/tile_oracle.py) did.
+ * candidate_cull pairs each sampled pixel with every projected Gaussian
+ * whose bbox holds its centre, walking the Gaussians in a caller-given
+ * depth rank so that each pixel's pairs come out front-to-back; with a
+ * cutoff it keeps only the pairs whose squared centre distance is within
+ * the Gaussian's α cutoff, and candidate_place lays the kept pairs out
+ * pixel-major at their exact count.  tile_cull pairs every rendered
+ * pixel of a tile with the tile's depth-sorted list under the same
+ * distance test.  Both culls form that distance exactly as numpy does
+ * (du*du + dv*dv), so the caller's numpy falloff sees the bits it would
+ * have computed itself.
  *
  * The composite and its reverse pass walk K pixel segments of a flat pair
  * list (CSR: pixel k owns the next lengths[k] pairs, front-to-back) one
@@ -47,6 +53,189 @@ static int64_t longest(int64_t K, const int64_t *lengths)
         if (lengths[k] > lmax)
             lmax = lengths[k];
     return lmax;
+}
+
+/* First position in the n ascending values of v that is >= key (above =
+ * 0) or > key (above = 1); key is not NaN.  Branch-free: the position
+ * steps are conditional moves, which the unpredictable comparisons of a
+ * bbox search would otherwise mispredict. */
+static int64_t search(const double *v, int64_t n, double key, int above)
+{
+    if (n == 0)
+        return 0;
+    const double *base = v;
+    while (n > 1) {
+        const int64_t half = n / 2;
+        const double x = base[half - 1];
+        base += ((above ? x <= key : x < key) ? half : 0);
+        n -= half;
+    }
+    return (base - v) + (above ? *base <= key : *base < key);
+}
+
+/* A pixel of the v-ordered index: its centre and its row in centres. */
+struct centre {
+    double v, u;
+    int64_t k;
+};
+
+/* Pixels of equal v may come in any order: each pixel's list is filled
+ * in rank order whatever order a Gaussian visits its band in. */
+static int by_v(const void *a, const void *b)
+{
+    const struct centre *x = a, *y = b;
+    return (x->v > y->v) - (x->v < y->v);
+}
+
+/* A kept pair in the cull's scratch: pixel, Gaussian, squared distance. */
+struct pair {
+    int64_t k, j;
+    double d2;
+};
+
+/*
+ * Sparse candidate cull.  The m projected Gaussians are walked in the
+ * order of rank (a permutation of [0, m): the stable depth argsort, so
+ * ties go by ascending index).  Gaussian j's bbox is (mu - r, mv - r,
+ * mu + r, mv + r), (mu, mv) its row of mean2d (row-major) and r =
+ * radius[j]: the bits numpy's mean2d ± r has.  A (pixel, Gaussian) pair
+ * is a bbox candidate when u_min <= cu <= u_max and v_min <= cv <= v_max,
+ * (cu, cv) the pixel's row of centres (a NaN anywhere makes it none).
+ * With a cutoff, a candidate is kept when d2 = du*du + dv*dv, with du =
+ * cu - mu and dv = cv - mv, is <= cutoff[j] (a NaN keeps nothing); with a
+ * NULL cutoff every candidate is kept.
+ *
+ * Each Gaussian visits only the pixels whose v lies in its bbox, found by
+ * binary search in a v-ordered index of the pixels, with no branch on
+ * the data, and appends its kept pairs to a scratch it allocates; the
+ * Gaussians come in rank order, so each pixel's pairs are front-to-back.
+ * lengths[k] receives pixel k's kept count and *n_cand the number of bbox
+ * candidates; returns the kept total and hands the scratch to *scratch,
+ * which candidate_place must then be given.
+ */
+int64_t candidate_cull(
+    int64_t K, int64_t m, const double *centres, const int64_t *rank,
+    const double *mean2d, const double *radius, const double *cutoff,
+    int64_t *lengths, int64_t *n_cand, void **scratch)
+{
+    if (!scratch)
+        return -1;
+    *scratch = NULL;
+    if (!lengths || !n_cand || !mean2d || !radius)
+        return -1;
+    for (int64_t r = 0; r < m; r++)
+        if (rank[r] < 0 || rank[r] >= m)
+            return -1;
+    /* The pixels with a non-NaN v, by v (index, and its v column vs);
+     * the kept pairs, in visiting order (out, capacity cap, one spare
+     * entry taking the writes of dropped pairs). */
+    struct centre *index = malloc(((size_t)K + 1) * sizeof(struct centre));
+    double *vs = malloc(((size_t)K + 1) * sizeof(double));
+    int64_t cap = 4 * K + 16;
+    struct pair *out = malloc((size_t)cap * sizeof(struct pair));
+    int64_t kept = -2, cand = 0, n = 0;
+    if (!index || !vs || !out)
+        goto done;
+    for (int64_t k = 0; k < K; k++) {
+        const double v = centres[2 * k + 1];
+        lengths[k] = 0;
+        if (v == v)
+            index[n++] = (struct centre){v, centres[2 * k], k};
+    }
+    qsort(index, (size_t)n, sizeof(struct centre), by_v);
+    for (int64_t i = 0; i < n; i++)
+        vs[i] = index[i].v;
+    kept = 0;
+    const int all = !cutoff;
+    for (int64_t r = 0; r < m; r++) {
+        const int64_t j = rank[r];
+        const double mu = mean2d[2 * j], mv = mean2d[2 * j + 1];
+        const double u_min = mu - radius[j], v_min = mv - radius[j];
+        const double u_max = mu + radius[j], v_max = mv + radius[j];
+        if (!(v_min <= v_max))
+            continue;
+        const double cut = cutoff ? cutoff[j] : 0.0;
+        const int64_t start = search(vs, n, v_min, 0);
+        const int64_t stop = search(vs, n, v_max, 1);
+        if (kept + (stop - start) >= cap) {
+            cap = 2 * (kept + (stop - start)) + 16;
+            struct pair *grown = realloc(out, (size_t)cap * sizeof(struct pair));
+            if (!grown) {
+                kept = -2;
+                goto done;
+            }
+            out = grown;
+        }
+        for (int64_t i = start; i < stop; i++) {
+            const struct centre c = index[i];
+            const int in = (c.u >= u_min) & (c.u <= u_max)
+                           & (c.v >= v_min) & (c.v <= v_max);
+            const double du = c.u - mu, dv = c.v - mv;
+            const double d = du * du + dv * dv;
+            const int keep = in & (all | (d <= cut));
+            cand += in;
+            out[kept] = (struct pair){c.k, j, d};
+            lengths[c.k] += keep;
+            kept += keep;
+        }
+    }
+    *n_cand = cand;
+done:
+    free(index);
+    free(vs);
+    if (kept >= 0)
+        *scratch = out;
+    else
+        free(out);
+    return kept;
+}
+
+/*
+ * Lays the scratch of a candidate_cull call out pixel-major, into pix,
+ * gss and (when not NULL) d2, each count long, given the call's lengths
+ * and count; with a NULL pix it only frees the scratch.  Returns count,
+ * or -1 when lengths do not match the scratch (no pair is written past
+ * its pixel's list then).
+ */
+int64_t candidate_place(
+    void *scratch, int64_t K, const int64_t *lengths, int64_t count,
+    int64_t *pix, int64_t *gss, double *d2)
+{
+    const struct pair *out = scratch;
+    int64_t *next = malloc(2 * ((size_t)K + 1) * sizeof(int64_t));
+    int64_t *end = next + K + 1;
+    int64_t total = -2;
+    if (!pix || !next)
+        goto done;
+    total = 0;
+    for (int64_t k = 0; k < K; k++) {
+        if (lengths[k] < 0 || lengths[k] > count - total) {
+            total = -1;
+            goto done;
+        }
+        next[k] = total;
+        total += lengths[k];
+        end[k] = total;
+    }
+    if (total != count) {
+        total = -1;
+        goto done;
+    }
+    for (int64_t q = 0; q < count; q++) {
+        const int64_t k = out[q].k, at = next[k]++;
+        if (at >= end[k]) {
+            total = -1;
+            goto done;
+        }
+        pix[at] = k;
+        gss[at] = out[q].j;
+        if (d2)
+            d2[at] = out[q].d2;
+    }
+done:
+    free(next);
+    free(scratch);
+    return pix ? total : 0;
 }
 
 /*

@@ -45,6 +45,12 @@ CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
 
 #: ``(argtypes, restype)`` of each entry point.
 _ENTRY_POINTS = {
+    "candidate_cull": ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 6
+                       + [ctypes.POINTER(ctypes.c_int64),
+                          ctypes.POINTER(ctypes.c_void_p)], ctypes.c_int64),
+    "candidate_place": ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                         ctypes.c_int64] + [ctypes.c_void_p] * 3,
+                        ctypes.c_int64),
     "tile_cull": ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 6
                   + [ctypes.c_int64] + [ctypes.c_void_p] * 4, ctypes.c_int64),
     "composite_forward": ([ctypes.c_int64] * 3 + [ctypes.c_void_p] * 6

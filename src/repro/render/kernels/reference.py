@@ -36,7 +36,7 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
     """
     K = pairs.num_pixels
     record = stats.record_per_pixel
-    lengths = pairs.lengths()
+    lengths = pairs.lengths
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     pixel_lists: List[np.ndarray] = []
     caches: List[Optional[CompositeCache]] = []

@@ -7,14 +7,16 @@ Gaussian) pair list:
   ranks the projected Gaussians by depth once per view and emits the
   pairs already pixel-major and front-to-back (the ``(depth, index)`` key
   of ``sort_by_depth``), and the preemptive α filter keeps that order;
-- the α stage's falloff runs in numpy (its ``exp``); the composite and the
-  reverse pass run in compiled code (``_native.c``, built and loaded by
-  :mod:`~repro.render.kernels.native`) that walks each pixel's segment
-  of the CSR pair list one Gaussian per step, as the render and
-  reverse-render units of Sec. V do.  Γ is a running product and every
-  channel total a running sum — the strictly sequential reductions
-  :func:`composite_forward` uses — and every expression keeps the
-  operands and order of operations of the per-pixel oracle, so a pair
+- the α stage is a compiled cull and a numpy falloff: the cull keeps the
+  pairs whose squared centre distance is within :func:`alpha_cutoff`, and
+  :func:`falloff_alpha` (numpy's ``exp``) runs on those survivors alone;
+- the composite and the reverse pass run in compiled code (``_native.c``,
+  built and loaded by :mod:`~repro.render.kernels.native`) that walks
+  each pixel's segment of the CSR pair list one Gaussian per step, as the
+  render and reverse-render units of Sec. V do.  Γ is a running product
+  and every channel total a running sum — the strictly sequential
+  reductions :func:`composite_forward` uses — and every expression keeps
+  the operands and order of operations of the per-pixel oracle, so a pair
   that fails α (an exact 1.0 factor and 0.0 weight) is bit-transparent;
 - the backward pass computes every pair gradient and aggregates it in the
   same kernel call (:func:`aggregate_gradients`), as the reverse-render
@@ -29,9 +31,8 @@ with a shorter list adds ``+0.0`` to each forward total, and its reverse
 suffix scans start from the padding term ``(Γ·0)·0``.  Only ``-0.0`` and
 NaN results depend on it.
 
-The stages — :func:`evaluate_alpha` (whose falloff half,
-:func:`falloff_alpha`, the dense pipeline calls on the squared distances
-its compiled cull already computed), :func:`composite` and the reverse
+The stages — :func:`falloff_alpha` (and :func:`evaluate_alpha`, which
+forms the squared distances itself), :func:`composite` and the reverse
 pass — are also the engine of the dense tile pipeline
 (:mod:`repro.render.rasterize` / :mod:`repro.render.backward`), which
 feeds them from its depth-sorted tile table — one composite and one
@@ -56,6 +57,7 @@ from .native import f64, i64, ptr
 __all__ = [
     "FlatCompositeCache",
     "AlphaGradients",
+    "alpha_cutoff",
     "evaluate_alpha",
     "falloff_alpha",
     "composite",
@@ -99,6 +101,31 @@ def _check_proj(proj):
     return m
 
 
+def alpha_cutoff(proj, alpha_threshold):
+    """Per projected Gaussian, a squared pixel distance beyond which its α
+    falls below ``alpha_threshold`` for certain.
+
+    ``o·exp(−d²/2σ²) ≥ τ`` needs ``d² ≤ ln(o/τ)·2σ²``.  The cutoff widens
+    that bound by a relative 1e-9 and an absolute 1e-9 in the exponent,
+    far more than the few ulps of rounding in :func:`falloff_alpha`, the
+    logarithm and the cutoff itself — the absolute term covers ``o`` a hair
+    above ``τ``, where ``ln(o/τ)`` is tiny.  It is +∞ when ``τ ≤ 0`` (every
+    α passes) and −∞ when ``τ > ALPHA_MAX`` (no clamped α passes); ``o < τ``
+    makes it negative on its own.  It is NaN only where α is NaN or below
+    ``τ`` at every distance (NaN opacity or σ; σ = 0), so comparing
+    against it culls nothing that could pass.  Both pipelines' culls
+    (``candidate_cull`` and ``tile_cull``) compare against it.
+    """
+    if alpha_threshold <= 0.0:
+        return np.full(len(proj), np.inf)
+    if alpha_threshold > ALPHA_MAX:
+        return np.full(len(proj), -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ratio = np.log(proj.opacity / alpha_threshold)
+        sig = proj.sigma2d
+        return (log_ratio * (1.0 + 1e-9) + 1e-9) * (2.0 * sig * sig)
+
+
 def evaluate_alpha(proj, gss, centres, exp_fn=np.exp):
     """α stage: ``(alpha, clipped)`` per (centre, Gaussian) pair.
 
@@ -116,8 +143,8 @@ def evaluate_alpha(proj, gss, centres, exp_fn=np.exp):
 def falloff_alpha(proj, gss, d2, exp_fn=np.exp):
     """The second half of :func:`evaluate_alpha`: ``(alpha, clipped)``
     from each pair's squared centre distance ``d2 = du*du + dv*dv``, for
-    callers that computed it themselves (the dense pipeline's compiled
-    cull)."""
+    callers that computed it themselves (both pipelines' compiled
+    culls)."""
     sig = proj.sigma2d
     # opacity·exp(−d2·inv_2var), operands in that order, computed in place:
     # a dense frame has ~10⁵ pairs, and each fresh temporary of that size
@@ -212,12 +239,12 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
             stats.per_pixel_contribs.extend([0] * K)
         return np.zeros(0, dtype=int), np.zeros(K, dtype=int), [None] * K, None
 
-    pix, gss = pairs.pix, pairs.gss
-    lengths = np.bincount(pix, minlength=K)
+    gss, lengths = pairs.gss, pairs.lengths
     if pair_alpha is not None:
         alpha, clipped = pair_alpha, pair_clipped
     else:
-        alpha, clipped = evaluate_alpha(proj, gss, centres[pix], exp_fn)
+        alpha, clipped = evaluate_alpha(proj, gss, centres[pairs.pix],
+                                        exp_fn)
     out_color, out_depth, out_sil, cache = composite(
         proj, gss, lengths, centres, background, alpha, clipped,
         alpha_threshold, t_min)

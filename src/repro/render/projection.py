@@ -16,7 +16,7 @@ with exactly these expressions — stay bit-identical to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,8 @@ class ProjectedGaussians:
 
     All arrays are indexed by *projected* Gaussian; ``source_index`` maps
     back to the cloud so gradients can be scattered to the right rows.
+    ``scale`` is the world-space scale each splat was projected with;
+    re-projection reads it, and raises when it is missing.
     """
 
     source_index: np.ndarray  # (M,) int — index into the GaussianCloud
@@ -56,6 +58,7 @@ class ProjectedGaussians:
     opacity: np.ndarray       # (M,) in (0, 1)
     color: np.ndarray         # (M, 3) clamped to [0, 1]
     radius: np.ndarray        # (M,) bbox half-extent = RADIUS_SIGMA * sigma2d
+    scale: Optional[np.ndarray] = None  # (M,) cloud scale (metres)
 
     def __len__(self) -> int:
         return self.source_index.shape[0]
@@ -77,9 +80,11 @@ def projection_arrays(
 ) -> Tuple[np.ndarray, ...]:
     """Full-cloud projection math, no culling/gathering.
 
-    Returns ``(p_cam, z, in_depth, u, v, sigma, radius)`` — all length-N
-    arrays over the whole cloud.  Entries failing the depth test hold
-    placeholder (finite) projected values via the ``z_safe`` guard.
+    Returns ``(p_cam, z, in_depth, u, v, sigma, radius, scales)`` — all
+    length-N arrays over the whole cloud, ``scales`` the cloud's
+    ``scales`` that ``sigma`` was computed from.  Entries failing the
+    depth test hold placeholder (finite) projected values via the
+    ``z_safe`` guard.
     """
     intr = camera.intrinsics
     p_cam = camera.world_to_camera(cloud.means)
@@ -91,9 +96,10 @@ def projection_arrays(
     z_safe = np.where(in_depth, z, 1.0)
     u = intr.fx * p_cam[:, 0] / z_safe + intr.cx
     v = intr.fy * p_cam[:, 1] / z_safe + intr.cy
-    sigma = mean_focal * cloud.scales / z_safe
+    scales = cloud.scales
+    sigma = mean_focal * scales / z_safe
     radius = margin_sigma * sigma
-    return p_cam, z, in_depth, u, v, sigma, radius
+    return p_cam, z, in_depth, u, v, sigma, radius, scales
 
 
 def projection_keep_mask(in_depth: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -113,7 +119,8 @@ def projection_keep_mask(in_depth: np.ndarray, u: np.ndarray, v: np.ndarray,
 def gather_projected(cloud: GaussianCloud, idx: np.ndarray,
                      p_cam: np.ndarray, z: np.ndarray, u: np.ndarray,
                      v: np.ndarray, sigma: np.ndarray,
-                     radius: np.ndarray) -> ProjectedGaussians:
+                     radius: np.ndarray,
+                     scales: np.ndarray) -> ProjectedGaussians:
     """Subset the full-cloud projection arrays into a ProjectedGaussians."""
     return ProjectedGaussians(
         source_index=idx,
@@ -124,6 +131,7 @@ def gather_projected(cloud: GaussianCloud, idx: np.ndarray,
         opacity=cloud.opacities[idx],
         color=np.clip(cloud.colors[idx], 0.0, 1.0),
         radius=radius[idx],
+        scale=scales[idx],
     )
 
 
@@ -140,9 +148,10 @@ def project_gaussians(
     its ``margin_sigma``-radius footprint overlaps the image rectangle.
     """
     intr = camera.intrinsics
-    p_cam, z, in_depth, u, v, sigma, radius = projection_arrays(
+    p_cam, z, in_depth, u, v, sigma, radius, scales = projection_arrays(
         cloud, camera, near, far, margin_sigma)
     keep = projection_keep_mask(in_depth, u, v, radius,
                                 intr.width, intr.height)
     idx = np.nonzero(keep)[0]
-    return gather_projected(cloud, idx, p_cam, z, u, v, sigma, radius)
+    return gather_projected(cloud, idx, p_cam, z, u, v, sigma, radius,
+                            scales)

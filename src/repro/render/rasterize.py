@@ -52,14 +52,18 @@ from ..obs import atlas as _atlas_mod
 # composite_forward is the per-tile oracle of the engine below; it stays
 # importable from this module (perfbench/layers.py wraps it here).
 from .compositing import (  # noqa: F401
-    ALPHA_MAX,
     ALPHA_THRESHOLD,
     T_MIN,
     composite_forward,
 )
 from .kernels import native
 from .kernels.native import f64, i64, ptr
-from .kernels.vectorized import FlatCompositeCache, composite, falloff_alpha
+from .kernels.vectorized import (
+    FlatCompositeCache,
+    alpha_cutoff,
+    composite,
+    falloff_alpha,
+)
 from .projection import ProjectedGaussians, project_gaussians
 from .sorting import sort_intersection_table
 from .stats import PipelineStats
@@ -214,30 +218,6 @@ def _rendered_pixels(grid: TileGrid, pixels: Optional[np.ndarray]):
     tiles = grid.tile_of_pixel(u, v)
     order = np.argsort(tiles, kind="stable")
     return np.stack([u[order], v[order]], axis=-1), tiles[order]
-
-
-def alpha_cutoff(proj, alpha_threshold):
-    """Per projected Gaussian, a squared pixel distance beyond which its α
-    falls below ``alpha_threshold`` for certain.
-
-    ``o·exp(−d²/2σ²) ≥ τ`` needs ``d² ≤ ln(o/τ)·2σ²``.  The cutoff widens
-    that bound by a relative 1e-9 and an absolute 1e-9 in the exponent,
-    far more than the few ulps of rounding in :func:`evaluate_alpha`, the
-    logarithm and the cutoff itself — the absolute term covers ``o`` a hair
-    above ``τ``, where ``ln(o/τ)`` is tiny.  It is +∞ when ``τ ≤ 0`` (every
-    α passes) and −∞ when ``τ > ALPHA_MAX`` (no clamped α passes); ``o < τ``
-    makes it negative on its own.  It is NaN only where α is NaN or below
-    ``τ`` at every distance (NaN opacity or σ; σ = 0), so comparing
-    against it culls nothing that could pass.
-    """
-    if alpha_threshold <= 0.0:
-        return np.full(len(proj), np.inf)
-    if alpha_threshold > ALPHA_MAX:
-        return np.full(len(proj), -np.inf)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_ratio = np.log(proj.opacity / alpha_threshold)
-        sig = proj.sigma2d
-        return (log_ratio * (1.0 + 1e-9) + 1e-9) * (2.0 * sig * sig)
 
 
 def _tile_cull(proj, sorted_gss, n_g, n_px, px, cutoff):

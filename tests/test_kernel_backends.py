@@ -16,6 +16,7 @@ from repro.render.kernels import available_backends, resolve_backend
 from repro.render.kernels.candidates import candidate_pairs
 from repro.render.projection import project_gaussians
 
+from . import candidate_oracle
 from .lattice_oracle import (
     bbox_candidate_ranges,
     corner_pairs,
@@ -150,7 +151,19 @@ class TestOrderedGenerator:
 
         pix, gss = corner_pairs(centres, bbox)
         order = np.lexsort((gss, depth[gss], pix))
-        got = candidate_pairs(centres, bbox, depth, chunk_pairs=chunk_pairs)
+        got_pix, got_gss, lengths, _, _ = candidate_oracle.candidate_pairs(
+            centres, bbox, depth, chunk_pairs=chunk_pairs)
+        assert lengths.size == k
+        assert np.array_equal(got_pix, pix[order])
+        assert np.array_equal(got_gss, gss[order])
+        # The compiled generator takes boxes mean2d ± radius: square boxes
+        # on the same half-pixel grid.
+        radius = hi[:, 0] - lo[:, 0]
+        square = np.concatenate([lo - radius[:, None], lo + radius[:, None]],
+                                axis=1)
+        pix, gss = corner_pairs(centres, square)
+        order = np.lexsort((gss, depth[gss], pix))
+        got = candidate_pairs(centres, lo, radius, depth)
         assert got.num_pixels == k
         assert np.array_equal(got.pix, pix[order])
         assert np.array_equal(got.gss, gss[order])
@@ -166,7 +179,8 @@ class TestCandidateGenerators:
         assert is_tile_lattice(pixels, 4, W)
         lat_pix, lat_gss = pixel_major(
             *lattice_pair_arrays(pixels, proj.bbox(), 4, W))
-        got = candidate_pairs(pixels + 0.5, proj.bbox(), proj.depth)
+        got = candidate_pairs(pixels + 0.5, proj.mean2d, proj.radius,
+                              proj.depth)
         got_pix, got_gss = pixel_major(got.pix, got.gss)
         assert np.array_equal(lat_pix, got_pix)
         assert np.array_equal(lat_gss, got_gss)
@@ -175,11 +189,11 @@ class TestCandidateGenerators:
         cloud, cam = make_scene(seed=5)
         proj = project_gaussians(cloud, cam)
         centres = random_pixels(seed=5, k=30) + 0.5
-        one = candidate_pairs(centres, proj.bbox(), proj.depth)
-        many = candidate_pairs(centres, proj.bbox(), proj.depth,
-                               chunk_pairs=64)
-        assert np.array_equal(one.pix, many.pix)
-        assert np.array_equal(one.gss, many.gss)
+        one = candidate_pairs(centres, proj.mean2d, proj.radius, proj.depth)
+        many = candidate_oracle.candidate_pairs(
+            centres, proj.bbox(), proj.depth, chunk_pairs=64)
+        assert np.array_equal(one.pix, many[0])
+        assert np.array_equal(one.gss, many[1])
 
     def test_non_lattice_hint_falls_back(self):
         """``Splatonic.render_sparse`` still accepts a lattice hint; right

@@ -167,7 +167,8 @@ class TestDirectIndexing:
                                         np.random.default_rng(2))
         proj = project_gaussians(cloud, cam)
         ranges = bbox_candidate_ranges(pixels, proj.bbox(), tile, W)
-        pairs = candidate_pairs(pixels + 0.5, proj.bbox(), proj.depth)
+        pairs = candidate_pairs(pixels + 0.5, proj.mean2d, proj.radius,
+                                proj.depth)
         for g, cand in enumerate(ranges):
             inside = pairs.pix[pairs.gss == g]
             assert set(cand.tolist()) == set(inside.tolist())
@@ -182,3 +183,108 @@ class TestDirectIndexing:
         for k, (u, v) in enumerate(pixels):
             assert u // tile == k % tiles_x
             assert v // tile == k // tiles_x
+
+
+def reference_pair_state(res):
+    """The reference backend's per-pixel caches as flat pixel-major
+    ``(alpha, gamma, contrib, clipped)`` arrays."""
+    caches = [c for c in res.caches if c is not None]
+    if not caches:
+        return [np.zeros(0)] * 2 + [np.zeros(0, dtype=bool)] * 2
+    return [np.concatenate([getattr(c, name)[0] for c in caches])
+            for name in ("alpha", "gamma", "contrib", "clipped")]
+
+
+def lut_exp(x):
+    from repro.hw import ExpLUT
+
+    return ExpLUT(64)(-np.asarray(x))
+
+
+class TestUnculledAlphaStage:
+    """The three renders that keep every bbox candidate (a ``+inf``
+    cutoff) — the sparsity atlas recording, ``preemptive_alpha=False`` and
+    an approximate ``exp_fn`` — give the reference backend's outputs, α
+    bits and counters, and the atlas sees the same pre-filter pairs."""
+
+    def render(self, backend, case, cloud, cam, pixels):
+        from repro.obs.atlas import AtlasCollector, use_collector
+
+        kwargs = {"preemptive_off": dict(preemptive_alpha=False),
+                  "lut": dict(exp_fn=lut_exp)}.get(case, {})
+        collector = AtlasCollector(tile=8)
+        collector.enable()
+        collector.begin_frame(0, W, H)
+        with use_collector(collector if case == "atlas" else None):
+            res = render_sparse(cloud, cam, pixels, BG, backend=backend,
+                                **kwargs)
+        collector.end_frame()
+        return res, collector
+
+    @pytest.mark.parametrize("case", ["atlas", "preemptive_off", "lut"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference(self, case, seed):
+        cloud, cam = make_scene(seed=seed)
+        pixels = np.stack(np.meshgrid(np.arange(0, W, 3),
+                                      np.arange(0, H, 3)), -1).reshape(-1, 2)
+        ref, ref_atlas = self.render("reference", case, cloud, cam, pixels)
+        vec, vec_atlas = self.render("vectorized", case, cloud, cam, pixels)
+        observed = vec_atlas.records[-1]["observed"]
+        for name in ("color", "depth", "silhouette", "sorted_gss",
+                     "list_lengths"):
+            assert np.array_equal(getattr(ref, name), getattr(vec, name))
+        assert ref.stats.as_dict() == vec.stats.as_dict()
+        assert ref.stats.per_pixel_contribs == vec.stats.per_pixel_contribs
+        fc = vec.flat_cache
+        for name, want in zip(("alpha", "gamma", "contrib", "clipped"),
+                              reference_pair_state(ref)):
+            assert getattr(fc, name).tobytes() == want.tobytes(), name
+        assert ref_atlas.to_bytes() == vec_atlas.to_bytes()
+        if case == "atlas":
+            # The atlas bins every bbox candidate, not the cull's survivors.
+            assert (observed["other"]["candidates"]
+                    == vec.stats.num_candidate_pairs
+                    > vec.stats.num_sort_keys)
+            plain = render_sparse(cloud, cam, pixels, BG)
+            assert plain.stats.as_dict() == vec.stats.as_dict()
+            assert plain.flat_cache.alpha.tobytes() == fc.alpha.tobytes()
+            assert plain.flat_cache.gamma.tobytes() == fc.gamma.tobytes()
+            assert np.array_equal(plain.color, vec.color)
+
+
+def count_native_calls(monkeypatch):
+    """Patch the kernel library so that every native call is counted."""
+    from collections import Counter
+
+    from repro.render.kernels import native
+
+    lib, calls = native.library(), Counter()
+
+    class Counting:
+        def __getattr__(self, name):
+            def counted(*args):
+                calls[name] += 1
+                return getattr(lib, name)(*args)
+            return counted
+
+    monkeypatch.setattr(native, "library", Counting)
+    return calls
+
+
+def test_native_calls_per_sparse_iteration(monkeypatch):
+    """A sparse forward is one cull (its scan, and the call that lays the
+    kept pairs out) and one composite; a pose-only backward is one
+    reverse call."""
+    cloud, cam = make_scene(seed=3)
+    pixels = sample_tracking_pixels(W, H, 8, "random",
+                                    np.random.default_rng(3))
+    calls = count_native_calls(monkeypatch)
+    res = render_sparse(cloud, cam, pixels, BG)
+    assert res.stats.num_sort_keys > 0
+    assert dict(calls) == {"candidate_cull": 1, "candidate_place": 1,
+                           "composite_forward": 1}
+    calls.clear()
+    backward_sparse(res, cloud, cam, np.ones((len(pixels), 3)),
+                    np.ones(len(pixels)), np.ones(len(pixels)),
+                    pose_only=True)
+    assert dict(calls) == {"composite_reverse": 1}

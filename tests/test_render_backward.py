@@ -164,3 +164,32 @@ class TestAggregationStats:
         pg = ProjectedGradients.zeros(4)
         assert pg.d_mean2d.shape == (4, 2)
         assert np.allclose(pg.d_sigma2d, 0)
+
+
+class TestProjectedScale:
+    """Projection carries the scale each splat was projected with, and
+    re-projection reads it instead of re-evaluating ``exp``."""
+
+    def test_projection_gathers_the_cloud_scales(self):
+        from repro.render.projection import project_gaussians
+
+        cloud, cam = make_scene(seed=8)
+        proj = project_gaussians(cloud, cam)
+        assert len(proj) > 0
+        assert proj.scale.tobytes() == (
+            cloud.scales[proj.source_index].tobytes())
+
+    def test_reprojection_without_a_scale_raises(self):
+        from dataclasses import replace
+
+        from repro.render.backward import reproject_gradients
+        from repro.render.projection import project_gaussians
+
+        cloud, cam = make_scene(seed=9)
+        proj = project_gaussians(cloud, cam)
+        pg = ProjectedGradients.zeros(len(proj))
+        for pose_only in (False, True):
+            reproject_gradients(proj, cloud, cam, pg, pose_only=pose_only)
+            with pytest.raises(ValueError, match="scale"):
+                reproject_gradients(replace(proj, scale=None), cloud, cam,
+                                    pg, pose_only=pose_only)
