@@ -154,11 +154,6 @@ def _add_run_arguments(parser, frames: int, width: int,
     parser.add_argument("--width", type=int, default=width)
     parser.add_argument("--height", type=int, default=height)
     parser.add_argument("--tracking-tile", type=int, default=8)
-    parser.add_argument("--render-cache", action="store_true", default=None,
-                        help="enable the temporal-coherence render cache "
-                             "(cross-iteration candidate reuse with exact "
-                             "revalidation; bit-identical outputs; default: "
-                             "$REPRO_RENDER_CACHE or off)")
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -411,8 +406,7 @@ def _build_system(args, **overrides):
     return SLAMSystem(
         args.algorithm, mode=args.mode,
         splatonic_config=SplatonicConfig(
-            tracking_tile=args.tracking_tile,
-            render_cache=args.render_cache, **overrides),
+            tracking_tile=args.tracking_tile, **overrides),
         seed=args.seed)
 
 

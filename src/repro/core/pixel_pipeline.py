@@ -27,13 +27,14 @@ The backward pass reuses the per-pixel sorted list and the cached ``Gamma``
 the rasterization engine's double buffer), computes partial gradients in
 parallel, and aggregates them per Gaussian.
 
-This module orchestrates the *stages* — candidate generation and the
-preemptive α cull over a flattened CSR-style (pixel, Gaussian) pair list
-in composite order, the α filter on the survivors (which keeps that
-order), and counter accounting — and dispatches composite + backward to
-the batched ``"vectorized"`` kernel (:mod:`repro.render.kernels`): one
-compiled cull and one composite call per forward, one reverse call per
-backward.  The cull keeps every bbox candidate (a ``+inf`` cutoff) when
+This module orchestrates the *stages*, one path for every forward:
+:func:`~repro.render.projection.project_gaussians`, then the compiled
+candidate generation and preemptive α cull over a flattened CSR-style
+(pixel, Gaussian) pair list in composite order, the falloff and α filter
+on the survivors (which keeps that order), and counter accounting.  It
+dispatches composite + backward to the batched ``"vectorized"`` kernel
+(:mod:`repro.render.kernels`): one compiled cull and one composite call
+per forward, one reverse call per backward.  The cull keeps every bbox candidate (a ``+inf`` cutoff) when
 the caller needs them all: with ``preemptive_alpha=False``, with an
 approximate ``exp_fn`` (the cutoff assumes ``np.exp``) and while the
 sparsity atlas records the pre-filter pairs.  Tests select the per-pixel
@@ -62,13 +63,11 @@ from ..render.compositing import (
     T_MIN,
     CompositeCache,
 )
-from ..render.cache import RenderCache
 from ..render.kernels import get_kernel, resolve_backend
 from ..render.kernels.candidates import candidate_pairs
 from ..render.kernels.vectorized import (
     FlatCompositeCache,
     alpha_cutoff,
-    evaluate_alpha,
     falloff_alpha,
 )
 from ..render.projection import ProjectedGaussians, project_gaussians
@@ -139,7 +138,6 @@ def render_sparse(
     exp_fn=np.exp,
     backend: Optional[str] = None,
     record_per_pixel: bool = True,
-    cache: Optional[RenderCache] = None,
 ) -> SparseRenderResult:
     """Render only the sampled ``pixels`` with the pixel-based pipeline.
 
@@ -157,13 +155,6 @@ def render_sparse(
     that tests compare it against.  ``record_per_pixel=False`` skips the
     per-item stats record lists (hardware-model replay streams); scalar
     counters are unaffected.
-
-    ``cache`` is an optional :class:`repro.render.cache.RenderCache` —
-    the temporal-coherence cache replaces the projection + candidate
-    generation stages with an exactly revalidated cross-iteration lookup
-    (bit-identical pairs/outputs; see :mod:`repro.render.cache`).  The
-    logical workload counters are unaffected; the cache's own hit/miss/
-    rebuild counters land in the separate ``cache_*`` stats fields.
     """
     intr = camera.intrinsics
     bg = DEFAULT_BACKGROUND if background is None else np.asarray(background, float)
@@ -173,14 +164,8 @@ def render_sparse(
     backend_name = resolve_backend(backend)
     kernel = get_kernel(backend_name)
 
-    cached_pairs = None
-    if cache is not None:
-        with trace.span("render.project", pipeline="pixel", cached=True):
-            proj, cached_pairs, lookup = cache.project_and_candidates(
-                cloud, camera, pixels)
-    else:
-        with trace.span("render.project", pipeline="pixel"):
-            proj = project_gaussians(cloud, camera)
+    with trace.span("render.project", pipeline="pixel"):
+        proj = project_gaussians(cloud, camera)
     stats = PipelineStats(
         pipeline="pixel",
         image_width=intr.width,
@@ -190,11 +175,6 @@ def render_sparse(
         num_pixels=K,
         record_per_pixel=record_per_pixel,
     )
-    if cache is not None:
-        stats.cache_hits += int(lookup.hit)
-        stats.cache_misses += int(not lookup.hit)
-        stats.cache_rebuilds += int(lookup.rebuilt)
-        stats.cache_active_gaussians += int(lookup.active_gaussians)
 
     color = np.tile(bg, (K, 1))
     depth = np.zeros(K)
@@ -215,19 +195,14 @@ def render_sparse(
     atlas = _atlas_mod.current.active
     with trace.span("render.alpha_check", pipeline="pixel",
                     backend=backend_name):
-        if cached_pairs is not None:
-            # The cache already produced the exact pair list, in the
-            # generator's composite order.
-            pairs = cached_pairs
-        else:
-            # The cutoff is exact for np.exp's falloff; the atlas bins the
-            # pre-filter candidate set, so its per-tile α-pass rates match
-            # ``stats.alpha_pass_rate``.
-            cutoff = (alpha_cutoff(proj, alpha_threshold)
-                      if preemptive_alpha and exp_fn is np.exp and not atlas
-                      else np.full(len(proj), np.inf))
-            pairs = candidate_pairs(centres, proj.mean2d, proj.radius,
-                                    proj.depth, cutoff)
+        # The cutoff is exact for np.exp's falloff; the atlas bins the
+        # pre-filter candidate set, so its per-tile α-pass rates match
+        # ``stats.alpha_pass_rate``.
+        cutoff = (alpha_cutoff(proj, alpha_threshold)
+                  if preemptive_alpha and exp_fn is np.exp and not atlas
+                  else np.full(len(proj), np.inf))
+        pairs = candidate_pairs(centres, proj.mean2d, proj.radius,
+                                proj.depth, cutoff)
         # α is evaluated once per candidate either way: preemptively here,
         # or inside rasterization when the ablation disables the filter.
         stats.num_candidate_pairs += pairs.num_candidates
@@ -235,12 +210,8 @@ def render_sparse(
         atlas_pix, atlas_gss = pairs.pix, pairs.gss
         pair_alpha = pair_clipped = None
         if pairs.size and (preemptive_alpha or kernel.wants_pair_alpha):
-            if pairs.d2 is None:
-                pair_alpha, pair_clipped = evaluate_alpha(
-                    proj, pairs.gss, centres[pairs.pix], exp_fn)
-            else:
-                pair_alpha, pair_clipped = falloff_alpha(
-                    proj, pairs.gss, pairs.d2, exp_fn)
+            pair_alpha, pair_clipped = falloff_alpha(
+                proj, pairs.gss, pairs.d2, exp_fn)
             passes = pair_alpha >= alpha_threshold
             if preemptive_alpha and not passes.all():
                 keep = np.flatnonzero(passes)

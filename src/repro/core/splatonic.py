@@ -15,7 +15,6 @@ import numpy as np
 
 from ..gaussians.camera import Camera
 from ..gaussians.model import GaussianCloud
-from ..render.cache import RenderCache, resolve_render_cache
 from ..render.compositing import ALPHA_THRESHOLD, T_MIN
 from ..render.rasterize import RenderResult, render_full
 from .pixel_pipeline import SparseRenderResult, backward_sparse, render_sparse
@@ -54,11 +53,6 @@ class SplatonicConfig:
     # them; long SLAM / benchmark runs turn them off to keep rendering free
     # of unbounded Python-list appends.  Scalar counters are unaffected.
     record_per_pixel: bool = True
-    # Temporal-coherence render cache (repro.render.cache): memoize the
-    # candidate superset across optimizer iterations with exact
-    # revalidation — bit-identical outputs, pure execution-strategy
-    # change.  None resolves via $REPRO_RENDER_CACHE, defaulting to off.
-    render_cache: Optional[bool] = None
 
     def with_overrides(self, **kwargs) -> "SplatonicConfig":
         return replace(self, **kwargs)
@@ -130,36 +124,18 @@ class Splatonic:
 
     # ---- rendering ----
 
-    def render_cache_enabled(self) -> bool:
-        """Whether the temporal-coherence render cache is on for this run
-        (config > ``$REPRO_RENDER_CACHE`` > off)."""
-        return resolve_render_cache(self.config.render_cache)
-
-    def make_render_cache(self, mode: str) -> Optional[RenderCache]:
-        """A fresh :class:`RenderCache` for one optimization stream, or
-        ``None`` when the cache is disabled.
-
-        ``mode`` is ``"tracking"`` (fixed cloud, drifting pose) or
-        ``"mapping"`` (fixed camera/pixels, drifting parameters) — it
-        only seeds the margin prior; correctness never depends on it.
-        """
-        if not self.render_cache_enabled():
-            return None
-        return RenderCache(mode=mode)
-
     def render_sparse(self, cloud: GaussianCloud, camera: Camera,
                       pixels: np.ndarray,
                       background: Optional[np.ndarray] = None,
                       keep_cache: bool = True,
-                      lattice_tile: Optional[int] = None,
-                      cache: Optional[RenderCache] = None) -> SparseRenderResult:
-        """Pixel-based forward pass over the sampled pixels.
+                      lattice_tile: Optional[int] = None) -> SparseRenderResult:
+        """Pixel-based forward pass over the sampled pixels: projection,
+        the compiled candidate cull, falloff and composite, the one path
+        every sparse render takes.
 
         ``lattice_tile`` is accepted and ignored: it used to pick a
         candidate generator, and one generator now serves every pixel
-        layout.  ``cache`` threads a
-        per-stream temporal-coherence cache (see :meth:`make_render_cache`)
-        into the pipeline.
+        layout.
         """
         return render_sparse(
             cloud, camera, pixels, background,
@@ -168,7 +144,6 @@ class Splatonic:
             keep_cache=keep_cache,
             preemptive_alpha=self.config.preemptive_alpha,
             record_per_pixel=self.config.record_per_pixel,
-            cache=cache,
         )
 
     def backward_sparse(self, result: SparseRenderResult,

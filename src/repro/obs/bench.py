@@ -249,116 +249,28 @@ def _same_outputs(a, b) -> bool:
         and a_g.stats.as_dict() == b_g.stats.as_dict())
 
 
-#: Iterations of the temporal-coherence cache legs per scenario run —
-#: matches the real mapping optimizer loop (~24 iters/keyframe), so the
-#: hit/rebuild counts follow the production loop shape.
-_CACHE_ITERS = 24
-
-#: Backend the cache legs render with (the production fast path).
-_CACHE_BACKEND = "vectorized"
-
-
-def _cache_leg_sections(cfg: SuiteConfig, mode: str,
-                        counters: Dict[str, float],
-                        info: Dict[str, float]) -> None:
-    """Check the temporal-coherence render cache on one loop shape.
-
-    Replays a deterministic optimizer-loop proxy — ``tracking``: fixed
-    cloud, pose drifting by a constant twist per iteration over the
-    tracking pixel lattice; ``mapping``: fixed camera/pixels, parameters
-    drifting by a constant Adam-sized step — once uncached and once
-    through a fresh :class:`repro.render.cache.RenderCache`.  Adds the
-    bit-identity flag and hit/rebuild counts to ``counters`` (exact-gated:
-    the drift is deterministic, so they are rep-stable) and the hit rate
-    and margin to ``info``.
-    """
-    import numpy as np
-
-    from ..core.pixel_pipeline import backward_sparse, render_sparse
-    from ..core.sampling import sample_tracking_pixels
-    from ..gaussians.camera import Camera
-    from ..gaussians.se3 import se3_exp
-    from ..render.cache import RenderCache
-
-    bundle = _bundle(cfg)
-    spec = cfg.spec
-    if mode == "tracking":
-        tile = spec.tracking_tile
-        twist = np.array([2e-3, -1e-3, 1.5e-3, 1e-3, -5e-4, 8e-4])
-        param_step = None
-        pixel_seed = cfg.seed
-    else:
-        tile = spec.mapping_tile
-        twist = None
-        param_step = np.random.default_rng(cfg.seed + 1).normal(
-            0.0, 1e-3, bundle.cloud.pack().size)
-        pixel_seed = cfg.seed + 1
-    pixels = sample_tracking_pixels(
-        spec.width, spec.height, tile, "random",
-        np.random.default_rng(pixel_seed))
-
-    def run(cache):
-        outs = []
-        cloud = bundle.cloud
-        pose = bundle.camera.pose_c2w
-        for _ in range(_CACHE_ITERS):
-            camera = Camera(bundle.camera.intrinsics, pose)
-            result = render_sparse(
-                cloud, camera, pixels, backend=_CACHE_BACKEND,
-                record_per_pixel=False,
-                cache=cache)
-            grads = backward_sparse(
-                result, cloud, camera,
-                np.ones_like(result.color), np.ones_like(result.depth),
-                np.ones_like(result.silhouette))
-            outs.append((result, grads))
-            if twist is not None:
-                pose = pose @ se3_exp(twist)
-            if param_step is not None:
-                cloud = cloud.unpack(cloud.pack() + param_step)
-        return outs
-
-    cache = RenderCache(mode=mode)
-    identical = all(_same_outputs(off, on)
-                    for off, on in zip(run(None), run(cache)))
-
-    counters["cache.identical"] = int(identical)
-    counters["cache.hits"] = int(cache.hits)
-    counters["cache.misses"] = int(cache.misses)
-    counters["cache.rebuilds"] = int(cache.rebuilds)
-    info["cache.hit_rate"] = (cache.hits / (cache.hits + cache.misses)
-                              if (cache.hits + cache.misses) else 0.0)
-    info["cache.margin_px"] = float(cache.margin)
-
-
 @scenario("tracking",
           "sparse tracking iteration: dense/Org.+S/pixel workload counters "
-          "+ modeled GPU and SPLATONIC-HW latency + render-cache leg")
+          "+ modeled GPU and SPLATONIC-HW latency")
 def _scn_tracking(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     from ..bench.scenarios import tracking_workloads
 
     bundle = _bundle(cfg)
     workloads = tracking_workloads(bundle, tile=cfg.spec.tracking_tile,
                                    seed=cfg.seed)
-    sections = _iteration_sections(workloads)
-    _cache_leg_sections(cfg, "tracking", sections["counters"],
-                        sections["info"])
-    return sections
+    return _iteration_sections(workloads)
 
 
 @scenario("mapping",
           "mapping iteration: dense/Org.+S/pixel workload counters "
-          "+ modeled GPU and SPLATONIC-HW latency + render-cache leg")
+          "+ modeled GPU and SPLATONIC-HW latency")
 def _scn_mapping(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     from ..bench.scenarios import mapping_workloads
 
     bundle = _bundle(cfg)
     workloads = mapping_workloads(bundle, tile=cfg.spec.mapping_tile,
                                   seed=cfg.seed)
-    sections = _iteration_sections(workloads)
-    _cache_leg_sections(cfg, "mapping", sections["counters"],
-                        sections["info"])
-    return sections
+    return _iteration_sections(workloads)
 
 
 @scenario("slam_e2e",

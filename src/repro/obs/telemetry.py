@@ -100,7 +100,6 @@ class RunAggregator:
         ("mapping_loss", "mapping.final_loss"),
         ("gaussians", "gaussians"),
         ("alpha_rejection", "alpha.rejection_rate"),
-        ("cache_hit_rate", "cache.hit_rate"),
         ("wall_time_s", "wall_time_s"),
     )
 
@@ -139,8 +138,7 @@ class RunAggregator:
         self.consume("frame", record, ts=time.time())
         for name, value in (("frame", record["frame"]),
                             ("gaussians", record["gaussians"]),
-                            ("pose_error_m", record["pose_error_m"]),
-                            ("cache_hit_rate", record["cache"]["hit_rate"])):
+                            ("pose_error_m", record["pose_error_m"])):
             self.gauges.set_gauge(f"slam.{name}", float(value))
 
     def on_summary(self, summary: Dict[str, Any]) -> None:
@@ -236,7 +234,6 @@ class RunAggregator:
                 "sampling": _get(last, "mapping.sampling"),
                 "keyframe": last.get("keyframe"),
                 "counters": last.get("counters"),
-                "cache": last.get("cache"),
                 "series": {key: list(values)
                            for key, values in sorted(self.series.items())},
                 "alerts": list(self.alerts),

@@ -68,13 +68,6 @@ class CandidatePairs:
         return int(self.pix.size)
 
     @classmethod
-    def of(cls, pix: np.ndarray, gss: np.ndarray,
-           num_pixels: int) -> "CandidatePairs":
-        """Pairs already in composite order, every one a bbox candidate."""
-        return cls(pix, gss, np.bincount(pix, minlength=num_pixels),
-                   int(pix.size))
-
-    @classmethod
     def empty(cls, num_pixels: int, with_d2: bool = False) -> "CandidatePairs":
         none = np.zeros(0, dtype=np.int64)
         return cls(none, none, np.zeros(num_pixels, dtype=np.int64), 0,

@@ -4,19 +4,12 @@ Transforms Gaussians into the camera frame, culls those outside the view
 frustum, and computes their 2D splat parameters: the projected mean, the
 isotropic 2D standard deviation, and the bounding-box radius used by the
 tile/pixel intersection logic downstream.
-
-The raw vectorized math lives in :func:`projection_arrays` /
-:func:`projection_keep_mask` / :func:`gather_projected` so that other
-consumers — the temporal-coherence render cache in
-:mod:`repro.render.cache` revalidates its memoized candidate superset
-with exactly these expressions — stay bit-identical to
-:func:`project_gaussians` by construction, not by duplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -26,9 +19,6 @@ from ..gaussians.model import GaussianCloud
 __all__ = [
     "ProjectedGaussians",
     "project_gaussians",
-    "projection_arrays",
-    "projection_keep_mask",
-    "gather_projected",
     "RADIUS_SIGMA",
 ]
 
@@ -71,20 +61,17 @@ class ProjectedGaussians:
         return np.concatenate([lo, hi], axis=1)
 
 
-def projection_arrays(
+def project_gaussians(
     cloud: GaussianCloud,
     camera: Camera,
     near: float = 0.01,
     far: float = 1e6,
     margin_sigma: float = RADIUS_SIGMA,
-) -> Tuple[np.ndarray, ...]:
-    """Full-cloud projection math, no culling/gathering.
+) -> ProjectedGaussians:
+    """Project a Gaussian cloud into a camera and cull off-screen splats.
 
-    Returns ``(p_cam, z, in_depth, u, v, sigma, radius, scales)`` — all
-    length-N arrays over the whole cloud, ``scales`` the cloud's
-    ``scales`` that ``sigma`` was computed from.  Entries failing the
-    depth test hold placeholder (finite) projected values via the
-    ``z_safe`` guard.
+    A Gaussian survives if its centre is within ``[near, far]`` in depth and
+    its ``margin_sigma``-radius footprint overlaps the image rectangle.
     """
     intr = camera.intrinsics
     p_cam = camera.world_to_camera(cloud.means)
@@ -99,29 +86,13 @@ def projection_arrays(
     scales = cloud.scales
     sigma = mean_focal * scales / z_safe
     radius = margin_sigma * sigma
-    return p_cam, z, in_depth, u, v, sigma, radius, scales
-
-
-def projection_keep_mask(in_depth: np.ndarray, u: np.ndarray, v: np.ndarray,
-                         radius: np.ndarray, width: int,
-                         height: int) -> np.ndarray:
-    """The survival mask of :func:`project_gaussians`: in-depth and the
-    radius-dilated footprint overlaps the image rectangle."""
     on_screen = (
         (u + radius > 0.0)
-        & (u - radius < width)
+        & (u - radius < intr.width)
         & (v + radius > 0.0)
-        & (v - radius < height)
+        & (v - radius < intr.height)
     )
-    return in_depth & on_screen
-
-
-def gather_projected(cloud: GaussianCloud, idx: np.ndarray,
-                     p_cam: np.ndarray, z: np.ndarray, u: np.ndarray,
-                     v: np.ndarray, sigma: np.ndarray,
-                     radius: np.ndarray,
-                     scales: np.ndarray) -> ProjectedGaussians:
-    """Subset the full-cloud projection arrays into a ProjectedGaussians."""
+    idx = np.nonzero(in_depth & on_screen)[0]
     return ProjectedGaussians(
         source_index=idx,
         p_cam=p_cam[idx],
@@ -133,25 +104,3 @@ def gather_projected(cloud: GaussianCloud, idx: np.ndarray,
         radius=radius[idx],
         scale=scales[idx],
     )
-
-
-def project_gaussians(
-    cloud: GaussianCloud,
-    camera: Camera,
-    near: float = 0.01,
-    far: float = 1e6,
-    margin_sigma: float = RADIUS_SIGMA,
-) -> ProjectedGaussians:
-    """Project a Gaussian cloud into a camera and cull off-screen splats.
-
-    A Gaussian survives if its centre is within ``[near, far]`` in depth and
-    its ``margin_sigma``-radius footprint overlaps the image rectangle.
-    """
-    intr = camera.intrinsics
-    p_cam, z, in_depth, u, v, sigma, radius, scales = projection_arrays(
-        cloud, camera, near, far, margin_sigma)
-    keep = projection_keep_mask(in_depth, u, v, radius,
-                                intr.width, intr.height)
-    idx = np.nonzero(keep)[0]
-    return gather_projected(cloud, idx, p_cam, z, u, v, sigma, radius,
-                            scales)

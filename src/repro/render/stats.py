@@ -73,17 +73,6 @@ class PipelineStats:
     # consumers keep working on the (empty) lists.  Not a counter: it is
     # excluded from ``as_dict()``.
     record_per_pixel: bool = True
-    # Temporal-coherence render-cache accounting (repro.render.cache).
-    # These measure the *execution strategy*, not the logical workload —
-    # the cached path produces bit-identical pair lists, so every num_*
-    # counter above is unchanged by the cache.  Deliberately excluded from
-    # ``as_dict()``/``headline()``: the hw models, bench counter gates,
-    # and flight-diff channels must see identical payloads whether the
-    # cache ran or not (same discipline as ``record_per_pixel``).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_rebuilds: int = 0
-    cache_active_gaussians: int = 0
 
     def merge(self, other: "PipelineStats") -> "PipelineStats":
         """Accumulate another pass's counters into this one (in place)."""
@@ -100,10 +89,6 @@ class PipelineStats:
         self.num_sort_keys += other.num_sort_keys
         self.num_alpha_checks += other.num_alpha_checks
         self.num_atomic_adds += other.num_atomic_adds
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_rebuilds += other.cache_rebuilds
-        self.cache_active_gaussians += other.cache_active_gaussians
         self.per_pixel_contribs.extend(other.per_pixel_contribs)
         self.tile_work.extend(other.tile_work)
         self.pixel_list_lengths.extend(other.pixel_list_lengths)
@@ -146,21 +131,6 @@ class PipelineStats:
         """
         return {key: value for key, value in self.as_dict().items()
                 if key.startswith("num_")}
-
-    def cache_summary(self) -> Dict[str, Union[int, float]]:
-        """Render-cache accounting for this pass (flight/telemetry payload).
-
-        Kept out of :meth:`as_dict`/:meth:`headline` on purpose — those
-        must stay bit-identical with the cache on or off.
-        """
-        lookups = self.cache_hits + self.cache_misses
-        return {
-            "hits": int(self.cache_hits),
-            "misses": int(self.cache_misses),
-            "rebuilds": int(self.cache_rebuilds),
-            "active_gaussians": int(self.cache_active_gaussians),
-            "hit_rate": (self.cache_hits / lookups) if lookups else 0.0,
-        }
 
     def summary(self) -> Dict[str, Optional[float]]:
         """Derived per-pass rates (the quantities the figures report).

@@ -168,20 +168,15 @@ class Mapper:
         }
         # Per-keyframe loop invariants, gathered once per invocation: the
         # pixel set (None renders the whole frame through the dense tile
-        # pipeline), the reference color/depth at those pixels (the set
-        # is fixed for the whole iteration loop) and one
-        # temporal-coherence render cache per sparse keyframe stream
-        # (fixed camera + pixels; the Gaussian parameters drift by Adam
-        # steps).
+        # pipeline) and the reference color/depth at those pixels (the
+        # set is fixed for the whole iteration loop).
         kf_pixels = []
         kf_refs = []
-        kf_caches = []
         for kf in window:
             if self.mode == "dense" or (kf.index == current.index
                                         and full_frame):
                 kf_pixels.append(None)
                 kf_refs.append((kf.color, kf.depth))
-                kf_caches.append(None)
                 continue
             if kf.index == current.index:
                 samples = self.splatonic.sample_mapping(
@@ -200,7 +195,6 @@ class Mapper:
             kf_pixels.append(px)
             kf_refs.append((kf.color[px[:, 1], px[:, 0]],
                             kf.depth[px[:, 1], px[:, 0]]))
-            kf_caches.append(self.splatonic.make_render_cache("mapping"))
 
         n = len(cloud)
         adam = Adam(8 * n, _mapping_lr(self.algo, n))
@@ -221,8 +215,7 @@ class Mapper:
                         cloud, cam, self.background)
                 else:
                     result = self.splatonic.render_sparse(
-                        cloud, cam, px, self.background,
-                        cache=kf_caches[kf_i])
+                        cloud, cam, px, self.background)
                 ref_c, ref_d = kf_refs[kf_i]
                 out = rgbd_loss(result.color, result.depth,
                                 result.silhouette, ref_c, ref_d,

@@ -239,12 +239,6 @@ class SLAMSystem:
                 alpha = (tr or mp).forward_stats
                 candidate = alpha.num_candidate_pairs
                 contrib = alpha.num_contrib_pairs
-                # Render-cache accounting (forward passes own the lookups).
-                # Not a diff channel: the cached/uncached equivalence differ
-                # must see identical payloads everywhere else.
-                cache = PipelineStats()
-                for fwd, _ in stages.values():
-                    cache.merge(fwd)
                 emit("on_frame", obs_flight.to_plain({
                     "type": "frame",
                     "frame": i,
@@ -279,7 +273,6 @@ class SLAMSystem:
                         "rejection_rate": (1.0 - contrib / candidate
                                            if candidate else 0.0),
                     },
-                    "cache": cache.cache_summary(),
                     "counters": {f"{name}_{way}": stats.headline()
                                  for name, pair in stages.items()
                                  for way, stats in zip(("fwd", "bwd"), pair)},
@@ -338,7 +331,7 @@ class SLAMSystem:
         Execution knobs are *resolved* (config > environment > default),
         so two runs that executed differently never share a config (or
         a registry ``config_hash``): a wall-time delta between them can
-        be pinned on a backend or render-cache change.
+        be pinned on a backend change.
         """
         return {
             "tracking_tile": self.splatonic.config.tracking_tile,
@@ -348,7 +341,6 @@ class SLAMSystem:
             "keyframe_every": self.algo.keyframe_every,
             "keyframe_window": self.algo.keyframe_window,
             "kernel_backend": self.resolved_kernel_backend(),
-            "render_cache": self.resolved_render_cache(),
         }
 
     def registry_config(self) -> dict:
@@ -363,15 +355,15 @@ class SLAMSystem:
         from ..render.kernels import resolve_backend
         return resolve_backend()
 
-    def resolved_render_cache(self) -> bool:
-        """Whether this run renders through the temporal-coherence cache
-        (config > ``$REPRO_RENDER_CACHE`` > off)."""
-        return self.splatonic.render_cache_enabled()
-
     def effective_kernel_workers(self) -> int:
         """Always 1: the sparse kernel runs in the calling thread.  Kept
         only because ``perfbench/run.py`` still reports it."""
         return 1
+
+    def resolved_render_cache(self) -> bool:
+        """Always False: the render cache is deleted.  Kept only because
+        ``perfbench/run.py`` still reports it."""
+        return False
 
     def _bootstrap_cloud(self, intr, pose0, frame0) -> GaussianCloud:
         """Seed the initial map from a regular grid over frame 0."""

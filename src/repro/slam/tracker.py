@@ -117,9 +117,6 @@ class Tracker:
                     Camera(self.intrinsics, pose), image=ref_color)
             ref_color = ref_color[pixels[:, 1], pixels[:, 0]]
             ref_depth = ref_depth[pixels[:, 1], pixels[:, 0]]
-            # One temporal-coherence cache per frame: the pixel set is
-            # fixed for the whole pose optimization, only the pose drifts.
-            render_cache = self.splatonic.make_render_cache("tracking")
             backward = self.splatonic.backward_sparse
         num_sampled = int(ref_depth.size)
 
@@ -137,8 +134,7 @@ class Tracker:
                         cloud, camera, self.background)
                 else:
                     result = self.splatonic.render_sparse(
-                        cloud, camera, pixels, self.background,
-                        cache=render_cache)
+                        cloud, camera, pixels, self.background)
                 out = rgbd_loss(result.color, result.depth,
                                 result.silhouette, ref_color, ref_depth,
                                 self.algo.tracking_loss, tracking=True)

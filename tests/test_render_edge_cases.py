@@ -284,3 +284,100 @@ class TestOutOfImagePixels:
         u, v = corners[:, 0], corners[:, 1]
         assert np.array_equal(subset.color[v, u], full.color[v, u])
         assert np.array_equal(sparse.color, full.color[v, u])
+
+
+class TestSparseCulledPairs:
+    """Sparse renders whose candidate cull is empty or clipped at the
+    image border."""
+
+    W, H = 48, 36
+    GRAD_FIELDS = TestEmptyPixelSets.GRAD_FIELDS
+
+    def camera(self):
+        return Camera(Intrinsics.from_fov(self.W, self.H, 75.0))
+
+    def random_pixels(self, k=40):
+        rng = np.random.default_rng(0)
+        return np.stack([rng.integers(0, self.W, k),
+                         rng.integers(0, self.H, k)], axis=-1)
+
+    def test_far_offscreen_cloud(self):
+        """In depth range but projecting far outside the image."""
+        rng = np.random.default_rng(4)
+        n = 60
+        cloud = GaussianCloud.create(
+            means=np.stack([rng.uniform(40, 50, n), rng.uniform(40, 50, n),
+                            rng.uniform(1.0, 3.0, n)], axis=-1),
+            scales=rng.uniform(0.03, 0.1, n),
+            opacities=rng.uniform(0.3, 0.9, n),
+            colors=rng.uniform(0, 1, (n, 3)),
+        )
+        res = render_sparse(cloud, self.camera(), self.random_pixels(), BG)
+        assert res.stats.num_candidate_pairs == 0
+        assert np.array_equal(res.color, np.tile(BG, (40, 1)))
+        assert not np.any(res.silhouette)
+
+    def test_border_clamped_bboxes(self):
+        """Gaussians straddling the image border, pixels along the edge:
+        the sparse path matches the dense one there, forward and
+        backward."""
+        rng = np.random.default_rng(8)
+        n = 50
+        # Means aimed at the image-plane border in camera space.
+        xs = np.concatenate([rng.uniform(-2.6, -2.2, n // 2),
+                             rng.uniform(2.2, 2.6, n - n // 2)])
+        cloud = GaussianCloud.create(
+            means=np.stack([xs, rng.uniform(-1.9, 1.9, n),
+                            np.full(n, 2.0)], axis=-1),
+            scales=rng.uniform(0.1, 0.4, n),
+            opacities=rng.uniform(0.3, 0.9, n),
+            colors=rng.uniform(0, 1, (n, 3)),
+        )
+        cam = self.camera()
+        W, H = self.W, self.H
+        border = np.array([[0, 0], [W - 1, 0], [0, H - 1], [W - 1, H - 1],
+                           [0, H // 2], [W - 1, H // 2], [W // 2, 0],
+                           [W // 2, H - 1]])
+        sparse = render_sparse(cloud, cam, border, BG)
+        dense = render_full(cloud, cam, BG, pixels=border)
+        u, v = border[:, 0], border[:, 1]
+        assert sparse.stats.num_contrib_pairs > 0
+        assert np.array_equal(sparse.color, dense.color[v, u])
+        assert np.array_equal(sparse.depth, dense.depth[v, u])
+        assert np.array_equal(sparse.silhouette, dense.silhouette[v, u])
+        k = len(border)
+        g_sparse = backward_sparse(sparse, cloud, cam, np.ones((k, 3)),
+                                   np.ones(k), np.ones(k))
+        d_color = np.zeros((H, W, 3))
+        d_depth = np.zeros((H, W))
+        d_color[v, u] = 1.0
+        d_depth[v, u] = 1.0
+        g_dense = backward_full(dense, cloud, cam, d_color, d_depth,
+                                d_depth.copy())
+        for name in self.GRAD_FIELDS:
+            assert np.allclose(getattr(g_sparse, name),
+                               getattr(g_dense, name)), name
+
+    def test_pixels_outside_every_bbox(self):
+        """A visible cloud, but no bbox covers the sampled pixels: no
+        pairs, background colour and zero gradients."""
+        rng = np.random.default_rng(12)
+        n = 30
+        cloud = GaussianCloud.create(
+            means=np.stack([rng.uniform(-0.1, 0.1, n),
+                            rng.uniform(-0.1, 0.1, n),
+                            rng.uniform(2.0, 3.0, n)], axis=-1),
+            scales=np.full(n, 0.01),
+            opacities=rng.uniform(0.3, 0.9, n),
+            colors=rng.uniform(0, 1, (n, 3)),
+        )
+        cam = self.camera()
+        corners = np.array([[0, 0], [self.W - 1, self.H - 1]])
+        res = render_sparse(cloud, cam, corners, BG)
+        assert res.stats.num_projected > 0
+        assert res.stats.num_candidate_pairs == 0
+        assert np.array_equal(res.color, np.tile(BG, (2, 1)))
+        grads = backward_sparse(res, cloud, cam, np.ones((2, 3)),
+                                np.ones(2), np.ones(2))
+        for name in self.GRAD_FIELDS:
+            assert not np.any(getattr(grads, name)), name

@@ -56,23 +56,18 @@ def make_bench_payload(ratio=1.2):
 
 class TestKeying:
     def test_config_hash_tells_execution_settings_apart(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RENDER_CACHE", raising=False)
         hashes = set()
         for backend in ("reference", "vectorized"):
             monkeypatch.setattr(repro.render.kernels, "DEFAULT_BACKEND",
                                 backend)
-            for cache in (False, True):
-                hashes.add(config_hash(SLAMSystem(
-                    "splatam", mode="sparse",
-                    splatonic_config=SplatonicConfig(render_cache=cache),
-                ).registry_config()))
-        assert len(hashes) == 4
+            hashes.add(config_hash(SLAMSystem(
+                "splatam", mode="sparse").registry_config()))
+        assert len(hashes) == 2
 
-    def test_registry_config_records_resolved_settings(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RENDER_CACHE", "1")
+    def test_registry_config_records_resolved_settings(self):
         config = SLAMSystem("splatam", mode="sparse").registry_config()
         assert config["kernel_backend"] == "vectorized"
-        assert config["render_cache"] is True
+        assert "render_cache" not in config
 
     def test_config_hash_is_stable_and_order_free(self):
         a = config_hash({"tile": 8, "mode": "sparse"})

@@ -18,8 +18,7 @@ from repro.obs.telemetry import RunAggregator, TelemetryConfig
 def _record(i):
     """A frame record with every field the aggregator's gauges read."""
     return {"type": "frame", "frame": i, "gaussians": 100 + i,
-            "pose_error_m": 0.01, "cache": {"hit_rate": 0.0},
-            "wall_time_s": 0.1}
+            "pose_error_m": 0.01, "wall_time_s": 0.1}
 
 
 class TestTelemetryConfig:
@@ -126,8 +125,7 @@ class TestRunAggregator:
         agg.on_summary({"type": "summary", "frames": 1})
         assert agg.run_events == 3
         assert agg.snapshot()["done"]
-        assert gauges.gauges == {"slam.cache_hit_rate": 0.0,
-                                 "slam.frame": 0.0,
+        assert gauges.gauges == {"slam.frame": 0.0,
                                  "slam.gaussians": 100.0,
                                  "slam.pose_error_m": 0.01}
 
