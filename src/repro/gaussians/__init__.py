@@ -16,6 +16,7 @@ from .se3 import (
     rotmat_to_quat,
     se3_exp,
     se3_inverse,
+    se3_project,
     se3_log,
     so3_exp,
     so3_log,
@@ -39,6 +40,7 @@ __all__ = [
     "se3_exp",
     "se3_log",
     "se3_inverse",
+    "se3_project",
     "relative_pose",
     "point_jacobian_wrt_twist",
     "quat_to_rotmat",

@@ -24,6 +24,7 @@ __all__ = [
     "se3_exp",
     "se3_log",
     "se3_inverse",
+    "se3_project",
     "quat_to_rotmat",
     "rotmat_to_quat",
     "quat_multiply",
@@ -142,6 +143,26 @@ def se3_inverse(T: np.ndarray) -> np.ndarray:
     out = np.eye(4)
     out[:3, :3] = R.T
     out[:3, 3] = -R.T @ T[:3, 3]
+    return out
+
+
+def se3_project(T: np.ndarray) -> np.ndarray:
+    """The rigid transform nearest ``T``: its rotation block put onto
+    SO(3) as ``U Vᵀ`` of its SVD (the sign flipped where ``det < 0``) and
+    the bottom row set to ``0 0 0 1``.
+
+    :func:`se3_inverse` transposes the rotation block, so a pose chained
+    through it (the constant-velocity prior) feeds any drift from
+    orthonormality back into itself; projecting after each step stops
+    that.
+    """
+    T = np.asarray(T, dtype=float)
+    U, _, Vt = np.linalg.svd(T[:3, :3])
+    if np.linalg.det(U @ Vt) < 0.0:
+        U[:, -1] = -U[:, -1]
+    out = T.copy()
+    out[:3, :3] = U @ Vt
+    out[3] = (0.0, 0.0, 0.0, 1.0)
     return out
 
 

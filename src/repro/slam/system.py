@@ -20,7 +20,7 @@ from ..core.splatonic import Splatonic, SplatonicConfig
 from ..gaussians.camera import Camera
 from ..gaussians.init import seed_from_rgbd
 from ..gaussians.model import GaussianCloud
-from ..gaussians.se3 import se3_inverse
+from ..gaussians.se3 import se3_inverse, se3_project
 from ..metrics.ate import AteResult, ate_rmse
 from ..metrics.quality import depth_l1, psnr, ssim
 from ..obs import metrics as obs_metrics
@@ -379,12 +379,13 @@ class SLAMSystem:
 
     @staticmethod
     def _constant_velocity_init(est_poses: List[np.ndarray]) -> np.ndarray:
-        """Extrapolate the next pose from the last two estimates."""
+        """Extrapolate the next pose from the last two estimates, put
+        back onto SE(3)."""
         if len(est_poses) < 2:
             return est_poses[-1].copy()
         prev, last = est_poses[-2], est_poses[-1]
         delta = se3_inverse(prev) @ last
-        return last @ delta
+        return se3_project(last @ delta)
 
     # ---- accuracy baselines (what tracking must beat) ----
 

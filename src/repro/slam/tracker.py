@@ -27,7 +27,7 @@ from ..obs import trace
 from ..obs import atlas as obs_atlas
 from ..obs.health import get_monitor
 from ..gaussians.model import FrozenCloud, GaussianCloud
-from ..gaussians.se3 import se3_exp
+from ..gaussians.se3 import se3_exp, se3_project
 from ..render.backward import backward_full
 from ..render.stats import PipelineStats
 from .config import AlgorithmConfig
@@ -172,7 +172,9 @@ class Tracker:
                     break
 
         return TrackingResult(
-            pose_c2w=pose,
+            # ``pose @ se3_exp(step)`` drifts off SE(3) a little every
+            # iteration; the estimate leaves the tracker rigid.
+            pose_c2w=se3_project(pose),
             iterations=it,
             final_loss=loss_value,
             converged=converged,

@@ -18,6 +18,7 @@ from repro.gaussians import (
     se3_exp,
     se3_inverse,
     se3_log,
+    se3_project,
     so3_exp,
     so3_log,
     vee,
@@ -115,6 +116,39 @@ class TestSE3:
         pts = rng.normal(size=(17, 3))
         expected = (T[:3, :3] @ pts.T).T + T[:3, 3]
         assert np.allclose(apply_se3(T, pts), expected)
+
+
+class TestProject:
+    @staticmethod
+    def assert_rigid(T):
+        R = T[:3, :3]
+        assert np.abs(R.T @ R - np.eye(3)).max() < 1e-14
+        assert np.linalg.det(R) > 0.0
+        assert np.array_equal(T[3], [0.0, 0.0, 0.0, 1.0])
+
+    @given(twists())
+    @settings(max_examples=50, deadline=None)
+    def test_rigid_input_barely_moves(self, xi):
+        T = se3_exp(xi)
+        P = se3_project(T)
+        self.assert_rigid(P)
+        assert np.abs(P - T).max() < 1e-14
+
+    def test_drifted_rotation_returns_to_so3(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            T = se3_exp(rng.normal(0, 0.5, 6))
+            drifted = T.copy()
+            drifted[:3, :3] *= 1.0 + rng.normal(0, 0.05, (3, 3))
+            drifted[3] = [1e-3, 0.0, 0.0, 1.0]
+            P = se3_project(drifted)
+            self.assert_rigid(P)
+            assert np.array_equal(P[:3, 3], T[:3, 3])
+            assert np.abs(P[:3, :3] - T[:3, :3]).max() < 0.2
+
+    def test_reflection_becomes_a_rotation(self):
+        T = np.diag([1.0, 1.0, -1.0, 1.0])
+        self.assert_rigid(se3_project(T))
 
 
 class TestQuaternions:

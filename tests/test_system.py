@@ -111,6 +111,45 @@ class TestConstantVelocity:
         init = SLAMSystem._constant_velocity_init([p0])
         assert np.allclose(init, p0)
 
+    def test_chained_prior_stays_rigid(self):
+        """60 frames of the prior chained on its own extrapolations from
+        room0's first two ground-truth poses.  Without projecting onto
+        SE(3), ``max|RᵀR − I|`` grows about 2.4x a frame."""
+        gt = make_replica_sequence("room0", n_frames=60, width=8, height=6,
+                                   surface_density=1).gt_trajectory
+        poses = [np.array(pose) for pose in gt[:2]]
+        while len(poses) < len(gt):
+            poses.append(SLAMSystem._constant_velocity_init(poses))
+        for pose in poses:
+            R = pose[:3, :3]
+            assert np.abs(R.T @ R - np.eye(3)).max() < 1e-12
+            assert np.linalg.det(R) > 0.0
+            assert np.array_equal(pose[3], [0.0, 0.0, 0.0, 1.0])
+
+
+class TestLocalization:
+    def test_chained_tracking_on_the_true_map(self):
+        """perfbench's ``localize_sparse``: 39 frames tracked against
+        room0's ground-truth map, each from the constant-velocity prior
+        of the previous estimates, with the shipped tracker."""
+        from repro.slam.tracker import Tracker
+
+        seq = make_replica_sequence("room0", n_frames=40, width=64,
+                                    height=48, surface_density=10)
+        system = SLAMSystem(
+            "splatam", mode="sparse",
+            splatonic_config=SplatonicConfig(tracking_tile=8,
+                                             record_per_pixel=False))
+        tracker = Tracker(system.algo, seq.intrinsics, system.splatonic,
+                          system.mode, system.background)
+        poses = [seq[0].gt_pose_c2w.copy()]
+        for frame in list(seq)[1:]:
+            init = SLAMSystem._constant_velocity_init(poses)
+            poses.append(tracker.track_frame(seq.gt_cloud, init, frame.color,
+                                             frame.depth).pose_c2w)
+        ate = ate_rmse(np.stack(poses), seq.gt_trajectory, align=False)
+        assert ate.rmse < 0.01
+
 
 class TestBaselines:
     def test_constant_velocity_is_exact_on_constant_twist_room0(
