@@ -34,10 +34,11 @@ candidate generation and preemptive α cull over a flattened CSR-style
 on the survivors (which keeps that order), and counter accounting.  It
 dispatches composite + backward to the batched ``"vectorized"`` kernel
 (:mod:`repro.render.kernels`): one compiled cull and one composite call
-per forward, one reverse call per backward.  The cull keeps every bbox candidate (a ``+inf`` cutoff) when
-the caller needs them all: with ``preemptive_alpha=False``, with an
-approximate ``exp_fn`` (the cutoff assumes ``np.exp``) and while the
-sparsity atlas records the pre-filter pairs.  Tests select the per-pixel
+per forward, one reverse call per backward.  The cull keeps every bbox
+candidate (a ``+inf`` cutoff) when the caller needs them all: with
+``preemptive_alpha=False``, with an approximate ``exp_fn`` (the cutoff
+assumes ``np.exp``) and while the sparsity atlas records the pre-filter
+pairs.  Tests select the per-pixel
 ``"reference"`` oracle loop by name through ``backend=``; the two are
 bit-identical.
 """

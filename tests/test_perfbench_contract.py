@@ -8,7 +8,6 @@ here without running a workload.
 """
 
 import importlib
-import inspect
 import json
 import sys
 from pathlib import Path
@@ -55,8 +54,6 @@ def test_reported_settings_resolve(perfbench):
 
 
 def test_render_sparse_accepts_lattice_tile():
-    assert "lattice_tile" in inspect.signature(
-        Splatonic.render_sparse).parameters
     cloud = GaussianCloud.create(
         means=np.array([[0.0, 0.0, 2.0]]), scales=np.array([0.1]),
         opacities=np.array([0.8]), colors=np.array([[1.0, 0.5, 0.2]]))
