@@ -28,17 +28,24 @@ the rasterization engine's double buffer), computes partial gradients in
 parallel, and aggregates them per Gaussian.
 
 This module orchestrates the *stages*, one path for every forward:
-:func:`~repro.render.projection.project_gaussians`, then the compiled
-candidate generation and preemptive α cull over a flattened CSR-style
-(pixel, Gaussian) pair list in composite order, the falloff and α filter
-on the survivors (which keeps that order), and counter accounting.  It
-dispatches composite + backward to the batched ``"vectorized"`` kernel
-(:mod:`repro.render.kernels`): one compiled cull and one composite call
-per forward, one reverse call per backward.  The cull keeps every bbox
-candidate (a ``+inf`` cutoff) when the caller needs them all: with
-``preemptive_alpha=False``, with an approximate ``exp_fn`` (the cutoff
-assumes ``np.exp``) and while the sparsity atlas records the pre-filter
-pairs.  Tests select the per-pixel
+:func:`~repro.render.projection.project_gaussians` (numpy's
+world-to-camera transform, then compiled), then the compiled candidate
+generation and preemptive α cull over a flattened CSR-style (pixel,
+Gaussian) pair list in composite order (the cull ranks the depths
+itself), the falloff and α filter on the survivors (which keeps that
+order), and counter accounting.  It dispatches composite + backward to
+the batched ``"vectorized"`` kernel (:mod:`repro.render.kernels`).  Every
+stage of a tracking iteration but the transform, the falloff's ``exp``
+and the cutoff's ``log`` is compiled: a forward is two projection calls,
+one cull (a scan and the call that lays its pairs out) and one composite
+call, and a pose-only backward one reverse call and one re-projection
+call (the camera twist).  The projection, the composite cache and the
+gradient accumulators keep the pointers of the arrays a kernel wrote
+(``native.pointers``), so the later kernels of an iteration do not read
+them again.  The cull keeps every bbox candidate (a ``+inf`` cutoff)
+when the caller needs them all: with ``preemptive_alpha=False``, with an
+approximate ``exp_fn`` (the cutoff assumes ``np.exp``) and while the
+sparsity atlas records the pre-filter pairs.  Tests select the per-pixel
 ``"reference"`` oracle loop by name through ``backend=``; the two are
 bit-identical.
 """
@@ -177,7 +184,8 @@ def render_sparse(
         record_per_pixel=record_per_pixel,
     )
 
-    color = np.tile(bg, (K, 1))
+    color = np.empty((K, 3))
+    color[:] = bg
     depth = np.zeros(K)
     silhouette = np.zeros(K)
 

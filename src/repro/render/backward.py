@@ -12,12 +12,17 @@ pairs is recorded as the atomic-contention workload.  The kernel adds into
 one accumulator per (tile, list slot); one :func:`scatter_add` per
 gradient column then folds the slots into the projected Gaussians.
 *Re-projection* finally maps the 2D splat gradients through the projection
-into world-space parameter gradients and, for tracking, the camera-twist
-gradient.
+into world-space parameter gradients and the camera-twist gradient.  A
+pose-only re-projection (tracking, both pipelines) is one compiled call
+(``reproject_twist`` in ``_native.c``) that forms the camera-frame
+gradient term for term as the full pass does and adds the twist
+Jacobian's products in the order of the full pass's ``np.einsum``, zeros
+included, so its ``d_pose_twist`` is the full pass's bit for bit.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,6 +36,8 @@ from ..obs import atlas as _atlas_mod
 # composite_backward is the per-tile oracle of the engine below; it stays
 # importable from this module (perfbench/layers.py wraps it here).
 from .compositing import composite_backward  # noqa: F401
+from .kernels import native
+from .kernels.native import KernelRecord, pointers
 from .kernels.vectorized import aggregate_gradients
 from .projection import ProjectedGaussians
 from .rasterize import RenderResult
@@ -67,7 +74,7 @@ def scatter_add(idx: np.ndarray, values, n: int) -> np.ndarray:
 
 
 @dataclass
-class ProjectedGradients:
+class ProjectedGradients(KernelRecord):
     """Aggregated gradients per *projected* Gaussian (2D splat space)."""
 
     d_mean2d: np.ndarray    # (M, 2)
@@ -135,8 +142,8 @@ def reproject_gradients(
     ``s`` is the scale the projection gathered (``proj.scale``), so no
     ``exp`` is re-evaluated here.
     ``pose_only=True`` (tracking, map fixed) computes only the camera-twist
-    gradient and leaves the map fields None; it reads only ``pg``'s
-    mean, sigma and depth gradients.
+    gradient, in one compiled call, and leaves the map fields None; it
+    reads only ``pg``'s mean, sigma and depth gradients.
     """
     intr = camera.intrinsics
     n = len(cloud)
@@ -154,8 +161,11 @@ def reproject_gradients(
     if proj.scale is None:
         raise ValueError("reproject gradients: the projection carries no "
                          "scale")
-    x, y, z = proj.p_cam[:, 0], proj.p_cam[:, 1], proj.p_cam[:, 2]
     mean_focal = 0.5 * (intr.fx + intr.fy)
+    if pose_only:
+        return RenderGradients(None, None, None, None,
+                               _pose_twist(proj, pg, intr, mean_focal))
+    x, y, z = proj.p_cam[:, 0], proj.p_cam[:, 1], proj.p_cam[:, 2]
 
     d_u = pg.d_mean2d[:, 0]
     d_v = pg.d_mean2d[:, 1]
@@ -171,8 +181,6 @@ def reproject_gradients(
     # Camera twist gradient (right-multiplicative update T <- T exp(xi)).
     J = point_jacobian_wrt_twist(proj.p_cam)       # (M, 3, 6)
     d_pose_twist = np.einsum("mij,mi->j", J, d_p_cam)
-    if pose_only:
-        return RenderGradients(None, None, None, None, d_pose_twist)
 
     # World-space mean gradients: d mu = R_w2c^T d p_cam.
     R_w2c = camera.pose_w2c[:3, :3]
@@ -199,6 +207,23 @@ def reproject_gradients(
         d_colors=scatter_add(src, d_color_proj, n),
         d_pose_twist=d_pose_twist,
     )
+
+
+def _pose_twist(proj, pg, intr, mean_focal):
+    """The camera-twist gradient in one compiled call
+    (``reproject_twist``): the full pass's ``d_pose_twist`` bit for bit."""
+    m = len(proj)
+    if (proj.p_cam.shape != (m, 3) or proj.scale.shape != (m,)
+            or pg.d_mean2d.shape != (m, 2) or pg.d_sigma2d.shape != (m,)
+            or pg.d_depth.shape != (m,)):
+        raise ValueError("reproject gradients: projected centres, scales or "
+                         "gradients have the wrong shape")
+    twist = (ctypes.c_double * 6)()
+    native.library().reproject_twist(
+        m, *pointers(proj, ("p_cam", "scale")),
+        *pointers(pg, ("d_mean2d", "d_sigma2d", "d_depth")), intr.fx,
+        intr.fy, mean_focal, twist)
+    return np.array(twist)
 
 
 def backward_full(

@@ -1,13 +1,19 @@
 /*
- * The render engine's compiled stages: the sparse and dense α-culls, the
- * per-pixel composite and its reverse pass.
+ * The render engine's compiled stages, every per-iteration stage of a
+ * sparse tracking iteration after the world-to-camera transform: the
+ * projection, the sparse and dense α-culls, the per-pixel composite, its
+ * reverse pass and the pose-only re-projection.
  *
- * candidate_cull pairs each sampled pixel with every projected Gaussian
- * whose bbox holds its centre, walking the Gaussians in a caller-given
- * depth rank so that each pixel's pairs come out front-to-back; with a
- * cutoff it keeps only the pairs whose squared centre distance is within
- * the Gaussian's α cutoff, and candidate_place lays the kept pairs out
- * pixel-major at their exact count.  tile_cull pairs every rendered
+ * project_cull and project_gather finish the projection from numpy's
+ * camera-frame centres: the depth test, u, v, σ and the bbox radius, the
+ * on-screen test, the ascending-index compaction and the gathers,
+ * np.clip's colour clamp included.  candidate_cull pairs each sampled
+ * pixel with every projected Gaussian whose bbox holds its centre,
+ * walking the Gaussians in depth rank (np.argsort(kind="stable")'s order,
+ * ranked in the call) so that each pixel's pairs come out front-to-back;
+ * with a cutoff it keeps only the pairs whose squared centre distance is
+ * within the Gaussian's α cutoff, and candidate_place lays the kept pairs
+ * out pixel-major at their exact count.  tile_cull pairs every rendered
  * pixel of a tile with the tile's depth-sorted list under the same
  * distance test.  Both culls form that distance exactly as numpy does
  * (du*du + dv*dv), so the caller's numpy falloff sees the bits it would
@@ -26,6 +32,10 @@
  *     total into +0.0;
  *   - each reverse suffix scan of such a row starts from the padding
  *     term (Γ·0)·0, Γ the row's final transmittance, which is ±0 or NaN.
+ *
+ * reproject_twist turns a pose-only reverse pass's splat gradients into
+ * the camera-twist gradient, in the order of the numpy einsum it
+ * replaced.
  *
  * Nothing here calls a transcendental function: the falloff's exp and the
  * cutoff's log stay with the caller.  Compile without FMA contraction or
@@ -53,6 +63,95 @@ static int64_t longest(int64_t K, const int64_t *lengths)
         if (lengths[k] > lmax)
             lmax = lengths[k];
     return lmax;
+}
+
+/* np.clip(x, 0.0, 1.0): NaN and -0.0 pass through. */
+static double clip01(double x)
+{
+    return x < 0.0 ? 0.0 : (x > 1.0 ? 1.0 : x);
+}
+
+/* A splat's pixel-space centre (u, v), σ and bbox radius r, from its
+ * camera-frame centre p (x, y, z) and its scale, with numpy's operands and
+ * order: u = fx*x/z + cx, v = fy*y/z + cy, σ = mean_focal*scale/z and r =
+ * margin*σ. */
+struct splat {
+    double u, v, sigma, r;
+};
+
+static struct splat splat_of(const double *p, double scale, double fx,
+                             double fy, double cx, double cy,
+                             double mean_focal, double margin)
+{
+    const double sigma = mean_focal * scale / p[2];
+    return (struct splat){fx * p[0] / p[2] + cx, fy * p[1] / p[2] + cy,
+                          sigma, margin * sigma};
+}
+
+/*
+ * Projection after the world-to-camera transform, first half: the cull.
+ * p_cam holds the N camera-frame centres (row-major (x, y, z)).
+ * Gaussian i is kept when near < z < far and its bbox (u, v) ± r
+ * overlaps the image: u + r > 0, u - r < width, v + r > 0 and v - r <
+ * height (splat_of; a NaN anywhere keeps nothing).  The kept indices are
+ * written to index in ascending order, without a branch on the data.
+ * Returns their count.
+ */
+int64_t project_cull(
+    int64_t N, const double *p_cam, const double *scale, double fx,
+    double fy, double cx, double cy, double mean_focal, double width,
+    double height, double near, double far, double margin, int64_t *index)
+{
+    int64_t m = 0;
+    for (int64_t i = 0; i < N; i++) {
+        const double *p = p_cam + 3 * i;
+        const struct splat s = splat_of(p, scale[i], fx, fy, cx, cy,
+                                        mean_focal, margin);
+        index[m] = i;
+        m += (p[2] > near) & (p[2] < far) & (s.u + s.r > 0.0)
+             & (s.u - s.r < width) & (s.v + s.r > 0.0) & (s.v - s.r < height);
+    }
+    return m;
+}
+
+/*
+ * Second half: the M Gaussians project_cull kept (index, each below N),
+ * gathered in that order: index into source_index, the centre into p_out
+ * (row-major), (u, v) into mean2d (row-major), σ into sigma2d, z into
+ * depth, opacity_out, the colour clipped to [0, 1] as np.clip clips it
+ * into color_out (row-major), r into radius and scale_out.  Returns 0, or
+ * -1 without writing when an index is out of range.
+ */
+int project_gather(
+    int64_t M, const int64_t *index, int64_t N, const double *p_cam,
+    const double *scale, const double *opacity, const double *colors,
+    double fx, double fy, double cx, double cy, double mean_focal,
+    double margin, int64_t *source_index, double *p_out, double *mean2d,
+    double *sigma2d, double *depth, double *opacity_out, double *color_out,
+    double *radius, double *scale_out)
+{
+    for (int64_t q = 0; q < M; q++)
+        if (index[q] < 0 || index[q] >= N)
+            return -1;
+    for (int64_t q = 0; q < M; q++) {
+        const int64_t i = index[q];
+        const double *p = p_cam + 3 * i;
+        const struct splat s = splat_of(p, scale[i], fx, fy, cx, cy,
+                                        mean_focal, margin);
+        source_index[q] = i;
+        for (int c = 0; c < 3; c++) {
+            p_out[3 * q + c] = p[c];
+            color_out[3 * q + c] = clip01(colors[3 * i + c]);
+        }
+        mean2d[2 * q] = s.u;
+        mean2d[2 * q + 1] = s.v;
+        sigma2d[q] = s.sigma;
+        depth[q] = p[2];
+        opacity_out[q] = opacity[i];
+        radius[q] = s.r;
+        scale_out[q] = scale[i];
+    }
+    return 0;
 }
 
 /* First position in the n ascending values of v that is >= key (above =
@@ -87,6 +186,61 @@ static int by_v(const void *a, const void *b)
     return (x->v > y->v) - (x->v < y->v);
 }
 
+/* A Gaussian of the depth rank: its depth and its index. */
+struct ranked {
+    double d;
+    int64_t j;
+};
+
+/* a goes before b: ascending depth, NaN after every number. */
+static int before(struct ranked a, struct ranked b)
+{
+    return a.d < b.d || (b.d != b.d && a.d == a.d);
+}
+
+/*
+ * The order of np.argsort(depth, kind="stable") over the m depths, in a
+ * malloc'd array (NULL when out of memory): ascending depth, NaN last,
+ * ties (-0.0 and 0.0 among them, and every NaN) by ascending index.  A
+ * bottom-up merge sort, stable because a merge takes from the left run
+ * unless the right one's head goes strictly before.
+ */
+static int64_t *depth_rank(int64_t m, const double *depth)
+{
+    struct ranked *a = malloc(((size_t)m + 1) * sizeof(struct ranked));
+    struct ranked *b = malloc(((size_t)m + 1) * sizeof(struct ranked));
+    int64_t *rank = malloc(((size_t)m + 1) * sizeof(int64_t));
+    if (!a || !b || !rank) {
+        free(rank);
+        rank = NULL;
+        goto done;
+    }
+    for (int64_t j = 0; j < m; j++)
+        a[j] = (struct ranked){depth[j], j};
+    for (int64_t width = 1; width < m; width *= 2) {
+        for (int64_t lo = 0; lo < m; lo += 2 * width) {
+            const int64_t mid = lo + width < m ? lo + width : m;
+            const int64_t hi = mid + width < m ? mid + width : m;
+            int64_t i = lo, j = mid, o = lo;
+            while (i < mid && j < hi)
+                b[o++] = before(a[j], a[i]) ? a[j++] : a[i++];
+            while (i < mid)
+                b[o++] = a[i++];
+            while (j < hi)
+                b[o++] = a[j++];
+        }
+        struct ranked *t = a;
+        a = b;
+        b = t;
+    }
+    for (int64_t r = 0; r < m; r++)
+        rank[r] = a[r].j;
+done:
+    free(a);
+    free(b);
+    return rank;
+}
+
 /* A kept pair in the cull's scratch: pixel, Gaussian, squared distance. */
 struct pair {
     int64_t k, j;
@@ -94,9 +248,9 @@ struct pair {
 };
 
 /*
- * Sparse candidate cull.  The m projected Gaussians are walked in the
- * order of rank (a permutation of [0, m): the stable depth argsort, so
- * ties go by ascending index).  Gaussian j's bbox is (mu - r, mv - r,
+ * Sparse candidate cull.  The m projected Gaussians are walked in depth
+ * rank (depth_rank: np.argsort(depth, kind="stable")'s order).  Gaussian
+ * j's bbox is (mu - r, mv - r,
  * mu + r, mv + r), (mu, mv) its row of mean2d (row-major) and r =
  * radius[j]: the bits numpy's mean2d ± r has.  A (pixel, Gaussian) pair
  * is a bbox candidate when u_min <= cu <= u_max and v_min <= cv <= v_max,
@@ -114,27 +268,26 @@ struct pair {
  * which candidate_place must then be given.
  */
 int64_t candidate_cull(
-    int64_t K, int64_t m, const double *centres, const int64_t *rank,
+    int64_t K, int64_t m, const double *centres, const double *depth,
     const double *mean2d, const double *radius, const double *cutoff,
     int64_t *lengths, int64_t *n_cand, void **scratch)
 {
     if (!scratch)
         return -1;
     *scratch = NULL;
-    if (!lengths || !n_cand || !mean2d || !radius)
+    if (!lengths || !n_cand || !mean2d || !radius || !depth)
         return -1;
-    for (int64_t r = 0; r < m; r++)
-        if (rank[r] < 0 || rank[r] >= m)
-            return -1;
     /* The pixels with a non-NaN v, by v (index, and its v column vs);
-     * the kept pairs, in visiting order (out, capacity cap, one spare
-     * entry taking the writes of dropped pairs). */
+     * the Gaussians in depth rank; the kept pairs, in visiting order
+     * (out, capacity cap, one spare entry taking the writes of dropped
+     * pairs). */
     struct centre *index = malloc(((size_t)K + 1) * sizeof(struct centre));
     double *vs = malloc(((size_t)K + 1) * sizeof(double));
+    int64_t *rank = depth_rank(m, depth);
     int64_t cap = 4 * K + 16;
     struct pair *out = malloc((size_t)cap * sizeof(struct pair));
     int64_t kept = -2, cand = 0, n = 0;
-    if (!index || !vs || !out)
+    if (!index || !vs || !rank || !out)
         goto done;
     for (int64_t k = 0; k < K; k++) {
         const double v = centres[2 * k + 1];
@@ -183,6 +336,7 @@ int64_t candidate_cull(
 done:
     free(index);
     free(vs);
+    free(rank);
     if (kept >= 0)
         *scratch = out;
     else
@@ -534,4 +688,42 @@ int composite_reverse(
     }
     free(part);
     return 0;
+}
+
+/*
+ * Pose-only re-projection: the camera-twist gradient of M projected
+ * Gaussians, from their camera-frame centres p_cam (row-major), the
+ * scales they were projected with and their splat gradients d_mean2d
+ * (row-major (du, dv)), d_sigma2d and d_depth.  Per Gaussian, the
+ * camera-frame gradient d = (dx, dy, dz) is formed term for term as
+ * reproject_gradients forms it in numpy; then each product J[i][j]*d[i]
+ * of the twist Jacobian J = [-I | hat(p_cam)] (point_jacobian_wrt_twist,
+ * its zeros included: 0*inf is NaN) is added onto twist[j] from +0.0,
+ * Gaussian by Gaussian and row by row: the sum np.einsum("mij,mi->j")
+ * takes.
+ */
+void reproject_twist(
+    int64_t M, const double *p_cam, const double *scale,
+    const double *d_mean2d, const double *d_sigma2d, const double *d_depth,
+    double fx, double fy, double mean_focal, double *twist)
+{
+    for (int j = 0; j < 6; j++)
+        twist[j] = 0.0;
+    for (int64_t m = 0; m < M; m++) {
+        const double x = p_cam[3 * m], y = p_cam[3 * m + 1],
+                     z = p_cam[3 * m + 2];
+        const double du = d_mean2d[2 * m], dv = d_mean2d[2 * m + 1];
+        const double zz = z * z;
+        const double d[3] = {
+            du * fx / z,
+            dv * fy / z,
+            -du * fx * x / zz - dv * fy * y / zz
+                - d_sigma2d[m] * mean_focal * scale[m] / zz + d_depth[m]};
+        const double J[3][6] = {{-1.0, 0.0, 0.0, 0.0, -z, y},
+                                {0.0, -1.0, 0.0, z, 0.0, -x},
+                                {0.0, 0.0, -1.0, -y, x, 0.0}};
+        for (int i = 0; i < 3; i++)
+            for (int j = 0; j < 6; j++)
+                twist[j] = twist[j] + J[i][j] * d[i];
+    }
 }

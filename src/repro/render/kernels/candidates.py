@@ -4,9 +4,10 @@
 pair list in *composite order*: pixel-major, and front-to-back within each
 pixel with ties broken by ascending projected index — the exact
 ``(depth, index)`` key of ``sort_by_depth``.  No pair is ever sorted.  The
-projected Gaussians are ranked by depth once per view (one stable
-argsort), and the compiled scan (``candidate_cull`` in ``_native.c``)
-walks them in that rank: each Gaussian visits only the pixels whose
+compiled scan (``candidate_cull`` in ``_native.c``) ranks the projected
+Gaussians by depth once per view, in ``np.argsort(kind="stable")``'s
+order (NaN last, ties by index), and walks them in that rank: each
+Gaussian visits only the pixels whose
 centre row lies in its bbox (a binary search in a v-ordered pixel index),
 tests the inclusive corner predicate
 ``u_min <= u + 0.5 <= u_max and v_min <= v + 0.5 <= v_max``
@@ -21,9 +22,10 @@ IV-B).
 
 Given a per-Gaussian cutoff on the squared centre distance
 (:func:`~repro.render.kernels.vectorized.alpha_cutoff`), the same scan is
-the pixel pipeline's preemptive α-cull: it forms each candidate's ``d² = du*du + dv*dv`` with numpy's bits and keeps the pair
-only when ``d² <= cutoff``, so the falloff's ``exp`` runs on the
-survivors alone.  A ``+inf`` cutoff keeps every bbox candidate.
+the pixel pipeline's preemptive α-cull: it forms each candidate's
+``d² = du*du + dv*dv`` with numpy's bits and keeps the pair only when
+``d² <= cutoff``, so the falloff's ``exp`` runs on the survivors alone.
+A ``+inf`` cutoff keeps every bbox candidate.
 ``tests/candidate_oracle.py`` holds the numpy mask the scan replaced.
 """
 
@@ -103,7 +105,8 @@ def candidate_pairs(
     culls = cutoff is not None
     if K == 0 or m == 0:
         return CandidatePairs.empty(K, with_d2=culls)
-    centres, mean2d, radius = f64(centres), f64(mean2d), f64(radius)
+    centres, mean2d, radius, depth = (f64(centres), f64(mean2d), f64(radius),
+                                      f64(depth))
     if culls:
         cutoff = f64(cutoff)
     if (centres.shape != (K, 2) or mean2d.shape != (m, 2)
@@ -111,18 +114,18 @@ def candidate_pairs(
             or (culls and cutoff.shape != (m,))):
         raise ValueError("candidate pairs: centres, means, radii, depths or "
                          "cutoffs have the wrong shape")
-    rank = np.argsort(depth, kind="stable")
     # Locals hold every argument array alive through both calls.
     lengths, n_cand, scratch = (np.empty(K, dtype=np.int64), ctypes.c_int64(),
                                 ctypes.c_void_p())
     lengths_p, lib = ptr(lengths), native.library()
     count = lib.candidate_cull(
-        K, m, ptr(centres), ptr(rank), ptr(mean2d), ptr(radius), ptr(cutoff),
-        lengths_p, ctypes.byref(n_cand), ctypes.byref(scratch))
+        K, m, ptr(centres), ptr(depth), ptr(mean2d), ptr(radius),
+        cutoff if cutoff is None else ptr(cutoff), lengths_p,
+        ctypes.byref(n_cand), ctypes.byref(scratch))
     if count == -2:
         raise MemoryError("candidate pairs: no memory for the pair scratch")
     if count < 0:
-        raise ValueError("candidate pairs: the depth rank indexes no bbox")
+        raise ValueError("candidate pairs: the kernel rejected its arguments")
     out = None
     try:
         out = (np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64),

@@ -15,7 +15,10 @@ oracles (``render/compositing.py``, ``kernels/reference.py``) stay the
 bit-for-bit references.
 
 :func:`f64`, :func:`i64` and :func:`ptr` marshal numpy arrays for the
-kernels' ``ctypes`` calls.
+kernels' ``ctypes`` calls; :func:`pointers` keeps the pointers of a
+record's arrays (the projection, the composite cache, the gradient
+accumulators) with it, so that the kernels of one render and its reverse
+pass read each once.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from typing import List, Optional
 
 import numpy as np
 
-__all__ = ["CFLAGS", "SOURCE", "KernelBuildError", "compiler", "build",
-           "load", "library", "f64", "i64", "ptr"]
+__all__ = ["CFLAGS", "SOURCE", "KernelBuildError", "KernelRecord", "compiler",
+           "build", "load", "library", "f64", "i64", "ptr", "pointers"]
 
 SOURCE = Path(__file__).with_name("_native.c")
 
@@ -45,6 +48,12 @@ CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
 
 #: ``(argtypes, restype)`` of each entry point.
 _ENTRY_POINTS = {
+    "project_cull": ([ctypes.c_int64] + [ctypes.c_void_p] * 2
+                     + [ctypes.c_double] * 10 + [ctypes.c_void_p],
+                     ctypes.c_int64),
+    "project_gather": ([ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+                       + [ctypes.c_void_p] * 4 + [ctypes.c_double] * 6
+                       + [ctypes.c_void_p] * 9, ctypes.c_int),
     "candidate_cull": ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 6
                        + [ctypes.POINTER(ctypes.c_int64),
                           ctypes.POINTER(ctypes.c_void_p)], ctypes.c_int64),
@@ -58,6 +67,8 @@ _ENTRY_POINTS = {
                           ctypes.c_int),
     "composite_reverse": ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 28,
                           ctypes.c_int),
+    "reproject_twist": ([ctypes.c_int64] + [ctypes.c_void_p] * 5
+                        + [ctypes.c_double] * 3 + [ctypes.c_void_p], None),
 }
 
 
@@ -161,6 +172,58 @@ def i64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
+#: A zero-length ctypes view, the cheap way to a writeable buffer's address.
+_VIEW = ctypes.c_char * 0
+
+
 def ptr(a):
-    """The data pointer a kernel reads or writes; None passes NULL."""
-    return None if a is None else a.ctypes.data
+    """The data pointer a kernel reads or writes; None passes NULL.
+
+    A writeable array's address is read through the buffer protocol
+    (``ctypes.addressof`` of a zero-length ctypes view, about 0.5 µs);
+    ``ndarray.ctypes.data``, which builds numpy's Python ``_ctypes``
+    helper (about 1.5 µs), reads the rest."""
+    if a is None:
+        return None
+    if a.flags.writeable:
+        return ctypes.addressof(_VIEW.from_buffer(a))
+    return a.ctypes.data
+
+
+#: Where :func:`pointers` keeps a record's pointers: ``name -> (field
+#: array, array read, its pointer)``.
+_MEMO = "_kernel_pointers"
+
+
+def pointers(record, names, dtype=np.float64):
+    """The data pointers of ``record``'s array fields ``names``, as
+    C-contiguous arrays of ``dtype``, each read once per record.
+
+    Kernels read the same projection and composite cache several times in
+    one render and its reverse pass; an array cannot move while the record
+    holds it, so its pointer is kept with the array (and the contiguous
+    copy made of it, if one was) in the record's ``__dict__``.  A field
+    replaced by another array is read again.  A kernel may write only
+    through the pointer of a field that needed no copy.
+    """
+    memo = record.__dict__.setdefault(_MEMO, {})
+    out = []
+    for name in names:
+        a = getattr(record, name)
+        hit = memo.get(name)
+        if hit is None or hit[0] is not a:
+            c = np.ascontiguousarray(a, dtype=dtype)
+            hit = memo[name] = (a, c, ptr(c))
+        out.append(hit[2])
+    return out
+
+
+class KernelRecord:
+    """Base of the records kernels read through :func:`pointers`: a copy
+    or an unpickled record holds other arrays, so it drops the pointers
+    and reads its own."""
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop(_MEMO, None)
+        return state

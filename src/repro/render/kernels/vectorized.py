@@ -52,7 +52,7 @@ import numpy as np
 
 from ..compositing import ALPHA_MAX
 from . import native
-from .native import f64, i64, ptr
+from .native import KernelRecord, f64, i64, pointers, ptr
 
 __all__ = [
     "FlatCompositeCache",
@@ -69,7 +69,7 @@ __all__ = [
 
 
 @dataclass
-class FlatCompositeCache:
+class FlatCompositeCache(KernelRecord):
     """Backward-pass state of the batched forward pass.
 
     Shapes: K pixels, M = total surviving pairs, pixel-major and
@@ -181,33 +181,35 @@ def composite(proj, gss, lengths, centres, background, alpha, clipped,
             or lengths.shape != (K,) or background.shape != (3,)):
         raise ValueError("composite: per-pair arrays, lengths or background "
                          "have the wrong shape")
-    gamma, alpha_out = np.empty(M), np.empty(M)
-    contrib = np.empty(M, dtype=bool)
-    color, depth, silhouette = np.empty((K, 3)), np.empty(K), np.empty(K)
-    gamma_end, gamma_final = np.empty(K), np.empty(K)
-    touched = np.empty(K, dtype=np.int64)
-    # Locals hold every argument array alive through the call.
-    inputs = (lengths, gss, f64(alpha), f64(proj.color), f64(proj.depth),
-              background)
-    outputs = (gamma, alpha_out, contrib, color, depth, silhouette,
-               gamma_end, gamma_final, touched)
-    if native.library().composite_forward(
-            K, M, m, *map(ptr, inputs), alpha_threshold, t_min,
-            *map(ptr, outputs)):
-        raise ValueError(_BAD_PAIRS)
+    # The kernel writes the cache's arrays, so the reverse pass finds
+    # their pointers kept with them.
     cache = FlatCompositeCache(
         centres=centres,
         lengths=lengths,
         gss=gss,
-        alpha=alpha_out,
-        gamma=gamma,
-        contrib=contrib,
+        alpha=np.empty(M),
+        gamma=np.empty(M),
+        contrib=np.empty(M, dtype=bool),
         clipped=np.ascontiguousarray(clipped, dtype=bool),
-        gamma_end=gamma_end,
-        gamma_final=gamma_final,
-        touched=touched,
+        gamma_end=np.empty(K),
+        gamma_final=np.empty(K),
+        touched=np.empty(K, dtype=np.int64),
         background=background,
     )
+    color, depth, silhouette = np.empty((K, 3)), np.empty(K), np.empty(K)
+    lengths_p, gss_p, touched_p = pointers(
+        cache, ("lengths", "gss", "touched"), np.int64)
+    gamma_p, alpha_p, gamma_end_p, gamma_final_p, background_p = pointers(
+        cache, ("gamma", "alpha", "gamma_end", "gamma_final", "background"))
+    contrib_p, = pointers(cache, ("contrib",), bool)
+    alpha = f64(alpha)  # held alive through the call
+    if native.library().composite_forward(
+            K, M, m, lengths_p, gss_p, ptr(alpha),
+            *pointers(proj, ("color", "depth")), background_p,
+            alpha_threshold, t_min, gamma_p, alpha_p, contrib_p,
+            *map(ptr, (color, depth, silhouette)), gamma_end_p,
+            gamma_final_p, touched_p):
+        raise ValueError(_BAD_PAIRS)
     return color, depth, silhouette, cache
 
 
@@ -295,8 +297,8 @@ _ACC_FIELDS = (("d_mean2d", (2,)), ("d_sigma2d", ()), ("d_opacity", ()),
 
 def _reverse_inputs(fc, proj, d_color, d_depth, d_silhouette):
     """``(m, inputs)`` of a reverse-pass kernel call, checked: the number
-    of projected Gaussians and the arguments up to ``d_sil``, in kernel
-    order."""
+    of projected Gaussians and the pointer arguments up to ``d_sil``, in
+    kernel order."""
     K = fc.lengths.size
     m = _check_proj(proj)
     d_color, d_depth, d_silhouette = (f64(d_color), f64(d_depth),
@@ -308,10 +310,12 @@ def _reverse_inputs(fc, proj, d_color, d_depth, d_silhouette):
     if proj.opacity.shape != (m,):
         raise ValueError("reverse pass: projected opacities have the wrong "
                          "shape")
-    return m, (fc.lengths, fc.gss, fc.gamma, fc.alpha, fc.contrib,
-               fc.clipped, fc.gamma_end, fc.gamma_final, fc.background,
-               f64(proj.color), f64(proj.depth), f64(proj.opacity), d_color,
-               d_depth, d_silhouette)
+    return m, (*pointers(fc, ("lengths", "gss"), np.int64),
+               *pointers(fc, ("gamma", "alpha")),
+               *pointers(fc, ("contrib", "clipped"), bool),
+               *pointers(fc, ("gamma_end", "gamma_final", "background")),
+               *pointers(proj, ("color", "depth", "opacity")),
+               *map(ptr, (d_color, d_depth, d_silhouette)))
 
 
 def _reverse(fc, proj, d_color, d_depth, d_silhouette, pose_only):
@@ -321,8 +325,9 @@ def _reverse(fc, proj, d_color, d_depth, d_silhouette, pose_only):
     m, inputs = _reverse_inputs(fc, proj, d_color, d_depth, d_silhouette)
     d_alpha, g, d_depth_out = np.empty(P), np.empty(P), np.empty(P)
     d_color_out = None if pose_only else np.empty((3, P))
-    args = inputs + (d_alpha, g, d_color_out, d_depth_out) + (None,) * 9
-    if native.library().composite_reverse(K, P, m, 0, *map(ptr, args)):
+    outputs = map(ptr, (d_alpha, g, d_color_out, d_depth_out))
+    if native.library().composite_reverse(K, P, m, 0, *inputs, *outputs,
+                                          *(None,) * 9):
         raise ValueError(_BAD_PAIRS)
     return dict(
         rows=np.repeat(np.arange(K), fc.lengths),
@@ -373,25 +378,26 @@ def aggregate_gradients(fc, proj, d_color, d_depth, d_silhouette, index,
             or fc.centres.shape != (K, 2)):
         raise ValueError("reverse pass: projected arrays or pixel centres "
                          "have the wrong shape")
-    index = i64(index)
     n = acc.d_sigma2d.shape[0]
     out = []
     for name, row in _ACC_FIELDS:
-        a = getattr(acc, name)
         if pose_only and name in ("d_opacity", "d_color"):
-            a = None
-        elif (a.dtype != np.float64 or not a.flags.c_contiguous
+            out.append(None)
+            continue
+        a = getattr(acc, name)
+        if (a.dtype != np.float64 or not a.flags.c_contiguous
                 or not a.flags.writeable or a.shape != (n,) + row):
             raise ValueError(f"reverse pass: accumulator {name} must be a "
                              "writeable C-contiguous float64 array of "
                              f"{n} rows")
-        out.append(a)
+        # Kept with the accumulators: re-projection reads them next.
+        out.extend(pointers(acc, (name,)))
+    index = i64(index)
     if index.shape != (P,):
         raise ValueError("reverse pass: one accumulator index per pair")
-    args = inputs + (None,) * 4 + (
-        f64(fc.centres), f64(proj.mean2d), f64(proj.sigma2d), index, *out)
-    status = native.library().composite_reverse(K, P, m, n,
-                                                 *map(ptr, args))
+    status = native.library().composite_reverse(
+        K, P, m, n, *inputs, *(None,) * 4, *pointers(fc, ("centres",)),
+        *pointers(proj, ("mean2d", "sigma2d")), ptr(index), *out)
     if status == -2:
         raise MemoryError("reverse pass: no memory for the per-pixel "
                           "scratch")
@@ -423,7 +429,8 @@ def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
     total_touched = int(touched.sum())
     if contribs_out is not None:
         contribs_out[:] = touched
-    stats.num_candidate_pairs += int(fc.lengths.sum())
+    # The composite checked that the lengths sum to the pair count.
+    stats.num_candidate_pairs += fc.gss.size
     stats.num_contrib_pairs += total_touched
     stats.num_atomic_adds += total_touched
     if stats.record_per_pixel:

@@ -3,18 +3,35 @@
 Transforms Gaussians into the camera frame, culls those outside the view
 frustum, and computes their 2D splat parameters: the projected mean, the
 isotropic 2D standard deviation, and the bounding-box radius used by the
-tile/pixel intersection logic downstream.
+tile/pixel intersection logic downstream.  Both pipelines project here:
+the sparse render of every tracking iteration, and the dense render of
+mapping and of the dataset's frames.
+
+The world-to-camera transform stays in numpy (``Camera.world_to_camera``,
+a BLAS matmul); everything after it is compiled (``project_cull`` and
+``project_gather`` in ``kernels/_native.c``), bit for bit the numpy it
+replaced, which ``tests/projection_oracle.py`` keeps as the oracle.  The
+transform's bits depend on the BLAS kernel that runs it, a second
+host-dependent bit source beside numpy's ``exp``: the OpenBLAS 0.3.31
+``dgemm`` of a 2-vCPU Xeon (``SkylakeX`` core) forms each coordinate as
+``fma(z, R₂, fma(y, R₁, x·R₀)) + t`` (200 of 200 random clouds), which a
+plain C transform under ``-ffp-contract=off`` matches on none, so the
+transform cannot move into the kernel without a pinned formula.  At
+about 30 µs on a 1,520-Gaussian cloud it is now the largest part of a
+projection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from ..gaussians.camera import Camera
 from ..gaussians.model import GaussianCloud
+from .kernels import native
+from .kernels.native import KernelRecord, f64, pointers, ptr
 
 __all__ = [
     "ProjectedGaussians",
@@ -31,7 +48,7 @@ RADIUS_SIGMA = 3.5
 
 
 @dataclass
-class ProjectedGaussians:
+class ProjectedGaussians(KernelRecord):
     """Per-Gaussian 2D splat parameters for one camera view.
 
     All arrays are indexed by *projected* Gaussian; ``source_index`` maps
@@ -61,6 +78,9 @@ class ProjectedGaussians:
         return np.concatenate([lo, hi], axis=1)
 
 
+_FIELDS = tuple(f.name for f in fields(ProjectedGaussians))
+
+
 def project_gaussians(
     cloud: GaussianCloud,
     camera: Camera,
@@ -72,35 +92,41 @@ def project_gaussians(
 
     A Gaussian survives if its centre is within ``[near, far]`` in depth and
     its ``margin_sigma``-radius footprint overlaps the image rectangle.
+
+    The world-to-camera transform stays in numpy; the compiled
+    ``project_cull`` and ``project_gather`` (``_native.c``) do the rest:
+    the first finds the survivors, the second writes each field to an
+    array of its own, sized to their count.
     """
     intr = camera.intrinsics
-    p_cam = camera.world_to_camera(cloud.means)
-    z = p_cam[:, 2]
-    in_depth = (z > near) & (z < far)
-
-    mean_focal = 0.5 * (intr.fx + intr.fy)
-    # Guard z for the masked-out entries so the vectorized ops stay finite.
-    z_safe = np.where(in_depth, z, 1.0)
-    u = intr.fx * p_cam[:, 0] / z_safe + intr.cx
-    v = intr.fy * p_cam[:, 1] / z_safe + intr.cy
-    scales = cloud.scales
-    sigma = mean_focal * scales / z_safe
-    radius = margin_sigma * sigma
-    on_screen = (
-        (u + radius > 0.0)
-        & (u - radius < intr.width)
-        & (v + radius > 0.0)
-        & (v - radius < intr.height)
-    )
-    idx = np.nonzero(in_depth & on_screen)[0]
-    return ProjectedGaussians(
-        source_index=idx,
-        p_cam=p_cam[idx],
-        mean2d=np.stack([u[idx], v[idx]], axis=-1),
-        sigma2d=sigma[idx],
-        depth=z[idx],
-        opacity=cloud.opacities[idx],
-        color=np.clip(cloud.colors[idx], 0.0, 1.0),
-        radius=radius[idx],
-        scale=scales[idx],
-    )
+    p_cam = f64(camera.world_to_camera(cloud.means))
+    n = p_cam.shape[0]
+    scales, opacities, colors = (f64(cloud.scales), f64(cloud.opacities),
+                                 f64(cloud.colors))
+    if (scales.shape != (n,) or opacities.shape != (n,)
+            or colors.shape != (n, 3)):
+        raise ValueError("project gaussians: scales, opacities or colours "
+                         "do not match the means")
+    fx, fy, cx, cy = intr.fx, intr.fy, intr.cx, intr.cy
+    mean_focal = 0.5 * (fx + fy)
+    # Locals hold every argument array alive through both calls.
+    index = np.empty(n, dtype=np.int64)
+    p_cam_p, scales_p, index_p = ptr(p_cam), ptr(scales), ptr(index)
+    lib = native.library()
+    m = lib.project_cull(n, p_cam_p, scales_p, fx, fy, cx, cy, mean_focal,
+                         intr.width, intr.height, near, far, margin_sigma,
+                         index_p)
+    # The kernel writes the projection's arrays, so the later kernels
+    # find their pointers kept with them.
+    proj = ProjectedGaussians(
+        np.empty(m, dtype=np.int64), np.empty((m, 3)), np.empty((m, 2)),
+        np.empty(m), np.empty(m), np.empty(m), np.empty((m, 3)),
+        np.empty(m), np.empty(m))
+    if lib.project_gather(m, index_p, n, p_cam_p, scales_p, ptr(opacities),
+                          ptr(colors), fx, fy, cx, cy, mean_focal,
+                          margin_sigma,
+                          *pointers(proj, _FIELDS[:1], np.int64),
+                          *pointers(proj, _FIELDS[1:])):
+        raise ValueError("project gaussians: the cull kept an index past "
+                         "the cloud")
+    return proj

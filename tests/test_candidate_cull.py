@@ -89,6 +89,25 @@ class TestAgainstOracle:
             row = got.gss[got.pix == k]
             assert np.all(np.diff(row) > 0)
 
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 300),
+           levels=st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_depth_rank_is_the_stable_argsort(self, seed, m, levels):
+        """The kernel ranks the depths itself, in np.argsort(kind=
+        "stable")'s order: NaN last, ties (-0.0 and 0.0 among them) by
+        ascending index, over run lengths that are not powers of two."""
+        rng = np.random.default_rng(seed)
+        values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 2.5,
+                           -3.0])[:levels]
+        depth = rng.choice(values, m)
+        centres = np.array([[4.5, 4.5], [6.5, 3.5]])
+        mean2d = np.full((m, 2), 5.0)
+        radius = np.full(m, 3.0)
+        got = assert_matches_oracle(centres, mean2d, radius, depth)
+        rank = np.argsort(depth, kind="stable")
+        for k in range(2):
+            assert np.array_equal(got.gss[got.pix == k], rank)
+
     def test_pixels_on_bbox_edges(self):
         """Every bbox edge on a pixel centre: the predicate is inclusive."""
         centres = np.array([[2.5, 3.5], [4.5, 3.5], [2.5, 5.5], [4.5, 5.5],
@@ -165,20 +184,24 @@ class TestRawKernel:
     MEAN2D = np.full((3, 2), 2.0)
     RADIUS = np.full(3, 2.0)
 
-    @pytest.mark.parametrize("bad", [-1, 3, 1 << 40])
-    def test_out_of_range_rank_returns_minus_one(self, bad):
+    DEPTH = np.array([3.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("missing", ["depth", "mean2d", "radius",
+                                         "lengths"])
+    def test_missing_array_returns_minus_one(self, missing):
         lib = native.library()
-        cutoff = np.full(3, 100.0)
-        rank = np.array([0, bad, 2], dtype=np.int64)
         lengths = np.full(2, -7, dtype=np.int64)
+        args = {"depth": self.DEPTH.ctypes.data,
+                "mean2d": self.MEAN2D.ctypes.data,
+                "radius": self.RADIUS.ctypes.data,
+                "lengths": lengths.ctypes.data}
+        args[missing] = None
         n_cand, scratch = ctypes.c_int64(-7), ctypes.c_void_p()
-        for cut in (None, cutoff.ctypes.data):
-            assert lib.candidate_cull(
-                2, 3, self.CENTRES.ctypes.data, rank.ctypes.data,
-                self.MEAN2D.ctypes.data, self.RADIUS.ctypes.data, cut,
-                lengths.ctypes.data, ctypes.byref(n_cand),
-                ctypes.byref(scratch)) == -1
-            assert scratch.value is None
+        assert lib.candidate_cull(
+            2, 3, self.CENTRES.ctypes.data, args["depth"], args["mean2d"],
+            args["radius"], None, args["lengths"], ctypes.byref(n_cand),
+            ctypes.byref(scratch)) == -1
+        assert scratch.value is None
         assert lengths.tolist() == [-7, -7] and n_cand.value == -7
 
     @pytest.mark.parametrize("lengths", [[2, 4], [4, 2], [3, 2], [3, 4],
@@ -188,11 +211,10 @@ class TestRawKernel:
         counts that do not match them, no pair lands outside its pixel's
         list or the outputs, which are guarded on both sides."""
         lib = native.library()
-        rank = np.arange(3, dtype=np.int64)
         kept = np.zeros(2, dtype=np.int64)
         n_cand, scratch = ctypes.c_int64(), ctypes.c_void_p()
         assert lib.candidate_cull(
-            2, 3, self.CENTRES.ctypes.data, rank.ctypes.data,
+            2, 3, self.CENTRES.ctypes.data, self.DEPTH.ctypes.data,
             self.MEAN2D.ctypes.data, self.RADIUS.ctypes.data, None,
             kept.ctypes.data, ctypes.byref(n_cand),
             ctypes.byref(scratch)) == 6

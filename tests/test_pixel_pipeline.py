@@ -271,20 +271,62 @@ def count_native_calls(monkeypatch):
     return calls
 
 
-def test_native_calls_per_sparse_iteration(monkeypatch):
-    """A sparse forward is one cull (its scan, and the call that lays the
-    kept pairs out) and one composite; a pose-only backward is one
-    reverse call."""
+def count_pointer_reads(monkeypatch):
+    """Patch every module that marshals kernel arguments so that every
+    ``ptr`` read is counted."""
+    import sys
+    from collections import Counter
+
+    from repro.render.kernels import native
+
+    read, reads = native.ptr, Counter()
+
+    def counted(a):
+        reads["ptr"] += 1
+        return read(a)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "ptr", None) is read:
+            monkeypatch.setattr(module, "ptr", counted)
+    return reads
+
+
+def sparse_iteration(calls=None):
+    """One sparse tracking iteration: a forward and a pose-only backward
+    on a tracking lattice; ``calls`` is cleared between the two."""
     cloud, cam = make_scene(seed=3)
     pixels = sample_tracking_pixels(W, H, 8, "random",
                                     np.random.default_rng(3))
-    calls = count_native_calls(monkeypatch)
     res = render_sparse(cloud, cam, pixels, BG)
     assert res.stats.num_sort_keys > 0
-    assert dict(calls) == {"candidate_cull": 1, "candidate_place": 1,
-                           "composite_forward": 1}
-    calls.clear()
+    forward = dict(calls or {})
+    if calls is not None:
+        calls.clear()
     backward_sparse(res, cloud, cam, np.ones((len(pixels), 3)),
                     np.ones(len(pixels)), np.ones(len(pixels)),
                     pose_only=True)
-    assert dict(calls) == {"composite_reverse": 1}
+    return forward
+
+
+def test_native_calls_per_sparse_iteration(monkeypatch):
+    """A sparse forward is one projection (a call that finds the
+    survivors and one that gathers them), one cull (its scan, which also
+    ranks the depths, and the call that lays the kept pairs out) and one
+    composite; a pose-only backward is one reverse call and one twist
+    call."""
+    calls = count_native_calls(monkeypatch)
+    forward = sparse_iteration(calls)
+    assert forward == {"project_cull": 1, "project_gather": 1,
+                       "candidate_cull": 1, "candidate_place": 1,
+                       "composite_forward": 1}
+    assert dict(calls) == {"composite_reverse": 1, "reproject_twist": 1}
+
+
+def test_pointer_reads_per_sparse_iteration(monkeypatch):
+    """The kernels after the projection and the composite reuse the
+    pointers those read (and the reverse pass's accumulators'), so an
+    iteration reads 45 pointers: 14 in the projection, 9 in the cull, 13
+    in the composite, 9 in the reverse pass and none in the twist."""
+    reads = count_pointer_reads(monkeypatch)
+    sparse_iteration()
+    assert reads["ptr"] <= 45
