@@ -28,10 +28,7 @@ reports where they first diverged (exit 1 on divergence, diff-style).
 
 The flight record is also the run's live event stream: the recorder
 flushes each record as the run emits it, so ``tail -f run.jsonl``
-follows the run.  ``repro slam --serve-telemetry`` attaches a live run
-aggregator to the run and serves it from a background HTTP exporter
-(``/metrics`` in Prometheus text format, ``/healthz``, and a ``/runz``
-JSON run snapshot, which a Prometheus scraper or ``curl`` can poll).
+follows the run.
 
 Every observed ``repro slam`` run (and every run with ``--on-alert
 raise``) is checked by a health monitor under the ``--on-alert`` policy;
@@ -195,19 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "PATH; render it with `repro atlas`")
     p_slam.add_argument("--atlas-tile", type=int, default=None,
                         help="atlas binning tile in pixels (default: 8)")
-    p_slam.add_argument("--serve-telemetry", metavar="PORT", nargs="?",
-                        type=int, const=-1, default=None,
-                        help="serve the live run as /metrics /healthz "
-                             "/runz over HTTP "
-                             "(default port: 9464; 0 picks an ephemeral "
-                             "port); poll /runz for the run snapshot")
-    p_slam.add_argument("--telemetry-host", default="127.0.0.1",
-                        help="bind host of the telemetry exporter "
-                             "(default: 127.0.0.1)")
-    p_slam.add_argument("--telemetry-linger", type=float, default=0.0,
-                        metavar="SEC",
-                        help="keep the telemetry endpoint serving this "
-                             "many seconds after the run finishes")
     _add_registry_option(p_slam)
 
     p_render = sub.add_parser("render", help="render a procedural scene or "
@@ -410,28 +394,14 @@ def _build_system(args, **overrides):
         seed=args.seed)
 
 
-def _registration(registry, run_id: str) -> dict:
-    """The ``registry`` key of ``/runz``: the registered run and the
-    registry's totals."""
-    record = registry.get(run_id)
-    stats = registry.stats()
-    return {"run_id": run_id, "seq": record["seq"], "kind": record["kind"],
-            "root": registry.root, "runs_total": stats["runs"],
-            "objects_total": stats["objects"], "bytes_total": stats["bytes"]}
-
-
 def _cmd_slam(args) -> int:
-    import time as _time
-
     from .io import save_cloud, save_ppm, save_trajectory_tum
     from .metrics import rpe
-    from .obs import ingest_pipeline_stats
     from .obs.atlas import AtlasCollector, DEFAULT_ATLAS_TILE
     from .obs.flight import FlightRecorder
     from .obs.health import HealthConfig, HealthError, HealthMonitor
     from .render import render_full
     from .gaussians import Camera
-    from .slam import SLAMSystem
 
     sequence = _make_sequence(args)
     system = _build_system(args, record_per_pixel=args.per_pixel_records)
@@ -451,25 +421,6 @@ def _cmd_slam(args) -> int:
         registry = RunRegistry(args.registry)
         observers.append(registry)
 
-    # Live telemetry: a run aggregator (a plain run observer, after the
-    # flight recorder, so a frame /runz shows is already on disk) served
-    # over HTTP.
-    aggregator = server = None
-    if args.serve_telemetry is not None:
-        from .obs.promexport import TelemetryHTTPServer
-        from .obs.telemetry import DEFAULT_PORT, RunAggregator, TelemetryConfig
-
-        aggregator = RunAggregator()
-        observers.append(aggregator)
-        port = (DEFAULT_PORT if args.serve_telemetry < 0
-                else args.serve_telemetry)
-        server = TelemetryHTTPServer(
-            TelemetryConfig(host=args.telemetry_host, port=port),
-            aggregator=aggregator).start()
-        log.info(f"serving telemetry on {server.url} "
-                 f"(/metrics /healthz /runz); poll "
-                 f"{server.url}/runz for the run snapshot")
-
     health = None
     if observers or args.on_alert == "raise":
         # Observed runs, and runs that may abort, are checked under the
@@ -480,34 +431,14 @@ def _cmd_slam(args) -> int:
     log.info(f"running {args.algorithm} ({args.mode}) ...")
     aborted = None
     try:
-        try:
-            result = system.run(sequence, observers=observers)
-        except HealthError as exc:
-            # The aborting alert never reaches a frame record: it closes
-            # the flight record and reaches /runz once, here.
-            aborted = exc.alert
-            if flight is not None:
-                flight.emit({"type": "alert", **aborted.as_dict()})
-            if aggregator is not None:
-                aggregator.consume("alert", aborted.as_dict())
-        else:
-            if server is not None:
-                # Fold the run's stage totals into the registry so the
-                # final /metrics scrape carries the workload counters too.
-                for stage in SLAMSystem.STAGES:
-                    ingest_pipeline_stats(stage, result.stage_stats[stage])
-                if registry is not None:
-                    aggregator.consume("registry", _registration(
-                        registry, result.run_id))
+        result = system.run(sequence, observers=observers)
+    except HealthError as exc:
+        # The aborting alert never reaches a frame record: it closes the
+        # flight record, here.
+        aborted = exc.alert
+        if flight is not None:
+            flight.emit({"type": "alert", **aborted.as_dict()})
     finally:
-        if server is not None:
-            if args.telemetry_linger > 0:
-                log.info(f"telemetry endpoint lingering "
-                         f"{args.telemetry_linger:g} s ...")
-                _time.sleep(args.telemetry_linger)
-            stats = server.stop()
-            log.info(f"telemetry endpoint {stats['url']} closed "
-                     f"({stats['published']} run events)")
         if flight is not None:
             flight.disable()
         if atlas is not None:

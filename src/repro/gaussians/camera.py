@@ -68,12 +68,16 @@ class Intrinsics:
 
     def check_pixels(self, pixels: np.ndarray) -> None:
         """Raise ``ValueError`` naming the first row of the integer
-        ``(K, 2)`` ``(u, v)`` array ``pixels`` that lies outside the image."""
-        u, v = pixels[:, 0], pixels[:, 1]
-        outside = (u < 0) | (u >= self.width) | (v < 0) | (v >= self.height)
-        if outside.any():
-            k = int(np.argmax(outside))
-            raise ValueError(f"pixel ({u[k]}, {v[k]}) lies outside the "
+        ``(K, 2)`` ``(u, v)`` array ``pixels`` that lies outside the image.
+
+        One unsigned compare checks every coordinate: a negative one wraps
+        to a value past any image edge.  The rows are looked at only when
+        it fails."""
+        inside = pixels.astype(np.uint64) < np.array(
+            [self.width, self.height], np.uint64)
+        if not inside.all():
+            u, v = pixels[int(np.argmin(inside.all(axis=1)))]
+            raise ValueError(f"pixel ({u}, {v}) lies outside the "
                              f"{self.width}x{self.height} image")
 
     def project(self, p_cam: np.ndarray) -> np.ndarray:

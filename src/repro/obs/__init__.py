@@ -1,6 +1,6 @@
 """Observability: tracing, metrics, benchmarking, and regression gating.
 
-Fourteen modules, listed below.  The core three are stdlib-only at
+Twelve modules, listed below.  The core three are stdlib-only at
 import time (no imports from the rest of the package, so any layer may
 instrument itself without cycles); the perf-trajectory trio keeps its
 module-level imports stdlib-only too and pulls in the scenario/hardware
@@ -34,8 +34,8 @@ layers lazily inside functions:
   and the flight recorder, the observer that writes it as JSONL, one
   flushed line per record — the one file that carries a run's events,
   readable with ``tail -f`` while the run executes.  The health monitor,
-  atlas, run registry and live aggregator observe the same stream; with
-  no observer the run builds no record.
+  atlas and run registry observe the same stream; with no observer the
+  run builds no record.
 - :mod:`repro.obs.health` — online health monitors over the run stream
   (NaN/∞, pose jumps, loss divergence, coverage collapse,
   runaway densification) with a ``warn``/``raise`` escalation policy.
@@ -48,12 +48,6 @@ layers lazily inside functions:
 - :mod:`repro.obs.prof` — the continuous profiler: per-span CPU time
   and opt-in tracemalloc allocation/peak deltas on the tracer, plus
   top-N self-time/alloc tables and a JSON profile export.
-- :mod:`repro.obs.telemetry` — the live run observer: the
-  :class:`~repro.obs.telemetry.RunAggregator` live run snapshot.
-- :mod:`repro.obs.promexport` — the stdlib-only HTTP exporter over the
-  aggregator: ``/metrics`` (Prometheus text exposition), ``/healthz``,
-  and the ``/runz`` JSON run snapshot, behind ``repro slam
-  --serve-telemetry``.
 - :mod:`repro.obs.runsdb` — the run registry: an append-only JSONL run
   index plus a content-addressed artifact store under ``.repro/runs/``,
   keyed by environment fingerprint / git SHA / config hash / dataset,
@@ -62,7 +56,7 @@ layers lazily inside functions:
 
 See README "Observability" / "Watching a run" / "Run registry" and
 EXPERIMENTS.md "Perf trajectory" / "Flight recorder" / "Sparsity atlas
-& profiler" / "Live telemetry" for the workflow, and DESIGN.md for the
+& profiler" for the workflow, and DESIGN.md for the
 span name ↔ paper stage mapping and the obs surface audit.
 """
 
@@ -73,11 +67,9 @@ from . import (
     flight,
     health,
     prof,
-    promexport,
     regress,
     report,
     runsdb,
-    telemetry,
 )
 from .atlas import AtlasCollector, AtlasLog, read_atlas
 from .attrib import AttributionReport, attribute_workload
@@ -102,11 +94,6 @@ from .metrics import (
     metrics,
 )
 from .prof import format_top_table, profile, top_spans, write_profile
-from .promexport import (
-    TelemetryHTTPServer,
-    parse_prometheus_text,
-    render_prometheus,
-)
 from .regress import RegressionReport, TolerancePolicy, compare_files, compare_runs
 from .report import RunDiff, diff_runs, render_atlas_report, render_report
 from .runsdb import (
@@ -114,7 +101,6 @@ from .runsdb import (
     ingest_bench_payload,
     ingest_slam_run,
 )
-from .telemetry import RunAggregator, TelemetryConfig
 from .tracing import SpanRecord, Tracer, trace
 
 __all__ = [
@@ -167,13 +153,6 @@ __all__ = [
     "top_spans",
     "format_top_table",
     "write_profile",
-    "telemetry",
-    "promexport",
-    "TelemetryConfig",
-    "RunAggregator",
-    "TelemetryHTTPServer",
-    "render_prometheus",
-    "parse_prometheus_text",
     "runsdb",
     "RunRegistry",
     "ingest_slam_run",

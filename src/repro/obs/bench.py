@@ -14,11 +14,11 @@ vary between repetitions), and emits a canonical, schema-versioned
   tolerance.  All model metrics are oriented so *smaller is better*.
 - **info**    — contextual rates (hit rates, utilization, modeled
   speedups) that are reported but never gated.
-- **overhead** — ``obs_overhead`` only: instrumented / all-off wall
-  ratios (median + MAD over the repetitions), gated against a budget.
+- **overhead** — ``obs_overhead`` only: the instrumented / all-off wall
+  ratio (median + MAD over the repetitions), gated against a budget.
 
 Wall time is not measured here; ``perfbench/`` owns it.  The only clock
-read in this module forms the ``obs_overhead`` ratios.
+read in this module forms the ``obs_overhead`` ratio.
 
 The file also carries an environment fingerprint (python/numpy versions,
 platform, CPU count) so a trajectory can be interpreted — and overhead
@@ -119,7 +119,7 @@ class Scenario:
 
     ``run(config)`` returns the sections —
     ``{"counters": {...}, "model": {...}, "info": {...}}`` plus an
-    optional ``"overhead"`` of ratios the suite runner aggregates.
+    optional ``"overhead": {"ratio": ...}`` the suite runner aggregates.
     """
 
     name: str
@@ -348,8 +348,7 @@ def _scn_kernels(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
 
 @scenario("obs_overhead",
           "observability cost: proxy SLAM with every obs feature off vs "
-          "tracer+metrics+flight+atlas+health all on, plus a live-telemetry "
-          "leg (run aggregator + health monitor) — gated ratios")
+          "tracer+metrics+flight+atlas+health all on — gated ratio")
 def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     from time import perf_counter
 
@@ -361,7 +360,6 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     from .flight import FlightRecorder
     from .health import HealthMonitor
     from .metrics import MetricsRegistry, ingest_pipeline_stats
-    from .telemetry import RunAggregator
 
     bundle = _bundle(cfg)
 
@@ -396,31 +394,21 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
             collector.disable()
         return result, seconds, (flight, collector, spans)
 
-    def live_leg():
-        # The run aggregator and health monitor, as `repro slam
-        # --serve-telemetry` attaches them.  It must stay passive and
-        # inside the gated overhead budget; its event count is the
-        # deterministic run stream (header + frames + summary).
-        aggregator = RunAggregator(gauges=MetricsRegistry())
-        result, seconds = timed(HealthMonitor(), aggregator)
-        return result, seconds, aggregator
-
     # Every leg but the all-on one runs with the tracer off, even when
     # the caller has it on — otherwise the "off" leg would already pay
     # the span cost.
     was_enabled = trace.enabled
     trace.disable()
-    legs = {"off": off_leg, "on": on_leg, "live": live_leg}
+    legs = {"off": off_leg, "on": on_leg}
     runs = {name: [] for name in legs}
     try:
         # Untimed warm-up: the first run pays allocator/cache cold-start
         # costs that would otherwise inflate the all-off leg.
         run_slam()
-        # The legs run twice, in palindromic order (off, on, live, live,
-        # on, off), so that every leg sits at the same mean position in
-        # the sequence: drift in the host's speed, and whatever the
-        # first timed run still pays, reach every leg alike instead of
-        # setting the ratios.
+        # The legs run twice, in palindromic order (off, on, on, off), so
+        # that both sit at the same mean position in the sequence: drift
+        # in the host's speed, and whatever the first timed run still
+        # pays, reach both legs alike instead of setting the ratio.
         for name in list(legs) + list(legs)[::-1]:
             runs[name].append(legs[name]())
     finally:
@@ -430,10 +418,9 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     def total_s(name):
         return sum(seconds for _, seconds, _ in runs[name])
 
-    off_s, on_s, live_s = total_s("off"), total_s("on"), total_s("live")
+    off_s, on_s = total_s("off"), total_s("on")
     result_off = runs["off"][0][0]
     result_on, _, (flight, collector, spans) = runs["on"][0]
-    _, _, aggregator = runs["live"][0]
 
     registry = MetricsRegistry()
     for stage in SLAMSystem.STAGES:
@@ -459,8 +446,6 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     counters = {
         "frames": int(result_on.num_frames),
         "obs_passive": int(passive),
-        "obs_passive_live": int(all(_same(result)
-                                    for result, _, _ in runs["live"])),
         "flight.records": int(len(flight.records)),
         "atlas.frames": int(alog.num_frames),
         "atlas.candidates": int(sum(v["candidates"]
@@ -469,12 +454,8 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
         "spans": int(spans),
         "metrics.counters": int(len(export["counters"])),
         "metrics.gauges": int(len(export["gauges"])),
-        "telemetry.published": int(aggregator.run_events),
     }
-    overhead = {
-        "ratio": (on_s / off_s) if off_s > 0 else 0.0,
-        "live_ratio": (live_s / off_s) if off_s > 0 else 0.0,
-    }
+    overhead = {"ratio": (on_s / off_s) if off_s > 0 else 0.0}
     return {"counters": counters, "model": {}, "info": {},
             "overhead": overhead}
 
@@ -541,7 +522,7 @@ def _ratio_summary(samples: List[float]) -> Dict[str, Any]:
 
 
 def _run_scenario(scn: Scenario, cfg: SuiteConfig) -> Dict[str, Any]:
-    overhead_samples: Dict[str, List[float]] = {}
+    ratios: List[float] = []
     sections: Optional[Dict[str, Dict[str, float]]] = None
     stable = True
     for _rep in range(cfg.repetitions):
@@ -549,8 +530,8 @@ def _run_scenario(scn: Scenario, cfg: SuiteConfig) -> Dict[str, Any]:
         if sections is not None and out["counters"] != sections["counters"]:
             stable = False
         sections = out
-        for key, value in (out.get("overhead") or {}).items():
-            overhead_samples.setdefault(key, []).append(float(value))
+        if "overhead" in out:
+            ratios.append(float(out["overhead"]["ratio"]))
     assert sections is not None
 
     if not stable:
@@ -563,20 +544,12 @@ def _run_scenario(scn: Scenario, cfg: SuiteConfig) -> Dict[str, Any]:
         "info": {k: float(v) for k, v in sorted(sections["info"].items())},
         "stable_counters": stable,
     }
-    if overhead_samples:
-        # Optional gated section: the observability-overhead ratios
+    if ratios:
+        # Optional gated section: the observability-overhead ratio
         # (instrumented / all-off wall time), compared by
-        # repro.obs.regress against a hard budget.  The headline "ratio"
-        # key keeps the original flat layout; any further named ratios
-        # the scenario reports (e.g. the live-telemetry leg) land under
-        # "extra" so old baselines stay comparable.
-        result["overhead"] = dict(
-            _ratio_summary(overhead_samples.pop("ratio", [])),
-            repetitions=cfg.repetitions)
-        extra = {key: _ratio_summary(samples)
-                 for key, samples in sorted(overhead_samples.items())}
-        if extra:
-            result["overhead"]["extra"] = extra
+        # repro.obs.regress against a hard budget.
+        result["overhead"] = dict(_ratio_summary(ratios),
+                                  repetitions=cfg.repetitions)
     return result
 
 

@@ -28,10 +28,10 @@ Every alert is routed through the metrics registry (a ``health.alerts.
 <monitor>`` counter plus a logged warning), and the configurable
 ``on_alert`` policy escalates: ``"warn"`` records and continues,
 ``"raise"`` aborts the run with :exc:`HealthError`.  Every other run
-observer — the live telemetry ones included — sees each alert once,
-inside its frame record.  The alert that aborts a run never reaches a
-record: it travels on the exception (:attr:`HealthError.alert`), and
-``repro slam`` hands it to its live observers.
+observer sees each alert once, inside its frame record.  The alert that
+aborts a run never reaches a record: it travels on the exception
+(:attr:`HealthError.alert`), and ``repro slam`` closes the flight
+record with it.
 
 Module-level imports are stdlib-only (``math.isfinite`` + duck typing
 cover numpy scalars), keeping :mod:`repro.obs` cycle-free.

@@ -13,10 +13,8 @@ The ``ingest_*`` bridge functions translate the existing result objects —
 they duck-type their inputs, so this module imports nothing from the rest
 of the package and stays cycle-free.
 
-Live telemetry reads the process-wide :data:`metrics` registry: the
-``/metrics`` endpoint renders its export on every scrape, the live run
-aggregator sets the ``slam.*`` gauges on every frame, and ``repro slam``
-streams the post-run export as the stream's final ``"metrics"`` line.
+The process-wide :data:`metrics` registry counts warnings and health
+alerts as a run goes; ``repro trace --metrics-out`` writes its export.
 """
 
 from __future__ import annotations

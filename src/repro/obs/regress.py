@@ -13,10 +13,9 @@ The comparator walks the scenario sections of two
   floor for zero-valued baselines).  Oriented smaller-is-better: larger
   beyond tolerance regresses, smaller improves.
 - ``overhead`` — the observability-overhead budget: the ``obs_overhead``
-  scenario's instrumented/all-off wall ratios (the all-on leg plus the
-  live-telemetry leg under ``extra``) must not exceed the committed
-  baseline ratios beyond a hard slack.  Compared only when both payloads
-  carry the section, so old baselines keep working.
+  scenario's instrumented/all-off wall ratio must not exceed the
+  committed baseline ratio beyond a hard slack.  Compared only when both
+  payloads carry the section, so old baselines keep working.
 
 Wall time is judged by ``perfbench/``, not here; sections other than
 these (such as the ``wall`` tables of older trajectories) are ignored.
@@ -214,10 +213,10 @@ def _compare_model(name: str, metric: str, base: float, cur: float,
     return Finding(name, metric, "model", base, cur, "ok")
 
 
-def _compare_overhead_ratio(name: str, metric: str,
-                            base_over: Dict[str, Any],
+def _compare_overhead_ratio(name: str, base_over: Dict[str, Any],
                             cur_over: Dict[str, Any],
                             policy: TolerancePolicy) -> Finding:
+    metric = "overhead.ratio"
     base = float(base_over.get("ratio", 0.0))
     cur = float(cur_over.get("ratio", 0.0))
     mad = max(float(base_over.get("mad", 0.0)),
@@ -232,35 +231,6 @@ def _compare_overhead_ratio(name: str, metric: str,
         return Finding(name, metric, "overhead", base, cur, "improved",
                        f"obs overhead shrank {base:.3f}x -> {cur:.3f}x")
     return Finding(name, metric, "overhead", base, cur, "ok")
-
-
-def _compare_overhead(name: str, base_over: Dict[str, Any],
-                      cur_over: Dict[str, Any],
-                      policy: TolerancePolicy) -> List[Finding]:
-    """The headline ratio plus any named extra ratios (e.g. the
-    live-telemetry leg), each under the same budget rule.  Extras absent
-    from the baseline pass as ``new``; extras the current run dropped
-    fail as ``removed``."""
-    findings = [_compare_overhead_ratio(name, "overhead.ratio",
-                                        base_over, cur_over, policy)]
-    base_extra = base_over.get("extra") or {}
-    cur_extra = cur_over.get("extra") or {}
-    for key in sorted(set(base_extra) | set(cur_extra)):
-        metric = f"overhead.{key}"
-        if key not in cur_extra:
-            findings.append(Finding(
-                name, metric, "overhead",
-                float(base_extra[key].get("ratio", 0.0)), None, "removed",
-                "overhead ratio missing from current run"))
-        elif key not in base_extra:
-            findings.append(Finding(
-                name, metric, "overhead", None,
-                float(cur_extra[key].get("ratio", 0.0)), "new",
-                "overhead ratio absent from baseline"))
-        else:
-            findings.append(_compare_overhead_ratio(
-                name, metric, base_extra[key], cur_extra[key], policy))
-    return findings
 
 
 def _compare_section(name: str, section: str, base: Dict[str, Any],
@@ -334,7 +304,7 @@ def compare_runs(current: Dict[str, Any], baseline: Dict[str, Any],
         for section in sections:
             if section == "overhead":
                 if base.get("overhead") and cur.get("overhead"):
-                    report.findings.extend(_compare_overhead(
+                    report.findings.append(_compare_overhead_ratio(
                         name, base["overhead"], cur["overhead"], pol))
                 continue
             report.findings.extend(

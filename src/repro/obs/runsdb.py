@@ -39,10 +39,6 @@ Design rules, matching the rest of the stack:
 - **Stdlib-only module imports.**  Sibling ``repro.obs`` modules are
   imported at module level only where they are themselves stdlib-only
   (bench/flight); everything else is lazy.
-
-``repro slam --registry`` hands the registration (run id plus registry
-counters) to its live run aggregator, so the final ``/runz``
-snapshot names the registered run.
 """
 
 from __future__ import annotations
@@ -427,7 +423,7 @@ def bench_metrics(payload: Dict[str, Any]) -> Dict[str, float]:
     """Flat metrics of one ``repro bench run`` trajectory payload.
 
     Every scenario's exact counters, modeled cycles/bytes, info
-    quantities and overhead ratios, namespaced
+    quantities and overhead ratio, namespaced
     ``bench.<scenario>.<section>.<metric>``.
     """
     out: Dict[str, float] = {}
@@ -440,9 +436,6 @@ def bench_metrics(payload: Dict[str, Any]) -> Dict[str, float]:
         overhead = scn.get("overhead") or {}
         if "ratio" in overhead:
             out[f"{prefix}.overhead.ratio"] = float(overhead["ratio"])
-        for key, extra in sorted((overhead.get("extra") or {}).items()):
-            if isinstance(extra, dict) and "ratio" in extra:
-                out[f"{prefix}.overhead.{key}"] = float(extra["ratio"])
     return out
 
 

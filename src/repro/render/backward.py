@@ -12,12 +12,13 @@ pairs is recorded as the atomic-contention workload.  The kernel adds into
 one accumulator per (tile, list slot); one :func:`scatter_add` per
 gradient column then folds the slots into the projected Gaussians.
 *Re-projection* finally maps the 2D splat gradients through the projection
-into world-space parameter gradients and the camera-twist gradient.  A
-pose-only re-projection (tracking, both pipelines) is one compiled call
-(``reproject_twist`` in ``_native.c``) that forms the camera-frame
-gradient term for term as the full pass does and adds the twist
-Jacobian's products in the order of the full pass's ``np.einsum``, zeros
-included, so its ``d_pose_twist`` is the full pass's bit for bit.
+into world-space parameter gradients and the camera-twist gradient.  The
+twist gradient is one compiled call (``reproject_twist`` in
+``_native.c``) in every pass; a pose-only re-projection (tracking, both
+pipelines) makes only that call.  It forms the camera-frame gradient
+term for term and adds the twist Jacobian's products in the order of
+``np.einsum`` over :func:`~repro.gaussians.se3.point_jacobian_wrt_twist`,
+zeros included, so it is that einsum bit for bit (the test oracle).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 
 from ..gaussians.camera import Camera
 from ..gaussians.model import GaussianCloud
-from ..gaussians.se3 import point_jacobian_wrt_twist
 from ..obs import trace
 from ..obs import atlas as _atlas_mod
 # composite_backward is the per-tile oracle of the engine below; it stays
@@ -162,9 +162,9 @@ def reproject_gradients(
         raise ValueError("reproject gradients: the projection carries no "
                          "scale")
     mean_focal = 0.5 * (intr.fx + intr.fy)
+    d_pose_twist = _pose_twist(proj, pg, intr, mean_focal)
     if pose_only:
-        return RenderGradients(None, None, None, None,
-                               _pose_twist(proj, pg, intr, mean_focal))
+        return RenderGradients(None, None, None, None, d_pose_twist)
     x, y, z = proj.p_cam[:, 0], proj.p_cam[:, 1], proj.p_cam[:, 2]
 
     d_u = pg.d_mean2d[:, 0]
@@ -178,9 +178,6 @@ def reproject_gradients(
         + pg.d_depth
     )
     d_p_cam = np.stack([d_x, d_y, d_z], axis=-1)
-    # Camera twist gradient (right-multiplicative update T <- T exp(xi)).
-    J = point_jacobian_wrt_twist(proj.p_cam)       # (M, 3, 6)
-    d_pose_twist = np.einsum("mij,mi->j", J, d_p_cam)
 
     # World-space mean gradients: d mu = R_w2c^T d p_cam.
     R_w2c = camera.pose_w2c[:3, :3]
@@ -210,8 +207,8 @@ def reproject_gradients(
 
 
 def _pose_twist(proj, pg, intr, mean_focal):
-    """The camera-twist gradient in one compiled call
-    (``reproject_twist``): the full pass's ``d_pose_twist`` bit for bit."""
+    """The camera-twist gradient (right-multiplicative update
+    ``T <- T exp(xi)``) in one compiled call (``reproject_twist``)."""
     m = len(proj)
     if (proj.p_cam.shape != (m, 3) or proj.scale.shape != (m,)
             or pg.d_mean2d.shape != (m, 2) or pg.d_sigma2d.shape != (m,)

@@ -117,26 +117,17 @@ class TestSuiteRun:
         counters = scn["counters"]
         # Identical trajectory, map, and counters with everything on.
         assert counters["obs_passive"] == 1
-        assert counters["obs_passive_live"] == 1
         # Every obs channel actually collected something.
         for key in ("flight.records", "atlas.frames", "atlas.candidates",
                     "spans"):
             assert counters[key] > 0, key
-        # The live leg saw the whole run stream (header + frames +
-        # summary).
-        frames = counters["frames"]
-        assert counters["telemetry.published"] == frames + 2
         # A loose sanity ceiling; the CI budget gate is the tight one.
-        overhead = scn["overhead"]
-        ratios = [overhead["ratio"]] + [
-            extra["ratio"] for extra in overhead["extra"].values()]
-        assert len(ratios) == 2
-        assert all(0.0 < ratio < 3.0 for ratio in ratios), ratios
+        assert 0.0 < scn["overhead"]["ratio"] < 3.0, scn["overhead"]
 
     def test_obs_overhead_legs_cancel_a_steady_slowdown(self, monkeypatch):
         """The legs run in palindromic order, so a host that slows down
         steadily charges every leg alike: with a clock on which the k-th
-        SLAM run takes 2k + 1 time units, every ratio is exactly 1."""
+        SLAM run takes 2k + 1 time units, the ratio is exactly 1."""
         import time
 
         from repro.slam import SLAMSystem
@@ -152,10 +143,9 @@ class TestSuiteRun:
         monkeypatch.setattr(time, "perf_counter",
                             lambda: float(len(started)) ** 2)
         out = SCENARIOS["obs_overhead"].run(SuiteConfig(size="tiny"))
-        assert len(started) == 7      # the warm-up, then two runs per leg
-        assert out["overhead"] == {"ratio": 1.0, "live_ratio": 1.0}
+        assert len(started) == 5      # the warm-up, then two runs per leg
+        assert out["overhead"] == {"ratio": 1.0}
         assert out["counters"]["obs_passive"] == 1
-        assert out["counters"]["obs_passive_live"] == 1
 
     def test_self_comparison_is_clean(self, tiny_payload):
         roundtrip = json.loads(json.dumps(tiny_payload))

@@ -29,9 +29,15 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [["top"], ["runs", "trend"],
                                       ["runs", "triage"],
-                                      ["slam", "--telemetry-stream", "x"]],
+                                      ["slam", "--telemetry-stream", "x"],
+                                      ["slam", "--serve-telemetry"],
+                                      ["slam", "--telemetry-host", "x"],
+                                      ["slam", "--telemetry-linger", "1"]],
                              ids=["top", "runs trend", "runs triage",
-                                  "slam --telemetry-stream"])
+                                  "slam --telemetry-stream",
+                                  "slam --serve-telemetry",
+                                  "slam --telemetry-host",
+                                  "slam --telemetry-linger"])
     def test_deleted_commands_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
@@ -468,58 +474,6 @@ class TestRunsEndToEnd:
                      "--registry", registry_dir]) == 0
         out = capsys.readouterr().out
         assert "2 runs kept" in out
-
-
-class TestTelemetryFlags:
-    def test_slam_telemetry_defaults_off(self):
-        args = build_parser().parse_args(["slam"])
-        assert args.serve_telemetry is None
-        assert args.telemetry_host == "127.0.0.1"
-        assert args.telemetry_linger == 0.0
-
-    def test_serve_telemetry_bare_means_default_port(self):
-        args = build_parser().parse_args(["slam", "--serve-telemetry"])
-        assert args.serve_telemetry == -1    # sentinel: DEFAULT_PORT
-
-    def test_serve_telemetry_explicit_port(self):
-        args = build_parser().parse_args(
-            ["slam", "--serve-telemetry", "0", "--telemetry-host", "0.0.0.0"])
-        assert args.serve_telemetry == 0
-        assert args.telemetry_host == "0.0.0.0"
-
-
-class TestSlamTelemetryEndToEnd:
-    def test_serve_and_stream_during_run(self, tmp_path, monkeypatch):
-        """`repro slam --serve-telemetry 0 --flight-record FILE`: the
-        flight record carries the whole run (header, one line per frame,
-        summary), and the endpoint's final /metrics scrape counts those
-        run events and carries the ingested stage stats."""
-        from urllib.request import urlopen
-
-        from repro.obs.promexport import (TelemetryHTTPServer,
-                                          parse_prometheus_text)
-
-        captured = {}
-        stop = TelemetryHTTPServer.stop
-
-        def scrape_then_stop(server):
-            with urlopen(f"{server.url}/metrics", timeout=5.0) as resp:
-                captured["metrics"] = resp.read().decode("utf-8")
-            return stop(server)
-
-        monkeypatch.setattr(TelemetryHTTPServer, "stop", scrape_then_stop)
-        record = str(tmp_path / "run.jsonl")
-        code = main(["-q", "slam", "--frames", "3", "--width", "24",
-                     "--height", "18", "--tracking-tile", "8",
-                     "--serve-telemetry", "0",
-                     "--flight-record", record])
-        assert code == 0
-        flight = [json.loads(l) for l in open(record).read().splitlines()]
-        assert [r["type"] for r in flight] == [
-            "header", "frame", "frame", "frame", "summary"]
-        scrape = parse_prometheus_text(captured["metrics"])
-        assert scrape["repro_telemetry_published_total"] == len(flight)
-        assert "repro_tracking_fwd_num_pixels_total" in scrape
 
 
 class TestSlamOnAlert:

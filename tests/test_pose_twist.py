@@ -1,9 +1,10 @@
-"""The compiled pose-only twist (``reproject_twist`` in ``_native.c``)
+"""The compiled camera twist (``reproject_twist`` in ``_native.c``)
 against the numpy it replaced: the camera-frame gradient formed term for
 term, then ``np.einsum("mij,mi->j")`` over
 ``point_jacobian_wrt_twist`` — bit for bit (any NaN matching any NaN),
-on random inputs, on non-finite gradients, where a Jacobian zero times
-±inf is NaN, and inside both pipelines' pose-only reverse passes."""
+on random inputs in the pose-only and the full re-projection, on
+non-finite gradients, where a Jacobian zero times ±inf is NaN, and
+inside both pipelines' pose-only reverse passes."""
 
 import numpy as np
 import pytest
@@ -76,8 +77,10 @@ def test_matches_einsum(seed, n, specials):
     with np.errstate(all="ignore"):
         got = reproject_gradients(proj, cloud, cam, pg,
                                   pose_only=True).d_pose_twist
+        full = reproject_gradients(proj, cloud, cam, pg).d_pose_twist
         want = twist_oracle(proj, pg, cam) if len(proj) else np.zeros(6)
     assert got.shape == (6,) and same_bits(got, want)
+    assert same_bits(full, want)
 
 
 def test_zero_times_inf_is_nan():

@@ -16,7 +16,7 @@ import pytest
 from repro.obs import prof
 from repro.obs.metrics import MetricsRegistry, ingest_pipeline_stats
 from repro.obs.regress import (DEFAULT_SECTIONS, TolerancePolicy,
-                               _compare_overhead, compare_runs)
+                               _compare_overhead_ratio, compare_runs)
 from repro.obs.tracing import Tracer
 from repro.render.stats import PipelineStats
 
@@ -169,46 +169,24 @@ class TestOverheadBudget:
         assert "overhead" in DEFAULT_SECTIONS
 
     def test_within_budget_is_ok(self):
-        [f] = _compare_overhead("s", {"ratio": 1.2, "mad": 0.02},
-                                {"ratio": 1.5, "mad": 0.02},
-                                TolerancePolicy())
+        f = _compare_overhead_ratio("s", {"ratio": 1.2, "mad": 0.02},
+                                    {"ratio": 1.5, "mad": 0.02},
+                                    TolerancePolicy())
         assert f.status == "ok"
 
     def test_exceeding_budget_regresses(self):
         # slack = max(0.5, 1.2*0.35, 4*0.02) = 0.5 -> budget 1.7x
-        [f] = _compare_overhead("s", {"ratio": 1.2, "mad": 0.02},
-                                {"ratio": 1.8, "mad": 0.02},
-                                TolerancePolicy())
+        f = _compare_overhead_ratio("s", {"ratio": 1.2, "mad": 0.02},
+                                    {"ratio": 1.8, "mad": 0.02},
+                                    TolerancePolicy())
         assert f.status == "regressed"
         assert "budget" in f.detail
 
     def test_large_improvement_reported(self):
-        [f] = _compare_overhead("s", {"ratio": 2.5, "mad": 0.0},
-                                {"ratio": 1.1, "mad": 0.0},
-                                TolerancePolicy())
+        f = _compare_overhead_ratio("s", {"ratio": 2.5, "mad": 0.0},
+                                    {"ratio": 1.1, "mad": 0.0},
+                                    TolerancePolicy())
         assert f.status == "improved"
-
-    def test_extra_ratios_share_the_budget(self):
-        findings = _compare_overhead(
-            "s",
-            {"ratio": 1.2, "mad": 0.0,
-             "extra": {"bus_ratio": {"ratio": 1.1, "mad": 0.0}}},
-            {"ratio": 1.2, "mad": 0.0,
-             "extra": {"bus_ratio": {"ratio": 1.9, "mad": 0.0}}},
-            TolerancePolicy())
-        by_metric = {f.metric: f for f in findings}
-        assert by_metric["overhead.ratio"].status == "ok"
-        assert by_metric["overhead.bus_ratio"].status == "regressed"
-
-    def test_extra_new_in_current_passes_removed_fails(self):
-        base = {"ratio": 1.2, "mad": 0.0,
-                "extra": {"old_leg": {"ratio": 1.1, "mad": 0.0}}}
-        cur = {"ratio": 1.2, "mad": 0.0,
-               "extra": {"new_leg": {"ratio": 1.1, "mad": 0.0}}}
-        by_metric = {f.metric: f for f in
-                     _compare_overhead("s", base, cur, TolerancePolicy())}
-        assert by_metric["overhead.new_leg"].status == "new"
-        assert by_metric["overhead.old_leg"].status == "removed"
 
     def test_compare_runs_gates_on_section_presence(self):
         base, cur = _payload(1.2), _payload(1.3)

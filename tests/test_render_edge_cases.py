@@ -1,5 +1,7 @@
 """Renderer edge cases: thresholds, tiny images, degenerate scenes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -256,14 +258,17 @@ class TestOutOfImagePixels:
     @pytest.mark.parametrize("pixel", [(-1, 0), (0, -1), (64, 0), (0, 48),
                                        (64, 48), (-5, 100)])
     def test_rejected(self, render, pixel):
-        u, v = pixel
-        with pytest.raises(ValueError, match=rf"pixel \({u}, {v}\)"):
+        """Negative ``u`` or ``v`` and one past either edge: the unsigned
+        bounds compare lets none through, and the message names it."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"pixel {pixel} lies outside the 64x48 image")):
             render(one_gaussian(), self.cam, pixels=[[3, 4], list(pixel)])
 
     @pytest.mark.parametrize("render", [render_full, render_sparse,
                                         render_aniso])
     def test_names_first_offender(self, render):
-        pixels = [[0, 0], [70, 2], [-1, 0], [63, 47]]
+        """Rows 2 and 5 lie outside: the message names row 2."""
+        pixels = [[0, 0], [70, 2], [3, 4], [63, 47], [-1, 0]]
         with pytest.raises(ValueError, match=r"pixel \(70, 2\) lies outside "
                                              r"the 64x48 image"):
             render(one_gaussian(), self.cam, pixels=pixels)

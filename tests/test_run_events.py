@@ -1,5 +1,5 @@
 """One run-event stream: every observer of ``SLAMSystem.run`` sees the same
-header/frame/summary records, alerts reach live consumers once, and an
+header/frame/summary records, alerts reach every sink once, and an
 unobserved run builds nothing."""
 
 import json
@@ -11,13 +11,14 @@ from repro.core import SplatonicConfig
 from repro.datasets import make_replica_sequence
 from repro.metrics.ate import ate_rmse
 from repro.obs import health
-from repro.obs.flight import FlightRecorder, read_flight_record
+from repro.obs.atlas import AtlasCollector, AtlasLog
+from repro.obs.flight import (FlightRecorder, parse_flight_records,
+                              read_flight_record)
 from repro.obs.health import (HealthConfig, HealthMonitor,
                               get_monitor)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import diff_runs, render_report
 from repro.obs.runsdb import RunRegistry, flight_metrics, ingest_slam_run
-from repro.obs.telemetry import RunAggregator
 from repro.slam import SLAMSystem
 from repro.slam.tracker import Tracker
 
@@ -103,21 +104,32 @@ class TestOneRunManySinks:
 
 
 class TestAlerts:
-    def test_live_alert_count_matches_monitor_and_replay(self, sequence):
+    def test_live_alert_count_matches_monitor_and_replay(
+            self, sequence, tmp_path):
+        """The monitor leads the observers wherever it is listed, so every
+        sink sees each alert once, in its frame record as the run goes."""
         flight = FlightRecorder()
         flight.enable()
+        atlas = AtlasCollector(tile=8)
+        atlas.enable()
+        registry = RunRegistry(str(tmp_path / "reg"))
         monitor = OddFrameMonitor(HealthConfig(frame_time_factor=0),
                                   registry=MetricsRegistry())
-        watched = RunAggregator(gauges=MetricsRegistry())
-        make_system().run(sequence, n_frames=6,
-                          observers=[watched, monitor, flight])
+        result = make_system().run(
+            sequence, n_frames=6,
+            observers=[flight, atlas, registry, monitor])
+        flight.disable()
+        atlas.disable()
         assert len(monitor.alerts) == 3
 
-        replay = RunAggregator()
-        for record in flight.records:
-            replay.consume(record["type"], record)
-        assert watched.alert_count == 3
-        assert replay.alert_count == 3
+        assert [len(r.get("alerts") or []) for r in flight.records
+                if r["type"] == "frame"] == [0, 1, 0, 1, 0, 1]
+        assert len(flight.log().alerts()) == 3
+        stored = registry.read_artifact(
+            registry.get(result.run_id), "flight").decode().splitlines()
+        replay = parse_flight_records([json.loads(line) for line in stored])
+        assert replay.alerts() == flight.log().alerts()
+        assert AtlasLog.from_collector(atlas).num_frames == 6
 
     @pytest.mark.parametrize("attach", [True, False])
     def test_guard_alerts_land_in_the_observing_monitor(

@@ -47,8 +47,7 @@ def make_bench_payload(ratio=1.2):
                 "counters": {"num_pixels": 100, "num_sort_keys": 50},
                 "model": {"total_cycles": 1000.0, "dram_bytes": 4096.0},
                 "info": {"gaussians": 64},
-                "overhead": {"ratio": ratio, "mad": 0.01,
-                             "extra": {"bus_ratio": {"ratio": 1.1}}},
+                "overhead": {"ratio": ratio, "mad": 0.01},
             },
         },
     }
@@ -190,7 +189,6 @@ class TestIngestion:
         assert metrics["bench.tracking.counters.num_pixels"] == 100.0
         assert metrics["bench.tracking.model.total_cycles"] == 1000.0
         assert metrics["bench.tracking.overhead.ratio"] == 1.2
-        assert metrics["bench.tracking.overhead.bus_ratio"] == 1.1
         assert reg.load_artifact_json(record, "bench")["suite"] == "tiny"
 
     def test_ingest_slam_run_from_record_stream(self, sequence, tmp_path):
