@@ -33,17 +33,11 @@ class AlgorithmConfig:
     keyframe_window: int        # recent keyframes optimized per mapping
     tracking_loss: LossConfig
     mapping_loss: LossConfig
-    # Tracking Adam learning rates (translation, rotation).
-    lr_translation: float = 1e-2
-    lr_rotation: float = 5e-3
     # Mapping Adam learning rates per parameter group.
     lr_means: float = 3e-3
     lr_log_scales: float = 5e-3
     lr_logit_opacities: float = 5e-2
     lr_colors: float = 2.5e-2
-    # Early stopping: relative loss-improvement threshold and patience.
-    track_converge_rel: float = 1e-4
-    track_converge_patience: int = 10
     # Densification / pruning.
     densify_opacity: float = 0.6
     prune_opacity: float = 0.05
@@ -85,8 +79,6 @@ MONOGS = AlgorithmConfig(
                              silhouette_threshold=0.95, huber_delta=0.05),
     mapping_loss=LossConfig(color_weight=0.9, depth_weight=0.3,
                             huber_delta=0.05),
-    lr_translation=1.2e-2,
-    lr_rotation=6e-3,
 )
 
 # GS-SLAM (Yan et al.): balanced RGB-D loss with an opacity regularizer
@@ -104,8 +96,8 @@ GSSLAM = AlgorithmConfig(
                             silhouette_weight=0.2),
 )
 
-# FlashSLAM (Pham et al.): the "accelerated" configuration — aggressive
-# early stopping and the fewest iterations.
+# FlashSLAM (Pham et al.): the "accelerated" configuration — the fewest
+# tracking and mapping iterations.
 FLASHSLAM = AlgorithmConfig(
     name="flashslam",
     tracking_iters=30,
@@ -116,10 +108,6 @@ FLASHSLAM = AlgorithmConfig(
     tracking_loss=LossConfig(color_weight=0.5, depth_weight=1.0,
                              silhouette_threshold=0.99),
     mapping_loss=LossConfig(color_weight=0.5, depth_weight=1.0),
-    track_converge_rel=1e-3,
-    track_converge_patience=5,
-    lr_translation=1.5e-2,
-    lr_rotation=8e-3,
 )
 
 ALGORITHMS: Dict[str, AlgorithmConfig] = {

@@ -1,11 +1,10 @@
 """A small Adam optimizer for flat parameter vectors.
 
-Both tracking (a 6-vector twist) and mapping (the packed Gaussian
-parameters) are first-order optimizations, matching the Adam-based
-training loops of the 3DGS-SLAM systems the paper builds on.
-``lr`` may be a scalar or a per-parameter array, which is how the tracker
-gives rotation and translation different step sizes and the mapper gives
-means/scales/opacities/colors their own learning rates.
+Mapping (the packed Gaussian parameters) is a first-order optimization,
+matching the Adam-based training loops of the 3DGS-SLAM systems the paper
+builds on; tracking's 6-vector twist uses BFGS instead (``tracker.py``).
+``lr`` may be a scalar or a per-parameter array, which is how the mapper
+gives means/scales/opacities/colors their own learning rates.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Camera tracking: per-frame pose optimization (Sec. II-A).
 
-Each frame's pose is optimized by gradient descent on the RGB-D loss with
+Each frame's pose is optimized by quasi-Newton descent on the RGB-D loss with
 the map held fixed.  The tracker supports two rendering modes:
 
 - ``sparse``  — SPLATONIC's pixel set (one pixel per ``w_t x w_t`` tile)
@@ -8,10 +8,15 @@ the map held fixed.  The tracker supports two rendering modes:
 - ``dense``   — the full frame rendered with the tile-based pipeline (the
   Org. baseline).
 
-The pose update is right-multiplicative on SE(3): ``T <- T @ exp(xi)``
-with a fresh Adam state per frame, separate learning rates for the
-translational and rotational twist components, and early stopping when the
-loss stops improving.
+The pose update is right-multiplicative on SE(3): ``T <- T @ exp(xi)``.
+The twist is found by BFGS (Nocedal & Wright, ch. 6) with a fresh
+inverse-Hessian estimate per frame and an Armijo backtracking line search
+whose trials are forward-only: only an accepted point pays for the
+pose-only backward, over that trial's own render.  Each forward counts as
+one iteration (at most ``tracking_iters``); the frame stops when a step or
+a backtracked trial gets negligibly short, and its estimate is the
+lowest-loss pose any forward saw (SplaTAM keeps the best pose the same
+way).
 """
 
 from __future__ import annotations
@@ -32,9 +37,18 @@ from ..render.backward import backward_full
 from ..render.stats import PipelineStats
 from .config import AlgorithmConfig
 from .losses import rgbd_loss
-from .optim import Adam
 
 __all__ = ["TrackingResult", "Tracker"]
+
+#: Length of the steepest-descent step that opens the search (twist units:
+#: metres and radians).
+_FIRST_STEP = 1e-2
+#: Armijo sufficient-decrease constant (Nocedal & Wright, eq. 3.4).
+_ARMIJO = 1e-4
+#: Converged: an accepted step this short, or backtracking this far with
+#: no acceptance.
+_MIN_STEP = 1e-5
+_MIN_TRIAL = 1e-6
 
 
 @dataclass
@@ -88,19 +102,20 @@ class Tracker:
         hot loop allocation-free.  ``pixels`` (sparse mode only) is a
         ``(K, 2)`` pixel set that replaces the tracker's own sampling.
         The reverse pass is pose-only: the map is fixed, so only
-        ``d_pose_twist`` is computed, and every iteration renders a
+        ``d_pose_twist`` is computed, and every forward renders a
         :class:`FrozenCloud` snapshot of it taken once per call.
+
+        ``iterations`` counts forwards, backtracked trials included; a
+        trial that sees no valid pixel is rejected.  ``final_loss`` is
+        the loss of the returned pose.  A non-finite loss at any forward,
+        or a non-finite gradient, alerts the health monitor and ends the
+        frame at the best finite estimate so far.
         """
         iters = max_iters if max_iters is not None else self.algo.tracking_iters
         # Attribute this frame's render observations to the tracking stage
         # of the sparsity atlas (no-op unless a frame is being collected).
         obs_atlas.set_stage("tracking")
         pose = np.asarray(init_pose_c2w, dtype=float).copy()
-        lr = np.concatenate([
-            np.full(3, self.algo.lr_translation),
-            np.full(3, self.algo.lr_rotation),
-        ])
-        adam = Adam(6, lr)
         cloud = FrozenCloud(cloud)
 
         record = self.splatonic.config.record_per_pixel
@@ -120,14 +135,19 @@ class Tracker:
             backward = self.splatonic.backward_sparse
         num_sampled = int(ref_depth.size)
 
-        best_loss = np.inf
-        stall = 0
-        loss_value = 0.0
         it = 0
         converged = False
         curve: Optional[List[float]] = [] if collect_curve else None
-        for it in range(1, iters + 1):
-            camera = Camera(self.intrinsics, pose)
+        best_pose, best_loss = pose, np.inf
+        # BFGS state: loss, gradient, search direction and inverse Hessian
+        # at ``pose``; ``grad is None`` until the first forward is in.
+        loss = slope = step_len = 0.0
+        grad = direction = inv_hess = None
+        t = 1.0
+        while it < iters:
+            it += 1
+            trial = pose if grad is None else pose @ se3_exp(t * direction)
+            camera = Camera(self.intrinsics, trial)
             with trace.span("tracking_fwd", iteration=it):
                 if pixels is None:
                     result = self.splatonic.render_full(
@@ -138,45 +158,77 @@ class Tracker:
                 out = rgbd_loss(result.color, result.depth,
                                 result.silhouette, ref_color, ref_depth,
                                 self.algo.tracking_loss, tracking=True)
+            fwd_stats.merge(result.stats)
+            if curve is not None:
+                curve.append(float(out.loss))
+            if grad is None or (out.num_valid and out.loss < best_loss):
+                best_pose, best_loss = trial, out.loss
+            # Finite guard (always on): a poisoned loss must not reach
+            # the line search or the pose -- alert through the health
+            # monitors and keep the best estimate so far.
+            if not np.isfinite(out.loss):
+                get_monitor().non_finite("tracking loss/gradient",
+                                         iteration=it, loss=float(out.loss))
+                break
+            if grad is None and out.num_valid == 0:
+                break
+            if grad is not None and (
+                    out.num_valid == 0
+                    or out.loss > loss + _ARMIJO * t * slope):
+                # Armijo backtracking; a trial that sees no valid pixel
+                # has left the map and is rejected as well.
+                t *= 0.5
+                if t * step_len < _MIN_TRIAL:
+                    converged = True
+                    break
+                continue
+            step = None if grad is None else t * direction
+            if step is not None and t * step_len < _MIN_STEP:
+                converged = True
+                break
+            if it >= iters:
+                break
+            # Only an accepted point pays for a backward: pose-only, over
+            # this trial's own render result and composite cache.
             with trace.span("tracking_bwd", iteration=it):
                 grads = backward(result, cloud, camera,
                                  out.d_color, out.d_depth, out.d_silhouette,
                                  pose_only=True)
-            fwd_stats.merge(result.stats)
             bwd_stats.merge(grads.stats)
-            loss_value = out.loss
-            if curve is not None:
-                curve.append(float(loss_value))
-
-            if out.num_valid == 0:
-                break
-            # Finite guard (always on): a poisoned loss or gradient must
-            # not reach the Adam state or the pose — alert through the
-            # health monitors and keep the last good estimate.
-            if not (np.isfinite(loss_value)
-                    and np.all(np.isfinite(grads.d_pose_twist))):
+            new_grad = grads.d_pose_twist
+            if not np.all(np.isfinite(new_grad)):
                 get_monitor().non_finite("tracking loss/gradient",
-                                         iteration=it,
-                                         loss=float(loss_value))
+                                         iteration=it, loss=float(out.loss))
                 break
-            step = adam.step(grads.d_pose_twist)
-            pose = pose @ se3_exp(step)
-
-            if loss_value < best_loss * (1.0 - self.algo.track_converge_rel):
-                best_loss = loss_value
-                stall = 0
-            else:
-                stall += 1
-                if stall >= self.algo.track_converge_patience:
+            if step is not None:
+                y = new_grad - grad
+                sy = float(step @ y)
+                if sy > 0.0:
+                    if inv_hess is None:
+                        inv_hess = sy / float(y @ y) * np.eye(6)
+                    v = np.eye(6) - np.outer(step, y) / sy
+                    inv_hess = v @ inv_hess @ v.T + np.outer(step, step) / sy
+            pose, loss, grad = trial, out.loss, new_grad
+            direction = None if inv_hess is None else -inv_hess @ grad
+            if direction is None or float(grad @ direction) >= 0.0:
+                # No curvature yet, or not a descent direction: restart
+                # from steepest descent scaled to the first step's length.
+                norm = float(np.linalg.norm(grad))
+                if norm == 0.0:
                     converged = True
                     break
+                inv_hess = None
+                direction = -_FIRST_STEP / norm * grad
+            slope = float(grad @ direction)
+            step_len = float(np.linalg.norm(direction))
+            t = 1.0
 
         return TrackingResult(
             # ``pose @ se3_exp(step)`` drifts off SE(3) a little every
-            # iteration; the estimate leaves the tracker rigid.
-            pose_c2w=se3_project(pose),
+            # step; the estimate leaves the tracker rigid.
+            pose_c2w=se3_project(best_pose),
             iterations=it,
-            final_loss=loss_value,
+            final_loss=float(best_loss),
             converged=converged,
             forward_stats=fwd_stats,
             backward_stats=bwd_stats,

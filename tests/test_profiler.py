@@ -21,11 +21,11 @@ from repro.obs.tracing import Tracer
 from repro.render.stats import PipelineStats
 
 
-def _busy(ms: float = 2.0) -> float:
-    """Burn CPU (not sleep) so process_time advances measurably."""
-    deadline = time.process_time() + ms / 1e3
+def _busy(ms: float = 2.0, clock=time.process_time) -> float:
+    """Burn CPU (not sleep) until ``clock`` has advanced by ``ms``."""
+    deadline = clock() + ms / 1e3
     acc = 0.0
-    while time.process_time() < deadline:
+    while clock() < deadline:
         acc += sum(i * i for i in range(100))
     return acc
 
@@ -105,10 +105,12 @@ class TestProfFrontend:
     def _traced(self, memory=False):
         t = Tracer()
         with prof.profile(memory=memory, tracer=t):
+            # ``top_spans`` ranks wall self time: spin to wall deadlines,
+            # or a descheduled "light" span can outlast "heavy".
             with t.span("heavy"):
-                _busy(3.0)
+                _busy(3.0, clock=time.perf_counter)
             with t.span("light"):
-                _busy(0.5)
+                _busy(0.5, clock=time.perf_counter)
         return t
 
     def test_top_spans_ranked_by_self_time(self):

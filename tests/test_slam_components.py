@@ -122,6 +122,36 @@ class TestTracker:
         assert (given.backward_stats.as_dict()
                 == sampled.backward_stats.as_dict())
 
+    @pytest.mark.parametrize("max_iters", [None, 5])
+    def test_forward_only_line_search_accounting(self, scene, max_iters):
+        """Every forward is one iteration, only accepted points pay for a
+        backward, and the frame returns its lowest-loss pose, rigid."""
+        frame = scene[1]
+        init = frame.gt_pose_c2w @ se3_exp(np.full(6, 0.01))
+        splatonic = Splatonic(SplatonicConfig(tracking_tile=8),
+                              rng=np.random.default_rng(0))
+        calls = {"render_sparse": 0, "backward_sparse": 0}
+        for name in calls:
+            real = getattr(splatonic, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            setattr(splatonic, name, counted)
+        tracker = Tracker(SPLATAM, scene.intrinsics, splatonic, "sparse", BG)
+        res = tracker.track_frame(scene.gt_cloud, init, frame.color,
+                                  frame.depth, max_iters=max_iters,
+                                  collect_curve=True)
+        assert res.final_loss == min(res.loss_curve)
+        assert len(res.loss_curve) == res.iterations
+        assert (calls["backward_sparse"] < calls["render_sparse"]
+                == res.iterations <= (max_iters or SPLATAM.tracking_iters))
+        R = res.pose_c2w[:3, :3]
+        assert np.abs(R.T @ R - np.eye(3)).max() < 1e-12
+        assert np.linalg.det(R) > 0
+        assert np.array_equal(res.pose_c2w[3], [0.0, 0.0, 0.0, 1.0])
+
     def test_fixed_pixels_need_sparse_mode(self, scene):
         frame = scene[1]
         tracker = Tracker(SPLATAM, scene.intrinsics, Splatonic(), "dense", BG)

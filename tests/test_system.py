@@ -128,27 +128,44 @@ class TestConstantVelocity:
 
 
 class TestLocalization:
-    def test_chained_tracking_on_the_true_map(self):
+    @pytest.fixture(scope="class")
+    def room0(self):
+        return make_replica_sequence("room0", n_frames=40, width=64,
+                                     height=48, surface_density=10)
+
+    @staticmethod
+    def _tracker(seq, sampling_seed=0):
+        from repro.slam.tracker import Tracker
+
+        system = SLAMSystem(
+            "splatam", mode="sparse", seed=sampling_seed,
+            splatonic_config=SplatonicConfig(tracking_tile=8,
+                                             record_per_pixel=False))
+        return Tracker(system.algo, seq.intrinsics, system.splatonic,
+                       system.mode, system.background)
+
+    @pytest.mark.parametrize("sampling_seed", [0, 1, 2])
+    def test_chained_tracking_on_the_true_map(self, room0, sampling_seed):
         """perfbench's ``localize_sparse``: 39 frames tracked against
         room0's ground-truth map, each from the constant-velocity prior
         of the previous estimates, with the shipped tracker."""
-        from repro.slam.tracker import Tracker
-
-        seq = make_replica_sequence("room0", n_frames=40, width=64,
-                                    height=48, surface_density=10)
-        system = SLAMSystem(
-            "splatam", mode="sparse",
-            splatonic_config=SplatonicConfig(tracking_tile=8,
-                                             record_per_pixel=False))
-        tracker = Tracker(system.algo, seq.intrinsics, system.splatonic,
-                          system.mode, system.background)
-        poses = [seq[0].gt_pose_c2w.copy()]
-        for frame in list(seq)[1:]:
+        tracker = self._tracker(room0, sampling_seed)
+        poses = [room0[0].gt_pose_c2w.copy()]
+        for frame in list(room0)[1:]:
             init = SLAMSystem._constant_velocity_init(poses)
-            poses.append(tracker.track_frame(seq.gt_cloud, init, frame.color,
+            poses.append(tracker.track_frame(room0.gt_cloud, init,
+                                             frame.color,
                                              frame.depth).pose_c2w)
-        ate = ate_rmse(np.stack(poses), seq.gt_trajectory, align=False)
-        assert ate.rmse < 0.01
+        ate = ate_rmse(np.stack(poses), room0.gt_trajectory, align=False)
+        assert ate.rmse * 100 < 0.05  # cm
+
+    def test_ground_truth_start_does_not_drift(self, room0):
+        """A frame started at its true pose on the true map stays there."""
+        frame = room0[1]
+        res = self._tracker(room0).track_frame(
+            room0.gt_cloud, frame.gt_pose_c2w, frame.color, frame.depth)
+        off = np.linalg.norm(res.pose_c2w[:3, 3] - frame.gt_pose_c2w[:3, 3])
+        assert off * 100 < 1e-3  # cm
 
 
 class TestBaselines:
