@@ -12,11 +12,13 @@ The pose update is right-multiplicative on SE(3): ``T <- T @ exp(xi)``.
 The twist is found by BFGS (Nocedal & Wright, ch. 6) with a fresh
 inverse-Hessian estimate per frame and an Armijo backtracking line search
 whose trials are forward-only: only an accepted point pays for the
-pose-only backward, over that trial's own render.  Each forward counts as
-one iteration (at most ``tracking_iters``); the frame stops when a step or
-a backtracked trial gets negligibly short, and its estimate is the
-lowest-loss pose any forward saw (SplaTAM keeps the best pose the same
-way).
+pose-only backward, over that trial's own render.  Each frame opens with
+a steepest-descent step sized by its own loss, ``min(1e-2, 2 * loss /
+|g|)``, so a prior already near the truth is not searched from a 1 cm
+step down.  Each forward counts as one iteration (at most
+``tracking_iters``); the frame stops when a step or a backtracked trial
+gets negligibly short, and its estimate is the lowest-loss pose any
+forward saw (SplaTAM keeps the best pose the same way).
 """
 
 from __future__ import annotations
@@ -40,8 +42,12 @@ from .losses import rgbd_loss
 
 __all__ = ["TrackingResult", "Tracker"]
 
-#: Length of the steepest-descent step that opens the search (twist units:
-#: metres and radians).
+#: Longest steepest-descent step (twist units: metres and radians).  A
+#: frame opens at ``min(_FIRST_STEP, 2 * loss / |g|)``: the loss is a
+#: non-negative weighted L1, and ``2 * loss / |g|`` is the Newton length of
+#: the quadratic that has the loss and slope seen and its minimum at 0 (a
+#: Polyak-type step), so a prior already near the truth opens short and a
+#: far-off one at the full length.  A restart mid-frame takes the full length.
 _FIRST_STEP = 1e-2
 #: Armijo sufficient-decrease constant (Nocedal & Wright, eq. 3.4).
 _ARMIJO = 1e-4
@@ -105,10 +111,13 @@ class Tracker:
         ``d_pose_twist`` is computed, and every forward renders a
         :class:`FrozenCloud` snapshot of it taken once per call.
 
-        ``iterations`` counts forwards, backtracked trials included; a
-        trial that sees no valid pixel is rejected.  ``final_loss`` is
-        the loss of the returned pose.  A non-finite loss at any forward,
-        or a non-finite gradient, alerts the health monitor and ends the
+        The first step runs down ``-g`` at length ``min(_FIRST_STEP,
+        2 * loss / |g|)``, from the prior's own loss and gradient; no
+        state carries over from the previous frame.  ``iterations``
+        counts forwards, backtracked trials included; a trial that sees
+        no valid pixel is rejected.  ``final_loss`` is the loss of the
+        returned pose.  A non-finite loss at any forward, or a
+        non-finite gradient, alerts the health monitor and ends the
         frame at the best finite estimate so far.
         """
         iters = max_iters if max_iters is not None else self.algo.tracking_iters
@@ -212,13 +221,17 @@ class Tracker:
             direction = None if inv_hess is None else -inv_hess @ grad
             if direction is None or float(grad @ direction) >= 0.0:
                 # No curvature yet, or not a descent direction: restart
-                # from steepest descent scaled to the first step's length.
+                # from steepest descent (first direction sized by the
+                # loss, see ``_FIRST_STEP``).
                 norm = float(np.linalg.norm(grad))
                 if norm == 0.0:
                     converged = True
                     break
                 inv_hess = None
-                direction = -_FIRST_STEP / norm * grad
+                length = _FIRST_STEP
+                if step is None:
+                    length = min(length, 2.0 * loss / norm)
+                direction = -length / norm * grad
             slope = float(grad @ direction)
             step_len = float(np.linalg.norm(direction))
             t = 1.0

@@ -152,6 +152,44 @@ class TestTracker:
         assert np.linalg.det(R) > 0
         assert np.array_equal(res.pose_c2w[3], [0.0, 0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("offset,short", [(1e-4, True), (5e-2, False)])
+    def test_opening_step_sized_by_the_loss(self, scene, offset, short):
+        """The first trial lies ``min(1e-2, 2 * loss / |g|)`` from the
+        prior: short when the prior is 0.01 cm off, the full 1e-2 when
+        it is 5 cm off."""
+        frame = scene[1]
+        direction = np.array([1.0, -0.5, 0.7, 0.0, 0.0, 0.0])
+        init = frame.gt_pose_c2w @ se3_exp(
+            offset / np.linalg.norm(direction) * direction)
+        splatonic = Splatonic(SplatonicConfig(tracking_tile=8),
+                              rng=np.random.default_rng(0))
+        poses, grads = [], []
+        render, backward = splatonic.render_sparse, splatonic.backward_sparse
+
+        def rendered(cloud, camera, *args, **kwargs):
+            poses.append(camera.pose_c2w.copy())
+            return render(cloud, camera, *args, **kwargs)
+
+        def backwarded(*args, **kwargs):
+            out = backward(*args, **kwargs)
+            grads.append(out.d_pose_twist.copy())
+            return out
+
+        splatonic.render_sparse = rendered
+        splatonic.backward_sparse = backwarded
+        tracker = Tracker(SPLATAM, scene.intrinsics, splatonic, "sparse", BG)
+        res = tracker.track_frame(scene.gt_cloud, init, frame.color,
+                                  frame.depth, collect_curve=True)
+        assert np.array_equal(poses[0], init)
+        opening = np.linalg.norm(se3_log(se3_inverse(init) @ poses[1]))
+        expected = min(1e-2, 2.0 * res.loss_curve[0]
+                       / np.linalg.norm(grads[0]))
+        assert opening == pytest.approx(expected, rel=1e-9)
+        if short:
+            assert opening < 1e-3
+        else:
+            assert opening == pytest.approx(1e-2, rel=1e-9)
+
     def test_fixed_pixels_need_sparse_mode(self, scene):
         frame = scene[1]
         tracker = Tracker(SPLATAM, scene.intrinsics, Splatonic(), "dense", BG)
