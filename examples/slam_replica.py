@@ -52,8 +52,8 @@ def main():
 
     # Observers of the run's one event stream (SLAMSystem.run): the
     # flight recorder here, which flushes each record as it lands (so
-    # `tail -f` follows the run); the sparsity atlas and the run
-    # registry attach the same way.
+    # `tail -f` follows the run); the run registry attaches the same
+    # way.
     flight = health = None
     observers = []
     if args.flight_record:

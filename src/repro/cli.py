@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Nine subcommands::
+Eight subcommands::
 
     repro slam --sequence room0 --out results/      # run SLAM, save outputs
     repro render --scene-seed 7 --out view.ppm      # render a scene
@@ -8,7 +8,6 @@ Nine subcommands::
     repro trace --frames 4 --out trace.json         # traced proxy SLAM run
     repro bench run|compare|attrib                  # perf-trajectory suite
     repro report run.jsonl                          # flight-record report
-    repro atlas atlas.jsonl.gz                      # sparsity-atlas heatmaps
     repro runs list|show|ingest|prune               # run registry
     repro info                                      # presets + hw summary
 
@@ -36,13 +35,9 @@ a run that ``raise`` aborts closes its flight record with the alert,
 closes its outputs, logs the alert, and exits with status 3
 (:data:`EXIT_HEALTH_ABORT`).
 
-``repro slam --atlas atlas.jsonl.gz`` additionally records the sparsity
-atlas — per-frame spatial heatmaps of sampled pixels, candidate/contrib
-pairs, Gaussian incidence, and atomic adds — and ``repro atlas`` renders
-the artifact as unicode (or HTML) heatmaps with occupancy histograms and
-measured-vs-modeled tables.  ``repro trace --profile-memory
---profile-top 15`` adds per-span CPU time and tracemalloc allocation
-deltas and prints the top-N self-time/alloc table.
+``repro trace --profile-memory --profile-top 15`` adds per-span CPU time
+and tracemalloc allocation deltas and prints the top-N self-time/alloc
+table.
 
 ``repro slam --registry [DIR]`` / ``repro bench run --registry [DIR]``
 register the finished run (metrics + content-addressed artifacts) in
@@ -83,7 +78,6 @@ EXIT_HEALTH_ABORT = 3
 def _version_text() -> str:
     """Package version plus every artifact format's schema version."""
     from . import __version__
-    from .obs.atlas import ATLAS_SCHEMA_VERSION
     from .obs.bench import SCHEMA_VERSION as BENCH_SCHEMA_VERSION
     from .obs.flight import FLIGHT_SCHEMA_VERSION
     from .obs.prof import PROFILE_SCHEMA_VERSION
@@ -93,7 +87,6 @@ def _version_text() -> str:
     for name, version in (
             ("flight record", FLIGHT_SCHEMA_VERSION),
             ("bench trajectory", BENCH_SCHEMA_VERSION),
-            ("sparsity atlas", ATLAS_SCHEMA_VERSION),
             ("span profile", PROFILE_SCHEMA_VERSION),
             ("run registry", REGISTRY_SCHEMA_VERSION)):
         lines.append(f"  {name:18s} v{version}")
@@ -187,11 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="health-monitor escalation policy; raise "
                              "aborts the run at the first alert with exit "
                              f"status {EXIT_HEALTH_ABORT} (default: warn)")
-    p_slam.add_argument("--atlas", metavar="PATH", default=None,
-                        help="record the sparsity atlas (gzip JSONL) to "
-                             "PATH; render it with `repro atlas`")
-    p_slam.add_argument("--atlas-tile", type=int, default=None,
-                        help="atlas binning tile in pixels (default: 8)")
     _add_registry_option(p_slam)
 
     p_render = sub.add_parser("render", help="render a procedural scene or "
@@ -299,25 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--out", default=None,
                           help="write the report here instead of stdout")
 
-    p_atlas = sub.add_parser(
-        "atlas", help="render a sparsity-atlas artifact as spatial "
-                      "work heatmaps")
-    p_atlas.add_argument("artifact", metavar="ARTIFACT",
-                         help="atlas path recorded by `repro slam --atlas`")
-    p_atlas.add_argument("--channel", default=None,
-                         choices=["sampled", "candidates", "contribs",
-                                  "gaussians", "atomics"],
-                         help="restrict the heatmaps to one channel "
-                              "(default: all)")
-    p_atlas.add_argument("--frame", type=int, default=None,
-                         help="render one frame's grids instead of the "
-                              "run aggregates")
-    p_atlas.add_argument("--format", choices=["markdown", "html"],
-                         default="markdown",
-                         help="report output format (default: markdown)")
-    p_atlas.add_argument("--out", default=None,
-                         help="write the report here instead of stdout")
-
     from .obs.runsdb import DEFAULT_REGISTRY_ROOT
 
     p_runs = sub.add_parser(
@@ -350,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     r_ingest.add_argument("--bench", metavar="PATH", default=None,
                           help="BENCH_trajectory.json to ingest as a "
                                "bench run")
-    r_ingest.add_argument("--atlas", metavar="PATH", default=None,
-                          help="sparsity-atlas artifact to attach")
     r_ingest.add_argument("--attrib", metavar="PATH", default=None,
                           help="cycle-attribution JSON to attach")
     r_ingest.add_argument("--regress", metavar="PATH", default=None,
@@ -397,7 +364,6 @@ def _build_system(args, **overrides):
 def _cmd_slam(args) -> int:
     from .io import save_cloud, save_ppm, save_trajectory_tum
     from .metrics import rpe
-    from .obs.atlas import AtlasCollector, DEFAULT_ATLAS_TILE
     from .obs.flight import FlightRecorder
     from .obs.health import HealthConfig, HealthError, HealthMonitor
     from .render import render_full
@@ -405,16 +371,12 @@ def _cmd_slam(args) -> int:
 
     sequence = _make_sequence(args)
     system = _build_system(args, record_per_pixel=args.per_pixel_records)
-    flight = atlas = registry = None
+    flight = registry = None
     observers = []
     if args.flight_record:
         flight = FlightRecorder()
         flight.enable(args.flight_record)
         observers.append(flight)
-    if args.atlas:
-        atlas = AtlasCollector(tile=args.atlas_tile or DEFAULT_ATLAS_TILE)
-        atlas.enable(args.atlas)
-        observers.append(atlas)
     if args.registry:
         from .obs.runsdb import RunRegistry
 
@@ -441,8 +403,6 @@ def _cmd_slam(args) -> int:
     finally:
         if flight is not None:
             flight.disable()
-        if atlas is not None:
-            atlas.disable()
     if aborted is not None:
         log.error(f"run aborted by health alert [{aborted.monitor}] "
                   f"(--on-alert raise): {aborted.message}")
@@ -452,9 +412,6 @@ def _cmd_slam(args) -> int:
         log.info(f"wrote {len(flight.records)} flight records to "
                  f"{args.flight_record} ({n_alerts} health alerts); "
                  f"render with `repro report {args.flight_record}`")
-    if atlas is not None:
-        log.info(f"wrote sparsity atlas ({atlas.tile}px tiles) to "
-                 f"{args.atlas}; render with `repro atlas {args.atlas}`")
     if result.run_id is not None:
         log.info(f"registered run {result.run_id} in {args.registry}; "
                  f"inspect with `repro runs show {result.run_id} "
@@ -790,8 +747,7 @@ def _cmd_runs_ingest(args) -> int:
                          "or --bench PATH")
     registry = runsdb.RunRegistry(args.registry)
     extra = {}
-    for name, path in (("atlas", args.atlas), ("attrib", args.attrib),
-                       ("regress", args.regress)):
+    for name, path in (("attrib", args.attrib), ("regress", args.regress)):
         if path:
             extra[name] = path
     try:
@@ -860,26 +816,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_atlas(args) -> int:
-    from .obs.atlas import read_atlas
-    from .obs.report import render_atlas_report
-
-    atlas_log = read_atlas(args.artifact)
-    if args.frame is not None and not (
-            0 <= args.frame < atlas_log.num_frames):
-        raise SystemExit(f"frame {args.frame} out of range "
-                         f"(artifact has {atlas_log.num_frames} frames)")
-    text = render_atlas_report(atlas_log, fmt=args.format,
-                               channel=args.channel, frame=args.frame)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-        log.info(f"wrote atlas report to {args.out}")
-    else:
-        print(text, end="")
-    return 0
-
-
 def _cmd_info(_args) -> int:
     from . import __version__
     from .hw import GpuSpec, SplatonicHwConfig, splatonic_area
@@ -915,7 +851,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": _cmd_trace,
         "bench": _cmd_bench,
         "report": _cmd_report,
-        "atlas": _cmd_atlas,
         "runs": _cmd_runs,
         "info": _cmd_info,
     }

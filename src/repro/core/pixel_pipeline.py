@@ -43,11 +43,10 @@ call (the camera twist).  The projection, the composite cache and the
 gradient accumulators keep the pointers of the arrays a kernel wrote
 (``native.pointers``), so the later kernels of an iteration do not read
 them again.  The cull keeps every bbox candidate (a ``+inf`` cutoff)
-when the caller needs them all: with ``preemptive_alpha=False``, with an
-approximate ``exp_fn`` (the cutoff assumes ``np.exp``) and while the
-sparsity atlas records the pre-filter pairs.  Tests select the per-pixel
-``"reference"`` oracle loop by name through ``backend=``; the two are
-bit-identical.
+when the caller needs them all: with ``preemptive_alpha=False`` and with
+an approximate ``exp_fn`` (the cutoff assumes ``np.exp``).  Tests select
+the per-pixel ``"reference"`` oracle loop by name through ``backend=``;
+the two are bit-identical.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ import numpy as np
 from ..gaussians.camera import Camera
 from ..gaussians.model import GaussianCloud
 from ..obs import trace
-from ..obs import atlas as _atlas_mod
 from ..render.backward import (
     ProjectedGradients,
     RenderGradients,
@@ -192,23 +190,16 @@ def render_sparse(
     if len(proj) == 0 or K == 0:
         if record_per_pixel:
             stats.per_pixel_contribs = [0] * K
-        if _atlas_mod.current.active:
-            _atlas_mod.current.observe_sparse_forward(
-                pixels, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
-                np.zeros(K, dtype=np.int64))
         return SparseRenderResult(
             pixels, color, depth, silhouette, proj, np.zeros(0, dtype=int),
             np.zeros(K, dtype=int), [None] * K, stats, backend=backend_name)
 
     centres = pixels + 0.5
-    atlas = _atlas_mod.current.active
     with trace.span("render.alpha_check", pipeline="pixel",
                     backend=backend_name):
-        # The cutoff is exact for np.exp's falloff; the atlas bins the
-        # pre-filter candidate set, so its per-tile α-pass rates match
-        # ``stats.alpha_pass_rate``.
+        # The cutoff is exact for np.exp's falloff only.
         cutoff = (alpha_cutoff(proj, alpha_threshold)
-                  if preemptive_alpha and exp_fn is np.exp and not atlas
+                  if preemptive_alpha and exp_fn is np.exp
                   else np.full(len(proj), np.inf))
         pairs = candidate_pairs(centres, proj.mean2d, proj.radius,
                                 proj.depth, cutoff)
@@ -216,7 +207,6 @@ def render_sparse(
         # or inside rasterization when the ablation disables the filter.
         stats.num_candidate_pairs += pairs.num_candidates
         stats.num_alpha_checks += pairs.num_candidates
-        atlas_pix, atlas_gss = pairs.pix, pairs.gss
         pair_alpha = pair_clipped = None
         if pairs.size and (preemptive_alpha or kernel.wants_pair_alpha):
             pair_alpha, pair_clipped = falloff_alpha(
@@ -228,17 +218,12 @@ def render_sparse(
                 pair_alpha, pair_clipped = pair_alpha[keep], pair_clipped[keep]
     stats.num_sort_keys += pairs.size
 
-    contribs_out = np.zeros(K, dtype=np.int64) if atlas else None
     with trace.span("render.composite", pipeline="pixel", pixels=K,
                     backend=backend_name):
         sorted_gss, list_lengths, caches, flat_cache = kernel.forward(
             proj, pairs, centres, bg, alpha_threshold, t_min, keep_cache,
             exp_fn, stats, color, depth, silhouette,
-            pair_alpha=pair_alpha, pair_clipped=pair_clipped,
-            contribs_out=contribs_out)
-    if contribs_out is not None:
-        _atlas_mod.current.observe_sparse_forward(pixels, atlas_pix, atlas_gss,
-                                      contribs_out)
+            pair_alpha=pair_alpha, pair_clipped=pair_clipped)
 
     return SparseRenderResult(pixels, color, depth, silhouette, proj,
                               sorted_gss, list_lengths, caches, stats,
@@ -282,17 +267,12 @@ def backward_sparse(
     d_depth = np.atleast_1d(np.asarray(d_depth, dtype=float))
     d_silhouette = np.atleast_1d(np.asarray(d_silhouette, dtype=float))
 
-    contribs_out = (np.zeros(K, dtype=np.int64)
-                    if _atlas_mod.current.active else None)
     with trace.span("render.pixel_bwd", pipeline="pixel", pixels=K,
                     backend=result.backend):
         kernel.backward(result, proj, d_color, d_depth, d_silhouette,
-                        pg, stats, contribs_out=contribs_out,
-                        pose_only=pose_only)
+                        pg, stats, pose_only=pose_only)
         with trace.span("render.reproject", pipeline="pixel"):
             grads = reproject_gradients(proj, cloud, camera, pg,
                                         pose_only=pose_only)
-    if contribs_out is not None:
-        _atlas_mod.current.observe_sparse_backward(result.pixels, contribs_out)
     grads.stats = stats
     return grads

@@ -165,16 +165,9 @@ class SplatonicAccelerator:
 
     # ---- public API ----
 
-    def stage_model(self, workload: Workload,
-                    assume_pixel: bool = False) -> StageModel:
-        """Per-stage busy-cycle breakdowns + DRAM bytes of one iteration.
-
-        ``assume_pixel=True`` skips the pipeline-label check and models
-        the counters as a pixel-pipeline workload anyway — used by the
-        sparsity atlas, whose per-frame SLAM stage stats carry the run
-        mode ("sparse"/"dense") as their pipeline label.
-        """
-        if not assume_pixel and workload.pipeline != "pixel":
+    def stage_model(self, workload: Workload) -> StageModel:
+        """Per-stage busy-cycle breakdowns + DRAM bytes of one iteration."""
+        if workload.pipeline != "pixel":
             raise ValueError(
                 "SPLATONIC executes the pixel-based pipeline; measure the "
                 "workload with mode='pixel'")

@@ -1,6 +1,6 @@
 """Observability: tracing, metrics, benchmarking, and regression gating.
 
-Twelve modules, listed below.  The core three are stdlib-only at
+Eleven modules, listed below.  The core three are stdlib-only at
 import time (no imports from the rest of the package, so any layer may
 instrument itself without cycles); the perf-trajectory trio keeps its
 module-level imports stdlib-only too and pulls in the scenario/hardware
@@ -33,35 +33,30 @@ layers lazily inside functions:
   sampling composition, workload counters and stage wall times, summary)
   and the flight recorder, the observer that writes it as JSONL, one
   flushed line per record — the one file that carries a run's events,
-  readable with ``tail -f`` while the run executes.  The health monitor,
-  atlas and run registry observe the same stream; with no observer the
-  run builds no record.
+  readable with ``tail -f`` while the run executes.  The health monitor
+  and run registry observe the same stream; with no observer the run
+  builds no record.
 - :mod:`repro.obs.health` — online health monitors over the run stream
   (NaN/∞, pose jumps, loss divergence, coverage collapse,
   runaway densification) with a ``warn``/``raise`` escalation policy.
 - :mod:`repro.obs.report` — run reports (markdown/HTML, sparkline
   summaries) and frame-aligned run-to-run diffing for flight records.
-- :mod:`repro.obs.atlas` — the sparsity atlas: per-frame spatial work
-  heatmaps (sampled pixels, candidate/contrib pairs, per-tile Gaussian
-  incidence, atomic adds) collected from both kernel backends into a
-  schema-versioned gzip artifact, with aggregation + heatmap rendering.
 - :mod:`repro.obs.prof` — the continuous profiler: per-span CPU time
   and opt-in tracemalloc allocation/peak deltas on the tracer, plus
   top-N self-time/alloc tables and a JSON profile export.
 - :mod:`repro.obs.runsdb` — the run registry: an append-only JSONL run
   index plus a content-addressed artifact store under ``.repro/runs/``,
   keyed by environment fingerprint / git SHA / config hash / dataset,
-  ingesting flight logs, bench payloads, atlas archives, and
-  attribution reports behind ``--registry`` (disabled == free).
+  ingesting flight logs, bench payloads and attribution reports behind
+  ``--registry`` (disabled == free).
 
 See README "Observability" / "Watching a run" / "Run registry" and
-EXPERIMENTS.md "Perf trajectory" / "Flight recorder" / "Sparsity atlas
-& profiler" for the workflow, and DESIGN.md for the
+EXPERIMENTS.md "Perf trajectory" / "Flight recorder" / "Profiler" for
+the workflow, and DESIGN.md for the
 span name ↔ paper stage mapping and the obs surface audit.
 """
 
 from . import (
-    atlas,
     attrib,
     bench,
     flight,
@@ -71,7 +66,6 @@ from . import (
     report,
     runsdb,
 )
-from .atlas import AtlasCollector, AtlasLog, read_atlas
 from .attrib import AttributionReport, attribute_workload
 from .bench import SuiteConfig, run_suite, write_trajectory
 from .flight import FlightLog, FlightRecorder, read_flight_record
@@ -95,7 +89,7 @@ from .metrics import (
 )
 from .prof import format_top_table, profile, top_spans, write_profile
 from .regress import RegressionReport, TolerancePolicy, compare_files, compare_runs
-from .report import RunDiff, diff_runs, render_atlas_report, render_report
+from .report import RunDiff, diff_runs, render_report
 from .runsdb import (
     RunRegistry,
     ingest_bench_payload,
@@ -143,12 +137,7 @@ __all__ = [
     "RunDiff",
     "diff_runs",
     "render_report",
-    "atlas",
     "prof",
-    "AtlasCollector",
-    "AtlasLog",
-    "read_atlas",
-    "render_atlas_report",
     "profile",
     "top_spans",
     "format_top_table",

@@ -348,7 +348,7 @@ def _scn_kernels(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
 
 @scenario("obs_overhead",
           "observability cost: proxy SLAM with every obs feature off vs "
-          "tracer+metrics+flight+atlas+health all on — gated ratio")
+          "tracer+metrics+flight+health all on — gated ratio")
 def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     from time import perf_counter
 
@@ -356,7 +356,6 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
 
     from ..core import SplatonicConfig
     from ..slam import SLAMSystem
-    from .atlas import AtlasCollector, AtlasLog
     from .flight import FlightRecorder
     from .health import HealthMonitor
     from .metrics import MetricsRegistry, ingest_pipeline_stats
@@ -378,21 +377,18 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
         return timed() + (None,)
 
     def on_leg():
-        # Tracer + in-memory flight recorder + health monitor + in-memory
-        # atlas collector, then (below) a metrics ingest of the results.
+        # Tracer + in-memory flight recorder + health monitor, then
+        # (below) a metrics ingest of the results.
         flight = FlightRecorder()
-        collector = AtlasCollector(tile=cfg.spec.tracking_tile)
         flight.enable()
-        collector.enable()
         try:
             with trace.capture(reset=False):
                 spans_before = len(trace.records)
-                result, seconds = timed(HealthMonitor(), flight, collector)
+                result, seconds = timed(HealthMonitor(), flight)
                 spans = len(trace.records) - spans_before
         finally:
             flight.disable()
-            collector.disable()
-        return result, seconds, (flight, collector, spans)
+        return result, seconds, (flight, spans)
 
     # Every leg but the all-on one runs with the tracer off, even when
     # the caller has it on — otherwise the "off" leg would already pay
@@ -420,7 +416,7 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
 
     off_s, on_s = total_s("off"), total_s("on")
     result_off = runs["off"][0][0]
-    result_on, _, (flight, collector, spans) = runs["on"][0]
+    result_on, _, (flight, spans) = runs["on"][0]
 
     registry = MetricsRegistry()
     for stage in SLAMSystem.STAGES:
@@ -440,17 +436,11 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     passive = all(_same(result) for name in ("off", "on")
                   for result, _, _ in runs[name])
 
-    alog = AtlasLog.from_collector(collector)
-    observed = alog.observed_totals()
     export = registry.export()
     counters = {
         "frames": int(result_on.num_frames),
         "obs_passive": int(passive),
         "flight.records": int(len(flight.records)),
-        "atlas.frames": int(alog.num_frames),
-        "atlas.candidates": int(sum(v["candidates"]
-                                    for v in observed.values())),
-        "atlas.atomics": int(sum(v["atomics"] for v in observed.values())),
         "spans": int(spans),
         "metrics.counters": int(len(export["counters"])),
         "metrics.gauges": int(len(export["gauges"])),

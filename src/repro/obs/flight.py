@@ -27,7 +27,7 @@ schema-versioned JSONL stream with exactly one record per frame:
 :meth:`repro.slam.SLAMSystem.run` builds each of these records once and
 hands it to every attached observer; the recorder is one of them (its
 ``on_header`` / ``on_frame`` / ``on_summary`` append the record), next to
-the health monitor, the atlas and the run registry.
+the health monitor and the run registry.
 The recorder writes and flushes each record as it arrives, so the file
 is the run's live event stream too: ``tail -f run.jsonl | jq`` follows a
 run while it executes.

@@ -16,10 +16,6 @@ Two consumers of :class:`~repro.obs.flight.FlightLog`:
   where the trajectories forked (``repro report --diff a.jsonl
   b.jsonl``).
 
-:func:`render_atlas_report` renders a sparsity-atlas artifact
-(:class:`~repro.obs.atlas.AtlasLog`) through the same block renderers —
-unicode heatmaps in markdown, shaded tables in HTML (``repro atlas``).
-
 Everything here is purely functional over parsed logs.
 """
 
@@ -30,13 +26,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from . import atlas as _atlas_mod
 from .flight import FlightLog
 
 __all__ = [
     "sparkline",
     "render_report",
-    "render_atlas_report",
     "ChannelDiff",
     "RunDiff",
     "diff_runs",
@@ -221,12 +215,6 @@ def _to_markdown(blocks: List[Tuple[str, Any]]) -> str:
             for row in rows:
                 lines.append("| " + " | ".join(str(c) for c in row) + " |")
             lines.append("")
-        elif kind == "heatmap":
-            label, grid = payload
-            lines += [f"**{label}**", "", "```",
-                      _atlas_mod.format_heatmap(grid), "```", ""]
-        else:
-            lines += [str(payload), ""]
     return "\n".join(lines).rstrip() + "\n"
 
 
@@ -261,11 +249,6 @@ def _to_html(blocks: List[Tuple[str, Any]]) -> str:
                 out.append("<tr>" + "".join(
                     f"<td>{_html.escape(str(c))}</td>" for c in row) + "</tr>")
             out.append("</table>")
-        elif kind == "heatmap":
-            label, grid = payload
-            out.append(_atlas_mod.heatmap_html(grid, label=str(label)))
-        else:
-            out.append(f"<p>{_html.escape(str(payload))}</p>")
     out.append("</body></html>")
     return "\n".join(out) + "\n"
 
@@ -275,99 +258,6 @@ def render_report(log: FlightLog, fmt: str = "markdown") -> str:
     if fmt not in ("markdown", "html"):
         raise ValueError("fmt must be 'markdown' or 'html'")
     blocks = _build_blocks(log)
-    return _to_markdown(blocks) if fmt == "markdown" else _to_html(blocks)
-
-
-# ---------------------------------------------------------------------------
-# Sparsity-atlas reports
-# ---------------------------------------------------------------------------
-
-def _build_atlas_blocks(log: "_atlas_mod.AtlasLog",
-                        channel: Optional[str] = None,
-                        frame: Optional[int] = None) -> List[Tuple[str, Any]]:
-    header = log.header
-    meta = header.get("meta") or {}
-    channels = ([channel] if channel is not None
-                else list(header.get("channels") or _atlas_mod.CHANNELS))
-
-    blocks: List[Tuple[str, Any]] = []
-    title = (f"sparsity atlas — {meta.get('algorithm', '?')}/"
-             f"{meta.get('mode', '?')}, {log.num_frames} frames")
-    blocks.append(("heading", title))
-    ty, tx = log.grid_shape
-    blocks.append(("kv", [
-        ("sequence", meta.get("sequence")),
-        ("frame size", f"{meta.get('width', '?')}x{meta.get('height', '?')}"),
-        ("atlas grid", f"{tx}x{ty} tiles of {log.tile}px"),
-        ("schema", f"v{header.get('schema_version', '?')}"),
-        ("stages", ", ".join(log.stages()) or None),
-    ]))
-
-    if log.num_frames == 0:
-        blocks.append(("text", "(no frames recorded)"))
-        return blocks
-
-    if frame is not None:
-        blocks.append(("heading2", f"frame {frame}"))
-        for name in channels:
-            blocks.append(("heatmap", (name, log.frame_grid(frame, name))))
-    else:
-        blocks.append(("heading2", f"run aggregate ({log.num_frames} frames)"))
-        for name in channels:
-            blocks.append(("heatmap",
-                           (f"{name} (per-frame mean)", log.mean_atlas(name))))
-            blocks.append(("heatmap",
-                           (f"{name} (per-frame max)", log.max_atlas(name))))
-        blocks.append(("heatmap",
-                       ("α-pass rate (contribs/candidates, run total)",
-                        log.alpha_pass_atlas())))
-
-    # Tile-occupancy histogram + per-frame skew for the headline channel.
-    hist_channel = channel or "candidates"
-    counts, edges = log.occupancy_histogram(hist_channel)
-    hist_rows = [[f"{edges[i]:.4g} – {edges[i + 1]:.4g}", str(counts[i])]
-                 for i in range(len(counts))]
-    blocks.append(("heading2", f"tile occupancy — {hist_channel}"))
-    blocks.append(("table", (["per-tile count", "tiles"], hist_rows)))
-    imb = log.imbalance(hist_channel)
-    blocks.append(("kv", [
-        ("tile skew (max/mean per frame)", sparkline(imb, width=60)),
-        ("skew range", f"{min(imb):.3g} – {max(imb):.3g}" if imb else None),
-    ]))
-
-    # Measured (spatial observations) vs counters + hardware model.
-    mvm = log.measured_vs_modeled()
-    if mvm:
-        blocks.append(("heading2", "measured vs modeled, per stage"))
-        rows = []
-        for stage, row in sorted(mvm.items()):
-            rows.append([
-                stage,
-                _fmt(row["observed_candidates"]),
-                _fmt(row["delta_candidates"]),
-                _fmt(row["observed_contribs"]),
-                _fmt(row["delta_contribs"]),
-                _fmt(row["observed_atomics"]),
-                _fmt(row["alpha_pass_rate"]),
-                _fmt(row.get("modeled_dram_bytes")),
-            ])
-        blocks.append(("table", ([
-            "stage", "candidates", "Δcounter", "contribs", "Δcounter",
-            "atomics", "α-pass", "modeled DRAM B"], rows)))
-    return blocks
-
-
-def render_atlas_report(log: "_atlas_mod.AtlasLog", fmt: str = "markdown",
-                        channel: Optional[str] = None,
-                        frame: Optional[int] = None) -> str:
-    """Render a sparsity-atlas artifact as a heatmap report document.
-
-    ``channel`` restricts the heatmaps to one channel; ``frame`` renders
-    that single frame's grids instead of the run aggregates.
-    """
-    if fmt not in ("markdown", "html"):
-        raise ValueError("fmt must be 'markdown' or 'html'")
-    blocks = _build_atlas_blocks(log, channel=channel, frame=frame)
     return _to_markdown(blocks) if fmt == "markdown" else _to_html(blocks)
 
 

@@ -1,7 +1,7 @@
 """Run registry: an append-only, schema-versioned record of every run.
 
 The rest of :mod:`repro.obs` is single-run: flight logs, bench
-trajectories, and atlas artifacts are written, compared once, and
+trajectories and attribution reports are written, compared once, and
 forgotten.  The registry makes them longitudinal — every registered run
 becomes one JSON line in an append-only index plus a set of
 content-addressed artifact blobs, so "which runs share this
@@ -24,8 +24,8 @@ Each index record carries:
   headline quantities (wall sections, modeled cycles/DRAM bytes,
   ATE/RMSE, sparsity ratios, workload counters);
 - ``artifacts`` — named references (``{"sha256": ..., "bytes": ...}``)
-  into the object store: flight JSONL, bench payloads, atlas archives,
-  attribution reports, regress reports.
+  into the object store: flight JSONL, bench payloads, attribution
+  reports, regress reports.
 
 Design rules, matching the rest of the stack:
 

@@ -32,7 +32,6 @@ import numpy as np
 from ..gaussians.camera import Camera
 from ..gaussians.model import GaussianCloud
 from ..obs import trace
-from ..obs import atlas as _atlas_mod
 # composite_backward is the per-tile oracle of the engine below; it stays
 # importable from this module (perfbench/layers.py wraps it here).
 from .compositing import composite_backward  # noqa: F401
@@ -317,9 +316,6 @@ def _tile_backward(result, d_color, d_depth, d_silhouette, stats,
     stats.num_alpha_checks += int((n_px * n_g).sum())
     stats.num_contrib_pairs += int(touched.sum())
     stats.num_atomic_adds += int(touched.sum())
-    if _atlas_mod.current.active:
-        _atlas_mod.current.observe_tile_backward(result.pixels[live],
-                                                 touched[live])
     if stats.record_per_pixel:
         # The reverse walk stops where the forward's did.
         stats.tile_work.extend(result.stats.tile_work)

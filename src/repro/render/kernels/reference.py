@@ -20,7 +20,7 @@ __all__ = ["forward", "backward"]
 
 def forward(proj, pairs, centres, background, alpha_threshold, t_min,
             keep_cache, exp_fn, stats, color, depth, silhouette,
-            pair_alpha=None, pair_clipped=None, contribs_out=None):
+            pair_alpha=None, pair_clipped=None):
     """Per-pixel forward loop over the shared candidate pair list.
 
     Fills ``color`` / ``depth`` / ``silhouette`` (length K) in place and
@@ -30,9 +30,6 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
     The pre-computed ``pair_alpha`` / ``pair_clipped`` arrays are
     deliberately ignored: the oracle re-derives α inside
     :func:`composite_forward`.
-    ``contribs_out`` (when given, a zeroed length-K int array) receives
-    every pixel's contributing-pair count regardless of
-    ``record_per_pixel`` — the sparsity atlas's spatial channel.
     """
     K = pairs.num_pixels
     record = stats.record_per_pixel
@@ -70,8 +67,6 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
         stats.num_contrib_pairs += contribs
         if record:
             stats.per_pixel_contribs.append(contribs)
-        if contribs_out is not None:
-            contribs_out[k] = contribs
         caches.append(cache if keep_cache else None)
     gss = (np.concatenate(pixel_lists) if pixel_lists
            else np.zeros(0, dtype=int))
@@ -79,12 +74,11 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
 
 
 def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
-             contribs_out=None, pose_only=False):
+             pose_only=False):
     """Per-pixel backward loop over the cached forward composites.
 
-    ``contribs_out`` (when given) receives the per-pixel touched-pair
-    counts — the atlas's backward aggregation channel.  ``pose_only`` is
-    accepted and ignored: the oracle always computes every gradient.
+    ``pose_only`` is accepted and ignored: the oracle always computes
+    every gradient.
     """
     record = stats.record_per_pixel
     pixel_lists = result.pixel_lists
@@ -108,8 +102,6 @@ def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
         stats.num_candidate_pairs += cand.size
         stats.num_contrib_pairs += pair.num_pairs_touched
         stats.num_atomic_adds += pair.num_pairs_touched
-        if contribs_out is not None:
-            contribs_out[k] = pair.num_pairs_touched
         if record:
             stats.pixel_list_lengths.append(int(cand.size))
             stats.per_pixel_contribs.append(pair.num_pairs_touched)

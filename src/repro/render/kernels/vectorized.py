@@ -215,7 +215,7 @@ def composite(proj, gss, lengths, centres, background, alpha, clipped,
 
 def forward(proj, pairs, centres, background, alpha_threshold, t_min,
             keep_cache, exp_fn, stats, color, depth, silhouette,
-            pair_alpha=None, pair_clipped=None, contribs_out=None):
+            pair_alpha=None, pair_clipped=None):
     """Batched forward pass over the shared candidate pair list.
 
     ``pairs`` must be in composite order — pixel-major, front-to-back —
@@ -227,10 +227,6 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
     ``pair_alpha`` / ``pair_clipped`` are the flat per-pair α values and
     clip flags the pipeline's α stage already evaluated (aligned with
     ``pairs``); when given, the falloff is not re-evaluated here.
-    ``contribs_out`` (when given, a zeroed length-K int array) receives
-    the per-pixel contributing-pair counts for the sparsity atlas; the
-    counts are the same ``contrib`` reduction the stats use, so the
-    channel stays bit-identical to the reference backend's.
     """
     K = pairs.num_pixels
     M = pairs.size
@@ -256,8 +252,6 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
 
     contribs_row = cache.touched
     stats.num_contrib_pairs += int(contribs_row.sum())
-    if contribs_out is not None:
-        contribs_out[:] = contribs_row
     if record:
         stats.pixel_list_lengths.extend(int(n) for n in lengths)
         stats.per_pixel_contribs.extend(int(c) for c in contribs_row)
@@ -407,17 +401,16 @@ def aggregate_gradients(fc, proj, d_color, d_depth, d_silhouette, index,
 
 
 def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
-             contribs_out=None, pose_only=False):
+             pose_only=False):
     """Batched backward pass over the flat forward cache.
 
     One :func:`aggregate_gradients` call adds every pair's partials onto
     ``pg``, indexed by the pair's projected Gaussian, pixel-major — the
     sequence the reference loop's per-pixel ``np.add.at`` scatters add,
     so every per-Gaussian accumulation is bit-identical to it.
-    ``contribs_out`` (when given) receives the per-pixel touched-pair
-    counts for the sparsity atlas.  ``pose_only=True`` (tracking) skips
-    the opacity and colour partials and leaves ``pg``'s opacity and
-    colour accumulators untouched; every counter is unchanged.
+    ``pose_only=True`` (tracking) skips the opacity and colour partials
+    and leaves ``pg``'s opacity and colour accumulators untouched; every
+    counter is unchanged.
     """
     fc = result.flat_cache
     if fc is None:
@@ -427,8 +420,6 @@ def backward(result, proj, d_color, d_depth, d_silhouette, pg, stats,
 
     touched = fc.touched
     total_touched = int(touched.sum())
-    if contribs_out is not None:
-        contribs_out[:] = touched
     # The composite checked that the lengths sum to the pair count.
     stats.num_candidate_pairs += fc.gss.size
     stats.num_contrib_pairs += total_touched

@@ -48,7 +48,6 @@ import numpy as np
 from ..gaussians.camera import Camera
 from ..gaussians.model import GaussianCloud
 from ..obs import trace
-from ..obs import atlas as _atlas_mod
 # composite_forward is the per-tile oracle of the engine below; it stays
 # importable from this module (perfbench/layers.py wraps it here).
 from .compositing import (  # noqa: F401
@@ -182,9 +181,6 @@ def render_full(
         stats.num_candidate_pairs += int((n_px * n_g).sum())
         stats.num_alpha_checks += int((n_px * n_g).sum())
         stats.num_contrib_pairs += int(contribs.sum())
-        if _atlas_mod.current.active:
-            _atlas_mod.current.observe_tile_forward(px, px_tiles,
-                                                    n_g[px_tiles], contribs)
         if record_per_pixel:
             stats.tile_work.extend(
                 _tile_work_records(cache, slots, n_g, n_px, px_tiles))

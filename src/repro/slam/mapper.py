@@ -26,7 +26,6 @@ from ..gaussians.camera import Camera, Intrinsics
 from ..gaussians.init import seed_from_rgbd
 from ..gaussians.model import GaussianCloud
 from ..obs import trace
-from ..obs import atlas as obs_atlas
 from ..obs.health import get_monitor
 from ..render.backward import backward_full
 from ..render.stats import PipelineStats
@@ -133,9 +132,6 @@ class Mapper:
         from ..core.sampling import unseen_mask
 
         iters = max_iters if max_iters is not None else self.algo.mapping_iters
-        # Attribute this invocation's render observations to the mapping
-        # stage of the sparsity atlas (no-op unless a frame is open).
-        obs_atlas.set_stage("mapping")
         record = self.splatonic.config.record_per_pixel
         fwd_stats = PipelineStats(pipeline=self.mode, record_per_pixel=record)
         bwd_stats = PipelineStats(pipeline=self.mode, record_per_pixel=record)

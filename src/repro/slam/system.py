@@ -26,7 +26,6 @@ from ..metrics.quality import depth_l1, psnr, ssim
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..obs import flight as obs_flight
-from ..obs import atlas as obs_atlas
 from ..obs.health import HealthMonitor, get_monitor, use_monitor
 from ..obs.runsdb import RunRegistry
 from ..render.rasterize import render_full
@@ -133,12 +132,12 @@ class SLAMSystem:
         The run builds one event stream — a header, one record per frame
         and a summary (schema in :mod:`repro.obs.flight`) — and hands each
         event to every observer's ``on_header`` / ``on_frame(record,
-        stages)`` / ``on_summary``: flight recorders, health monitors,
-        atlas collectors, run registries and the live run
-        aggregator.  A listened-to run is checked by the attached health
-        monitor (else the process default), which also receives the
-        tracker/mapper finite-guard alerts.  With no observer no record
-        is built: the run is bit-identical to an uninstrumented one.
+        stages)`` / ``on_summary``: flight recorders, health monitors and
+        run registries.  A listened-to run is checked by the attached
+        health monitor (else the process default), which also receives
+        the tracker/mapper finite-guard alerts.  With no observer no
+        record is built: the run is bit-identical to an uninstrumented
+        one.
         """
         n = len(sequence) if n_frames is None else min(n_frames, len(sequence))
         if n < 2:
@@ -163,14 +162,10 @@ class SLAMSystem:
         mapping_invocations = 0
 
         monitor = observers[0] if listening else None
-        collector = next((o for o in observers
-                          if isinstance(o, obs_atlas.AtlasCollector)), None)
         run_span = trace.span("slam.run", algorithm=self.algo.name,
                               mode=self.mode, frames=n)
-        # Route the finite-guard alerts into the observing monitor and the
-        # render pipelines' spatial work into an observing atlas.
-        with use_monitor(monitor), obs_atlas.use_collector(collector), \
-                run_span:
+        # Route the finite-guard alerts into the observing monitor.
+        with use_monitor(monitor), run_span:
             if listening:
                 emit("on_header", obs_flight.to_plain(obs_flight.run_header(
                     algorithm=self.algo.name, mode=self.mode,

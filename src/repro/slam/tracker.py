@@ -31,7 +31,6 @@ import numpy as np
 from ..core.splatonic import Splatonic
 from ..gaussians.camera import Camera, Intrinsics
 from ..obs import trace
-from ..obs import atlas as obs_atlas
 from ..obs.health import get_monitor
 from ..gaussians.model import FrozenCloud, GaussianCloud
 from ..gaussians.se3 import se3_exp, se3_project
@@ -121,9 +120,6 @@ class Tracker:
         frame at the best finite estimate so far.
         """
         iters = max_iters if max_iters is not None else self.algo.tracking_iters
-        # Attribute this frame's render observations to the tracking stage
-        # of the sparsity atlas (no-op unless a frame is being collected).
-        obs_atlas.set_stage("tracking")
         pose = np.asarray(init_pose_c2w, dtype=float).copy()
         cloud = FrozenCloud(cloud)
 

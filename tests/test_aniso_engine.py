@@ -167,7 +167,7 @@ class TestTinyAlphaGradient:
 
 class TestBackwardStats:
     def test_contrib_ids_recorded_in_backward(self):
-        """Every consumer (hw models, aggregation unit, atlas) reads the
+        """Every consumer (hw models, aggregation unit) reads the
         contributing IDs from the backward stats; one ID per atomic add."""
         rng = np.random.default_rng(2)
         cloud = make_scene("generic", 15, rng)

@@ -118,8 +118,7 @@ class TestSuiteRun:
         # Identical trajectory, map, and counters with everything on.
         assert counters["obs_passive"] == 1
         # Every obs channel actually collected something.
-        for key in ("flight.records", "atlas.frames", "atlas.candidates",
-                    "spans"):
+        for key in ("flight.records", "spans"):
             assert counters[key] > 0, key
         # A loose sanity ceiling; the CI budget gate is the tight one.
         assert 0.0 < scn["overhead"]["ratio"] < 3.0, scn["overhead"]

@@ -32,12 +32,20 @@ class TestParser:
                                       ["slam", "--telemetry-stream", "x"],
                                       ["slam", "--serve-telemetry"],
                                       ["slam", "--telemetry-host", "x"],
-                                      ["slam", "--telemetry-linger", "1"]],
+                                      ["slam", "--telemetry-linger", "1"],
+                                      ["atlas", "x"],
+                                      ["slam", "--atlas", "x"],
+                                      ["slam", "--atlas-tile", "8"],
+                                      ["runs", "ingest", "--atlas", "x"]],
                              ids=["top", "runs trend", "runs triage",
                                   "slam --telemetry-stream",
                                   "slam --serve-telemetry",
                                   "slam --telemetry-host",
-                                  "slam --telemetry-linger"])
+                                  "slam --telemetry-linger",
+                                  "atlas",
+                                  "slam --atlas",
+                                  "slam --atlas-tile",
+                                  "runs ingest --atlas"])
     def test_deleted_commands_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
@@ -364,7 +372,6 @@ class TestHelpSmoke:
         ["bench", "compare"],
         ["bench", "attrib"],
         ["report"],
-        ["atlas"],
         ["info"],
         ["runs"],
         ["runs", "list"],
@@ -387,7 +394,7 @@ class TestHelpSmoke:
             main(["--help"])
         out = capsys.readouterr().out
         for name in ("slam", "render", "figure", "trace", "bench",
-                     "report", "atlas", "info", "runs"):
+                     "report", "info", "runs"):
             assert name in out
 
     def test_version_prints_schema_inventory(self, capsys):
@@ -398,7 +405,7 @@ class TestHelpSmoke:
         assert out.startswith("repro ")
         assert "artifact schema versions:" in out
         for artifact in ("flight record", "bench trajectory",
-                         "sparsity atlas", "span profile", "run registry"):
+                         "span profile", "run registry"):
             assert artifact in out
 
 

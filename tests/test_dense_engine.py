@@ -3,7 +3,7 @@
 ``render_full`` / ``backward_full`` run the tile table through the flat
 pair engine; they must be bit-identical to compositing every tile against
 its whole sorted list — images, gradients, every counter and record
-stream, the sparsity atlas, and whole SLAM runs.
+stream, and whole SLAM runs.
 """
 
 from collections import Counter
@@ -13,7 +13,6 @@ import pytest
 
 from repro.datasets import make_replica_sequence
 from repro.gaussians import Camera, GaussianCloud, Intrinsics
-from repro.obs import atlas as obs_atlas
 from repro.render import backward_full, render_full
 from repro.slam import SLAMSystem
 
@@ -198,25 +197,6 @@ def test_keep_cache_false_yields_zero_gradients():
     for name in GRAD_FIELDS:
         assert not np.any(getattr(g_engine, name))
     assert_stats_identical(g_engine.stats, g_oracle.stats)
-
-
-@pytest.mark.parametrize("pixels", [None, SUBSET], ids=["full", "subset"])
-def test_atlas_bytes_identical(pixels):
-    def record(render, backward):
-        collector = obs_atlas.AtlasCollector(tile=8)
-        collector.enable()
-        collector.begin_run(frames=1)
-        cloud = make_cloud()
-        with obs_atlas.use_collector(collector):
-            collector.begin_frame(0, W, H)
-            collector.set_stage("mapping")
-            res = render(cloud, CAMERA, BG, pixels=pixels)
-            backward(res, cloud, CAMERA, *loss_grads())
-            collector.end_frame()
-        return collector.to_bytes()
-
-    assert record(render_full, backward_full) == record(
-        render_full_oracle, backward_full_oracle)
 
 
 @pytest.fixture(scope="module")

@@ -414,25 +414,3 @@ class TestSLAMEquivalence:
                       "mapping_fwd", "mapping_bwd"):
             assert (ref.stage_stats[stage].as_dict()
                     == vec.stage_stats[stage].as_dict())
-
-    def test_atlas_artifact_bit_identical_across_backends(self,
-                                                         monkeypatch):
-        """Same run, either backend -> the same atlas artifact bytes."""
-        from repro.datasets import make_replica_sequence
-        from repro.obs.atlas import AtlasCollector
-        from repro.slam import SLAMSystem
-
-        sequence = make_replica_sequence("room0", n_frames=4, width=32,
-                                         height=24)
-        blobs = {}
-        for backend in ("reference", "vectorized"):
-            collector = AtlasCollector(tile=8)
-            collector.enable()
-            monkeypatch.setattr(repro.render.kernels, "DEFAULT_BACKEND",
-                                backend)
-            system = SLAMSystem("splatam", mode="sparse", seed=0)
-            system.run(sequence, observers=[collector])
-            collector.disable()
-            blobs[backend] = collector.to_bytes()
-        assert blobs["reference"] == blobs["vectorized"]
-        assert len(blobs["reference"]) > 0

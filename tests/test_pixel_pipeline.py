@@ -202,34 +202,22 @@ def lut_exp(x):
 
 
 class TestUnculledAlphaStage:
-    """The three renders that keep every bbox candidate (a ``+inf``
-    cutoff) — the sparsity atlas recording, ``preemptive_alpha=False`` and
-    an approximate ``exp_fn`` — give the reference backend's outputs, α
-    bits and counters, and the atlas sees the same pre-filter pairs."""
+    """The two renders that keep every bbox candidate (a ``+inf``
+    cutoff) — ``preemptive_alpha=False`` and an approximate ``exp_fn`` —
+    give the reference backend's outputs, α bits and counters."""
 
-    def render(self, backend, case, cloud, cam, pixels):
-        from repro.obs.atlas import AtlasCollector, use_collector
-
-        kwargs = {"preemptive_off": dict(preemptive_alpha=False),
-                  "lut": dict(exp_fn=lut_exp)}.get(case, {})
-        collector = AtlasCollector(tile=8)
-        collector.enable()
-        collector.begin_frame(0, W, H)
-        with use_collector(collector if case == "atlas" else None):
-            res = render_sparse(cloud, cam, pixels, BG, backend=backend,
-                                **kwargs)
-        collector.end_frame()
-        return res, collector
-
-    @pytest.mark.parametrize("case", ["atlas", "preemptive_off", "lut"])
+    @pytest.mark.parametrize("case", ["preemptive_off", "lut"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_reference(self, case, seed):
         cloud, cam = make_scene(seed=seed)
         pixels = np.stack(np.meshgrid(np.arange(0, W, 3),
                                       np.arange(0, H, 3)), -1).reshape(-1, 2)
-        ref, ref_atlas = self.render("reference", case, cloud, cam, pixels)
-        vec, vec_atlas = self.render("vectorized", case, cloud, cam, pixels)
-        observed = vec_atlas.records[-1]["observed"]
+        kwargs = {"preemptive_off": dict(preemptive_alpha=False),
+                  "lut": dict(exp_fn=lut_exp)}[case]
+        ref = render_sparse(cloud, cam, pixels, BG, backend="reference",
+                            **kwargs)
+        vec = render_sparse(cloud, cam, pixels, BG, backend="vectorized",
+                            **kwargs)
         for name in ("color", "depth", "silhouette", "sorted_gss",
                      "list_lengths"):
             assert np.array_equal(getattr(ref, name), getattr(vec, name))
@@ -239,17 +227,6 @@ class TestUnculledAlphaStage:
         for name, want in zip(("alpha", "gamma", "contrib", "clipped"),
                               reference_pair_state(ref)):
             assert getattr(fc, name).tobytes() == want.tobytes(), name
-        assert ref_atlas.to_bytes() == vec_atlas.to_bytes()
-        if case == "atlas":
-            # The atlas bins every bbox candidate, not the cull's survivors.
-            assert (observed["other"]["candidates"]
-                    == vec.stats.num_candidate_pairs
-                    > vec.stats.num_sort_keys)
-            plain = render_sparse(cloud, cam, pixels, BG)
-            assert plain.stats.as_dict() == vec.stats.as_dict()
-            assert plain.flat_cache.alpha.tobytes() == fc.alpha.tobytes()
-            assert plain.flat_cache.gamma.tobytes() == fc.gamma.tobytes()
-            assert np.array_equal(plain.color, vec.color)
 
 
 def count_native_calls(monkeypatch):

@@ -11,7 +11,6 @@ from repro.core import SplatonicConfig
 from repro.datasets import make_replica_sequence
 from repro.metrics.ate import ate_rmse
 from repro.obs import health
-from repro.obs.atlas import AtlasCollector, AtlasLog
 from repro.obs.flight import (FlightRecorder, parse_flight_records,
                               read_flight_record)
 from repro.obs.health import (HealthConfig, HealthMonitor,
@@ -74,6 +73,34 @@ class TestOneRunManySinks:
         assert again["key"]["config_hash"] == registry.get(
             result.run_id)["key"]["config_hash"]
 
+    def test_observers_leave_the_alpha_cull_alone(
+            self, sequence, tmp_path, monkeypatch):
+        """Observers may not change the work, not just the answer: with
+        the tracer on and flight, registry and monitor attached, every
+        candidate scan of the run still gets the finite α cutoff."""
+        from repro.core import pixel_pipeline
+        from repro.obs import trace
+
+        cutoffs = []
+        original = pixel_pipeline.candidate_pairs
+
+        def spy(centres, mean2d, radius, depth, cutoff):
+            cutoffs.append(cutoff)
+            return original(centres, mean2d, radius, depth, cutoff)
+        monkeypatch.setattr(pixel_pipeline, "candidate_pairs", spy)
+        flight = FlightRecorder()
+        flight.enable()
+        try:
+            with trace.capture():
+                make_system().run(
+                    sequence, n_frames=4,
+                    observers=[flight, RunRegistry(str(tmp_path / "reg")),
+                               quiet_monitor()])
+        finally:
+            flight.disable()
+        assert cutoffs
+        assert all(np.isfinite(cutoff).all() for cutoff in cutoffs)
+
     def test_unobserved_run_builds_no_record_and_is_passive(
             self, sequence, monkeypatch):
         from repro.obs import flight as obs_flight
@@ -110,16 +137,13 @@ class TestAlerts:
         sink sees each alert once, in its frame record as the run goes."""
         flight = FlightRecorder()
         flight.enable()
-        atlas = AtlasCollector(tile=8)
-        atlas.enable()
         registry = RunRegistry(str(tmp_path / "reg"))
         monitor = OddFrameMonitor(HealthConfig(frame_time_factor=0),
                                   registry=MetricsRegistry())
         result = make_system().run(
             sequence, n_frames=6,
-            observers=[flight, atlas, registry, monitor])
+            observers=[flight, registry, monitor])
         flight.disable()
-        atlas.disable()
         assert len(monitor.alerts) == 3
 
         assert [len(r.get("alerts") or []) for r in flight.records
@@ -129,7 +153,6 @@ class TestAlerts:
             registry.get(result.run_id), "flight").decode().splitlines()
         replay = parse_flight_records([json.loads(line) for line in stored])
         assert replay.alerts() == flight.log().alerts()
-        assert AtlasLog.from_collector(atlas).num_frames == 6
 
     @pytest.mark.parametrize("attach", [True, False])
     def test_guard_alerts_land_in_the_observing_monitor(

@@ -26,7 +26,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.obs import atlas as _atlas_mod
 from repro.render.backward import ProjectedGradients, reproject_gradients
 from repro.render.compositing import (
     ALPHA_THRESHOLD,
@@ -58,14 +57,6 @@ class OracleResult:
     @property
     def final_transmittance(self) -> np.ndarray:
         return 1.0 - self.silhouette
-
-
-def _atlas_tile_forward(px, n_g, contribs):
-    """One tile's forward observation, in the collector's flat form."""
-    k = px.shape[0]
-    _atlas_mod.current.observe_tile_forward(
-        px, np.zeros(k, dtype=int), np.full(k, n_g),
-        np.zeros(k, dtype=int) if contribs is None else contribs)
 
 
 def tile_pairs_oracle(proj, sorted_lists, n_g, n_px, centres,
@@ -170,8 +161,6 @@ def render_full_oracle(cloud, camera, background=None, tile_size=16,
             caches.append(None)
             if record_per_pixel:
                 stats.per_pixel_contribs.extend([0] * px.shape[0])
-            if _atlas_mod.current.active:
-                _atlas_tile_forward(px, 0, None)
             continue
         out_color, out_depth, out_sil, cache = composite_forward(
             px + 0.5, proj.mean2d[idx], proj.sigma2d[idx], proj.depth[idx],
@@ -186,8 +175,6 @@ def render_full_oracle(cloud, camera, background=None, tile_size=16,
         stats.num_alpha_checks += n_px * n_g
         contribs = cache.contrib.sum(axis=1)
         stats.num_contrib_pairs += int(contribs.sum())
-        if _atlas_mod.current.active:
-            _atlas_tile_forward(px, n_g, contribs)
         if record_per_pixel:
             serial_len = int((cache.gamma >= t_min).sum(axis=1).max())
             stats.tile_work.append((n_g, n_px, serial_len))
@@ -226,9 +213,6 @@ def backward_full_oracle(result, cloud, camera, d_color, d_depth,
         stats.num_alpha_checks += px.shape[0] * idx.size
         stats.num_contrib_pairs += pair.num_pairs_touched
         stats.num_atomic_adds += pair.num_pairs_touched
-        if _atlas_mod.current.active:
-            _atlas_mod.current.observe_tile_backward(
-                px, cache.contrib.sum(axis=1))
         if stats.record_per_pixel:
             serial_len = int((cache.gamma >= result.t_min).sum(axis=1).max())
             stats.tile_work.append((idx.size, px.shape[0], serial_len))
