@@ -5,7 +5,9 @@ uniform random selection within each tile matches or beats feature-based
 selection (Fig. 10), so :func:`sample_tracking_pixels` defaults to
 ``strategy="random"`` but also implements the comparison strategies:
 
-- ``"random"`` — one uniformly random pixel per tile (the paper's choice);
+- ``"random"`` — one uniformly random pixel per tile (the paper's choice),
+  drawn by one ``Generator.integers`` call over the tiles' extents: per
+  tile ``u`` then ``v``, tiles in tile-row-major order;
 - ``"harris"`` — the highest Harris-response pixel per tile;
 - ``"center"`` — the tile centre (deterministic control);
 - ``"lowres"``  — the Low-Res. baseline: equivalent pixel positions of a
@@ -16,6 +18,9 @@ selection (Fig. 10), so :func:`sample_tracking_pixels` defaults to
 Mapping combines two pixel sets (Fig. 12): every *unseen* pixel, i.e.
 ``Gamma_final > 0.5`` (Eqn. 2), plus one texture-weighted random pixel per
 ``w_m x w_m`` tile with probability ``P(p) = w_R(p) * r`` (Eqn. 3).
+
+No strategy loops over tiles; ``tests/sampling_oracle.py`` keeps the
+per-tile loops as the oracles.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "sample_mapping_pixels",
     "unseen_mask",
     "tile_origins",
+    "tile_argmax",
 ]
 
 # Default tile sizes from Sec. VII-A: w_t = 16, w_m = 4.
@@ -48,21 +54,29 @@ def tile_origins(width: int, height: int, tile: int) -> np.ndarray:
     """``(T, 2)`` top-left ``(u0, v0)`` corner of every tile, row-major."""
     us = np.arange(0, width, tile)
     vs = np.arange(0, height, tile)
-    uu, vv = np.meshgrid(us, vs)
-    return np.stack([uu.ravel(), vv.ravel()], axis=-1)
+    origins = np.empty((vs.size, us.size, 2), dtype=us.dtype)
+    origins[..., 0] = us
+    origins[..., 1] = vs[:, None]
+    return origins.reshape(-1, 2)
 
 
-def _one_per_tile(width: int, height: int, tile: int,
-                  offsets_fn) -> np.ndarray:
-    """Pick one pixel per tile; ``offsets_fn(origin, tw, th)`` returns (du, dv)."""
-    origins = tile_origins(width, height, tile)
-    picks = np.empty_like(origins)
-    for i, (u0, v0) in enumerate(origins):
-        tw = min(tile, width - u0)
-        th = min(tile, height - v0)
-        du, dv = offsets_fn((u0, v0), tw, th)
-        picks[i] = (u0 + du, v0 + dv)
-    return picks
+def tile_argmax(values: np.ndarray, tile: int) -> np.ndarray:
+    """``(T, 2)`` ``(u, v)`` of the largest value in each ``tile x tile``
+    block of the ``(H, W)`` map ``values``, tile-row-major.
+
+    The map is padded to whole tiles with ``-inf`` and every block is
+    searched by one ``argmax``; the padding sits after each block's real
+    values in row-major order, so ties (and NaN) resolve exactly as
+    ``np.argmax`` over the block alone: to the first in row-major order.
+    """
+    height, width = values.shape
+    tiles_y, tiles_x = -(-height // tile), -(-width // tile)
+    padded = np.full((tiles_y * tile, tiles_x * tile), -np.inf)
+    padded[:height, :width] = values
+    flat = padded.reshape(tiles_y, tile, tiles_x, tile).swapaxes(1, 2).reshape(
+        tiles_y * tiles_x, tile * tile).argmax(axis=1)
+    return tile_origins(width, height, tile) + np.stack(
+        [flat % tile, flat // tile], axis=-1)
 
 
 def sample_tracking_pixels(
@@ -81,46 +95,37 @@ def sample_tracking_pixels(
     — which is the lattice layout the accelerator's direct-indexing
     projection unit assumes (Sec. V-C).  ``image`` is required for
     ``"harris"``; ``loss_map`` for ``"loss_tile"``.
+
+    ``"random"`` draws each element of its one array-bound
+    ``Generator.integers`` call as the scalar ``rng.integers(extent)``
+    would, so the pixels and the generator's state after are those of
+    the per-tile scalar loop (``tests/sampling_oracle.py``).
     """
     if tile <= 0:
         raise ValueError("tile must be positive")
     rng = rng or np.random.default_rng()
 
-    if strategy == "random":
-        picks = _one_per_tile(
-            width, height, tile,
-            lambda origin, tw, th: (rng.integers(tw), rng.integers(th)))
-    elif strategy == "center":
-        picks = _one_per_tile(
-            width, height, tile, lambda origin, tw, th: (tw // 2, th // 2))
-    elif strategy == "lowres":
-        # Downsampling by `tile` is equivalent to sampling the regular
-        # lattice of tile centres (no intra-tile randomness, no adaptivity).
-        picks = _one_per_tile(
-            width, height, tile, lambda origin, tw, th: (tw // 2, th // 2))
-    elif strategy == "harris":
+    # Tile-row-major order throughout: the accelerator's direct-indexing
+    # projection unit (Sec. V-C) depends on this lattice layout.
+    if strategy == "harris":
         if image is None:
             raise ValueError("harris strategy needs the reference image")
-        response = harris_response(image)
-
-        def best_in_tile(origin, tw, th):
-            u0, v0 = origin
-            block = response[v0:v0 + th, u0:u0 + tw]
-            flat = int(np.argmax(block))
-            return flat % tw, flat // tw
-
-        picks = _one_per_tile(width, height, tile, best_in_tile)
-    elif strategy == "loss_tile":
+        return tile_argmax(harris_response(image)[:height, :width], tile)
+    if strategy == "loss_tile":
         if loss_map is None:
             raise ValueError("loss_tile strategy needs a loss map")
         return _loss_tile_pixels(width, height, tile, loss_map)
-    else:
-        raise ValueError(f"unknown tracking sampling strategy: {strategy!r}")
-
-    # Tile-row-major order: the pixel of tile (tx, ty) sits at index
-    # ty * tiles_x + tx.  The accelerator's direct-indexing projection
-    # unit (Sec. V-C) depends on this lattice layout.
-    return picks
+    origins = tile_origins(width, height, tile)
+    # Each tile's width and height, cut short at the image's edges.
+    extents = np.minimum(tile, (width, height) - origins)
+    if strategy == "random":
+        return origins + rng.integers(extents)
+    if strategy in ("center", "lowres"):
+        # "lowres": downsampling by `tile` is equivalent to sampling the
+        # regular lattice of tile centres (no intra-tile randomness, no
+        # adaptivity).
+        return origins + extents // 2
+    raise ValueError(f"unknown tracking sampling strategy: {strategy!r}")
 
 
 def _loss_tile_pixels(width: int, height: int, tile: int,
@@ -241,13 +246,7 @@ def sample_mapping_pixels(
         # P(p) = w_R(p) * r with r ~ U(0, 1): the argmax per tile is a
         # weighted random draw (larger w_R wins more often).
         score = weight * rng.random((height, width))
-        origins = tile_origins(width, height, tile)
-        weighted = np.empty_like(origins)
-        for i, (u0, v0) in enumerate(origins):
-            block = score[v0:v0 + tile, u0:u0 + tile]
-            flat = int(np.argmax(block))
-            tw = block.shape[1]
-            weighted[i] = (u0 + flat % tw, v0 + flat // tw)
+        weighted = tile_argmax(score, tile)
     else:
         weighted = np.zeros((0, 2), dtype=int)
 

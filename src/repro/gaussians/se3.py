@@ -14,6 +14,8 @@ Robotics").
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -36,6 +38,10 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+_EYE4 = np.eye(4)
+_EYE4.flags.writeable = False
 
 
 def hat(phi: np.ndarray) -> np.ndarray:
@@ -96,17 +102,6 @@ def so3_log(R: np.ndarray) -> np.ndarray:
     return theta * vee(R - R.T) / (2.0 * np.sin(theta))
 
 
-def _left_jacobian(phi: np.ndarray) -> np.ndarray:
-    """Left Jacobian of SO(3), used by the SE(3) exponential."""
-    theta = float(np.linalg.norm(phi))
-    K = hat(phi)
-    if theta < 1e-8:
-        return np.eye(3) + 0.5 * K + (K @ K) / 6.0
-    a = (1.0 - np.cos(theta)) / (theta * theta)
-    b = (theta - np.sin(theta)) / (theta ** 3)
-    return np.eye(3) + a * K + b * (K @ K)
-
-
 def _left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     theta = float(np.linalg.norm(phi))
     K = hat(phi)
@@ -119,12 +114,31 @@ def _left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
 
 
 def se3_exp(xi: np.ndarray) -> np.ndarray:
-    """Exponential map from a twist ``(rho, phi)`` to a 4x4 transform."""
+    """Exponential map from a twist ``(rho, phi)`` to a 4x4 transform.
+
+    The rotation is :func:`so3_exp` of ``phi`` and the translation the
+    left Jacobian of SO(3) at ``phi`` times ``rho``, ``I + a K + b K²``
+    with ``a = (1 - cos θ) / θ²`` and ``b = (θ - sin θ) / θ³`` (second
+    order below θ = 1e-8).  θ, ``K = hat(phi)``, ``K²``, ``sin θ`` and
+    ``cos θ`` are formed once for both, each term with the operations of
+    the separate formulas, so the result is theirs bit for bit.
+    """
     xi = np.asarray(xi, dtype=float).reshape(6)
     rho, phi = xi[:3], xi[3:]
-    T = np.eye(4)
-    T[:3, :3] = so3_exp(phi)
-    T[:3, 3] = _left_jacobian(phi) @ rho
+    # np.linalg.norm's and hat's arithmetic, without their checks.
+    theta = math.sqrt(phi.dot(phi))
+    x, y, z = phi.tolist()
+    K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    K2 = K @ K
+    T = _EYE4.copy()
+    if theta < 1e-8:
+        T[:3, :3] = _EYE3 + K + 0.5 * K2
+        T[:3, 3] = (_EYE3 + 0.5 * K + K2 / 6.0) @ rho
+        return T
+    sin, cos = np.sin(theta), np.cos(theta)
+    a = (1.0 - cos) / (theta * theta)
+    T[:3, :3] = _EYE3 + sin / theta * K + a * K2
+    T[:3, 3] = (_EYE3 + a * K + (theta - sin) / (theta ** 3) * K2) @ rho
     return T
 
 
@@ -139,10 +153,10 @@ def se3_log(T: np.ndarray) -> np.ndarray:
 def se3_inverse(T: np.ndarray) -> np.ndarray:
     """Invert a rigid transform without a general matrix inverse."""
     T = np.asarray(T, dtype=float)
-    R = T[:3, :3]
-    out = np.eye(4)
-    out[:3, :3] = R.T
-    out[:3, 3] = -R.T @ T[:3, 3]
+    R_t = T[:3, :3].T
+    out = _EYE4.copy()
+    out[:3, :3] = R_t
+    out[:3, 3] = -R_t @ T[:3, 3]
     return out
 
 

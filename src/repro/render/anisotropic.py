@@ -40,7 +40,6 @@ from .backward import scatter_add
 from .compositing import ALPHA_MAX, ALPHA_THRESHOLD, T_MIN
 from .kernels import vectorized
 from .kernels.candidates import candidate_pairs
-from .kernels.native import KernelRecord
 from .projection import RADIUS_SIGMA
 from .stats import PipelineStats
 
@@ -148,7 +147,7 @@ class AnisotropicCloud:
 
 
 @dataclass
-class ProjectedAnisotropic(KernelRecord):
+class ProjectedAnisotropic:
     """Per-view splat parameters of the surviving Gaussians."""
 
     source_index: np.ndarray  # (M,)

@@ -14,11 +14,13 @@ gradient column then folds the slots into the projected Gaussians.
 *Re-projection* finally maps the 2D splat gradients through the projection
 into world-space parameter gradients and the camera-twist gradient.  The
 twist gradient is one compiled call (``reproject_twist`` in
-``_native.c``) in every pass; a pose-only re-projection (tracking, both
-pipelines) makes only that call.  It forms the camera-frame gradient
-term for term and adds the twist Jacobian's products in the order of
-``np.einsum`` over :func:`~repro.gaussians.se3.point_jacobian_wrt_twist`,
-zeros included, so it is that einsum bit for bit (the test oracle).
+``_native.c``); a pose-only re-projection (tracking, both pipelines)
+makes only that call, and a full one (mapping, which never reads the
+twist) defers it to the first read of ``d_pose_twist``.  It forms the
+camera-frame gradient term for term and adds the twist Jacobian's
+products in the order of ``np.einsum`` over
+:func:`~repro.gaussians.se3.point_jacobian_wrt_twist`, zeros included,
+so it is that einsum bit for bit (the test oracle).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from ..obs import trace
 # importable from this module (perfbench/layers.py wraps it here).
 from .compositing import composite_backward  # noqa: F401
 from .kernels import native
-from .kernels.native import KernelRecord, pointers
+from .kernels.native import pointers
 from .kernels.vectorized import aggregate_gradients
 from .projection import ProjectedGaussians
 from .rasterize import RenderResult
@@ -73,7 +75,7 @@ def scatter_add(idx: np.ndarray, values, n: int) -> np.ndarray:
 
 
 @dataclass
-class ProjectedGradients(KernelRecord):
+class ProjectedGradients:
     """Aggregated gradients per *projected* Gaussian (2D splat space)."""
 
     d_mean2d: np.ndarray    # (M, 2)
@@ -127,6 +129,30 @@ class RenderGradients:
         ])
 
 
+class _DeferredTwist(RenderGradients):
+    """A full re-projection's gradients, whose ``d_pose_twist`` the
+    compiled twist call ``twist`` computes at its first read, in a
+    ``render.reproject`` span of its own: mapping, which runs the full
+    pass, never reads it."""
+
+    def __init__(self, *fields, twist=None, **named):
+        super().__init__(*fields, **named)
+        self._twist = twist
+
+    @property
+    def d_pose_twist(self) -> np.ndarray:
+        if self._twist is not None:
+            with trace.span("render.reproject"):
+                self.__dict__["d_pose_twist"] = self._twist()
+            self._twist = None
+        return self.__dict__["d_pose_twist"]
+
+    @d_pose_twist.setter
+    def d_pose_twist(self, value) -> None:
+        self._twist = None
+        self.__dict__["d_pose_twist"] = value
+
+
 def reproject_gradients(
     proj: ProjectedGaussians,
     cloud: GaussianCloud,
@@ -142,7 +168,9 @@ def reproject_gradients(
     ``exp`` is re-evaluated here.
     ``pose_only=True`` (tracking, map fixed) computes only the camera-twist
     gradient, in one compiled call, and leaves the map fields None; it
-    reads only ``pg``'s mean, sigma and depth gradients.
+    reads only ``pg``'s mean, sigma and depth gradients.  The full pass
+    defers that call to the first read of ``d_pose_twist``; its inputs are
+    checked here either way.
     """
     intr = camera.intrinsics
     n = len(cloud)
@@ -161,9 +189,9 @@ def reproject_gradients(
         raise ValueError("reproject gradients: the projection carries no "
                          "scale")
     mean_focal = 0.5 * (intr.fx + intr.fy)
-    d_pose_twist = _pose_twist(proj, pg, intr, mean_focal)
+    twist = _pose_twist(proj, pg, intr, mean_focal)
     if pose_only:
-        return RenderGradients(None, None, None, None, d_pose_twist)
+        return RenderGradients(None, None, None, None, twist())
     x, y, z = proj.p_cam[:, 0], proj.p_cam[:, 1], proj.p_cam[:, 2]
 
     d_u = pg.d_mean2d[:, 0]
@@ -196,30 +224,36 @@ def reproject_gradients(
     d_color_proj = np.where(gate, pg.d_color, 0.0)
 
     src = proj.source_index
-    return RenderGradients(
+    return _DeferredTwist(
         d_means=scatter_add(src, d_means_proj, n),
         d_log_scales=scatter_add(src, d_log_scales_proj, n),
         d_logit_opacities=scatter_add(src, d_logit_proj, n),
         d_colors=scatter_add(src, d_color_proj, n),
-        d_pose_twist=d_pose_twist,
+        d_pose_twist=None,
+        twist=twist,
     )
 
 
 def _pose_twist(proj, pg, intr, mean_focal):
     """The camera-twist gradient (right-multiplicative update
-    ``T <- T exp(xi)``) in one compiled call (``reproject_twist``)."""
+    ``T <- T exp(xi)``): the shapes are checked here, and the returned
+    function computes it in one compiled call (``reproject_twist``)."""
     m = len(proj)
     if (proj.p_cam.shape != (m, 3) or proj.scale.shape != (m,)
             or pg.d_mean2d.shape != (m, 2) or pg.d_sigma2d.shape != (m,)
             or pg.d_depth.shape != (m,)):
         raise ValueError("reproject gradients: projected centres, scales or "
                          "gradients have the wrong shape")
-    twist = (ctypes.c_double * 6)()
-    native.library().reproject_twist(
-        m, *pointers(proj, ("p_cam", "scale")),
-        *pointers(pg, ("d_mean2d", "d_sigma2d", "d_depth")), intr.fx,
-        intr.fy, mean_focal, twist)
-    return np.array(twist)
+
+    def twist():
+        out = (ctypes.c_double * 6)()
+        native.library().reproject_twist(
+            m, *pointers(proj, ("p_cam", "scale")),
+            *pointers(pg, ("d_mean2d", "d_sigma2d", "d_depth")), intr.fx,
+            intr.fy, mean_focal, out)
+        return np.array(out)
+
+    return twist
 
 
 def backward_full(

@@ -17,8 +17,9 @@ bit-for-bit references.
 :func:`f64`, :func:`i64` and :func:`ptr` marshal numpy arrays for the
 kernels' ``ctypes`` calls; :func:`pointers` keeps the pointers of a
 record's arrays (the projection, the composite cache, the gradient
-accumulators) with it, so that the kernels of one render and its reverse
-pass read each once.
+accumulators, the tracker's frozen map) with it, so that the kernels of
+one render and its reverse pass, or of every render of one tracked
+frame, read each once.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from typing import List, Optional
 
 import numpy as np
 
-__all__ = ["CFLAGS", "SOURCE", "KernelBuildError", "KernelRecord", "compiler",
-           "build", "load", "library", "f64", "i64", "ptr", "pointers"]
+__all__ = ["CFLAGS", "SOURCE", "KernelBuildError", "compiler", "build",
+           "load", "library", "f64", "i64", "ptr", "pointers"]
 
 SOURCE = Path(__file__).with_name("_native.c")
 
@@ -195,6 +196,19 @@ def ptr(a):
 _MEMO = "_kernel_pointers"
 
 
+class _Pointers(dict):
+    """A record's kept pointers.  A copy or an unpickled record holds
+    other arrays, so this copies and pickles as an empty memo and the
+    copy reads its own pointers; a shallow copy shares the memo with the
+    arrays, whose entries hold for both."""
+
+    def __reduce__(self):
+        return type(self), ()
+
+    def __deepcopy__(self, memo):
+        return type(self)()
+
+
 def pointers(record, names, dtype=np.float64):
     """The data pointers of ``record``'s array fields ``names``, as
     C-contiguous arrays of ``dtype``, each read once per record.
@@ -206,7 +220,9 @@ def pointers(record, names, dtype=np.float64):
     replaced by another array is read again.  A kernel may write only
     through the pointer of a field that needed no copy.
     """
-    memo = record.__dict__.setdefault(_MEMO, {})
+    memo = record.__dict__.get(_MEMO)
+    if memo is None:
+        memo = record.__dict__[_MEMO] = _Pointers()
     out = []
     for name in names:
         a = getattr(record, name)
@@ -216,14 +232,3 @@ def pointers(record, names, dtype=np.float64):
             hit = memo[name] = (a, c, ptr(c))
         out.append(hit[2])
     return out
-
-
-class KernelRecord:
-    """Base of the records kernels read through :func:`pointers`: a copy
-    or an unpickled record holds other arrays, so it drops the pointers
-    and reads its own."""
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop(_MEMO, None)
-        return state

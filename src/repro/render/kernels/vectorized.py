@@ -52,7 +52,7 @@ import numpy as np
 
 from ..compositing import ALPHA_MAX
 from . import native
-from .native import KernelRecord, f64, i64, pointers, ptr
+from .native import f64, i64, pointers, ptr
 
 __all__ = [
     "FlatCompositeCache",
@@ -69,7 +69,7 @@ __all__ = [
 
 
 @dataclass
-class FlatCompositeCache(KernelRecord):
+class FlatCompositeCache:
     """Backward-pass state of the batched forward pass.
 
     Shapes: K pixels, M = total surviving pairs, pixel-major and

@@ -29,9 +29,9 @@ from typing import Optional
 import numpy as np
 
 from ..gaussians.camera import Camera
-from ..gaussians.model import GaussianCloud
+from ..gaussians.model import FrozenCloud, GaussianCloud
 from .kernels import native
-from .kernels.native import KernelRecord, f64, pointers, ptr
+from .kernels.native import f64, pointers, ptr
 
 __all__ = [
     "ProjectedGaussians",
@@ -48,7 +48,7 @@ RADIUS_SIGMA = 3.5
 
 
 @dataclass
-class ProjectedGaussians(KernelRecord):
+class ProjectedGaussians:
     """Per-Gaussian 2D splat parameters for one camera view.
 
     All arrays are indexed by *projected* Gaussian; ``source_index`` maps
@@ -79,6 +79,7 @@ class ProjectedGaussians(KernelRecord):
 
 
 _FIELDS = tuple(f.name for f in fields(ProjectedGaussians))
+_CLOUD_FIELDS = ("scales", "opacities", "colors")
 
 
 def project_gaussians(
@@ -101,17 +102,24 @@ def project_gaussians(
     intr = camera.intrinsics
     p_cam = f64(camera.world_to_camera(cloud.means))
     n = p_cam.shape[0]
-    scales, opacities, colors = (f64(cloud.scales), f64(cloud.opacities),
-                                 f64(cloud.colors))
+    scales, opacities, colors = cloud.scales, cloud.opacities, cloud.colors
     if (scales.shape != (n,) or opacities.shape != (n,)
             or colors.shape != (n, 3)):
         raise ValueError("project gaussians: scales, opacities or colours "
                          "do not match the means")
+    if isinstance(cloud, FrozenCloud):
+        # The same arrays at every projection: their pointers are read
+        # once and kept with the snapshot.
+        scales_p, opacities_p, colors_p = pointers(cloud, _CLOUD_FIELDS)
+    else:
+        # Locals hold every argument array alive through both calls.
+        scales, opacities, colors = f64(scales), f64(opacities), f64(colors)
+        scales_p, opacities_p, colors_p = (ptr(scales), ptr(opacities),
+                                           ptr(colors))
     fx, fy, cx, cy = intr.fx, intr.fy, intr.cx, intr.cy
     mean_focal = 0.5 * (fx + fy)
-    # Locals hold every argument array alive through both calls.
     index = np.empty(n, dtype=np.int64)
-    p_cam_p, scales_p, index_p = ptr(p_cam), ptr(scales), ptr(index)
+    p_cam_p, index_p = ptr(p_cam), ptr(index)
     lib = native.library()
     m = lib.project_cull(n, p_cam_p, scales_p, fx, fy, cx, cy, mean_focal,
                          intr.width, intr.height, near, far, margin_sigma,
@@ -122,9 +130,8 @@ def project_gaussians(
         np.empty(m, dtype=np.int64), np.empty((m, 3)), np.empty((m, 2)),
         np.empty(m), np.empty(m), np.empty(m), np.empty((m, 3)),
         np.empty(m), np.empty(m))
-    if lib.project_gather(m, index_p, n, p_cam_p, scales_p, ptr(opacities),
-                          ptr(colors), fx, fy, cx, cy, mean_focal,
-                          margin_sigma,
+    if lib.project_gather(m, index_p, n, p_cam_p, scales_p, opacities_p,
+                          colors_p, fx, fy, cx, cy, mean_focal, margin_sigma,
                           *pointers(proj, _FIELDS[:1], np.int64),
                           *pointers(proj, _FIELDS[1:])):
         raise ValueError("project gaussians: the cull kept an index past "

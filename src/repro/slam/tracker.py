@@ -19,6 +19,13 @@ step down.  Each forward counts as one iteration (at most
 ``tracking_iters``); the frame stops when a step or a backtracked trial
 gets negligibly short, and its estimate is the lowest-loss pose any
 forward saw (SplaTAM keeps the best pose the same way).
+
+Besides its forwards (render and loss), a sparse frame pays once: one
+pixel draw (one ``Generator.integers`` call), a :class:`FrozenCloud`
+snapshot of the map (``exp`` and ``sigmoid`` over every Gaussian) and the
+closing :func:`~repro.gaussians.se3.se3_project`; per trial after the
+first, one :func:`~repro.gaussians.se3.se3_exp`; per accepted point, one
+pose-only backward and the BFGS update of a 6x6 matrix.
 """
 
 from __future__ import annotations
@@ -54,6 +61,8 @@ _ARMIJO = 1e-4
 #: no acceptance.
 _MIN_STEP = 1e-5
 _MIN_TRIAL = 1e-6
+_EYE6 = np.eye(6)
+_EYE6.flags.writeable = False
 
 
 @dataclass
@@ -210,8 +219,8 @@ class Tracker:
                 sy = float(step @ y)
                 if sy > 0.0:
                     if inv_hess is None:
-                        inv_hess = sy / float(y @ y) * np.eye(6)
-                    v = np.eye(6) - np.outer(step, y) / sy
+                        inv_hess = sy / float(y @ y) * _EYE6
+                    v = _EYE6 - np.outer(step, y) / sy
                     inv_hess = v @ inv_hess @ v.T + np.outer(step, step) / sy
             pose, loss, grad = trial, out.loss, new_grad
             direction = None if inv_hess is None else -inv_hess @ grad

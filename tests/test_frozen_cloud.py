@@ -3,12 +3,17 @@ live cloud with ``scales`` and ``opacities`` computed once per
 ``track_frame`` call.  The snapshot must be bit-transparent, must refuse
 writes, and must never leave the tracker."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core import SplatonicConfig
 from repro.datasets import make_replica_sequence
+from repro.gaussians import Camera
 from repro.gaussians.model import FrozenCloud, GaussianCloud
+from repro.render.projection import project_gaussians
 from repro.slam import SLAMSystem
 from repro.slam.mapper import Mapper
 from repro.slam import tracker as tracker_module
@@ -88,3 +93,31 @@ def test_mapper_never_receives_a_snapshot(sequence, monkeypatch):
                    sequence, n_frames=3)
     assert tracked and mapped
     assert set(tracked) == set(mapped) == {GaussianCloud}
+
+
+def test_projection_keeps_snapshot_pointers(sequence):
+    """The projection reads a snapshot's ``scales``, ``opacities`` and
+    ``colors`` pointers once and keeps them with it; a copy drops them.
+    Every projection matches the live cloud's bit for bit, also when the
+    snapshot's colours are not C-contiguous (the kept pointer is then a
+    contiguous copy's)."""
+    live = sequence.gt_cloud.copy()
+    live.colors = np.asfortranarray(live.colors)
+    camera = Camera(sequence.intrinsics, sequence[1].gt_pose_c2w)
+    frozen = FrozenCloud(live)
+    want = project_gaussians(live, camera)
+    kept = None
+    for cloud in (frozen, frozen, pickle.loads(pickle.dumps(frozen)),
+                  copy.deepcopy(frozen)):
+        if cloud is not frozen:
+            assert not cloud.__dict__.get("_kernel_pointers")
+        got = project_gaussians(cloud, camera)
+        for name in ("source_index", "p_cam", "mean2d", "sigma2d", "depth",
+                     "opacity", "color", "radius", "scale"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        if cloud is frozen:
+            memo = cloud.__dict__["_kernel_pointers"]
+            assert set(memo) == {"scales", "opacities", "colors"}
+            # The second projection reads the same entries again.
+            assert kept is None or all(memo[k] is kept[k] for k in memo)
+            kept = dict(memo)

@@ -17,6 +17,7 @@ from repro.gaussians import Camera, GaussianCloud, Intrinsics
 from repro.gaussians.se3 import point_jacobian_wrt_twist
 from repro.render import backward, backward_full, render_full
 from repro.render.backward import ProjectedGradients, reproject_gradients
+from repro.render.kernels import native
 from repro.render.projection import project_gaussians
 
 from .padded_oracle import same_bits
@@ -142,3 +143,62 @@ def test_pipelines_pose_only_twist_is_einsum(captured, pipeline, poison,
         want = twist_oracle(proj, pg, camera)
     assert len(proj) > 0
     assert grads.d_pose_twist is twist and same_bits(twist, want)
+
+
+@pytest.fixture
+def twist_calls(monkeypatch):
+    """Counts the compiled ``reproject_twist`` calls."""
+    lib = native.library()
+    real, calls = lib.reproject_twist, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(lib, "reproject_twist", counting)
+    return calls
+
+
+def test_full_pass_twist_is_computed_at_first_read(twist_calls):
+    """Mapping never reads the twist: a full re-projection makes no twist
+    call until ``d_pose_twist`` is read, then exactly one, with the bits
+    of the pose-only pass."""
+    rng = np.random.default_rng(3)
+    cloud, cam = make_cloud(rng, 60), posed_camera(rng)
+    proj = project_gaussians(cloud, cam)
+    pg = random_gradients(rng, len(proj), 0)
+    full = reproject_gradients(proj, cloud, cam, pg)
+    assert full.d_means is not None and twist_calls == []
+    pose = reproject_gradients(proj, cloud, cam, pg, pose_only=True)
+    assert len(twist_calls) == 1
+    twist = full.d_pose_twist
+    assert len(twist_calls) == 2 and same_bits(twist, pose.d_pose_twist)
+    assert full.d_pose_twist is twist and len(twist_calls) == 2
+
+
+def test_full_pass_checks_the_twist_inputs_at_once():
+    rng = np.random.default_rng(4)
+    cloud, cam = make_cloud(rng, 60), posed_camera(rng)
+    proj = project_gaussians(cloud, cam)
+    pg = random_gradients(rng, len(proj), 0)
+    pg.d_depth = pg.d_depth[:-1]
+    with pytest.raises(ValueError, match="wrong shape"):
+        reproject_gradients(proj, cloud, cam, pg)
+
+
+@pytest.mark.parametrize("pipeline", ["dense", "sparse"])
+def test_mapping_backwards_make_no_twist_call(twist_calls, pipeline):
+    rng = np.random.default_rng(5)
+    cloud, cam = make_cloud(rng, 80), posed_camera(rng)
+    if pipeline == "dense":
+        result, run = render_full(cloud, cam, BG, tile_size=8), backward_full
+        shape = (H, W)
+    else:
+        pixels = np.stack([rng.integers(0, W, 30), rng.integers(0, H, 30)],
+                          axis=-1)
+        result, run = render_sparse(cloud, cam, pixels, BG), backward_sparse
+        shape = (len(pixels),)
+    grads = run(result, cloud, cam, rng.normal(size=shape + (3,)),
+                rng.normal(size=shape), rng.normal(size=shape))
+    grads.as_cloud_vector()
+    assert twist_calls == []

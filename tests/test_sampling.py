@@ -12,7 +12,10 @@ from repro.core import (
     tile_origins,
     unseen_mask,
 )
-from repro.core.sampling import UNSEEN_TRANSMITTANCE
+from repro.core.features import harris_response, sobel_magnitude
+from repro.core.sampling import UNSEEN_TRANSMITTANCE, tile_argmax
+
+from . import sampling_oracle
 
 W, H = 64, 48
 
@@ -26,6 +29,14 @@ class TestTileOrigins:
         origins = tile_origins(20, 10, 16)
         assert origins.shape == (2, 2)
         assert (16, 0) in [tuple(o) for o in origins]
+
+    @pytest.mark.parametrize("w,h,tile", [(64, 48, 8), (45, 33, 8), (7, 5, 3),
+                                          (1, 1, 1), (5, 9, 32)])
+    def test_matches_meshgrid(self, w, h, tile):
+        got = tile_origins(w, h, tile)
+        want = sampling_oracle.tile_origins(w, h, tile)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestTrackingSampling:
@@ -106,6 +117,117 @@ class TestTrackingSampling:
         px = sample_tracking_pixels(256, 256, 16, "random",
                                     np.random.default_rng(0))
         assert (256 * 256) // len(px) == 256
+
+
+#: ``(width, height, tile)``: whole tiles, partial edge tiles on both
+#: axes, a 1x1 image, and a tile larger than the image.
+GEOMETRIES = [(64, 48, 8), (64, 48, 16), (45, 33, 8), (7, 5, 3), (1, 1, 1),
+              (1, 1, 8), (20, 10, 16), (5, 9, 32)]
+
+
+def _state(rng):
+    return rng.bit_generator.state
+
+
+class TestRandomMatchesScalarLoop:
+    """One array-bound draw replays the per-tile scalar loop: the same
+    pixels, dtype, generator state after, and next draw."""
+
+    def _check(self, w, h, tile, seed, draws=3):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            got = sample_tracking_pixels(w, h, tile, "random", new)
+            want = sampling_oracle.random_pixels(w, h, tile, old)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert _state(new) == _state(old)
+        assert new.integers(1 << 62) == old.integers(1 << 62)
+
+    @pytest.mark.parametrize("w,h,tile", GEOMETRIES)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345])
+    def test_geometries(self, w, h, tile, seed):
+        self._check(w, h, tile, seed)
+
+    @given(st.integers(1, 70), st.integers(1, 70), st.integers(1, 40),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_property(self, w, h, tile, seed):
+        self._check(w, h, tile, seed, draws=1)
+
+    def test_shipped_draw_is_pinned(self):
+        """Seed 0, 64x48, tile 8: the pixels every shipped trajectory
+        starts from.  A numpy whose array-bound ``integers`` draws
+        differently fails here instead of moving every trajectory."""
+        rng = np.random.default_rng(0)
+        px = sample_tracking_pixels(64, 48, 8, "random", rng)
+        assert px.dtype == np.int64
+        assert px[:, 0].tolist() == [
+            6, 12, 18, 24, 33, 45, 52, 63, 5, 12, 18, 29, 35, 44, 54, 62,
+            0, 8, 16, 27, 35, 40, 48, 60, 2, 14, 19, 30, 35, 47, 54, 61,
+            7, 12, 22, 27, 35, 45, 48, 60, 5, 10, 21, 28, 38, 42, 50, 61]
+        assert px[:, 1].tolist() == [
+            5, 2, 0, 0, 6, 7, 4, 5, 12, 15, 14, 8, 14, 8, 13, 9,
+            22, 20, 18, 19, 16, 16, 21, 21, 28, 27, 31, 31, 29, 29, 29, 27,
+            33, 37, 36, 34, 35, 39, 39, 34, 44, 42, 44, 42, 43, 47, 41, 44]
+        assert rng.integers(1 << 30) == 52126395
+
+
+class TestDeterministicStrategiesMatchLoops:
+    @pytest.mark.parametrize("w,h,tile", GEOMETRIES)
+    @pytest.mark.parametrize("strategy", ["center", "lowres"])
+    def test_centres(self, w, h, tile, strategy):
+        got = sample_tracking_pixels(w, h, tile, strategy)
+        want = sampling_oracle.center_pixels(w, h, tile)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("w,h,tile", GEOMETRIES)
+    def test_harris(self, w, h, tile):
+        img = np.random.default_rng(w * h + tile).uniform(0, 1, (h, w, 3))
+        got = sample_tracking_pixels(w, h, tile, "harris", image=img)
+        want = sampling_oracle.block_argmax(harris_response(img), tile)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("w,h,tile", GEOMETRIES)
+    def test_tile_argmax_ties_nan_and_inf(self, w, h, tile):
+        """Coarse values tie often; ``-inf`` blocks, ``+inf`` and NaN
+        resolve to their first occurrence, as ``np.argmax`` does."""
+        rng = np.random.default_rng(tile)
+        values = rng.integers(0, 3, (h, w)).astype(float)
+        values[rng.random((h, w)) < 0.1] = np.inf
+        values[rng.random((h, w)) < 0.05] = np.nan
+        values[:, : w // 3] = -np.inf
+        got = tile_argmax(values, tile)
+        want = sampling_oracle.block_argmax(values, tile)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 12),
+           st.integers(0, 1000))
+    @settings(max_examples=40, deadline=None)
+    def test_tile_argmax_property(self, w, h, tile, seed):
+        values = np.random.default_rng(seed).integers(0, 4, (h, w)) * 0.5
+        assert np.array_equal(tile_argmax(values, tile),
+                              sampling_oracle.block_argmax(values, tile))
+
+    @pytest.mark.parametrize("tile", [1, 3, 4, 8, 64])
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_mapping_weighted(self, tile, uniform):
+        """The weighted per-tile draw: the same pixels as the per-block
+        argmax over the same score, and the same generator state."""
+        rng = np.random.default_rng(tile)
+        gamma = rng.uniform(0, 1, (33, 45))
+        image = rng.uniform(0, 1, (33, 45, 3))
+        new, old = np.random.default_rng(5), np.random.default_rng(5)
+        got = sample_mapping_pixels(gamma, image, tile=tile, rng=new,
+                                    uniform_weights=uniform)
+        weight = np.ones((33, 45)) if uniform else sobel_magnitude(image)
+        want = sampling_oracle.block_argmax(
+            weight * old.random((33, 45)), tile)
+        assert got.weighted.dtype == want.dtype
+        assert np.array_equal(got.weighted, want)
+        assert _state(new) == _state(old)
 
 
 class TestUnseenMask:

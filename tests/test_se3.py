@@ -118,6 +118,99 @@ class TestSE3:
         assert np.allclose(apply_se3(T, pts), expected)
 
 
+def _so3_exp_oracle(phi):
+    """Rodrigues' formula as ``so3_exp`` shipped it."""
+    phi = np.asarray(phi, dtype=float)
+    theta = float(np.linalg.norm(phi))
+    K = hat(phi)
+    if theta < 1e-8:
+        return np.eye(3) + K + 0.5 * (K @ K)
+    a = np.sin(theta) / theta
+    b = (1.0 - np.cos(theta)) / (theta * theta)
+    return np.eye(3) + a * K + b * (K @ K)
+
+
+def _left_jacobian_oracle(phi):
+    """The left Jacobian of SO(3), as a function of its own."""
+    theta = float(np.linalg.norm(phi))
+    K = hat(phi)
+    if theta < 1e-8:
+        return np.eye(3) + 0.5 * K + (K @ K) / 6.0
+    a = (1.0 - np.cos(theta)) / (theta * theta)
+    b = (theta - np.sin(theta)) / (theta ** 3)
+    return np.eye(3) + a * K + b * (K @ K)
+
+
+def _se3_exp_oracle(xi):
+    """``se3_exp`` as the composition of the two separate formulas."""
+    xi = np.asarray(xi, dtype=float).reshape(6)
+    rho, phi = xi[:3], xi[3:]
+    T = np.eye(4)
+    T[:3, :3] = _so3_exp_oracle(phi)
+    T[:3, 3] = _left_jacobian_oracle(phi) @ rho
+    return T
+
+
+def _se3_inverse_oracle(T):
+    T = np.asarray(T, dtype=float)
+    R = T[:3, :3]
+    out = np.eye(4)
+    out[:3, :3] = R.T
+    out[:3, 3] = -R.T @ T[:3, 3]
+    return out
+
+
+def _log_uniform_twists(n, seed):
+    """``n`` twists whose translation and rotation each have a random
+    direction and a magnitude log-uniform in [1e-12, 1]."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for _ in range(2):
+        d = rng.normal(size=(n, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        parts.append(d * 10.0 ** rng.uniform(-12.0, 0.0, (n, 1)))
+    return np.concatenate(parts, axis=1)
+
+
+class TestExpMatchesSeparateFormulas:
+    """``se3_exp`` forms θ, hat(φ) and its square once; every bit must
+    stay that of ``so3_exp`` and the left Jacobian composed."""
+
+    @staticmethod
+    def assert_bits(xi):
+        assert se3_exp(xi).tobytes() == _se3_exp_oracle(xi).tobytes(), xi
+
+    def test_log_uniform_twists(self):
+        twists = _log_uniform_twists(5000, seed=0)
+        small = np.linalg.norm(twists[:, 3:], axis=1) < 1e-8
+        assert 0 < small.sum() < len(twists)  # both branches run
+        for xi in twists:
+            self.assert_bits(xi)
+
+    @pytest.mark.parametrize("xi", [
+        np.zeros(6),
+        np.array([0.1, -0.2, 0.3, 0.0, 0.0, 0.0]),
+        np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1e-8]),
+        np.array([0.0, 0.0, 0.0, -0.0, 0.0, 9.999999999999999e-09]),
+        np.array([-0.0, 0.0, -0.0, 0.0, -0.0, 0.0]),
+        np.array([1.0, 1.0, 1.0, np.pi - 0.2, 0.0, 0.0]),
+    ], ids=["zero", "pure-translation", "at-branch", "below-branch",
+            "signed-zeros", "large-angle"])
+    def test_edges(self, xi):
+        self.assert_bits(xi)
+
+    @given(twists())
+    @settings(max_examples=100, deadline=None)
+    def test_property(self, xi):
+        self.assert_bits(xi)
+
+    def test_inverse_bits(self):
+        for xi in _log_uniform_twists(500, seed=1):
+            T = se3_exp(xi)
+            assert (se3_inverse(T).tobytes()
+                    == _se3_inverse_oracle(T).tobytes())
+
+
 class TestProject:
     @staticmethod
     def assert_rigid(T):
