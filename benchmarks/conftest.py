@@ -1,8 +1,9 @@
 """Shared fixtures for the figure-reproduction benchmarks.
 
-The expensive artifacts (a proxy SLAM run and its measured workloads) are
-built once per session; individual benches only evaluate their models and
-print the figure's rows.
+The expensive artifact (the probe map: a short sequence mapped at its
+ground-truth poses, with the probe camera at a true pose) is built once
+per session; individual benches only measure workloads on it, evaluate
+their models and print the figure's rows.
 """
 
 import pytest
@@ -12,5 +13,5 @@ from repro.bench import build_bundle
 
 @pytest.fixture(scope="session")
 def bundle():
-    """The default proxy scenario (room0, 96x64, SplaTAM sparse run)."""
+    """The default proxy scenario (room0, 96x64, SplaTAM sparse mapper)."""
     return build_bundle()

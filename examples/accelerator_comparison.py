@@ -20,7 +20,7 @@ from repro.hw import (
 
 
 def main():
-    print("building proxy scenario (short SLAM run) ...")
+    print("building proxy scenario (mapped at ground-truth poses) ...")
     bundle = build_bundle()
     ws = tracking_workloads(bundle)
 

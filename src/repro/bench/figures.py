@@ -60,38 +60,36 @@ _BG = np.full(3, 0.05)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _slam_stage_workloads(algorithm: str, sequence_name: str = "room0",
-                          mode: str = "dense", width: int = 48,
-                          height: int = 36, n_frames: int = 8,
-                          surface_density: float = 10.0):
-    """Run SLAM and return its four accumulated stage workloads + run."""
+def _slam_stage_times(algorithm: str, sequence_name: str = "room0",
+                      mode: str = "dense", width: int = 48,
+                      height: int = 36, n_frames: int = 8,
+                      surface_density: float = 10.0):
+    """Run SLAM and model its tracking and mapping stages on the dense GPU:
+    ``(tracking times, mapping times, frames)``.  Only the times are
+    cached: an upscaled stage workload replicates every per-item record
+    hundreds of times (gigabytes for one dense run)."""
     seq = make_replica_sequence(sequence_name, n_frames=n_frames,
                                 width=width, height=height,
                                 surface_density=surface_density)
     result = SLAMSystem(algorithm, mode=mode).run(seq)
     f_p = (1200 * 680) / (width * height)
     f_g = 1e5 / max(len(result.cloud), 1)
-    tracking = Workload(
-        f"{algorithm}-tracking",
-        result.stage_stats["tracking_fwd"],
-        result.stage_stats["tracking_bwd"]).upscale(f_p, f_g)
-    mapping = Workload(
-        f"{algorithm}-mapping",
-        result.stage_stats["mapping_fwd"],
-        result.stage_stats["mapping_bwd"]).upscale(f_p, f_g)
-    return tracking, mapping, result
+    gpu = GpuModel()
+    tracking, mapping = (gpu.iteration_times(Workload(
+        f"{algorithm}-{stage}",
+        result.stage_stats[f"{stage}_fwd"],
+        result.stage_stats[f"{stage}_bwd"]).upscale(f_p, f_g))
+        for stage in ("tracking", "mapping"))
+    return tracking, mapping, result.num_frames
 
 
 def fig04_latency(algorithms: Optional[Sequence[str]] = None) -> List[Dict]:
     """Fig. 4: amortized per-frame tracking vs mapping latency (dense GPU)."""
     algorithms = list(algorithms or ALGORITHMS)
-    gpu = GpuModel()
     rows = []
     for algo in algorithms:
-        tracking, mapping, result = _slam_stage_workloads(algo)
-        n = result.num_frames
-        t_track = gpu.iteration_times(tracking).total / n
-        t_map = gpu.iteration_times(mapping).total / n
+        tracking, mapping, n = _slam_stage_times(algo)
+        t_track, t_map = tracking.total / n, mapping.total / n
         rows.append({
             "algorithm": algo,
             "tracking_ms_per_frame": t_track * 1e3,
@@ -104,11 +102,9 @@ def fig04_latency(algorithms: Optional[Sequence[str]] = None) -> List[Dict]:
 def fig05_breakdown(algorithms: Optional[Sequence[str]] = None) -> List[Dict]:
     """Fig. 5: normalized execution breakdown of the dense pipeline."""
     algorithms = list(algorithms or ALGORITHMS)
-    gpu = GpuModel()
     rows = []
     for algo in algorithms:
-        tracking, _mapping, _result = _slam_stage_workloads(algo)
-        t = gpu.iteration_times(tracking)
+        t, _mapping, _frames = _slam_stage_times(algo)
         compute = (t.projection + t.sorting + t.rasterization
                    + t.reverse_rasterization + t.aggregation + t.reprojection)
         rows.append({

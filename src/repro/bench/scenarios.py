@@ -1,8 +1,9 @@
 """Shared experiment scenarios for the benchmark harness.
 
 Every figure-reproduction bench needs the same expensive artifacts: a
-synthetic sequence, a SLAM run over it (to obtain a realistic mid-sequence
-map), and measured workload counters for the three pipeline variants.
+synthetic sequence, a mid-sequence map built by the mapper at the
+ground-truth poses (no tracker runs, so a tracking change moves none of
+them), and measured workload counters for the three pipeline variants.
 This module builds them once per process and caches them.
 
 Workloads are measured at proxy resolution and projected to the paper's
@@ -25,11 +26,11 @@ from ..datasets.rgbd import RGBDSequence
 from ..gaussians import Camera, GaussianCloud
 from ..hw import Workload, measure_iteration
 from ..obs import trace
-from ..slam import SLAMSystem
-from ..slam.system import SLAMResult
+from ..slam import Keyframe, KeyframeBuffer, Mapper, SLAMSystem
 
 __all__ = ["PAPER_WIDTH", "PAPER_HEIGHT", "PAPER_GAUSSIANS", "ProxyBundle",
-           "build_bundle", "tracking_workloads", "mapping_workloads"]
+           "proxy_sequence", "build_bundle", "tracking_workloads",
+           "mapping_workloads"]
 
 # The paper's deployment point.
 PAPER_WIDTH, PAPER_HEIGHT = 1200, 680
@@ -42,7 +43,6 @@ class ProxyBundle:
     """Everything the figure benches need about one proxy scenario."""
 
     sequence: RGBDSequence
-    result: SLAMResult
     cloud: GaussianCloud
     frame_index: int
     camera: Camera
@@ -63,58 +63,76 @@ class ProxyBundle:
 
 
 @lru_cache(maxsize=4)
+def proxy_sequence(sequence_name: str, width: int, height: int,
+                   n_frames: int, surface_density: float = 12.0):
+    """The synthetic sequence of one proxy scenario."""
+    return make_replica_sequence(
+        sequence_name, n_frames=n_frames, width=width, height=height,
+        surface_density=surface_density)
+
+
+@lru_cache(maxsize=4)
 def build_bundle(sequence_name: str = "room0", width: int = 96,
                  height: int = 64, n_frames: int = 10,
                  surface_density: float = 12.0,
                  algorithm: str = "splatam", seed: int = 0) -> ProxyBundle:
-    """Run a short SLAM to obtain a realistic map + pose for workloads."""
-    with trace.span("bench.build_bundle", sequence=sequence_name,
-                    width=width, height=height, frames=n_frames):
-        sequence = make_replica_sequence(
-            sequence_name, n_frames=n_frames, width=width, height=height,
-            surface_density=surface_density)
-        result = SLAMSystem(algorithm, mode="sparse", seed=seed).run(sequence)
+    """The map after frames ``0..frame_index``, mapped at their true poses
+    on the frames and keyframe windows :meth:`SLAMSystem.run` maps, and
+    the probe camera at the true pose of ``frame_index``."""
     # Probe a frame the mapper has just covered, so the unseen-pixel set
     # reflects the paper's steady state rather than brand-new territory.
     frame_index = max(4, ((n_frames - 2) // 4) * 4)
-    camera = Camera(sequence.intrinsics, result.est_trajectory[frame_index])
-    return ProxyBundle(
-        sequence=sequence,
-        result=result,
-        cloud=result.cloud,
-        frame_index=frame_index,
-        camera=camera,
-        width=width,
-        height=height,
-    )
+    with trace.span("bench.build_bundle", sequence=sequence_name,
+                    width=width, height=height, frames=frame_index + 1):
+        sequence = proxy_sequence(sequence_name, width, height, n_frames,
+                                  surface_density)
+        system = SLAMSystem(algorithm, mode="sparse", seed=seed)
+        algo, intr = system.algo, sequence.intrinsics
+        mapper = Mapper(algo, intr, system.splatonic, system.mode,
+                        system.background)
+        keyframes = KeyframeBuffer(algo.keyframe_every, algo.keyframe_window)
+        for i in range(frame_index + 1):
+            frame = sequence[i]
+            pose = frame.gt_pose_c2w
+            current = Keyframe(i, pose, frame.color, frame.depth)
+            keyframes.maybe_add(i, pose, frame.color, frame.depth)
+            if i == 0:
+                cloud = system._bootstrap_cloud(intr, pose, frame)
+                window = [current]
+            elif i % algo.map_every:
+                continue
+            elif algo.keyframe_selection == "overlap":
+                window = keyframes.select_by_overlap(
+                    current, intr, rng=system.splatonic.rng)
+            else:
+                window = keyframes.select(current)
+            cloud = mapper.map_frame(cloud, current, window).cloud
+    camera = Camera(intr, sequence.gt_trajectory[frame_index])
+    return ProxyBundle(sequence, cloud, frame_index, camera, width, height)
+
+
+def _variant_workloads(bundle: ProxyBundle, pixels: np.ndarray,
+                       suffix: str = "") -> Dict[str, Workload]:
+    """Measure one iteration per pipeline variant on ``pixels`` and
+    upscale it: ``dense`` (Org.), ``tile_sparse`` (Org.+S) and ``pixel``
+    (SPLATONIC's pipeline)."""
+    frame = bundle.frame
+    return {key: measure_iteration(
+        bundle.cloud, bundle.camera, frame.color, frame.depth, mode, pixels,
+        name=name + suffix).upscale(bundle.pixel_factor,
+                                    bundle.gaussian_factor)
+        for key, mode, name in (("dense", "tile", "dense"),
+                                ("tile_sparse", "tile_sparse", "org+s"),
+                                ("pixel", "pixel", "splatonic"))}
 
 
 def tracking_workloads(bundle: ProxyBundle, tile: int = 16,
                        seed: int = 0) -> Dict[str, Workload]:
-    """Measure the three tracking-iteration variants and upscale them.
-
-    Keys: ``dense`` (Org.), ``tile_sparse`` (Org.+S), ``pixel``
-    (SPLATONIC's pipeline).
-    """
-    frame = bundle.frame
-    rng = np.random.default_rng(seed)
+    """Measure the three tracking-iteration variants and upscale them."""
     pixels = sample_tracking_pixels(bundle.width, bundle.height, tile,
-                                    "random", rng)
-    f_p, f_g = bundle.pixel_factor, bundle.gaussian_factor
-    workload_span = trace.span("bench.tracking_workloads", tile=tile)
-    workload_span.__enter__()
-    out = {}
-    out["dense"] = measure_iteration(
-        bundle.cloud, bundle.camera, frame.color, frame.depth,
-        "tile", name="dense").upscale(f_p, f_g)
-    out["tile_sparse"] = measure_iteration(
-        bundle.cloud, bundle.camera, frame.color, frame.depth,
-        "tile_sparse", pixels, name="org+s").upscale(f_p, f_g)
-    out["pixel"] = measure_iteration(
-        bundle.cloud, bundle.camera, frame.color, frame.depth,
-        "pixel", pixels, name="splatonic").upscale(f_p, f_g)
-    workload_span.__exit__(None, None, None)
-    return out
+                                    "random", np.random.default_rng(seed))
+    with trace.span("bench.tracking_workloads", tile=tile):
+        return _variant_workloads(bundle, pixels)
 
 
 def mapping_workloads(bundle: ProxyBundle, tile: int = 4,
@@ -122,25 +140,11 @@ def mapping_workloads(bundle: ProxyBundle, tile: int = 4,
     """Measure the mapping-iteration variants (w_m x w_m sampling)."""
     from ..render.rasterize import render_full
 
-    frame = bundle.frame
     splat = Splatonic(SplatonicConfig(mapping_tile=tile),
                       rng=np.random.default_rng(seed))
     first = render_full(bundle.cloud, bundle.camera, np.full(3, 0.05),
                         keep_cache=False)
-    samples = splat.sample_mapping(first.final_transmittance, frame.color)
-    pixels = samples.all_pixels
-    f_p, f_g = bundle.pixel_factor, bundle.gaussian_factor
-    workload_span = trace.span("bench.mapping_workloads", tile=tile)
-    workload_span.__enter__()
-    out = {}
-    out["dense"] = measure_iteration(
-        bundle.cloud, bundle.camera, frame.color, frame.depth,
-        "tile", name="dense-mapping").upscale(f_p, f_g)
-    out["tile_sparse"] = measure_iteration(
-        bundle.cloud, bundle.camera, frame.color, frame.depth,
-        "tile_sparse", pixels, name="org+s-mapping").upscale(f_p, f_g)
-    out["pixel"] = measure_iteration(
-        bundle.cloud, bundle.camera, frame.color, frame.depth,
-        "pixel", pixels, name="splatonic-mapping").upscale(f_p, f_g)
-    workload_span.__exit__(None, None, None)
-    return out
+    samples = splat.sample_mapping(first.final_transmittance,
+                                   bundle.frame.color)
+    with trace.span("bench.mapping_workloads", tile=tile):
+        return _variant_workloads(bundle, samples.all_pixels, "-mapping")

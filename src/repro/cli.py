@@ -243,16 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "(exit 1 on regression, 2 on structural errors)")
     b_cmp.add_argument("--baseline", default="BENCH_baseline.json")
     b_cmp.add_argument("--current", default="BENCH_trajectory.json")
-    b_cmp.add_argument("--counters-only", action="store_true",
-                       help="gate only the exact workload counters "
-                            "(machine-portable; use in CI)")
     b_cmp.add_argument("--scenarios", default=None,
                        help="comma-separated scenario subset to compare "
                             "(default: every scenario in the baseline)")
     b_cmp.add_argument("--sections", default=None,
                        help="comma-separated section subset "
-                            "(counters,model,overhead); overrides "
-                            "--counters-only")
+                            "(counters,model,overhead; default: all)")
     b_cmp.add_argument("--json-out", default=None,
                        help="optional machine-readable report output path")
 
@@ -623,8 +619,6 @@ def _cmd_bench_compare(args) -> int:
         if unknown:
             raise SystemExit(f"unknown sections {sorted(unknown)}; choose "
                              f"from {list(regress.DEFAULT_SECTIONS)}")
-    elif args.counters_only:
-        sections = ["counters"]
     else:
         sections = list(regress.DEFAULT_SECTIONS)
 

@@ -190,6 +190,13 @@ def _bundle(cfg: SuiteConfig):
                         n_frames=spec.frames, seed=cfg.seed)
 
 
+def _sequence(cfg: SuiteConfig):
+    from ..bench.scenarios import proxy_sequence
+
+    spec = cfg.spec
+    return proxy_sequence(cfg.sequence, spec.width, spec.height, spec.frames)
+
+
 def _pass_counters(prefix: str, fwd, bwd) -> Dict[str, int]:
     """Headline counters of one forward/backward stats pair."""
     return {f"{prefix}.{pass_name}.{key}": int(getattr(stats, key))
@@ -280,13 +287,12 @@ def _scn_slam_e2e(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     from ..core import SplatonicConfig
     from ..slam import SLAMSystem
 
-    bundle = _bundle(cfg)
     # Per-pixel record lists are benchmark dead weight (nothing here reads
     # them); scalar counters are unaffected by the flag.
     result = SLAMSystem(
         "splatam", mode="sparse", seed=cfg.seed,
         splatonic_config=SplatonicConfig(record_per_pixel=False),
-    ).run(bundle.sequence)
+    ).run(_sequence(cfg))
 
     counters: Dict[str, float] = {
         "frames": int(result.num_frames),
@@ -360,13 +366,13 @@ def _scn_obs_overhead(cfg: SuiteConfig) -> Dict[str, Dict[str, float]]:
     from .health import HealthMonitor
     from .metrics import MetricsRegistry, ingest_pipeline_stats
 
-    bundle = _bundle(cfg)
+    sequence = _sequence(cfg)
 
     def run_slam(*observers):
         system = SLAMSystem(
             "splatam", mode="sparse", seed=cfg.seed,
             splatonic_config=SplatonicConfig(record_per_pixel=False))
-        return system.run(bundle.sequence, observers=observers)
+        return system.run(sequence, observers=observers)
 
     def timed(*observers):
         start = perf_counter()

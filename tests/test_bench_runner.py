@@ -163,6 +163,30 @@ class TestSuiteRun:
                             scenarios=["hw_units"])
         assert list(payload["scenarios"]) == ["hw_units"]
 
+    def test_probe_map_never_calls_the_tracker(self, monkeypatch):
+        """Only ``slam_e2e`` and ``obs_overhead`` track.  The probe map is
+        mapped at the true poses and probed at one, so a tracker that
+        raises stops neither it nor the scenarios replayed on it."""
+        import numpy as np
+
+        from repro.bench.scenarios import build_bundle
+        from repro.slam import Tracker
+
+        def no_tracking(*args, **kwargs):
+            raise AssertionError("the probe map called the tracker")
+
+        monkeypatch.setattr(Tracker, "track_frame", no_tracking)
+        build_bundle.cache_clear()  # build the map under the patch
+        spec = SIZES["tiny"]
+        bundle = build_bundle("room0", width=spec.width, height=spec.height,
+                              n_frames=spec.frames, seed=0)
+        truth = bundle.sequence.gt_trajectory[bundle.frame_index]
+        assert np.array_equal(bundle.camera.pose_c2w, truth)
+        names = ["kernels", "tracking", "mapping", "hw_units"]
+        payload = run_suite(SuiteConfig(size="tiny", repetitions=1),
+                            scenarios=names)
+        assert list(payload["scenarios"]) == names
+
 
 @pytest.fixture(scope="module")
 def tiny_workloads():

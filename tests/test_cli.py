@@ -36,7 +36,9 @@ class TestParser:
                                       ["atlas", "x"],
                                       ["slam", "--atlas", "x"],
                                       ["slam", "--atlas-tile", "8"],
-                                      ["runs", "ingest", "--atlas", "x"]],
+                                      ["runs", "ingest", "--atlas", "x"],
+                                      ["bench", "compare",
+                                       "--counters-only"]],
                              ids=["top", "runs trend", "runs triage",
                                   "slam --telemetry-stream",
                                   "slam --serve-telemetry",
@@ -45,7 +47,8 @@ class TestParser:
                                   "atlas",
                                   "slam --atlas",
                                   "slam --atlas-tile",
-                                  "runs ingest --atlas"])
+                                  "runs ingest --atlas",
+                                  "bench compare --counters-only"])
     def test_deleted_commands_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
@@ -77,7 +80,7 @@ class TestParser:
         args = build_parser().parse_args(["bench", "compare"])
         assert args.baseline == "BENCH_baseline.json"
         assert args.current == "BENCH_trajectory.json"
-        assert not args.counters_only
+        assert args.sections is None
 
     @pytest.mark.parametrize("argv", [
         ["bench", "run", "--size", "bogus"],
@@ -212,7 +215,7 @@ class TestBenchCommands:
         json.dump(doc, open(bad, "w"))
         report_out = str(tmp_path / "report.json")
         code = main(["-q", "bench", "compare", "--baseline", traj,
-                     "--current", bad, "--counters-only",
+                     "--current", bad, "--sections", "counters",
                      "--json-out", report_out])
         assert code == 1
         printed = capsys.readouterr().out
