@@ -1,10 +1,11 @@
 """Fit anisotropic 3D Gaussians to target views by gradient descent.
 
 Demonstrates the full-covariance rendering path: a ground-truth anisotropic
-cloud renders target views; a perturbed copy is optimized — means, per-axis
-log-scales, quaternions, opacities, colors all receive analytic gradients
-through the EWA projection — using the sparse pixel pipeline from several
-viewpoints, until the renderings converge.
+cloud renders full target views; a perturbed copy is optimized by
+:class:`repro.fit.SceneFitter` — means, per-axis log-scales, quaternions,
+opacities, colors all receive analytic gradients through the EWA
+projection — using the sparse pixel pipeline from several viewpoints,
+until the renderings converge.
 
 Run:  python examples/fit_anisotropic.py [--iterations 150]
 """
@@ -13,17 +14,11 @@ import argparse
 
 import numpy as np
 
-from repro.core import sample_tracking_pixels
 from repro.datasets.trajectory import look_at
+from repro.fit import FitConfig, SceneFitter
 from repro.gaussians import Camera, Intrinsics
 from repro.metrics import psnr
-from repro.render import (
-    AnisotropicCloud,
-    backward_sparse_anisotropic,
-    render_sparse_anisotropic,
-)
-from repro.slam import Adam
-from repro.slam.losses import LossConfig, rgbd_loss
+from repro.render import AnisotropicCloud, render_sparse_anisotropic
 
 BG = np.full(3, 0.05)
 
@@ -45,6 +40,16 @@ def perturb(cloud: AnisotropicCloud, rng) -> AnisotropicCloud:
     return cloud.unpack(vec + rng.normal(0.0, 0.05, vec.shape))
 
 
+def render_view(cloud, camera):
+    """Full-frame ``(color, depth)`` of ``cloud`` seen from ``camera``."""
+    intr = camera.intrinsics
+    uu, vv = np.meshgrid(np.arange(intr.width), np.arange(intr.height))
+    out = render_sparse_anisotropic(
+        cloud, camera, np.stack([uu.ravel(), vv.ravel()], axis=-1), BG)
+    return (out.color.reshape(intr.height, intr.width, 3),
+            out.depth.reshape(intr.height, intr.width))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--iterations", type=int, default=150)
@@ -60,46 +65,21 @@ def main():
             np.array([0.0, 0.0, 2.5])))
         for a in np.linspace(0, 1.2, args.views)
     ]
-    # Per-view target observations at a half-resolution pixel lattice.
-    views = []
-    for cam in cameras:
-        px = sample_tracking_pixels(intr.width, intr.height, 2, "random", rng)
-        ref = render_sparse_anisotropic(target, cam, px, BG)
-        views.append((cam, px, ref))
+    views = [(cam, *render_view(target, cam)) for cam in cameras]
 
-    cloud = perturb(target, rng)
-    lr = np.concatenate([
-        np.full(3 * len(cloud), 2e-3),    # means
-        np.full(3 * len(cloud), 4e-3),    # log-scales
-        np.full(4 * len(cloud), 4e-3),    # quaternions
-        np.full(len(cloud), 2e-2),        # opacity logits
-        np.full(3 * len(cloud), 1e-2),    # colors
-    ])
-    adam = Adam(14 * len(cloud), lr)
-    cfg = LossConfig(color_weight=1.0, depth_weight=0.3)
+    def view_psnr(cloud):
+        return float(np.mean([psnr(render_view(cloud, cam)[0], color)
+                              for cam, color, _ in views]))
 
-    def view_psnr():
-        scores = []
-        for cam, px, ref in views:
-            out = render_sparse_anisotropic(cloud, cam, px, BG)
-            scores.append(psnr(out.color, ref.color))
-        return float(np.mean(scores))
-
-    print(f"{len(cloud)} anisotropic Gaussians, {args.views} views, "
-          f"{len(views[0][1])} pixels each")
-    print(f"initial view PSNR: {view_psnr():.2f} dB")
-    for it in range(1, args.iterations + 1):
-        cam, px, ref = views[it % len(views)]
-        out = render_sparse_anisotropic(cloud, cam, px, BG)
-        loss = rgbd_loss(out.color, out.depth, out.silhouette,
-                         ref.color, ref.depth, cfg, tracking=False)
-        grads = backward_sparse_anisotropic(
-            out, cloud, cam, loss.d_color, loss.d_depth, loss.d_silhouette)
-        cloud = cloud.unpack(cloud.pack() + adam.step(grads.as_cloud_vector()))
-        if it % 30 == 0 or it == 1:
-            print(f"iter {it:4d}  loss {loss.loss:.5f}  "
-                  f"view PSNR {view_psnr():.2f} dB")
-    print(f"final view PSNR: {view_psnr():.2f} dB")
+    start = perturb(target, rng)
+    print(f"{len(start)} anisotropic Gaussians, {args.views} views of "
+          f"{intr.width}x{intr.height}")
+    print(f"initial view PSNR: {view_psnr(start):.2f} dB")
+    result = SceneFitter(start, views, FitConfig(iterations=args.iterations),
+                         background=BG).fit()
+    for it in range(30, args.iterations + 1, 30):
+        print(f"iter {it:4d}  loss {result.losses[it - 1]:.5f}")
+    print(f"final view PSNR: {view_psnr(result.cloud):.2f} dB")
 
 
 if __name__ == "__main__":

@@ -101,9 +101,6 @@ def build_bundle(sequence_name: str = "room0", width: int = 96,
                 window = [current]
             elif i % algo.map_every:
                 continue
-            elif algo.keyframe_selection == "overlap":
-                window = keyframes.select_by_overlap(
-                    current, intr, rng=system.splatonic.rng)
             else:
                 window = keyframes.select(current)
             cloud = mapper.map_frame(cloud, current, window).cloud

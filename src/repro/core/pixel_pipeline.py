@@ -43,8 +43,9 @@ call (the camera twist).  The projection, the composite cache and the
 gradient accumulators keep the pointers of the arrays a kernel wrote
 (``native.pointers``), so the later kernels of an iteration do not read
 them again.  The cull keeps every bbox candidate (a ``+inf`` cutoff)
-when the caller needs them all: with ``preemptive_alpha=False`` and with
-an approximate ``exp_fn`` (the cutoff assumes ``np.exp``).  Tests select
+for an approximate ``exp_fn`` alone (the LUT ablation: the cutoff
+assumes ``np.exp``), and the α filter then drops the pairs below the
+threshold as it does for every other render.  Tests select
 the per-pixel ``"reference"`` oracle loop by name through ``backend=``;
 the two are bit-identical.
 """
@@ -140,7 +141,6 @@ def render_sparse(
     alpha_threshold: float = ALPHA_THRESHOLD,
     t_min: float = T_MIN,
     keep_cache: bool = True,
-    preemptive_alpha: bool = True,
     exp_fn=np.exp,
     backend: Optional[str] = None,
     record_per_pixel: bool = True,
@@ -150,11 +150,9 @@ def render_sparse(
     ``pixels`` is ``(K, 2)`` integer ``(u, v)``; a pixel outside the image
     raises ``ValueError``.
 
-    ``preemptive_alpha=False`` is an ablation switch: candidates are then
-    filtered only by the bounding box, and α-checking happens inside
-    rasterization (sorting and rasterizing the full candidate list), which
-    reproduces the workload of a pipeline without the optimization.
-    ``exp_fn`` substitutes an approximate exponential (LUT ablation).
+    α-checking is always preemptive: only pairs with ``α ≥
+    alpha_threshold`` reach the composite.  ``exp_fn`` substitutes an
+    approximate exponential (LUT ablation).
 
     ``backend`` names the kernel: None runs the production
     ``"vectorized"`` kernel, ``"reference"`` the per-pixel oracle loop
@@ -198,21 +196,18 @@ def render_sparse(
     with trace.span("render.alpha_check", pipeline="pixel",
                     backend=backend_name):
         # The cutoff is exact for np.exp's falloff only.
-        cutoff = (alpha_cutoff(proj, alpha_threshold)
-                  if preemptive_alpha and exp_fn is np.exp
+        cutoff = (alpha_cutoff(proj, alpha_threshold) if exp_fn is np.exp
                   else np.full(len(proj), np.inf))
         pairs = candidate_pairs(centres, proj.mean2d, proj.radius,
                                 proj.depth, cutoff)
-        # α is evaluated once per candidate either way: preemptively here,
-        # or inside rasterization when the ablation disables the filter.
         stats.num_candidate_pairs += pairs.num_candidates
         stats.num_alpha_checks += pairs.num_candidates
         pair_alpha = pair_clipped = None
-        if pairs.size and (preemptive_alpha or kernel.wants_pair_alpha):
+        if pairs.size:
             pair_alpha, pair_clipped = falloff_alpha(
                 proj, pairs.gss, pairs.d2, exp_fn)
             passes = pair_alpha >= alpha_threshold
-            if preemptive_alpha and not passes.all():
+            if not passes.all():
                 keep = np.flatnonzero(passes)
                 pairs = pairs.select(keep)
                 pair_alpha, pair_clipped = pair_alpha[keep], pair_clipped[keep]

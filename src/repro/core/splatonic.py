@@ -15,7 +15,6 @@ import numpy as np
 
 from ..gaussians.camera import Camera
 from ..gaussians.model import GaussianCloud
-from ..render.compositing import ALPHA_THRESHOLD, T_MIN
 from ..render.rasterize import RenderResult, render_full
 from .pixel_pipeline import SparseRenderResult, backward_sparse, render_sparse
 from .sampling import (
@@ -39,9 +38,6 @@ class SplatonicConfig:
     mapping_unseen: bool = True
     mapping_weighted: bool = True
     mapping_uniform_weights: bool = False
-    preemptive_alpha: bool = True
-    alpha_threshold: float = ALPHA_THRESHOLD
-    t_min: float = T_MIN
     # Full-frame mapping cadence: the current keyframe is rendered densely
     # on one out of this many mapping invocations.  With mapping invoked
     # every 4 frames (the presets), the default of 1 realizes the paper's
@@ -127,7 +123,6 @@ class Splatonic:
     def render_sparse(self, cloud: GaussianCloud, camera: Camera,
                       pixels: np.ndarray,
                       background: Optional[np.ndarray] = None,
-                      keep_cache: bool = True,
                       lattice_tile: Optional[int] = None) -> SparseRenderResult:
         """Pixel-based forward pass over the sampled pixels: projection,
         the compiled candidate cull, falloff and composite, the one path
@@ -137,14 +132,8 @@ class Splatonic:
         candidate generator, and one generator now serves every pixel
         layout.
         """
-        return render_sparse(
-            cloud, camera, pixels, background,
-            alpha_threshold=self.config.alpha_threshold,
-            t_min=self.config.t_min,
-            keep_cache=keep_cache,
-            preemptive_alpha=self.config.preemptive_alpha,
-            record_per_pixel=self.config.record_per_pixel,
-        )
+        return render_sparse(cloud, camera, pixels, background,
+                             record_per_pixel=self.config.record_per_pixel)
 
     def backward_sparse(self, result: SparseRenderResult,
                         cloud: GaussianCloud, camera: Camera,
@@ -159,13 +148,7 @@ class Splatonic:
 
     def render_full(self, cloud: GaussianCloud, camera: Camera,
                     background: Optional[np.ndarray] = None,
-                    tile_size: int = 16,
                     keep_cache: bool = True) -> RenderResult:
         """Dense tile-based forward pass (baseline / full-frame mapping)."""
-        return render_full(
-            cloud, camera, background, tile_size=tile_size,
-            alpha_threshold=self.config.alpha_threshold,
-            t_min=self.config.t_min,
-            keep_cache=keep_cache,
-            record_per_pixel=self.config.record_per_pixel,
-        )
+        return render_full(cloud, camera, background, keep_cache=keep_cache,
+                           record_per_pixel=self.config.record_per_pixel)

@@ -1,13 +1,14 @@
 """Multi-view 3DGS scene fitting (the training substrate under SLAM).
 
 SLAM's mapper is a streaming special case of plain 3DGS training: fit a
-Gaussian cloud to a set of posed RGB(-D) views by gradient descent.  This
+Gaussian cloud to a set of posed RGB-D views by gradient descent.  This
 module provides that general trainer for **both** cloud representations —
 the isotropic :class:`~repro.gaussians.GaussianCloud` and the
 full-covariance :class:`~repro.render.AnisotropicCloud` — rendering through
 the sparse pixel pipeline (a fresh one-per-tile lattice each epoch, so
 coverage is stochastic but complete in expectation) and stepping all
-parameters with Adam.
+parameters with Adam.  Every view carries depth, and the cloud keeps its
+size: the trainer neither prunes nor densifies.
 
 Typical use::
 
@@ -37,7 +38,7 @@ from ..slam.optim import Adam
 
 __all__ = ["FitConfig", "FitResult", "SceneFitter"]
 
-View = Tuple[Camera, np.ndarray, Optional[np.ndarray]]
+View = Tuple[Camera, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,6 @@ class FitConfig:
     lr_quaternions: float = 4e-3   # anisotropic only
     lr_logit_opacities: float = 2e-2
     lr_colors: float = 1e-2
-    # Prune Gaussians whose opacity collapses below this every
-    # ``prune_every`` iterations (0 disables pruning).
-    prune_opacity: float = 0.02
-    prune_every: int = 0
-    log_every: int = 0            # 0 silences progress printing
     seed: int = 0
 
     def with_overrides(self, **kwargs) -> "FitConfig":
@@ -69,7 +65,6 @@ class FitResult:
 
     cloud: object
     losses: List[float] = field(default_factory=list)
-    num_pruned: int = 0
 
     @property
     def final_loss(self) -> float:
@@ -95,7 +90,7 @@ def _learning_rates(cloud, cfg: FitConfig) -> np.ndarray:
 
 
 class SceneFitter:
-    """Fits a Gaussian cloud to posed RGB(-D) views.
+    """Fits a Gaussian cloud to posed RGB-D views.
 
     Parameters
     ----------
@@ -103,9 +98,7 @@ class SceneFitter:
         Initial :class:`GaussianCloud` or :class:`AnisotropicCloud`; the
         representation is detected and the matching renderer used.
     views:
-        Sequence of ``(camera, color, depth)`` tuples.  ``depth`` may be
-        ``None`` for photometric-only fitting (the depth-loss weight is
-        then ignored for that view).
+        Sequence of ``(camera, color, depth)`` tuples.
     config:
         A :class:`FitConfig`.
     """
@@ -150,7 +143,6 @@ class SceneFitter:
         cloud = self.cloud
         adam = Adam(cloud.pack().shape[0], _learning_rates(cloud, cfg))
         losses: List[float] = []
-        pruned_total = 0
 
         for it in range(1, cfg.iterations + 1):
             camera, color, depth = self.views[(it - 1) % len(self.views)]
@@ -159,33 +151,12 @@ class SceneFitter:
                 intr.width, intr.height, cfg.sample_tile, "random", self.rng)
             result = self._render(cloud, camera, pixels)
             ref_c = color[pixels[:, 1], pixels[:, 0]]
-            if depth is not None:
-                ref_d = depth[pixels[:, 1], pixels[:, 0]]
-                loss_cfg = cfg.loss
-            else:
-                ref_d = np.ones(len(pixels))  # all valid, weight zeroed
-                loss_cfg = cfg.loss.__class__(
-                    color_weight=cfg.loss.color_weight, depth_weight=0.0,
-                    silhouette_weight=cfg.loss.silhouette_weight,
-                    huber_delta=cfg.loss.huber_delta)
+            ref_d = depth[pixels[:, 1], pixels[:, 0]]
             out = rgbd_loss(result.color, result.depth, result.silhouette,
-                            ref_c, ref_d, loss_cfg, tracking=False)
+                            ref_c, ref_d, cfg.loss, tracking=False)
             grads = self._backward(result, cloud, camera, out)
             cloud = cloud.unpack(cloud.pack() + adam.step(
                 grads.as_cloud_vector()))
             losses.append(out.loss)
 
-            if (cfg.prune_every and it % cfg.prune_every == 0
-                    and not self._aniso):
-                keep = cloud.opacities >= cfg.prune_opacity
-                dropped = int((~keep).sum())
-                if dropped:
-                    cloud = cloud.prune(keep)
-                    pruned_total += dropped
-                    adam = Adam(cloud.pack().shape[0],
-                                _learning_rates(cloud, cfg))
-            if cfg.log_every and it % cfg.log_every == 0:
-                print(f"fit iter {it:4d}  loss {out.loss:.5f}  "
-                      f"gaussians {len(cloud)}")
-
-        return FitResult(cloud=cloud, losses=losses, num_pruned=pruned_total)
+        return FitResult(cloud=cloud, losses=losses)

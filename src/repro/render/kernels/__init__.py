@@ -23,11 +23,14 @@ production kernel, with a per-pixel oracle kept beside it for tests:
 
 Both consume the same candidate pair list
 (:mod:`repro.render.kernels.candidates`) and the same preemptive-α cull
-and filter run by :func:`repro.core.pixel_pipeline.render_sparse`, so
-candidate / α-check / sort-key counters are shared by construction; the
-equivalence suite (``tests/test_kernel_backends.py``) pins down the
-rest.  The small registry below is the seam through which the oracle is
-selected.
+and filter run by :func:`repro.core.pixel_pipeline.render_sparse`, which
+is always on, so candidate / α-check / sort-key counters are shared by
+construction.  Every ``forward`` call receives the filter's per-pair α
+values and clip flags: the vectorized kernel composites them as they
+are, and the reference loop ignores them and re-derives α inside
+:func:`composite_forward`.  The equivalence suite
+(``tests/test_kernel_backends.py``) pins down the rest.  The small
+registry below is the seam through which the oracle is selected.
 """
 
 from __future__ import annotations
@@ -56,11 +59,6 @@ class KernelBackend:
     description: str
     forward: Callable
     backward: Callable
-    # Whether forward() consumes the flat per-pair α / clipped arrays the
-    # pipeline's α stage computed (so the kernel need not re-evaluate the
-    # Gaussian falloff).  The reference loop recomputes inside
-    # composite_forward — that's the point of an oracle.
-    wants_pair_alpha: bool = False
 
 
 _REGISTRY: Dict[str, KernelBackend] = {}

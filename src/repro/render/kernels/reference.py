@@ -20,7 +20,7 @@ __all__ = ["forward", "backward"]
 
 def forward(proj, pairs, centres, background, alpha_threshold, t_min,
             keep_cache, exp_fn, stats, color, depth, silhouette,
-            pair_alpha=None, pair_clipped=None):
+            pair_alpha, pair_clipped):
     """Per-pixel forward loop over the shared candidate pair list.
 
     Fills ``color`` / ``depth`` / ``silhouette`` (length K) in place and

@@ -215,7 +215,7 @@ def composite(proj, gss, lengths, centres, background, alpha, clipped,
 
 def forward(proj, pairs, centres, background, alpha_threshold, t_min,
             keep_cache, exp_fn, stats, color, depth, silhouette,
-            pair_alpha=None, pair_clipped=None):
+            pair_alpha, pair_clipped):
     """Batched forward pass over the shared candidate pair list.
 
     ``pairs`` must be in composite order — pixel-major, front-to-back —
@@ -226,7 +226,7 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
     per-pixel cache list (all None here) and the flat batch cache.
     ``pair_alpha`` / ``pair_clipped`` are the flat per-pair α values and
     clip flags the pipeline's α stage already evaluated (aligned with
-    ``pairs``); when given, the falloff is not re-evaluated here.
+    ``pairs``), so ``exp_fn`` goes unused here.
     """
     K = pairs.num_pixels
     M = pairs.size
@@ -238,13 +238,8 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
         return np.zeros(0, dtype=int), np.zeros(K, dtype=int), [None] * K, None
 
     gss, lengths = pairs.gss, pairs.lengths
-    if pair_alpha is not None:
-        alpha, clipped = pair_alpha, pair_clipped
-    else:
-        alpha, clipped = evaluate_alpha(proj, gss, centres[pairs.pix],
-                                        exp_fn)
     out_color, out_depth, out_sil, cache = composite(
-        proj, gss, lengths, centres, background, alpha, clipped,
+        proj, gss, lengths, centres, background, pair_alpha, pair_clipped,
         alpha_threshold, t_min)
     color[:, :] = out_color
     depth[:] = out_depth
@@ -441,5 +436,4 @@ register_kernel(KernelBackend(
                 "composite)",
     forward=forward,
     backward=backward,
-    wants_pair_alpha=True,
 ))

@@ -9,7 +9,7 @@ from .config import (
     AlgorithmConfig,
     get_algorithm,
 )
-from .keyframes import Keyframe, KeyframeBuffer, view_overlap
+from .keyframes import Keyframe, KeyframeBuffer
 from .losses import LossConfig, LossOutput, rgbd_loss
 from .mapper import Mapper, MappingResult
 from .optim import Adam
@@ -26,7 +26,6 @@ __all__ = [
     "FLASHSLAM",
     "Keyframe",
     "KeyframeBuffer",
-    "view_overlap",
     "LossConfig",
     "LossOutput",
     "rgbd_loss",

@@ -12,7 +12,7 @@ preserves the *ratios* the performance model depends on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 from .losses import LossConfig
@@ -41,12 +41,6 @@ class AlgorithmConfig:
     # Densification / pruning.
     densify_opacity: float = 0.6
     prune_opacity: float = 0.05
-    # Optional SplaTAM-style depth-error densification: also seed pixels
-    # whose rendered depth misses the measurement by more than this factor
-    # times the frame's median absolute depth error (0 disables).
-    densify_depth_error_factor: float = 0.0
-    # Keyframe window policy: "recency" or "overlap" (covisibility).
-    keyframe_selection: str = "recency"
 
     def with_overrides(self, **kwargs) -> "AlgorithmConfig":
         return replace(self, **kwargs)

@@ -5,12 +5,9 @@ Mapping fine-tunes the map against a window of ``w`` recent keyframes
 first frame (which anchors the global reference), and serves a window of
 them for each mapping invocation — the current frame is always included.
 
-Two selection policies are provided:
-
-- ``select`` — the most recent ``window`` keyframes (simple recency);
-- ``select_by_overlap`` — SplaTAM's covisibility policy: back-project a
-  subsample of the current frame's depth and rank keyframes by the
-  fraction of those points that fall inside their view frustum.
+The window is chosen by recency alone (:meth:`KeyframeBuffer.select`):
+the most recent ``window`` keyframes, the anchor and the current frame,
+the paper's setting (Sec. VII-A).
 """
 
 from __future__ import annotations
@@ -21,27 +18,8 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.features import sobel_magnitude
-from ..gaussians.camera import Camera, Intrinsics
 
-__all__ = ["Keyframe", "KeyframeBuffer", "view_overlap"]
-
-
-def view_overlap(points_world: np.ndarray, camera: Camera,
-                 near: float = 0.01) -> float:
-    """Fraction of world points visible in ``camera``'s frustum."""
-    points_world = np.atleast_2d(points_world)
-    if points_world.shape[0] == 0:
-        return 0.0
-    p_cam = camera.world_to_camera(points_world)
-    z = p_cam[:, 2]
-    front = z > near
-    if not np.any(front):
-        return 0.0
-    uv = camera.intrinsics.project(p_cam[front])
-    intr = camera.intrinsics
-    inside = ((uv[:, 0] >= 0) & (uv[:, 0] < intr.width)
-              & (uv[:, 1] >= 0) & (uv[:, 1] < intr.height))
-    return float(inside.sum()) / points_world.shape[0]
+__all__ = ["Keyframe", "KeyframeBuffer"]
 
 
 @dataclass
@@ -100,39 +78,4 @@ class KeyframeBuffer:
             chosen.insert(0, self._keyframes[0])
         if all(kf.index != current.index for kf in chosen):
             chosen.append(current)
-        return chosen
-
-    def select_by_overlap(self, current: Keyframe, intrinsics: Intrinsics,
-                          n_samples: int = 64,
-                          rng: Optional[np.random.Generator] = None
-                          ) -> List[Keyframe]:
-        """SplaTAM-style covisibility selection.
-
-        Back-projects ``n_samples`` random valid-depth pixels of the
-        current frame to world space, ranks stored keyframes by the
-        fraction of those points inside their frustum, and returns the
-        top ``window`` plus the current frame.
-        """
-        rng = rng or np.random.default_rng(0)
-        depth = np.asarray(current.depth, dtype=float)
-        vs, us = np.nonzero(depth > 0)
-        if us.size == 0 or not self._keyframes:
-            return self.select(current)
-        pick = rng.choice(us.size, size=min(n_samples, us.size),
-                          replace=False)
-        u, v = us[pick], vs[pick]
-        cam = Camera(intrinsics, current.pose_c2w)
-        p_cam = intrinsics.backproject(
-            np.stack([u + 0.5, v + 0.5], axis=-1), depth[v, u])
-        p_world = p_cam @ cam.pose_c2w[:3, :3].T + cam.pose_c2w[:3, 3]
-
-        scored = []
-        for kf in self._keyframes:
-            if kf.index == current.index:
-                continue
-            overlap = view_overlap(p_world, Camera(intrinsics, kf.pose_c2w))
-            scored.append((overlap, kf.index, kf))
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        chosen = [kf for _, _, kf in scored[:self.window]]
-        chosen.append(current)
         return chosen

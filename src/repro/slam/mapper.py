@@ -87,25 +87,11 @@ class Mapper:
     # ---- densification ----
 
     def densify(self, cloud: GaussianCloud, keyframe: Keyframe,
-                gamma_final: np.ndarray,
-                rendered_depth: np.ndarray = None) -> GaussianCloud:
-        """Seed new Gaussians at unseen pixels (Eqn. 2), plus — when the
-        algorithm enables it — at pixels whose rendered depth disagrees
-        strongly with the measurement (SplaTAM's second criterion)."""
+                gamma_final: np.ndarray) -> GaussianCloud:
+        """Seed new Gaussians at unseen pixels (Eqn. 2)."""
         from ..core.sampling import unseen_mask
 
-        mask = unseen_mask(gamma_final)
-        factor = self.algo.densify_depth_error_factor
-        if factor > 0.0 and rendered_depth is not None:
-            measured = np.asarray(keyframe.depth, dtype=float)
-            valid = measured > 0
-            if np.any(valid):
-                err = np.abs(np.asarray(rendered_depth) - measured)
-                # A small absolute floor keeps the criterion meaningful
-                # when the map already fits most pixels perfectly.
-                scale = max(float(np.median(err[valid])), 1e-3)
-                mask = mask | (valid & (err > factor * scale))
-        vs, us = np.nonzero(mask)
+        vs, us = np.nonzero(unseen_mask(gamma_final))
         if us.size == 0:
             return cloud
         pixels = np.stack([us, vs], axis=-1)
@@ -122,7 +108,6 @@ class Mapper:
 
     def map_frame(self, cloud: GaussianCloud, current: Keyframe,
                   window: List[Keyframe],
-                  max_iters: Optional[int] = None,
                   collect_curve: bool = False) -> MappingResult:
         """Run one full mapping invocation at ``current``.
 
@@ -131,7 +116,6 @@ class Mapper:
         """
         from ..core.sampling import unseen_mask
 
-        iters = max_iters if max_iters is not None else self.algo.mapping_iters
         record = self.splatonic.config.record_per_pixel
         fwd_stats = PipelineStats(pipeline=self.mode, record_per_pixel=record)
         bwd_stats = PipelineStats(pipeline=self.mode, record_per_pixel=record)
@@ -147,7 +131,7 @@ class Mapper:
 
         before = len(cloud)
         with trace.span("mapping.densify", frame=current.index):
-            cloud = self.densify(cloud, current, gamma_final, first.depth)
+            cloud = self.densify(cloud, current, gamma_final)
         num_seeded = len(cloud) - before
 
         # Mapping pixel sets, one per keyframe, drawn once per invocation.
@@ -196,7 +180,7 @@ class Mapper:
         adam = Adam(8 * n, _mapping_lr(self.algo, n))
         loss_value = 0.0
         curve: Optional[List[float]] = [] if collect_curve else None
-        for it in range(iters):
+        for it in range(self.algo.mapping_iters):
             kf_i = it % len(window)
             kf = window[kf_i]
             cam = Camera(self.intrinsics, kf.pose_c2w)

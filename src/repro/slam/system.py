@@ -37,6 +37,9 @@ from .tracker import Tracker
 
 __all__ = ["SLAMResult", "SLAMSystem"]
 
+#: Pixel stride of the grid that seeds the map from frame 0.
+_BOOTSTRAP_STRIDE = 2
+
 
 def _ate_stats(ate: AteResult) -> Dict[str, float]:
     return {"rmse": ate.rmse, "mean": ate.mean, "median": ate.median,
@@ -111,7 +114,6 @@ class SLAMSystem:
         splatonic_config: Optional[SplatonicConfig] = None,
         seed: int = 0,
         background: Optional[np.ndarray] = None,
-        bootstrap_stride: int = 2,
     ):
         self.algo: AlgorithmConfig = (
             algorithm if isinstance(algorithm, AlgorithmConfig)
@@ -123,7 +125,6 @@ class SLAMSystem:
                                    rng=np.random.default_rng(seed))
         self.background = (np.full(3, 0.05) if background is None
                            else np.asarray(background, float))
-        self.bootstrap_stride = bootstrap_stride
 
     def run(self, sequence, n_frames: Optional[int] = None,
             observers: Sequence = ()) -> SLAMResult:
@@ -207,11 +208,7 @@ class SLAMSystem:
                                                    frame.depth)
                     if i % self.algo.map_every == 0:
                         current = Keyframe(i, pose, frame.color, frame.depth)
-                        if self.algo.keyframe_selection == "overlap":
-                            window = keyframes.select_by_overlap(
-                                current, intr, rng=self.splatonic.rng)
-                        else:
-                            window = keyframes.select(current)
+                        window = keyframes.select(current)
                         map_start = perf_counter()
                         with trace.span("slam.map", frame=i,
                                         window=len(window)) as sp:
@@ -361,8 +358,9 @@ class SLAMSystem:
         return False
 
     def _bootstrap_cloud(self, intr, pose0, frame0) -> GaussianCloud:
-        """Seed the initial map from a regular grid over frame 0."""
-        stride = self.bootstrap_stride
+        """Seed the initial map from a regular grid over frame 0, one
+        pixel in every ``_BOOTSTRAP_STRIDE``."""
+        stride = _BOOTSTRAP_STRIDE
         us = np.arange(0, intr.width, stride)
         vs = np.arange(0, intr.height, stride)
         uu, vv = np.meshgrid(us, vs)

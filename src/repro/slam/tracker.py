@@ -105,7 +105,6 @@ class Tracker:
         init_pose_c2w: np.ndarray,
         ref_color: np.ndarray,
         ref_depth: np.ndarray,
-        max_iters: Optional[int] = None,
         collect_curve: bool = False,
         pixels: Optional[np.ndarray] = None,
     ) -> TrackingResult:
@@ -128,7 +127,7 @@ class Tracker:
         non-finite gradient, alerts the health monitor and ends the
         frame at the best finite estimate so far.
         """
-        iters = max_iters if max_iters is not None else self.algo.tracking_iters
+        iters = self.algo.tracking_iters
         pose = np.asarray(init_pose_c2w, dtype=float).copy()
         cloud = FrozenCloud(cloud)
 

@@ -84,3 +84,28 @@ class TestScenario:
         track = tracking_workloads(bundle)["pixel"]
         mapping = mapping_workloads(bundle)["pixel"]
         assert mapping.fwd.num_pixels > track.fwd.num_pixels
+
+
+@pytest.mark.slow
+class TestProbeMapSchedule:
+    """``build_bundle`` keeps its own copy of ``SLAMSystem.run``'s mapping
+    schedule: the bootstrap, the mapped frames and their keyframe windows.
+    A run whose tracker returns each true pose, and draws no pixels, must
+    then end on the probe map, byte for byte."""
+
+    @pytest.mark.parametrize("n_frames,frame_index", [(6, 4), (10, 8)])
+    def test_run_at_true_poses_ends_on_the_probe_map(
+            self, monkeypatch, n_frames, frame_index):
+        from repro.slam import SLAMSystem, Tracker, TrackingResult
+
+        bundle = build_bundle(width=48, height=36, n_frames=n_frames)
+        assert bundle.frame_index == frame_index
+        truth = iter(bundle.sequence.gt_trajectory[1:])
+        monkeypatch.setattr(
+            Tracker, "track_frame",
+            lambda *args, **kwargs: TrackingResult(
+                pose_c2w=next(truth).copy(), iterations=0, final_loss=0.0,
+                converged=True))
+        result = SLAMSystem("splatam", mode="sparse", seed=0).run(
+            bundle.sequence, n_frames=frame_index + 1)
+        assert result.cloud.pack().tobytes() == bundle.cloud.pack().tobytes()

@@ -7,7 +7,6 @@ from repro.datasets.trajectory import look_at
 from repro.fit import FitConfig, FitResult, SceneFitter
 from repro.gaussians import Camera, GaussianCloud, Intrinsics
 from repro.render import AnisotropicCloud, render_sparse_anisotropic
-from repro.core.pixel_pipeline import render_sparse
 
 BG = np.full(3, 0.05)
 
@@ -81,23 +80,6 @@ class TestIsotropicFitting:
         assert isinstance(result, FitResult)
         assert len(result.losses) == 8
         assert np.isfinite(result.final_loss)
-
-    def test_pruning_drops_transparent(self):
-        gt = make_iso_cloud(n=20)
-        start = perturbed(gt)
-        start.logit_opacities[:4] = -10.0
-        views = make_views(gt)
-        result = SceneFitter(start, views,
-                             FitConfig(iterations=10, prune_every=5)).fit()
-        assert result.num_pruned >= 4
-        assert len(result.cloud) <= len(start) - 4
-
-    def test_photometric_only_views(self):
-        gt = make_iso_cloud(n=12)
-        views = [(cam, color, None) for cam, color, _ in make_views(gt)]
-        result = SceneFitter(perturbed(gt), views,
-                             FitConfig(iterations=20)).fit()
-        assert result.losses[-1] < result.losses[0]
 
 
 class TestAnisotropicFitting:

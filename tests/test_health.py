@@ -255,10 +255,11 @@ class TestIterationGuards:
         mon = fresh_monitor()
         with use_monitor(mon):
             mapper = mapper_mod.Mapper(
-                ALGORITHMS["splatam"], seq.intrinsics, mode="dense")
+                ALGORITHMS["splatam"].with_overrides(mapping_iters=5),
+                seq.intrinsics, mode="dense")
             kf = Keyframe(index=0, color=seq[0].color, depth=seq[0].depth,
                           pose_c2w=seq[0].gt_pose_c2w)
-            mapper.map_frame(cloud, kf, [kf], max_iters=5)
+            mapper.map_frame(cloud, kf, [kf])
         assert [a.monitor for a in mon.alerts] == ["non_finite"]
         assert "mapping" in mon.alerts[0].message
 

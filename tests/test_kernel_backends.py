@@ -235,12 +235,6 @@ class TestForwardEquivalence:
         ref, vec = render_both(cloud, cam, lattice_pixels())
         assert_forward_identical(ref, vec)
 
-    def test_preemptive_alpha_off(self):
-        cloud, cam = make_scene(seed=2)
-        ref, vec = render_both(cloud, cam, random_pixels(2),
-                               preemptive_alpha=False)
-        assert_forward_identical(ref, vec)
-
     def test_lut_exp_fn(self):
         cloud, cam = make_scene(seed=8)
         lut = ExpLUT(64)
@@ -303,13 +297,6 @@ class TestBackwardEquivalence:
         cloud, cam = make_scene(seed=4)
         ref, vec = render_both(cloud, cam, lattice_pixels())
         g_ref, g_vec = backward_both(ref, vec, cloud, cam, 4)
-        assert_backward_identical(g_ref, g_vec)
-
-    def test_gradients_preemptive_off(self):
-        cloud, cam = make_scene(seed=5)
-        ref, vec = render_both(cloud, cam, random_pixels(5),
-                               preemptive_alpha=False)
-        g_ref, g_vec = backward_both(ref, vec, cloud, cam, 5)
         assert_backward_identical(g_ref, g_vec)
 
     def test_gradients_early_termination(self):

@@ -59,18 +59,6 @@ class TestForwardEquivalence:
         u, v = pixels[:, 0], pixels[:, 1]
         assert np.allclose(sparse.color, full.color[v, u], atol=1e-12)
 
-    def test_preemptive_off_same_image(self):
-        """Disabling preemptive alpha-checking changes workload, not pixels."""
-        cloud, cam = make_scene(seed=5)
-        pixels = sample_tracking_pixels(W, H, 8, "random",
-                                        np.random.default_rng(0))
-        on = render_sparse(cloud, cam, pixels, BG, preemptive_alpha=True)
-        off = render_sparse(cloud, cam, pixels, BG, preemptive_alpha=False)
-        assert np.allclose(on.color, off.color, atol=1e-12)
-        assert np.allclose(on.depth, off.depth, atol=1e-12)
-        # Without preemption the sorter sees rejected candidates too.
-        assert off.stats.num_sort_keys >= on.stats.num_sort_keys
-
     def test_empty_pixel_set(self):
         cloud, cam = make_scene()
         res = render_sparse(cloud, cam, np.zeros((0, 2), dtype=int), BG)
@@ -202,22 +190,19 @@ def lut_exp(x):
 
 
 class TestUnculledAlphaStage:
-    """The two renders that keep every bbox candidate (a ``+inf``
-    cutoff) — ``preemptive_alpha=False`` and an approximate ``exp_fn`` —
-    give the reference backend's outputs, α bits and counters."""
+    """The one render that keeps every bbox candidate (a ``+inf``
+    cutoff) — an approximate ``exp_fn`` — gives the reference backend's
+    outputs, α bits and counters."""
 
-    @pytest.mark.parametrize("case", ["preemptive_off", "lut"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_reference(self, case, seed):
+    def test_matches_reference(self, seed):
         cloud, cam = make_scene(seed=seed)
         pixels = np.stack(np.meshgrid(np.arange(0, W, 3),
                                       np.arange(0, H, 3)), -1).reshape(-1, 2)
-        kwargs = {"preemptive_off": dict(preemptive_alpha=False),
-                  "lut": dict(exp_fn=lut_exp)}[case]
         ref = render_sparse(cloud, cam, pixels, BG, backend="reference",
-                            **kwargs)
+                            exp_fn=lut_exp)
         vec = render_sparse(cloud, cam, pixels, BG, backend="vectorized",
-                            **kwargs)
+                            exp_fn=lut_exp)
         for name in ("color", "depth", "silhouette", "sorted_gss",
                      "list_lengths"):
             assert np.array_equal(getattr(ref, name), getattr(vec, name))

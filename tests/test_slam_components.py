@@ -90,11 +90,12 @@ class TestTracker:
 
     def test_stats_accumulated(self, scene):
         frame = scene[1]
-        tracker = Tracker(SPLATAM, scene.intrinsics,
+        tracker = Tracker(SPLATAM.with_overrides(tracking_iters=5),
+                          scene.intrinsics,
                           Splatonic(rng=np.random.default_rng(2)),
                           "sparse", BG)
         res = tracker.track_frame(scene.gt_cloud, frame.gt_pose_c2w,
-                                  frame.color, frame.depth, max_iters=5)
+                                  frame.color, frame.depth)
         assert res.forward_stats.num_pixels > 0
         assert res.backward_stats.num_atomic_adds >= 0
         assert res.iterations >= 1
@@ -106,17 +107,18 @@ class TestTracker:
         init = frame.gt_pose_c2w @ se3_exp(np.full(6, 0.01))
 
         def tracker():
-            return Tracker(SPLATAM, scene.intrinsics,
+            return Tracker(SPLATAM.with_overrides(tracking_iters=5),
+                           scene.intrinsics,
                            Splatonic(rng=np.random.default_rng(3)),
                            "sparse", BG)
 
         sampled = tracker().track_frame(scene.gt_cloud, init, frame.color,
-                                        frame.depth, max_iters=5)
+                                        frame.depth)
         fixed = tracker()
         pixels = fixed.splatonic.sample_tracking(
             Camera(scene.intrinsics, init), image=frame.color)
         given = fixed.track_frame(scene.gt_cloud, init, frame.color,
-                                  frame.depth, max_iters=5, pixels=pixels)
+                                  frame.depth, pixels=pixels)
         assert np.array_equal(given.pose_c2w, sampled.pose_c2w)
         assert given.final_loss == sampled.final_loss
         assert (given.backward_stats.as_dict()
@@ -139,10 +141,11 @@ class TestTracker:
                 return _real(*args, **kwargs)
 
             setattr(splatonic, name, counted)
-        tracker = Tracker(SPLATAM, scene.intrinsics, splatonic, "sparse", BG)
+        algo = (SPLATAM if max_iters is None
+                else SPLATAM.with_overrides(tracking_iters=max_iters))
+        tracker = Tracker(algo, scene.intrinsics, splatonic, "sparse", BG)
         res = tracker.track_frame(scene.gt_cloud, init, frame.color,
-                                  frame.depth, max_iters=max_iters,
-                                  collect_curve=True)
+                                  frame.depth, collect_curve=True)
         assert res.final_loss == min(res.loss_curve)
         assert len(res.loss_curve) == res.iterations
         assert (calls["backward_sparse"] < calls["render_sparse"]

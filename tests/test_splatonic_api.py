@@ -25,7 +25,8 @@ class TestConfig:
         assert cfg.tracking_tile == 16
         assert cfg.mapping_tile == 4
         assert cfg.tracking_strategy == "random"
-        assert cfg.preemptive_alpha
+        # Preemptive α-checking is always on: there is no switch for it.
+        assert not hasattr(cfg, "preemptive_alpha")
         # With mapping invoked every 4 frames, a dense current keyframe on
         # every invocation realizes "one full-frame mapping per 4 frames".
         assert cfg.full_mapping_every == 1
