@@ -1,8 +1,8 @@
 /*
  * The render engine's compiled stages, every per-iteration stage of a
  * sparse tracking iteration after the world-to-camera transform: the
- * projection, the sparse and dense α-culls, the per-pixel composite, its
- * reverse pass and the pose-only re-projection.
+ * projection, the sparse and dense α-culls, the dense α finish, the
+ * per-pixel composite, its reverse pass and the pose-only re-projection.
  *
  * project_cull and project_gather finish the projection from numpy's
  * camera-frame centres: the depth test, u, v, σ and the bbox radius, the
@@ -15,9 +15,13 @@
  * within the Gaussian's α cutoff, and candidate_place lays the kept pairs
  * out pixel-major at their exact count.  tile_cull pairs every rendered
  * pixel of a tile with the tile's depth-sorted list under the same
- * distance test.  Both culls form that distance exactly as numpy does
- * (du*du + dv*dv), so the caller's numpy falloff sees the bits it would
- * have computed itself.
+ * distance test, walking the list one pixel row's band at a time, and
+ * tile_place copies its kept pairs out at their exact count.  Both culls
+ * form that distance exactly as numpy does (du*du + dv*dv); tile_cull
+ * goes on to the falloff's exponent (-d2)*(1/(2σσ)), with numpy's
+ * operands and order, and alpha_finish takes its pairs from there, after
+ * the caller's exp: α = o*g, the clip flag and clamp, the α >= τ filter
+ * and its in-place compaction.
  *
  * The composite and its reverse pass walk K pixel segments of a flat pair
  * list (CSR: pixel k owns the next lengths[k] pairs, front-to-back) one
@@ -49,6 +53,7 @@
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* np.maximum: NaN in the first operand propagates. */
 static double maximum(double a, double b)
@@ -392,6 +397,41 @@ done:
     return pix ? total : 0;
 }
 
+/* tile_cull's kept pairs, in emission order, until tile_place. */
+struct tile_pairs {
+    int64_t capacity;
+    int64_t *slot;
+    double *x;
+};
+
+static void free_tile_pairs(struct tile_pairs *out)
+{
+    if (out) {
+        free(out->slot);
+        free(out->x);
+    }
+    free(out);
+}
+
+/* Room for n more pairs after the kept ones; 0 when out of memory (the
+ * kept pairs stay valid). */
+static int reserve(struct tile_pairs *out, int64_t kept, int64_t n)
+{
+    if (n <= out->capacity - kept)
+        return 1;
+    const int64_t capacity = 2 * (kept + n) + 1024;
+    int64_t *slot = realloc(out->slot, (size_t)capacity * sizeof(int64_t));
+    if (slot)
+        out->slot = slot;
+    double *x = realloc(out->x, (size_t)capacity * sizeof(double));
+    if (x)
+        out->x = x;
+    if (!slot || !x)
+        return 0;
+    out->capacity = capacity;
+    return 1;
+}
+
 /*
  * Dense α-cull.  Tile t owns the next n_g[t] entries of lists (L in all,
  * projected-Gaussian indices, front-to-back) and the next n_px[t] of the
@@ -399,27 +439,41 @@ done:
  * pixel of a tile is a candidate against the tile's whole list; a pair is
  * kept when d2 = du*du + dv*dv, with du = (u + 0.5) - mean2d[j][0] and dv
  * likewise, is <= cutoff[j] (a NaN keeps nothing).  Kept pairs come out
- * tile-major, then pixel, then list position, as (pixel, slot, gaussian,
- * d2): the pixel's row in px, the pair's entry in lists, its Gaussian and
- * its squared distance.
+ * tile-major, then pixel, then list position, as (slot, x): the pair's
+ * entry in lists and its falloff exponent x = (-d2)*(1/(2.0*σ*σ)), σ =
+ * sigma2d[j] (numpy's falloff operands, in its order).
  *
- * With a NULL pix only the kept pairs are counted; otherwise at most
- * capacity pairs are written.  Returns the kept-pair count.
+ * The walk is row-banded (Axis-Shared Rasterization's row sharing,
+ * applied to the walk): for each run of a tile's pixels on one row, the
+ * list entries with dv*dv <= cutoff form the row's band, and each pixel
+ * of the run is tested against the band alone, with the same du*du +
+ * dv*dv <= cutoff.  That is exact: for a, b >= 0, fl(a + b) >= b, so no
+ * entry outside the band passes, and a NaN fails both tests.  A pixel
+ * subset (Org.+S) takes the same path; its rows need not be whole.
+ *
+ * Each candidate is tested once, branch-free, into a scratch the call
+ * grows; lengths[k] receives pixel k's kept count.  Returns the kept
+ * total and hands the scratch to *scratch, which tile_place must then be
+ * given.
  */
 int64_t tile_cull(
     int64_t T, int64_t L, int64_t K, int64_t m, const int64_t *n_g,
     const int64_t *n_px, const int64_t *lists, const int64_t *px,
-    const double *mean2d, const double *cutoff, int64_t capacity,
-    int64_t *pix, int64_t *slot, int64_t *gs, double *d2)
+    const double *mean2d, const double *sigma2d, const double *cutoff,
+    int64_t *lengths, void **scratch)
 {
-    /* Per entry of the tile's list: mu, mv and cutoff, gathered once;
-     * per kept pair of the pixel: d2 and the list entry, so the kept
-     * pairs are compacted without a branch per candidate. */
+    if (!scratch)
+        return -1;
+    *scratch = NULL;
+    /* Columns of the tile's list (mu, mv, cutoff, 1/(2σσ)) and of a
+     * row's band (mu, dv*dv, cutoff, 1/(2σσ), and the slot), gathered
+     * once per tile and once per row. */
     const size_t rows = (size_t)longest(T, n_g) + 1;
-    double *list = malloc(4 * rows * sizeof(double));
-    int64_t *entry = malloc(rows * sizeof(int64_t));
+    double *list = malloc(8 * rows * sizeof(double));
+    int64_t *band_slot = malloc(rows * sizeof(int64_t));
+    struct tile_pairs *out = calloc(1, sizeof(struct tile_pairs));
     int64_t kept = -2, s0 = 0, p0 = 0;
-    if (!list || !entry)
+    if (!list || !band_slot || !out)
         goto done;
     kept = 0;
     for (int64_t t = 0; t < T; t++) {
@@ -428,50 +482,54 @@ int64_t tile_cull(
             kept = -1;
             goto done;
         }
-        if (ng == 0 || np_ == 0)
-            goto next;
         double *mu = list, *mv = list + ng, *cut = list + 2 * ng,
-               *dd = list + 3 * ng;
+               *inv = list + 3 * ng;
+        double *b_mu = list + 4 * ng, *b_dv2 = list + 5 * ng,
+               *b_cut = list + 6 * ng, *b_inv = list + 7 * ng;
         for (int64_t i = 0; i < ng; i++) {
             const int64_t j = lists[s0 + i];
             if (j < 0 || j >= m) {
                 kept = -1;
                 goto done;
             }
+            const double s = sigma2d[j];
             mu[i] = mean2d[2 * j];
             mv[i] = mean2d[2 * j + 1];
             cut[i] = cutoff[j];
+            inv[i] = 1.0 / (2.0 * s * s);
         }
-        for (int64_t k = p0; k < p0 + np_; k++) {
-            const double cu = (double)px[2 * k] + 0.5;
-            const double cv = (double)px[2 * k + 1] + 0.5;
-            int64_t n = 0;
-            if (!pix) {
-                for (int64_t i = 0; i < ng; i++) {
-                    const double du = cu - mu[i], dv = cv - mv[i];
-                    n += du * du + dv * dv <= cut[i];
-                }
-                kept += n;
-                continue;
-            }
+        for (int64_t k = p0; k < p0 + np_;) {
+            const int64_t v = px[2 * k + 1];
+            const double cv = (double)v + 0.5;
+            int64_t nb = 0;
             for (int64_t i = 0; i < ng; i++) {
-                const double du = cu - mu[i], dv = cv - mv[i];
-                dd[n] = du * du + dv * dv;
-                entry[n] = s0 + i;
-                n += dd[n] <= cut[i];
+                const double dv = cv - mv[i];
+                b_mu[nb] = mu[i];
+                b_dv2[nb] = dv * dv;
+                b_cut[nb] = cut[i];
+                b_inv[nb] = inv[i];
+                band_slot[nb] = s0 + i;
+                nb += b_dv2[nb] <= cut[i];
             }
-            if (n > capacity - kept) {
-                kept = -1;
-                goto done;
-            }
-            for (int64_t q = 0; q < n; q++, kept++) {
-                pix[kept] = k;
-                slot[kept] = entry[q];
-                gs[kept] = lists[entry[q]];
-                d2[kept] = dd[q];
+            for (; k < p0 + np_ && px[2 * k + 1] == v; k++) {
+                const double cu = (double)px[2 * k] + 0.5;
+                if (!reserve(out, kept, nb)) {
+                    kept = -2;
+                    goto done;
+                }
+                /* A dropped pair's entry is overwritten by the next. */
+                int64_t n = kept;
+                for (int64_t q = 0; q < nb; q++) {
+                    const double du = cu - b_mu[q];
+                    const double d = du * du + b_dv2[q];
+                    out->slot[n] = band_slot[q];
+                    out->x[n] = -d * b_inv[q];
+                    n += d <= b_cut[q];
+                }
+                lengths[k] = n - kept;
+                kept = n;
             }
         }
-    next:
         s0 += ng;
         p0 += np_;
     }
@@ -479,8 +537,78 @@ int64_t tile_cull(
         kept = -1;
 done:
     free(list);
-    free(entry);
+    free(band_slot);
+    if (kept >= 0)
+        *scratch = out;
+    else
+        free_tile_pairs(out);
     return kept;
+}
+
+/*
+ * Copies the count pairs of a tile_cull call's scratch into slot and x,
+ * each count long, and frees the scratch; with a NULL slot it only frees
+ * it.  Returns count, or -1 when the scratch holds fewer pairs.
+ */
+int64_t tile_place(void *scratch, int64_t count, int64_t *slot, double *x)
+{
+    struct tile_pairs *out = scratch;
+    int64_t placed = 0;
+    if (slot && (count < 0 || count > out->capacity))
+        placed = -1;
+    else if (slot && count > 0) {
+        memcpy(slot, out->slot, (size_t)count * sizeof(int64_t));
+        memcpy(x, out->x, (size_t)count * sizeof(double));
+        placed = count;
+    }
+    free_tile_pairs(out);
+    return placed;
+}
+
+/*
+ * The dense α stage's finish, after the caller's exp: P pairs in K
+ * pixel segments (pixel k owns the next lengths[k]), each with its
+ * falloff g in alpha and its slot in lists (L projected-Gaussian
+ * indices), as tile_place leaves them.  Per pair, with j = lists[slot],
+ * α = opacity[j]*g, clipped = α > alpha_max, α is clamped to alpha_max
+ * as np.minimum clamps it (a NaN stays NaN), and the pair is kept when
+ * α >= tau.  The kept pairs are compacted in place, in order: slot, α
+ * into alpha, the clip flag into clipped and j into gs; lengths[k]
+ * becomes pixel k's kept count.  Returns the kept count.
+ */
+int64_t alpha_finish(
+    int64_t K, int64_t P, int64_t L, int64_t m, int64_t *lengths,
+    int64_t *slot, const int64_t *lists, int64_t *gs, double *alpha,
+    uint8_t *clipped, const double *opacity, double alpha_max, double tau)
+{
+    int64_t p = 0, n = 0;
+    for (int64_t k = 0; k < K; k++) {
+        if (lengths[k] < 0 || lengths[k] > P - p)
+            return -1;
+        p += lengths[k];
+    }
+    if (p != P)
+        return -1;
+    p = 0;
+    for (int64_t k = 0; k < K; k++) {
+        const int64_t first = n;
+        for (const int64_t end = p + lengths[k]; p < end; p++) {
+            const int64_t i = slot[p];
+            const int64_t j = i >= 0 && i < L ? lists[i] : -1;
+            if (j < 0 || j >= m)
+                return -1;
+            const double a = opacity[j] * alpha[p];
+            const int c = a > alpha_max;
+            const double clamped = c ? alpha_max : a;
+            slot[n] = i;
+            gs[n] = j;
+            alpha[n] = clamped;
+            clipped[n] = (uint8_t)c;
+            n += clamped >= tau;
+        }
+        lengths[k] = n - first;
+    }
+    return n;
 }
 
 /*

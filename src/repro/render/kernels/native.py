@@ -61,8 +61,12 @@ _ENTRY_POINTS = {
     "candidate_place": ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
                          ctypes.c_int64] + [ctypes.c_void_p] * 3,
                         ctypes.c_int64),
-    "tile_cull": ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 6
-                  + [ctypes.c_int64] + [ctypes.c_void_p] * 4, ctypes.c_int64),
+    "tile_cull": ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 8
+                  + [ctypes.POINTER(ctypes.c_void_p)], ctypes.c_int64),
+    "tile_place": ([ctypes.c_void_p, ctypes.c_int64]
+                   + [ctypes.c_void_p] * 2, ctypes.c_int64),
+    "alpha_finish": ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 7
+                     + [ctypes.c_double] * 2, ctypes.c_int64),
     "composite_forward": ([ctypes.c_int64] * 3 + [ctypes.c_void_p] * 6
                           + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 9,
                           ctypes.c_int),

@@ -31,13 +31,13 @@ with a shorter list adds ``+0.0`` to each forward total, and its reverse
 suffix scans start from the padding term ``(Γ·0)·0``.  Only ``-0.0`` and
 NaN results depend on it.
 
-The stages — :func:`falloff_alpha` (and :func:`evaluate_alpha`, which
-forms the squared distances itself), :func:`composite` and the reverse
-pass — are also the engine of the dense tile pipeline
-(:mod:`repro.render.rasterize` / :mod:`repro.render.backward`), which
-feeds them from its depth-sorted tile table — one composite and one
-reverse call per frame — and aggregates per (tile, list slot) before a
-per-Gaussian fold.  The reverse pass has a second, per-pair
+:func:`composite` and the reverse pass are also the engine of the dense
+tile pipeline (:mod:`repro.render.rasterize` /
+:mod:`repro.render.backward`), which feeds them from its depth-sorted
+tile table — one composite and one reverse call per frame, after its own
+compiled α stage with :func:`falloff_alpha`'s bits — and aggregates per
+(tile, list slot) before a per-Gaussian fold.  :func:`evaluate_alpha`
+forms the squared distances itself and is the oracles' α.  The reverse pass has a second, per-pair
 mode, :func:`alpha_gradients` (everything up to dL/dα, no falloff, no
 aggregation): anisotropic splats (:mod:`repro.render.anisotropic`) run
 :func:`forward` on their own conic α and :func:`alpha_gradients` under
@@ -143,13 +143,14 @@ def evaluate_alpha(proj, gss, centres, exp_fn=np.exp):
 def falloff_alpha(proj, gss, d2, exp_fn=np.exp):
     """The second half of :func:`evaluate_alpha`: ``(alpha, clipped)``
     from each pair's squared centre distance ``d2 = du*du + dv*dv``, for
-    callers that computed it themselves (both pipelines' compiled
-    culls)."""
+    callers that computed it themselves (the sparse pipeline's compiled
+    cull).  The dense pipeline's ``tile_cull`` and ``alpha_finish`` in
+    ``_native.c`` keep these operands and this order around numpy's
+    ``exp``."""
     sig = proj.sigma2d
     # opacity·exp(−d2·inv_2var), operands in that order, computed in place:
-    # a dense frame has ~10⁵ pairs, and each fresh temporary of that size
-    # costs page faults.  An approximate exp_fn (the LUT ablation) returns
-    # a fresh array instead.
+    # each fresh temporary costs page faults.  An approximate exp_fn (the
+    # LUT ablation) returns a fresh array instead.
     x = np.negative(d2)
     x *= (1.0 / (2.0 * sig * sig))[gss]
     g = np.exp(x, out=x) if exp_fn is np.exp else exp_fn(x)

@@ -7,15 +7,18 @@ workload counters the hardware models consume.
 Rasterization runs on the render engine the sparse pixel pipeline uses
 (:mod:`repro.render.kernels.vectorized`), fed from the tile table:
 
-- *candidates*: every rendered pixel of a tile x every Gaussian in that
-  tile's list, as the tile pipeline α-checks them (so
+- *candidates and α*: every rendered pixel of a tile x every Gaussian
+  in that tile's list, as the tile pipeline α-checks them (so
   ``num_candidate_pairs = Σ n_px·n_g``).  One compiled call
-  (``tile_cull`` in ``_native.c``) walks them all: it forms each pair's
-  ``d² = du² + dv²`` with numpy's bits and drops the pair when ``d²`` lies
-  beyond the Gaussian's conservative α cutoff.  The exact α expression
-  then runs in numpy (its ``exp``) on the survivors alone — the same
-  passing pairs, α bits and clip flags as evaluating every candidate, at
-  any ``alpha_threshold``;
+  (``tile_cull`` in ``_native.c``) walks them all, a pixel row at a
+  time: the row keeps the list entries whose ``dv²`` is within their
+  Gaussian's conservative α cutoff, and each of its pixels tests only
+  those, forming ``d² = du² + dv²`` with numpy's bits and dropping the
+  pair when ``d²`` lies beyond the cutoff; a survivor leaves with its
+  falloff exponent.  numpy's ``exp`` runs on the survivors in place, and
+  one more compiled call (``alpha_finish``) forms ``α``, its clip flag and
+  the ``α ≥ alpha_threshold`` filter — the same passing pairs, α bits and
+  clip flags as evaluating every candidate, at any ``alpha_threshold``;
 - *order*: the pairs come out tile-major, pixels row-major within a tile
   and front-to-back within a pixel — each tile's depth sort is reused for
   every pixel in it, with no per-pair sort (the redundant-sort
@@ -40,6 +43,8 @@ inefficiency Figs. 11/21 quantify.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,17 +56,17 @@ from ..obs import trace
 # composite_forward is the per-tile oracle of the engine below; it stays
 # importable from this module (perfbench/layers.py wraps it here).
 from .compositing import (  # noqa: F401
+    ALPHA_MAX,
     ALPHA_THRESHOLD,
     T_MIN,
     composite_forward,
 )
 from .kernels import native
-from .kernels.native import f64, i64, ptr
+from .kernels.native import f64, i64, pointers, ptr
 from .kernels.vectorized import (
     FlatCompositeCache,
     alpha_cutoff,
     composite,
-    falloff_alpha,
 )
 from .projection import ProjectedGaussians, project_gaussians
 from .sorting import sort_intersection_table
@@ -165,12 +170,12 @@ def render_full(
                     tiles=grid.num_tiles):
         n_g = table.tile_counts()
         n_px = np.bincount(px_tiles, minlength=grid.num_tiles)
-        pix, slots, gss, alpha, clipped = _tile_pairs(
+        slots, gss, alpha, clipped, lengths = _tile_pairs(
             proj, sorted_gss, n_g, n_px, px, alpha_threshold)
         u, v = px[:, 0], px[:, 1]
         color[v, u], depth[v, u], silhouette[v, u], cache = composite(
-            proj, gss, np.bincount(pix, minlength=px.shape[0]), px + 0.5,
-            bg, alpha, clipped, alpha_threshold, t_min)
+            proj, gss, lengths, px + 0.5, bg, alpha, clipped,
+            alpha_threshold, t_min)
         contribs = (np.zeros(px.shape[0], dtype=np.int64) if cache is None
                     else cache.touched)
 
@@ -204,13 +209,25 @@ def render_full(
 
 def _rendered_pixels(grid: TileGrid, pixels: Optional[np.ndarray]):
     """The pixels to rasterize, tile-major and row-major within a tile,
-    with their tiles.  A ``pixels`` subset is deduplicated."""
+    with their tiles.  A ``pixels`` subset is deduplicated; the full
+    frame's (``pixels=None``) are built once per grid, read-only."""
     if pixels is None:
-        v, u = np.divmod(np.arange(grid.width * grid.height), grid.width)
-    else:
-        mask = np.zeros((grid.height, grid.width), dtype=bool)
-        mask[pixels[:, 1], pixels[:, 0]] = True
-        v, u = np.nonzero(mask)
+        return _full_frame_pixels(grid)
+    mask = np.zeros((grid.height, grid.width), dtype=bool)
+    mask[pixels[:, 1], pixels[:, 0]] = True
+    v, u = np.nonzero(mask)
+    return _tile_major(grid, u, v)
+
+
+@functools.lru_cache(maxsize=8)
+def _full_frame_pixels(grid: TileGrid):
+    v, u = np.divmod(np.arange(grid.width * grid.height), grid.width)
+    px, tiles = _tile_major(grid, u, v)
+    px.flags.writeable = tiles.flags.writeable = False
+    return px, tiles
+
+
+def _tile_major(grid, u, v):
     tiles = grid.tile_of_pixel(u, v)
     order = np.argsort(tiles, kind="stable")
     return np.stack([u[order], v[order]], axis=-1), tiles[order]
@@ -221,58 +238,90 @@ def _tile_cull(proj, sorted_gss, n_g, n_px, px, cutoff):
     rendered pixel of a tile against the tile's whole list in the flat
     tile-major ``sorted_gss`` (``n_g`` entries per tile), a pair
     kept when its ``d² = du² + dv²`` (centre = pixel + 0.5, the bits
-    :func:`evaluate_alpha` computes) is within ``cutoff``.  Returns flat
-    ``(pixel, slot, gaussian, d2)`` arrays, tile-major, then pixel, then
-    list position, sized exactly: the kernel counts the kept pairs, then
-    fills arrays of that size."""
+    :func:`evaluate_alpha` computes) is within ``cutoff``; each pixel row
+    of a tile tests only the list entries whose ``dv²`` is.  Returns
+    ``(slots, x, lengths)``: per kept pair, its position in ``sorted_gss``
+    and its falloff exponent ``(−d²)·(1/(2σ²))`` (:func:`falloff_alpha`'s
+    operands and order), tile-major, then pixel, then list position, and
+    per rendered pixel its kept count.  The kernel tests each candidate
+    once into a scratch, and a second call copies the kept pairs into
+    arrays of their exact size."""
     lists = i64(sorted_gss)
     n_g, n_px, px = i64(n_g), i64(n_px), i64(px)
-    m = len(proj)
-    mean2d, cutoff = f64(proj.mean2d), f64(cutoff)
-    if (n_px.shape != n_g.shape or px.shape != (px.shape[0], 2)
-            or mean2d.shape != (m, 2) or cutoff.shape != (m,)):
-        raise ValueError("tile cull: tile counts, pixels, means or cutoffs "
-                         "have the wrong shape")
-    sizes = (n_g.size, lists.size, px.shape[0], m)
-    inputs = tuple(map(ptr, (n_g, n_px, lists, px, mean2d, cutoff)))
-    cull = native.library().tile_cull
-    count = cull(*sizes, *inputs, 0, None, None, None, None)
-    if count >= 0:
-        pairs = (np.empty(count, dtype=np.int64),
-                 np.empty(count, dtype=np.int64),
-                 np.empty(count, dtype=np.int64), np.empty(count))
-        count = cull(*sizes, *inputs, count, *map(ptr, pairs))
-        if count >= 0:
-            return pairs
+    m, K = len(proj), px.shape[0]
+    mean2d, sigma2d, cutoff = (f64(proj.mean2d), f64(proj.sigma2d),
+                               f64(cutoff))
+    if (n_px.shape != n_g.shape or px.shape != (K, 2)
+            or mean2d.shape != (m, 2) or sigma2d.shape != (m,)
+            or cutoff.shape != (m,)):
+        raise ValueError("tile cull: tile counts, pixels, means, σ or "
+                         "cutoffs have the wrong shape")
+    lengths = np.empty(K, dtype=np.int64)
+    sizes = (n_g.size, lists.size, K, m)
+    inputs = tuple(map(ptr, (n_g, n_px, lists, px, mean2d, sigma2d, cutoff,
+                             lengths)))
+    lib, scratch = native.library(), ctypes.c_void_p()
+    count = lib.tile_cull(*sizes, *inputs, ctypes.byref(scratch))
     if count == -2:
-        raise MemoryError("tile cull: no memory for the list scratch")
-    raise ValueError("tile cull: the tile counts do not sum to the list "
-                     "and pixel counts, or a list indexes no projected "
-                     "Gaussian")
+        raise MemoryError("tile cull: no memory for the pair scratch")
+    if count < 0:
+        raise ValueError("tile cull: the tile counts do not sum to the list "
+                         "and pixel counts, or a list indexes no projected "
+                         "Gaussian")
+    out = None
+    try:
+        out = (np.empty(count, dtype=np.int64), np.empty(count))
+    finally:
+        # Frees the scratch, and copies the pairs out when ``out`` exists.
+        placed = lib.tile_place(scratch, count, *map(ptr, out or (None,) * 2))
+    if placed != count:
+        raise ValueError("tile cull: the scratch holds fewer pairs than "
+                         "counted")
+    return (*out, lengths)
 
 
 def _tile_pairs(proj, sorted_gss, n_g, n_px, px, alpha_threshold):
-    """Candidate + α stage of the dense pipeline.
+    """Candidate + α stage of the dense pipeline: two compiled calls with
+    numpy's ``exp`` between them.
 
     Every rendered pixel of a tile is a candidate against the tile's whole
     sorted list.  :func:`_tile_cull` drops the pairs whose ``d²`` exceeds
-    :func:`alpha_cutoff`, which no passing pair's does;
-    ``evaluate_alpha``'s falloff (:func:`falloff_alpha`, numpy's ``exp``)
-    then runs on the survivors alone and ``α ≥ alpha_threshold`` decides,
-    so the result is the pair list, α bits and clip flags of evaluating
-    every candidate.  Pairs come out in emission order: tile-major, then
-    pixel, then list position.  Full frames and Org.+S pixel subsets take
-    the same path.  Returns flat ``(pixel, slot, gaussian, alpha,
-    clipped)`` arrays.
+    :func:`alpha_cutoff`, which no passing pair's does, and forms the
+    survivors' falloff exponents; ``np.exp`` runs on them in place, and
+    :func:`_finish_alpha` forms ``α``, its clip flag and the ``α ≥
+    alpha_threshold`` filter, so the result is the pair list, α bits and
+    clip flags of evaluating every candidate.  Pairs come out in emission
+    order: tile-major, then pixel, then list position.  Full frames and
+    Org.+S pixel subsets take the same path.  Returns flat ``(slot,
+    gaussian, alpha, clipped)`` arrays and the per-pixel pair counts.
     """
-    pix, slots, gss, d2 = _tile_cull(proj, sorted_gss, n_g, n_px, px,
-                                     alpha_cutoff(proj, alpha_threshold))
-    alpha, clipped = falloff_alpha(proj, gss, d2)
-    passes = alpha >= alpha_threshold
-    if passes.all():
-        return pix, slots, gss, alpha, clipped
-    keep = np.flatnonzero(passes)
-    return pix[keep], slots[keep], gss[keep], alpha[keep], clipped[keep]
+    slots, x, lengths = _tile_cull(proj, sorted_gss, n_g, n_px, px,
+                                   alpha_cutoff(proj, alpha_threshold))
+    return (*_finish_alpha(proj, sorted_gss, slots, np.exp(x, out=x),
+                           lengths, alpha_threshold), lengths)
+
+
+def _finish_alpha(proj, sorted_gss, slots, g, lengths, alpha_threshold):
+    """``alpha_finish`` in ``_native.c``: :func:`falloff_alpha`'s ``α =
+    o·g``, clip flag and clamp on each pair's falloff value ``g``, then
+    the ``α ≥ alpha_threshold`` filter, with the bits of ``falloff_alpha``
+    and of the fancy-index compaction it replaces.  ``slots``, ``g`` and
+    ``lengths`` (:func:`_tile_cull`'s) are compacted in place to the kept
+    pairs.  Returns the kept pairs' ``(slot, gaussian, alpha, clipped)``.
+    """
+    lists, m, P = i64(sorted_gss), len(proj), slots.size
+    if proj.opacity.shape != (m,):
+        raise ValueError("α finish: projected opacities have the wrong "
+                         "shape")
+    gss, clipped = np.empty(P, dtype=np.int64), np.empty(P, dtype=bool)
+    count = native.library().alpha_finish(
+        lengths.size, P, lists.size, m, ptr(lengths), ptr(slots),
+        ptr(lists), ptr(gss), ptr(g), ptr(clipped),
+        *pointers(proj, ("opacity",)), ALPHA_MAX, alpha_threshold)
+    if count < 0:
+        raise ValueError("α finish: the per-pixel counts do not sum to the "
+                         "pair count, or a slot indexes no list entry")
+    return slots[:count], gss[:count], g[:count], clipped[:count]
 
 
 def _tile_work_records(cache, slots, n_g, n_px, px_tiles):

@@ -42,9 +42,14 @@ def sort_intersection_table(
 
     Returns the tile-Gaussian *sorted* list of Fig. 3 as one flat array,
     tile-major: tile ``t``'s list is the next ``table.tile_counts()[t]``
-    entries.  One global ``np.lexsort`` on ``(tile, depth, index)`` —
-    :func:`sort_by_depth`'s key with the tile as the primary key — so
-    every list is exactly what a per-tile ``sort_by_depth`` returns.
+    entries.  Every list is exactly what a per-tile ``sort_by_depth``
+    returns: one ``np.argsort`` on ``tile·m + rank``, ``rank`` being each
+    Gaussian's place in a stable depth sort of the ``m`` projected
+    Gaussians (NaN last, ties and ±0 by index) — the ``(tile, depth,
+    index)`` order of a three-key ``np.lexsort``, in one integer key.
     """
     g = table.gaussians
-    return g[np.lexsort((g, proj.depth[g], table.tiles))]
+    m = proj.depth.size
+    rank = np.empty(m, dtype=np.int64)
+    rank[np.argsort(proj.depth, kind="stable")] = np.arange(m)
+    return g[np.argsort(table.tiles * m + rank[g])]

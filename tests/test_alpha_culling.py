@@ -5,8 +5,10 @@
 conservative α cutoff, and evaluates α only on the survivors.  It must
 emit exactly the pairs, α bits and clip flags of ``tile_pairs_oracle``,
 which evaluates every pixel of a tile against the tile's whole list, and
-the compiled cull exactly the arrays of the numpy axis-shared cull it
-replaced (``tile_oracle.axis_shared_cull``).  The scenes put splats within
+the compiled cull exactly the pairs and falloff exponents of the numpy
+axis-shared cull it replaced (``tile_oracle.axis_shared_cull``).  Both
+compiled stages return per-pixel pair counts where the oracles return
+each pair's pixel; :func:`flat_pairs` converts.  The scenes put splats within
 a few ulps of the α boundary or of the cutoff, and opacities a few ulps
 either side of the threshold, where a cutoff without margin would drop
 passing pairs.
@@ -19,13 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gaussians import Camera, GaussianCloud, Intrinsics
+from repro.render import rasterize
 from repro.render.compositing import ALPHA_MAX
+from repro.render.kernels import vectorized
 from repro.render.projection import ProjectedGaussians
 from repro.render.rasterize import (
     _rendered_pixels,
     _tile_cull,
     _tile_pairs,
     alpha_cutoff,
+    render_full,
 )
 from repro.render.sorting import sort_intersection_table
 from repro.render.tiles import TileGrid, build_intersection_table
@@ -122,6 +128,13 @@ def per_tile(sorted_gss, n_g):
     return np.split(sorted_gss, np.cumsum(n_g)[:-1])
 
 
+def flat_pairs(pairs):
+    """A compiled stage's ``(..., lengths)`` as the oracles' flat arrays:
+    each pair's pixel first, then the stage's per-pair arrays."""
+    *arrays, lengths = pairs
+    return (np.repeat(np.arange(lengths.size), lengths), *arrays)
+
+
 def assert_same_pairs(got, want,
                       names=("pixel", "slot", "gaussian", "alpha", "clipped")):
     assert len(got) == len(want) == len(names)
@@ -131,18 +144,29 @@ def assert_same_pairs(got, want,
         assert a.tobytes() == b.tobytes(), name
 
 
-CULL = ("pixel", "slot", "gaussian", "d2")
+CULL = ("pixel", "slot", "gaussian", "exponent")
 
 
 def assert_cull_matches(proj, grid, pixels, tau):
-    """The compiled cull emits the numpy axis-shared cull's arrays; returns
-    them."""
-    sorted_gss, n_g, n_px, px = stage_inputs(proj, grid, pixels)
-    cutoff = alpha_cutoff(proj, tau)
-    got = _tile_cull(proj, sorted_gss, n_g, n_px, px, cutoff)
-    assert_same_pairs(
-        got, axis_shared_cull(proj, grid, per_tile(sorted_gss, n_g), n_g,
-                              n_px, px, cutoff), CULL)
+    """The compiled cull emits the numpy axis-shared cull's pairs, with
+    the falloff exponents of their ``d²``; returns them as flat
+    ``(pixel, slot, gaussian, exponent)`` arrays."""
+    return assert_cull_is_oracles(proj, grid, stage_inputs(proj, grid, pixels),
+                                  alpha_cutoff(proj, tau))
+
+
+def assert_cull_is_oracles(proj, grid, inputs, cutoff):
+    """:func:`assert_cull_matches` on given stage inputs and cutoffs."""
+    sorted_gss, n_g, n_px, px = inputs
+    pix, slot, x = flat_pairs(_tile_cull(proj, sorted_gss, n_g, n_px, px,
+                                         cutoff))
+    got = pix, slot, sorted_gss[slot], x
+    pix, slot, gaussian, d2 = axis_shared_cull(
+        proj, grid, per_tile(sorted_gss, n_g), n_g, n_px, px, cutoff)
+    # falloff_alpha's exponent, operands in its order.
+    sig = proj.sigma2d
+    x = np.negative(d2) * (1.0 / (2.0 * sig * sig))[gaussian]
+    assert_same_pairs(got, (pix, slot, gaussian, x), CULL)
     return got
 
 
@@ -163,7 +187,7 @@ def nan_scenes(draw):
 def test_matches_per_tile_broadcast(scene):
     proj, grid, pixels, tau = scene
     sorted_gss, n_g, n_px, px = stage_inputs(proj, grid, pixels)
-    got = _tile_pairs(proj, sorted_gss, n_g, n_px, px, tau)
+    got = flat_pairs(_tile_pairs(proj, sorted_gss, n_g, n_px, px, tau))
     want = tile_pairs_oracle(proj, per_tile(sorted_gss, n_g), n_g, n_px,
                              px + 0.5, tau)
     assert_same_pairs(got, want)
@@ -183,7 +207,7 @@ def test_boundary_cases_straddle_the_threshold():
     want = tile_pairs_oracle(proj, per_tile(sorted_gss, n_g), n_g, n_px,
                              px + 0.5, tau)
     assert_same_pairs(
-        _tile_pairs(proj, sorted_gss, n_g, n_px, px, tau), want)
+        flat_pairs(_tile_pairs(proj, sorted_gss, n_g, n_px, px, tau)), want)
     alpha = want[3]
     assert np.any(alpha == tau)
     # α values within 8 ulps of τ that still pass: a cutoff without a
@@ -222,7 +246,7 @@ def test_nan_opacity_or_sigma_passes_no_pair(scene):
     with np.errstate(invalid="ignore"):
         assert_cull_matches(proj, grid, pixels, tau)
         sorted_gss, n_g, n_px, px = stage_inputs(proj, grid, pixels)
-        got = _tile_pairs(proj, sorted_gss, n_g, n_px, px, tau)
+        got = flat_pairs(_tile_pairs(proj, sorted_gss, n_g, n_px, px, tau))
         assert_same_pairs(got, tile_pairs_oracle(
             proj, per_tile(sorted_gss, n_g), n_g, n_px, px + 0.5, tau))
     nan = np.isnan(proj.opacity) | np.isnan(proj.sigma2d)
@@ -282,3 +306,120 @@ def test_bad_inputs_raise(edit):
     with pytest.raises(ValueError):
         _tile_cull(proj, sorted_gss, n_g, n_px, px,
                    alpha_cutoff(proj, 0.0))
+
+
+class TestBandEdges:
+    """The row-banded walk on the edges of its band test ``dv² <=
+    cutoff``, against the axis-shared cull.  Every splat is in every
+    tile's list, so no bbox test screens the edge cases out."""
+
+    GRID = TileGrid(12, 10, 4)
+
+    @staticmethod
+    def every_list(proj, grid, pixels=None):
+        m, T = len(proj), grid.num_tiles
+        px, px_tiles = _rendered_pixels(grid, pixels)
+        return (np.tile(np.arange(m), T), np.full(T, m),
+                np.bincount(px_tiles, minlength=T), px)
+
+    def check(self, mean2d, cutoff, sigma=None, pixels=None, inputs=None):
+        m = len(cutoff)
+        proj = splats(mean2d, np.ones(m) if sigma is None else sigma,
+                      np.full(m, 0.5), np.arange(1.0, m + 1.0))
+        inputs = inputs or self.every_list(proj, self.GRID, pixels)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            return assert_cull_is_oracles(proj, self.GRID, inputs,
+                                          np.asarray(cutoff, float))
+
+    def test_cutoff_equal_to_a_rows_dv2(self):
+        """A cutoff of exactly some row's ``dv²`` puts that row in the
+        band, and the pixel straight above the centre passes with ``d² ==
+        cutoff``; one ulp less keeps neither."""
+        rng = np.random.default_rng(11)
+        mean2d = np.stack([rng.integers(0, 12, 16) + 0.5,
+                           rng.uniform(0.0, 10.0, 16)], axis=-1)
+        rows = rng.integers(0, 10, 16) + 0.5
+        dv2 = (rows - mean2d[:, 1]) * (rows - mean2d[:, 1])
+        exact = self.check(mean2d, dv2)
+        assert exact[0].size >= 16
+        below = self.check(mean2d, np.nextafter(dv2, -np.inf))
+        assert below[0].size < exact[0].size
+
+    @pytest.mark.parametrize("cutoff", [0.0, -0.0])
+    def test_zero_cutoffs_keep_only_the_centre_pixel(self, cutoff):
+        got = self.check([[4.5, 4.5], [0.5, 9.5], [4.25, 4.5]],
+                         [cutoff] * 3)
+        assert got[2].tolist() == [0, 1]
+
+    def test_infinite_cutoff_keeps_every_non_nan_distance(self):
+        mean2d = [[3.0, 2.0], [np.inf, 3.5], [3.5, np.inf],
+                  [-np.inf, -np.inf], [np.nan, 2.5], [2.5, np.nan],
+                  [1e200, 1e200]]
+        got = self.check(mean2d, [np.inf] * 7)
+        keeps = np.bincount(got[2], minlength=7)
+        assert keeps.tolist() == [120] * 4 + [0, 0, 120]
+
+    def test_infinite_and_nan_means_fail_finite_cutoffs(self):
+        mean2d = [[np.inf, 3.5], [3.5, -np.inf], [np.nan, 2.5],
+                  [2.5, np.nan], [3.5, 2.5]]
+        got = self.check(mean2d, [1e300, 1e300, 1e300, 1e300, 2.0])
+        assert set(got[2].tolist()) == {4}
+
+    def test_nan_cutoffs_and_degenerate_sigmas(self):
+        got = self.check([[3.5, 2.5]] * 4, [np.nan, np.inf, 4.0, 0.0],
+                         sigma=[1.0, 0.0, np.inf, np.nan])
+        assert set(got[2].tolist()) == {1, 2, 3}
+
+    def test_org_s_rows_with_gaps(self):
+        """Sampled pixels that skip rows and leave rows part-filled."""
+        rng = np.random.default_rng(4)
+        mean2d = rng.uniform(-2.0, 14.0, (24, 2))
+        keep = rng.random((10, 12)) < 0.35
+        keep[1::4] = False
+        v, u = np.nonzero(keep)
+        got = self.check(mean2d, rng.uniform(0.0, 20.0, 24),
+                         pixels=np.stack([u, v], axis=-1))
+        assert got[0].size > 0
+
+    def test_pixels_out_of_row_order(self):
+        """A tile's pixels in any order: each run of one row is a band.
+        (Every tile misses its corner pixel: the oracle reads a whole
+        tile's pixels as row-major.)"""
+        rng = np.random.default_rng(9)
+        mean2d = rng.uniform(-2.0, 14.0, (24, 2))
+        cutoff = rng.uniform(0.0, 20.0, 24)
+        proj = splats(mean2d, np.ones(24), np.full(24, 0.5),
+                      np.arange(24.0))
+        keep = rng.random((10, 12)) < 0.8
+        keep[::4, ::4] = False
+        v, u = np.nonzero(keep)
+        sorted_gss, n_g, n_px, px = self.every_list(
+            proj, self.GRID, np.stack([u, v], axis=-1))
+        starts = np.cumsum(n_px) - n_px
+        px = np.concatenate([px[lo:lo + n][rng.permutation(n)]
+                             for lo, n in zip(starts, n_px)])
+        got = self.check(mean2d, cutoff,
+                         inputs=(sorted_gss, n_g, n_px, px))
+        assert got[0].size > 0
+
+
+def test_dense_render_runs_no_numpy_falloff(monkeypatch):
+    """A dense frame's α stage is the compiled cull, numpy's ``exp`` and
+    the compiled finish: ``render_full`` never reaches ``falloff_alpha``."""
+    def numpy_falloff(*args, **kwargs):
+        raise AssertionError("render_full called falloff_alpha")
+
+    for module in (vectorized, rasterize):
+        monkeypatch.setattr(module, "falloff_alpha", numpy_falloff,
+                            raising=False)
+    rng = np.random.default_rng(2)
+    n = 60
+    cloud = GaussianCloud.create(
+        means=np.stack([rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
+                        rng.uniform(1, 4, n)], axis=-1),
+        scales=rng.uniform(0.05, 0.3, n), opacities=rng.uniform(0.1, 1.0, n),
+        colors=rng.uniform(0, 1, (n, 3)))
+    cam = Camera(Intrinsics.from_fov(40, 30, 70.0))
+    for pixels in (None, [[3, 4], [20, 15], [21, 15], [39, 29]]):
+        res = render_full(cloud, cam, pixels=pixels)
+        assert res.stats.num_contrib_pairs > 0

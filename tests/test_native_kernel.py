@@ -1,6 +1,10 @@
 """Building and loading the compiled composite kernel."""
 
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,6 +62,51 @@ class TestBuildCache:
         second = native.build(source, tmp_path)
         assert second != first and second.exists()
         assert len(compiles) == 2
+
+
+#: Runs pytest with the process's kernel loaded from argv[1]; exits 77
+#: when that library cannot be loaded.
+_RUN_WITH_LIBRARY = """
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.render.kernels import native
+
+try:
+    native._LIBRARY = native.load(Path(sys.argv[1]))
+except native.KernelBuildError as exc:
+    print(exc)
+    sys.exit(77)
+sys.exit(pytest.main(sys.argv[2:]))
+"""
+
+
+def test_edge_scenes_under_ubsan(tmp_path):
+    """The kernel built with UBSan, every finding fatal, runs the render
+    edge-case and α-cull suites: dense, sparse and anisotropic renders
+    and backwards on empty, degenerate, NaN and off-screen scenes, and
+    the tile cull's band edges."""
+    try:
+        library = native.build(native.SOURCE, tmp_path, cc=native.compiler()
+                               + ["-fsanitize=undefined",
+                                  "-fno-sanitize-recover=all"])
+    except native.KernelBuildError as exc:
+        pytest.skip(f"UBSan does not build here: {exc}")
+    here = Path(__file__).parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run(
+        # --capture=sys leaves fd 2 to UBSan's report.
+        [sys.executable, "-c", _RUN_WITH_LIBRARY, str(library), "-q",
+         "--capture=sys", "-p", "no:cacheprovider",
+         str(here / "test_render_edge_cases.py"),
+         str(here / "test_alpha_culling.py")],
+        capture_output=True, text=True, cwd=tmp_path, env=env)
+    if done.returncode == 77:
+        pytest.skip(f"UBSan does not load here: {done.stdout.strip()}")
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
 
 
 class TestMissingCompiler:

@@ -1,5 +1,7 @@
 """Tile-pipeline forward pass: projection, tiles, sorting, compositing."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from repro.render import (
     sort_by_depth,
     sort_intersection_table,
 )
+from repro.render.tiles import IntersectionTable
 
 
 def make_scene(n=50, seed=0, z_range=(1.0, 5.0)):
@@ -166,6 +169,28 @@ class TestSorting:
 
     def test_empty(self):
         assert sort_by_depth(np.zeros(0, dtype=int), np.zeros(0)).size == 0
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40),
+           st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_table_sort_is_the_three_key_lexsort(self, seed, m, tiles):
+        """One integer key ``tile·m + depth rank`` orders the table as
+        ``np.lexsort((g, depth[g], tile))`` does: NaN depths last, ties
+        and ±0 by index."""
+        rng = np.random.default_rng(seed)
+        depth = rng.choice([0.0, -0.0, 1.0, 2.5, np.nan, np.inf, -1.0],
+                           m) if m else np.zeros(0)
+        proj = SimpleNamespace(depth=depth)
+        grid = TileGrid(16 * tiles, 16, 16)
+        in_tile = rng.random((tiles, m)) < 0.6
+        t, g = np.nonzero(in_tile)
+        order = rng.permutation(g.size)
+        table = IntersectionTable(grid, t[order], g[order])
+        assert np.array_equal(
+            sort_intersection_table(table, proj),
+            table.gaussians[np.lexsort((table.gaussians,
+                                        depth[table.gaussians],
+                                        table.tiles))])
 
     def test_table_sorting(self):
         cloud, cam = make_scene(seed=5)

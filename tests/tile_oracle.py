@@ -16,7 +16,8 @@ broadcast — every rendered pixel of a tile against its whole sorted list —
 which ``rasterize._tile_pairs`` must reproduce.  :func:`axis_shared_cull`
 is the numpy cull the compiled ``rasterize._tile_cull`` replaced: per
 tile, ``du²`` once per pixel column and ``dv²`` once per pixel row, summed
-per pixel; the compiled cull must emit its arrays bit for bit.
+per pixel; the compiled cull must keep its pairs, and emit the falloff
+exponents of its ``d²``, bit for bit.
 """
 
 from __future__ import annotations
