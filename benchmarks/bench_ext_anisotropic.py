@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.bench import print_table
 from repro.datasets.trajectory import look_at
-from repro.fit import FitConfig, SceneFitter
+from repro.fit import SceneFitter
 from repro.gaussians import Camera, Intrinsics
 from repro.render import AnisotropicCloud, render_sparse_anisotropic
 
@@ -40,7 +40,7 @@ def run_fit():
 
     start = target.unpack(target.pack()
                           + rng.normal(0, 0.05, target.pack().shape))
-    result = SceneFitter(start, views, FitConfig(iterations=90)).fit()
+    result = SceneFitter(start, views, iterations=90).fit()
     losses = result.losses
     return [
         {"checkpoint": "start", "loss": float(np.mean(losses[:3]))},

@@ -15,7 +15,7 @@ import argparse
 import numpy as np
 
 from repro.datasets.trajectory import look_at
-from repro.fit import FitConfig, SceneFitter
+from repro.fit import SceneFitter
 from repro.gaussians import Camera, Intrinsics
 from repro.metrics import psnr
 from repro.render import AnisotropicCloud, render_sparse_anisotropic
@@ -75,7 +75,7 @@ def main():
     print(f"{len(start)} anisotropic Gaussians, {args.views} views of "
           f"{intr.width}x{intr.height}")
     print(f"initial view PSNR: {view_psnr(start):.2f} dB")
-    result = SceneFitter(start, views, FitConfig(iterations=args.iterations),
+    result = SceneFitter(start, views, iterations=args.iterations,
                          background=BG).fit()
     for it in range(30, args.iterations + 1, 30):
         print(f"iter {it:4d}  loss {result.losses[it - 1]:.5f}")

@@ -559,13 +559,11 @@ def ablation_lut(entries_list: Sequence[int] = (8, 16, 32, 64, 128),
     pixels = sample_tracking_pixels(bundle.width, bundle.height, 8,
                                     "random", np.random.default_rng(0))
     from ..core.pixel_pipeline import render_sparse
-    exact = render_sparse(bundle.cloud, bundle.camera, pixels, _BG,
-                          keep_cache=False)
+    exact = render_sparse(bundle.cloud, bundle.camera, pixels, _BG)
     rows = []
     for entries in entries_list:
         lut = ExpLUT(entries)
         approx = render_sparse(bundle.cloud, bundle.camera, pixels, _BG,
-                               keep_cache=False,
                                exp_fn=lambda x: lut(-np.asarray(x)))
         rows.append({
             "entries": entries,

@@ -26,7 +26,7 @@ from ..datasets.rgbd import RGBDSequence
 from ..gaussians import Camera, GaussianCloud
 from ..hw import Workload, measure_iteration
 from ..obs import trace
-from ..slam import Keyframe, KeyframeBuffer, Mapper, SLAMSystem
+from ..slam import KeyframeBuffer, Mapper, SLAMSystem
 
 __all__ = ["PAPER_WIDTH", "PAPER_HEIGHT", "PAPER_GAUSSIANS", "ProxyBundle",
            "proxy_sequence", "build_bundle", "tracking_workloads",
@@ -77,8 +77,9 @@ def build_bundle(sequence_name: str = "room0", width: int = 96,
                  surface_density: float = 12.0,
                  algorithm: str = "splatam", seed: int = 0) -> ProxyBundle:
     """The map after frames ``0..frame_index``, mapped at their true poses
-    on the frames and keyframe windows :meth:`SLAMSystem.run` maps, and
-    the probe camera at the true pose of ``frame_index``."""
+    through :meth:`SLAMSystem.map_step`, the schedule
+    :meth:`SLAMSystem.run` maps on, and the probe camera at the true pose
+    of ``frame_index``."""
     # Probe a frame the mapper has just covered, so the unseen-pixel set
     # reflects the paper's steady state rather than brand-new territory.
     frame_index = max(4, ((n_frames - 2) // 4) * 4)
@@ -91,19 +92,14 @@ def build_bundle(sequence_name: str = "room0", width: int = 96,
         mapper = Mapper(algo, intr, system.splatonic, system.mode,
                         system.background)
         keyframes = KeyframeBuffer(algo.keyframe_every, algo.keyframe_window)
+        cloud = None
         for i in range(frame_index + 1):
             frame = sequence[i]
-            pose = frame.gt_pose_c2w
-            current = Keyframe(i, pose, frame.color, frame.depth)
-            keyframes.maybe_add(i, pose, frame.color, frame.depth)
-            if i == 0:
-                cloud = system._bootstrap_cloud(intr, pose, frame)
-                window = [current]
-            elif i % algo.map_every:
-                continue
-            else:
-                window = keyframes.select(current)
-            cloud = mapper.map_frame(cloud, current, window).cloud
+            _, _, mapping = system.map_step(mapper, keyframes, cloud, i,
+                                            frame.gt_pose_c2w, frame,
+                                            collect_curve=False)
+            if mapping is not None:
+                cloud = mapping.cloud
     camera = Camera(intr, sequence.gt_trajectory[frame_index])
     return ProxyBundle(sequence, cloud, frame_index, camera, width, height)
 

@@ -166,10 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_slam = sub.add_parser("slam", help="run SLAM on a synthetic sequence")
     _add_run_arguments(p_slam, frames=12, width=64, height=48)
-    p_slam.add_argument("--per-pixel-records", action="store_true",
-                        help="keep the per-item stats record lists during "
-                             "the run (off by default: nothing in this "
-                             "command reads them)")
     p_slam.add_argument("--out", default=None,
                         help="directory for trajectory/cloud/render outputs")
     p_slam.add_argument("--flight-record", metavar="PATH", default=None,
@@ -366,7 +362,9 @@ def _cmd_slam(args) -> int:
     from .gaussians import Camera
 
     sequence = _make_sequence(args)
-    system = _build_system(args, record_per_pixel=args.per_pixel_records)
+    # Nothing here reads the per-item stats records: the flight recorder,
+    # the registry and the health monitor see scalar frame records only.
+    system = _build_system(args, record_per_pixel=False)
     flight = registry = None
     observers = []
     if args.flight_record:

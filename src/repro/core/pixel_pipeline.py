@@ -140,7 +140,6 @@ def render_sparse(
     background: Optional[np.ndarray] = None,
     alpha_threshold: float = ALPHA_THRESHOLD,
     t_min: float = T_MIN,
-    keep_cache: bool = True,
     exp_fn=np.exp,
     backend: Optional[str] = None,
     record_per_pixel: bool = True,
@@ -216,8 +215,8 @@ def render_sparse(
     with trace.span("render.composite", pipeline="pixel", pixels=K,
                     backend=backend_name):
         sorted_gss, list_lengths, caches, flat_cache = kernel.forward(
-            proj, pairs, centres, bg, alpha_threshold, t_min, keep_cache,
-            exp_fn, stats, color, depth, silhouette,
+            proj, pairs, centres, bg, alpha_threshold, t_min, exp_fn,
+            stats, color, depth, silhouette,
             pair_alpha=pair_alpha, pair_clipped=pair_clipped)
 
     return SparseRenderResult(pixels, color, depth, silhouette, proj,

@@ -1,5 +1,5 @@
 """General multi-view 3DGS scene fitting (isotropic and anisotropic)."""
 
-from .trainer import FitConfig, FitResult, SceneFitter
+from .trainer import FitResult, SceneFitter
 
-__all__ = ["FitConfig", "FitResult", "SceneFitter"]
+__all__ = ["FitResult", "SceneFitter"]

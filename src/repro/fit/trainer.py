@@ -13,13 +13,16 @@ size: the trainer neither prunes nor densifies.
 Typical use::
 
     views = [(camera, color, depth), ...]
-    result = SceneFitter(cloud, views, FitConfig(iterations=200)).fit()
+    result = SceneFitter(cloud, views, iterations=200).fit()
     result.cloud  # the fitted scene
+
+The iteration count is the one setting; the pixel lattice, the loss mix,
+the learning rates and the sampling seed are the module constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,27 +39,22 @@ from ..render.anisotropic import (
 from ..slam.losses import LossConfig, rgbd_loss
 from ..slam.optim import Adam
 
-__all__ = ["FitConfig", "FitResult", "SceneFitter"]
+__all__ = ["FitResult", "SceneFitter"]
 
 View = Tuple[Camera, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    """Trainer hyper-parameters."""
-
-    iterations: int = 200
-    sample_tile: int = 2          # one training pixel per tile x tile
-    loss: LossConfig = LossConfig(color_weight=1.0, depth_weight=0.3)
-    lr_means: float = 2e-3
-    lr_log_scales: float = 4e-3
-    lr_quaternions: float = 4e-3   # anisotropic only
-    lr_logit_opacities: float = 2e-2
-    lr_colors: float = 1e-2
-    seed: int = 0
-
-    def with_overrides(self, **kwargs) -> "FitConfig":
-        return replace(self, **kwargs)
+#: One training pixel per ``_SAMPLE_TILE`` x ``_SAMPLE_TILE`` tile.
+_SAMPLE_TILE = 2
+_LOSS = LossConfig(color_weight=1.0, depth_weight=0.3)
+#: Adam learning rates per parameter group (quaternions: anisotropic only).
+_LR_MEANS = 2e-3
+_LR_LOG_SCALES = 4e-3
+_LR_QUATERNIONS = 4e-3
+_LR_LOGIT_OPACITIES = 2e-2
+_LR_COLORS = 1e-2
+#: Seed of the per-iteration pixel lattice.
+_SEED = 0
 
 
 @dataclass
@@ -71,21 +69,21 @@ class FitResult:
         return self.losses[-1] if self.losses else float("nan")
 
 
-def _learning_rates(cloud, cfg: FitConfig) -> np.ndarray:
+def _learning_rates(cloud) -> np.ndarray:
     n = len(cloud)
     if isinstance(cloud, AnisotropicCloud):
         return np.concatenate([
-            np.full(3 * n, cfg.lr_means),
-            np.full(3 * n, cfg.lr_log_scales),
-            np.full(4 * n, cfg.lr_quaternions),
-            np.full(n, cfg.lr_logit_opacities),
-            np.full(3 * n, cfg.lr_colors),
+            np.full(3 * n, _LR_MEANS),
+            np.full(3 * n, _LR_LOG_SCALES),
+            np.full(4 * n, _LR_QUATERNIONS),
+            np.full(n, _LR_LOGIT_OPACITIES),
+            np.full(3 * n, _LR_COLORS),
         ])
     return np.concatenate([
-        np.full(3 * n, cfg.lr_means),
-        np.full(n, cfg.lr_log_scales),
-        np.full(n, cfg.lr_logit_opacities),
-        np.full(3 * n, cfg.lr_colors),
+        np.full(3 * n, _LR_MEANS),
+        np.full(n, _LR_LOG_SCALES),
+        np.full(n, _LR_LOGIT_OPACITIES),
+        np.full(3 * n, _LR_COLORS),
     ])
 
 
@@ -99,12 +97,11 @@ class SceneFitter:
         representation is detected and the matching renderer used.
     views:
         Sequence of ``(camera, color, depth)`` tuples.
-    config:
-        A :class:`FitConfig`.
+    iterations:
+        Optimization steps, one view each, round-robin over ``views``.
     """
 
-    def __init__(self, cloud, views: Sequence[View],
-                 config: FitConfig = FitConfig(),
+    def __init__(self, cloud, views: Sequence[View], iterations: int = 200,
                  background: Optional[np.ndarray] = None):
         if not views:
             raise ValueError("need at least one view")
@@ -113,48 +110,33 @@ class SceneFitter:
                 "cloud must be a GaussianCloud or AnisotropicCloud")
         self.cloud = cloud
         self.views = list(views)
-        self.config = config
+        self.iterations = iterations
         self.background = (np.full(3, 0.05) if background is None
                            else np.asarray(background, float))
-        self.rng = np.random.default_rng(config.seed)
-        self._aniso = isinstance(cloud, AnisotropicCloud)
-
-    # ---- rendering dispatch ----
-
-    def _render(self, cloud, camera, pixels):
-        if self._aniso:
-            return render_sparse_anisotropic(cloud, camera, pixels,
-                                             self.background)
-        return render_sparse(cloud, camera, pixels, self.background)
-
-    def _backward(self, result, cloud, camera, out):
-        if self._aniso:
-            return backward_sparse_anisotropic(
-                result, cloud, camera, out.d_color, out.d_depth,
-                out.d_silhouette)
-        return backward_sparse(result, cloud, camera, out.d_color,
-                               out.d_depth, out.d_silhouette)
-
-    # ---- training ----
+        self.rng = np.random.default_rng(_SEED)
+        self._render, self._backward = (
+            (render_sparse_anisotropic, backward_sparse_anisotropic)
+            if isinstance(cloud, AnisotropicCloud)
+            else (render_sparse, backward_sparse))
 
     def fit(self) -> FitResult:
         """Run the optimization; returns the fitted cloud and history."""
-        cfg = self.config
         cloud = self.cloud
-        adam = Adam(cloud.pack().shape[0], _learning_rates(cloud, cfg))
+        adam = Adam(cloud.pack().shape[0], _learning_rates(cloud))
         losses: List[float] = []
 
-        for it in range(1, cfg.iterations + 1):
+        for it in range(1, self.iterations + 1):
             camera, color, depth = self.views[(it - 1) % len(self.views)]
             intr = camera.intrinsics
             pixels = sample_tracking_pixels(
-                intr.width, intr.height, cfg.sample_tile, "random", self.rng)
-            result = self._render(cloud, camera, pixels)
+                intr.width, intr.height, _SAMPLE_TILE, "random", self.rng)
+            result = self._render(cloud, camera, pixels, self.background)
             ref_c = color[pixels[:, 1], pixels[:, 0]]
             ref_d = depth[pixels[:, 1], pixels[:, 0]]
             out = rgbd_loss(result.color, result.depth, result.silhouette,
-                            ref_c, ref_d, cfg.loss, tracking=False)
-            grads = self._backward(result, cloud, camera, out)
+                            ref_c, ref_d, _LOSS, tracking=False)
+            grads = self._backward(result, cloud, camera, out.d_color,
+                                   out.d_depth, out.d_silhouette)
             cloud = cloud.unpack(cloud.pack() + adam.step(
                 grads.as_cloud_vector()))
             losses.append(out.loss)

@@ -21,8 +21,8 @@ from .lut import ExpLUT
 from .pipeline import CycleBreakdown, StageLoad, pipelined_cycles, sequential_cycles
 from .scaling import NODES, scale_area, scale_delay, scale_energy
 from .sorting_unit import HierarchicalSorter, SortingUnitConfig
-from .splatonic_accel import SplatonicAccelerator, StageModel
-from .splatonic_accel import SplatonicConfig as SplatonicHwConfig
+from .splatonic_accel import (SplatonicAccelerator, SplatonicHwConfig,
+                              StageModel)
 from .units import AccelReport
 from .workload import Workload, measure_iteration
 

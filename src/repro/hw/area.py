@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from .scaling import scale_area
-from .splatonic_accel import SplatonicConfig
+from .splatonic_accel import SplatonicHwConfig
 
 __all__ = ["AreaBreakdown", "splatonic_area", "COMPARISON_AREAS_MM2",
            "SRAM_MM2_PER_KB"]
@@ -55,7 +55,8 @@ class AreaBreakdown:
         })
 
 
-def splatonic_area(config: SplatonicConfig = SplatonicConfig()) -> AreaBreakdown:
+def splatonic_area(
+        config: SplatonicHwConfig = SplatonicHwConfig()) -> AreaBreakdown:
     """Area of a SPLATONIC instance at 16 nm from its unit counts."""
     sram_kb = (
         config.raster_engines * config.engine_buffer_bytes

@@ -39,7 +39,7 @@ from .units import (
 )
 from .workload import Workload
 
-__all__ = ["SplatonicConfig", "SplatonicAccelerator", "StageModel"]
+__all__ = ["SplatonicHwConfig", "SplatonicAccelerator", "StageModel"]
 
 # Fixed-function op counts (FMA equivalents) per work item.
 PROJ_FLOPS = 60
@@ -50,7 +50,7 @@ PIPELINE_FILL_CYCLES = 256
 
 
 @dataclass(frozen=True)
-class SplatonicConfig:
+class SplatonicHwConfig:
     """Unit counts and buffer sizes (Sec. VI defaults)."""
 
     name: str = "splatonic-hw"
@@ -71,7 +71,7 @@ class SplatonicConfig:
     scoreboard_aggregation: bool = True
     direct_bbox_indexing: bool = True
 
-    def with_overrides(self, **kwargs) -> "SplatonicConfig":
+    def with_overrides(self, **kwargs) -> "SplatonicHwConfig":
         return replace(self, **kwargs)
 
     @property
@@ -108,7 +108,7 @@ class StageModel:
 class SplatonicAccelerator:
     """Latency/energy model of SPLATONIC-HW for pixel-pipeline workloads."""
 
-    def __init__(self, config: SplatonicConfig = SplatonicConfig(),
+    def __init__(self, config: SplatonicHwConfig = SplatonicHwConfig(),
                  ops: OpEnergies = ACCEL_OPS):
         self.config = config
         self.ops = ops.scaled_to(config.node_nm)

@@ -25,9 +25,10 @@ schema-versioned JSONL stream with exactly one record per frame:
   ``alert`` record, the alert that stopped it.
 
 :meth:`repro.slam.SLAMSystem.run` builds each of these records once and
-hands it to every attached observer; the recorder is one of them (its
-``on_header`` / ``on_frame`` / ``on_summary`` append the record), next to
-the health monitor and the run registry.
+hands it to every attached observer as ``on_header(header)`` /
+``on_frame(record)`` / ``on_summary(summary)``, the record its only
+argument; the recorder is one of them (each call appends the record),
+next to the health monitor and the run registry.
 The recorder writes and flushes each record as it arrives, so the file
 is the run's live event stream too: ``tail -f run.jsonl | jq`` follows a
 run while it executes.
@@ -163,7 +164,7 @@ class FlightRecorder:
 
     on_header = on_summary = emit
 
-    def on_frame(self, record: Dict[str, Any], stages) -> None:
+    def on_frame(self, record: Dict[str, Any]) -> None:
         self.emit(record)
 
     # ---- access / export ----

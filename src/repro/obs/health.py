@@ -233,7 +233,7 @@ class HealthMonitor:
     def on_header(self, header: Dict[str, Any]) -> None:
         self.begin_run()
 
-    def on_frame(self, record: Dict[str, Any], stages) -> None:
+    def on_frame(self, record: Dict[str, Any]) -> None:
         """Check the frame, then attach every alert raised since the last
         frame (the tracker/mapper finite guards' included)."""
         self.observe_frame(record)

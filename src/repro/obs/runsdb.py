@@ -135,7 +135,7 @@ class RunRegistry:
         self._stream = [header]
         self.run_id = None
 
-    def on_frame(self, record: Dict[str, Any], stages) -> None:
+    def on_frame(self, record: Dict[str, Any]) -> None:
         self._stream.append(record)
 
     def on_summary(self, summary: Dict[str, Any]) -> None:

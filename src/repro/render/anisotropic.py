@@ -316,8 +316,8 @@ def render_sparse_anisotropic(
     pairs = pairs.select(keep)
     stats.num_sort_keys += pairs.size
     _, _, _, flat_cache = vectorized.forward(
-        proj, pairs, centres, bg, alpha_threshold, t_min, True, np.exp,
-        stats, color, depth, silhouette, pair_alpha=alpha[keep],
+        proj, pairs, centres, bg, alpha_threshold, t_min, np.exp, stats,
+        color, depth, silhouette, pair_alpha=alpha[keep],
         pair_clipped=alpha_raw[keep] > ALPHA_MAX)
     return AnisoSparseResult(pixels, color, depth, silhouette, proj,
                              flat_cache, stats)

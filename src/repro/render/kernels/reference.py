@@ -19,8 +19,8 @@ __all__ = ["forward", "backward"]
 
 
 def forward(proj, pairs, centres, background, alpha_threshold, t_min,
-            keep_cache, exp_fn, stats, color, depth, silhouette,
-            pair_alpha, pair_clipped):
+            exp_fn, stats, color, depth, silhouette, pair_alpha,
+            pair_clipped):
     """Per-pixel forward loop over the shared candidate pair list.
 
     Fills ``color`` / ``depth`` / ``silhouette`` (length K) in place and
@@ -67,7 +67,7 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
         stats.num_contrib_pairs += contribs
         if record:
             stats.per_pixel_contribs.append(contribs)
-        caches.append(cache if keep_cache else None)
+        caches.append(cache)
     gss = (np.concatenate(pixel_lists) if pixel_lists
            else np.zeros(0, dtype=int))
     return gss, lengths, caches, None

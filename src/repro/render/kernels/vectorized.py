@@ -215,8 +215,8 @@ def composite(proj, gss, lengths, centres, background, alpha, clipped,
 
 
 def forward(proj, pairs, centres, background, alpha_threshold, t_min,
-            keep_cache, exp_fn, stats, color, depth, silhouette,
-            pair_alpha, pair_clipped):
+            exp_fn, stats, color, depth, silhouette, pair_alpha,
+            pair_clipped):
     """Batched forward pass over the shared candidate pair list.
 
     ``pairs`` must be in composite order — pixel-major, front-to-back —
@@ -252,7 +252,7 @@ def forward(proj, pairs, centres, background, alpha_threshold, t_min,
         stats.pixel_list_lengths.extend(int(n) for n in lengths)
         stats.per_pixel_contribs.extend(int(c) for c in contribs_row)
 
-    return gss, lengths, [None] * K, cache if keep_cache else None
+    return gss, lengths, [None] * K, cache
 
 
 @dataclass

@@ -8,6 +8,10 @@ latency split of Fig. 4), the loss mixes, the mapping cadence (4-8 frames),
 and the keyframe window.  Iteration counts are scaled down uniformly from
 the originals (SplaTAM uses 40+60 at 1200x680; we run small frames), which
 preserves the *ratios* the performance model depends on.
+
+What the four share is not configured here: the mapping learning rates,
+the seed opacity and the prune threshold are constants of
+:mod:`repro.slam.mapper`.
 """
 
 from __future__ import annotations
@@ -33,14 +37,6 @@ class AlgorithmConfig:
     keyframe_window: int        # recent keyframes optimized per mapping
     tracking_loss: LossConfig
     mapping_loss: LossConfig
-    # Mapping Adam learning rates per parameter group.
-    lr_means: float = 3e-3
-    lr_log_scales: float = 5e-3
-    lr_logit_opacities: float = 5e-2
-    lr_colors: float = 2.5e-2
-    # Densification / pruning.
-    densify_opacity: float = 0.6
-    prune_opacity: float = 0.05
 
     def with_overrides(self, **kwargs) -> "AlgorithmConfig":
         return replace(self, **kwargs)

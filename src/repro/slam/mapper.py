@@ -12,6 +12,9 @@ Each mapping invocation, at the current frame:
    pixel-based pipeline (or densely, in the Org. baseline) and stepping
    all Gaussian parameters with Adam.
 4. Gaussians whose opacity collapsed are pruned.
+
+The map itself starts from :meth:`Mapper.bootstrap`: seeds on a grid over
+frame 0.
 """
 
 from __future__ import annotations
@@ -36,6 +39,19 @@ from .optim import Adam
 
 __all__ = ["MappingResult", "Mapper"]
 
+#: Opacity of every seeded Gaussian: the bootstrap's and densification's.
+_SEED_OPACITY = 0.6
+#: Pixel stride of the grid that seeds the map from frame 0.
+_BOOTSTRAP_STRIDE = 2
+#: Gaussians below this opacity after a mapping invocation are pruned.
+_PRUNE_OPACITY = 0.05
+#: Mapping Adam learning rates per parameter group, the same in every
+#: preset.
+_LR_MEANS = 3e-3
+_LR_LOG_SCALES = 5e-3
+_LR_LOGIT_OPACITIES = 5e-2
+_LR_COLORS = 2.5e-2
+
 
 @dataclass
 class MappingResult:
@@ -56,13 +72,13 @@ class MappingResult:
     loss_curve: Optional[List[float]] = None
 
 
-def _mapping_lr(algo: AlgorithmConfig, n: int) -> np.ndarray:
+def _mapping_lr(n: int) -> np.ndarray:
     """Per-parameter learning rates in GaussianCloud.pack() layout."""
     return np.concatenate([
-        np.full(3 * n, algo.lr_means),
-        np.full(n, algo.lr_log_scales),
-        np.full(n, algo.lr_logit_opacities),
-        np.full(3 * n, algo.lr_colors),
+        np.full(3 * n, _LR_MEANS),
+        np.full(n, _LR_LOG_SCALES),
+        np.full(n, _LR_LOGIT_OPACITIES),
+        np.full(3 * n, _LR_COLORS),
     ])
 
 
@@ -84,7 +100,19 @@ class Mapper:
         self.background = (np.zeros(3) if background is None
                            else np.asarray(background, float))
 
-    # ---- densification ----
+    # ---- seeding ----
+
+    def bootstrap(self, keyframe: Keyframe) -> GaussianCloud:
+        """The initial map: seeds on a regular grid over ``keyframe``, one
+        pixel in every ``_BOOTSTRAP_STRIDE``."""
+        stride = _BOOTSTRAP_STRIDE
+        uu, vv = np.meshgrid(np.arange(0, self.intrinsics.width, stride),
+                             np.arange(0, self.intrinsics.height, stride))
+        pixels = np.stack([uu.ravel(), vv.ravel()], axis=-1)
+        camera = Camera(self.intrinsics, keyframe.pose_c2w)
+        return seed_from_rgbd(camera, keyframe.color, keyframe.depth, pixels,
+                              initial_opacity=_SEED_OPACITY,
+                              scale_factor=1.3 * stride)
 
     def densify(self, cloud: GaussianCloud, keyframe: Keyframe,
                 gamma_final: np.ndarray) -> GaussianCloud:
@@ -98,7 +126,7 @@ class Mapper:
         camera = Camera(self.intrinsics, keyframe.pose_c2w)
         seeds = seed_from_rgbd(camera, keyframe.color, keyframe.depth,
                                pixels,
-                               initial_opacity=self.algo.densify_opacity,
+                               initial_opacity=_SEED_OPACITY,
                                scale_factor=1.3)
         if len(seeds) == 0:
             return cloud
@@ -177,7 +205,7 @@ class Mapper:
                             kf.depth[px[:, 1], px[:, 0]]))
 
         n = len(cloud)
-        adam = Adam(8 * n, _mapping_lr(self.algo, n))
+        adam = Adam(8 * n, _mapping_lr(n))
         loss_value = 0.0
         curve: Optional[List[float]] = [] if collect_curve else None
         for it in range(self.algo.mapping_iters):
@@ -225,7 +253,7 @@ class Mapper:
             cloud = cloud.unpack(cloud.pack() + step)
 
         # Prune collapsed Gaussians.
-        keep = cloud.opacities >= self.algo.prune_opacity
+        keep = cloud.opacities >= _PRUNE_OPACITY
         num_pruned = int((~keep).sum())
         if num_pruned:
             cloud = cloud.prune(keep)

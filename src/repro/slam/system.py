@@ -18,7 +18,6 @@ import numpy as np
 
 from ..core.splatonic import Splatonic, SplatonicConfig
 from ..gaussians.camera import Camera
-from ..gaussians.init import seed_from_rgbd
 from ..gaussians.model import GaussianCloud
 from ..gaussians.se3 import se3_inverse, se3_project
 from ..metrics.ate import AteResult, ate_rmse
@@ -36,9 +35,6 @@ from .mapper import Mapper
 from .tracker import Tracker
 
 __all__ = ["SLAMResult", "SLAMSystem"]
-
-#: Pixel stride of the grid that seeds the map from frame 0.
-_BOOTSTRAP_STRIDE = 2
 
 
 def _ate_stats(ate: AteResult) -> Dict[str, float]:
@@ -130,15 +126,17 @@ class SLAMSystem:
             observers: Sequence = ()) -> SLAMResult:
         """Run SLAM over ``sequence`` and return the result bundle.
 
+        Each frame is tracked from the constant-velocity prior (frame 0
+        sits at its ground-truth pose), then handed to :meth:`map_step`.
         The run builds one event stream — a header, one record per frame
         and a summary (schema in :mod:`repro.obs.flight`) — and hands each
-        event to every observer's ``on_header`` / ``on_frame(record,
-        stages)`` / ``on_summary``: flight recorders, health monitors and
-        run registries.  A listened-to run is checked by the attached
-        health monitor (else the process default), which also receives
-        the tracker/mapper finite-guard alerts.  With no observer no
-        record is built: the run is bit-identical to an uninstrumented
-        one.
+        event to every observer's ``on_header(header)`` /
+        ``on_frame(record)`` / ``on_summary(summary)``: flight recorders,
+        health monitors and run registries.  A listened-to run is checked
+        by the attached health monitor (else the process default), which
+        also receives the tracker/mapper finite-guard alerts.  With no
+        observer no record is built: the run is bit-identical to an
+        uninstrumented one.
         """
         n = len(sequence) if n_frames is None else min(n_frames, len(sequence))
         if n < 2:
@@ -158,6 +156,7 @@ class SLAMSystem:
         keyframes = KeyframeBuffer(self.algo.keyframe_every,
                                    self.algo.keyframe_window)
         stage_stats = {s: PipelineStats() for s in self.STAGES}
+        cloud = None
         est_poses: List[np.ndarray] = []
         tracking_iterations: List[int] = []
         mapping_invocations = 0
@@ -175,21 +174,12 @@ class SLAMSystem:
                     config=self.run_config())))
             for i in range(n):
                 frame = sequence[i]
-                tr = mp = None
-                window: List[Keyframe] = []
-                track_s = map_s = 0.0
+                tr = None
+                track_s = 0.0
                 if i == 0:
-                    # Bootstrap: seed the map at the ground-truth pose.
+                    # Frame 0 is not tracked: the map starts at its true pose.
                     frame_start = perf_counter()
                     pose = frame.gt_pose_c2w.copy()
-                    with trace.span("slam.bootstrap"):
-                        cloud = self._bootstrap_cloud(intr, pose, frame)
-                        window = [Keyframe(0, pose, frame.color, frame.depth)]
-                        kf_added = keyframes.maybe_add(0, pose, frame.color,
-                                                       frame.depth)
-                        mp = mapper.map_frame(cloud, window[0], window,
-                                              collect_curve=listening)
-                    map_s = perf_counter() - frame_start
                 else:
                     init = self._constant_velocity_init(est_poses)
                     frame_start = perf_counter()
@@ -204,18 +194,11 @@ class SLAMSystem:
                     tracking_iterations.append(tr.iterations)
                     stage_stats["tracking_fwd"].merge(tr.forward_stats)
                     stage_stats["tracking_bwd"].merge(tr.backward_stats)
-                    kf_added = keyframes.maybe_add(i, pose, frame.color,
-                                                   frame.depth)
-                    if i % self.algo.map_every == 0:
-                        current = Keyframe(i, pose, frame.color, frame.depth)
-                        window = keyframes.select(current)
-                        map_start = perf_counter()
-                        with trace.span("slam.map", frame=i,
-                                        window=len(window)) as sp:
-                            mp = mapper.map_frame(cloud, current, window,
-                                                  collect_curve=listening)
-                            sp.set(seeded=mp.num_seeded, pruned=mp.num_pruned)
-                        map_s = perf_counter() - map_start
+                map_start = perf_counter()
+                kf_added, window, mp = self.map_step(
+                    mapper, keyframes, cloud, i, pose, frame,
+                    collect_curve=listening)
+                map_s = perf_counter() - map_start if mp is not None else 0.0
                 est_poses.append(pose)
                 if mp is not None:
                     cloud = mp.cloud
@@ -269,7 +252,7 @@ class SLAMSystem:
                                  for name, pair in stages.items()
                                  for way, stats in zip(("fwd", "bwd"), pair)},
                     "wall_time_s": perf_counter() - frame_start,
-                }), stages)
+                }))
 
         result = SLAMResult(
             algorithm=self.algo.name,
@@ -315,6 +298,34 @@ class SLAMSystem:
                        get_monitor())
         return [monitor] + [o for o in observers if o is not monitor]
 
+    def map_step(self, mapper: Mapper, keyframes: KeyframeBuffer, cloud,
+                 i: int, pose: np.ndarray, frame, collect_curve: bool):
+        """The mapping schedule at frame ``i``, posed at ``pose``; :meth:`run`
+        and the bench's probe map (``bench.scenarios.build_bundle``) share it.
+
+        Every frame is offered to ``keyframes``.  Frame 0 bootstraps the
+        map (``cloud`` is ignored) and maps it alone; every
+        ``map_every``-th later frame maps ``cloud`` against the selected
+        window.  Returns ``(keyframe_added, window, mapping)``, with
+        ``mapping`` None and ``window`` empty on a frame that does not map.
+        """
+        added = keyframes.maybe_add(i, pose, frame.color, frame.depth)
+        if i % self.algo.map_every:
+            return added, [], None
+        current = Keyframe(i, pose, frame.color, frame.depth)
+        if i == 0:
+            with trace.span("slam.bootstrap"):
+                cloud = mapper.bootstrap(current)
+                window = [current]
+                return added, window, mapper.map_frame(
+                    cloud, current, window, collect_curve=collect_curve)
+        window = keyframes.select(current)
+        with trace.span("slam.map", frame=i, window=len(window)) as sp:
+            mp = mapper.map_frame(cloud, current, window,
+                                  collect_curve=collect_curve)
+            sp.set(seeded=mp.num_seeded, pruned=mp.num_pruned)
+        return added, window, mp
+
     # ---- helpers ----
 
     def run_config(self) -> dict:
@@ -356,19 +367,6 @@ class SLAMSystem:
         """Always False: the render cache is deleted.  Kept only because
         ``perfbench/run.py`` still reports it."""
         return False
-
-    def _bootstrap_cloud(self, intr, pose0, frame0) -> GaussianCloud:
-        """Seed the initial map from a regular grid over frame 0, one
-        pixel in every ``_BOOTSTRAP_STRIDE``."""
-        stride = _BOOTSTRAP_STRIDE
-        us = np.arange(0, intr.width, stride)
-        vs = np.arange(0, intr.height, stride)
-        uu, vv = np.meshgrid(us, vs)
-        pixels = np.stack([uu.ravel(), vv.ravel()], axis=-1)
-        camera = Camera(intr, pose0)
-        return seed_from_rgbd(camera, frame0.color, frame0.depth, pixels,
-                              initial_opacity=self.algo.densify_opacity,
-                              scale_factor=1.3 * stride)
 
     @staticmethod
     def _constant_velocity_init(est_poses: List[np.ndarray]) -> np.ndarray:

@@ -38,7 +38,8 @@ class TestParser:
                                       ["slam", "--atlas-tile", "8"],
                                       ["runs", "ingest", "--atlas", "x"],
                                       ["bench", "compare",
-                                       "--counters-only"]],
+                                       "--counters-only"],
+                                      ["slam", "--per-pixel-records"]],
                              ids=["top", "runs trend", "runs triage",
                                   "slam --telemetry-stream",
                                   "slam --serve-telemetry",
@@ -48,7 +49,8 @@ class TestParser:
                                   "slam --atlas",
                                   "slam --atlas-tile",
                                   "runs ingest --atlas",
-                                  "bench compare --counters-only"])
+                                  "bench compare --counters-only",
+                                  "slam --per-pixel-records"])
     def test_deleted_commands_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.trajectory import look_at
-from repro.fit import FitConfig, FitResult, SceneFitter
+from repro.fit import FitResult, SceneFitter
 from repro.gaussians import Camera, GaussianCloud, Intrinsics
 from repro.render import AnisotropicCloud, render_sparse_anisotropic
 
@@ -65,8 +65,7 @@ class TestIsotropicFitting:
     def test_loss_decreases(self):
         gt = make_iso_cloud()
         views = make_views(gt)
-        fitter = SceneFitter(perturbed(gt), views,
-                             FitConfig(iterations=60, sample_tile=2))
+        fitter = SceneFitter(perturbed(gt), views, iterations=60)
         result = fitter.fit()
         early = np.mean(result.losses[:5])
         late = np.mean(result.losses[-5:])
@@ -75,8 +74,7 @@ class TestIsotropicFitting:
     def test_result_fields(self):
         gt = make_iso_cloud(n=10)
         views = make_views(gt)
-        result = SceneFitter(perturbed(gt), views,
-                             FitConfig(iterations=8)).fit()
+        result = SceneFitter(perturbed(gt), views, iterations=8).fit()
         assert isinstance(result, FitResult)
         assert len(result.losses) == 8
         assert np.isfinite(result.final_loss)
@@ -95,8 +93,7 @@ class TestAnisotropicFitting:
             opacities=rng.uniform(0.4, 0.9, n),
             colors=rng.uniform(0.1, 0.9, (n, 3)))
         views = make_views(gt, n_views=2, width=32, height=24, aniso=True)
-        fitter = SceneFitter(perturbed(gt, sigma=0.03), views,
-                             FitConfig(iterations=40, sample_tile=2))
+        fitter = SceneFitter(perturbed(gt, sigma=0.03), views, iterations=40)
         result = fitter.fit()
         assert np.mean(result.losses[-5:]) < 0.7 * np.mean(result.losses[:5])
         assert isinstance(result.cloud, AnisotropicCloud)

@@ -108,7 +108,7 @@ class TestRecorderLifecycle:
             def on_header(self, header):
                 pass
 
-            def on_frame(self, record, stages):
+            def on_frame(self, record):
                 with open(path) as f:
                     seen.append([json.loads(line)["type"] for line in f])
 

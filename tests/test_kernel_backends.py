@@ -314,15 +314,6 @@ class TestBackwardEquivalence:
         g_ref, g_vec = backward_both(ref, vec, cloud, cam, 13)
         assert_backward_identical(g_ref, g_vec)
 
-    def test_keep_cache_false_yields_zero_grads(self):
-        cloud, cam = make_scene(seed=6)
-        ref, vec = render_both(cloud, cam, random_pixels(6),
-                               keep_cache=False)
-        g_ref, g_vec = backward_both(ref, vec, cloud, cam, 6)
-        assert_backward_identical(g_ref, g_vec)
-        for name in GRAD_FIELDS:
-            assert not np.any(getattr(g_ref, name))
-
 
 @pytest.mark.usefixtures("scan_branch")
 class TestForwardEquivalenceScanBranches(TestForwardEquivalence):

@@ -53,15 +53,13 @@ def assert_pose_only_matches(full, pose):
 
 @pytest.mark.parametrize("backend", available_backends())
 @given(seed=st.integers(0, 10_000), k=st.sampled_from([0, 1, 9, 40]),
-       culled=st.booleans(), keep_cache=st.booleans())
+       culled=st.booleans())
 @settings(max_examples=12, deadline=None)
-def test_sparse_pose_only_is_the_full_pass(backend, seed, k, culled,
-                                           keep_cache):
+def test_sparse_pose_only_is_the_full_pass(backend, seed, k, culled):
     cloud = make_cloud(seed, culled=culled)
     rng = np.random.default_rng(seed)
     pixels = np.stack([rng.integers(0, W, k), rng.integers(0, H, k)], axis=-1)
-    res = render_sparse(cloud, CAMERA, pixels, BG, backend=backend,
-                        keep_cache=keep_cache)
+    res = render_sparse(cloud, CAMERA, pixels, BG, backend=backend)
     d = loss_gradients(seed, (k,))
     full = backward_sparse(res, cloud, CAMERA, *d)
     pose = backward_sparse(res, cloud, CAMERA, *d, pose_only=True)
