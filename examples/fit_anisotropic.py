@@ -20,6 +20,8 @@ from repro.gaussians import Camera, Intrinsics
 from repro.metrics import psnr
 from repro.render import AnisotropicCloud, render_sparse_anisotropic
 
+#: The background the views are rendered over; the fitter composites
+#: over the same 0.05 grey.
 BG = np.full(3, 0.05)
 
 
@@ -75,8 +77,7 @@ def main():
     print(f"{len(start)} anisotropic Gaussians, {args.views} views of "
           f"{intr.width}x{intr.height}")
     print(f"initial view PSNR: {view_psnr(start):.2f} dB")
-    result = SceneFitter(start, views, iterations=args.iterations,
-                         background=BG).fit()
+    result = SceneFitter(start, views, iterations=args.iterations).fit()
     for it in range(30, args.iterations + 1, 30):
         print(f"iter {it:4d}  loss {result.losses[it - 1]:.5f}")
     print(f"final view PSNR: {view_psnr(result.cloud):.2f} dB")

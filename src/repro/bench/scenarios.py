@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -29,7 +29,8 @@ from ..obs import trace
 from ..slam import KeyframeBuffer, Mapper, SLAMSystem
 
 __all__ = ["PAPER_WIDTH", "PAPER_HEIGHT", "PAPER_GAUSSIANS", "ProxyBundle",
-           "proxy_sequence", "build_bundle", "tracking_workloads",
+           "proxy_sequence", "build_bundle", "measure_variant",
+           "tracking_pixels", "mapping_pixels", "tracking_workloads",
            "mapping_workloads"]
 
 # The paper's deployment point.
@@ -104,40 +105,61 @@ def build_bundle(sequence_name: str = "room0", width: int = 96,
     return ProxyBundle(sequence, cloud, frame_index, camera, width, height)
 
 
-def _variant_workloads(bundle: ProxyBundle, pixels: np.ndarray,
-                       suffix: str = "") -> Dict[str, Workload]:
-    """Measure one iteration per pipeline variant on ``pixels`` and
-    upscale it: ``dense`` (Org.), ``tile_sparse`` (Org.+S) and ``pixel``
-    (SPLATONIC's pipeline)."""
+#: Pipeline variants: workload key -> (render mode, workload name):
+#: ``dense`` (Org.), ``tile_sparse`` (Org.+S) and ``pixel`` (SPLATONIC's
+#: pipeline).
+_VARIANTS: Dict[str, Tuple[str, str]] = {
+    "dense": ("tile", "dense"),
+    "tile_sparse": ("tile_sparse", "org+s"),
+    "pixel": ("pixel", "splatonic"),
+}
+
+
+def measure_variant(bundle: ProxyBundle, pixels: np.ndarray, key: str,
+                    suffix: str = "") -> Workload:
+    """Measure one iteration of variant ``key`` on ``pixels`` and upscale
+    it to the paper's deployment point."""
+    mode, name = _VARIANTS[key]
     frame = bundle.frame
-    return {key: measure_iteration(
+    return measure_iteration(
         bundle.cloud, bundle.camera, frame.color, frame.depth, mode, pixels,
         name=name + suffix).upscale(bundle.pixel_factor,
                                     bundle.gaussian_factor)
-        for key, mode, name in (("dense", "tile", "dense"),
-                                ("tile_sparse", "tile_sparse", "org+s"),
-                                ("pixel", "pixel", "splatonic"))}
 
 
-def tracking_workloads(bundle: ProxyBundle, tile: int = 16,
-                       seed: int = 0) -> Dict[str, Workload]:
-    """Measure the three tracking-iteration variants and upscale them."""
-    pixels = sample_tracking_pixels(bundle.width, bundle.height, tile,
-                                    "random", np.random.default_rng(seed))
-    with trace.span("bench.tracking_workloads", tile=tile):
-        return _variant_workloads(bundle, pixels)
+def tracking_pixels(bundle: ProxyBundle, tile: int = 16,
+                    seed: int = 0) -> np.ndarray:
+    """The tracking iteration's sampled pixels (one per ``tile`` block)."""
+    return sample_tracking_pixels(bundle.width, bundle.height, tile,
+                                  "random", np.random.default_rng(seed))
 
 
-def mapping_workloads(bundle: ProxyBundle, tile: int = 4,
-                      seed: int = 0) -> Dict[str, Workload]:
-    """Measure the mapping-iteration variants (w_m x w_m sampling)."""
+def mapping_pixels(bundle: ProxyBundle, tile: int = 4,
+                   seed: int = 0) -> np.ndarray:
+    """The mapping iteration's sampled pixels (w_m x w_m sampling)."""
     from ..render.rasterize import render_full
 
     splat = Splatonic(SplatonicConfig(mapping_tile=tile),
                       rng=np.random.default_rng(seed))
     first = render_full(bundle.cloud, bundle.camera, np.full(3, 0.05),
                         keep_cache=False)
-    samples = splat.sample_mapping(first.final_transmittance,
-                                   bundle.frame.color)
+    return splat.sample_mapping(first.final_transmittance,
+                                bundle.frame.color).all_pixels
+
+
+def tracking_workloads(bundle: ProxyBundle, tile: int = 16,
+                       seed: int = 0) -> Dict[str, Workload]:
+    """Measure the three tracking-iteration variants and upscale them."""
+    pixels = tracking_pixels(bundle, tile, seed)
+    with trace.span("bench.tracking_workloads", tile=tile):
+        return {key: measure_variant(bundle, pixels, key)
+                for key in _VARIANTS}
+
+
+def mapping_workloads(bundle: ProxyBundle, tile: int = 4,
+                      seed: int = 0) -> Dict[str, Workload]:
+    """Measure the mapping-iteration variants (w_m x w_m sampling)."""
+    pixels = mapping_pixels(bundle, tile, seed)
     with trace.span("bench.mapping_workloads", tile=tile):
-        return _variant_workloads(bundle, samples.all_pixels, "-mapping")
+        return {key: measure_variant(bundle, pixels, key, "-mapping")
+                for key in _VARIANTS}

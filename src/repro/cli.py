@@ -35,9 +35,9 @@ a run that ``raise`` aborts closes its flight record with the alert,
 closes its outputs, logs the alert, and exits with status 3
 (:data:`EXIT_HEALTH_ABORT`).
 
-``repro trace --profile-memory --profile-top 15`` adds per-span CPU time
-and tracemalloc allocation deltas and prints the top-N self-time/alloc
-table.
+``repro trace`` prints one table of every span, ranked by wall self
+time, with its CPU self time; ``--profile-memory`` adds tracemalloc
+allocation and peak columns.
 
 ``repro slam --registry [DIR]`` / ``repro bench run --registry [DIR]``
 register the finished run (metrics + content-addressed artifacts) in
@@ -80,14 +80,12 @@ def _version_text() -> str:
     from . import __version__
     from .obs.bench import SCHEMA_VERSION as BENCH_SCHEMA_VERSION
     from .obs.flight import FLIGHT_SCHEMA_VERSION
-    from .obs.prof import PROFILE_SCHEMA_VERSION
     from .obs.runsdb import REGISTRY_SCHEMA_VERSION
 
     lines = [f"repro {__version__}", "artifact schema versions:"]
     for name, version in (
             ("flight record", FLIGHT_SCHEMA_VERSION),
             ("bench trajectory", BENCH_SCHEMA_VERSION),
-            ("span profile", PROFILE_SCHEMA_VERSION),
             ("run registry", REGISTRY_SCHEMA_VERSION)):
         lines.append(f"  {name:18s} v{version}")
     return "\n".join(lines)
@@ -206,14 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the stage table as key-sorted JSON "
                               "instead of markdown")
     p_trace.add_argument("--profile-memory", action="store_true",
-                         help="profile per-span allocations with "
-                              "tracemalloc (adds overhead)")
-    p_trace.add_argument("--profile-top", type=int, default=0,
-                         metavar="N",
-                         help="print the top-N spans by self time (and "
-                              "allocations with --profile-memory)")
-    p_trace.add_argument("--profile-out", default=None, metavar="PATH",
-                         help="write the span profile as key-sorted JSON")
+                         help="add per-span allocation and peak columns "
+                              "(tracemalloc; adds overhead)")
 
     p_bench = sub.add_parser(
         "bench", help="perf-trajectory suite: run / compare / attrib")
@@ -357,7 +349,7 @@ def _cmd_slam(args) -> int:
     from .io import save_cloud, save_ppm, save_trajectory_tum
     from .metrics import rpe
     from .obs.flight import FlightRecorder
-    from .obs.health import HealthConfig, HealthError, HealthMonitor
+    from .obs.health import HealthError, HealthMonitor
     from .render import render_full
     from .gaussians import Camera
 
@@ -381,7 +373,7 @@ def _cmd_slam(args) -> int:
     if observers or args.on_alert == "raise":
         # Observed runs, and runs that may abort, are checked under the
         # chosen policy, so alerts reach every record and the ticker.
-        health = HealthMonitor(HealthConfig(on_alert=args.on_alert))
+        health = HealthMonitor(on_alert=args.on_alert)
         observers.insert(0, health)
 
     log.info(f"running {args.algorithm} ({args.mode}) ...")
@@ -530,9 +522,6 @@ def _cmd_trace(args) -> int:
         ingest_pipeline_stats(stage, result.stage_stats[stage])
 
     n_events = trace.write_chrome_trace(args.out)
-    top_n = args.profile_top
-    if top_n <= 0 and args.profile_memory:
-        top_n = 10  # memory profiling without a table would be silent
     if args.json:
         payload = {
             "scenario": {
@@ -544,31 +533,20 @@ def _cmd_trace(args) -> int:
                 "height": args.height,
             },
             "stages": [
-                {"span": row["span"], "count": row["count"],
-                 "total_s": round(row["total_s"], 6),
-                 "self_s": round(row["self_s"], 6)}
+                {key: round(value, 6) if isinstance(value, float) else value
+                 for key, value in row.items()}
                 for row in trace.stage_table()
             ],
             "trace_events": n_events,
             "trace_path": args.out,
         }
-        if top_n > 0:
-            from .obs import prof
-            payload["profile"] = prof.top_spans(n=top_n)
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
         print(trace.format_summary(
             title=f"stage times — {args.algorithm}/{args.mode}, "
                   f"{result.num_frames} frames"))
-        if top_n > 0:
-            from .obs import prof
-            print(prof.format_top_table(n=top_n))
     note(f"wrote {n_events} trace events to {args.out} "
          f"(load in Perfetto / chrome://tracing)")
-    if args.profile_out:
-        from .obs import prof
-        prof.write_profile(args.profile_out)
-        note(f"wrote span profile to {args.profile_out}")
     if args.metrics_out:
         metrics.write_json(args.metrics_out)
         note(f"wrote metrics registry to {args.metrics_out}")
@@ -634,28 +612,32 @@ def _cmd_bench_compare(args) -> int:
 def _cmd_bench_attrib(args) -> int:
     from .bench.scenarios import (
         build_bundle,
-        mapping_workloads,
-        tracking_workloads,
+        mapping_pixels,
+        measure_variant,
+        tracking_pixels,
     )
     from .obs import attrib as obs_attrib
 
     spec = SIZES[args.size]
     log.info(f"building {args.scenario} workload "
              f"({spec.width}x{spec.height}, {spec.frames} frames) ...")
-    # Capture the workload measurement so the report can fold measured
-    # wall self-times per paper stage next to the modeled cycles.
+    bundle = build_bundle(args.sequence, width=spec.width,
+                          height=spec.height, n_frames=spec.frames,
+                          seed=args.seed)
+    if args.scenario == "tracking":
+        pixels = tracking_pixels(bundle, tile=spec.tracking_tile,
+                                 seed=args.seed)
+        suffix = ""
+    else:
+        pixels = mapping_pixels(bundle, tile=spec.mapping_tile,
+                                seed=args.seed)
+        suffix = "-mapping"
+    # Trace only the pixel iteration the report attributes, so the
+    # measured wall self-times fold beside that iteration's modeled cycles.
     with trace.capture():
-        bundle = build_bundle(args.sequence, width=spec.width,
-                              height=spec.height, n_frames=spec.frames,
-                              seed=args.seed)
-        if args.scenario == "tracking":
-            workloads = tracking_workloads(bundle, tile=spec.tracking_tile,
-                                           seed=args.seed)
-        else:
-            workloads = mapping_workloads(bundle, tile=spec.mapping_tile,
-                                          seed=args.seed)
+        workload = measure_variant(bundle, pixels, "pixel", suffix)
     report = obs_attrib.attribute_workload(
-        workloads["pixel"], scenario=f"{args.scenario}/{args.size}",
+        workload, scenario=f"{args.scenario}/{args.size}",
         tracer=trace)
     print(report.format_table())
     if args.out:

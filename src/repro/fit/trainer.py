@@ -17,13 +17,14 @@ Typical use::
     result.cloud  # the fitted scene
 
 The iteration count is the one setting; the pixel lattice, the loss mix,
-the learning rates and the sampling seed are the module constants below.
+the learning rates, the sampling seed and the background are the module
+constants below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +56,8 @@ _LR_LOGIT_OPACITIES = 2e-2
 _LR_COLORS = 1e-2
 #: Seed of the per-iteration pixel lattice.
 _SEED = 0
+#: Background color composited behind the cloud (0.05 grey).
+_BACKGROUND = np.full(3, 0.05)
 
 
 @dataclass
@@ -101,8 +104,7 @@ class SceneFitter:
         Optimization steps, one view each, round-robin over ``views``.
     """
 
-    def __init__(self, cloud, views: Sequence[View], iterations: int = 200,
-                 background: Optional[np.ndarray] = None):
+    def __init__(self, cloud, views: Sequence[View], iterations: int = 200):
         if not views:
             raise ValueError("need at least one view")
         if not isinstance(cloud, (GaussianCloud, AnisotropicCloud)):
@@ -111,8 +113,6 @@ class SceneFitter:
         self.cloud = cloud
         self.views = list(views)
         self.iterations = iterations
-        self.background = (np.full(3, 0.05) if background is None
-                           else np.asarray(background, float))
         self.rng = np.random.default_rng(_SEED)
         self._render, self._backward = (
             (render_sparse_anisotropic, backward_sparse_anisotropic)
@@ -130,7 +130,7 @@ class SceneFitter:
             intr = camera.intrinsics
             pixels = sample_tracking_pixels(
                 intr.width, intr.height, _SAMPLE_TILE, "random", self.rng)
-            result = self._render(cloud, camera, pixels, self.background)
+            result = self._render(cloud, camera, pixels, _BACKGROUND)
             ref_c = color[pixels[:, 1], pixels[:, 0]]
             ref_d = depth[pixels[:, 1], pixels[:, 0]]
             out = rgbd_loss(result.color, result.depth, result.silhouette,

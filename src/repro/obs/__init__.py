@@ -1,6 +1,6 @@
 """Observability: tracing, metrics, benchmarking, and regression gating.
 
-Eleven modules, listed below.  The core three are stdlib-only at
+Ten modules, listed below.  The core three are stdlib-only at
 import time (no imports from the rest of the package, so any layer may
 instrument itself without cycles); the perf-trajectory trio keeps its
 module-level imports stdlib-only too and pulls in the scenario/hardware
@@ -9,11 +9,13 @@ layers lazily inside functions:
 - :mod:`repro.obs.tracing` — the :data:`trace` span tracer.  Wrap stages
   in ``with trace.span("tracking_fwd", frame=i):``; export Chrome
   trace-event JSON for Perfetto plus a markdown per-stage time table.
-  Disabled by default at near-zero cost.
+  Disabled by default at near-zero cost.  Every span also records CPU
+  time and, behind the opt-in memory flag, tracemalloc allocation/peak
+  deltas; the per-stage table carries them all.
 - :mod:`repro.obs.metrics` — the :data:`metrics` registry (counters /
-  gauges / histograms) and ``ingest_*`` bridges that pull in
-  ``PipelineStats`` counters and hardware-model outputs so algorithmic
-  and wall-clock views share one export path.
+  gauges) and the ``ingest_pipeline_stats`` bridge that pulls in
+  ``PipelineStats`` counters, so algorithmic and wall-clock views share
+  one export path.
 - :mod:`repro.obs.log` — ``get_logger`` / ``configure`` for the CLI's
   ``-v``/``-q`` leveled output.
 - :mod:`repro.obs.bench` — the benchmark runner: executes the scenario
@@ -41,9 +43,6 @@ layers lazily inside functions:
   runaway densification) with a ``warn``/``raise`` escalation policy.
 - :mod:`repro.obs.report` — run reports (markdown/HTML, sparkline
   summaries) and frame-aligned run-to-run diffing for flight records.
-- :mod:`repro.obs.prof` — the continuous profiler: per-span CPU time
-  and opt-in tracemalloc allocation/peak deltas on the tracer, plus
-  top-N self-time/alloc tables and a JSON profile export.
 - :mod:`repro.obs.runsdb` — the run registry: an append-only JSONL run
   index plus a content-addressed artifact store under ``.repro/runs/``,
   keyed by environment fingerprint / git SHA / config hash / dataset,
@@ -51,7 +50,7 @@ layers lazily inside functions:
   ``--registry`` (disabled == free).
 
 See README "Observability" / "Watching a run" / "Run registry" and
-EXPERIMENTS.md "Perf trajectory" / "Flight recorder" / "Profiler" for
+EXPERIMENTS.md "Perf trajectory" / "Flight recorder" for
 the workflow, and DESIGN.md for the
 span name ↔ paper stage mapping and the obs surface audit.
 """
@@ -61,7 +60,6 @@ from . import (
     bench,
     flight,
     health,
-    prof,
     regress,
     report,
     runsdb,
@@ -71,24 +69,14 @@ from .bench import SuiteConfig, run_suite, write_trajectory
 from .flight import FlightLog, FlightRecorder, read_flight_record
 from .health import (
     HealthAlert,
-    HealthConfig,
     HealthError,
     HealthMonitor,
     get_monitor,
     set_monitor,
 )
 from .log import configure, get_logger
-from .metrics import (
-    Histogram,
-    MetricsRegistry,
-    ingest_aggregation_trace,
-    ingest_dram_stats,
-    ingest_pipeline_stats,
-    ingest_stage_times,
-    metrics,
-)
-from .prof import format_top_table, profile, top_spans, write_profile
-from .regress import RegressionReport, TolerancePolicy, compare_files, compare_runs
+from .metrics import MetricsRegistry, ingest_pipeline_stats, metrics
+from .regress import RegressionReport, compare_files, compare_runs
 from .report import RunDiff, diff_runs, render_report
 from .runsdb import (
     RunRegistry,
@@ -103,11 +91,7 @@ __all__ = [
     "SpanRecord",
     "metrics",
     "MetricsRegistry",
-    "Histogram",
     "ingest_pipeline_stats",
-    "ingest_stage_times",
-    "ingest_aggregation_trace",
-    "ingest_dram_stats",
     "get_logger",
     "configure",
     "bench",
@@ -117,7 +101,6 @@ __all__ = [
     "run_suite",
     "write_trajectory",
     "RegressionReport",
-    "TolerancePolicy",
     "compare_runs",
     "compare_files",
     "AttributionReport",
@@ -129,7 +112,6 @@ __all__ = [
     "FlightLog",
     "read_flight_record",
     "HealthAlert",
-    "HealthConfig",
     "HealthError",
     "HealthMonitor",
     "get_monitor",
@@ -137,11 +119,6 @@ __all__ = [
     "RunDiff",
     "diff_runs",
     "render_report",
-    "prof",
-    "profile",
-    "top_spans",
-    "format_top_table",
-    "write_profile",
     "runsdb",
     "RunRegistry",
     "ingest_slam_run",

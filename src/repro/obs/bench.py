@@ -88,7 +88,6 @@ class SizeSpec:
 SIZES: Dict[str, SizeSpec] = {
     "tiny": SizeSpec(32, 24, 6, 8, 4),
     "small": SizeSpec(48, 36, 6, 8, 4),
-    "default": SizeSpec(96, 64, 10, 16, 4),
 }
 
 

@@ -24,11 +24,11 @@ going wrong *while it is still running*:
   against mapping passes, tracking-only frames against tracking-only
   ones; rising-edge: a sustained slowdown alerts once, not every frame).
 
-Every alert is routed through the metrics registry (a ``health.alerts.
-<monitor>`` counter plus a logged warning), and the configurable
-``on_alert`` policy escalates: ``"warn"`` records and continues,
-``"raise"`` aborts the run with :exc:`HealthError`.  Every other run
-observer sees each alert once, inside its frame record.  The alert that
+Every alert is routed through the :data:`~repro.obs.metrics.metrics`
+registry (a ``health.alerts.<monitor>`` counter plus a logged warning),
+and the monitor's ``on_alert`` policy escalates: ``"warn"`` records
+and continues, ``"raise"`` aborts the run with :exc:`HealthError`.
+Every other run observer sees each alert once, inside its frame record.  The alert that
 aborts a run never reaches a record: it travels on the exception
 (:attr:`HealthError.alert`), and ``repro slam`` closes the flight
 record with it.
@@ -44,10 +44,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .metrics import MetricsRegistry, metrics
+from .metrics import metrics
 
 __all__ = [
-    "HealthConfig",
     "HealthAlert",
     "HealthError",
     "HealthMonitor",
@@ -65,53 +64,40 @@ class HealthError(RuntimeError):
         self.alert = alert
 
 
-@dataclass(frozen=True)
-class HealthConfig:
-    """Thresholds and escalation policy of the monitors.
+# Thresholds.  They are loose enough that healthy proxy-scale runs never
+# alert; see EXPERIMENTS.md "Flight recorder" for how they were chosen.
 
-    Defaults are loose enough that healthy proxy-scale runs never
-    alert; see EXPERIMENTS.md "Flight recorder" for tuning guidance.
-    """
-
-    #: ``"warn"`` records alerts and continues; ``"raise"`` aborts the
-    #: run with :exc:`HealthError` at the first alert.
-    on_alert: str = "warn"
-    #: A translation step alerts when it exceeds this multiple of the
-    #: rolling median step ...
-    pose_jump_factor: float = 10.0
-    #: ... and this absolute floor (metres) — tiny scenes jitter.
-    pose_jump_min_m: float = 0.05
-    #: Number of recent steps the rolling median considers.
-    pose_history: int = 8
-    #: Sliding-window length for the loss-divergence monitor.
-    loss_window: int = 5
-    #: The window diverges when its *minimum* exceeds this multiple of
-    #: the best loss observed before the window.
-    loss_divergence_factor: float = 2.0
-    #: Unseen-pixel fraction above which a mapping pass alerts ...
-    coverage_collapse: float = 0.5
-    #: ... once this many mapping passes have been observed (early
-    #: frames legitimately see mostly-unseen pixels).
-    coverage_warmup: int = 2
-    #: Gaussian-count growth factor per mapping invocation that alerts ...
-    densify_growth_factor: float = 1.75
-    #: ... after this many invocations (bootstrap growth is expected).
-    densify_warmup: int = 2
-    #: A frame's wall time alerts when it exceeds this multiple of the
-    #: rolling median wall time of frames of its kind (mapping frames
-    #: compare against mapping frames); ``<= 0`` disables the monitor
-    #: (wall time is nondeterministic — benches needing exact alert
-    #: counts turn it off) ...
-    frame_time_factor: float = 10.0
-    #: ... and this absolute floor (seconds) — timer jitter on fast
-    #: proxy frames is not a spike.
-    frame_time_min_s: float = 0.05
-    #: Number of recent frame wall times the rolling median considers.
-    frame_time_history: int = 8
-
-    def __post_init__(self) -> None:
-        if self.on_alert not in ("warn", "raise"):
-            raise ValueError("on_alert must be 'warn' or 'raise'")
+#: A translation step alerts when it exceeds this multiple of the rolling
+#: median step ...
+_POSE_JUMP_FACTOR = 10.0
+#: ... and this absolute floor (metres) — tiny scenes jitter.
+_POSE_JUMP_MIN_M = 0.05
+#: Number of recent steps the rolling median considers.
+_POSE_HISTORY = 8
+#: Sliding-window length for the loss-divergence monitor.
+_LOSS_WINDOW = 5
+#: The window diverges when its *minimum* exceeds this multiple of the
+#: best loss observed before the window.
+_LOSS_DIVERGENCE_FACTOR = 2.0
+#: Unseen-pixel fraction above which a mapping pass alerts ...
+_COVERAGE_COLLAPSE = 0.5
+#: ... once this many mapping passes have been observed (early frames
+#: legitimately see mostly-unseen pixels).
+_COVERAGE_WARMUP = 2
+#: Gaussian-count growth factor per mapping invocation that alerts ...
+_DENSIFY_GROWTH_FACTOR = 1.75
+#: ... after this many invocations (bootstrap growth is expected).
+_DENSIFY_WARMUP = 2
+#: A frame's wall time alerts when it exceeds this multiple of the
+#: rolling median wall time of frames of its kind (mapping frames compare
+#: against mapping frames; wall time is nondeterministic, so tests that
+#: count alerts exactly set it to ``inf``) ...
+_FRAME_TIME_FACTOR = 10.0
+#: ... and this absolute floor (seconds) — timer jitter on fast proxy
+#: frames is not a spike.
+_FRAME_TIME_MIN_S = 0.05
+#: Number of recent frame wall times the rolling median considers.
+_FRAME_TIME_HISTORY = 8
 
 
 @dataclass
@@ -167,12 +153,16 @@ def _median(values: List[float]) -> float:
 
 
 class HealthMonitor:
-    """Stream watcher: feed it frame records, collect structured alerts."""
+    """Stream watcher: feed it frame records, collect structured alerts.
 
-    def __init__(self, config: Optional[HealthConfig] = None,
-                 registry: Optional[MetricsRegistry] = None):
-        self.config = config or HealthConfig()
-        self.registry = registry or metrics
+    ``on_alert="warn"`` records alerts and continues; ``"raise"`` aborts
+    the run with :exc:`HealthError` at the first alert.
+    """
+
+    def __init__(self, on_alert: str = "warn"):
+        if on_alert not in ("warn", "raise"):
+            raise ValueError("on_alert must be 'warn' or 'raise'")
+        self.on_alert = on_alert
         self.alerts: List[HealthAlert] = []
         self.begin_run()
 
@@ -205,9 +195,9 @@ class HealthMonitor:
                             context={k: v for k, v in context.items()
                                      if v is not None})
         self.alerts.append(alert)
-        self.registry.inc(f"health.alerts.{monitor}")
-        self.registry.warn(f"health[{monitor}]: {message}")
-        if self.config.on_alert == "raise":
+        metrics.inc(f"health.alerts.{monitor}")
+        metrics.warn(f"health[{monitor}]: {message}")
+        if self.on_alert == "raise":
             raise HealthError(alert)
         return alert
 
@@ -279,7 +269,6 @@ class HealthMonitor:
             return None
 
     def _check_pose_jump(self, record, frame) -> None:
-        cfg = self.config
         position = self._position(record)
         if position is None:
             return
@@ -288,67 +277,64 @@ class HealthMonitor:
                 (a - b) ** 2 for a, b in zip(position, self._last_position)))
             if _is_finite(step) and len(self._steps) >= 3:
                 median_step = _median(self._steps)
-                limit = max(cfg.pose_jump_min_m,
-                            cfg.pose_jump_factor * median_step)
+                limit = max(_POSE_JUMP_MIN_M,
+                            _POSE_JUMP_FACTOR * median_step)
                 if step > limit:
                     self._alert(
                         "pose_jump",
                         f"frame {frame}: translation step {step:.3f} m "
                         f"exceeds {limit:.3f} m "
-                        f"({cfg.pose_jump_factor:g}x rolling median "
+                        f"({_POSE_JUMP_FACTOR:g}x rolling median "
                         f"{median_step:.4f} m)",
                         frame=frame, value=step, threshold=limit)
             if _is_finite(step):
                 self._steps.append(step)
-                del self._steps[:-cfg.pose_history]
+                del self._steps[:-_POSE_HISTORY]
         self._last_position = position
 
     def _check_loss_divergence(self, record, frame) -> None:
-        cfg = self.config
         tracking = record.get("tracking") or {}
         loss = tracking.get("final_loss")
         if loss is None or not _is_finite(loss):
             return
         self._losses.append(float(loss))
-        window = cfg.loss_window
+        window = _LOSS_WINDOW
         if len(self._losses) <= window:
             return
         best_before = min(self._losses[:-window])
         window_min = min(self._losses[-window:])
-        diverged = window_min > cfg.loss_divergence_factor * best_before + 1e-12
+        diverged = window_min > _LOSS_DIVERGENCE_FACTOR * best_before + 1e-12
         if diverged and not self._loss_diverged:
             self._alert(
                 "loss_divergence",
                 f"frame {frame}: tracking loss window min {window_min:.5f} "
-                f"is {cfg.loss_divergence_factor:g}x above the best "
+                f"is {_LOSS_DIVERGENCE_FACTOR:g}x above the best "
                 f"{best_before:.5f}",
                 frame=frame, value=window_min,
-                threshold=cfg.loss_divergence_factor * best_before)
+                threshold=_LOSS_DIVERGENCE_FACTOR * best_before)
         self._loss_diverged = diverged
 
     def _check_coverage(self, record, frame) -> None:
-        cfg = self.config
         mapping = record.get("mapping") or {}
         sampling = mapping.get("sampling") or {}
         coverage = sampling.get("unseen_coverage")
         if coverage is None or not _is_finite(coverage):
             return
         self._mapping_passes += 1
-        if self._mapping_passes <= cfg.coverage_warmup:
+        if self._mapping_passes <= _COVERAGE_WARMUP:
             return
-        collapsed = float(coverage) > cfg.coverage_collapse
+        collapsed = float(coverage) > _COVERAGE_COLLAPSE
         if collapsed and not self._coverage_collapsed:
             self._alert(
                 "coverage_collapse",
                 f"frame {frame}: unseen-transmittance coverage "
-                f"{float(coverage):.2f} exceeds {cfg.coverage_collapse:g} "
+                f"{float(coverage):.2f} exceeds {_COVERAGE_COLLAPSE:g} "
                 f"after warm-up — the map no longer covers the view",
                 frame=frame, value=float(coverage),
-                threshold=cfg.coverage_collapse)
+                threshold=_COVERAGE_COLLAPSE)
         self._coverage_collapsed = collapsed
 
     def _check_densification(self, record, frame) -> None:
-        cfg = self.config
         mapping = record.get("mapping") or {}
         gaussians = record.get("gaussians")
         if gaussians is None or not mapping.get("invoked"):
@@ -358,21 +344,18 @@ class HealthMonitor:
         self._last_gaussians = int(gaussians)
         if previous is None or previous <= 0:
             return
-        if self._densify_invocations <= cfg.densify_warmup:
+        if self._densify_invocations <= _DENSIFY_WARMUP:
             return
         growth = int(gaussians) / previous
-        if growth > cfg.densify_growth_factor:
+        if growth > _DENSIFY_GROWTH_FACTOR:
             self._alert(
                 "densify_runaway",
                 f"frame {frame}: map grew {growth:.2f}x in one mapping "
                 f"invocation ({previous} -> {int(gaussians)} Gaussians)",
                 frame=frame, value=growth,
-                threshold=cfg.densify_growth_factor)
+                threshold=_DENSIFY_GROWTH_FACTOR)
 
     def _check_frame_time(self, record, frame) -> None:
-        cfg = self.config
-        if cfg.frame_time_factor <= 0:
-            return
         wall = record.get("wall_time_s")
         if wall is None or not _is_finite(wall):
             return
@@ -388,19 +371,19 @@ class HealthMonitor:
         history = self._frame_times.setdefault(bucket, [])
         if len(history) >= 3:
             median_wall = _median(history)
-            limit = max(cfg.frame_time_min_s,
-                        cfg.frame_time_factor * median_wall)
+            limit = max(_FRAME_TIME_MIN_S,
+                        _FRAME_TIME_FACTOR * median_wall)
             spiking = wall > limit
             if spiking and not self._frame_time_spiking:
                 self._alert(
                     "frame_time_spike",
                     f"frame {frame}: {bucket} wall time {wall:.3f} s "
-                    f"exceeds {limit:.3f} s ({cfg.frame_time_factor:g}x "
+                    f"exceeds {limit:.3f} s ({_FRAME_TIME_FACTOR:g}x "
                     f"rolling {bucket} median {median_wall:.4f} s)",
                     frame=frame, value=wall, threshold=limit)
             self._frame_time_spiking = spiking
         history.append(wall)
-        del history[:-cfg.frame_time_history]
+        del history[:-_FRAME_TIME_HISTORY]
 
 
 #: Process-wide default monitor.  The tracker/mapper iteration guards

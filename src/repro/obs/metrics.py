@@ -1,17 +1,13 @@
-"""Metrics registry: counters, gauges, histograms, and bridges.
+"""Metrics registry: counters, gauges, and the ``PipelineStats`` bridge.
 
-One export path for both views of a run: the *algorithmic* view
-(``PipelineStats`` workload counters, α-check pass rates, warp
-utilization) and the *modeled-hardware* view (stage latencies, aggregation
-cache hit rates, modeled cycles/energy).  Everything lands in a
-:class:`MetricsRegistry` whose :meth:`~MetricsRegistry.export` is
-deterministic (sorted keys, plain python scalars) so benches can diff
-exported payloads (e.g. the ``BENCH_trajectory.json`` artifacts of
-``repro bench``) across PRs.
+One export path for the *algorithmic* view of a run (``PipelineStats``
+workload counters, α-check pass rates, warp utilization).  Everything
+lands in a :class:`MetricsRegistry` whose :meth:`~MetricsRegistry.export`
+is deterministic (sorted keys, plain python scalars), so exported payloads
+diff cleanly across runs.
 
-The ``ingest_*`` bridge functions translate the existing result objects —
-they duck-type their inputs, so this module imports nothing from the rest
-of the package and stays cycle-free.
+:func:`ingest_pipeline_stats` duck-types its input, so this module imports
+nothing from the rest of the package and stays cycle-free.
 
 The process-wide :data:`metrics` registry counts warnings and health
 alerts as a run goes; ``repro trace --metrics-out`` writes its export.
@@ -23,55 +19,18 @@ import json
 from typing import Any, Dict, List, Optional
 
 __all__ = [
-    "Histogram",
     "MetricsRegistry",
     "metrics",
     "ingest_pipeline_stats",
-    "ingest_stage_times",
-    "ingest_aggregation_trace",
-    "ingest_dram_stats",
 ]
 
 
-class Histogram:
-    """Streaming summary of observed values (count/sum/min/max/mean)."""
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def observe(self, value: float) -> None:
-        v = float(value)
-        self.count += 1
-        self.total += v
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def snapshot(self) -> Dict[str, float]:
-        if self.count == 0:
-            return {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0,
-                    "max": 0.0}
-        return {"count": self.count, "sum": self.total, "mean": self.mean,
-                "min": self.min, "max": self.max}
-
-
 class MetricsRegistry:
-    """Named counters (monotonic), gauges (last value), and histograms."""
+    """Named counters (monotonic) and gauges (last value)."""
 
     def __init__(self):
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
-        self._histograms: Dict[str, Histogram] = {}
         self._warnings: List[str] = []
 
     # ---- instruments ----
@@ -84,12 +43,6 @@ class MetricsRegistry:
 
     def set_gauge(self, name: str, value: float) -> None:
         self._gauges[name] = float(value)
-
-    def observe(self, name: str, value: float) -> None:
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = Histogram()
-        hist.observe(value)
 
     def warn(self, message: str) -> None:
         """Record a run warning (also logged at WARNING level)."""
@@ -114,7 +67,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         self._counters.clear()
         self._gauges.clear()
-        self._histograms.clear()
         self._warnings.clear()
 
     # ---- export ----
@@ -131,8 +83,6 @@ class MetricsRegistry:
                          for k, v in sorted(self._counters.items())},
             "gauges": {k: float(v)
                        for k, v in sorted(self._gauges.items())},
-            "histograms": {k: h.snapshot()
-                           for k, h in sorted(self._histograms.items())},
             "warnings": list(self._warnings),
         }
 
@@ -141,13 +91,9 @@ class MetricsRegistry:
             json.dump(self.export(), f, indent=1, sort_keys=True)
 
 
-#: Process-wide default registry; the bridges below default to it.
+#: Process-wide default registry; the bridge below defaults to it.
 metrics = MetricsRegistry()
 
-
-# ---------------------------------------------------------------------------
-# Bridges from existing result objects (duck-typed, no package imports)
-# ---------------------------------------------------------------------------
 
 def ingest_pipeline_stats(stage: str, stats,
                           registry: Optional[MetricsRegistry] = None) -> None:
@@ -168,39 +114,3 @@ def ingest_pipeline_stats(stage: str, stats,
             # n/a when per-pixel records were off; don't fake a gauge.
             continue
         reg.set_gauge(f"{stage}.{key}", value)
-
-
-def ingest_stage_times(name: str, times,
-                       registry: Optional[MetricsRegistry] = None) -> None:
-    """Feed a hw-model :class:`~repro.hw.gpu.StageTimes` as gauges."""
-    reg = registry or metrics
-    for key, value in times.as_dict().items():
-        reg.set_gauge(f"{name}.{key}_s", value)
-    reg.set_gauge(f"{name}.forward_s", times.forward)
-    reg.set_gauge(f"{name}.backward_s", times.backward)
-    reg.set_gauge(f"{name}.total_s", times.total)
-
-
-def ingest_aggregation_trace(name: str, agg_trace,
-                             registry: Optional[MetricsRegistry] = None) -> None:
-    """Feed an :class:`~repro.hw.aggregation.AggregationTrace` replay."""
-    reg = registry or metrics
-    reg.inc(f"{name}.tuples", agg_trace.tuples)
-    reg.inc(f"{name}.cache_hits", agg_trace.cache_hits)
-    reg.inc(f"{name}.cache_misses", agg_trace.cache_misses)
-    reg.set_gauge(f"{name}.cycles", agg_trace.cycles)
-    reg.set_gauge(f"{name}.stall_cycles", agg_trace.stall_cycles)
-    reg.set_gauge(f"{name}.hit_rate", agg_trace.hit_rate)
-    reg.set_gauge(f"{name}.cycles_per_tuple", agg_trace.cycles_per_tuple)
-    reg.set_gauge(f"{name}.dram_bytes", agg_trace.dram_bytes)
-
-
-def ingest_dram_stats(name: str, dram_stats,
-                      registry: Optional[MetricsRegistry] = None) -> None:
-    """Feed a :class:`~repro.hw.dram.DramStats` access tally."""
-    reg = registry or metrics
-    reg.inc(f"{name}.hits", dram_stats.hits)
-    reg.inc(f"{name}.misses", dram_stats.misses)
-    reg.set_gauge(f"{name}.hit_rate", dram_stats.hit_rate)
-    reg.set_gauge(f"{name}.cycles", dram_stats.cycles)
-    reg.set_gauge(f"{name}.energy_pj", dram_stats.energy_pj)

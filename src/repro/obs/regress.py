@@ -40,7 +40,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 from .bench import SCHEMA_VERSION
 
 __all__ = [
-    "TolerancePolicy",
     "Finding",
     "RegressionReport",
     "load_trajectory",
@@ -52,21 +51,17 @@ __all__ = [
 DEFAULT_SECTIONS = ("counters", "model", "overhead")
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Per-kind comparison tolerances."""
-
-    #: Relative tolerance for modeled (deterministic float) metrics.
-    model_rel: float = 1e-6
-    #: Absolute floor for modeled metrics with zero-valued baselines.
-    model_abs: float = 1e-12
-    #: Observability-overhead budget: the all-on/all-off wall ratio may
-    #: exceed the committed baseline ratio by at most this relative slack...
-    overhead_rel: float = 0.35
-    #: ... with this absolute ratio floor (small scenarios jitter), and
-    overhead_abs: float = 0.5
-    #: the excess must also clear this many MADs (max of both runs').
-    overhead_mad_factor: float = 4.0
+#: Relative tolerance for modeled (deterministic float) metrics.
+_MODEL_REL = 1e-6
+#: Absolute floor for modeled metrics with zero-valued baselines.
+_MODEL_ABS = 1e-12
+#: Observability-overhead budget: the all-on/all-off wall ratio may
+#: exceed the committed baseline ratio by at most this relative slack...
+_OVERHEAD_REL = 0.35
+#: ... with this absolute ratio floor (small scenarios jitter), and
+_OVERHEAD_ABS = 0.5
+#: the excess must also clear this many MADs (max of both runs').
+_OVERHEAD_MAD_FACTOR = 4.0
 
 
 @dataclass
@@ -200,9 +195,8 @@ def _compare_exact(name: str, metric: str, base: float, cur: float) -> Finding:
                    f"exact counter changed {_fmt(base)} -> {_fmt(cur)}")
 
 
-def _compare_model(name: str, metric: str, base: float, cur: float,
-                   policy: TolerancePolicy) -> Finding:
-    tol = max(policy.model_abs, policy.model_rel * abs(base))
+def _compare_model(name: str, metric: str, base: float, cur: float) -> Finding:
+    tol = max(_MODEL_ABS, _MODEL_REL * abs(base))
     if cur > base + tol:
         return Finding(name, metric, "model", base, cur, "regressed",
                        f"exceeds baseline by {cur - base:.3g} "
@@ -214,15 +208,14 @@ def _compare_model(name: str, metric: str, base: float, cur: float,
 
 
 def _compare_overhead_ratio(name: str, base_over: Dict[str, Any],
-                            cur_over: Dict[str, Any],
-                            policy: TolerancePolicy) -> Finding:
+                            cur_over: Dict[str, Any]) -> Finding:
     metric = "overhead.ratio"
     base = float(base_over.get("ratio", 0.0))
     cur = float(cur_over.get("ratio", 0.0))
     mad = max(float(base_over.get("mad", 0.0)),
               float(cur_over.get("mad", 0.0)))
-    slack = max(policy.overhead_abs, base * policy.overhead_rel,
-                policy.overhead_mad_factor * mad)
+    slack = max(_OVERHEAD_ABS, base * _OVERHEAD_REL,
+                _OVERHEAD_MAD_FACTOR * mad)
     if cur > base + slack:
         return Finding(name, metric, "overhead", base, cur, "regressed",
                        f"obs overhead grew {base:.3f}x -> {cur:.3f}x "
@@ -234,8 +227,7 @@ def _compare_overhead_ratio(name: str, base_over: Dict[str, Any],
 
 
 def _compare_section(name: str, section: str, base: Dict[str, Any],
-                     cur: Dict[str, Any],
-                     policy: TolerancePolicy) -> List[Finding]:
+                     cur: Dict[str, Any]) -> List[Finding]:
     kind = "counter" if section == "counters" else "model"
     base_metrics = base.get(section) or {}
     cur_metrics = cur.get(section) or {}
@@ -252,8 +244,7 @@ def _compare_section(name: str, section: str, base: Dict[str, Any],
         if section == "counters":
             findings.append(_compare_exact(name, metric, base_v, cur_v))
         else:
-            findings.append(_compare_model(name, metric, base_v, cur_v,
-                                           policy))
+            findings.append(_compare_model(name, metric, base_v, cur_v))
     for key in sorted(set(cur_metrics) - set(base_metrics)):
         findings.append(Finding(name, f"{section}.{key}", kind, None,
                                 float(cur_metrics[key]), "new",
@@ -275,11 +266,9 @@ def _env_mismatches(baseline: Dict[str, Any],
 
 
 def compare_runs(current: Dict[str, Any], baseline: Dict[str, Any],
-                 policy: Optional[TolerancePolicy] = None,
                  sections: Sequence[str] = DEFAULT_SECTIONS,
                  ) -> RegressionReport:
     """Diff two suite payloads; see the module docstring for semantics."""
-    pol = policy or TolerancePolicy()
     report = RegressionReport()
     ok = _check_schema(baseline, "baseline", report.errors)
     ok = _check_schema(current, "current", report.errors) and ok
@@ -305,10 +294,10 @@ def compare_runs(current: Dict[str, Any], baseline: Dict[str, Any],
             if section == "overhead":
                 if base.get("overhead") and cur.get("overhead"):
                     report.findings.append(_compare_overhead_ratio(
-                        name, base["overhead"], cur["overhead"], pol))
+                        name, base["overhead"], cur["overhead"]))
                 continue
             report.findings.extend(
-                _compare_section(name, section, base, cur, pol))
+                _compare_section(name, section, base, cur))
     for name in sorted(set(cur_scenarios) - set(base_scenarios)):
         report.findings.append(Finding(
             name, "(scenario)", "scenario", None, None, "new",
@@ -330,7 +319,6 @@ def load_trajectory(path: str) -> Dict[str, Any]:
 
 
 def compare_files(current_path: str, baseline_path: str,
-                  policy: Optional[TolerancePolicy] = None,
                   sections: Sequence[str] = DEFAULT_SECTIONS,
                   scenarios: Optional[Iterable[str]] = None,
                   ) -> RegressionReport:
@@ -360,4 +348,4 @@ def compare_files(current_path: str, baseline_path: str,
             if isinstance(doc.get("scenarios"), dict):
                 doc["scenarios"] = {k: v for k, v in doc["scenarios"].items()
                                     if k in wanted}
-    return compare_runs(docs["current"], docs["baseline"], policy, sections)
+    return compare_runs(docs["current"], docs["baseline"], sections)

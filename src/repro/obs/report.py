@@ -279,8 +279,12 @@ DIFF_CHANNELS: List[Tuple[str, str]] = [
     ("counters", "counters"),
 ]
 
+#: Two numeric channel values agree within these tolerances.
+_DIFF_REL_TOL = 1e-9
+_DIFF_ABS_TOL = 1e-12
 
-def _values_equal(a: Any, b: Any, rel_tol: float, abs_tol: float) -> bool:
+
+def _values_equal(a: Any, b: Any) -> bool:
     if a is None or b is None:
         return a is None and b is None
     if isinstance(a, bool) or isinstance(b, bool):
@@ -289,16 +293,16 @@ def _values_equal(a: Any, b: Any, rel_tol: float, abs_tol: float) -> bool:
         fa, fb = float(a), float(b)
         if math.isnan(fa) and math.isnan(fb):
             return True
-        return math.isclose(fa, fb, rel_tol=rel_tol, abs_tol=abs_tol)
+        return math.isclose(fa, fb, rel_tol=_DIFF_REL_TOL,
+                            abs_tol=_DIFF_ABS_TOL)
     if isinstance(a, dict) and isinstance(b, dict):
         if set(a) != set(b):
             return False
-        return all(_values_equal(a[k], b[k], rel_tol, abs_tol) for k in a)
+        return all(_values_equal(a[k], b[k]) for k in a)
     if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
         if len(a) != len(b):
             return False
-        return all(_values_equal(x, y, rel_tol, abs_tol)
-                   for x, y in zip(a, b))
+        return all(_values_equal(x, y) for x, y in zip(a, b))
     return a == b
 
 
@@ -390,8 +394,7 @@ class RunDiff:
         return "\n".join(lines) + "\n"
 
 
-def diff_runs(a: FlightLog, b: FlightLog,
-              rel_tol: float = 1e-9, abs_tol: float = 1e-12) -> RunDiff:
+def diff_runs(a: FlightLog, b: FlightLog) -> RunDiff:
     """Align two runs frame-by-frame and find where they first diverge."""
     diff = RunDiff(a_path=a.path, b_path=b.path,
                    frame_counts=(a.num_frames, b.num_frames))
@@ -406,7 +409,7 @@ def diff_runs(a: FlightLog, b: FlightLog,
         channel_diff = ChannelDiff(channel=channel, first_frame=None,
                                    frames_compared=n)
         for i in range(n):
-            if not _values_equal(series_a[i], series_b[i], rel_tol, abs_tol):
+            if not _values_equal(series_a[i], series_b[i]):
                 channel_diff.first_frame = i
                 channel_diff.a_value = series_a[i]
                 channel_diff.b_value = series_b[i]

@@ -13,19 +13,19 @@ Captured traces export two ways:
   Chrome trace-event JSON ("X" complete events with ``name/ph/ts/dur/
   pid/tid``), loadable in Perfetto or ``chrome://tracing``;
 - :meth:`Tracer.stage_table` / :meth:`Tracer.format_summary` — a per-span
-  aggregate (count, total time, self time) rendered as a markdown table.
+  aggregate (count, total time, wall and CPU self time, and the memory
+  columns when they were profiled), ranked by wall self time and
+  rendered as a markdown table.
 
 Self time is total time minus the time spent in child spans, which is what
 the paper's stage breakdowns (Figs. 4/5/14) report per pipeline stage.
 
-Continuous profiling: every span also records CPU time
-(``process_time_ns``) with the same parent/child self-time accounting, so
-wall-vs-CPU gaps expose blocking (I/O, page faults) per stage.  Per-span
-allocation and peak-memory deltas (``tracemalloc``) are available behind
-the opt-in ``memory`` flag of :meth:`Tracer.enable` /
-:meth:`Tracer.capture` — tracemalloc multiplies allocation cost, so it is
-never on by default.  ``repro.obs.prof`` renders the top-N
-self-time/alloc tables from these fields.
+Every span also records CPU time (``process_time_ns``) with the same
+parent/child self-time accounting, so wall-vs-CPU gaps expose blocking
+(I/O, page faults) per stage.  Per-span allocation and peak-memory deltas
+(``tracemalloc``) are available behind the opt-in ``memory`` flag of
+:meth:`Tracer.enable` / :meth:`Tracer.capture` — tracemalloc multiplies
+allocation cost, so it is never on by default.
 """
 
 from __future__ import annotations
@@ -310,25 +310,50 @@ class Tracer:
         return sorted(agg.values(), key=lambda row: -row["self_s"])
 
     def format_summary(self, title: Optional[str] = None) -> str:
-        """Markdown table of the per-stage breakdown (self-time ordered)."""
+        """Markdown table of :meth:`stage_table` (self-time ordered), with
+        alloc/peak columns when memory profiling was on."""
         rows = self.stage_table()
         wall = sum(row["self_s"] for row in rows)
+        has_mem = any("alloc_bytes" in row for row in rows)
         lines = []
         if title:
             lines.append(f"### {title}")
-        lines += [
-            "| span | count | total ms | self ms | self % |",
-            "|---|---:|---:|---:|---:|",
-        ]
+        header = "| span | count | total ms | self ms | self % | cpu self ms |"
+        rule = "|---|---:|---:|---:|---:|---:|"
+        if has_mem:
+            header += " alloc | peak |"
+            rule += "---:|---:|"
+        lines += [header, rule]
         for row in rows:
             share = row["self_s"] / wall if wall > 0 else 0.0
-            lines.append(
-                f"| {row['span']} | {row['count']} "
-                f"| {row['total_s'] * 1e3:.2f} | {row['self_s'] * 1e3:.2f} "
-                f"| {share * 100.0:.1f} |")
+            line = (f"| {row['span']} | {row['count']} "
+                    f"| {row['total_s'] * 1e3:.2f} "
+                    f"| {row['self_s'] * 1e3:.2f} "
+                    f"| {share * 100.0:.1f} "
+                    f"| {row['cpu_self_s'] * 1e3:.2f} |")
+            if has_mem:
+                line += (f" {_fmt_bytes(row.get('alloc_bytes'))} "
+                         f"| {_fmt_bytes(row.get('peak_bytes'))} |")
+            lines.append(line)
         if not rows:
-            lines.append("| (no spans recorded) | 0 | 0.00 | 0.00 | 0.0 |")
+            lines.append(
+                "| (no spans recorded) | 0 | 0.00 | 0.00 | 0.0 | 0.00 |")
         return "\n".join(lines)
+
+
+def _fmt_bytes(value: Optional[int]) -> str:
+    """``value`` bytes in B/KiB/MiB/GiB, signed (allocs can be net frees);
+    a span recorded while memory profiling was off has none."""
+    if value is None:
+        return "—"
+    sign = "-" if value < 0 else ""
+    mag = abs(value)
+    if mag < 1024:
+        return f"{sign}{mag:d} B"
+    for unit in ("KiB", "MiB", "GiB"):
+        mag /= 1024
+        if mag < 1024 or unit == "GiB":
+            return f"{sign}{mag:.1f} {unit}"
 
 
 #: Process-wide default tracer; instrumented modules share this instance.

@@ -39,7 +39,11 @@ class TestParser:
                                       ["runs", "ingest", "--atlas", "x"],
                                       ["bench", "compare",
                                        "--counters-only"],
-                                      ["slam", "--per-pixel-records"]],
+                                      ["slam", "--per-pixel-records"],
+                                      ["trace", "--profile-top", "5"],
+                                      ["trace", "--profile-out", "x"],
+                                      ["bench", "run", "--size",
+                                       "default"]],
                              ids=["top", "runs trend", "runs triage",
                                   "slam --telemetry-stream",
                                   "slam --serve-telemetry",
@@ -50,7 +54,10 @@ class TestParser:
                                   "slam --atlas-tile",
                                   "runs ingest --atlas",
                                   "bench compare --counters-only",
-                                  "slam --per-pixel-records"])
+                                  "slam --per-pixel-records",
+                                  "trace --profile-top",
+                                  "trace --profile-out",
+                                  "bench run --size default"])
     def test_deleted_commands_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
@@ -186,6 +193,26 @@ class TestCommands:
         assert (json.dumps(payload, indent=1, sort_keys=True)
                 == json.dumps(payload, indent=1))
 
+    def test_trace_profile_memory_carries_every_column(self, tmp_path,
+                                                       capsys):
+        """Under --profile-memory the one stage table, markdown and JSON,
+        carries wall and CPU self time, alloc and peak for every span."""
+        out = str(tmp_path / "trace.json")
+        argv = ["trace", "--frames", "2", "--width", "32", "--height", "24",
+                "--out", out, "--profile-memory"]
+        assert main(argv + ["--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["stages"]
+        assert rows
+        for row in rows:
+            assert {"self_s", "cpu_self_s", "alloc_bytes",
+                    "peak_bytes"} <= set(row)
+        assert [row["self_s"] for row in rows] == sorted(
+            (row["self_s"] for row in rows), reverse=True)
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        assert "| self ms | self % | cpu self ms | alloc | peak |" in table
+        assert "tracking_fwd" in table
+
     def test_quiet_silences_narration(self, tmp_path, capsys):
         out = str(tmp_path / "v.ppm")
         assert main(["-qq", "render", "--out", out, "--width", "32",
@@ -272,6 +299,23 @@ class TestBenchCommands:
         assert doc["bottlenecks"]["forward"]
         events = json.loads(open(units).read())
         assert {e["ph"] for e in events} == {"M", "X"}
+
+    @pytest.mark.parametrize("scenario", ["tracking", "mapping"])
+    def test_attrib_traces_only_the_attributed_pixel_iteration(
+            self, scenario, capsys):
+        """The wall-time fold sits beside the pixel workload's cycles, so
+        neither the probe-map build nor the Org./Org.+S variants may
+        enter it."""
+        from repro.obs import trace
+
+        assert main(["-q", "bench", "attrib", "--scenario", scenario,
+                     "--size", "tiny"]) == 0
+        records = trace.records
+        assert any(r.attrs.get("pipeline") == "pixel" for r in records)
+        for r in records:
+            assert r.name != "bench.build_bundle"
+            assert not r.name.startswith("mapping_")
+            assert r.attrs.get("pipeline") != "tile", r.name
 
 
 class TestSlamEndToEnd:
@@ -410,8 +454,9 @@ class TestHelpSmoke:
         assert out.startswith("repro ")
         assert "artifact schema versions:" in out
         for artifact in ("flight record", "bench trajectory",
-                         "span profile", "run registry"):
+                         "run registry"):
             assert artifact in out
+        assert "span profile" not in out
 
 
 class TestRegistryFlags:

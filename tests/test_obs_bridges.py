@@ -1,16 +1,8 @@
-"""Metrics-registry bridges against hand-built result objects."""
+"""The metrics-registry bridge against hand-built ``PipelineStats``."""
 
-import numpy as np
 import pytest
 
-from repro.hw import AggregationTrace, DramStats, StageTimes
-from repro.obs import (
-    MetricsRegistry,
-    ingest_aggregation_trace,
-    ingest_dram_stats,
-    ingest_pipeline_stats,
-    ingest_stage_times,
-)
+from repro.obs import MetricsRegistry, ingest_pipeline_stats
 from repro.render import PipelineStats
 
 
@@ -53,56 +45,6 @@ class TestIngestPipelineStats:
     def test_empty_stats_ingest_cleanly(self, registry):
         ingest_pipeline_stats("empty", PipelineStats(), registry=registry)
         assert registry.gauges["empty.alpha_pass_rate"] == 0.0
-
-
-class TestIngestStageTimes:
-    def test_stage_and_aggregate_gauges(self, registry):
-        times = StageTimes(projection=0.1, sorting=0.2, rasterization=0.3,
-                           reverse_rasterization=0.4, aggregation=0.5,
-                           reprojection=0.6, launch=0.05, overhead=0.01)
-        ingest_stage_times("gpu.dense", times, registry=registry)
-        gauges = registry.gauges
-        assert gauges["gpu.dense.projection_s"] == pytest.approx(0.1)
-        assert gauges["gpu.dense.aggregation_s"] == pytest.approx(0.5)
-        assert gauges["gpu.dense.forward_s"] == pytest.approx(0.6)
-        assert gauges["gpu.dense.backward_s"] == pytest.approx(1.5)
-        assert gauges["gpu.dense.total_s"] == pytest.approx(2.16)
-
-
-class TestIngestAggregationTrace:
-    def test_counters_and_gauges(self, registry):
-        agg = AggregationTrace(cycles=1000.0, stall_cycles=100.0, tuples=400,
-                               unique_accumulations=300, cache_misses=50,
-                               cache_hits=350, dram_bytes=3200.0)
-        ingest_aggregation_trace("agg", agg, registry=registry)
-        assert registry.counters["agg.tuples"] == 400
-        assert registry.counters["agg.cache_hits"] == 350
-        assert registry.counters["agg.cache_misses"] == 50
-        gauges = registry.gauges
-        assert gauges["agg.cycles"] == 1000.0
-        assert gauges["agg.hit_rate"] == pytest.approx(0.875)
-        assert gauges["agg.cycles_per_tuple"] == pytest.approx(2.5)
-        assert gauges["agg.dram_bytes"] == 3200.0
-
-    def test_real_unit_output_ingests(self, registry):
-        from repro.hw import AggregationUnit
-
-        ids = [np.array([0, 1, 2]), np.array([1, 2, 3])]
-        trace = AggregationUnit().simulate(ids)
-        ingest_aggregation_trace("agg", trace, registry=registry)
-        assert registry.counters["agg.tuples"] == 6
-
-
-class TestIngestDramStats:
-    def test_counters_and_gauges(self, registry):
-        stats = DramStats(hits=90, misses=10, cycles=640.0, energy_pj=123.0)
-        ingest_dram_stats("dram", stats, registry=registry)
-        assert registry.counters["dram.hits"] == 90
-        assert registry.counters["dram.misses"] == 10
-        gauges = registry.gauges
-        assert gauges["dram.hit_rate"] == pytest.approx(0.9)
-        assert gauges["dram.cycles"] == 640.0
-        assert gauges["dram.energy_pj"] == 123.0
 
 
 class TestExportDeterminism:

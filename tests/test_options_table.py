@@ -1,7 +1,8 @@
 """DESIGN.md's "Options" table and the option fields in the code agree.
 
 Every field of ``SplatonicConfig`` and ``AlgorithmConfig``, and every
-keyword option of ``SceneFitter``, has a row; every row names one of them.
+keyword option of ``SceneFitter`` and ``HealthMonitor``, has a row; every
+row names one of them.
 A row cell lists names as ``Owner.field`` (``.field`` continues the last
 owner) or ``Owner(field=)``.
 """
@@ -13,6 +14,7 @@ from pathlib import Path
 
 from repro.core import SplatonicConfig
 from repro.fit import SceneFitter
+from repro.obs import HealthMonitor
 from repro.slam import AlgorithmConfig
 
 DESIGN = Path(__file__).resolve().parents[1] / "DESIGN.md"
@@ -41,8 +43,9 @@ def code_options():
     names = {(record.__name__, f.name)
              for record in (SplatonicConfig, AlgorithmConfig)
              for f in dataclasses.fields(record)}
-    names |= {("SceneFitter", p.name)
-              for p in inspect.signature(SceneFitter).parameters.values()
+    names |= {(owner.__name__, p.name)
+              for owner in (SceneFitter, HealthMonitor)
+              for p in inspect.signature(owner).parameters.values()
               if p.default is not p.empty}
     return names
 

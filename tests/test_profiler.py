@@ -1,22 +1,20 @@
-"""Tests for the continuous profiler and the observability-overhead gate.
+"""Tests for the per-span profile and the observability-overhead gate.
 
-Covers the tracer's CPU-time and tracemalloc extensions
-(repro.obs.tracing), the profiler front end (repro.obs.prof), the
+Covers the tracer's CPU-time and tracemalloc columns and the one stage
+table that carries them (repro.obs.tracing), the
 ``overhead`` section of the regress comparator (repro.obs.regress), and
 the record-gated ``PipelineStats.summary()`` / metrics-ingest fixes that
 rode along.
 """
 
-import json
 import time
 
 import numpy as np
 import pytest
 
-from repro.obs import prof
 from repro.obs.metrics import MetricsRegistry, ingest_pipeline_stats
-from repro.obs.regress import (DEFAULT_SECTIONS, TolerancePolicy,
-                               _compare_overhead_ratio, compare_runs)
+from repro.obs.regress import (DEFAULT_SECTIONS, _compare_overhead_ratio,
+                               compare_runs)
 from repro.obs.tracing import Tracer
 from repro.render.stats import PipelineStats
 
@@ -101,54 +99,36 @@ class TestMemoryProfiling:
         assert "alloc_bytes" in row and "peak_bytes" in row
 
 
-class TestProfFrontend:
+class TestStageTable:
     def _traced(self, memory=False):
         t = Tracer()
-        with prof.profile(memory=memory, tracer=t):
-            # ``top_spans`` ranks wall self time: spin to wall deadlines,
-            # or a descheduled "light" span can outlast "heavy".
+        with t.capture(memory=memory):
+            # The table ranks wall self time: spin to wall deadlines, or a
+            # descheduled "light" span can outlast "heavy".
             with t.span("heavy"):
                 _busy(3.0, clock=time.perf_counter)
             with t.span("light"):
                 _busy(0.5, clock=time.perf_counter)
         return t
 
-    def test_top_spans_ranked_by_self_time(self):
-        t = self._traced()
-        rows = prof.top_spans(t, n=10)
-        assert rows[0]["span"] == "heavy"
+    def test_stage_table_ranked_by_self_time(self):
+        rows = self._traced().stage_table()
         assert [r["span"] for r in rows] == ["heavy", "light"]
-        assert prof.top_spans(t, n=1) == rows[:1]
 
-    def test_top_spans_rejects_unknown_column(self):
-        t = self._traced()
-        with pytest.raises(ValueError, match="unknown sort column"):
-            prof.top_spans(t, by="nonsense")
-
-    def test_format_top_table_plain_and_memory(self):
-        plain = prof.format_top_table(self._traced(), n=5)
-        assert "| span | count | self ms | cpu self ms |" in plain
+    def test_format_summary_plain_has_cpu_column_only(self):
+        plain = self._traced().format_summary()
+        assert ("| span | count | total ms | self ms | self % "
+                "| cpu self ms |") in plain
         assert "alloc" not in plain
-        mem = prof.format_top_table(self._traced(memory=True), n=5,
-                                    title="profile")
+
+    def test_format_summary_memory_fills_every_column(self):
+        mem = self._traced(memory=True).format_summary(title="profile")
         assert mem.startswith("### profile")
-        assert "alloc | peak |" in mem
-
-    def test_format_top_table_empty(self):
-        out = prof.format_top_table(Tracer(), n=5)
-        assert "(no spans recorded)" in out
-
-    def test_write_profile_round_trip(self, tmp_path):
-        t = self._traced(memory=True)
-        path = tmp_path / "profile.json"
-        count = prof.write_profile(str(path), tracer=t)
-        assert count == 2
-        payload = json.loads(path.read_text())
-        assert payload["schema_version"] == prof.PROFILE_SCHEMA_VERSION
-        assert payload["sorted_by"] == "self_s"
-        assert payload["memory_profiled"] is True
-        assert {row["span"] for row in payload["spans"]} \
-            == {"heavy", "light"}
+        assert "| cpu self ms | alloc | peak |" in mem
+        heavy = next(line for line in mem.splitlines()
+                     if line.startswith("| heavy "))
+        assert heavy.count("|") == 9  # eight columns, all filled
+        assert "—" not in heavy
 
 
 def _payload(ratio, mad=0.01, name="obs_overhead"):
@@ -172,22 +152,19 @@ class TestOverheadBudget:
 
     def test_within_budget_is_ok(self):
         f = _compare_overhead_ratio("s", {"ratio": 1.2, "mad": 0.02},
-                                    {"ratio": 1.5, "mad": 0.02},
-                                    TolerancePolicy())
+                                    {"ratio": 1.5, "mad": 0.02})
         assert f.status == "ok"
 
     def test_exceeding_budget_regresses(self):
         # slack = max(0.5, 1.2*0.35, 4*0.02) = 0.5 -> budget 1.7x
         f = _compare_overhead_ratio("s", {"ratio": 1.2, "mad": 0.02},
-                                    {"ratio": 1.8, "mad": 0.02},
-                                    TolerancePolicy())
+                                    {"ratio": 1.8, "mad": 0.02})
         assert f.status == "regressed"
         assert "budget" in f.detail
 
     def test_large_improvement_reported(self):
         f = _compare_overhead_ratio("s", {"ratio": 2.5, "mad": 0.0},
-                                    {"ratio": 1.1, "mad": 0.0},
-                                    TolerancePolicy())
+                                    {"ratio": 1.1, "mad": 0.0})
         assert f.status == "improved"
 
     def test_compare_runs_gates_on_section_presence(self):

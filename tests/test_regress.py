@@ -4,12 +4,12 @@ import json
 
 import pytest
 
+from repro.obs import regress
 from repro.obs.bench import SCHEMA_VERSION
 from repro.obs.regress import (
     DEFAULT_SECTIONS,
     Finding,
     RegressionReport,
-    TolerancePolicy,
     compare_files,
     compare_runs,
 )
@@ -101,15 +101,16 @@ class TestModelTolerance:
         cur["scenarios"]["tracking"]["model"]["accel.total_s"] = 1e-6
         assert not compare_runs(cur, base).passed
 
-    def test_boundary_exactly_at_tolerance_is_ok(self):
-        policy = TolerancePolicy(model_rel=0.1, model_abs=0.0)
+    def test_boundary_exactly_at_tolerance_is_ok(self, monkeypatch):
+        monkeypatch.setattr(regress, "_MODEL_REL", 0.1)
+        monkeypatch.setattr(regress, "_MODEL_ABS", 0.0)
         base = make_payload()
         cur = make_payload()
         v = base["scenarios"]["tracking"]["model"]["accel.total_s"]
         cur["scenarios"]["tracking"]["model"]["accel.total_s"] = v * 1.1
-        assert compare_runs(cur, base, policy=policy).passed
+        assert compare_runs(cur, base).passed
         cur["scenarios"]["tracking"]["model"]["accel.total_s"] = v * 1.11
-        assert not compare_runs(cur, base, policy=policy).passed
+        assert not compare_runs(cur, base).passed
 
 
 def with_overhead(doc, ratio, mad=0.0):

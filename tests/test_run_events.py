@@ -13,8 +13,7 @@ from repro.metrics.ate import ate_rmse
 from repro.obs import health
 from repro.obs.flight import (FlightRecorder, parse_flight_records,
                               read_flight_record)
-from repro.obs.health import (HealthConfig, HealthMonitor,
-                              get_monitor)
+from repro.obs.health import HealthMonitor, get_monitor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import diff_runs, render_report
 from repro.obs.runsdb import RunRegistry, flight_metrics, ingest_slam_run
@@ -33,10 +32,14 @@ def make_system():
                       splatonic_config=SplatonicConfig(tracking_tile=8))
 
 
-def quiet_monitor(**overrides) -> HealthMonitor:
-    """A monitor whose alerts do not depend on wall time."""
-    return HealthMonitor(HealthConfig(frame_time_factor=0, **overrides),
-                         registry=MetricsRegistry())
+@pytest.fixture(scope="module", autouse=True)
+def quiet_monitors():
+    """Alerts here must not depend on wall time: no frame-time spikes, and
+    alerts count into a fresh registry, not the process-wide one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(health, "_FRAME_TIME_FACTOR", float("inf"))
+        patch.setattr(health, "metrics", MetricsRegistry())
+        yield
 
 
 class OddFrameMonitor(HealthMonitor):
@@ -58,7 +61,7 @@ class TestOneRunManySinks:
         registry = RunRegistry(str(tmp_path / "reg"))
         result = make_system().run(
             sequence, n_frames=4,
-            observers=[flight, registry, quiet_monitor()])
+            observers=[flight, registry, HealthMonitor()])
         flight.disable()
 
         with open(path) as f:
@@ -95,7 +98,7 @@ class TestOneRunManySinks:
                 make_system().run(
                     sequence, n_frames=4,
                     observers=[flight, RunRegistry(str(tmp_path / "reg")),
-                               quiet_monitor()])
+                               HealthMonitor()])
         finally:
             flight.disable()
         assert cutoffs
@@ -138,8 +141,7 @@ class TestAlerts:
         flight = FlightRecorder()
         flight.enable()
         registry = RunRegistry(str(tmp_path / "reg"))
-        monitor = OddFrameMonitor(HealthConfig(frame_time_factor=0),
-                                  registry=MetricsRegistry())
+        monitor = OddFrameMonitor()
         result = make_system().run(
             sequence, n_frames=6,
             observers=[flight, registry, monitor])
@@ -163,9 +165,9 @@ class TestAlerts:
             get_monitor().non_finite("tracking loss/gradient")
             return original(self, *args, **kwargs)
         monkeypatch.setattr(Tracker, "track_frame", poisoned)
-        default = HealthMonitor(registry=MetricsRegistry())
+        default = HealthMonitor()
         monkeypatch.setattr(health, "_monitor", default)
-        monitor = quiet_monitor()
+        monitor = HealthMonitor()
         flight = FlightRecorder()
         flight.enable()
         make_system().run(sequence, n_frames=3,
@@ -187,7 +189,7 @@ class TestRecordFields:
         flight = FlightRecorder()
         flight.enable(path)
         result = make_system().run(sequence, n_frames=4,
-                                   observers=[flight, quiet_monitor()])
+                                   observers=[flight, HealthMonitor()])
         flight.disable()
         return result, read_flight_record(path)
 
